@@ -46,7 +46,6 @@ from .entail import (
     satisfiable,
 )
 from .optimize import (
-    ProjectionConfig,
     ProjectionResult,
     halfspace_tilt,
     kl_project,

@@ -32,7 +32,7 @@ from .measures import RATIONAL, Measure
 from .spaces import Event, Space, event_of
 
 DEFAULT_EPS = 1e-9
-DEFAULT_MAX_DISJUNCTS = 4096
+MAX_DISJUNCTS = 4096
 
 
 class ConstraintExpr:
@@ -265,10 +265,10 @@ def _negate(expr: ConstraintExpr) -> ConstraintExpr:
 
 
 @lru_cache(maxsize=4096)
-def to_dnf(expr: ConstraintExpr, max_disjuncts: int = DEFAULT_MAX_DISJUNCTS) -> DnfForm:
+def to_dnf(expr: ConstraintExpr) -> DnfForm:
     """Normalize to a union of conjunctive systems; atoms are never
     duplicated inside a system.  Raises on product atoms and when the
-    distribution exceeds ``max_disjuncts``."""
+    distribution exceeds ``MAX_DISJUNCTS``."""
 
     def build(e: ConstraintExpr, negated: bool) -> list[tuple[LinearAtom, ...]]:
         if isinstance(e, Not):
@@ -287,7 +287,7 @@ def to_dnf(expr: ConstraintExpr, max_disjuncts: int = DEFAULT_MAX_DISJUNCTS) -> 
             out: list[tuple[LinearAtom, ...]] = []
             for it in e.items:
                 out.extend(build(it, False))
-                if len(out) > max_disjuncts:
+                if len(out) > MAX_DISJUNCTS:
                     raise CredalError("DNF blowup cap exceeded")
             return out
         if isinstance(e, And):
@@ -295,7 +295,7 @@ def to_dnf(expr: ConstraintExpr, max_disjuncts: int = DEFAULT_MAX_DISJUNCTS) -> 
             for it in e.items:
                 branches = build(it, False)
                 acc = [a + b for a in acc for b in branches]
-                if len(acc) > max_disjuncts:
+                if len(acc) > MAX_DISJUNCTS:
                     raise CredalError("DNF blowup cap exceeded")
             return acc
         raise TypeError(f"not a constraint: {e!r}")

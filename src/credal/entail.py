@@ -1,9 +1,12 @@
 """Exact decision procedures over constraint denotations.
 
-Satisfiability, entailment and equivalence are decided per DNF disjunct
-with a rational LP; strict inequalities are handled soundly by relaxing
-each strict atom with one shared slack variable t and asking whether the
-optimum of t is positive.  Witnesses are exact rational measures.
+Every decision runs over the DNF cells of a constraint, the relatively
+open polyhedra of the simplex it denotes.  `Cell` owns the exact LP
+encoding of one cell: the simplex row, one row per atom, and one slack t
+shared by the strict atoms, whose optimum is positive exactly when the
+open cell is non-empty; the closure drops t from the strict atoms.
+Satisfiability, entailment, ranges, sampling and conservativeness are
+decided cell by cell.  Witnesses are exact rational measures.
 """
 
 from __future__ import annotations
@@ -12,10 +15,10 @@ import random as _random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterator, Sequence
 
 from . import simplex
 from .constraints import (
-    DEFAULT_MAX_DISJUNCTS,
     And,
     ConstraintExpr,
     DnfSystem,
@@ -32,10 +35,110 @@ from .errors import CredalError
 from .measures import Measure
 from .spaces import Event, Space, component_map, event_from_indices, whole_event
 
-DEFAULT_INTERESTING_SCAN_LIMIT = 16
+INTERESTING_SCAN_LIMIT = 16
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_UNSET = object()
+
+# Each atom's row comparator (strict ones closed), and t's coefficient in
+# a strict atom's open row.
+_ROW_CMP = {"=": "=", "<=": "<=", ">=": ">=", "<": "<=", ">": ">="}
+_SLACK = {"<": _ONE, ">": -_ONE}
+
+Pins = Sequence[tuple[list[Fraction], Fraction]]
+
+
+class Cell:
+    """One DNF cell on one space, and the only code that builds LP rows.
+
+    The LP variables are the world masses and the strict slack t.  Each
+    atom's coefficients and the open rows are built once; the closure
+    rows on first use.  Pins are extra equality rows, given as
+    (per-world coefficients, value) pairs.
+    """
+
+    def __init__(self, system: DnfSystem, space: Space):
+        self.system = system
+        self.space = space
+        self.atoms = system.atoms()
+        self.coefficients = [atom.coefficients(space) for atom in self.atoms]
+        self._open = self._rows(closed=False)
+        self._closed = None
+        self._witness = _UNSET
+
+    def _rows(self, closed: bool):
+        n = len(self.space.worlds)
+        rows = [([_ONE] * n + [_ZERO], "=", _ONE)]
+        for atom, coeffs in zip(self.atoms, self.coefficients):
+            slack = _ZERO if closed else _SLACK.get(atom.cmp, _ZERO)
+            rows.append((coeffs + [slack], _ROW_CMP[atom.cmp], atom.bound))
+        rows.append(([_ZERO] * n + [_ONE], "<=", _ONE))
+        return rows
+
+    def _solve(self, rows, objective, maximize: bool, pins: Pins):
+        if pins:
+            rows = rows + [(coeffs + [_ZERO], "=", value) for coeffs, value in pins]
+        n = len(self.space.worlds)
+        status, x, value = simplex.solve_lp(n + 1, rows, objective, maximize=maximize)
+        if status != simplex.OPTIMAL:
+            return None
+        return x[:n], value
+
+    def witness(self, pins: Pins = ()) -> Measure | None:
+        """A measure in the open cell meeting the pins, or None if empty."""
+        if not pins and self._witness is not _UNSET:
+            return self._witness
+        n = len(self.space.worlds)
+        found = self._solve(self._open, [_ZERO] * n + [_ONE], True, pins)
+        witness = None
+        if found is not None and found[1] > 0:
+            witness = Measure.rational(self.space, found[0])
+        if not pins:
+            self._witness = witness
+        return witness
+
+    def solve(self, objective: list[Fraction], maximize: bool, closed: bool = False,
+              pins: Pins = ()) -> tuple[list[Fraction], Fraction] | None:
+        """(world masses, value) at an optimum of the per-world objective,
+        over the open rows (t free in [0, 1]) or the closure rows; None
+        when those rows are infeasible."""
+        if closed and self._closed is None:
+            self._closed = self._rows(closed=True)
+        rows = self._closed if closed else self._open
+        return self._solve(rows, objective + [_ZERO], maximize, pins)
+
+    def support(self, candidates, pins: Pins = ()) -> list[int]:
+        """The candidate worlds with positive mass somewhere in the
+        closure (meeting the pins), by one LP per candidate."""
+        n = len(self.space.worlds)
+        out = []
+        for i in candidates:
+            objective = [_ZERO] * n
+            objective[i] = _ONE
+            found = self.solve(objective, True, closed=True, pins=pins)
+            if found is not None and found[1] > 0:
+                out.append(i)
+        return out
+
+    def in_closure(self, x: list[Fraction]) -> bool:
+        """Whether the exact point x lies in the closure of the cell."""
+        if any(v < 0 for v in x) or sum(x) != 1:
+            return False
+        for atom, coeffs in zip(self.atoms, self.coefficients):
+            v = _dot(coeffs, x)
+            if atom.cmp == "=" and v != atom.bound:
+                return False
+            if atom.cmp in ("<=", "<") and v > atom.bound:
+                return False
+            if atom.cmp in (">=", ">") and v < atom.bound:
+                return False
+        return True
+
+
+def cells(expr: ConstraintExpr, space: Space) -> Iterator[Cell]:
+    """The DNF cells of expr on space, built one at a time."""
+    return (Cell(system, space) for system in to_dnf(expr).systems)
 
 
 @dataclass(frozen=True)
@@ -49,40 +152,7 @@ class FeasibilityReport:
         return self.status == "feasible"
 
 
-def _system_rows(system: DnfSystem, space: Space, extra_pins: list[tuple[list[Fraction], str, Fraction]] | None = None):
-    """LP rows for one disjunct: simplex, atoms, shared strict slack t."""
-    n = len(space.worlds)
-    rows: list[tuple[list[Fraction], str, Fraction]] = []
-    rows.append(([_ONE] * n + [_ZERO], "=", _ONE))
-    for atom in system.equalities:
-        rows.append((atom.coefficients(space) + [_ZERO], "=", atom.bound))
-    for atom in system.nonstrict:
-        rows.append((atom.coefficients(space) + [_ZERO], atom.cmp, atom.bound))
-    for atom in system.strict:
-        coeffs = atom.coefficients(space)
-        if atom.cmp == ">":
-            rows.append((coeffs + [-_ONE], ">=", atom.bound))
-        else:
-            rows.append((coeffs + [_ONE], "<=", atom.bound))
-    rows.append(([_ZERO] * n + [_ONE], "<=", _ONE))
-    if extra_pins:
-        rows.extend(extra_pins)
-    return rows
-
-
-def _system_feasible(system: DnfSystem, space: Space,
-                     extra_pins=None) -> Measure | None:
-    n = len(space.worlds)
-    objective = [_ZERO] * n + [_ONE]
-    status, x, value = simplex.solve_lp(n + 1, _system_rows(system, space, extra_pins),
-                                        objective, maximize=True)
-    if status != simplex.OPTIMAL or value <= 0:
-        return None
-    return Measure.rational(space, x[:n])
-
-
-def satisfiable(expr: ConstraintExpr, space: Space | None = None,
-                max_disjuncts: int = DEFAULT_MAX_DISJUNCTS) -> FeasibilityReport:
+def satisfiable(expr: ConstraintExpr, space: Space | None = None) -> FeasibilityReport:
     """Decide whether some measure satisfies the constraint.
 
     The witness, when present, satisfies the constraint exactly,
@@ -95,11 +165,10 @@ def satisfiable(expr: ConstraintExpr, space: Space | None = None,
             return FeasibilityReport("feasible")
         if isinstance(expr, FalseExpr):
             return FeasibilityReport("infeasible")
-        dnf = to_dnf(expr, max_disjuncts)
-        return (FeasibilityReport("feasible") if dnf.systems
+        return (FeasibilityReport("feasible") if to_dnf(expr).systems
                 else FeasibilityReport("infeasible"))
-    for k, system in enumerate(to_dnf(expr, max_disjuncts).systems):
-        witness = _system_feasible(system, space)
+    for k, cell in enumerate(cells(expr, space)):
+        witness = cell.witness()
         if witness is not None:
             assert satisfies(witness, expr), "LP witness failed exact satisfaction"
             return FeasibilityReport("feasible", witness, k)
@@ -140,8 +209,7 @@ def _probe_measures(space: Space) -> list[Measure]:
     return probes
 
 
-def is_interesting(kb: ConstraintExpr, space: Space | None = None,
-                   scan_limit: int = DEFAULT_INTERESTING_SCAN_LIMIT) -> Event | None:
+def is_interesting(kb: ConstraintExpr, space: Space | None = None) -> Event | None:
     """The event S with [[kb]] = [[Pr(S) >= 1/4]], if one exists.
 
     Candidates are short-circuited through point-mass witnesses: a point
@@ -154,7 +222,7 @@ def is_interesting(kb: ConstraintExpr, space: Space | None = None,
         space = space_of(kb)
     if space is None:
         return None
-    if len(space.worlds) > scan_limit:
+    if len(space.worlds) > INTERESTING_SCAN_LIMIT:
         raise CredalError("space exceeds the interesting-scan limit")
     candidate_ids = [i for i in range(len(space.worlds))
                      if satisfies(Measure.point_mass(space, i), kb)]
@@ -171,8 +239,10 @@ def is_interesting(kb: ConstraintExpr, space: Space | None = None,
 def objective_normal_form(kb: ConstraintExpr, space: Space | None = None) -> Event | None:
     """The event T with [[kb]] = [[Pr(T) = 1]], if one exists.
 
-    T is the union of supports of satisfying measures (found by one
-    small LP per world), verified by entailment in both directions.
+    T is the union of supports of satisfying measures: per non-empty
+    cell, its witness's support plus the worlds an LP finds positive
+    somewhere in its closure (a closure point's support is reached from
+    inside the cell).  T is verified by entailment in both directions.
     """
     if space is None:
         space = space_of(kb)
@@ -189,11 +259,13 @@ def objective_normal_form(kb: ConstraintExpr, space: Space | None = None) -> Eve
     if direct is not None:
         return direct
 
-    support = []
-    for i in range(len(space.worlds)):
-        positive = LinearAtom(((_ONE, event_from_indices(space, [i])),), ">", _ZERO)
-        if satisfiable(and_(kb, positive), space).feasible:
-            support.append(i)
+    support: set[int] = set()
+    for cell in cells(kb, space):
+        witness = cell.witness()
+        if witness is None:
+            continue
+        support.update(i for i, w in enumerate(witness.weights) if w > 0)
+        support.update(cell.support([i for i in range(len(space.worlds)) if i not in support]))
     t = event_from_indices(space, support)
     target = LinearAtom(((_ONE, t),), "=", _ONE)
     if entails(target, kb, space) and entails(kb, target, space):
@@ -225,23 +297,16 @@ def linear_range(expr: ConstraintExpr, terms: tuple[tuple[Fraction, Event], ...]
     None when the constraint is unsatisfiable.  Computed per DNF cell;
     strict atoms are relaxed, so the bounds are those of the closure.
     """
-    probe = LinearAtom(terms, "=", _ZERO)  # carrier for coefficients
+    objective = LinearAtom(terms, "=", _ZERO).coefficients(space)
     lo = hi = None
-    n = len(space.worlds)
-    objective = probe.coefficients(space) + [_ZERO]
-    for system in to_dnf(expr).systems:
-        if _system_feasible(system, space) is None:
+    for cell in cells(expr, space):
+        if cell.witness() is None:
             continue
-        closed = DnfSystem(system.equalities,
-                           system.nonstrict + tuple(
-                               LinearAtom(a.terms, "<=" if a.cmp == "<" else ">=", a.bound)
-                               for a in system.strict),
-                           ())
-        rows = _system_rows(closed, space)
         for maximize in (False, True):
-            status, x, value = simplex.solve_lp(n + 1, rows, objective, maximize=maximize)
-            if status != simplex.OPTIMAL:
+            found = cell.solve(objective, maximize, closed=True)
+            if found is None:
                 continue
+            value = found[1]
             if maximize:
                 hi = value if hi is None else max(hi, value)
             else:
@@ -258,21 +323,19 @@ def sample_measures(expr: ConstraintExpr, space: Space, n: int, seed: int) -> li
     rng = _random.Random(seed)
     out: list[Measure] = []
     nw = len(space.worlds)
-    systems = to_dnf(expr).systems
-    witnesses = [(sys_, _system_feasible(sys_, space)) for sys_ in systems]
-    witnesses = [(s, w) for s, w in witnesses if w is not None]
-    if not witnesses:
+    live = [(cell, cell.witness()) for cell in cells(expr, space)]
+    live = [(cell, w) for cell, w in live if w is not None]
+    if not live:
         return out
     attempts = 0
     while len(out) < n and attempts < 20 * n:
         attempts += 1
-        system, witness = witnesses[rng.randrange(len(witnesses))]
-        objective = [Fraction(rng.randrange(-8, 9)) for _ in range(nw)] + [_ZERO]
-        rows = _system_rows(system, space)
-        status, x, _ = simplex.solve_lp(nw + 1, rows, objective, maximize=bool(rng.getrandbits(1)))
-        if status != simplex.OPTIMAL:
+        cell, witness = live[rng.randrange(len(live))]
+        objective = [Fraction(rng.randrange(-8, 9)) for _ in range(nw)]
+        found = cell.solve(objective, maximize=bool(rng.getrandbits(1)))
+        if found is None:
             continue
-        vertex = x[:nw]
+        vertex = found[0]
         lam = Fraction(rng.randrange(1, 8), 8)
         mixed = [lam * a + (1 - lam) * b for a, b in zip(witness.weights, vertex)]
         mu = Measure.rational(space, mixed)
@@ -292,44 +355,22 @@ class ConservativeReport:
     note: str = ""
 
 
-def _cell_vertices(system: DnfSystem, space: Space) -> list[list[Fraction]]:
+def _cell_vertices(cell: Cell) -> list[list[Fraction]]:
     """Vertices of the closure of one cell, by exhaustive basis search."""
-    n = len(space.worlds)
-    eqs: list[tuple[list[Fraction], Fraction]] = [([_ONE] * n, _ONE)]
-    for a in system.equalities:
-        eqs.append((a.coefficients(space), a.bound))
-    pool: list[tuple[list[Fraction], Fraction]] = []
-    for i in range(n):
-        row = [_ZERO] * n
-        row[i] = _ONE
-        pool.append((row, _ZERO))
-    for a in system.nonstrict + system.strict:
-        pool.append((a.coefficients(space), a.bound))
-
-    def feasible(x: list[Fraction]) -> bool:
-        if any(v < 0 for v in x):
-            return False
-        for a in system.equalities:
-            if _dot(a.coefficients(space), x) != a.bound:
-                return False
-        for a in system.nonstrict + system.strict:
-            v = _dot(a.coefficients(space), x)
-            if a.cmp in ("<=", "<") and v > a.bound:
-                return False
-            if a.cmp in (">=", ">") and v < a.bound:
-                return False
-        return True
-
-    need = n - len(eqs)
+    n = len(cell.space.worlds)
+    atom_rows = [(coeffs, atom.bound) for atom, coeffs in zip(cell.atoms, cell.coefficients)]
+    n_eq = len(cell.system.equalities)
+    eqs = [([_ONE] * n, _ONE)] + atom_rows[:n_eq]
+    pool = ([([_ONE if j == i else _ZERO for j in range(n)], _ZERO) for i in range(n)]
+            + atom_rows[n_eq:])
+    need = max(0, n - len(eqs))
     vertices: list[list[Fraction]] = []
     seen: set[tuple] = set()
-    if need < 0:
-        need = 0
     for chosen in combinations(range(len(pool)), need):
         rows = [r for r, _ in eqs] + [pool[i][0] for i in chosen]
         rhs = [b for _, b in eqs] + [pool[i][1] for i in chosen]
         x = _solve_unique(rows, rhs, n)
-        if x is None or not feasible(x):
+        if x is None or not cell.in_closure(x):
             continue
         key = tuple(x)
         if key not in seen:
@@ -406,10 +447,11 @@ def conservative_check(kb: ConstraintExpr, psi: ConstraintExpr, xy_space: Space,
     points: list[Measure] = []
     if complete:
         for system in systems:
-            interior = _system_feasible(system, x_space)
+            cell = Cell(system, x_space)
+            interior = cell.witness()
             if interior is None:
                 continue
-            for vertex in _cell_vertices(system, x_space):
+            for vertex in _cell_vertices(cell):
                 mu = Measure.rational(x_space, vertex)
                 if not satisfies(mu, kb):
                     lam = Fraction(1, 8)
@@ -421,22 +463,13 @@ def conservative_check(kb: ConstraintExpr, psi: ConstraintExpr, xy_space: Space,
                 points.append(mu)
     points.extend(sample_measures(kb, x_space, n_samples, seed))
 
+    fibers = [[_ONE if c == xi else _ZERO for c in comp] for xi in range(len(x_space.worlds))]
+    xy_cells = list(cells(combined, xy_space))
     tested = 0
     for nu in points:
         tested += 1
-        pins = []
-        n_xy = len(xy_space.worlds)
-        for xi in range(len(x_space.worlds)):
-            row = [_ZERO] * (n_xy + 1)
-            for j in range(n_xy):
-                if comp[j] == xi:
-                    row[j] = _ONE
-            pins.append((row, "=", nu.weights[xi]))
-        extended = any(
-            _system_feasible(system, xy_space, extra_pins=pins) is not None
-            for system in to_dnf(combined).systems
-        )
-        if not extended:
+        pins = list(zip(fibers, nu.weights))
+        if not any(cell.witness(pins) is not None for cell in xy_cells):
             return ConservativeReport("not_conservative", witness=nu, tested=tested)
     status = "conservative_verified" if complete else "inconclusive"
     return ConservativeReport(status, tested=tested)

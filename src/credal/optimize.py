@@ -1,6 +1,8 @@
 """Maximum entropy and relative-entropy projection over constraint sets.
 
-Each DNF disjunct denotes a relatively open polyhedral cell.  The
+Each DNF disjunct denotes a relatively open polyhedral cell, an
+`entail.Cell` whose exact LP rows decide feasibility and the exact
+zero pattern; the float rows here come from its coefficients.  The
 optimizer works on the cell's closure with cyclic Bregman projections
 (a Dykstra-style scheme: equality rows are projected directly, each
 inequality carries a nonnegative dual that limits how far a satisfied
@@ -18,37 +20,23 @@ from fractions import Fraction
 
 import numpy as np
 
-from .constraints import (
-    DEFAULT_MAX_DISJUNCTS,
-    ConstraintExpr,
-    DnfSystem,
-    LinearAtom,
-    satisfies,
-    space_of,
-    to_dnf,
-)
-from .entail import _system_feasible
+from .constraints import ConstraintExpr, LinearAtom, satisfies, space_of, to_dnf
+from .entail import Cell, cells
 from .errors import ConvergenceError, CredalError
 from .measures import FLOAT, FiniteMeasureSet, Measure, kl_divergence
 from .spaces import Space
 
+ROOT_TOL = 1e-12  # tilt roots: |<a, tilt> - target|
+STRICT_EPS = 1e-9  # margin a strict atom needs at the closure optimum
+QUICK_CYCLES = 5_000  # sweeps before falling back to zero elimination
+MAX_CYCLES = 100_000  # sweeps before ConvergenceError
+RESIDUAL_TOL = 1e-10  # convergence: worst row violation
+MOVE_TOL = 1e-12  # convergence: largest change of a weight in one sweep
+VALUE_TOL = 1e-9  # disjuncts within this of the best divergence attain it
+DEDUPE_EPS = 1e-9  # measures this close are one
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-@dataclass(frozen=True)
-class ProjectionConfig:
-    root_tol: float = 1e-12
-    strict_eps: float = 1e-9
-    max_cycles: int = 100_000
-    max_disjuncts: int = DEFAULT_MAX_DISJUNCTS
-    residual_tol: float = 1e-10
-    move_tol: float = 1e-12
-    value_tol: float = 1e-9
-    dedupe_eps: float = 1e-9
-
-
-DEFAULT_CONFIG = ProjectionConfig()
 
 
 @dataclass(frozen=True)
@@ -142,7 +130,7 @@ def _apply_tilt(w: np.ndarray, a: np.ndarray, lam: float) -> np.ndarray:
     return _tilt(w, a, lam)
 
 
-def halfspace_tilt(mu: Measure, atom: LinearAtom, root_tol: float = 1e-12) -> Measure:
+def halfspace_tilt(mu: Measure, atom: LinearAtom, root_tol: float = ROOT_TOL) -> Measure:
     """Exact elementary KL projection onto one atom's hyperplane.
 
     Inequality atoms already satisfied are returned unchanged; otherwise
@@ -167,34 +155,39 @@ def halfspace_tilt(mu: Measure, atom: LinearAtom, root_tol: float = 1e-12) -> Me
 # Cyclic projection with duals -------------------------------------------
 
 
-def _project_closure(w0: np.ndarray, system: DnfSystem, space: Space,
-                     config: ProjectionConfig) -> tuple[np.ndarray, int]:
-    """KL projection of w0 onto the closure of the cell, over w0's support."""
+def _float_rows(cell: Cell):
+    """The cell's atoms as float rows: the equalities, and the
+    inequalities normalized to <= with the strict atoms last."""
     eqs: list[tuple[np.ndarray, float]] = []
-    ineqs: list[tuple[np.ndarray, float]] = []  # normalized to <=
-    for atom in system.equalities:
-        eqs.append((np.array([float(c) for c in atom.coefficients(space)]), float(atom.bound)))
-    for atom in system.nonstrict + system.strict:
-        a = np.array([float(c) for c in atom.coefficients(space)])
+    ineqs: list[tuple[np.ndarray, float]] = []
+    for atom, coeffs in zip(cell.atoms, cell.coefficients):
+        a = np.array([float(c) for c in coeffs])
         b = float(atom.bound)
+        if atom.cmp == "=":
+            eqs.append((a, b))
+            continue
         if atom.cmp in (">=", ">"):
             a, b = -a, -b
         ineqs.append((a, b))
+    return eqs, ineqs
 
+
+def _project_closure(w0: np.ndarray, eqs, ineqs, max_cycles: int) -> tuple[np.ndarray, int]:
+    """KL projection of w0 onto the closure of the cell, over w0's support."""
     if not eqs and not ineqs:
         return w0, 0
 
     w = w0.copy()
     duals = [0.0] * len(ineqs)
-    for cycle in range(1, config.max_cycles + 1):
+    for cycle in range(1, max_cycles + 1):
         prev = w
         for a, b in eqs:
-            lam = _solve_tilt(w, a, b, config.root_tol)
+            lam = _solve_tilt(w, a, b, ROOT_TOL)
             w = _apply_tilt(w, a, lam)
         for j, (a, b) in enumerate(ineqs):
             value = float(a @ w)
             if value > b:
-                lam = _solve_tilt(w, a, b, config.root_tol)
+                lam = _solve_tilt(w, a, b, ROOT_TOL)
                 w = _apply_tilt(w, a, lam)
                 if math.isinf(lam):
                     duals[j] = math.inf
@@ -205,7 +198,7 @@ def _project_closure(w0: np.ndarray, system: DnfSystem, space: Space,
                 if b >= a[support].max():
                     lam = duals[j]
                 else:
-                    lam = min(_solve_tilt(w, a, b, config.root_tol), duals[j])
+                    lam = min(_solve_tilt(w, a, b, ROOT_TOL), duals[j])
                 if lam > 0.0 and not math.isinf(lam):
                     w = _apply_tilt(w, a, lam)
                     duals[j] -= lam
@@ -217,85 +210,33 @@ def _project_closure(w0: np.ndarray, system: DnfSystem, space: Space,
         for a, b in ineqs:
             residual = max(residual, float(a @ w) - b)
         move = float(np.max(np.abs(w - prev)))
-        if residual < config.residual_tol and move < config.move_tol:
+        if residual < RESIDUAL_TOL and move < MOVE_TOL:
             return w, cycle
     raise ConvergenceError("no convergence")
 
 
-def _closed_system(system: DnfSystem) -> DnfSystem:
-    relaxed = tuple(LinearAtom(a.terms, "<=" if a.cmp == "<" else ">=", a.bound)
-                    for a in system.strict)
-    return DnfSystem(system.equalities, system.nonstrict + relaxed, ())
-
-
-def _forced_zeros(system: DnfSystem, space: Space, support: np.ndarray) -> list[int]:
-    """Worlds whose mass is zero at every point of the cell's closure
-    (over the given support).  Multiplicative tilts reach such boundary
-    points only in the limit, so they are pinned ahead of time; the zero
-    set is decided exactly by one small LP per supported world."""
-    from . import simplex
-    from .entail import _system_rows
-
-    closed = _closed_system(system)
-    pins = _support_pins(space, support)
-    rows = _system_rows(closed, space, extra_pins=pins)
-    n = len(space.worlds)
-    zeros = []
-    for i in range(n):
-        if not support[i]:
-            continue
-        objective = [_ZERO] * (n + 1)
-        objective[i] = _ONE
-        status, _, value = simplex.solve_lp(n + 1, rows, objective, maximize=True)
-        if status == simplex.OPTIMAL and value == 0:
-            zeros.append(i)
-    return zeros
-
-
-def _project_with_zero_elimination(w0: np.ndarray, system: DnfSystem, space: Space,
-                                   config: ProjectionConfig) -> tuple[np.ndarray, int]:
+def _project_with_zero_elimination(w0: np.ndarray, cell: Cell, eqs, ineqs,
+                                   pins) -> tuple[np.ndarray, int]:
     """Projection with a fallback for boundary optima: when the cyclic
-    scheme stalls, eliminate the exactly-forced-zero coordinates and
-    restart on the reduced support."""
-    quick = replace(config, max_cycles=min(5000, config.max_cycles))
+    scheme stalls, pin the worlds with zero mass at every point of the
+    cell's closure (over w0's support, decided exactly by the cell) and
+    restart on the reduced support.  Multiplicative tilts reach such
+    boundary points only in the limit."""
     try:
-        return _project_closure(w0, system, space, quick)
+        return _project_closure(w0, eqs, ineqs, QUICK_CYCLES)
     except ConvergenceError:
         pass
-    support = w0 > 0.0
-    zeros = _forced_zeros(system, space, support)
+    supported = np.flatnonzero(w0 > 0.0).tolist()
+    zeros = sorted(set(supported) - set(cell.support(supported, pins)))
     w = w0
     if zeros:
         w = w0.copy()
         w[zeros] = 0.0
         w = w / w.sum()
-    return _project_closure(w, system, space, config)
+    return _project_closure(w, eqs, ineqs, MAX_CYCLES)
 
 
-def _strict_ok(weights: np.ndarray, system: DnfSystem, space: Space, eps: float) -> bool:
-    for atom in system.strict:
-        a = np.array([float(c) for c in atom.coefficients(space)])
-        v = float(a @ weights)
-        b = float(atom.bound)
-        if atom.cmp == "<" and not v < b - eps:
-            return False
-        if atom.cmp == ">" and not v > b + eps:
-            return False
-    return True
-
-
-def _support_pins(space: Space, support: np.ndarray):
-    n = len(space.worlds)
-    pins = []
-    for i in range(n):
-        if not support[i]:
-            row = [_ZERO] * (n + 1)
-            row[i] = _ONE
-            pins.append((row, "=", _ZERO))
-    return pins
-
-
-def kl_project(mu: Measure, kb: ConstraintExpr, config: ProjectionConfig = DEFAULT_CONFIG) -> ProjectionResult:
+def kl_project(mu: Measure, kb: ConstraintExpr) -> ProjectionResult:
     """Measures satisfying kb at minimal divergence from mu (in bits).
 
     Worlds outside mu's support stay at probability zero; a disjunct
@@ -307,8 +248,7 @@ def kl_project(mu: Measure, kb: ConstraintExpr, config: ProjectionConfig = DEFAU
         raise ValueError("kl_project needs a float-backed prior; convert explicitly")
     space = mu.space
     if space_of(kb) is None:
-        systems = to_dnf(kb, config.max_disjuncts).systems
-        if systems:
+        if to_dnf(kb).systems:
             return ProjectionResult("attained", (mu,), 0.0,
                                     (DisjunctDiagnostic(0, True, value=0.0, strict_ok=True),))
         return ProjectionResult("empty", (), None)
@@ -317,36 +257,37 @@ def kl_project(mu: Measure, kb: ConstraintExpr, config: ProjectionConfig = DEFAU
                                 (DisjunctDiagnostic(0, True, value=0.0, strict_ok=True),))
 
     w0 = np.array([float(x) for x in mu.weights])
-    support = w0 > 0.0
-    pins = _support_pins(space, support)
+    n = len(space.worlds)
+    pins = [([_ONE if j == i else _ZERO for j in range(n)], _ZERO)
+            for i in range(n) if w0[i] <= 0.0]
     diagnostics: list[DisjunctDiagnostic] = []
     candidates: list[tuple[float, bool, Measure, int]] = []
-    for k, system in enumerate(to_dnf(kb, config.max_disjuncts).systems):
-        if _system_feasible(system, space) is None:
+    for k, cell in enumerate(cells(kb, space)):
+        if cell.witness() is None:
             diagnostics.append(DisjunctDiagnostic(k, open_nonempty=False))
             continue
-        if pins and _system_feasible(system, space, extra_pins=pins) is None:
+        if pins and cell.witness(pins) is None:
             diagnostics.append(DisjunctDiagnostic(k, open_nonempty=True, infinite=True))
             continue
-        w_star, cycles = _project_with_zero_elimination(w0, system, space, config)
+        eqs, ineqs = _float_rows(cell)
+        w_star, cycles = _project_with_zero_elimination(w0, cell, eqs, ineqs, pins)
         result = Measure.from_floats(space, w_star)
         value = kl_divergence(result, mu)
-        ok = _strict_ok(w_star, system, space, config.strict_eps)
+        strict = ineqs[len(ineqs) - len(cell.system.strict):]
+        ok = all(float(a @ w_star) < b - STRICT_EPS for a, b in strict)
         diagnostics.append(DisjunctDiagnostic(k, True, value=value, strict_ok=ok, cycles=cycles))
         candidates.append((value, ok, result, k))
 
     if not candidates:
         return ProjectionResult("empty", (), None, tuple(diagnostics))
     best = min(v for v, _, _, _ in candidates)
-    attainers = [m for v, ok, m, _ in candidates if ok and v <= best + config.value_tol]
-    attainers = _dedupe_sorted(attainers, config.dedupe_eps)
+    attainers = _dedupe_sorted([m for v, ok, m, _ in candidates if ok and v <= best + VALUE_TOL])
     if attainers:
         return ProjectionResult("attained", tuple(attainers), best, tuple(diagnostics))
     return ProjectionResult("not_attained", (), best, tuple(diagnostics))
 
 
-def maxent(kb: ConstraintExpr, space: Space | None = None,
-           config: ProjectionConfig = DEFAULT_CONFIG) -> ProjectionResult:
+def maxent(kb: ConstraintExpr, space: Space | None = None) -> ProjectionResult:
     """Highest-entropy measures satisfying kb (value in entropy bits).
 
     Equivalent to divergence minimization from the uniform measure; the
@@ -356,15 +297,14 @@ def maxent(kb: ConstraintExpr, space: Space | None = None,
         space = space_of(kb)
         if space is None:
             raise ValueError("pass the space to maximize entropy under true/false")
-    result = kl_project(Measure.uniform(space), kb, config)
+    result = kl_project(Measure.uniform(space), kb)
     log_n = math.log2(len(space.worlds))
     flip = (lambda v: None if v is None else log_n - v)
     diags = tuple(replace(d, value=flip(d.value)) for d in result.diagnostics)
     return ProjectionResult(result.status, result.measures, flip(result.value), diags)
 
 
-def update_set(d: FiniteMeasureSet, kb: ConstraintExpr,
-               config: ProjectionConfig = DEFAULT_CONFIG) -> FiniteMeasureSet:
+def update_set(d: FiniteMeasureSet, kb: ConstraintExpr) -> FiniteMeasureSet:
     """Pointwise relative-entropy update of a finite set of priors.
 
     The union of each prior's projection attainers, deduplicated.  An
@@ -374,17 +314,17 @@ def update_set(d: FiniteMeasureSet, kb: ConstraintExpr,
 
     out: list[Measure] = []
     for mu in d:
-        res = kl_project(mu.to_float(), kb, config)
+        res = kl_project(mu.to_float(), kb)
         if res.status == "not_attained":
             raise DomainError("KB outside procedure domain: projection not attained")
         out.extend(res.measures)
-    return FiniteMeasureSet(tuple(_dedupe_sorted(out, config.dedupe_eps)))
+    return FiniteMeasureSet(tuple(_dedupe_sorted(out)))
 
 
-def _dedupe_sorted(measures: list[Measure], eps: float) -> list[Measure]:
+def _dedupe_sorted(measures: list[Measure]) -> list[Measure]:
     out: list[Measure] = []
     for m in measures:
-        if not any(m.is_close(o, eps) for o in out):
+        if not any(m.is_close(o, DEDUPE_EPS) for o in out):
             out.append(m)
     out.sort(key=lambda m: tuple(float(w) for w in m.weights))
     return out

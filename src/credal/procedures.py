@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random as _random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -32,6 +32,7 @@ from .constraints import (
 )
 from .entail import (
     entails,
+    equivalent,
     is_interesting,
     linear_range,
     objective_normal_form,
@@ -46,7 +47,7 @@ from .measures import (
     MeasureSet,
     product_measure,
 )
-from .optimize import DEFAULT_CONFIG, ProjectionConfig, maxent, update_set
+from .optimize import maxent, update_set
 from .spaces import Event, Space, component_map, cylinder, event_from_indices, product_space
 
 _ONE = Fraction(1)
@@ -103,15 +104,14 @@ class InferenceProcedure:
     name: str
     kind: str
     prior: PriorFunction | None = None
-    config: ProjectionConfig = field(default=DEFAULT_CONFIG)
 
     @staticmethod
     def entailment() -> "InferenceProcedure":
         return InferenceProcedure("entailment", ENTAILMENT)
 
     @staticmethod
-    def maxent(config: ProjectionConfig = DEFAULT_CONFIG) -> "InferenceProcedure":
-        return InferenceProcedure("maxent", MAXENT, config=config)
+    def maxent() -> "InferenceProcedure":
+        return InferenceProcedure("maxent", MAXENT)
 
     @staticmethod
     def i0() -> "InferenceProcedure":
@@ -122,9 +122,8 @@ class InferenceProcedure:
         return InferenceProcedure("I1", I1)
 
     @staticmethod
-    def prior_based(prior: PriorFunction, name: str | None = None,
-                    config: ProjectionConfig = DEFAULT_CONFIG) -> "InferenceProcedure":
-        return InferenceProcedure(name or f"I^{prior.kind}", PRIOR_BASED, prior, config)
+    def prior_based(prior: PriorFunction, name: str | None = None) -> "InferenceProcedure":
+        return InferenceProcedure(name or f"I^{prior.kind}", PRIOR_BASED, prior)
 
     @staticmethod
     def broken() -> "InferenceProcedure":
@@ -192,7 +191,7 @@ def select(proc: InferenceProcedure, kb: ConstraintExpr, space: Space | None = N
     if proc.kind == BROKEN:
         return DenotationSet(TrueExpr())
     if proc.kind == MAXENT:
-        res = maxent(kb, space, proc.config)
+        res = maxent(kb, space)
         if res.status == "not_attained":
             raise DomainError("KB outside procedure domain: entropy supremum not attained")
         return FiniteMeasureSet(res.measures)
@@ -204,7 +203,7 @@ def select(proc: InferenceProcedure, kb: ConstraintExpr, space: Space | None = N
         if proc.prior.kind == PRODUCT_FAMILY:
             raise CredalError("product-family selections are not enumerable; use infers")
         priors = FiniteMeasureSet(tuple(m.to_float() for m in proc.prior.measures_for(space)))
-        return update_set(priors, kb, proc.config)
+        return update_set(priors, kb)
     raise ValueError(f"unknown procedure kind {proc.kind!r}")
 
 
@@ -592,15 +591,9 @@ def klm_properties_check(proc: InferenceProcedure, kbs: Sequence[ConstraintExpr]
 
     for kb, kb2 in lle_pairs:
         sp = _resolve_space(kb, kb2, space)
-        if not equivalent_kb(kb, kb2, sp):
+        if not equivalent(kb, kb2, sp):
             continue
         for th in thetas:
             if infers(proc, kb, th, sp).holds != infers(proc, kb2, th, sp).holds:
                 violations.append(KlmViolation("Left Logical Equivalence", kb, th, kb2))
     return KlmReport(proc.name, checked, tuple(violations))
-
-
-def equivalent_kb(a: ConstraintExpr, b: ConstraintExpr, space: Space) -> bool:
-    from .entail import equivalent
-
-    return equivalent(a, b, space)

@@ -60,9 +60,6 @@ class World:
     def value(self, i: int) -> bool:
         return bool((self.bits >> (self.width - 1 - i)) & 1)
 
-    def as_dict(self, vocab: Vocabulary) -> dict[str, bool]:
-        return {s: self.value(i) for i, s in enumerate(vocab.symbols)}
-
     def label(self, vocab: Vocabulary) -> str:
         return "".join(s if self.value(i) else "!" + s for i, s in enumerate(vocab.symbols)) or "*"
 
@@ -165,10 +162,6 @@ class Event:
 
 def whole_event(space: Space) -> Event:
     return Event(space, (1 << len(space.worlds)) - 1)
-
-
-def empty_event(space: Space) -> Event:
-    return Event(space, 0)
 
 
 def event_from_indices(space: Space, indices: Iterable[int]) -> Event:

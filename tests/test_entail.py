@@ -6,10 +6,12 @@ from credal.constraints import (
     And,
     LinearAtom,
     Not,
+    and_,
     parse_constraint,
     satisfies,
 )
 from credal.entail import (
+    cells,
     conservative_check,
     entails,
     equivalent,
@@ -145,7 +147,7 @@ class TestIsInteresting:
     def test_scan_limit(self):
         sp = enumerate_worlds(["a", "b", "c", "d", "e"])
         with pytest.raises(CredalError, match="scan limit"):
-            is_interesting(parse_constraint("P(a) >= 1/4", sp), scan_limit=16)
+            is_interesting(parse_constraint("P(a) >= 1/4", sp))
 
 
 class TestObjectiveNormalForm:
@@ -164,6 +166,50 @@ class TestObjectiveNormalForm:
         # equivalent to P(fly & bird) = 1 without using the syntactic form
         kb = parse_constraint("P(fly) >= 1 & P(bird) >= 1", fly_bird_space)
         assert objective_normal_form(kb) == event_of(fly_bird_space, "fly & bird")
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("(P(a) > 1/2 & P(a) < 1/2) | P(b) >= 1", id="empty-first-cell"),
+        pytest.param("P(a) >= 1 | P(a) + P(b) >= 2", id="union-of-faces"),
+        pytest.param("P(a) >= 1 & (P(b) <= 1/2 | P(b) >= 1/2)", id="split-face"),
+        pytest.param("P(a) >= 1 | P(b) >= 1", id="two-faces-not-objective"),
+        pytest.param("P((a | b)) >= 1 & (P(a) > 0 | P(c) <= 0)", id="mixed-not-objective"),
+    ])
+    def test_multi_cell_matches_per_world_support(self, text):
+        # Reference: T is every world i with kb & P({i}) > 0 satisfiable,
+        # kept only when kb is equivalent to P(T) = 1.
+        sp = enumerate_worlds(["a", "b", "c"])
+        kb = parse_constraint(text, sp)
+        support = [i for i in range(len(sp.worlds))
+                   if satisfiable(and_(kb, LinearAtom(((F(1), event_from_indices(sp, [i])),),
+                                                      ">", F(0))), sp).feasible]
+        t = event_from_indices(sp, support)
+        expected = t if equivalent(kb, LinearAtom(((F(1), t),), "=", F(1)), sp) else None
+        assert objective_normal_form(kb) == expected
+
+
+class TestCell:
+    def test_witness_solve_support_and_closure(self, fly_bird_space):
+        # worlds: !fly&!bird, !fly&bird, fly&!bird, fly&bird
+        kb = parse_constraint("P(fly) > 1/2 & P(bird) >= 1", fly_bird_space)
+        (cell,) = cells(kb, fly_bird_space)
+        witness = cell.witness()
+        assert satisfies(witness, kb)
+        assert cell.witness() is witness  # memoised without pins
+        fly = [F(0), F(0), F(1), F(1)]
+        assert cell.solve(fly, maximize=False, closed=True)[1] == F(1, 2)
+        assert cell.support(range(4)) == [1, 3]
+        boundary = [F(0), F(1, 2), F(0), F(1, 2)]
+        assert cell.in_closure(boundary)
+        assert not satisfies(Measure.rational(fly_bird_space, boundary), kb)
+        assert not cell.in_closure([F(1, 4)] * 4)
+
+    def test_pinned_witness(self, fly_bird_space):
+        kb = parse_constraint("P(fly) > 1/2", fly_bird_space)
+        (cell,) = cells(kb, fly_bird_space)
+        fly = [F(0), F(0), F(1), F(1)]
+        assert cell.witness([(fly, F(1, 2))]) is None
+        assert cell.witness([(fly, F(3, 4))]).prob(event_of(fly_bird_space, "fly")) == F(3, 4)
+        assert cell.witness() is not None
 
 
 class TestLinearRangeAndSampling:

@@ -300,13 +300,6 @@ class TestProductsInvariance:
         assert rep.consistent_with_theorem
 
 
-needs_slow = pytest.mark.skipif(
-    __import__("os").environ.get("CREDAL_RUN_SLOW") != "1",
-    reason="set CREDAL_RUN_SLOW=1 to run the full 384-world instance")
-
-
-@needs_slow
-@pytest.mark.slow
 class TestSigmaFullInstance:
     """Run the LP machinery on the full 384-world product, not just the
     explicit construction."""

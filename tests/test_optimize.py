@@ -88,6 +88,28 @@ class TestKlProject:
                                  denom=50)
         assert float(gridded.weights[0]) == pytest.approx(0.5, abs=1e-9)
 
+    def test_forced_zero_is_eliminated(self, flying_bird_space, monkeypatch):
+        # x0 + x1 <= 1/2 and x0 >= 1/2 force x1 = 0, which multiplicative
+        # tilts reach only in the limit: the exact zero pattern decides it.
+        from credal.entail import Cell
+        from credal.spaces import event_from_indices
+
+        calls = []
+        support = Cell.support
+
+        def spy(self, *args, **kwargs):
+            calls.append(args)
+            return support(self, *args, **kwargs)
+
+        monkeypatch.setattr(Cell, "support", spy)
+        sp = flying_bird_space
+        kb = And((LinearAtom(((F(1), event_from_indices(sp, [0, 1])),), "<=", F(1, 2)),
+                  LinearAtom(((F(1), event_from_indices(sp, [0])),), ">=", F(1, 2))))
+        res = kl_project(Measure.from_floats(sp, [0.2, 0.3, 0.5]), kb)
+        assert calls and res.attained
+        assert [float(w) for w in res.measures[0].weights] == pytest.approx(
+            [0.5, 0.0, 0.5], abs=1e-9)
+
     def test_objective_projection_is_conditioning(self, fly_bird_space):
         from credal.constraints import LinearAtom
         from credal.harness import _plain_space
