@@ -20,7 +20,7 @@ from .constraints import TrueExpr, parse_constraint
 from .corpus import klm_corpus
 from .embeddings import Embedding, embedding_from_json, is_faithful
 from .entail import satisfiable
-from .errors import CredalError, DomainError, ParseError
+from .errors import CredalError, ParseError
 from .harness import (
     tuple_cover_gadget,
     bootstrap_check,
@@ -445,9 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--budget", type=int, default=1000)
-    common.add_argument("--eps", type=float, default=1e-8)
-    common.add_argument("--max-worlds", type=int, default=8)
 
     parser = argparse.ArgumentParser(
         prog="credal",
@@ -457,6 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("infer", parents=[common], help="run the scenario's queries")
     p.add_argument("scenario")
+    p.add_argument("--eps", type=float, default=1e-8)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("check-embedding", parents=[common],
@@ -472,6 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("falsify", parents=[common],
                        help="search for representation-dependence")
     p.add_argument("--procedure", choices=sorted(_PROCS), required=True)
+    p.add_argument("--budget", type=int, default=1000)
+    p.add_argument("--max-worlds", type=int, default=8)
     p.set_defaults(func=cmd_falsify)
 
     p = sub.add_parser("klm-check", parents=[common],
@@ -493,9 +493,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ParseError, CredalError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:  # pragma: no cover - DomainError is a CredalError
-        print(f"domain error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -313,22 +313,24 @@ def to_dnf(expr: ConstraintExpr) -> DnfForm:
 # Embedding translation ---------------------------------------------------
 
 
-def translate(emb, expr: ConstraintExpr) -> ConstraintExpr:
-    """f*(expr): replace every event S by f(S), preserving structure."""
+def map_events(expr: ConstraintExpr, f) -> ConstraintExpr:
+    """expr with every event S replaced by f(S), preserving structure."""
     if isinstance(expr, (TrueExpr, FalseExpr)):
         return expr
     if isinstance(expr, LinearAtom):
-        return LinearAtom(tuple((c, emb.apply(e)) for c, e in expr.terms),
-                          expr.cmp, expr.bound)
+        return LinearAtom(tuple((c, f(e)) for c, e in expr.terms), expr.cmp, expr.bound)
     if isinstance(expr, ProductAtom):
-        return ProductAtom(emb.apply(expr.lhs), (emb.apply(expr.rhs[0]), emb.apply(expr.rhs[1])))
-    if isinstance(expr, And):
-        return And(tuple(translate(emb, it) for it in expr.items))
-    if isinstance(expr, Or):
-        return Or(tuple(translate(emb, it) for it in expr.items))
+        return ProductAtom(f(expr.lhs), (f(expr.rhs[0]), f(expr.rhs[1])))
+    if isinstance(expr, (And, Or)):
+        return type(expr)(tuple(map_events(it, f) for it in expr.items))
     if isinstance(expr, Not):
-        return Not(translate(emb, expr.child))
+        return Not(map_events(expr.child, f))
     raise TypeError(f"not a constraint: {expr!r}")
+
+
+def translate(emb, expr: ConstraintExpr) -> ConstraintExpr:
+    """f*(expr): replace every event S by f(S), preserving structure."""
+    return map_events(expr, emb.apply)
 
 
 # Parsing -----------------------------------------------------------------

@@ -24,6 +24,7 @@ from .constraints import (
     ProductAtom,
     TrueExpr,
     and_,
+    map_events,
     satisfies,
     space_of,
     translate,
@@ -749,25 +750,9 @@ def _factor_lift(space: Space, k: int) -> Embedding:
 def _lift_factor_kb(space: Space, k: int, kb: ConstraintExpr) -> ConstraintExpr:
     if space_of(kb) is None:
         return kb
-    retargeted = _retarget(kb, space.factors[k])
+    # The factor has the same world list, possibly a renamed vocabulary.
+    retargeted = map_events(kb, lambda e: Event(space.factors[k], e.mask))
     return translate(_factor_lift(space, k), retargeted)
-
-
-def _retarget(expr: ConstraintExpr, new_space: Space) -> ConstraintExpr:
-    """Rebuild a constraint onto a structurally identical space (same
-    world list, possibly renamed vocabulary)."""
-    if isinstance(expr, (TrueExpr,)):
-        return expr
-    if isinstance(expr, LinearAtom):
-        return LinearAtom(tuple((c, Event(new_space, e.mask)) for c, e in expr.terms),
-                          expr.cmp, expr.bound)
-    if isinstance(expr, And):
-        return And(tuple(_retarget(i, new_space) for i in expr.items))
-    if isinstance(expr, Or):
-        return Or(tuple(_retarget(i, new_space) for i in expr.items))
-    if isinstance(expr, Not):
-        return Not(_retarget(expr.child, new_space))
-    raise TypeError(f"cannot retarget {expr!r}")
 
 
 def _random_rectangle_query(space: Space, rng: _random.Random) -> ConstraintExpr:

@@ -3,13 +3,17 @@
 Each DNF disjunct denotes a relatively open polyhedral cell, an
 `entail.Cell` whose exact LP rows decide feasibility and the exact
 zero pattern; the float rows here come from its coefficients.  The
-optimizer works on the cell's closure with cyclic Bregman projections
-(a Dykstra-style scheme: equality rows are projected directly, each
-inequality carries a nonnegative dual that limits how far a satisfied
-row may be un-tilted), then applies the undefined-supremum rule: strict
-atoms are re-tested at the optimum and a failure makes that disjunct's
-supremum unattained.  Entropy maximization is divergence minimization
-from the uniform measure.
+projection onto the cell's closure is the exponential tilt
+w0 * exp(-A^T lam) / Z, where lam minimizes the convex dual
+log Z(lam) + b.lam with lam >= 0 on the inequality rows (Csiszar 1975);
+a projected Newton method solves that m-variable dual.  A tilt reaches
+a world of zero mass only in the limit, so zeros are pinned exactly:
+first by the atoms whose bound is an extreme value of their
+coefficients, then, when Newton drifts toward the boundary, by
+`Cell.support`.  Finally the undefined-supremum rule: strict atoms are
+re-tested at the optimum and a failure makes that disjunct's supremum
+unattained.  Entropy maximization is divergence minimization from the
+uniform measure.
 """
 
 from __future__ import annotations
@@ -26,17 +30,12 @@ from .errors import ConvergenceError, CredalError
 from .measures import FLOAT, FiniteMeasureSet, Measure, kl_divergence
 from .spaces import Space
 
-ROOT_TOL = 1e-12  # tilt roots: |<a, tilt> - target|
 STRICT_EPS = 1e-9  # margin a strict atom needs at the closure optimum
-QUICK_CYCLES = 5_000  # sweeps before falling back to zero elimination
-MAX_CYCLES = 100_000  # sweeps before ConvergenceError
-RESIDUAL_TOL = 1e-10  # convergence: worst row violation
-MOVE_TOL = 1e-12  # convergence: largest change of a weight in one sweep
+RESIDUAL_TOL = 1e-10  # convergence: worst KKT residual of the dual
+NEWTON_STEPS = 100  # dual Newton steps before zero elimination / ConvergenceError
+ZERO_FLOOR = 1e-6  # a weight below this share of its prior weight: zero elimination
 VALUE_TOL = 1e-9  # disjuncts within this of the best divergence attain it
 DEDUPE_EPS = 1e-9  # measures this close are one
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,7 @@ class DisjunctDiagnostic:
     infinite: bool = False
     value: float | None = None
     strict_ok: bool | None = None
-    cycles: int = 0
+    cycles: int = 0  # dual Newton steps
 
 
 @dataclass(frozen=True)
@@ -61,179 +60,140 @@ class ProjectionResult:
         return self.status == "attained"
 
 
-# Elementary tilt --------------------------------------------------------
-
-
-def _tilt(w: np.ndarray, a: np.ndarray, lam: float) -> np.ndarray:
-    z = lam * a
-    z -= z.max()
-    out = w * np.exp(z)
-    return out / out.sum()
-
-
-def _condition_on(w: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    out = np.where(keep, w, 0.0)
-    total = out.sum()
-    if total <= 0.0:
-        raise CredalError("unreachable constraint")
-    return out / total
-
-
-def _solve_tilt(w: np.ndarray, a: np.ndarray, target: float, root_tol: float):
-    """lambda with <a, tilt(w,a,lambda)> = target, or +-inf at the ends.
-
-    The tilted mean is nondecreasing in lambda, running between the min
-    and max of a over the support; targets outside that range raise.
-    """
-    support = w > 0.0
-    vals = a[support]
-    lo_val, hi_val = vals.min(), vals.max()
-    if target > hi_val or target < lo_val:
-        raise CredalError("unreachable constraint")
-    if hi_val == lo_val:
-        return 0.0
-    if target == hi_val:
-        return math.inf
-    if target == lo_val:
-        return -math.inf
-    lo, hi = -1.0, 1.0
-    for _ in range(200):
-        if float(a @ _tilt(w, a, lo)) <= target:
-            break
-        lo *= 2.0
-    for _ in range(200):
-        if float(a @ _tilt(w, a, hi)) >= target:
-            break
-        hi *= 2.0
-    for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        v = float(a @ _tilt(w, a, mid))
-        if abs(v - target) <= root_tol:
-            return mid
-        if v < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-18 * max(1.0, abs(hi)):
-            return mid
-    return 0.5 * (lo + hi)
-
-
-def _apply_tilt(w: np.ndarray, a: np.ndarray, lam: float) -> np.ndarray:
-    if lam == 0.0:
-        return w
-    if math.isinf(lam):
-        support = w > 0.0
-        vals = np.where(support, a, -math.inf if lam > 0 else math.inf)
-        extreme = vals.max() if lam > 0 else vals.min()
-        return _condition_on(w, support & (a == extreme))
-    return _tilt(w, a, lam)
-
-
-def halfspace_tilt(mu: Measure, atom: LinearAtom, root_tol: float = ROOT_TOL) -> Measure:
+def halfspace_tilt(mu: Measure, atom: LinearAtom) -> Measure:
     """Exact elementary KL projection onto one atom's hyperplane.
 
     Inequality atoms already satisfied are returned unchanged; otherwise
-    the measure is exponentially tilted along the atom's per-world
-    coefficients until the atom holds with equality.
+    the measure is projected onto the atom's hyperplane, where the atom
+    holds with equality.
     """
     if mu.backend != FLOAT:
         raise ValueError("halfspace_tilt needs a float-backed measure")
-    space = mu.space
-    a = np.array([float(c) for c in atom.coefficients(space)])
-    w = np.array([float(x) for x in mu.weights])
-    value = float(a @ w)
+    a = np.array([float(c) for c in atom.coefficients(mu.space)])
+    value = float(a @ np.array([float(x) for x in mu.weights]))
     b = float(atom.bound)
     if atom.cmp in ("<", "<=") and value <= b:
         return mu
     if atom.cmp in (">", ">=") and value >= b:
         return mu
-    lam = _solve_tilt(w, a, b, root_tol)
-    return Measure.from_floats(space, _apply_tilt(w, a, lam))
+    res = kl_project(mu, LinearAtom(atom.terms, "=", atom.bound))
+    if not res.attained:
+        raise CredalError("unreachable constraint")
+    return res.measures[0]
 
 
-# Cyclic projection with duals -------------------------------------------
+# Dual Newton projection onto one cell ------------------------------------
 
 
-def _float_rows(cell: Cell):
-    """The cell's atoms as float rows: the equalities, and the
-    inequalities normalized to <= with the strict atoms last."""
-    eqs: list[tuple[np.ndarray, float]] = []
-    ineqs: list[tuple[np.ndarray, float]] = []
-    for atom, coeffs in zip(cell.atoms, cell.coefficients):
-        a = np.array([float(c) for c in coeffs])
-        b = float(atom.bound)
-        if atom.cmp == "=":
-            eqs.append((a, b))
-            continue
-        if atom.cmp in (">=", ">"):
-            a, b = -a, -b
-        ineqs.append((a, b))
-    return eqs, ineqs
+def _rows(cell: Cell):
+    """The cell's atoms as float rows A w (= or <=) b, the >= atoms
+    negated and the strict ones closed, with masks of the inequality
+    rows and of the strict rows."""
+    cmps = [atom.cmp for atom in cell.atoms]
+    sign = np.array([-1.0 if c in (">=", ">") else 1.0 for c in cmps])
+    n = len(cell.space.worlds)
+    a = np.array(cell.coefficients, dtype=float).reshape(len(cmps), n) * sign[:, None]
+    b = np.array([float(atom.bound) for atom in cell.atoms]) * sign
+    ineq = np.array([c != "=" for c in cmps], dtype=bool)
+    strict = np.array([c in ("<", ">") for c in cmps], dtype=bool)
+    return a, b, ineq, strict
 
 
-def _project_closure(w0: np.ndarray, eqs, ineqs, max_cycles: int) -> tuple[np.ndarray, int]:
-    """KL projection of w0 onto the closure of the cell, over w0's support."""
-    if not eqs and not ineqs:
-        return w0, 0
-
-    w = w0.copy()
-    duals = [0.0] * len(ineqs)
-    for cycle in range(1, max_cycles + 1):
-        prev = w
-        for a, b in eqs:
-            lam = _solve_tilt(w, a, b, ROOT_TOL)
-            w = _apply_tilt(w, a, lam)
-        for j, (a, b) in enumerate(ineqs):
-            value = float(a @ w)
-            if value > b:
-                lam = _solve_tilt(w, a, b, ROOT_TOL)
-                w = _apply_tilt(w, a, lam)
-                if math.isinf(lam):
-                    duals[j] = math.inf
-                else:
-                    duals[j] -= lam
-            elif duals[j] > 0.0 and value < b:
-                support = w > 0.0
-                if b >= a[support].max():
-                    lam = duals[j]
-                else:
-                    lam = min(_solve_tilt(w, a, b, ROOT_TOL), duals[j])
-                if lam > 0.0 and not math.isinf(lam):
-                    w = _apply_tilt(w, a, lam)
-                    duals[j] -= lam
-                elif math.isinf(lam):
-                    duals[j] = 0.0
-        residual = 0.0
-        for a, b in eqs:
-            residual = max(residual, abs(float(a @ w) - b))
-        for a, b in ineqs:
-            residual = max(residual, float(a @ w) - b)
-        move = float(np.max(np.abs(w - prev)))
-        if residual < RESIDUAL_TOL and move < MOVE_TOL:
-            return w, cycle
-    raise ConvergenceError("no convergence")
+def _extreme_support(cell: Cell, live: list[int]) -> list[int]:
+    """The live worlds left once every atom whose bound is the largest
+    (=, >=, >) or smallest (=, <=, <) value its coefficients take on
+    them keeps only the worlds taking that value, to a fixed point.
+    Exact: every point of the closure has zero mass elsewhere."""
+    changed = True
+    while changed:
+        changed = False
+        for atom, coeffs in zip(cell.atoms, cell.coefficients):
+            values = [coeffs[i] for i in live]
+            if (atom.cmp in ("=", ">=", ">") and atom.bound == max(values)
+                    or atom.cmp in ("=", "<=", "<") and atom.bound == min(values)):
+                keep = [i for i in live if coeffs[i] == atom.bound]
+                if len(keep) < len(live):
+                    live, changed = keep, True
+    return live
 
 
-def _project_with_zero_elimination(w0: np.ndarray, cell: Cell, eqs, ineqs,
-                                   pins) -> tuple[np.ndarray, int]:
-    """Projection with a fallback for boundary optima: when the cyclic
-    scheme stalls, pin the worlds with zero mass at every point of the
-    cell's closure (over w0's support, decided exactly by the cell) and
-    restart on the reduced support.  Multiplicative tilts reach such
-    boundary points only in the limit."""
-    try:
-        return _project_closure(w0, eqs, ineqs, QUICK_CYCLES)
-    except ConvergenceError:
-        pass
-    supported = np.flatnonzero(w0 > 0.0).tolist()
-    zeros = sorted(set(supported) - set(cell.support(supported, pins)))
-    w = w0
-    if zeros:
-        w = w0.copy()
-        w[zeros] = 0.0
-        w = w / w.sum()
-    return _project_closure(w, eqs, ineqs, MAX_CYCLES)
+def _dual(w0: np.ndarray, a: np.ndarray, b: np.ndarray, lam: np.ndarray):
+    """The dual value log Z(lam) + b.lam and the tilt w0 exp(-A^T lam) / Z."""
+    z = -(lam @ a)
+    top = z.max()
+    w = w0 * np.exp(z - top)
+    total = w.sum()
+    return top + math.log(total) + float(b @ lam), w / total
+
+
+def _newton(w0: np.ndarray, a: np.ndarray, b: np.ndarray, ineq: np.ndarray,
+            floor: bool) -> tuple[np.ndarray | None, int]:
+    """(tilt at the dual optimum, Newton steps), or (None, steps) when
+    there is no convergence within NEWTON_STEPS or, with floor set, when
+    a weight at the optimum is below ZERO_FLOOR of its prior weight.
+
+    Projected Newton (Bertsekas 1982): inequality duals at or near zero
+    whose gradient pushes them below it are bound and sent to zero, the
+    others take a Newton step, and an Armijo search runs along the path
+    projected onto lam >= 0.
+    """
+    lam = np.zeros(len(b))
+    phi, w = _dual(w0, a, b, lam)
+    for step in range(NEWTON_STEPS + 1):
+        aw = a @ w
+        grad = b - aw
+        kkt = np.abs(np.where(ineq, np.minimum(lam, grad), grad))
+        if kkt.max(initial=0.0) <= RESIDUAL_TOL:
+            # Only the optimum is tested: on a skewed prior the first
+            # iterates can pass far below the floor and come back.
+            if floor and np.any(w < ZERO_FLOOR * w0):
+                return None, step
+            return w, step
+        if step == NEWTON_STEPS:
+            break
+        bound = ineq & (lam <= min(kkt.max(), 1e-3)) & (grad > 0.0)
+        free = ~bound
+        hess = (a[free] * w) @ a[free].T - np.outer(aw[free], aw[free])
+        # Rows that coincide on the support make the Hessian singular:
+        # damp it in proportion to the gradient.
+        hess[np.diag_indices_from(hess)] += 1e-3 * np.abs(grad[free]).max(initial=0.0)
+        d = -lam.copy()
+        d[free] = -np.linalg.solve(hess, grad[free])
+        # The Armijo test needs slack: float cannot see decreases of the
+        # dual below eps near the optimum.
+        slack = 1e-15 * (1.0 + abs(phi))
+        t = 1.0
+        for _ in range(60):
+            trial = lam + t * d
+            trial[ineq] = np.maximum(trial[ineq], 0.0)
+            phi_t, w_t = _dual(w0, a, b, trial)
+            if phi_t <= phi + 1e-4 * float(grad @ (trial - lam)) + slack:
+                break
+            t *= 0.5
+        else:
+            return None, step + 1
+        lam, phi, w = trial, phi_t, w_t
+    return None, NEWTON_STEPS
+
+
+def _project_cell(w0: np.ndarray, cell: Cell, a: np.ndarray, b: np.ndarray,
+                  ineq: np.ndarray, pins) -> tuple[np.ndarray, int]:
+    """KL projection of w0 onto the closure of the cell, over w0's
+    support, and the Newton steps it took.  Newton runs on the support
+    left by the extreme atoms; when it fails or ends near the boundary,
+    the worlds with zero mass at every point of the closure (meeting the
+    pins) are pinned exactly and Newton runs again without the floor."""
+    live = _extreme_support(cell, np.flatnonzero(w0 > 0.0).tolist())
+    w_live, steps = _newton(w0[live], a[:, live], b, ineq, floor=True)
+    if w_live is None:
+        live = cell.support(live, pins)
+        w_live, more = _newton(w0[live], a[:, live], b, ineq, floor=False)
+        steps += more
+        if w_live is None:
+            raise ConvergenceError(f"dual Newton did not converge in {NEWTON_STEPS} steps")
+    w = np.zeros(len(w0))
+    w[live] = w_live
+    return w, steps
 
 
 def kl_project(mu: Measure, kb: ConstraintExpr) -> ProjectionResult:
@@ -258,7 +218,7 @@ def kl_project(mu: Measure, kb: ConstraintExpr) -> ProjectionResult:
 
     w0 = np.array([float(x) for x in mu.weights])
     n = len(space.worlds)
-    pins = [([_ONE if j == i else _ZERO for j in range(n)], _ZERO)
+    pins = [([Fraction(int(j == i)) for j in range(n)], Fraction(0))
             for i in range(n) if w0[i] <= 0.0]
     diagnostics: list[DisjunctDiagnostic] = []
     candidates: list[tuple[float, bool, Measure, int]] = []
@@ -269,13 +229,12 @@ def kl_project(mu: Measure, kb: ConstraintExpr) -> ProjectionResult:
         if pins and cell.witness(pins) is None:
             diagnostics.append(DisjunctDiagnostic(k, open_nonempty=True, infinite=True))
             continue
-        eqs, ineqs = _float_rows(cell)
-        w_star, cycles = _project_with_zero_elimination(w0, cell, eqs, ineqs, pins)
+        a, b, ineq, strict = _rows(cell)
+        w_star, steps = _project_cell(w0, cell, a, b, ineq, pins)
         result = Measure.from_floats(space, w_star)
         value = kl_divergence(result, mu)
-        strict = ineqs[len(ineqs) - len(cell.system.strict):]
-        ok = all(float(a @ w_star) < b - STRICT_EPS for a, b in strict)
-        diagnostics.append(DisjunctDiagnostic(k, True, value=value, strict_ok=ok, cycles=cycles))
+        ok = bool(np.all(a[strict] @ w_star < b[strict] - STRICT_EPS))
+        diagnostics.append(DisjunctDiagnostic(k, True, value=value, strict_ok=ok, cycles=steps))
         candidates.append((value, ok, result, k))
 
     if not candidates:

@@ -25,6 +25,7 @@ from .constraints import (
     and_,
     atoms_of,
     has_product_atom,
+    map_events,
     not_,
     satisfies,
     space_of,
@@ -300,7 +301,9 @@ def _factorize(kb: ConstraintExpr, space: Space) -> list[ConstraintExpr] | None:
                     return None
         if owner is None:  # constant conjunct
             continue
-        projected = _project_constraint(conj, factors[owner], comps[owner])
+        factor, comp = factors[owner], comps[owner]
+        projected = map_events(conj, lambda ev: event_from_indices(
+            factor, sorted({comp[i] for i in ev.indices()})))
         out[owner] = and_(out[owner], projected)
     return out
 
@@ -312,26 +315,6 @@ def _cylinder_factor(event: Event, space: Space, factors, comps) -> int | None:
         if cylinder(space, f, event_from_indices(f, sorted(ids))).mask == event.mask:
             return k
     return None
-
-
-def _project_constraint(expr: ConstraintExpr, factor: Space, comp) -> ConstraintExpr:
-    from .constraints import Not, Or
-
-    if isinstance(expr, (TrueExpr, FalseExpr)):
-        return expr
-    if isinstance(expr, LinearAtom):
-        terms = []
-        for c, ev in expr.terms:
-            ids = sorted({comp[i] for i in ev.indices()})
-            terms.append((c, event_from_indices(factor, ids)))
-        return LinearAtom(tuple(terms), expr.cmp, expr.bound)
-    if isinstance(expr, And):
-        return And(tuple(_project_constraint(i, factor, comp) for i in expr.items))
-    if isinstance(expr, Or):
-        return Or(tuple(_project_constraint(i, factor, comp) for i in expr.items))
-    if isinstance(expr, Not):
-        return Not(_project_constraint(expr.child, factor, comp))
-    raise CredalError("cannot project this constraint onto a factor")
 
 
 def _has_strict(expr: ConstraintExpr) -> bool:

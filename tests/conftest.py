@@ -76,3 +76,50 @@ def rgb_space():
     from credal.spaces import enumerate_worlds
 
     return enumerate_worlds(["red", "blue", "green"])
+
+
+def slsqp_kl_min(prior: Measure, atoms) -> float | None:
+    """Minimum divergence (in nats) from prior over the closure of a
+    conjunction of linear atoms, by scipy's SLSQP over prior's support;
+    None when SLSQP reports failure.
+
+    Rows constant on the support and equality rows dependent on earlier
+    ones are dropped: they constrain nothing on a feasible cell, and
+    SLSQP stalls on them.  SLSQP also stalls near the boundary, where
+    the gradient of the divergence is unbounded, so it is restarted from
+    its own answer.
+    """
+    import numpy as np
+    from scipy.optimize import minimize
+    from scipy.special import xlogy
+
+    w0 = np.array([float(w) for w in prior.weights])
+    live = w0 > 0.0
+    q = w0[live]
+    eqs, eq_rhs, ineqs, ineq_rhs = [np.ones(len(q))], [1.0], [], []
+    for atom in atoms:
+        a = np.array([float(c) for c in atom.coefficients(prior.space)])[live]
+        b = float(atom.bound)
+        if np.ptp(a) == 0.0:
+            continue
+        if atom.cmp == "=":
+            if np.linalg.matrix_rank(np.array(eqs + [a])) > len(eqs):
+                eqs.append(a)
+                eq_rhs.append(b)
+        else:
+            sign = 1.0 if atom.cmp in (">=", ">") else -1.0
+            ineqs.append(sign * a)
+            ineq_rhs.append(sign * b)
+    eq_a, eq_b = np.array(eqs), np.array(eq_rhs)
+    cons = [{"type": "eq", "fun": lambda x: eq_a @ x - eq_b, "jac": lambda x: eq_a}]
+    if ineqs:
+        in_a, in_b = np.array(ineqs), np.array(ineq_rhs)
+        cons.append({"type": "ineq", "fun": lambda x: in_a @ x - in_b, "jac": lambda x: in_a})
+    x = np.full(len(q), 1.0 / len(q))
+    for _ in range(4):
+        out = minimize(lambda x: float(np.sum(xlogy(x, x) - x * np.log(q))), x,
+                       jac=lambda x: np.log(np.maximum(x, 1e-300)) + 1.0 - np.log(q),
+                       method="SLSQP", bounds=[(0.0, 1.0)] * len(q), constraints=cons,
+                       options={"ftol": 1e-15, "maxiter": 500})
+        x = np.clip(out.x, 1e-9, 1.0)
+    return float(out.fun) if out.success else None

@@ -111,6 +111,17 @@ def test_falsify_cli_entailment(capsys):
                  "--budget", "20", "--seed", "7"]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["klm-check", "--procedure", "maxent", "--budget", "5"],
+    ["reproduce", "colorful", "--max-worlds", "3"],
+    ["falsify", "--procedure", "maxent", "--eps", "0.1"],
+])
+def test_flags_belong_to_the_commands_that_read_them(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_klm_check_broken_fails(capsys):
     assert main(["klm-check", "--procedure", "broken", "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)

@@ -110,6 +110,49 @@ class TestKlProject:
         assert [float(w) for w in res.measures[0].weights] == pytest.approx(
             [0.5, 0.0, 0.5], abs=1e-9)
 
+    @pytest.mark.parametrize("atoms", [
+        # P(E) <= 3/4 & P(E) = 3/8: the two rows coincide
+        (([0, 1], "<=", F(3, 4)), ([0, 1], "=", F(3, 8))),
+        # P({1}) >= 1/2 & P({0,2}) = 1/8: the rows differ by the simplex row
+        (([1], ">=", F(1, 2)), ([0, 2], "=", F(1, 8))),
+    ])
+    def test_coinciding_rows_are_attained(self, atoms):
+        # Both rows are violated at the prior, so the dual Hessian is
+        # singular.  Both optima lie on the 1/48 grid.
+        from credal.harness import _plain_space
+        from credal.spaces import event_from_indices
+
+        space = _plain_space("c", 3)
+        kb = And(tuple(LinearAtom(((F(1), event_from_indices(space, ids)),), cmp, bound)
+                       for ids, cmp, bound in atoms))
+        prior = Measure.rational(space, [F(1, 2), F(2, 5), F(1, 10)])
+        res = kl_project(prior.to_float(), kb)
+        assert res.attained
+        gridded = grid_kl_argmin(prior, lambda m: satisfies(m, kb), denom=48)
+        assert [float(w) for w in res.measures[0].weights] == pytest.approx(
+            [float(w) for w in gridded.weights], abs=1e-9)
+
+    def test_certain_event_needs_no_support_lp(self, flying_bird_space, monkeypatch):
+        # P(bird) = 1 pins the non-bird world from the atom alone.
+        from credal.entail import Cell
+        from credal.measures import condition
+
+        calls = []
+        support = Cell.support
+
+        def spy(self, *args, **kwargs):
+            calls.append(args)
+            return support(self, *args, **kwargs)
+
+        monkeypatch.setattr(Cell, "support", spy)
+        sp = flying_bird_space
+        mu = Measure.from_floats(sp, [0.2, 0.3, 0.5])
+        res = kl_project(mu, parse_constraint("P(bird) = 1", sp))
+        assert not calls and res.attained
+        assert res.diagnostics[0].cycles == 0
+        assert [float(w) for w in res.measures[0].weights] == pytest.approx(
+            [float(w) for w in condition(mu, event_of(sp, "bird")).weights], abs=1e-12)
+
     def test_objective_projection_is_conditioning(self, fly_bird_space):
         from credal.constraints import LinearAtom
         from credal.harness import _plain_space
@@ -201,6 +244,11 @@ class TestHalfspaceTilt:
         atom = parse_constraint("P(p) <= 1/2", two)
         assert halfspace_tilt(mu, atom) is mu
 
+    def test_target_at_the_extreme_pins_zeros(self):
+        two = enumerate_worlds(["p"])
+        out = halfspace_tilt(Measure.uniform(two), parse_constraint("P(p) = 1", two))
+        assert [float(w) for w in out.weights] == [0.0, 1.0]
+
     def test_unreachable_target_errors(self):
         two = enumerate_worlds(["p"])
         mu = Measure.from_floats(two, [1.0, 0.0])
@@ -284,7 +332,7 @@ def test_flying_bird_maxent_against_grid_oracle(fly_bird_space):
 
 
 def test_random_projections_match_grid_oracle():
-    # randomized cross-validation of the cyclic projection engine
+    # randomized cross-validation of the dual Newton projection
     import random
 
     from credal.harness import _plain_space
@@ -315,3 +363,46 @@ def test_random_projections_match_grid_oracle():
         assert res.value <= d_grid + 1e-9
         for a, b in zip(res.measures[0].weights, gridded.weights):
             assert abs(a - float(b)) <= 1 / 40 + 1e-9
+
+
+def test_maxent_newton_steps_on_klm_corpus():
+    # Deterministic work counter: the Newton steps of maxent over the
+    # kbs and thetas of the two-symbol KLM corpus.
+    space = enumerate_worlds(["a", "b"])
+    kbs, thetas, _ = klm_corpus(space)
+    steps = sum(d.cycles for kb in (*kbs, *thetas) for d in maxent(kb, space).diagnostics)
+    assert len(kbs) + len(thetas) == 59
+    assert steps <= 60
+
+
+def test_random_cells_match_slsqp_oracle():
+    # Differential oracle: scipy's SLSQP on random cells of up to 5
+    # worlds, priors with some zero weights.
+    pytest.importorskip("scipy")
+    from credal.harness import _plain_space
+    from tests.conftest import slsqp_kl_min
+
+    rng = random.Random(4)
+    compared = attained = 0
+    for _ in range(300):
+        n = rng.randrange(2, 6)
+        space = _plain_space("s", n)
+        atoms = tuple(
+            LinearAtom(tuple((F(rng.choice((1, 1, 2, -1))), Event(space, rng.randrange(1, (1 << n) - 1)))
+                             for _ in range(rng.choice((1, 1, 2)))),
+                       rng.choice(("=", "<=", ">=")), F(rng.randrange(0, 9), 8))
+            for _ in range(rng.randrange(1, 4)))
+        raw = [rng.choice((0.0, 1.0, 1.0, 1.0)) * rng.uniform(0.05, 1.0) for _ in range(n)]
+        if sum(raw) == 0.0:
+            continue
+        prior = Measure.from_floats(space, [w / sum(raw) for w in raw])
+        res = kl_project(prior, And(atoms))
+        if not res.attained:
+            continue
+        attained += 1
+        oracle = slsqp_kl_min(prior, atoms)
+        if oracle is None:
+            continue
+        compared += 1
+        assert res.value * math.log(2) == pytest.approx(oracle, abs=1e-7)
+    assert attained >= 100 and compared >= 0.9 * attained
