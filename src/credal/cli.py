@@ -18,7 +18,7 @@ from importlib import resources
 
 from .constraints import TrueExpr, parse_constraint
 from .corpus import klm_corpus
-from .embeddings import Embedding, embedding_from_json, is_faithful
+from .embeddings import Embedding, embedding_from_json, from_surjection, is_faithful
 from .entail import satisfiable
 from .errors import CredalError, ParseError
 from .harness import (
@@ -33,8 +33,8 @@ from .harness import (
 )
 from .measures import Measure
 from .optimize import maxent
-from .procedures import InferenceProcedure, PriorFunction, infers
-from .spaces import Space, enumerate_worlds, event_of, product_space
+from .procedures import InferenceProcedure, PriorFunction, infers, klm_properties_check
+from .spaces import Space, atoms_over, enumerate_worlds, event_of, product_space
 
 
 @dataclass(frozen=True)
@@ -288,8 +288,6 @@ def cmd_falsify(args) -> int:
 
 
 def cmd_klm_check(args) -> int:
-    from .procedures import klm_properties_check
-
     proc = _PROCS[args.procedure]()
     kbs, thetas, lle = klm_corpus()
     report = klm_properties_check(proc, kbs, thetas, lle_pairs=lle)
@@ -313,8 +311,6 @@ def _reproduce_colorful() -> dict:
     r2 = maxent(TrueExpr(), fine)
     p_coarse = float(r1.measures[0].prob(event_of(coarse, "colorful")))
     p_fine = float(r2.measures[0].prob(event_of(fine, "red | blue | green")))
-    from .embeddings import from_surjection
-
     emb = from_surjection(coarse, fine, [0 if w.bits == 0 else 1 for w in fine.worlds])
     theta = parse_constraint("P(colorful) = 1/2", coarse)
     rep = invariance_check(InferenceProcedure.maxent(), emb, TrueExpr(), theta)
@@ -351,8 +347,6 @@ def _reproduce_noindep() -> dict:
     g = default_independence_gadget()
     xx = g.spaces["XX"]
     kb, query = g.constraints["kb"], g.constraints["query"]
-    from .spaces import atoms_over
-
     cells = atoms_over([g.events["S"], g.events["S_prime"]])
     v_me = infers(InferenceProcedure.maxent(), kb, query, xx)
     v_ent = infers(InferenceProcedure.entailment(), kb, query, xx)
@@ -380,8 +374,6 @@ def _reproduce_gadget_3_2() -> dict:
 
 
 def _reproduce_bootstrap_uniform() -> dict:
-    from .embeddings import from_surjection
-
     x = enumerate_worlds(["c"])
     y = enumerate_worlds(["u", "v"])
     equal = from_surjection(x, y, [0, 0, 1, 1])

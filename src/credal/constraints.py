@@ -12,8 +12,12 @@ events.  The concrete DSL::
     cmp        := '<' | '<=' | '=' | '>=' | '>'
 
 with rationals written ``a/b`` or as decimals (converted exactly), and
-``&`` binding tighter than ``|``.  Inside ``P(...)`` a top-level ``|``
-is the conditioning bar; parenthesize disjunctions.  Conditional
+``&`` binding tighter than ``|``.  The parser extends `formulas.Parser`,
+so both grammars share one tokenizer and the formulas inside ``P(...)``
+come from the same token stream.  Inside ``P(...)`` the first ``|``
+outside parentheses is the conditioning bar and the condition after it
+is a whole formula: ``P(a | b | c)`` is ``P(a | (b | c))``; parenthesize
+the disjunction in an unconditional term, as in ``P((a | b))``.  Conditional
 comparisons are multiplied out: ``P(f|g) cmp a`` becomes
 ``P(f&g) - a*P(g) cmp 0``.  The third ``term`` form is the product
 (independence) atom; it is query-only and excluded from normal forms.
@@ -21,13 +25,12 @@ comparisons are multiplied out: ``P(f|g) cmp a`` becomes
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import CredalError, ParseError
-from .formulas import parse_formula
+from .formulas import Parser
 from .measures import RATIONAL, Measure
 from .spaces import Event, Space, event_of
 
@@ -335,185 +338,69 @@ def translate(emb, expr: ConstraintExpr) -> ConstraintExpr:
 
 # Parsing -----------------------------------------------------------------
 
-_NUMBER = re.compile(r"\d+(?:\.\d+)?(?:\s*/\s*\d+)?")
 _CMP = ("<=", ">=", "<", ">", "=")
+_FLIPPED = {"<": ">", "<=": ">=", "=": "=", ">=": "<=", ">": "<"}
+_ONE = Fraction(1)
 
 
-class _Tok:
-    def __init__(self, kind: str, value, pos: int):
-        self.kind = kind
-        self.value = value
-        self.pos = pos
+class _ConstraintParser(Parser):
+    """The constraint levels on top of the formula levels of `Parser`."""
 
-    def __repr__(self):
-        return f"{self.kind}({self.value})"
-
-
-def _tokenize_constraint(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("<=", i) or text.startswith(">=", i):
-            toks.append(_Tok("cmp", text[i:i + 2], i))
-            i += 2
-            continue
-        if ch in "<>=":
-            toks.append(_Tok("cmp", ch, i))
-            i += 1
-            continue
-        if ch in "!&|()+-*":
-            toks.append(_Tok(ch, ch, i))
-            i += 1
-            continue
-        m = _NUMBER.match(text, i)
-        if m and ch.isdigit():
-            raw = m.group().replace(" ", "")
-            try:
-                if "/" in raw:
-                    num, den = raw.split("/")
-                    value = Fraction(num) / Fraction(den)
-                else:
-                    value = Fraction(raw)
-            except (ZeroDivisionError, ValueError):
-                raise ParseError(f"bad rational literal {raw!r}", i) from None
-            toks.append(_Tok("num", value, i))
-            i = m.end()
-            continue
-        m = re.match(r"[A-Za-z_][A-Za-z0-9_-]*", text[i:])
-        if m:
-            word = m.group()
-            if word == "P" and _next_nonspace(text, i + 1) == "(":
-                j = text.index("(", i + 1)
-                content, end = _balanced(text, j)
-                toks.append(_Tok("prob", content, i))
-                i = end
-                continue
-            if word in ("true", "false"):
-                toks.append(_Tok(word, word, i))
-            else:
-                raise ParseError(f"unexpected identifier {word!r}", i)
-            i += len(word)
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    return toks
-
-
-def _next_nonspace(text: str, i: int) -> str | None:
-    while i < len(text) and text[i].isspace():
-        i += 1
-    return text[i] if i < len(text) else None
-
-
-def _balanced(text: str, open_pos: int) -> tuple[str, int]:
-    depth = 0
-    for k in range(open_pos, len(text)):
-        if text[k] == "(":
-            depth += 1
-        elif text[k] == ")":
-            depth -= 1
-            if depth == 0:
-                return text[open_pos + 1:k], k + 1
-    raise ParseError("unbalanced parentheses in probability term", open_pos)
-
-
-def _split_conditional(content: str) -> tuple[str, str | None]:
-    depth = 0
-    for k, ch in enumerate(content):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "|" and depth == 0:
-            return content[:k], content[k + 1:]
-    return content, None
-
-
-class _ConstraintParser:
     def __init__(self, text: str, space: Space):
-        self.text = text
+        super().__init__(text)
         self.space = space
-        self.toks = _tokenize_constraint(text)
-        self.i = 0
-
-    def peek(self) -> _Tok | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def take(self, kind: str | None = None) -> _Tok:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of constraint", len(self.text))
-        if kind is not None and tok.kind != kind:
-            raise ParseError(f"expected {kind}, found {tok.kind}", tok.pos)
-        self.i += 1
-        return tok
-
-    def parse(self) -> ConstraintExpr:
-        expr = self.or_expr()
-        if self.peek() is not None:
-            raise ParseError(f"unexpected token {self.peek().kind!r}", self.peek().pos)
-        return expr
 
     def or_expr(self) -> ConstraintExpr:
         items = [self.and_expr()]
-        while self.peek() is not None and self.peek().kind == "|":
+        while self.peek() == "|":
             self.take()
             items.append(self.and_expr())
         return items[0] if len(items) == 1 else Or(tuple(items))
 
     def and_expr(self) -> ConstraintExpr:
-        items = [self.unary()]
-        while self.peek() is not None and self.peek().kind == "&":
+        items = [self.not_expr()]
+        while self.peek() == "&":
             self.take()
-            items.append(self.unary())
+            items.append(self.not_expr())
         return items[0] if len(items) == 1 else And(tuple(items))
 
-    def unary(self) -> ConstraintExpr:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of constraint", len(self.text))
-        if tok.kind == "!":
+    def not_expr(self) -> ConstraintExpr:
+        kind = self.peek()
+        if kind == "!":
             self.take()
-            return Not(self.unary())
-        if tok.kind == "(":
+            return Not(self.not_expr())
+        if kind == "(":
             self.take()
             inner = self.or_expr()
-            closing = self.take()
-            if closing.kind != ")":
-                raise ParseError("expected ')'", closing.pos)
+            self.take(")")
             return inner
-        if tok.kind == "true":
-            self.take()
-            return TRUE
-        if tok.kind == "false":
-            self.take()
-            return FALSE
+        if kind == "name" and self.tokens[self.i][1] in ("true", "false"):
+            return TRUE if self.take()[1] == "true" else FALSE
         return self.comparison()
 
     def _rational(self) -> Fraction:
-        sign = 1
-        if self.peek() is not None and self.peek().kind == "-":
+        if self.peek() == "-":
             self.take()
-            sign = -1
-        tok = self.take("num")
-        return sign * tok.value
+            return -self.take("num")[1]
+        return self.take("num")[1]
 
-    def _prob_events(self, tok: _Tok) -> tuple[Event, Event | None]:
-        main, cond = _split_conditional(tok.value)
+    def _prob(self) -> tuple[Event, Event | None, int]:
+        """``P(f)`` or ``P(f | g)``: the events of f and of g (None
+        without a bar), and the position of the ``P``."""
+        if self.peek() != "name" or self.tokens[self.i][1] != "P":
+            raise self.error("P(...)")
+        pos = self.take()[2]
+        self.take("(")
+        f = self.iff(bar=True)
+        g = None
+        if self.peek() == "|":
+            self.take()
+            g = self.iff()
+        self.take(")")
         try:
-            f = parse_formula(main)
-            g = parse_formula(cond) if cond is not None else None
-        except ParseError as exc:
-            raise ParseError(str(exc), tok.pos) from None
-        try:
-            ev = event_of(self.space, f)
-            gv = event_of(self.space, g) if g is not None else None
+            return event_of(self.space, f), None if g is None else event_of(self.space, g), pos
         except KeyError as exc:
-            raise ParseError(str(exc.args[0]), tok.pos) from None
-        return ev, gv
+            raise ParseError(str(exc.args[0]), pos) from None
 
     def _sum(self) -> tuple[list[tuple[Fraction, Event]], tuple[Event, Event] | None]:
         """Parse a sum of probability terms.
@@ -522,90 +409,61 @@ class _ConstraintParser:
         (f&g event, g event) when the sum is a sole ``P(f|g)``.
         """
         terms: list[tuple[Fraction, Event]] = []
-        first = True
         while True:
-            sign = Fraction(1)
-            tok = self.peek()
-            if tok is not None and tok.kind in {"+", "-"}:
-                if first and tok.kind == "+":
-                    raise ParseError("unexpected '+'", tok.pos)
-                self.take()
-                sign = Fraction(-1) if tok.kind == "-" else Fraction(1)
-            elif not first:
-                break
-            coeff = sign
-            tok = self.peek()
-            if tok is not None and tok.kind == "num":
-                coeff = sign * self.take().value
+            coeff = _ONE
+            if self.peek() == "-" or (terms and self.peek() == "+"):
+                coeff = -_ONE if self.take()[0] == "-" else _ONE
+            if self.peek() == "num":
+                coeff *= self.take()[1]
                 self.take("*")
-            ptok = self.take("prob")
-            ev, gv = self._prob_events(ptok)
+            ev, gv, pos = self._prob()
             if gv is not None:
-                if not first or coeff != 1 or self._more_terms():
-                    raise ParseError("conditional probabilities only stand alone", ptok.pos)
+                if terms or coeff != 1 or self.peek() in ("+", "-"):
+                    raise ParseError("conditional probabilities only stand alone", pos)
                 return [], (ev & gv, gv)
             terms.append((coeff, ev))
-            first = False
-            nxt = self.peek()
-            if nxt is None or nxt.kind not in {"+", "-"}:
-                break
-        return terms, None
-
-    def _more_terms(self) -> bool:
-        nxt = self.peek()
-        return nxt is not None and nxt.kind in {"+", "-"}
-
-    def _lead_is_comparison(self) -> bool:
-        """Whether the next tokens form `rational cmp ...` (vs a coefficient)."""
-        k = self.i
-        if k < len(self.toks) and self.toks[k].kind == "-":
-            k += 1
-        if k >= len(self.toks) or self.toks[k].kind != "num":
-            return False
-        return k + 1 < len(self.toks) and self.toks[k + 1].kind == "cmp"
+            if self.peek() not in ("+", "-"):
+                return terms, None
 
     def comparison(self) -> ConstraintExpr:
         atoms: list[ConstraintExpr] = []
         lead: tuple[Fraction, str] | None = None
-        if self._lead_is_comparison():
-            r = self._rational()
-            c = self.take("cmp").value
-            lead = (r, c)
+        ahead = 1 if self.peek() == "-" else 0
+        if self.peek(ahead) == "num" and self.peek(ahead + 1) in _CMP:
+            lead = (self._rational(), self.take()[0])
         terms, conditional = self._sum()
 
         def atom(cmp: str, bound: Fraction) -> LinearAtom:
             if conditional is not None:
                 fg, g = conditional
-                return LinearAtom(((Fraction(1), fg), (-bound, g)), cmp, Fraction(0))
+                return LinearAtom(((_ONE, fg), (-bound, g)), cmp, Fraction(0))
             return LinearAtom(tuple(terms), cmp, bound)
 
         if lead is not None:
             # r cmp sum  <=>  sum flipped(cmp) r
-            flipped = {"<": ">", "<=": ">=", "=": "=", ">=": "<=", ">": "<"}[lead[1]]
-            atoms.append(atom(flipped, lead[0]))
-        nxt = self.peek()
-        if nxt is not None and nxt.kind == "cmp":
-            cmp = self.take().value
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "prob":
-                if cmp != "=" or conditional is not None or len(terms) != 1 or terms[0][0] != 1:
-                    raise ParseError("product atoms have the form P(f) = P(g) * P(h)", nxt.pos)
-                b_tok = self.take("prob")
-                b_ev, b_cond = self._prob_events(b_tok)
-                self.take("*")
-                c_tok = self.take("prob")
-                c_ev, c_cond = self._prob_events(c_tok)
-                if b_cond is not None or c_cond is not None:
-                    raise ParseError("product atoms take unconditional terms", b_tok.pos)
-                atoms.append(ProductAtom(terms[0][1], (b_ev, c_ev)))
-            else:
+            atoms.append(atom(_FLIPPED[lead[1]], lead[0]))
+        if self.peek() in _CMP:
+            cmp = self.take()[0]
+            if self.peek() != "name":
                 atoms.append(atom(cmp, self._rational()))
+            elif cmp != "=" or len(terms) != 1 or terms[0][0] != 1:
+                raise ParseError("product atoms have the form P(f) = P(g) * P(h)",
+                                 self.tokens[self.i][2])
+            else:
+                b, b_cond, pos = self._prob()
+                self.take("*")
+                c, c_cond, _ = self._prob()
+                if b_cond is not None or c_cond is not None:
+                    raise ParseError("product atoms take unconditional terms", pos)
+                atoms.append(ProductAtom(terms[0][1], (b, c)))
         if not atoms:
-            tok = self.peek()
-            raise ParseError("expected a comparison", tok.pos if tok else len(self.text))
+            raise self.error("a comparison")
         return and_(*atoms)
 
 
 def parse_constraint(text: str, space: Space) -> ConstraintExpr:
     """Parse constraint text against a space's vocabulary."""
-    return _ConstraintParser(text, space).parse()
+    parser = _ConstraintParser(text, space)
+    expr = parser.or_expr()
+    parser.done()
+    return expr

@@ -72,6 +72,11 @@ def compose(outer: Embedding, inner: Embedding) -> Embedding:
     return Embedding(inner.source, outer.target, wm, "composite")
 
 
+def factor_lift(space: Space, factor: Space) -> Embedding:
+    """The embedding of a factor's events into the product space as cylinders."""
+    return from_surjection(factor, space, component_map(space, factor))
+
+
 def from_surjection(source: Space, target: Space, g: Sequence[int] | Mapping[int, int]) -> Embedding:
     """Embedding backed by a total surjective world map g: target -> source."""
     if isinstance(g, Mapping):

@@ -30,12 +30,15 @@ from .constraints import (
     satisfies,
     space_of,
     to_dnf,
+    translate,
 )
+from .embeddings import factor_lift
 from .errors import CredalError
 from .measures import Measure
-from .spaces import Event, Space, component_map, event_from_indices, whole_event
+from .spaces import Event, Space, event_from_indices, whole_event
 
 INTERESTING_SCAN_LIMIT = 16
+VERTEX_CELL_CAP = 64
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -145,7 +148,6 @@ def cells(expr: ConstraintExpr, space: Space) -> Iterator[Cell]:
 class FeasibilityReport:
     status: str  # "feasible" | "infeasible"
     witness: Measure | None = None
-    disjunct: int | None = None
 
     @property
     def feasible(self) -> bool:
@@ -167,11 +169,11 @@ def satisfiable(expr: ConstraintExpr, space: Space | None = None) -> Feasibility
             return FeasibilityReport("infeasible")
         return (FeasibilityReport("feasible") if to_dnf(expr).systems
                 else FeasibilityReport("infeasible"))
-    for k, cell in enumerate(cells(expr, space)):
+    for cell in cells(expr, space):
         witness = cell.witness()
         if witness is not None:
             assert satisfies(witness, expr), "LP witness failed exact satisfaction"
-            return FeasibilityReport("feasible", witness, k)
+            return FeasibilityReport("feasible", witness)
     return FeasibilityReport("infeasible")
 
 
@@ -415,8 +417,7 @@ def _solve_unique(rows: list[list[Fraction]], rhs: list[Fraction], n: int) -> li
 
 
 def conservative_check(kb: ConstraintExpr, psi: ConstraintExpr, xy_space: Space,
-                       x_factor: int = 0, n_samples: int = 8, seed: int = 0,
-                       vertex_cell_cap: int = 64) -> ConservativeReport:
+                       x_factor: int = 0, n_samples: int = 8, seed: int = 0) -> ConservativeReport:
     """Check that psi adds no information about the X factor over kb.
 
     The containment proj_X([[kb & psi]]) within [[kb]] holds by
@@ -424,26 +425,20 @@ def conservative_check(kb: ConstraintExpr, psi: ConstraintExpr, xy_space: Space,
     vertex of [[kb]] (plus seeded samples), whether some extension with
     that X-marginal satisfies kb & psi.  A failed point is an exact
     counterexample; full passes are vertex-complete for polytopal [[kb]]
-    and reported as inconclusive when vertex enumeration is skipped.
+    and reported as inconclusive when vertex enumeration is skipped
+    (more than `VERTEX_CELL_CAP` cells, or more than 8 worlds in X).
     """
-    from .embeddings import from_surjection  # cycle-free at call time
-
     if xy_space.factors is None:
         raise ValueError("xy_space must be a declared product")
     x_space = xy_space.factors[x_factor]
-    comp = component_map(xy_space, x_space)
-    lift = from_surjection(x_space, xy_space, comp)
-
-    from .constraints import translate
-
-    kb_lifted = translate(lift, kb) if space_of(kb) is not None else kb
-    combined = and_(kb_lifted, psi)
+    lift = factor_lift(xy_space, x_space)
+    combined = and_(translate(lift, kb), psi)
 
     if not satisfiable(kb, x_space).feasible:
         return ConservativeReport("conservative_verified", note="kb unsatisfiable")
 
     systems = to_dnf(kb).systems
-    complete = len(systems) <= vertex_cell_cap and len(x_space.worlds) <= 8
+    complete = len(systems) <= VERTEX_CELL_CAP and len(x_space.worlds) <= 8
     points: list[Measure] = []
     if complete:
         for system in systems:
@@ -463,7 +458,8 @@ def conservative_check(kb: ConstraintExpr, psi: ConstraintExpr, xy_space: Space,
                 points.append(mu)
     points.extend(sample_measures(kb, x_space, n_samples, seed))
 
-    fibers = [[_ONE if c == xi else _ZERO for c in comp] for xi in range(len(x_space.worlds))]
+    fibers = [[_ONE if c == xi else _ZERO for c in lift.world_map]
+              for xi in range(len(x_space.worlds))]
     xy_cells = list(cells(combined, xy_space))
     tested = 0
     for nu in points:

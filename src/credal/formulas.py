@@ -4,12 +4,17 @@ Grammar: identifiers ``[A-Za-z_][A-Za-z0-9_-]*``, operators ``!`` ``&``
 ``|`` ``=>`` ``<=>``, parentheses, literals ``true``/``false``.
 Precedence ``!`` > ``&`` > ``|`` > ``=>`` > ``<=>``; the arrows associate
 to the right.
+
+`tokenize` and `Parser` serve both this grammar and the constraint
+grammar of `constraints`, whose parser extends `Parser` and reads the
+formulas inside ``P(...)`` from the same token stream.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterator
 
 from .errors import ParseError
@@ -135,95 +140,125 @@ def _wrap(f: Formula) -> str:
     return f"({f})"
 
 
-_TOKEN = re.compile(r"\s*(?:(<=>)|(=>)|([!&|()])|([A-Za-z_][A-Za-z0-9_-]*))")
+# The lexemes of both grammars.  Numbers are ``a``, ``a.b``, ``a/b`` and
+# ``a.b/c``; ``<=>`` is matched before ``<=`` and ``=>``.
+_LEXEME = re.compile(r"\s*(?:(\d+)(?:\.(\d+))?(?:\s*/\s*(\d+))?"
+                     r"|([A-Za-z_][A-Za-z0-9_-]*)|(<=>|=>|<=|>=|[<>=!&|()+*-]))")
+_SPACE = re.compile(r"\s*")
 
 
-def _tokenize(text: str) -> Iterator[tuple[str, int]]:
+def tokenize(text: str) -> Iterator[tuple[str, object, int]]:
+    """(kind, value, position) per lexeme.  Numbers have kind ``"num"``
+    and an exact `Fraction` value, names kind ``"name"``; an operator is
+    its own kind and value."""
     pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            if text[pos:].strip() == "":
-                return
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        tok = m.group(1) or m.group(2) or m.group(3) or m.group(4)
-        yield tok, m.start(1) if m.group(1) else m.start() + len(m.group()) - len(tok)
+    while True:
+        m = _LEXEME.match(text, pos)
+        if m is None:
+            pos = _SPACE.match(text, pos).end()
+            if pos < len(text):
+                raise ParseError(f"unexpected character {text[pos]!r}", pos)
+            return
+        whole, decimals, denominator, name, op = m.groups()
+        if whole is not None:
+            decimals = decimals or ""
+            try:
+                value = Fraction(int(whole + decimals),
+                                 10 ** len(decimals) * int(denominator or 1))
+            except ZeroDivisionError:
+                raise ParseError(f"bad rational literal {m.group(0).strip()!r}",
+                                 m.start(1)) from None
+            yield "num", value, m.start(1)
+        elif name is not None:
+            yield "name", name, m.start(4)
+        else:
+            yield op, op, m.start(5)
         pos = m.end()
 
 
-class _Parser:
+class Parser:
+    """Recursive descent over `tokenize(text)`: the formula levels, by
+    rising precedence iff, implies, disjunction, conjunction, unary.
+
+    With ``bar`` set, a ``|`` outside parentheses ends the formula; that
+    is how `constraints` reads the conditioning bar of ``P(f | g)``.
+    """
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens = list(_tokenize(text))
+        self.tokens = list(tokenize(text))
         self.i = 0
 
-    def peek(self) -> str | None:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+    def peek(self, ahead: int = 0) -> str | None:
+        """The kind of the token ``ahead`` places on, None past the end."""
+        k = self.i + ahead
+        return self.tokens[k][0] if k < len(self.tokens) else None
 
-    def next(self) -> tuple[str, int]:
-        if self.i >= len(self.tokens):
-            raise ParseError("unexpected end of formula", len(self.text))
-        tok = self.tokens[self.i]
+    def take(self, kind: str | None = None) -> tuple[str, object, int]:
+        if self.i == len(self.tokens) or kind not in (None, self.tokens[self.i][0]):
+            raise self.error(repr(kind) if kind else "a token")
         self.i += 1
-        return tok
+        return self.tokens[self.i - 1]
 
-    def parse(self) -> Formula:
-        f = self.iff()
+    def done(self) -> None:
         if self.i < len(self.tokens):
-            tok, pos = self.tokens[self.i]
-            raise ParseError(f"unexpected token {tok!r}", pos)
-        return f
+            raise self.error("the end")
 
-    def iff(self) -> Formula:
-        left = self.implies()
+    def error(self, expected: str) -> ParseError:
+        """A ParseError "expected ..., found ..." at the next token, or at
+        the end of the text."""
+        if self.i == len(self.tokens):
+            return ParseError(f"expected {expected}, found the end", len(self.text))
+        _, value, pos = self.tokens[self.i]
+        return ParseError(f"expected {expected}, found {str(value)!r}", pos)
+
+    def iff(self, bar: bool = False) -> Formula:
+        left = self.implies(bar)
         if self.peek() == "<=>":
-            self.next()
-            return Iff(left, self.iff())
+            self.take()
+            return Iff(left, self.iff(bar))
         return left
 
-    def implies(self) -> Formula:
-        left = self.disjunction()
+    def implies(self, bar: bool = False) -> Formula:
+        left = self.disjunction(bar)
         if self.peek() == "=>":
-            self.next()
-            return Implies(left, self.implies())
+            self.take()
+            return Implies(left, self.implies(bar))
         return left
 
-    def disjunction(self) -> Formula:
+    def disjunction(self, bar: bool = False) -> Formula:
         items = [self.conjunction()]
-        while self.peek() == "|":
-            self.next()
+        while not bar and self.peek() == "|":
+            self.take()
             items.append(self.conjunction())
         return items[0] if len(items) == 1 else Or(tuple(items))
 
     def conjunction(self) -> Formula:
         items = [self.unary()]
         while self.peek() == "&":
-            self.next()
+            self.take()
             items.append(self.unary())
         return items[0] if len(items) == 1 else And(tuple(items))
 
     def unary(self) -> Formula:
-        tok, pos = self.next()
-        if tok == "!":
+        if self.peek() not in ("!", "(", "name"):
+            raise self.error("a formula")
+        kind, value, _ = self.take()
+        if kind == "!":
             return Not(self.unary())
-        if tok == "(":
+        if kind == "(":
             f = self.iff()
-            closing, cpos = self.next()
-            if closing != ")":
-                raise ParseError("expected ')'", cpos)
+            self.take(")")
             return f
-        if tok == "true":
-            return TRUE
-        if tok == "false":
-            return FALSE
-        if tok in {"&", "|", ")", "=>", "<=>"}:
-            raise ParseError(f"unexpected token {tok!r}", pos)
-        return Var(tok)
+        return TRUE if value == "true" else FALSE if value == "false" else Var(value)
 
 
 def parse_formula(text: str) -> Formula:
     """Parse ``text`` into a formula tree."""
-    return _Parser(text).parse()
+    parser = Parser(text)
+    f = parser.iff()
+    parser.done()
+    return f
 
 
 def as_formula(f: Formula | str) -> Formula:

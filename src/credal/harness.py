@@ -32,6 +32,8 @@ from .constraints import (
 from .corpus import BOUND_GRID, factor_kb_templates
 from .embeddings import (
     Embedding,
+    correspond_sets,
+    factor_lift,
     from_interpretation,
     from_surjection,
     is_faithful,
@@ -41,7 +43,7 @@ from .embeddings import (
 )
 from .entail import conservative_check, entails, satisfiable
 from .errors import CredalError, DomainError
-from .measures import FiniteMeasureSet, Measure
+from .measures import FiniteMeasureSet, Measure, pushforward
 from .procedures import (
     InferenceProcedure,
     PriorFunction,
@@ -109,8 +111,7 @@ def invariance_check(proc: InferenceProcedure, emb: Embedding, kb: ConstraintExp
     if not is_faithful(emb):
         raise ValueError("invariance is defined against faithful embeddings")
     vx = _try_infers(proc, kb, theta, emb.source, seed, samples)
-    vy = _try_infers(proc, translate(emb, kb) if space_of(kb) else kb,
-                     translate(emb, theta), emb.target, seed, samples)
+    vy = _try_infers(proc, translate(emb, kb), translate(emb, theta), emb.target, seed, samples)
     violations: list[InvarianceViolation] = []
     mode = "exact"
     if (vx is None) != (vy is None):
@@ -357,10 +358,8 @@ def robustness_check(proc: InferenceProcedure, kb: ConstraintExpr, psi: Constrai
     if cons.status != "conservative_verified":
         return RobustnessReport(proc.name, cons.status, (), skipped=True)
     x_space = xy_space.factors[x_factor]
-    comp = component_map(xy_space, x_space)
-    lift = from_surjection(x_space, xy_space, comp)
-    kb_lifted = translate(lift, kb) if space_of(kb) else kb
-    extended_kb = and_(kb_lifted, psi)
+    lift = factor_lift(xy_space, x_space)
+    extended_kb = and_(translate(lift, kb), psi)
     items = []
     for q in queries:
         vb = _try_infers(proc, kb, q, x_space, seed, samples)
@@ -610,9 +609,6 @@ def bootstrap_check(prior_x, prior_y, emb: Embedding, corpus=None,
     including kb = true, which is decisive: a non-corresponding pair is
     separated by pinning the offending measure's weights.
     """
-    from .embeddings import correspond_sets
-    from .measures import pushforward
-
     px = FiniteMeasureSet(tuple(m.to_float() for m in prior_x))
     py = FiniteMeasureSet(tuple(m.to_float() for m in prior_y))
     corr = correspond_sets(emb, px, py)
@@ -741,18 +737,11 @@ def products_invariance_check(seed: int = 0, n_product: int = 200, n_perm: int =
                           n_perm, tuple(perm_violations), crossing)
 
 
-def _factor_lift(space: Space, k: int) -> Embedding:
-    factor = space.factors[k]
-    comp = component_map(space, factor)
-    return from_surjection(factor, space, comp)
-
-
 def _lift_factor_kb(space: Space, k: int, kb: ConstraintExpr) -> ConstraintExpr:
-    if space_of(kb) is None:
-        return kb
     # The factor has the same world list, possibly a renamed vocabulary.
-    retargeted = map_events(kb, lambda e: Event(space.factors[k], e.mask))
-    return translate(_factor_lift(space, k), retargeted)
+    factor = space.factors[k]
+    retargeted = map_events(kb, lambda e: Event(factor, e.mask))
+    return translate(factor_lift(space, factor), retargeted)
 
 
 def _random_rectangle_query(space: Space, rng: _random.Random) -> ConstraintExpr:

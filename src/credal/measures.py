@@ -96,9 +96,6 @@ class Measure:
     def __getitem__(self, i: int):
         return self.weights[i]
 
-    def support_indices(self) -> list[int]:
-        return [i for i, w in enumerate(self.weights) if w > 0]
-
     def is_close(self, other: "Measure", eps: float = 1e-9) -> bool:
         if self.space != other.space:
             return False

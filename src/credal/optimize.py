@@ -26,7 +26,7 @@ import numpy as np
 
 from .constraints import ConstraintExpr, LinearAtom, satisfies, space_of, to_dnf
 from .entail import Cell, cells
-from .errors import ConvergenceError, CredalError
+from .errors import ConvergenceError, CredalError, DomainError
 from .measures import FLOAT, FiniteMeasureSet, Measure, kl_divergence
 from .spaces import Space
 
@@ -269,8 +269,6 @@ def update_set(d: FiniteMeasureSet, kb: ConstraintExpr) -> FiniteMeasureSet:
     The union of each prior's projection attainers, deduplicated.  An
     unattained projection is a domain error for prior-based procedures.
     """
-    from .errors import DomainError
-
     out: list[Measure] = []
     for mu in d:
         res = kl_project(mu.to_float(), kb)

@@ -29,8 +29,10 @@ from .constraints import (
     not_,
     satisfies,
     space_of,
+    to_dnf,
     translate,
 )
+from .embeddings import factor_lift
 from .entail import (
     entails,
     equivalent,
@@ -48,8 +50,16 @@ from .measures import (
     MeasureSet,
     product_measure,
 )
-from .optimize import maxent, update_set
-from .spaces import Event, Space, component_map, cylinder, event_from_indices, product_space
+from .optimize import kl_project, maxent, update_set
+from .spaces import (
+    Event,
+    Space,
+    component_map,
+    cylinder,
+    event_from_indices,
+    product_decomposition,
+    product_space,
+)
 
 _ONE = Fraction(1)
 
@@ -218,10 +228,8 @@ def _check_all_satisfy(selection: MeasureSet, theta: ConstraintExpr, space: Spac
     if isinstance(selection, DenotationSet):
         expr = selection.expr
         if not has_product_atom(theta):
-            if entails(expr, theta, space):
-                return Verdict(True)
-            witness = satisfiable(and_(expr, not_(theta)), space).witness
-            return Verdict(False, (witness,) if witness else ())
+            counter = satisfiable(and_(expr, not_(theta)), space)
+            return Verdict(False, (counter.witness,)) if counter.feasible else Verdict(True)
         for mu in sample_measures(expr, space, samples, seed):
             if not satisfies(mu, theta):
                 return Verdict(False, (mu,), mode="sampled", samples=samples, seed=seed)
@@ -241,7 +249,7 @@ def infers(proc: InferenceProcedure, kb: ConstraintExpr, theta: ConstraintExpr,
     if proc.kind == PRIOR_BASED and proc.prior.kind == PRODUCT_FAMILY:
         kbs = _factorize(kb, space)
         if kbs is None:
-            return _product_family_sampled(kb, theta, space, seed, samples)
+            return _product_family_sampled(kb, theta, space, eps, seed, samples)
         return product_prior_infer(kbs, theta, space, seed=seed, samples=samples)
     selection = select(proc, kb, space)
     return _check_all_satisfy(selection, theta, space, eps, seed, samples)
@@ -256,8 +264,6 @@ def _pi_factors(space: Space) -> tuple[Space, ...]:
     maximal product decomposition."""
     if space.factors is not None:
         return space.factors
-    from .spaces import product_decomposition
-
     return tuple(product_decomposition(space))
 
 
@@ -327,8 +333,6 @@ def _normalize_single_cell(kb: ConstraintExpr) -> ConstraintExpr:
     the exact interval path."""
     if isinstance(kb, (TrueExpr, FalseExpr)) or has_product_atom(kb):
         return kb
-    from .constraints import to_dnf
-
     dnf = to_dnf(kb)
     if len(dnf.systems) == 1:
         return dnf.systems[0].as_constraint()
@@ -370,7 +374,7 @@ def product_prior_infer(kbs: Sequence[ConstraintExpr], theta: ConstraintExpr, sp
 
 
 def _product_family_sampled(kb: ConstraintExpr, theta: ConstraintExpr, space: Space,
-                            seed: int, samples: int, eps: float = 1e-8) -> Verdict:
+                            eps: float, seed: int, samples: int) -> Verdict:
     """Falsification for a non-factorized kb under the product prior.
 
     The selection is the union of the priors' projections onto [[kb]]
@@ -379,8 +383,6 @@ def _product_family_sampled(kb: ConstraintExpr, theta: ConstraintExpr, space: Sp
     sampled members of the selection.  An unattained projection puts the
     kb outside the procedure's domain.
     """
-    from .optimize import kl_project
-
     if not satisfiable(kb, space).feasible:
         return Verdict(True)  # empty selection: trivially holds
     factors = _pi_factors(space)
@@ -419,8 +421,6 @@ def _product_family_sampled(kb: ConstraintExpr, theta: ConstraintExpr, space: Sp
 
 
 def _exact_product_verdict(kbs, theta, space, factors) -> Verdict | None:
-    from .constraints import to_dnf
-
     conjuncts = theta.items if isinstance(theta, And) else (theta,)
     closed = all(not _has_strict(kb_i) for kb_i in kbs)
     # single closed cells make the attained value range an exact interval,
@@ -496,19 +496,11 @@ def minimal_default_independence_check(proc: InferenceProcedure, kb: ConstraintE
     The kb about S's space is lifted to the product with T's space and
     the product atom is evaluated against the selected set there.
     """
-    from .embeddings import from_surjection
-
-    x_space = s.space
-    y_space = t.space
-    xy = space if space is not None else product_space([x_space, y_space])
-    comp = component_map(xy, xy.factors[0])
-    lift = from_surjection(x_space, xy, comp)
-    kb_lifted = translate(lift, kb) if space_of(kb) is not None else kb
+    xy = space if space is not None else product_space([s.space, t.space])
+    kb_lifted = translate(factor_lift(xy, s.space), kb)
     cyl_s = cylinder(xy, 0, s)
     cyl_t = cylinder(xy, 1, t)
     theta = ProductAtom(cyl_s & cyl_t, (cyl_s, cyl_t))
-    if proc.kind == PRIOR_BASED and proc.prior.kind == PRODUCT_FAMILY:
-        return product_prior_infer([kb, TrueExpr()], theta, xy, seed=seed, samples=samples)
     return infers(proc, kb_lifted, theta, xy, seed=seed, samples=samples)
 
 
@@ -542,11 +534,11 @@ class KlmReport:
 
 def klm_properties_check(proc: InferenceProcedure, kbs: Sequence[ConstraintExpr],
                          thetas: Sequence[ConstraintExpr], space: Space | None = None,
-                         lle_pairs: Sequence[tuple[ConstraintExpr, ConstraintExpr]] = (),
-                         max_and_pairs: int = 3) -> KlmReport:
-    """Check Reflexivity, Left Logical Equivalence, Right Weakening, And,
-    and Consistency over the given corpus; any violation is reported with
-    the witnessing constraints."""
+                         lle_pairs: Sequence[tuple[ConstraintExpr, ConstraintExpr]] = ()
+                         ) -> KlmReport:
+    """Check Reflexivity, Left Logical Equivalence, Right Weakening, And
+    (on the first three pairs of thetas), and Consistency over the given
+    corpus; any violation is reported with the witnessing constraints."""
     violations: list[KlmViolation] = []
     checked = 0
     if space is None:
@@ -555,7 +547,7 @@ def klm_properties_check(proc: InferenceProcedure, kbs: Sequence[ConstraintExpr]
             if space is not None:
                 break
     rw_pairs = [(a, b) for a, b in itertools.permutations(thetas, 2) if entails(a, b, space)]
-    and_pairs = list(itertools.combinations(thetas, 2))[:max_and_pairs]
+    and_pairs = list(itertools.combinations(thetas, 2))[:3]
 
     for kb in kbs:
         sp = _resolve_space(kb, None, space)

@@ -88,9 +88,6 @@ class Space:
     def __len__(self):
         return len(self.worlds)
 
-    def world_index(self, world: World) -> int:
-        return self._windex[world.bits]
-
     def index_of_bits(self, bits: int) -> int | None:
         return self._windex.get(bits)
 

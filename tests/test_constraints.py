@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from credal.constraints import (
     And,
@@ -21,6 +23,7 @@ from credal.errors import CredalError, ParseError
 from credal.measures import Measure
 from credal.spaces import enumerate_worlds, event_of
 from tests.conftest import simplex_grid
+from tests.test_formulas import _formulas
 
 F = Fraction
 
@@ -73,6 +76,79 @@ class TestParse:
         for text in ["P(fly", "P(fly) >=", "P(wings) > 0", "P(fly) ~ 1"]:
             with pytest.raises(ParseError):
                 parse_constraint(text, fly_bird_space)
+
+    def test_error_inside_p_reports_one_absolute_position(self, fly_bird_space):
+        with pytest.raises(ParseError) as exc:
+            parse_constraint("P(fly &) >= 1/2", fly_bird_space)
+        assert exc.value.position == 7
+        assert str(exc.value).count("at position") == 1
+
+
+ABC = enumerate_worlds(["a", "b", "c"])
+
+
+def _lin(terms, cmp, bound):
+    return LinearAtom(tuple((F(c), event_of(ABC, f)) for c, f in terms), cmp, F(bound))
+
+
+def _cond(main, given, cmp, bound):
+    """P(main | given) cmp bound, multiplied out by hand."""
+    fg = event_of(ABC, main) & event_of(ABC, given)
+    return LinearAtom(((F(1), fg), (-F(bound), event_of(ABC, given))), cmp, F(0))
+
+
+class TestGrammar:
+    """Corner cases of the shared formula/constraint grammar, against
+    hand-built trees."""
+
+    @pytest.mark.parametrize("text, expected", [
+        # the first top-level bar inside P( is the conditioning bar; the
+        # bar reaches through => and <=>, but not into parentheses
+        ("P(a => b | c) >= 1/2", _cond("a => b", "c", ">=", F(1, 2))),
+        ("P(a | b | c) > 1/3", _cond("a", "b | c", ">", F(1, 3))),
+        ("P(a | b => c) <= 3/4", _cond("a", "b => c", "<=", F(3, 4))),
+        ("P((a | b)) = 1/2", _lin([(1, "a | b")], "=", F(1, 2))),
+        ("P(a <=> b | c) < 1", _cond("a <=> b", "c", "<", 1)),
+        ("P((a | b) | c) >= 0", _cond("a | b", "c", ">=", 0)),
+    ])
+    def test_conditioning_bar(self, text, expected):
+        assert parse_constraint(text, ABC) == expected
+
+    def test_leading_comparison_on_both_sides(self):
+        assert parse_constraint("1/2 < P(a) <= 3/4", ABC) == And((
+            _lin([(1, "a")], ">", F(1, 2)), _lin([(1, "a")], "<=", F(3, 4))))
+
+    def test_negative_leading_bound_over_a_difference(self):
+        assert parse_constraint("-1/4 <= P(a) - P(b)", ABC) == _lin(
+            [(1, "a"), (-1, "b")], ">=", F(-1, 4))
+
+    def test_weighted_sum_with_decimal_and_spaced_rational(self):
+        assert parse_constraint("1/2*P(a) + 3*P(b & c) - 0.25*P(!a) <= 3 / 4", ABC) == _lin(
+            [(F(1, 2), "a"), (3, "b & c"), (F(-1, 4), "!a")], "<=", F(3, 4))
+
+    def test_decimal_bounds_are_exact(self):
+        assert parse_constraint("P(a) >= 0.25", ABC) == _lin([(1, "a")], ">=", F(1, 4))
+        assert parse_constraint("P(a) < 3 / 4", ABC) == _lin([(1, "a")], "<", F(3, 4))
+
+    def test_product_atom(self):
+        assert parse_constraint("P(a & b) = P(a) * P(b)", ABC) == ProductAtom(
+            event_of(ABC, "a & b"), (event_of(ABC, "a"), event_of(ABC, "b")))
+
+    @pytest.mark.parametrize("text", [
+        "P(1a) > 0", "P(a) >= 1/0", "P(a) > 1/", "P(a < b) > 0", "P(a) => 1/2",
+        "P(a | ) > 0", "P(| a) > 0", "P() > 0", "P a > 0", "2*P(a | b) > 0",
+        "P(a | b) + P(c) > 0", "P(a) = P(b | c) * P(c)",
+    ])
+    def test_malformed_text_raises_parse_error(self, text):
+        with pytest.raises(ParseError):
+            parse_constraint(text, ABC)
+
+    @given(_formulas(6), _formulas(6))
+    def test_conditional_of_any_formulas(self, f, g):
+        sp = enumerate_worlds(["p", "q", "r", "s"])
+        fv, gv = event_of(sp, f), event_of(sp, g)
+        assert parse_constraint(f"P(({f}) | ({g})) >= 1/3", sp) == LinearAtom(
+            ((F(1), fv & gv), (F(-1, 3), gv)), ">=", F(0))
 
 
 class TestSatisfies:
@@ -202,10 +278,6 @@ class TestTranslate:
                  Not(parse_constraint("P(colorful) < 2/3", emb.source))))
         out = translate(emb, c)
         assert isinstance(out, And) and isinstance(out.items[1], Not)
-
-
-from hypothesis import given
-from hypothesis import strategies as st
 
 
 @given(st.text(alphabet="Pab()&|!<>=/*+-0123456789. ", max_size=40))

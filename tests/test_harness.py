@@ -92,6 +92,24 @@ class TestFalsifier:
         rep = rep_independence_falsify(proc, budget=3, seed=2)
         assert rep.found
 
+    def test_linear_query_on_a_denotation_solves_its_lps_once(self, monkeypatch):
+        # A failed query on a denotation takes its verdict and its witness
+        # from one satisfiability pass; solving kb & !theta a second time
+        # for the witness made 1,576 LPs here.
+        from credal import simplex
+
+        calls = []
+        solve_lp = simplex.solve_lp
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return solve_lp(*args, **kwargs)
+
+        monkeypatch.setattr(simplex, "solve_lp", spy)
+        for t in range(300):
+            replay_trial(InferenceProcedure.i1(), t, seed=12345)
+        assert len(calls) <= 1027
+
 
 class TestNotrepindConstruction:
     def test_images_of_s_are_disjoint(self):

@@ -175,6 +175,21 @@ class TestMinimalDefaultIndependence:
         assert v.holds and v.mode == "exact"
 
 
+class TestProductFamilySampled:
+    def test_eps_reaches_the_sampled_path(self):
+        # P(a & b) is no cylinder, so the kb does not factorize and the
+        # projected priors are sampled; they sit on P(a & b) = 1/2, 1e-7
+        # short of theta, which only a tolerance of 1e-6 forgives.
+        sp = enumerate_worlds(["a", "b"])
+        kb = parse_constraint("P(a & b) >= 1/2", sp)
+        theta = parse_constraint("P(a & b) >= 0.5000001", sp)
+        proc = InferenceProcedure.prior_based(PriorFunction.product_family())
+        assert not infers(proc, kb, theta, sp).holds
+        v = infers(proc, kb, theta, sp, eps=1e-6)
+        assert v.holds and v.mode == "sampled"
+        assert infers(InferenceProcedure.maxent(), kb, theta, sp, eps=1e-6).holds
+
+
 class TestProductPriorInfer:
     def _spaces(self):
         a = enumerate_worlds(["s1"])
