@@ -172,7 +172,9 @@ def has_product_atom(expr: ConstraintExpr) -> bool:
 # Satisfaction ----------------------------------------------------------
 
 
-def _compare(value, cmp: str, bound, exact: bool, eps: float) -> bool:
+def compare(value, cmp: str, bound, exact: bool, eps: float) -> bool:
+    """Whether ``value cmp bound`` holds: exactly, or for floats within
+    ``eps``, with strict comparisons needing an ``eps`` margin."""
     if exact:
         if cmp == "<":
             return value < bound
@@ -207,7 +209,7 @@ def satisfies(mu: Measure, expr: ConstraintExpr, eps: float = DEFAULT_EPS) -> bo
     if isinstance(expr, FalseExpr):
         return False
     if isinstance(expr, LinearAtom):
-        return _compare(expr.value(mu), expr.cmp, expr.bound, exact, eps)
+        return compare(expr.value(mu), expr.cmp, expr.bound, exact, eps)
     if isinstance(expr, ProductAtom):
         lhs = mu.prob(expr.lhs)
         rhs = mu.prob(expr.rhs[0]) * mu.prob(expr.rhs[1])

@@ -365,7 +365,7 @@ def _cell_vertices(cell: Cell) -> list[list[Fraction]]:
     eqs = [([_ONE] * n, _ONE)] + atom_rows[:n_eq]
     pool = ([([_ONE if j == i else _ZERO for j in range(n)], _ZERO) for i in range(n)]
             + atom_rows[n_eq:])
-    need = max(0, n - len(eqs))
+    need = n - len(_eliminate([r for r, _ in eqs], [b for _, b in eqs], n)[1])
     vertices: list[list[Fraction]] = []
     seen: set[tuple] = set()
     for chosen in combinations(range(len(pool)), need):
@@ -385,7 +385,9 @@ def _dot(a, b):
     return sum((x * y for x, y in zip(a, b)), _ZERO)
 
 
-def _solve_unique(rows: list[list[Fraction]], rhs: list[Fraction], n: int) -> list[Fraction] | None:
+def _eliminate(rows: list[list[Fraction]], rhs: list[Fraction], n: int):
+    """Gauss-Jordan elimination of [rows | rhs]: the reduced rows and
+    their pivot columns, whose count is the rank of rows."""
     m = len(rows)
     aug = [list(rows[i]) + [rhs[i]] for i in range(m)]
     piv_cols = []
@@ -405,9 +407,13 @@ def _solve_unique(rows: list[list[Fraction]], rhs: list[Fraction], n: int) -> li
         r += 1
         if r == m:
             break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None  # inconsistent
+    return aug, piv_cols
+
+
+def _solve_unique(rows: list[list[Fraction]], rhs: list[Fraction], n: int) -> list[Fraction] | None:
+    aug, piv_cols = _eliminate(rows, rhs, n)
+    if any(row[n] != 0 for row in aug[len(piv_cols):]):
+        return None  # inconsistent
     if len(piv_cols) < n:
         return None  # underdetermined
     x = [_ZERO] * n

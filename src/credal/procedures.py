@@ -3,8 +3,12 @@
 A procedure maps a knowledge base's denotation to a subset of it; a
 query follows when every selected measure satisfies it.  Selections are
 finite lists (maxent, finite priors), constraint denotations (entailment,
-I0, I1), or the product-measure family, which is handled by structural
-rules plus seeded sampling falsification.
+I0, I1), or the product-measure family.  Under the product family a
+factorized kb is decided exactly on structural independence atoms and
+on single-rectangle atoms, which closed factor kbs (no strict atom in
+any DNF cell) decide both ways whatever their cell count; everything
+else is seeded sampling falsification, whose `Verdict.samples` counts
+the measures checked.
 """
 
 from __future__ import annotations
@@ -13,9 +17,10 @@ import itertools
 import random as _random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .constraints import (
+    DEFAULT_EPS,
     And,
     ConstraintExpr,
     FalseExpr,
@@ -24,6 +29,7 @@ from .constraints import (
     TrueExpr,
     and_,
     atoms_of,
+    compare,
     has_product_atom,
     map_events,
     not_,
@@ -59,6 +65,7 @@ from .spaces import (
     event_from_indices,
     product_decomposition,
     product_space,
+    whole_event,
 )
 
 _ONE = Fraction(1)
@@ -230,10 +237,7 @@ def _check_all_satisfy(selection: MeasureSet, theta: ConstraintExpr, space: Spac
         if not has_product_atom(theta):
             counter = satisfiable(and_(expr, not_(theta)), space)
             return Verdict(False, (counter.witness,)) if counter.feasible else Verdict(True)
-        for mu in sample_measures(expr, space, samples, seed):
-            if not satisfies(mu, theta):
-                return Verdict(False, (mu,), mode="sampled", samples=samples, seed=seed)
-        return Verdict(True, mode="sampled", samples=samples, seed=seed)
+        return _sampled(sample_measures(expr, space, samples, seed), theta, eps, seed)
     raise CredalError("selection kind does not support query evaluation")
 
 
@@ -258,7 +262,6 @@ def infers(proc: InferenceProcedure, kb: ConstraintExpr, theta: ConstraintExpr,
 # Product-family machinery ------------------------------------------------
 
 
-
 def _pi_factors(space: Space) -> tuple[Space, ...]:
     """Factors the product prior refers to: the declared ones, else the
     maximal product decomposition."""
@@ -267,76 +270,55 @@ def _pi_factors(space: Space) -> tuple[Space, ...]:
     return tuple(product_decomposition(space))
 
 
-def _rectangle_projections(event: Event, space: Space) -> list[Event] | None:
-    """Per-factor projections if the event is a product rectangle."""
-    factors = _pi_factors(space)
-    comps = [component_map(space, f) for f in factors]
+def _rectangle(event: Event, space: Space) -> list[Event] | None:
+    """The event's projections onto the factors when the event is their
+    product, else None."""
     projections = []
-    for k, f in enumerate(factors):
-        ids = {comps[k][i] for i in event.indices()}
-        projections.append(event_from_indices(f, sorted(ids)))
-    mask = (1 << len(space.worlds)) - 1
-    rect = Event(space, mask)
-    for f, ev in zip(factors, projections):
-        rect = rect & cylinder(space, f, ev)
-    if rect.mask != event.mask:
-        return None
-    return projections
+    rect = whole_event(space).mask
+    for f in _pi_factors(space):
+        comp = component_map(space, f)
+        u = event_from_indices(f, {comp[i] for i in event.indices()})
+        rect &= cylinder(space, f, u).mask
+        projections.append(u)
+    return projections if rect == event.mask else None
 
 
 def _factorize(kb: ConstraintExpr, space: Space) -> list[ConstraintExpr] | None:
-    """Split a conjunction into per-factor constraints, if possible."""
-    factors = _pi_factors(space)
-    if isinstance(kb, TrueExpr):
-        return [TrueExpr()] * len(factors)
-    conjuncts = kb.items if isinstance(kb, And) else (kb,)
-    comps = [component_map(space, f) for f in factors]
-    out: list[ConstraintExpr] = [TrueExpr()] * len(factors)
-    for conj in conjuncts:
-        owner: int | None = None
+    """Split a conjunction into per-factor constraints, if possible.
+
+    A conjunct goes to the one factor that its events' rectangles leave
+    unfilled; factor 0 takes the empty and the whole event, and the
+    conjuncts with no events (so a false conjunct empties the selection).
+    """
+    out: list[ConstraintExpr] = [TrueExpr()] * len(_pi_factors(space))
+    for conj in kb.items if isinstance(kb, And) else (kb,):
+        owners, rects = set(), {}
         for atom in atoms_of(conj):
             events = ([e for _, e in atom.terms] if isinstance(atom, LinearAtom)
                       else [atom.lhs, *atom.rhs])
             for ev in events:
-                ks = _cylinder_factor(ev, space, factors, comps)
-                if ks is None:
+                rect = rects[ev.mask] = _rectangle(ev, space)
+                if rect is None:
                     return None
-                if owner is None:
-                    owner = ks
-                elif owner != ks:
-                    return None
-        if owner is None:  # constant conjunct
-            continue
-        factor, comp = factors[owner], comps[owner]
-        projected = map_events(conj, lambda ev: event_from_indices(
-            factor, sorted({comp[i] for i in ev.indices()})))
-        out[owner] = and_(out[owner], projected)
+                owners.update([k for k, u in enumerate(rect)
+                               if ev.mask and u.count < len(u.space)] or [0])
+        if len(owners) > 1:
+            return None
+        owner = owners.pop() if owners else 0
+        out[owner] = and_(out[owner], map_events(conj, lambda ev: rects[ev.mask][owner]))
     return out
 
 
-def _cylinder_factor(event: Event, space: Space, factors, comps) -> int | None:
-    """Index of the single factor an event is a cylinder over, if any."""
-    for k, f in enumerate(factors):
-        ids = {comps[k][i] for i in event.indices()}
-        if cylinder(space, f, event_from_indices(f, sorted(ids))).mask == event.mask:
-            return k
-    return None
-
-
-def _has_strict(expr: ConstraintExpr) -> bool:
-    return any(isinstance(a, LinearAtom) and a.cmp in ("<", ">") for a in atoms_of(expr))
-
-
-def _normalize_single_cell(kb: ConstraintExpr) -> ConstraintExpr:
-    """Push negations into atoms when the kb is one conjunctive cell, so
-    syntactically strict spellings of closed sets (like !(P < 1/4)) take
-    the exact interval path."""
-    if isinstance(kb, (TrueExpr, FalseExpr)) or has_product_atom(kb):
-        return kb
-    dnf = to_dnf(kb)
-    if len(dnf.systems) == 1:
-        return dnf.systems[0].as_constraint()
-    return kb
+def _sampled(candidates: Iterable[Measure], theta: ConstraintExpr, eps: float,
+             seed: int) -> Verdict:
+    """Sampled falsification: the first candidate that violates theta
+    refutes it; `samples` counts the candidates checked."""
+    checked = 0
+    for mu in candidates:
+        checked += 1
+        if not satisfies(mu, theta, eps):
+            return Verdict(False, (mu,), mode="sampled", samples=checked, seed=seed)
+    return Verdict(True, mode="sampled", samples=checked, seed=seed)
 
 
 def product_prior_infer(kbs: Sequence[ConstraintExpr], theta: ConstraintExpr, space: Space,
@@ -345,14 +327,17 @@ def product_prior_infer(kbs: Sequence[ConstraintExpr], theta: ConstraintExpr, sp
 
     The updated set is exactly the product measures whose factors satisfy
     their constraints.  Product atoms over disjoint-factor rectangles
-    hold structurally; single-rectangle linear atoms are decided by
-    exact per-factor interval analysis; anything else falls back to
-    seeded sampling falsification over random product measures.
+    hold structurally.  A single-rectangle linear atom is decided from
+    the product of the per-factor ranges of its projections: a range
+    inside the atom proves it, and one that leaves it refutes it when
+    the factor kbs are closed (no DNF cell has a strict atom), whatever
+    their cell count, since both ends are then attained.  Anything else
+    falls back to seeded sampling falsification over random product
+    measures, and `Verdict.samples` counts the measures checked.
     """
     factors = _pi_factors(space)
     if len(kbs) != len(factors):
         raise ValueError("kbs must align with the space's factors")
-    kbs = [_normalize_single_cell(kb_i) for kb_i in kbs]
     for kb_i, f in zip(kbs, factors):
         if not satisfiable(kb_i, f).feasible:
             return Verdict(True)  # empty selection: trivially holds
@@ -364,13 +349,9 @@ def product_prior_infer(kbs: Sequence[ConstraintExpr], theta: ConstraintExpr, sp
     rng = _random.Random(seed)
     factor_samples = [sample_measures(kb_i, f, max(4, samples // 8), rng.randrange(2**30))
                       for kb_i, f in zip(kbs, factors)]
-    if all(factor_samples):
-        for _ in range(samples):
-            parts = [fs[rng.randrange(len(fs))] for fs in factor_samples]
-            mu = product_measure(parts, space)
-            if not satisfies(mu, theta):
-                return Verdict(False, (mu,), mode="sampled", samples=samples, seed=seed)
-    return Verdict(True, mode="sampled", samples=samples, seed=seed)
+    draws = (product_measure([fs[rng.randrange(len(fs))] for fs in factor_samples], space)
+             for _ in range(samples if all(factor_samples) else 0))
+    return _sampled(draws, theta, DEFAULT_EPS, seed)
 
 
 def _product_family_sampled(kb: ConstraintExpr, theta: ConstraintExpr, space: Space,
@@ -408,26 +389,19 @@ def _product_family_sampled(kb: ConstraintExpr, theta: ConstraintExpr, space: Sp
             parts.append(Measure.from_floats(f, [w / total for w in raw]))
         priors.append(product_measure(parts, space))
 
-    tested = 0
-    for prior in priors:
-        res = kl_project(prior, kb)
-        if res.status == "not_attained":
-            raise DomainError("KB outside procedure domain: projection not attained")
-        for m in res.measures:
-            tested += 1
-            if not satisfies(m, theta, eps):
-                return Verdict(False, (m,), mode="sampled", samples=tested, seed=seed)
-    return Verdict(True, mode="sampled", samples=tested, seed=seed)
+    def projected():
+        for prior in priors:
+            res = kl_project(prior, kb)
+            if res.status == "not_attained":
+                raise DomainError("KB outside procedure domain: projection not attained")
+            yield from res.measures
+
+    return _sampled(projected(), theta, eps, seed)
 
 
 def _exact_product_verdict(kbs, theta, space, factors) -> Verdict | None:
-    conjuncts = theta.items if isinstance(theta, And) else (theta,)
-    closed = all(not _has_strict(kb_i) for kb_i in kbs)
-    # single closed cells make the attained value range an exact interval,
-    # so a violated interval is a definite counterexample, not just a miss
-    exact_interval = closed and all(
-        isinstance(kb_i, TrueExpr) or len(to_dnf(kb_i).systems) == 1 for kb_i in kbs)
-    for conj in conjuncts:
+    closed = not any(system.strict for kb_i in kbs for system in to_dnf(kb_i).systems)
+    for conj in theta.items if isinstance(theta, And) else (theta,):
         if isinstance(conj, TrueExpr):
             continue
         if isinstance(conj, FalseExpr):
@@ -436,56 +410,30 @@ def _exact_product_verdict(kbs, theta, space, factors) -> Verdict | None:
             if not _structural_product_atom(conj, space):
                 return None
             continue
-        if isinstance(conj, LinearAtom) and len(conj.terms) == 1 and closed:
-            coeff, ev = conj.terms[0]
-            projections = _rectangle_projections(ev, space)
-            if projections is None:
-                return None
-            lo = hi = Fraction(1)
-            for kb_i, f, u in zip(kbs, factors, projections):
-                rng_i = linear_range(kb_i, ((Fraction(1), u),), f)
-                if rng_i is None:
-                    return Verdict(True)
-                lo, hi = lo * rng_i[0], hi * rng_i[1]
-            vals = sorted((coeff * lo, coeff * hi))
-            if not _interval_satisfies(vals[0], vals[1], conj.cmp, conj.bound):
-                if exact_interval:
-                    return Verdict(False)
-                return None  # range may overcover: fall back to sampling
-            continue
-        return None
+        if not (isinstance(conj, LinearAtom) and len(conj.terms) == 1):
+            return None
+        coeff, ev = conj.terms[0]
+        rect = _rectangle(ev, space)
+        if rect is None:
+            return None
+        lo = hi = _ONE
+        for kb_i, f, u in zip(kbs, factors, rect):
+            lo_i, hi_i = linear_range(kb_i, ((_ONE, u),), f)
+            lo, hi = lo * lo_i, hi * hi_i
+        # the atom holds on [lo, hi] iff it holds at both ends
+        if not all(compare(coeff * v, conj.cmp, conj.bound, True, 0.0) for v in (lo, hi)):
+            return Verdict(False) if closed else None
     return Verdict(True)
 
 
 def _structural_product_atom(atom: ProductAtom, space: Space) -> bool:
     """True when every product measure satisfies Pr(A) = Pr(B) Pr(C):
-    A, B, C are rectangles, A = B & C, and B and C constrain disjoint
+    B and C are rectangles, A = B & C, and B and C constrain disjoint
     factor sets."""
-    pa = _rectangle_projections(atom.lhs, space)
-    pb = _rectangle_projections(atom.rhs[0], space)
-    pc = _rectangle_projections(atom.rhs[1], space)
-    if pa is None or pb is None or pc is None:
+    pb, pc = (_rectangle(ev, space) for ev in atom.rhs)
+    if pb is None or pc is None or (atom.rhs[0] & atom.rhs[1]).mask != atom.lhs.mask:
         return False
-    if (atom.rhs[0] & atom.rhs[1]).mask != atom.lhs.mask:
-        return False
-    for k, f in enumerate(_pi_factors(space)):
-        full = (1 << len(f.worlds)) - 1
-        if pb[k].mask != full and pc[k].mask != full:
-            return False
-    return True
-
-
-def _interval_satisfies(lo: Fraction, hi: Fraction, cmp: str, bound: Fraction) -> bool:
-    """Whether every value in [lo, hi] satisfies the comparison."""
-    if cmp == "=":
-        return lo == hi == bound
-    if cmp == "<=":
-        return hi <= bound
-    if cmp == "<":
-        return hi < bound
-    if cmp == ">=":
-        return lo >= bound
-    return lo > bound
+    return all(b.count == len(b.space) or c.count == len(c.space) for b, c in zip(pb, pc))
 
 
 def minimal_default_independence_check(proc: InferenceProcedure, kb: ConstraintExpr,

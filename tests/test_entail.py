@@ -9,7 +9,9 @@ from credal.constraints import (
     and_,
     parse_constraint,
     satisfies,
+    translate,
 )
+from credal.embeddings import factor_lift
 from credal.entail import (
     cells,
     conservative_check,
@@ -266,6 +268,16 @@ class TestConservativeCheck:
 
         rep = conservative_check(kb, TrueExpr(), xy)
         assert rep.status == "conservative_verified"
+
+    @pytest.mark.parametrize("kb_text", ["P(a) = 1/2", "P(a) = 1/2 & P(!a) = 1/2"])
+    def test_dependent_equalities_keep_the_vertices(self, kb_text):
+        # P(!a) = 1/2 is the simplex row minus P(a) = 1/2: the vertex
+        # search needs one tight row per missing rank, not per equality
+        x = enumerate_worlds(["a", "b"])
+        xy = product_space([x, enumerate_worlds(["c"])])
+        psi = translate(factor_lift(xy, x), parse_constraint("P(a & b) < 1/2", x))
+        rep = conservative_check(parse_constraint(kb_text, x), psi, xy)
+        assert rep.status == "not_conservative"
 
 
 def test_conservative_check_inconclusive_beyond_vertex_limit():

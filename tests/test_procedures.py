@@ -240,6 +240,36 @@ class TestProductPriorInfer:
             [parse_constraint("P(s1) = 1/2", a), TrueExpr()], theta, x, seed=5)
         assert v.mode == "sampled"
 
+    def test_sampled_refutation_counts_the_measures_checked(self):
+        a, b, x = self._spaces()
+        theta = parse_constraint("P((s1 <=> s2)) >= 1/2", x)  # fails when P(s2) < 1/2
+        v = product_prior_infer(
+            [parse_constraint("P(s1) = 3/5", a), TrueExpr()], theta, x, seed=5)
+        assert not v.holds and v.mode == "sampled"
+        assert 1 <= v.samples < 400
+        assert not satisfies(v.evidence[0], theta)
+
+    def test_closed_multi_cell_kbs_decide_exactly(self):
+        # both ends of each factor's range are attained, so a violated
+        # range is a counterexample however many cells the kb has
+        sp = enumerate_worlds(["a", "b"])
+        kb = parse_constraint("(P(a) <= 1/4 | P(a) >= 3/4) & P(b) = 1/2", sp)
+        proc = InferenceProcedure.prior_based(PriorFunction.product_family())
+        v = infers(proc, kb, parse_constraint("P(a & b) <= 1/4", sp), sp)
+        assert not v.holds and v.mode == "exact"
+        v = infers(proc, kb, parse_constraint("P(a & b) <= 1/2", sp), sp)
+        assert v.holds and v.mode == "exact"
+
+    @pytest.mark.parametrize("kb_text", ["P(a) >= 1/2 & false",
+                                         "P(a) >= 1/2 & P(b) >= 1/2 & false"])
+    def test_false_conjunct_empties_the_selection(self, kb_text):
+        sp = enumerate_worlds(["a", "b"])
+        kb = parse_constraint(kb_text, sp)
+        theta = parse_constraint("P(a) <= 1/4", sp)
+        proc = InferenceProcedure.prior_based(PriorFunction.product_family())
+        assert infers(InferenceProcedure.entailment(), kb, theta, sp).holds
+        assert infers(proc, kb, theta, sp).holds
+
 
 class TestProcedureAgreement:
     def test_maxent_matches_uniform_prior(self, fly_bird_space):
