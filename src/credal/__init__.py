@@ -12,11 +12,7 @@ from .spaces import (
     product_space,
 )
 from .measures import (
-    DenotationSet,
-    FiberSet,
-    FiniteMeasureSet,
     Measure,
-    MeasureSet,
     condition,
     corresponds,
     couple,

@@ -36,6 +36,16 @@ from .optimize import maxent
 from .procedures import InferenceProcedure, PriorFunction, infers, klm_properties_check
 from .spaces import Space, atoms_over, enumerate_worlds, event_of, product_space
 
+# Procedures named by a scenario's `procedure.kind`; `_PROCS` adds the
+# command-line-only name `product-prior`.
+_KINDS = {
+    "entailment": InferenceProcedure.entailment,
+    "maxent": InferenceProcedure.maxent,
+    "i0": InferenceProcedure.i0,
+    "i1": InferenceProcedure.i1,
+    "broken": InferenceProcedure.broken,
+}
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -107,16 +117,8 @@ class Scenario:
 
     def build_procedure(self, built: dict[str, Space]) -> InferenceProcedure:
         kind = self.procedure.get("kind", "maxent")
-        if kind == "entailment":
-            return InferenceProcedure.entailment()
-        if kind == "maxent":
-            return InferenceProcedure.maxent()
-        if kind == "i0":
-            return InferenceProcedure.i0()
-        if kind == "i1":
-            return InferenceProcedure.i1()
-        if kind == "broken":
-            return InferenceProcedure.broken()
+        if kind in _KINDS:
+            return _KINDS[kind]()
         if kind == "prior_based":
             prior = self.procedure.get("prior", "uniform")
             if prior == "uniform":
@@ -254,12 +256,8 @@ def cmd_check_invariance(args) -> int:
 
 
 _PROCS = {
-    "entailment": InferenceProcedure.entailment,
-    "maxent": InferenceProcedure.maxent,
-    "i0": InferenceProcedure.i0,
-    "i1": InferenceProcedure.i1,
+    **_KINDS,
     "product-prior": lambda: InferenceProcedure.prior_based(PriorFunction.product_family()),
-    "broken": InferenceProcedure.broken,
 }
 
 

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from .errors import CredalError
 from .formulas import And, Formula, Not, as_formula
-from .measures import FiniteMeasureSet, pushforward
+from .measures import Measure, pushforward
 from .spaces import Event, Space, component_map, event_of, product_space
 
 
@@ -158,20 +158,30 @@ def is_faithful(emb: Embedding) -> bool:
     return emb.is_surjective
 
 
-def correspond_sets(emb: Embedding, dx: FiniteMeasureSet, dy: FiniteMeasureSet,
+def correspondence_gap(emb: Embedding, dx: Sequence[Measure], dy: Sequence[Measure],
+                       eps: float = 1e-9) -> Measure | None:
+    """The first source measure that breaks set-level correspondence: a
+    pushforward of a dy measure that is not in dx, else a dx measure
+    that no pushforward hits; None when the sets correspond."""
+    if not is_faithful(emb):
+        raise ValueError("correspondence is defined for faithful embeddings")
+    if any(mu.space != emb.source for mu in dx):
+        raise ValueError("a dx measure does not live on the embedding's source")
+    pushed = [pushforward(emb, nu) for nu in dy]
+    for p in pushed:
+        if not any(mu.is_close(p, eps) for mu in dx):
+            return p
+    for mu in dx:
+        if not any(p.is_close(mu, eps) for p in pushed):
+            return mu
+    return None
+
+
+def correspond_sets(emb: Embedding, dx: Sequence[Measure], dy: Sequence[Measure],
                     eps: float = 1e-9) -> bool:
     """Set-level correspondence: every measure in dy pushes forward into
     dx, and every measure in dx is hit by some pushforward."""
-    if not is_faithful(emb):
-        raise ValueError("correspondence is defined for faithful embeddings")
-    pushed = [pushforward(emb, nu) for nu in dy]
-    for p in pushed:
-        if not dx.contains(p, eps):
-            return False
-    for mu in dx:
-        if not any(p.is_close(mu, eps) for p in pushed):
-            return False
-    return True
+    return correspondence_gap(emb, dx, dy, eps) is None
 
 
 def product_embedding(parts: Sequence[Embedding]) -> Embedding:

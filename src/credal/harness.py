@@ -11,7 +11,7 @@ Every reported violation is re-evaluated before being returned.
 from __future__ import annotations
 
 import random as _random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -32,7 +32,7 @@ from .constraints import (
 from .corpus import BOUND_GRID, factor_kb_templates
 from .embeddings import (
     Embedding,
-    correspond_sets,
+    correspondence_gap,
     factor_lift,
     from_interpretation,
     from_surjection,
@@ -43,7 +43,7 @@ from .embeddings import (
 )
 from .entail import conservative_check, entails, satisfiable
 from .errors import CredalError, DomainError
-from .measures import FiniteMeasureSet, Measure, pushforward
+from .measures import Measure
 from .procedures import (
     InferenceProcedure,
     PriorFunction,
@@ -305,19 +305,14 @@ def rep_independence_falsify(proc: InferenceProcedure, budget: int = 1000, seed:
     the rest are seeded random trials.  A found violation is replayed
     before being reported.
     """
-    trials = 0
     for t in range(budget):
-        trials += 1
         rep = replay_trial(proc, t, seed, max_worlds, templates, samples)
         if rep is not None and rep.violations:
             confirm = replay_trial(proc, t, seed, max_worlds, templates, samples)
             if confirm is None or confirm.violations != rep.violations:
                 continue  # does not replay: never report it
-            return FalsifyReport(proc.name, trials, seed,
-                                 InvarianceReport(rep.procedure, rep.embedding,
-                                                  rep.pairs_tested, rep.violations,
-                                                  rep.mode, seed, t))
-    return FalsifyReport(proc.name, trials, seed)
+            return FalsifyReport(proc.name, t + 1, seed, replace(rep, trial=t))
+    return FalsifyReport(proc.name, budget, seed)
 
 
 # Robustness ----------------------------------------------------------------
@@ -609,10 +604,10 @@ def bootstrap_check(prior_x, prior_y, emb: Embedding, corpus=None,
     including kb = true, which is decisive: a non-corresponding pair is
     separated by pinning the offending measure's weights.
     """
-    px = FiniteMeasureSet(tuple(m.to_float() for m in prior_x))
-    py = FiniteMeasureSet(tuple(m.to_float() for m in prior_y))
-    corr = correspond_sets(emb, px, py)
-    prior = PriorFunction.of({emb.source: px.measures, emb.target: py.measures})
+    px = tuple(m.to_float() for m in prior_x)
+    py = tuple(m.to_float() for m in prior_y)
+    gap = correspondence_gap(emb, px, py)
+    prior = PriorFunction.of({emb.source: px, emb.target: py})
     proc = InferenceProcedure.prior_based(prior)
 
     pairs = list(corpus) if corpus is not None else invariance_pairs_on(emb.source)
@@ -622,26 +617,12 @@ def bootstrap_check(prior_x, prior_y, emb: Embedding, corpus=None,
         rep = invariance_check(proc, emb, kb, theta, seed=seed)
         tested += rep.pairs_tested
         violations.extend(rep.violations)
-    if not corr and not violations:
-        # decisive separating queries from the correspondence failure
-        for nu in py:
-            hat = pushforward(emb, nu)
-            if not px.contains(hat):
-                theta = Not(_pin_query(hat))
-                rep = invariance_check(proc, emb, TrueExpr(), theta, seed=seed)
-                tested += 1
-                violations.extend(rep.violations)
-                break
-        else:
-            pushed = [pushforward(emb, nu) for nu in py]
-            for mu in px:
-                if not any(p.is_close(mu) for p in pushed):
-                    theta = Not(_pin_query(mu))
-                    rep = invariance_check(proc, emb, TrueExpr(), theta, seed=seed)
-                    tested += 1
-                    violations.extend(rep.violations)
-                    break
-    return BootstrapReport(corr, tuple(violations), tested)
+    if gap is not None and not violations:
+        # the decisive separating query pins the offending measure
+        rep = invariance_check(proc, emb, TrueExpr(), Not(_pin_query(gap)), seed=seed)
+        tested += 1
+        violations.extend(rep.violations)
+    return BootstrapReport(gap is None, tuple(violations), tested)
 
 
 def invariance_pairs_on(space: Space):

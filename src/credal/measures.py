@@ -18,7 +18,6 @@ from .errors import CredalError
 from .spaces import Event, Space, component_map, product_decomposition, product_space
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .constraints import ConstraintExpr
     from .embeddings import Embedding
 
 RATIONAL = "rational"
@@ -122,60 +121,6 @@ def _require_same_backend(*measures: Measure) -> str:
     if len(backends) > 1:
         raise ValueError("mixed numeric backends; convert explicitly")
     return backends.pop()
-
-
-# Measure sets ---------------------------------------------------------
-
-
-class MeasureSet:
-    """A set of measures: finite list, constraint denotation, or fiber."""
-
-    def contains(self, mu: Measure, eps: float = 1e-9) -> bool:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class FiniteMeasureSet(MeasureSet):
-    measures: tuple[Measure, ...]
-
-    def __post_init__(self):
-        spaces = {m.space for m in self.measures}
-        if len(spaces) > 1:
-            raise ValueError("measures live on different spaces")
-
-    def contains(self, mu: Measure, eps: float = 1e-9) -> bool:
-        return any(m.is_close(mu, eps) for m in self.measures)
-
-    def __iter__(self):
-        return iter(self.measures)
-
-    def __len__(self):
-        return len(self.measures)
-
-
-@dataclass(frozen=True)
-class DenotationSet(MeasureSet):
-    expr: "ConstraintExpr"
-
-    def contains(self, mu: Measure, eps: float = 1e-9) -> bool:
-        from .constraints import satisfies
-
-        return satisfies(mu, self.expr, eps=eps)
-
-
-@dataclass(frozen=True)
-class FiberSet(MeasureSet):
-    """All measures on the embedding's target that push forward to ``base``.
-
-    Uncountable in general, so never enumerated; only membership and
-    pushforward queries are supported.
-    """
-
-    embedding: "Embedding"
-    base: Measure
-
-    def contains(self, nu: Measure, eps: float = 1e-9) -> bool:
-        return pushforward(self.embedding, nu).is_close(self.base, eps)
 
 
 # Functionals ----------------------------------------------------------

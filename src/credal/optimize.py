@@ -27,7 +27,7 @@ import numpy as np
 from .constraints import ConstraintExpr, LinearAtom, satisfies, space_of, to_dnf
 from .entail import Cell, cells
 from .errors import ConvergenceError, CredalError, DomainError
-from .measures import FLOAT, FiniteMeasureSet, Measure, kl_divergence
+from .measures import FLOAT, Measure, kl_divergence
 from .spaces import Space
 
 STRICT_EPS = 1e-9  # margin a strict atom needs at the closure optimum
@@ -263,7 +263,7 @@ def maxent(kb: ConstraintExpr, space: Space | None = None) -> ProjectionResult:
     return ProjectionResult(result.status, result.measures, flip(result.value), diags)
 
 
-def update_set(d: FiniteMeasureSet, kb: ConstraintExpr) -> FiniteMeasureSet:
+def update_set(d: tuple[Measure, ...], kb: ConstraintExpr) -> tuple[Measure, ...]:
     """Pointwise relative-entropy update of a finite set of priors.
 
     The union of each prior's projection attainers, deduplicated.  An
@@ -275,7 +275,7 @@ def update_set(d: FiniteMeasureSet, kb: ConstraintExpr) -> FiniteMeasureSet:
         if res.status == "not_attained":
             raise DomainError("KB outside procedure domain: projection not attained")
         out.extend(res.measures)
-    return FiniteMeasureSet(tuple(_dedupe_sorted(out)))
+    return tuple(_dedupe_sorted(out))
 
 
 def _dedupe_sorted(measures: list[Measure]) -> list[Measure]:

@@ -1,9 +1,12 @@
 """Inference procedures: entailment, maxent, I0, I1, and prior-based.
 
-A procedure maps a knowledge base's denotation to a subset of it; a
-query follows when every selected measure satisfies it.  Selections are
-finite lists (maxent, finite priors), constraint denotations (entailment,
-I0, I1), or the product-measure family.  Under the product family a
+A procedure maps a knowledge base's denotation to a subset of it, its
+selection; a query follows when every selected measure satisfies it.
+A selection is a tuple of measures (relative-entropy updating from
+finite priors; maximum entropy is the uniform prior) or a constraint
+whose denotation is the set (entailment, I0, I1, and `true` for the
+broken control).  The product-measure family has no enumerable
+selection, and `infers` decides it directly.  Under it a
 factorized kb is decided exactly on structural independence atoms and
 on single-rectangle atoms, which closed factor kbs (no strict atom in
 any DNF cell) decide both ways whatever their cell count; everything
@@ -49,14 +52,8 @@ from .entail import (
     satisfiable,
 )
 from .errors import CredalError, DomainError
-from .measures import (
-    DenotationSet,
-    FiniteMeasureSet,
-    Measure,
-    MeasureSet,
-    product_measure,
-)
-from .optimize import kl_project, maxent, update_set
+from .measures import Measure, product_measure
+from .optimize import kl_project, update_set
 from .spaces import (
     Event,
     Space,
@@ -71,7 +68,6 @@ from .spaces import (
 _ONE = Fraction(1)
 
 ENTAILMENT = "entailment"
-MAXENT = "maxent"
 I0 = "i0"
 I1 = "i1"
 PRIOR_BASED = "prior_based"
@@ -103,6 +99,8 @@ class PriorFunction:
         for space, measures in assignment.items():
             if not measures:
                 raise ValueError("finite prior lists must be nonempty")
+            if any(m.space != space for m in measures):
+                raise ValueError("a prior measure lives on a different space than its key")
             items.append((space, tuple(measures)))
         return PriorFunction(FINITE, tuple(items))
 
@@ -129,7 +127,8 @@ class InferenceProcedure:
 
     @staticmethod
     def maxent() -> "InferenceProcedure":
-        return InferenceProcedure("maxent", MAXENT)
+        """Relative-entropy updating from the uniform prior."""
+        return InferenceProcedure.prior_based(PriorFunction.uniform(), "maxent")
 
     @staticmethod
     def i0() -> "InferenceProcedure":
@@ -168,7 +167,7 @@ def _resolve_space(kb, theta, space):
     return sp
 
 
-def i0_select(kb: ConstraintExpr, space: Space | None = None) -> MeasureSet:
+def i0_select(kb: ConstraintExpr, space: Space | None = None) -> ConstraintExpr:
     """Selection of the objective-strengthening procedure.
 
     For kb equivalent to Pr(T) = 1 the selection is the measures
@@ -181,38 +180,41 @@ def i0_select(kb: ConstraintExpr, space: Space | None = None) -> MeasureSet:
     space = _resolve_space(kb, None, space)
     t = objective_normal_form(kb, space)
     if t is None:
-        return DenotationSet(kb)
+        return kb
     if t.count == 0:
-        return DenotationSet(FalseExpr())
+        return FalseExpr()
     parts: list[ConstraintExpr] = [LinearAtom(((_ONE, t),), "=", _ONE)]
     if t.count >= 2:
         for i in t.indices():
             singleton = event_from_indices(space, [i])
             parts.append(LinearAtom(((_ONE, singleton),), ">", Fraction(0)))
-    return DenotationSet(and_(*parts))
+    return and_(*parts)
 
 
-def i1_select(kb: ConstraintExpr, space: Space | None = None) -> MeasureSet:
+def i1_select(kb: ConstraintExpr, space: Space | None = None) -> ConstraintExpr:
     """Selection tightening Pr(S) >= 1/4 knowledge bases to Pr(S) >= 1/3."""
     space = _resolve_space(kb, None, space)
     s = is_interesting(kb, space)
     if s is None:
-        return DenotationSet(kb)
-    return DenotationSet(LinearAtom(((_ONE, s),), ">=", Fraction(1, 3)))
+        return kb
+    return LinearAtom(((_ONE, s),), ">=", Fraction(1, 3))
 
 
-def select(proc: InferenceProcedure, kb: ConstraintExpr, space: Space | None = None) -> MeasureSet:
-    """The procedure's selected set for kb (not for the product family)."""
+def select(proc: InferenceProcedure, kb: ConstraintExpr,
+           space: Space | None = None) -> tuple[Measure, ...] | ConstraintExpr:
+    """The procedure's selection for kb (not for the product family).
+
+    Prior-based procedures, maxent among them, select the tuple of
+    their priors' projections onto kb, deduplicated and sorted (empty
+    when kb is unsatisfiable); an unattained projection raises
+    DomainError.  Entailment, I0, I1 and broken select a constraint:
+    the selection is its denotation.
+    """
     space = _resolve_space(kb, None, space)
     if proc.kind == ENTAILMENT:
-        return DenotationSet(kb)
+        return kb
     if proc.kind == BROKEN:
-        return DenotationSet(TrueExpr())
-    if proc.kind == MAXENT:
-        res = maxent(kb, space)
-        if res.status == "not_attained":
-            raise DomainError("KB outside procedure domain: entropy supremum not attained")
-        return FiniteMeasureSet(res.measures)
+        return TrueExpr()
     if proc.kind == I0:
         return i0_select(kb, space)
     if proc.kind == I1:
@@ -220,25 +222,21 @@ def select(proc: InferenceProcedure, kb: ConstraintExpr, space: Space | None = N
     if proc.kind == PRIOR_BASED:
         if proc.prior.kind == PRODUCT_FAMILY:
             raise CredalError("product-family selections are not enumerable; use infers")
-        priors = FiniteMeasureSet(tuple(m.to_float() for m in proc.prior.measures_for(space)))
-        return update_set(priors, kb)
+        return update_set(proc.prior.measures_for(space), kb)
     raise ValueError(f"unknown procedure kind {proc.kind!r}")
 
 
-def _check_all_satisfy(selection: MeasureSet, theta: ConstraintExpr, space: Space,
-                       eps: float, seed: int, samples: int) -> Verdict:
-    if isinstance(selection, FiniteMeasureSet):
+def _check_all_satisfy(selection: tuple[Measure, ...] | ConstraintExpr, theta: ConstraintExpr,
+                       space: Space, eps: float, seed: int, samples: int) -> Verdict:
+    if isinstance(selection, tuple):
         for m in selection:
             if not satisfies(m, theta, eps):
                 return Verdict(False, (m,))
-        return Verdict(True, tuple(selection.measures))
-    if isinstance(selection, DenotationSet):
-        expr = selection.expr
-        if not has_product_atom(theta):
-            counter = satisfiable(and_(expr, not_(theta)), space)
-            return Verdict(False, (counter.witness,)) if counter.feasible else Verdict(True)
-        return _sampled(sample_measures(expr, space, samples, seed), theta, eps, seed)
-    raise CredalError("selection kind does not support query evaluation")
+        return Verdict(True, selection)
+    if not has_product_atom(theta):
+        counter = satisfiable(and_(selection, not_(theta)), space)
+        return Verdict(False, (counter.witness,)) if counter.feasible else Verdict(True)
+    return _sampled(sample_measures(selection, space, samples, seed), theta, eps, seed)
 
 
 def infers(proc: InferenceProcedure, kb: ConstraintExpr, theta: ConstraintExpr,
@@ -287,8 +285,9 @@ def _factorize(kb: ConstraintExpr, space: Space) -> list[ConstraintExpr] | None:
     """Split a conjunction into per-factor constraints, if possible.
 
     A conjunct goes to the one factor that its events' rectangles leave
-    unfilled; factor 0 takes the empty and the whole event, and the
-    conjuncts with no events (so a false conjunct empties the selection).
+    unfilled; the empty and the whole event leave none unfilled, and a
+    conjunct that leaves none goes to factor 0 (so a false conjunct
+    empties the selection).
     """
     out: list[ConstraintExpr] = [TrueExpr()] * len(_pi_factors(space))
     for conj in kb.items if isinstance(kb, And) else (kb,):
@@ -300,8 +299,8 @@ def _factorize(kb: ConstraintExpr, space: Space) -> list[ConstraintExpr] | None:
                 rect = rects[ev.mask] = _rectangle(ev, space)
                 if rect is None:
                     return None
-                owners.update([k for k, u in enumerate(rect)
-                               if ev.mask and u.count < len(u.space)] or [0])
+                owners.update(k for k, u in enumerate(rect)
+                              if ev.mask and u.count < len(u.space))
         if len(owners) > 1:
             return None
         owner = owners.pop() if owners else 0

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from credal.cli import REPRODUCTIONS, Scenario, main
+from credal.cli import _PROCS, REPRODUCTIONS, Scenario, main
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "credal" / "scenarios"
 
@@ -130,6 +130,20 @@ def test_klm_check_broken_fails(capsys):
 
 def test_klm_check_entailment_passes():
     assert main(["klm-check", "--procedure", "entailment"]) == 0
+
+
+@pytest.mark.parametrize("procedure, flag", [
+    ({"kind": "entailment"}, "entailment"),
+    ({"kind": "maxent"}, "maxent"),
+    ({"kind": "i0"}, "i0"),
+    ({"kind": "i1"}, "i1"),
+    ({"kind": "broken"}, "broken"),
+    ({"kind": "prior_based", "prior": "product_family"}, "product-prior"),
+])
+def test_scenario_kind_builds_the_flag_procedure(procedure, flag):
+    scenario = Scenario.from_dict({"spaces": [{"name": "X", "vocabulary": ["p"]}],
+                                   "procedure": procedure})
+    assert scenario.build_procedure(scenario.build_spaces()) == _PROCS[flag]()
 
 
 def test_infer_with_finite_prior_json(tmp_path):

@@ -17,7 +17,7 @@ from credal.embeddings import (
 )
 from credal.entail import entails
 from credal.errors import CredalError
-from credal.measures import FiniteMeasureSet, Measure, corresponds, pushforward
+from credal.measures import Measure, corresponds, pushforward
 from credal.spaces import (
     Event,
     enumerate_worlds,
@@ -161,23 +161,33 @@ class TestCorrespondence:
         mu = Measure.from_floats(emb.source, [0.3, 0.7])
         nu1 = Measure.from_floats(emb.target, [0.3, 0.2, 0.2, 0.1, 0.1, 0.05, 0.05, 0.0])
         nu2 = Measure.from_floats(emb.target, [0.3, 0.7, 0, 0, 0, 0, 0, 0])
-        dx = FiniteMeasureSet((mu,))
-        dy = FiniteMeasureSet((nu1, nu2))
+        dx = (mu,)
+        dy = (nu1, nu2)
         assert correspond_sets(emb, dx, dy)
 
     def test_extra_noncorresponding_measure_breaks_it(self):
         x = enumerate_worlds(["colorful"])
         y = enumerate_worlds(["u", "v"])
         emb = from_surjection(x, y, [0, 1, 1, 1])
-        d_x = FiniteMeasureSet((Measure.from_floats(x, [0.3, 0.7]),
-                                Measure.from_floats(x, [0.4, 0.6])))
+        d_x = (Measure.from_floats(x, [0.3, 0.7]), Measure.from_floats(x, [0.4, 0.6]))
         quarter = Measure.uniform(y)  # pushforward is (0.25, 0.75): corresponds to neither
-        d_y = FiniteMeasureSet((Measure.from_floats(y, [0.3, 0.3, 0.2, 0.2]), quarter))
+        d_y = (Measure.from_floats(y, [0.3, 0.3, 0.2, 0.2]), quarter)
         assert not correspond_sets(emb, d_x, d_y)
+
+    def test_measures_live_on_the_embedding_spaces(self):
+        emb = colorful_embedding()
+        mu = Measure.from_floats(emb.source, [0.3, 0.7])
+        nu = Measure.from_floats(emb.target, [0.3, 0.7, 0, 0, 0, 0, 0, 0])
+        with pytest.raises(ValueError):
+            correspond_sets(emb, (mu, Measure.uniform(enumerate_worlds(["u"]))), (nu,))
+        with pytest.raises(ValueError):
+            correspond_sets(emb, (nu,), (nu,))
+        with pytest.raises(ValueError):
+            correspond_sets(emb, (mu,), (mu,))
 
     def test_identity_self_correspondence(self, fly_bird_space):
         emb = identity_embedding(fly_bird_space)
-        d = FiniteMeasureSet((Measure.uniform(fly_bird_space),))
+        d = (Measure.uniform(fly_bird_space),)
         assert correspond_sets(emb, d, d)
 
     def test_formula_transport_for_corresponding_pairs(self):

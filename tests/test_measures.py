@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from credal.embeddings import from_surjection, identity_embedding, random_faithful_embedding
 from credal.errors import CredalError
 from credal.measures import (
-    FiberSet,
-    FiniteMeasureSet,
     Measure,
     condition,
     corresponds,
@@ -330,14 +328,9 @@ class TestMeasureSets:
     def test_fiber_membership(self):
         emb = _colorful_embedding()
         base = Measure.from_floats(emb.source, [0.3, 0.7])
-        fiber = FiberSet(emb, base)
         ok = Measure.from_floats(emb.target, [0.3, 0.1, 0.2, 0.1, 0.1, 0.1, 0.05, 0.05])
-        assert fiber.contains(ok)
-        assert not fiber.contains(Measure.from_floats(emb.target, [0.125] * 8))
-
-    def test_finite_list_same_space_enforced(self, fly_bird_space, rgb_space):
-        with pytest.raises(ValueError):
-            FiniteMeasureSet((Measure.uniform(fly_bird_space), Measure.uniform(rgb_space)))
+        assert corresponds(emb, base, ok)
+        assert not corresponds(emb, base, Measure.from_floats(emb.target, [0.125] * 8))
 
 
 class TestExhaustiveSmallGrids:

@@ -8,8 +8,9 @@ from credal.constraints import And, LinearAtom, TrueExpr, parse_constraint, sati
 from credal.corpus import klm_corpus
 from credal.entail import satisfiable
 from credal.errors import CredalError, DomainError
-from credal.measures import FiniteMeasureSet, Measure, kl_divergence
+from credal.measures import Measure, kl_divergence
 from credal.optimize import halfspace_tilt, kl_project, maxent, update_set
+from credal.procedures import InferenceProcedure, infers, select
 from credal.spaces import Event, enumerate_worlds, event_of
 from tests.conftest import grid_kl_argmin
 
@@ -258,20 +259,27 @@ class TestHalfspaceTilt:
 
 
 class TestUpdateSet:
-    def test_uniform_prior_matches_maxent(self, fly_bird_space):
-        kbs, _, _ = klm_corpus(fly_bird_space)
-        priors = FiniteMeasureSet((Measure.uniform(fly_bird_space),))
-        for kb in kbs[:20]:
-            via_update = update_set(priors, kb)
-            via_maxent = maxent(kb, fly_bird_space)
-            assert len(via_update) == len(via_maxent.measures)
-            for a, b in zip(via_update, via_maxent.measures):
-                for x, y in zip(a.weights, b.weights):
-                    assert abs(x - y) <= 1e-8
+    def test_uniform_prior_matches_maxent(self):
+        # maxent is updating from the uniform prior: the same measures,
+        # weight for weight, whether reached through update_set or select
+        for symbols in (["a", "b"], ["a", "b", "c"]):
+            space = enumerate_worlds(symbols)
+            kbs, _, _ = klm_corpus(space)
+            proc = InferenceProcedure.maxent()
+            for kb in kbs:
+                via_maxent = [m.weights for m in maxent(kb, space).measures]
+                assert [m.weights for m in update_set((Measure.uniform(space),), kb)] == via_maxent
+                assert [m.weights for m in select(proc, kb, space)] == via_maxent
+
+        two = enumerate_worlds(["x1"])
+        kb = parse_constraint("P(x1) < 1/2", two)
+        assert maxent(kb).status == "not_attained"
+        with pytest.raises(DomainError):
+            infers(InferenceProcedure.maxent(), kb, TrueExpr(), two)
 
     def test_member_prior_is_kept(self, fly_bird_space):
         mu = Measure.from_floats(fly_bird_space, [0.4, 0.3, 0.2, 0.1])
-        out = update_set(FiniteMeasureSet((mu,)),
+        out = update_set((mu,),
                         parse_constraint("P(!fly) >= 1/2", fly_bird_space))
         assert tuple(out) == (mu,)
 
@@ -283,7 +291,7 @@ class TestUpdateSet:
         kb = parse_constraint("P(!fly) = 1", fly_bird_space)
         p1 = Measure.from_floats(fly_bird_space, [0.4, 0.3, 0.2, 0.1])
         p2 = Measure.from_floats(fly_bird_space, [0.1, 0.2, 0.3, 0.4])
-        out = update_set(FiniteMeasureSet((p1, p2)), kb)
+        out = update_set((p1, p2), kb)
         assert len(out) == 2
         expected = sorted([condition(p1, s).weights, condition(p2, s).weights])
         got = sorted(m.weights for m in out)
@@ -293,7 +301,7 @@ class TestUpdateSet:
 
     def test_not_attained_is_domain_error(self):
         two = enumerate_worlds(["p"])
-        priors = FiniteMeasureSet((Measure.uniform(two),))
+        priors = (Measure.uniform(two),)
         with pytest.raises(DomainError):
             update_set(priors, parse_constraint("P(p) < 1/2", two))
 
@@ -307,7 +315,7 @@ def test_halfspace_tilt_requires_float_backend():
 
 def test_update_set_unsatisfiable_kb_is_empty():
     two = enumerate_worlds(["p"])
-    out = update_set(FiniteMeasureSet((Measure.uniform(two),)),
+    out = update_set((Measure.uniform(two),),
                      parse_constraint("P(p) > 1/2 & P(p) < 1/4", two))
     assert len(out) == 0
 

@@ -13,7 +13,7 @@ from credal.constraints import (
 from credal.corpus import klm_corpus, objective_corpus
 from credal.entail import entails, satisfiable
 from credal.errors import CredalError, DomainError
-from credal.measures import DenotationSet, FiniteMeasureSet, Measure, product_measure
+from credal.measures import Measure, product_measure
 from credal.procedures import (
     InferenceProcedure,
     PriorFunction,
@@ -67,25 +67,24 @@ class TestSelections:
     def test_i0_objective_full_support(self, fly_bird_space):
         kb = parse_constraint("P(bird) = 1", fly_bird_space)
         sel = i0_select(kb)
-        assert isinstance(sel, DenotationSet)
         inside = Measure.rational(fly_bird_space, [0, F(1, 2), 0, F(1, 2)])
         boundary = Measure.rational(fly_bird_space, [0, 1, 0, 0])
-        assert sel.contains(inside)
-        assert not sel.contains(boundary)
+        assert satisfies(inside, sel)
+        assert not satisfies(boundary, sel)
         # and the selection entails every 0 < P(S) < 1 for S strictly between
         s = event_from_indices(fly_bird_space, [1])
-        assert entails(sel.expr, parse_constraint("0 < P(!fly & bird) < 1", fly_bird_space))
+        assert entails(sel, parse_constraint("0 < P(!fly & bird) < 1", fly_bird_space))
 
     def test_i0_singleton_objective_is_point_mass(self, fly_bird_space):
         kb = parse_constraint("P(fly & bird) = 1", fly_bird_space)
         sel = i0_select(kb)
-        assert sel.contains(Measure.rational(fly_bird_space, [0, 0, 0, 1]))
-        assert not sel.contains(Measure.rational(fly_bird_space, [0, 0, F(1, 2), F(1, 2)]))
+        assert satisfies(Measure.rational(fly_bird_space, [0, 0, 0, 1]), sel)
+        assert not satisfies(Measure.rational(fly_bird_space, [0, 0, F(1, 2), F(1, 2)]), sel)
 
     def test_i0_non_objective_is_entailment(self, fly_bird_space):
         kb = parse_constraint("P(fly) >= 1/2", fly_bird_space)
         sel = i0_select(kb)
-        assert sel.expr == kb
+        assert sel == kb
 
     def test_i1_negated_quarter_tightened(self, fly_bird_space):
         kb = parse_constraint("!(P(fly) < 1/4)", fly_bird_space)
@@ -93,16 +92,16 @@ class TestSelections:
         third = parse_constraint("P(fly) >= 1/3", fly_bird_space)
         from credal.entail import equivalent
 
-        assert equivalent(sel.expr, third)
+        assert equivalent(sel, third)
 
     def test_i1_other_kbs_unchanged(self, fly_bird_space):
         kb = parse_constraint("P(fly) >= 1/2", fly_bird_space)
-        assert i1_select(kb).expr == kb
+        assert i1_select(kb) == kb
 
     def test_i1_false_kb_empty(self, fly_bird_space):
         kb = parse_constraint("P(fly) > 1/2 & P(fly) < 1/4", fly_bird_space)
         sel = i1_select(kb)
-        assert not satisfiable(sel.expr, fly_bird_space).feasible
+        assert not satisfiable(sel, fly_bird_space).feasible
 
 
 class TestSelectionSoundness:
@@ -119,13 +118,13 @@ class TestSelectionSoundness:
         for kb in kbs[:25]:
             sel = select(proc, kb, fly_bird_space)
             feasible = satisfiable(kb, fly_bird_space).feasible
-            if isinstance(sel, FiniteMeasureSet):
+            if isinstance(sel, tuple):
                 assert (len(sel) > 0) == feasible
                 for m in sel:
                     assert satisfies(m, kb, eps=1e-7)
             else:
-                assert satisfiable(sel.expr, fly_bird_space).feasible == feasible
-                assert entails(sel.expr, kb, fly_bird_space)
+                assert satisfiable(sel, fly_bird_space).feasible == feasible
+                assert entails(sel, kb, fly_bird_space)
 
 
 class TestKlmProperties:
@@ -269,6 +268,25 @@ class TestProductPriorInfer:
         proc = InferenceProcedure.prior_based(PriorFunction.product_family())
         assert infers(InferenceProcedure.entailment(), kb, theta, sp).holds
         assert infers(proc, kb, theta, sp).holds
+
+    @pytest.mark.parametrize("kb_text", ["P(b) + P(a & !a) >= 1/2",
+                                         "P(b) - 1/2*P((a | !a)) >= 0"])
+    def test_empty_and_whole_events_do_not_block_factorization(self, kb_text):
+        # both kbs say P(b) >= 1/2, a constraint on the b factor alone
+        sp = enumerate_worlds(["a", "b"])
+        kb = parse_constraint(kb_text, sp)
+        proc = InferenceProcedure.prior_based(PriorFunction.product_family())
+        v = infers(proc, kb, parse_constraint("P(b) >= 1/4", sp), sp)
+        assert v.holds and v.mode == "exact"
+
+
+class TestPriorFunction:
+    def test_prior_measures_live_on_their_key_space(self, fly_bird_space, rgb_space):
+        with pytest.raises(ValueError):
+            PriorFunction.of({fly_bird_space: [Measure.uniform(rgb_space)]})
+        with pytest.raises(ValueError):
+            PriorFunction.of({fly_bird_space: [Measure.uniform(fly_bird_space),
+                                               Measure.uniform(rgb_space)]})
 
 
 class TestProcedureAgreement:
