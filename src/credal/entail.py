@@ -26,6 +26,7 @@ from .constraints import (
     LinearAtom,
     TrueExpr,
     and_,
+    compare,
     not_,
     satisfies,
     space_of,
@@ -33,11 +34,9 @@ from .constraints import (
     translate,
 )
 from .embeddings import factor_lift
-from .errors import CredalError
 from .measures import Measure
 from .spaces import Event, Space, event_from_indices, whole_event
 
-INTERESTING_SCAN_LIMIT = 16
 VERTEX_CELL_CAP = 64
 
 _ZERO = Fraction(0)
@@ -128,15 +127,8 @@ class Cell:
         """Whether the exact point x lies in the closure of the cell."""
         if any(v < 0 for v in x) or sum(x) != 1:
             return False
-        for atom, coeffs in zip(self.atoms, self.coefficients):
-            v = _dot(coeffs, x)
-            if atom.cmp == "=" and v != atom.bound:
-                return False
-            if atom.cmp in ("<=", "<") and v > atom.bound:
-                return False
-            if atom.cmp in (">=", ">") and v < atom.bound:
-                return False
-        return True
+        return all(compare(_dot(coeffs, x), _ROW_CMP[atom.cmp], atom.bound, True, 0.0)
+                   for atom, coeffs in zip(self.atoms, self.coefficients))
 
 
 def cells(expr: ConstraintExpr, space: Space) -> Iterator[Cell]:
@@ -194,19 +186,26 @@ def quarter_constraint(s: Event) -> LinearAtom:
     return LinearAtom(((_ONE, s),), ">=", Fraction(1, 4))
 
 
-def _probe_measures(space: Space) -> list[Measure]:
+def _point_mass_event(kb: ConstraintExpr, space: Space) -> Event:
+    """The worlds whose point mass satisfies kb."""
+    return event_from_indices(space, [i for i in range(len(space.worlds))
+                                      if satisfies(Measure.point_mass(space, i), kb)])
+
+
+def _probe_measures(space: Space, s: Event) -> list[Measure]:
+    """n rational probes for Pr(S) >= 1/4 on n worlds, S neither empty nor
+    full: the uniform measure, and n - 1 measures with Pr(S) = 1/4 that
+    put 1/4 on a world of S and 3/4 on a world outside it (each world of
+    S with the first world outside, each other world outside with the
+    first world of S)."""
     n = len(space.worlds)
+    inside = list(s.indices())
+    outside = list((~s).indices())
+    pairs = [(x, outside[0]) for x in inside] + [(inside[0], y) for y in outside[1:]]
     probes = [Measure.uniform(space, backend="rational")]
-    for i in range(n):
-        probes.append(Measure.point_mass(space, i))
-    half = Fraction(1, 2)
-    quarter = Fraction(1, 4)
-    for i, j in combinations(range(n), 2):
+    for x, y in pairs:
         w = [_ZERO] * n
-        w[i], w[j] = half, half
-        probes.append(Measure.rational(space, w))
-        w = [_ZERO] * n
-        w[i], w[j] = quarter, 1 - quarter
+        w[x], w[y] = Fraction(1, 4), Fraction(3, 4)
         probes.append(Measure.rational(space, w))
     return probes
 
@@ -214,25 +213,21 @@ def _probe_measures(space: Space) -> list[Measure]:
 def is_interesting(kb: ConstraintExpr, space: Space | None = None) -> Event | None:
     """The event S with [[kb]] = [[Pr(S) >= 1/4]], if one exists.
 
-    Candidates are short-circuited through point-mass witnesses: a point
-    mass on x satisfies Pr(S) >= 1/4 exactly when x is in S, so the only
-    possible S is the set of worlds whose point mass satisfies kb.  The
-    empty and full candidates are excluded (they denote the empty set
-    and the whole simplex).
+    A point mass on x satisfies Pr(S) >= 1/4 exactly when x is in S, so
+    the only possible S is the set of worlds whose point mass satisfies
+    kb.  The empty and full candidates are excluded (they denote the
+    empty set and the whole simplex).  The `_probe_measures` reject most
+    other kbs without an LP; equivalence decides the rest.
     """
     if space is None:
         space = space_of(kb)
     if space is None:
         return None
-    if len(space.worlds) > INTERESTING_SCAN_LIMIT:
-        raise CredalError("space exceeds the interesting-scan limit")
-    candidate_ids = [i for i in range(len(space.worlds))
-                     if satisfies(Measure.point_mass(space, i), kb)]
-    if not candidate_ids or len(candidate_ids) == len(space.worlds):
+    s = _point_mass_event(kb, space)
+    if s.count in (0, len(space.worlds)):
         return None
-    s = event_from_indices(space, candidate_ids)
     atom = quarter_constraint(s)
-    for probe in _probe_measures(space):
+    for probe in _probe_measures(space, s):
         if satisfies(probe, kb) != satisfies(probe, atom):
             return None
     return s if equivalent(kb, atom, space) else None
@@ -241,10 +236,10 @@ def is_interesting(kb: ConstraintExpr, space: Space | None = None) -> Event | No
 def objective_normal_form(kb: ConstraintExpr, space: Space | None = None) -> Event | None:
     """The event T with [[kb]] = [[Pr(T) = 1]], if one exists.
 
-    T is the union of supports of satisfying measures: per non-empty
-    cell, its witness's support plus the worlds an LP finds positive
-    somewhere in its closure (a closure point's support is reached from
-    inside the cell).  T is verified by entailment in both directions.
+    A point mass on x satisfies Pr(T) = 1 exactly when x is in T, so the
+    only possible T is the set of worlds whose point mass satisfies kb;
+    it is returned when kb is equivalent to Pr(T) = 1.  Conjunctions of
+    Pr(T_i) = 1 are read off the syntax first.
     """
     if space is None:
         space = space_of(kb)
@@ -261,18 +256,8 @@ def objective_normal_form(kb: ConstraintExpr, space: Space | None = None) -> Eve
     if direct is not None:
         return direct
 
-    support: set[int] = set()
-    for cell in cells(kb, space):
-        witness = cell.witness()
-        if witness is None:
-            continue
-        support.update(i for i, w in enumerate(witness.weights) if w > 0)
-        support.update(cell.support([i for i in range(len(space.worlds)) if i not in support]))
-    t = event_from_indices(space, support)
-    target = LinearAtom(((_ONE, t),), "=", _ONE)
-    if entails(target, kb, space) and entails(kb, target, space):
-        return t
-    return None
+    t = _point_mass_event(kb, space)
+    return t if equivalent(kb, LinearAtom(((_ONE, t),), "=", _ONE), space) else None
 
 
 def _syntactic_objective(kb: ConstraintExpr) -> Event | None:

@@ -303,8 +303,12 @@ def rep_independence_falsify(proc: InferenceProcedure, budget: int = 1000, seed:
     Trial 0 is the color-style refinement (which alone falsifies
     maximum entropy); trial 1 runs the default-independence gadget path;
     the rest are seeded random trials.  A found violation is replayed
-    before being reported.
+    before being reported.  Source spaces have up to four worlds, so
+    max_worlds must be at least 4; budget must be at least 1.
     """
+    if max_worlds < 4 or budget < 1:
+        raise CredalError(f"falsify needs max_worlds >= 4 and budget >= 1, "
+                          f"got {max_worlds} and {budget}")
     for t in range(budget):
         rep = replay_trial(proc, t, seed, max_worlds, templates, samples)
         if rep is not None and rep.violations:

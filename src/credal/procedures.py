@@ -20,6 +20,7 @@ import itertools
 import random as _random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .constraints import (
@@ -260,6 +261,7 @@ def infers(proc: InferenceProcedure, kb: ConstraintExpr, theta: ConstraintExpr,
 # Product-family machinery ------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _pi_factors(space: Space) -> tuple[Space, ...]:
     """Factors the product prior refers to: the declared ones, else the
     maximal product decomposition."""

@@ -111,6 +111,19 @@ def test_falsify_cli_entailment(capsys):
                  "--budget", "20", "--seed", "7"]) == 0
 
 
+def test_falsify_cli_i1_over_sixteen_worlds(capsys):
+    assert main(["falsify", "--procedure", "i1", "--max-worlds", "24",
+                 "--budget", "200", "--seed", "3", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["violation_found"] is False
+
+
+@pytest.mark.parametrize("flags", [["--max-worlds", "2", "--budget", "50"], ["--budget", "-3"]])
+def test_falsify_cli_rejects_bad_sizes(flags, capsys):
+    assert main(["falsify", "--procedure", "i1", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["klm-check", "--procedure", "maxent", "--budget", "5"],
     ["reproduce", "colorful", "--max-worlds", "3"],

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from credal.constraints import (
     satisfies,
     translate,
 )
+from credal.corpus import klm_corpus
 from credal.embeddings import factor_lift
 from credal.entail import (
     cells,
@@ -23,7 +25,7 @@ from credal.entail import (
     sample_measures,
     satisfiable,
 )
-from credal.errors import CredalError
+from credal.harness import _plain_space, _random_kb
 from credal.measures import Measure
 from credal.spaces import (
     cylinder,
@@ -146,10 +148,12 @@ class TestIsInteresting:
     def test_true_excluded(self, fly_bird_space):
         assert is_interesting(parse_constraint("true", fly_bird_space)) is None
 
-    def test_scan_limit(self):
-        sp = enumerate_worlds(["a", "b", "c", "d", "e"])
-        with pytest.raises(CredalError, match="scan limit"):
-            is_interesting(parse_constraint("P(a) >= 1/4", sp))
+    def test_any_space_size(self):
+        sp = enumerate_worlds(["a", "b", "c", "d", "e"])  # 32 worlds
+        assert is_interesting(parse_constraint("P(a) >= 1/4", sp)) == event_of(sp, "a")
+        assert (is_interesting(parse_constraint("!(P(a & b) < 1/4)", sp))
+                == event_of(sp, "a & b"))
+        assert is_interesting(parse_constraint("P(a) > 1/4", sp)) is None
 
 
 class TestObjectiveNormalForm:
@@ -169,24 +173,45 @@ class TestObjectiveNormalForm:
         kb = parse_constraint("P(fly) >= 1 & P(bird) >= 1", fly_bird_space)
         assert objective_normal_form(kb) == event_of(fly_bird_space, "fly & bird")
 
-    @pytest.mark.parametrize("text", [
+    def test_solves_no_lp_outside_equivalence(self, monkeypatch):
+        # One LP per non-objective kb: the first entailment finds a
+        # counterexample.
+        from credal import simplex
+
+        sp = enumerate_worlds(["a", "b", "c"])
+        kbs, _, _ = klm_corpus(sp)
+        calls = []
+        solve_lp = simplex.solve_lp
+        monkeypatch.setattr(simplex, "solve_lp", lambda *a, **k: calls.append(1) or solve_lp(*a, **k))
+        found = [objective_normal_form(kb, sp) for kb in kbs]
+        assert found.count(None) == 48
+        assert len(calls) <= 48
+
+    @pytest.mark.parametrize("case", [
         pytest.param("(P(a) > 1/2 & P(a) < 1/2) | P(b) >= 1", id="empty-first-cell"),
         pytest.param("P(a) >= 1 | P(a) + P(b) >= 2", id="union-of-faces"),
         pytest.param("P(a) >= 1 & (P(b) <= 1/2 | P(b) >= 1/2)", id="split-face"),
         pytest.param("P(a) >= 1 | P(b) >= 1", id="two-faces-not-objective"),
         pytest.param("P((a | b)) >= 1 & (P(a) > 0 | P(c) <= 0)", id="mixed-not-objective"),
+        *(pytest.param(n, id=f"random-{n}-worlds") for n in (2, 3, 4, 6)),
     ])
-    def test_multi_cell_matches_per_world_support(self, text):
+    def test_multi_cell_matches_per_world_support(self, case):
         # Reference: T is every world i with kb & P({i}) > 0 satisfiable,
         # kept only when kb is equivalent to P(T) = 1.
-        sp = enumerate_worlds(["a", "b", "c"])
-        kb = parse_constraint(text, sp)
-        support = [i for i in range(len(sp.worlds))
-                   if satisfiable(and_(kb, LinearAtom(((F(1), event_from_indices(sp, [i])),),
-                                                      ">", F(0))), sp).feasible]
-        t = event_from_indices(sp, support)
-        expected = t if equivalent(kb, LinearAtom(((F(1), t),), "=", F(1)), sp) else None
-        assert objective_normal_form(kb) == expected
+        if isinstance(case, str):
+            sp = enumerate_worlds(["a", "b", "c"])
+            kbs = [parse_constraint(case, sp)]
+        else:
+            sp = _plain_space("e", case)
+            rng = random.Random(case)
+            kbs = [_random_kb(sp, rng) for _ in range(60)]
+        for kb in kbs:
+            support = [i for i in range(len(sp.worlds))
+                       if satisfiable(and_(kb, LinearAtom(((F(1), event_from_indices(sp, [i])),),
+                                                          ">", F(0))), sp).feasible]
+            t = event_from_indices(sp, support)
+            expected = t if equivalent(kb, LinearAtom(((F(1), t),), "=", F(1)), sp) else None
+            assert objective_normal_form(kb) == expected
 
 
 class TestCell:

@@ -320,3 +320,17 @@ class TestProductFamilyKlm:
         proc = InferenceProcedure.prior_based(PriorFunction.product_family())
         rep = klm_properties_check(proc, kbs, thetas, lle_pairs=lle)
         assert rep.all_pass, rep.by_property()
+
+    def test_factors_are_decomposed_once(self, monkeypatch):
+        from credal import procedures
+
+        space = enumerate_worlds(["a", "b"])
+        kbs, thetas, lle = klm_corpus(space)
+        calls = []
+        decompose = procedures.product_decomposition
+        monkeypatch.setattr(procedures, "product_decomposition",
+                            lambda sp: calls.append(sp) or decompose(sp))
+        procedures._pi_factors.cache_clear()
+        proc = InferenceProcedure.prior_based(PriorFunction.product_family())
+        klm_properties_check(proc, kbs[:12], thetas, lle_pairs=lle[:1])
+        assert len(calls) == 1

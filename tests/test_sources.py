@@ -1,4 +1,6 @@
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -18,3 +20,12 @@ def test_python_3_11_syntax_is_rejected():
     source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
     with pytest.raises(SyntaxError):
         ast.parse(source, feature_version=(3, 10))
+
+
+def test_readme_tunables_exist():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme[readme.index("Solver tunables"):].split("\n\n")[0]
+    named = re.findall(r"`(\w+)\.([A-Z][A-Z0-9_]*)`", paragraph)
+    assert named
+    for module, constant in named:
+        assert hasattr(importlib.import_module(f"credal.{module}"), constant), (module, constant)
