@@ -43,7 +43,6 @@ from .entail import (
 )
 from .optimize import (
     ProjectionResult,
-    halfspace_tilt,
     kl_project,
     maxent,
     update_set,

@@ -31,7 +31,6 @@ from .constraints import (
     satisfies,
     space_of,
     to_dnf,
-    translate,
 )
 from .embeddings import factor_lift
 from .measures import Measure
@@ -187,9 +186,13 @@ def quarter_constraint(s: Event) -> LinearAtom:
 
 
 def _point_mass_event(kb: ConstraintExpr, space: Space) -> Event:
-    """The worlds whose point mass satisfies kb."""
-    return event_from_indices(space, [i for i in range(len(space.worlds))
-                                      if satisfies(Measure.point_mass(space, i), kb)])
+    """The worlds whose point mass satisfies kb: an atom's value at the
+    point mass on world i is its coefficient there, so i is in the event
+    when every atom of some cell holds at its coefficients[i]."""
+    return event_from_indices(space, {
+        i for cell in cells(kb, space) for i in range(len(space.worlds))
+        if all(compare(coeffs[i], atom.cmp, atom.bound, True, 0.0)
+               for atom, coeffs in zip(cell.atoms, cell.coefficients))})
 
 
 def _probe_measures(space: Space, s: Event) -> list[Measure]:
@@ -411,52 +414,60 @@ def conservative_check(kb: ConstraintExpr, psi: ConstraintExpr, xy_space: Space,
                        x_factor: int = 0, n_samples: int = 8, seed: int = 0) -> ConservativeReport:
     """Check that psi adds no information about the X factor over kb.
 
-    The containment proj_X([[kb & psi]]) within [[kb]] holds by
-    construction; the reverse direction is tested by asking, for each
-    vertex of [[kb]] (plus seeded samples), whether some extension with
-    that X-marginal satisfies kb & psi.  A failed point is an exact
-    counterexample; full passes are vertex-complete for polytopal [[kb]]
-    and reported as inconclusive when vertex enumeration is skipped
-    (more than `VERTEX_CELL_CAP` cells, or more than 8 worlds in X).
+    proj_X([[lift(kb) & psi]]) lies within [[kb]] by construction.  The
+    reverse asks, for each closure vertex of each cell of kb and for
+    seeded samples of [[kb]], whether some extension with that
+    X-marginal satisfies psi.  A failed point of [[kb]] is an exact
+    counterexample.  When psi is closed (no strict atom), a failed vertex
+    outside [[kb]] is moved toward its cell's witness by lambda = 1/2,
+    1/4, ... until the moved point fails, as it must: the extendable
+    marginals are then a closed set.  Passes are verified
+    only when psi is one closed DNF cell, whose extendable marginals
+    form a polytope, and the vertices were enumerated (at most
+    `VERTEX_CELL_CAP` cells of kb, 8 worlds in X); else inconclusive.
     """
     if xy_space.factors is None:
         raise ValueError("xy_space must be a declared product")
     x_space = xy_space.factors[x_factor]
-    lift = factor_lift(xy_space, x_space)
-    combined = and_(translate(lift, kb), psi)
-
     if not satisfiable(kb, x_space).feasible:
         return ConservativeReport("conservative_verified", note="kb unsatisfiable")
 
-    systems = to_dnf(kb).systems
-    complete = len(systems) <= VERTEX_CELL_CAP and len(x_space.worlds) <= 8
-    points: list[Measure] = []
-    if complete:
-        for system in systems:
-            cell = Cell(system, x_space)
-            interior = cell.witness()
-            if interior is None:
-                continue
-            for vertex in _cell_vertices(cell):
-                mu = Measure.rational(x_space, vertex)
-                if not satisfies(mu, kb):
-                    lam = Fraction(1, 8)
-                    mixed = [lam * a + (1 - lam) * b
-                             for a, b in zip(interior.weights, vertex)]
-                    mu = Measure.rational(x_space, mixed)
-                    if not satisfies(mu, kb):
-                        continue
-                points.append(mu)
-    points.extend(sample_measures(kb, x_space, n_samples, seed))
-
+    lift = factor_lift(xy_space, x_space)
     fibers = [[_ONE if c == xi else _ZERO for c in lift.world_map]
               for xi in range(len(x_space.worlds))]
-    xy_cells = list(cells(combined, xy_space))
+    psi_systems = to_dnf(psi).systems
+    psi_cells = [Cell(system, xy_space) for system in psi_systems]
+    closed = not any(system.strict for system in psi_systems)
     tested = 0
-    for nu in points:
+
+    def extends(x) -> bool:
+        nonlocal tested
         tested += 1
-        pins = list(zip(fibers, nu.weights))
-        if not any(cell.witness(pins) is not None for cell in xy_cells):
-            return ConservativeReport("not_conservative", witness=nu, tested=tested)
-    status = "conservative_verified" if complete else "inconclusive"
-    return ConservativeReport(status, tested=tested)
+        pins = list(zip(fibers, x))
+        return any(cell.witness(pins) is not None for cell in psi_cells)
+
+    def refuted(x) -> ConservativeReport:
+        return ConservativeReport("not_conservative", Measure.rational(x_space, x), tested)
+
+    complete = len(to_dnf(kb).systems) <= VERTEX_CELL_CAP and len(x_space.worlds) <= 8
+    for cell in cells(kb, x_space) if complete else ():
+        interior = cell.witness()
+        if interior is None:
+            continue
+        for vertex in _cell_vertices(cell):
+            if extends(vertex):
+                continue
+            if satisfies(Measure.rational(x_space, vertex), kb):
+                return refuted(vertex)
+            lam = Fraction(1, 2)
+            while closed:
+                moved = [lam * a + (1 - lam) * b for a, b in zip(interior.weights, vertex)]
+                if not extends(moved):
+                    return refuted(moved)
+                lam /= 2
+    for nu in sample_measures(kb, x_space, n_samples, seed):
+        if not extends(nu.weights):
+            return refuted(nu.weights)
+    verified = complete and closed and len(psi_systems) == 1
+    return ConservativeReport("conservative_verified" if verified else "inconclusive",
+                              tested=tested)

@@ -13,7 +13,9 @@ coefficients, then, when Newton drifts toward the boundary, by
 `Cell.support`.  Finally the undefined-supremum rule: strict atoms are
 re-tested at the optimum and a failure makes that disjunct's supremum
 unattained.  Entropy maximization is divergence minimization from the
-uniform measure.
+uniform measure.  A set of priors is updated by one loop, `updates`,
+which builds kb's cells once so that each cell's witness LP serves
+every prior.
 """
 
 from __future__ import annotations
@@ -21,12 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .constraints import ConstraintExpr, LinearAtom, satisfies, space_of, to_dnf
+from .constraints import ConstraintExpr, satisfies, space_of
 from .entail import Cell, cells
-from .errors import ConvergenceError, CredalError, DomainError
+from .errors import ConvergenceError, DomainError
 from .measures import FLOAT, Measure, kl_divergence
 from .spaces import Space
 
@@ -58,28 +61,6 @@ class ProjectionResult:
     @property
     def attained(self) -> bool:
         return self.status == "attained"
-
-
-def halfspace_tilt(mu: Measure, atom: LinearAtom) -> Measure:
-    """Exact elementary KL projection onto one atom's hyperplane.
-
-    Inequality atoms already satisfied are returned unchanged; otherwise
-    the measure is projected onto the atom's hyperplane, where the atom
-    holds with equality.
-    """
-    if mu.backend != FLOAT:
-        raise ValueError("halfspace_tilt needs a float-backed measure")
-    a = np.array([float(c) for c in atom.coefficients(mu.space)])
-    value = float(a @ np.array([float(x) for x in mu.weights]))
-    b = float(atom.bound)
-    if atom.cmp in ("<", "<=") and value <= b:
-        return mu
-    if atom.cmp in (">", ">=") and value >= b:
-        return mu
-    res = kl_project(mu, LinearAtom(atom.terms, "=", atom.bound))
-    if not res.attained:
-        raise CredalError("unreachable constraint")
-    return res.measures[0]
 
 
 # Dual Newton projection onto one cell ------------------------------------
@@ -204,25 +185,25 @@ def kl_project(mu: Measure, kb: ConstraintExpr) -> ProjectionResult:
     dropped (status "empty" with diagnostics if every disjunct does).
     A measure already satisfying kb is its own projection.
     """
+    return _project(mu, kb, cells(kb, mu.space))
+
+
+def _project(mu: Measure, kb: ConstraintExpr, kb_cells: Iterable[Cell]) -> ProjectionResult:
+    """`kl_project` over kb's cells on mu's space, built by the caller."""
     if mu.backend != FLOAT:
         raise ValueError("kl_project needs a float-backed prior; convert explicitly")
-    space = mu.space
-    if space_of(kb) is None:
-        if to_dnf(kb).systems:
-            return ProjectionResult("attained", (mu,), 0.0,
-                                    (DisjunctDiagnostic(0, True, value=0.0, strict_ok=True),))
-        return ProjectionResult("empty", (), None)
     if satisfies(mu, kb, eps=1e-12):
         return ProjectionResult("attained", (mu,), 0.0,
                                 (DisjunctDiagnostic(0, True, value=0.0, strict_ok=True),))
 
+    space = mu.space
     w0 = np.array([float(x) for x in mu.weights])
     n = len(space.worlds)
     pins = [([Fraction(int(j == i)) for j in range(n)], Fraction(0))
             for i in range(n) if w0[i] <= 0.0]
     diagnostics: list[DisjunctDiagnostic] = []
     candidates: list[tuple[float, bool, Measure, int]] = []
-    for k, cell in enumerate(cells(kb, space)):
+    for k, cell in enumerate(kb_cells):
         if cell.witness() is None:
             diagnostics.append(DisjunctDiagnostic(k, open_nonempty=False))
             continue
@@ -263,19 +244,27 @@ def maxent(kb: ConstraintExpr, space: Space | None = None) -> ProjectionResult:
     return ProjectionResult(result.status, result.measures, flip(result.value), diags)
 
 
-def update_set(d: tuple[Measure, ...], kb: ConstraintExpr) -> tuple[Measure, ...]:
-    """Pointwise relative-entropy update of a finite set of priors.
+def updates(priors: Iterable[Measure], kb: ConstraintExpr) -> Iterator[Measure]:
+    """The attainers of each prior's projection onto kb, prior by prior.
 
-    The union of each prior's projection attainers, deduplicated.  An
-    unattained projection is a domain error for prior-based procedures.
+    kb's cells are built once per space, so each cell's witness LP is
+    solved once for the whole prior set.  An unattained projection is a
+    domain error for prior-based procedures.
     """
-    out: list[Measure] = []
-    for mu in d:
-        res = kl_project(mu.to_float(), kb)
+    space = kb_cells = None
+    for mu in priors:
+        if mu.space != space:
+            space, kb_cells = mu.space, list(cells(kb, mu.space))
+        res = _project(mu.to_float(), kb, kb_cells)
         if res.status == "not_attained":
             raise DomainError("KB outside procedure domain: projection not attained")
-        out.extend(res.measures)
-    return tuple(_dedupe_sorted(out))
+        yield from res.measures
+
+
+def update_set(d: tuple[Measure, ...], kb: ConstraintExpr) -> tuple[Measure, ...]:
+    """Pointwise relative-entropy update of a finite set of priors: the
+    union of the `updates` attainers, deduplicated and sorted."""
+    return tuple(_dedupe_sorted(list(updates(d, kb))))
 
 
 def _dedupe_sorted(measures: list[Measure]) -> list[Measure]:

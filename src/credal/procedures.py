@@ -44,6 +44,7 @@ from .constraints import (
 )
 from .embeddings import factor_lift
 from .entail import (
+    _point_mass_event,
     entails,
     equivalent,
     is_interesting,
@@ -52,9 +53,9 @@ from .entail import (
     sample_measures,
     satisfiable,
 )
-from .errors import CredalError, DomainError
+from .errors import CredalError
 from .measures import Measure, product_measure
-from .optimize import kl_project, update_set
+from .optimize import update_set, updates
 from .spaces import (
     Event,
     Space,
@@ -360,27 +361,21 @@ def _product_family_sampled(kb: ConstraintExpr, theta: ConstraintExpr, space: Sp
     """Falsification for a non-factorized kb under the product prior.
 
     The selection is the union of the priors' projections onto [[kb]]
-    (generally not product measures), so random full-support product
-    priors are drawn and projected; their projection attainers are the
-    sampled members of the selection.  An unattained projection puts the
-    kb outside the procedure's domain.
+    (generally not product measures), so product priors are drawn and
+    their `updates` attainers are the sampled members of the selection.
+    Counterexamples live at the corners, so the corner priors come
+    first: each is a point mass, its own projection when it satisfies
+    kb and without one otherwise, so they are the satisfying point
+    masses in world order.  The uniform and random full-support product
+    priors follow.  An unattained projection puts the kb outside the
+    procedure's domain.
     """
     if not satisfiable(kb, space).feasible:
         return Verdict(True)  # empty selection: trivially holds
     factors = _pi_factors(space)
     rng = _random.Random(seed)
-
-    priors: list[Measure] = []
-    sizes = [len(f.worlds) for f in factors]
-    n_corners = 1
-    for s in sizes:
-        n_corners *= s
-    if n_corners <= 64:
-        # extreme priors first: counterexamples live at the corners
-        for combo in itertools.product(*(range(s) for s in sizes)):
-            priors.append(product_measure(
-                [Measure.point_mass(f, i, backend="float") for f, i in zip(factors, combo)],
-                space))
+    priors = [Measure.point_mass(space, i, backend="float")
+              for i in _point_mass_event(kb, space).indices()]
     priors.append(product_measure([Measure.uniform(f) for f in factors], space))
     for _ in range(max(1, samples // 8)):
         parts = []
@@ -389,15 +384,7 @@ def _product_family_sampled(kb: ConstraintExpr, theta: ConstraintExpr, space: Sp
             total = sum(raw)
             parts.append(Measure.from_floats(f, [w / total for w in raw]))
         priors.append(product_measure(parts, space))
-
-    def projected():
-        for prior in priors:
-            res = kl_project(prior, kb)
-            if res.status == "not_attained":
-                raise DomainError("KB outside procedure domain: projection not attained")
-            yield from res.measures
-
-    return _sampled(projected(), theta, eps, seed)
+    return _sampled(updates(priors, kb), theta, eps, seed)
 
 
 def _exact_product_verdict(kbs, theta, space, factors) -> Verdict | None:

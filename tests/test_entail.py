@@ -7,6 +7,7 @@ from credal.constraints import (
     And,
     LinearAtom,
     Not,
+    TrueExpr,
     and_,
     parse_constraint,
     satisfies,
@@ -303,6 +304,34 @@ class TestConservativeCheck:
         psi = translate(factor_lift(xy, x), parse_constraint("P(a & b) < 1/2", x))
         rep = conservative_check(parse_constraint(kb_text, x), psi, xy)
         assert rep.status == "not_conservative"
+
+    def _lifted(self, text):
+        x, _, xy, *_ = self._setup()
+        return x, xy, translate(factor_lift(xy, x), parse_constraint(text, x))
+
+    def test_two_cell_psi_is_not_verified(self):
+        # no extension has P(s) = 1/3, but every vertex and sample of
+        # [[true]] extends: a union of cells escapes the vertex test
+        _, xy, psi = self._lifted("P(s) < 1/3 | P(s) > 1/3")
+        rep = conservative_check(TrueExpr(), psi, xy)
+        assert rep.status == "inconclusive" and rep.witness is None
+
+    def test_strict_psi_is_not_verified(self):
+        # P(s) = 3/8 satisfies kb and has no extension; the closure
+        # vertex P(s) = 1/3 fails, but it lies outside [[kb]]
+        x, xy, psi = self._lifted("P(s) > 2/5")
+        rep = conservative_check(parse_constraint("P(s) > 1/3", x), psi, xy)
+        assert rep.status == "inconclusive" and rep.witness is None
+
+    def test_closed_psi_moves_a_failed_vertex_into_kb(self):
+        # the failed vertex P(s) = 1/3 is moved toward the cell's witness
+        # until the moved point, inside [[kb]], fails too
+        x, xy, psi = self._lifted("P(s) >= 2/5")
+        kb = parse_constraint("P(s) > 1/3", x)
+        rep = conservative_check(kb, psi, xy)
+        assert rep.status == "not_conservative"
+        assert satisfies(rep.witness, kb)
+        assert F(1, 3) < rep.witness.prob(event_of(x, "s")) < F(2, 5)
 
 
 def test_conservative_check_inconclusive_beyond_vertex_limit():

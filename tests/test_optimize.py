@@ -4,12 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from credal.constraints import And, LinearAtom, TrueExpr, parse_constraint, satisfies
+from credal.constraints import (
+    And,
+    FalseExpr,
+    LinearAtom,
+    TrueExpr,
+    parse_constraint,
+    satisfies,
+)
 from credal.corpus import klm_corpus
 from credal.entail import satisfiable
-from credal.errors import CredalError, DomainError
+from credal.errors import DomainError
 from credal.measures import Measure, kl_divergence
-from credal.optimize import halfspace_tilt, kl_project, maxent, update_set
+from credal.optimize import kl_project, maxent, update_set
 from credal.procedures import InferenceProcedure, infers, select
 from credal.spaces import Event, enumerate_worlds, event_of
 from tests.conftest import grid_kl_argmin
@@ -232,30 +239,29 @@ class TestKlProject:
             assert lhs >= rhs - 1e-8
 
 
-class TestHalfspaceTilt:
+class TestOneAtomProjection:
     def test_two_block_closed_form(self):
         two = enumerate_worlds(["p"])
         atom = parse_constraint("P(p) = 1/4", two)
-        out = halfspace_tilt(Measure.uniform(two), atom)
+        out = kl_project(Measure.uniform(two), atom).measures[0]
         assert [float(w) for w in out.weights] == pytest.approx([0.75, 0.25], abs=1e-12)
 
     def test_satisfied_inequality_unchanged(self):
         two = enumerate_worlds(["p"])
         mu = Measure.from_floats(two, [0.6, 0.4])
         atom = parse_constraint("P(p) <= 1/2", two)
-        assert halfspace_tilt(mu, atom) is mu
+        assert kl_project(mu, atom).measures[0] is mu
 
     def test_target_at_the_extreme_pins_zeros(self):
         two = enumerate_worlds(["p"])
-        out = halfspace_tilt(Measure.uniform(two), parse_constraint("P(p) = 1", two))
+        out = kl_project(Measure.uniform(two), parse_constraint("P(p) = 1", two)).measures[0]
         assert [float(w) for w in out.weights] == [0.0, 1.0]
 
-    def test_unreachable_target_errors(self):
+    def test_unreachable_target_is_empty(self):
         two = enumerate_worlds(["p"])
         mu = Measure.from_floats(two, [1.0, 0.0])
-        atom = parse_constraint("P(p) = 1/2", two)
-        with pytest.raises(CredalError, match="unreachable"):
-            halfspace_tilt(mu, atom)
+        res = kl_project(mu, parse_constraint("P(p) = 1/2", two))
+        assert res.status == "empty" and res.measures == ()
 
 
 class TestUpdateSet:
@@ -306,11 +312,21 @@ class TestUpdateSet:
             update_set(priors, parse_constraint("P(p) < 1/2", two))
 
 
-def test_halfspace_tilt_requires_float_backend():
+def test_kl_project_on_a_kb_without_atoms():
+    # true and false name no space: satisfaction or an empty cell list decides
+    two = enumerate_worlds(["p"])
+    mu = Measure.uniform(two)
+    res = kl_project(mu, TrueExpr())
+    assert (res.status, res.measures, res.value) == ("attained", (mu,), 0.0)
+    res = kl_project(mu, FalseExpr())
+    assert (res.status, res.measures, res.value, res.diagnostics) == ("empty", (), None, ())
+
+
+def test_kl_project_requires_float_backend():
     two = enumerate_worlds(["p"])
     atom = parse_constraint("P(p) = 1/4", two)
     with pytest.raises(ValueError, match="float"):
-        halfspace_tilt(Measure.uniform(two, backend="rational"), atom)
+        kl_project(Measure.uniform(two, backend="rational"), atom)
 
 
 def test_update_set_unsatisfiable_kb_is_empty():

@@ -188,6 +188,17 @@ class TestProductFamilySampled:
         assert v.holds and v.mode == "sampled"
         assert infers(InferenceProcedure.maxent(), kb, theta, sp, eps=1e-6).holds
 
+    def test_point_masses_beyond_64_worlds(self):
+        # the corner priors are the point masses that satisfy kb, at any
+        # size: on 128 worlds the last one (all symbols true) refutes theta
+        sp = enumerate_worlds(list("abcdefg"))
+        kb = parse_constraint("P(a & b) >= 1/2", sp)
+        theta = parse_constraint("P(a & b & c & d & e & f & g) < 9/10", sp)
+        proc = InferenceProcedure.prior_based(PriorFunction.product_family())
+        v = infers(proc, kb, theta, sp)
+        assert not v.holds and v.mode == "sampled"
+        assert v.evidence == (Measure.point_mass(sp, 127, backend="float"),)
+
 
 class TestProductPriorInfer:
     def _spaces(self):
@@ -320,6 +331,20 @@ class TestProductFamilyKlm:
         proc = InferenceProcedure.prior_based(PriorFunction.product_family())
         rep = klm_properties_check(proc, kbs, thetas, lle_pairs=lle)
         assert rep.all_pass, rep.by_property()
+
+    def test_prior_sets_build_kb_cells_once(self, monkeypatch):
+        # each kb's cells are built once per prior set, so their witness
+        # LPs serve every prior, and point masses solve no LP at all
+        from credal import simplex
+
+        space = enumerate_worlds(["a", "b"])
+        kbs, thetas, lle = klm_corpus(space)
+        calls = []
+        solve_lp = simplex.solve_lp
+        monkeypatch.setattr(simplex, "solve_lp", lambda *a, **k: calls.append(1) or solve_lp(*a, **k))
+        proc = InferenceProcedure.prior_based(PriorFunction.product_family())
+        assert klm_properties_check(proc, kbs, thetas, lle_pairs=lle).all_pass
+        assert len(calls) <= 4500
 
     def test_factors_are_decomposed_once(self, monkeypatch):
         from credal import procedures
