@@ -31,7 +31,7 @@ from .harness import (
     default_independence_gadget,
     rep_independence_falsify,
 )
-from .measures import Measure
+from .measures import EPS, Measure
 from .optimize import maxent
 from .procedures import InferenceProcedure, PriorFunction, infers, klm_properties_check
 from .spaces import Space, atoms_over, enumerate_worlds, event_of, product_space
@@ -55,7 +55,6 @@ class Scenario:
     procedure: dict = field(default_factory=lambda: {"kind": "maxent"})
     embeddings: tuple[dict, ...] = ()
     main: str | None = None
-    harness: dict = field(default_factory=dict)
 
     # -- wire format -----------------------------------------------------
     @staticmethod
@@ -76,7 +75,6 @@ class Scenario:
             procedure=dict(obj.get("procedure", {"kind": "maxent"})),
             embeddings=tuple(obj.get("embeddings", ())),
             main=obj.get("main"),
-            harness=dict(obj.get("harness", {})),
         )
 
     def to_dict(self) -> dict:
@@ -86,7 +84,6 @@ class Scenario:
             "queries": list(self.queries),
             "procedure": dict(self.procedure),
             "embeddings": [dict(e) for e in self.embeddings],
-            "harness": dict(self.harness),
         }
         if self.main is not None:
             out["main"] = self.main
@@ -129,10 +126,13 @@ class Scenario:
             for name, rows in prior.items():
                 if name not in built:
                     raise CredalError(f"/procedure/prior/{name}: unknown space")
-                assignment[built[name]] = [
-                    Measure.rational(built[name], [Fraction(w) for w in row]).to_float()
-                    for row in rows
-                ]
+                assignment[built[name]] = []
+                for k, row in enumerate(rows):
+                    try:  # a weight is the decimal as written: 0.1 is 1/10
+                        mu = Measure.rational(built[name], [Fraction(str(w)) for w in row])
+                    except (ValueError, ZeroDivisionError) as exc:
+                        raise CredalError(f"/procedure/prior/{name}/{k}: {exc}") from None
+                    assignment[built[name]].append(mu.to_float())
             return InferenceProcedure.prior_based(PriorFunction.of(assignment))
         raise CredalError(f"/procedure/kind: unknown kind {kind!r}")
 
@@ -444,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("infer", parents=[common], help="run the scenario's queries")
     p.add_argument("scenario")
-    p.add_argument("--eps", type=float, default=1e-8)
+    p.add_argument("--eps", type=float, default=EPS)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("check-embedding", parents=[common],

@@ -31,10 +31,9 @@ from functools import lru_cache
 
 from .errors import CredalError, ParseError
 from .formulas import Parser
-from .measures import RATIONAL, Measure
+from .measures import EPS, RATIONAL, Measure
 from .spaces import Event, Space, event_of
 
-DEFAULT_EPS = 1e-9
 MAX_DISJUNCTS = 4096
 
 
@@ -197,11 +196,12 @@ def compare(value, cmp: str, bound, exact: bool, eps: float) -> bool:
     return v > b + eps
 
 
-def satisfies(mu: Measure, expr: ConstraintExpr, eps: float = DEFAULT_EPS) -> bool:
+def satisfies(mu: Measure, expr: ConstraintExpr, eps: float = EPS) -> bool:
     """Whether the measure satisfies the constraint.
 
-    Exact for the rational backend; for floats, equalities hold within
-    ``eps`` and strict inequalities must hold with an ``eps`` margin.
+    Exact for the rational backend; for floats, equalities and
+    non-strict inequalities hold within ``eps`` and strict inequalities
+    must hold with an ``eps`` margin (``eps`` defaults to `measures.EPS`).
     """
     exact = mu.backend == RATIONAL
     if isinstance(expr, TrueExpr):

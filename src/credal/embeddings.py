@@ -158,8 +158,8 @@ def is_faithful(emb: Embedding) -> bool:
     return emb.is_surjective
 
 
-def correspondence_gap(emb: Embedding, dx: Sequence[Measure], dy: Sequence[Measure],
-                       eps: float = 1e-9) -> Measure | None:
+def correspondence_gap(emb: Embedding, dx: Sequence[Measure],
+                       dy: Sequence[Measure]) -> Measure | None:
     """The first source measure that breaks set-level correspondence: a
     pushforward of a dy measure that is not in dx, else a dx measure
     that no pushforward hits; None when the sets correspond."""
@@ -169,19 +169,18 @@ def correspondence_gap(emb: Embedding, dx: Sequence[Measure], dy: Sequence[Measu
         raise ValueError("a dx measure does not live on the embedding's source")
     pushed = [pushforward(emb, nu) for nu in dy]
     for p in pushed:
-        if not any(mu.is_close(p, eps) for mu in dx):
+        if not any(mu.is_close(p) for mu in dx):
             return p
     for mu in dx:
-        if not any(p.is_close(mu, eps) for p in pushed):
+        if not any(p.is_close(mu) for p in pushed):
             return mu
     return None
 
 
-def correspond_sets(emb: Embedding, dx: Sequence[Measure], dy: Sequence[Measure],
-                    eps: float = 1e-9) -> bool:
+def correspond_sets(emb: Embedding, dx: Sequence[Measure], dy: Sequence[Measure]) -> bool:
     """Set-level correspondence: every measure in dy pushes forward into
     dx, and every measure in dx is hit by some pushforward."""
-    return correspondence_gap(emb, dx, dy, eps) is None
+    return correspondence_gap(emb, dx, dy) is None
 
 
 def product_embedding(parts: Sequence[Embedding]) -> Embedding:

@@ -154,10 +154,6 @@ def satisfiable(expr: ConstraintExpr, space: Space | None = None) -> Feasibility
     if space is None:
         space = space_of(expr)
     if space is None:
-        if isinstance(expr, TrueExpr):
-            return FeasibilityReport("feasible")
-        if isinstance(expr, FalseExpr):
-            return FeasibilityReport("infeasible")
         return (FeasibilityReport("feasible") if to_dnf(expr).systems
                 else FeasibilityReport("infeasible"))
     for cell in cells(expr, space):
@@ -185,32 +181,21 @@ def quarter_constraint(s: Event) -> LinearAtom:
     return LinearAtom(((_ONE, s),), ">=", Fraction(1, 4))
 
 
-def _point_mass_event(kb: ConstraintExpr, space: Space) -> Event:
-    """The worlds whose point mass satisfies kb: an atom's value at the
-    point mass on world i is its coefficient there, so i is in the event
-    when every atom of some cell holds at its coefficients[i]."""
-    return event_from_indices(space, {
-        i for cell in cells(kb, space) for i in range(len(space.worlds))
-        if all(compare(coeffs[i], atom.cmp, atom.bound, True, 0.0)
-               for atom, coeffs in zip(cell.atoms, cell.coefficients))})
+def _holds_at(kb_cells: Sequence[Cell], point: dict[int, Fraction]) -> bool:
+    """Whether kb holds exactly at the measure putting point[i] on world
+    i and nothing elsewhere: some cell's atoms all hold at the values
+    sum_i coefficients[i] * point[i]."""
+    return any(all(compare(sum(coeffs[i] * p for i, p in point.items()), atom.cmp, atom.bound,
+                           True, 0.0)
+                   for atom, coeffs in zip(cell.atoms, cell.coefficients))
+               for cell in kb_cells)
 
 
-def _probe_measures(space: Space, s: Event) -> list[Measure]:
-    """n rational probes for Pr(S) >= 1/4 on n worlds, S neither empty nor
-    full: the uniform measure, and n - 1 measures with Pr(S) = 1/4 that
-    put 1/4 on a world of S and 3/4 on a world outside it (each world of
-    S with the first world outside, each other world outside with the
-    first world of S)."""
-    n = len(space.worlds)
-    inside = list(s.indices())
-    outside = list((~s).indices())
-    pairs = [(x, outside[0]) for x in inside] + [(inside[0], y) for y in outside[1:]]
-    probes = [Measure.uniform(space, backend="rational")]
-    for x, y in pairs:
-        w = [_ZERO] * n
-        w[x], w[y] = Fraction(1, 4), Fraction(3, 4)
-        probes.append(Measure.rational(space, w))
-    return probes
+def _point_mass_event(kb_cells: Sequence[Cell], space: Space) -> Event:
+    """The worlds whose point mass satisfies kb, read off kb's cells on
+    space by `_holds_at`; no measure is built and no LP solved."""
+    return event_from_indices(space, [i for i in range(len(space.worlds))
+                                      if _holds_at(kb_cells, {i: _ONE})])
 
 
 def is_interesting(kb: ConstraintExpr, space: Space | None = None) -> Event | None:
@@ -219,21 +204,29 @@ def is_interesting(kb: ConstraintExpr, space: Space | None = None) -> Event | No
     A point mass on x satisfies Pr(S) >= 1/4 exactly when x is in S, so
     the only possible S is the set of worlds whose point mass satisfies
     kb.  The empty and full candidates are excluded (they denote the
-    empty set and the whole simplex).  The `_probe_measures` reject most
-    other kbs without an LP; equivalence decides the rest.
+    empty set and the whole simplex).  Probes on kb's cells reject most
+    other kbs without an LP: the uniform measure, where Pr(S) >= 1/4
+    iff 4|S| >= n, and the n - 1 pairs putting 1/4 on a world of S and
+    3/4 on a world outside it, where Pr(S) = 1/4 (each world of S with
+    the first world outside, each other world outside with the first
+    world of S).  Equivalence decides the rest.
     """
     if space is None:
         space = space_of(kb)
     if space is None:
         return None
-    s = _point_mass_event(kb, space)
-    if s.count in (0, len(space.worlds)):
+    kb_cells = list(cells(kb, space))
+    s = _point_mass_event(kb_cells, space)
+    n = len(space.worlds)
+    if s.count in (0, n):
         return None
-    atom = quarter_constraint(s)
-    for probe in _probe_measures(space, s):
-        if satisfies(probe, kb) != satisfies(probe, atom):
-            return None
-    return s if equivalent(kb, atom, space) else None
+    if _holds_at(kb_cells, dict.fromkeys(range(n), Fraction(1, n))) != (4 * s.count >= n):
+        return None
+    inside, outside = list(s.indices()), list((~s).indices())
+    pairs = [(x, outside[0]) for x in inside] + [(inside[0], y) for y in outside[1:]]
+    if not all(_holds_at(kb_cells, {x: Fraction(1, 4), y: Fraction(3, 4)}) for x, y in pairs):
+        return None
+    return s if equivalent(kb, quarter_constraint(s), space) else None
 
 
 def objective_normal_form(kb: ConstraintExpr, space: Space | None = None) -> Event | None:
@@ -259,7 +252,7 @@ def objective_normal_form(kb: ConstraintExpr, space: Space | None = None) -> Eve
     if direct is not None:
         return direct
 
-    t = _point_mass_event(kb, space)
+    t = _point_mass_event(list(cells(kb, space)), space)
     return t if equivalent(kb, LinearAtom(((_ONE, t),), "=", _ONE), space) else None
 
 

@@ -23,6 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover
 RATIONAL = "rational"
 FLOAT = "float"
 
+EPS = 1e-9  # the float tolerance: measures this close are one, atoms hold within it
 _FLOAT_SUM_TOL = 1e-12
 
 
@@ -95,12 +96,12 @@ class Measure:
     def __getitem__(self, i: int):
         return self.weights[i]
 
-    def is_close(self, other: "Measure", eps: float = 1e-9) -> bool:
+    def is_close(self, other: "Measure") -> bool:
         if self.space != other.space:
             return False
         if self.backend == RATIONAL and other.backend == RATIONAL:
             return self.weights == other.weights
-        return all(abs(float(a) - float(b)) <= eps for a, b in zip(self.weights, other.weights))
+        return all(abs(float(a) - float(b)) <= EPS for a, b in zip(self.weights, other.weights))
 
     def marginal(self, sub: Space) -> "Measure":
         """Marginal onto a factor (by vocabulary projection)."""
@@ -177,12 +178,12 @@ def pushforward(emb: "Embedding", nu: Measure) -> Measure:
     return Measure(emb.source, tuple(out), nu.backend)
 
 
-def corresponds(emb: "Embedding", mu: Measure, nu: Measure, eps: float = 1e-9) -> bool:
+def corresponds(emb: "Embedding", mu: Measure, nu: Measure) -> bool:
     """Whether mu and nu correspond under the embedding."""
     if mu.space != emb.source:
         raise ValueError("measure does not live on the embedding's source")
     _require_same_backend(mu, nu)
-    return pushforward(emb, nu).is_close(mu, eps)
+    return pushforward(emb, nu).is_close(mu)
 
 
 def product_measure(parts: Sequence[Measure], space: Space | None = None) -> Measure:
@@ -217,24 +218,13 @@ def product_measure(parts: Sequence[Measure], space: Space | None = None) -> Mea
     return Measure(space, tuple(weights), backend)
 
 
-def is_product_measure(mu: Measure, eps: float = 1e-9) -> bool:
+def is_product_measure(mu: Measure) -> bool:
     """True iff mu equals the product of its marginals over the maximal
     product decomposition of its space (vacuously true when n = 1)."""
     factors = product_decomposition(mu.space)
     if len(factors) == 1:
         return True
-    marginals = [mu.marginal(f) for f in factors]
-    comps = [component_map(mu.space, f) for f in factors]
-    for i, w in enumerate(mu.weights):
-        prod = Fraction(1) if mu.backend == RATIONAL else 1.0
-        for k, m in enumerate(marginals):
-            prod *= m.weights[comps[k][i]]
-        if mu.backend == RATIONAL:
-            if prod != w:
-                return False
-        elif abs(float(prod) - float(w)) > eps:
-            return False
-    return True
+    return mu.is_close(product_measure([mu.marginal(f) for f in factors], mu.space))
 
 
 def couple(mu0: Measure, s0: Event, mu1: Measure, s1: Event) -> Measure:
@@ -251,7 +241,7 @@ def couple(mu0: Measure, s0: Event, mu1: Measure, s1: Event) -> Measure:
     if backend == RATIONAL:
         if p0 != p1:
             raise CredalError("marginal-probability mismatch")
-    elif abs(float(p0) - float(p1)) > 1e-9:
+    elif abs(float(p0) - float(p1)) > EPS:
         raise CredalError("marginal-probability mismatch")
 
     space = product_space([mu0.space, mu1.space])

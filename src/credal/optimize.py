@@ -10,10 +10,12 @@ a projected Newton method solves that m-variable dual.  A tilt reaches
 a world of zero mass only in the limit, so zeros are pinned exactly:
 first by the atoms whose bound is an extreme value of their
 coefficients, then, when Newton drifts toward the boundary, by
-`Cell.support`.  Finally the undefined-supremum rule: strict atoms are
-re-tested at the optimum and a failure makes that disjunct's supremum
-unattained.  Entropy maximization is divergence minimization from the
-uniform measure.  A set of priors is updated by one loop, `updates`,
+`Cell.support`.  Finally the undefined-supremum rule: a disjunct's
+optimum is kept only when it satisfies kb at `measures.EPS`, the test
+`procedures.infers` applies to it, so an optimum on the boundary of a
+strict atom, or within EPS of it, leaves that supremum unattained.
+Entropy maximization is divergence minimization from the uniform
+measure.  A set of priors is updated by one loop, `updates`,
 which builds kb's cells once so that each cell's witness LP serves
 every prior.
 """
@@ -30,15 +32,12 @@ import numpy as np
 from .constraints import ConstraintExpr, satisfies, space_of
 from .entail import Cell, cells
 from .errors import ConvergenceError, DomainError
-from .measures import FLOAT, Measure, kl_divergence
+from .measures import EPS, FLOAT, Measure, kl_divergence
 from .spaces import Space
 
-STRICT_EPS = 1e-9  # margin a strict atom needs at the closure optimum
 RESIDUAL_TOL = 1e-10  # convergence: worst KKT residual of the dual
 NEWTON_STEPS = 100  # dual Newton steps before zero elimination / ConvergenceError
 ZERO_FLOOR = 1e-6  # a weight below this share of its prior weight: zero elimination
-VALUE_TOL = 1e-9  # disjuncts within this of the best divergence attain it
-DEDUPE_EPS = 1e-9  # measures this close are one
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,7 @@ class DisjunctDiagnostic:
     open_nonempty: bool
     infinite: bool = False
     value: float | None = None
-    strict_ok: bool | None = None
+    strict_ok: bool | None = None  # the optimum satisfies kb (at EPS)
     cycles: int = 0  # dual Newton steps
 
 
@@ -68,16 +67,15 @@ class ProjectionResult:
 
 def _rows(cell: Cell):
     """The cell's atoms as float rows A w (= or <=) b, the >= atoms
-    negated and the strict ones closed, with masks of the inequality
-    rows and of the strict rows."""
+    negated and the strict ones closed, with the mask of the inequality
+    rows."""
     cmps = [atom.cmp for atom in cell.atoms]
     sign = np.array([-1.0 if c in (">=", ">") else 1.0 for c in cmps])
     n = len(cell.space.worlds)
     a = np.array(cell.coefficients, dtype=float).reshape(len(cmps), n) * sign[:, None]
     b = np.array([float(atom.bound) for atom in cell.atoms]) * sign
     ineq = np.array([c != "=" for c in cmps], dtype=bool)
-    strict = np.array([c in ("<", ">") for c in cmps], dtype=bool)
-    return a, b, ineq, strict
+    return a, b, ineq
 
 
 def _extreme_support(cell: Cell, live: list[int]) -> list[int]:
@@ -192,7 +190,7 @@ def _project(mu: Measure, kb: ConstraintExpr, kb_cells: Iterable[Cell]) -> Proje
     """`kl_project` over kb's cells on mu's space, built by the caller."""
     if mu.backend != FLOAT:
         raise ValueError("kl_project needs a float-backed prior; convert explicitly")
-    if satisfies(mu, kb, eps=1e-12):
+    if satisfies(mu, kb):
         return ProjectionResult("attained", (mu,), 0.0,
                                 (DisjunctDiagnostic(0, True, value=0.0, strict_ok=True),))
 
@@ -210,18 +208,18 @@ def _project(mu: Measure, kb: ConstraintExpr, kb_cells: Iterable[Cell]) -> Proje
         if pins and cell.witness(pins) is None:
             diagnostics.append(DisjunctDiagnostic(k, open_nonempty=True, infinite=True))
             continue
-        a, b, ineq, strict = _rows(cell)
+        a, b, ineq = _rows(cell)
         w_star, steps = _project_cell(w0, cell, a, b, ineq, pins)
         result = Measure.from_floats(space, w_star)
         value = kl_divergence(result, mu)
-        ok = bool(np.all(a[strict] @ w_star < b[strict] - STRICT_EPS))
+        ok = satisfies(result, kb)
         diagnostics.append(DisjunctDiagnostic(k, True, value=value, strict_ok=ok, cycles=steps))
         candidates.append((value, ok, result, k))
 
     if not candidates:
         return ProjectionResult("empty", (), None, tuple(diagnostics))
     best = min(v for v, _, _, _ in candidates)
-    attainers = _dedupe_sorted([m for v, ok, m, _ in candidates if ok and v <= best + VALUE_TOL])
+    attainers = _dedupe_sorted([m for v, ok, m, _ in candidates if ok and v <= best + EPS])
     if attainers:
         return ProjectionResult("attained", tuple(attainers), best, tuple(diagnostics))
     return ProjectionResult("not_attained", (), best, tuple(diagnostics))
@@ -270,7 +268,7 @@ def update_set(d: tuple[Measure, ...], kb: ConstraintExpr) -> tuple[Measure, ...
 def _dedupe_sorted(measures: list[Measure]) -> list[Measure]:
     out: list[Measure] = []
     for m in measures:
-        if not any(m.is_close(o, DEDUPE_EPS) for o in out):
+        if not any(m.is_close(o) for o in out):
             out.append(m)
     out.sort(key=lambda m: tuple(float(w) for w in m.weights))
     return out

@@ -24,7 +24,6 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .constraints import (
-    DEFAULT_EPS,
     And,
     ConstraintExpr,
     FalseExpr,
@@ -45,6 +44,7 @@ from .constraints import (
 from .embeddings import factor_lift
 from .entail import (
     _point_mass_event,
+    cells,
     entails,
     equivalent,
     is_interesting,
@@ -54,7 +54,7 @@ from .entail import (
     satisfiable,
 )
 from .errors import CredalError
-from .measures import Measure, product_measure
+from .measures import EPS, Measure, product_measure
 from .optimize import update_set, updates
 from .spaces import (
     Event,
@@ -242,11 +242,13 @@ def _check_all_satisfy(selection: tuple[Measure, ...] | ConstraintExpr, theta: C
 
 
 def infers(proc: InferenceProcedure, kb: ConstraintExpr, theta: ConstraintExpr,
-           space: Space | None = None, eps: float = 1e-8,
+           space: Space | None = None, eps: float = EPS,
            seed: int = 0, samples: int = 200) -> Verdict:
     """KB |~ theta under the procedure: every selected measure satisfies
     theta.  Exact for finite selections and for linear queries against
-    denotations; sampled falsification otherwise."""
+    denotations; sampled falsification otherwise.  Float measures are
+    judged by `satisfies` at ``eps``, by default the `measures.EPS` at
+    which a projection already kept them inside [[kb]]."""
     space = _resolve_space(kb, theta, space)
     if has_product_atom(kb):
         raise CredalError("product atoms are query-only; they cannot appear in kb")
@@ -353,7 +355,7 @@ def product_prior_infer(kbs: Sequence[ConstraintExpr], theta: ConstraintExpr, sp
                       for kb_i, f in zip(kbs, factors)]
     draws = (product_measure([fs[rng.randrange(len(fs))] for fs in factor_samples], space)
              for _ in range(samples if all(factor_samples) else 0))
-    return _sampled(draws, theta, DEFAULT_EPS, seed)
+    return _sampled(draws, theta, EPS, seed)
 
 
 def _product_family_sampled(kb: ConstraintExpr, theta: ConstraintExpr, space: Space,
@@ -375,7 +377,7 @@ def _product_family_sampled(kb: ConstraintExpr, theta: ConstraintExpr, space: Sp
     factors = _pi_factors(space)
     rng = _random.Random(seed)
     priors = [Measure.point_mass(space, i, backend="float")
-              for i in _point_mass_event(kb, space).indices()]
+              for i in _point_mass_event(list(cells(kb, space)), space).indices()]
     priors.append(product_measure([Measure.uniform(f) for f in factors], space))
     for _ in range(max(1, samples // 8)):
         parts = []

@@ -57,6 +57,31 @@ def test_validation_error_exit_2(tmp_path, capsys):
     assert "/spaces/0" in err
 
 
+def _finite_prior_scenario(tmp_path, row):
+    scenario = {
+        "spaces": [{"name": "X", "vocabulary": ["a", "b"]}],
+        "kb": "P(a) >= 1/2",
+        "queries": ["P(a) >= 1/4"],
+        "procedure": {"kind": "prior_based", "prior": {"X": [row]}},
+    }
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario))
+    return str(path)
+
+
+def test_decimal_prior_weights_are_read_as_written(tmp_path, capsys):
+    # as binary floats 0.1 + 0.2 + 0.3 + 0.4 is not exactly 1
+    assert main(["infer", _finite_prior_scenario(tmp_path, [0.1, 0.2, 0.3, 0.4])]) == 0
+    assert "holds: True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("row", [[0.5, 0.5], ["1/2", "1/3", 0, 0]], ids=["length", "sum"])
+def test_bad_prior_row_is_validation_error(tmp_path, capsys, row):
+    assert main(["infer", _finite_prior_scenario(tmp_path, row)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: /procedure/prior/X/0: ")
+
+
 def test_unknown_symbol_is_validation_error(tmp_path, capsys):
     scenario = {
         "spaces": [{"name": "X", "vocabulary": ["p"]}],

@@ -16,6 +16,7 @@ from credal.constraints import (
 from credal.corpus import klm_corpus
 from credal.embeddings import factor_lift
 from credal.entail import (
+    _holds_at,
     cells,
     conservative_check,
     entails,
@@ -23,6 +24,7 @@ from credal.entail import (
     is_interesting,
     linear_range,
     objective_normal_form,
+    quarter_constraint,
     sample_measures,
     satisfiable,
 )
@@ -155,6 +157,39 @@ class TestIsInteresting:
         assert (is_interesting(parse_constraint("!(P(a & b) < 1/4)", sp))
                 == event_of(sp, "a & b"))
         assert is_interesting(parse_constraint("P(a) > 1/4", sp)) is None
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_probes_reject_only_uninteresting_kbs(self, n):
+        # reference: S from the point masses by `satisfies`, then
+        # equivalence alone decides, with no probes in front of it
+        space = _plain_space("i", n)
+        rng = random.Random(90 + n)
+        found = 0
+        for _ in range(60):
+            s = event_from_indices(space, rng.sample(range(n), rng.randrange(1, n)))
+            kb = rng.choice([_random_kb(space, rng), quarter_constraint(s),
+                             Not(LinearAtom(((F(1), s),), "<", F(1, 4))),
+                             and_(quarter_constraint(s), _random_kb(space, rng))])
+            ref = event_from_indices(space, [i for i in range(n)
+                                             if satisfies(Measure.point_mass(space, i), kb)])
+            if not (0 < ref.count < n and equivalent(kb, quarter_constraint(ref), space)):
+                ref = None
+            assert is_interesting(kb, space) == ref
+            found += ref is not None
+        assert found >= 10
+
+    def test_cells_are_evaluated_like_satisfies(self):
+        space = _plain_space("h", 5)
+        rng = random.Random(11)
+        for _ in range(80):
+            kb = _random_kb(space, rng)
+            kb_cells = list(cells(kb, space))
+            support = rng.sample(range(5), rng.randrange(1, 4))
+            cuts = sorted(F(rng.randrange(9), 8) for _ in support[1:])
+            masses = [b - a for a, b in zip([F(0)] + cuts, cuts + [F(1)])]
+            point = dict(zip(support, masses))
+            mu = Measure.rational(space, [point.get(i, F(0)) for i in range(5)])
+            assert _holds_at(kb_cells, point) == satisfies(mu, kb)
 
 
 class TestObjectiveNormalForm:

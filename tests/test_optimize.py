@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from credal import measures, optimize
 from credal.constraints import (
     And,
     FalseExpr,
@@ -22,6 +23,12 @@ from credal.spaces import Event, enumerate_worlds, event_of
 from tests.conftest import grid_kl_argmin
 
 F = Fraction
+
+
+def test_newton_residual_is_below_the_tolerance():
+    # a converged projection meets its = and <= rows to RESIDUAL_TOL, so
+    # it passes `satisfies` at EPS, the test that keeps it
+    assert optimize.RESIDUAL_TOL < measures.EPS
 
 
 class TestMaxentPaperExamples:

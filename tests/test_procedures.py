@@ -5,6 +5,7 @@ import pytest
 
 from credal.constraints import (
     FalseExpr,
+    LinearAtom,
     ProductAtom,
     TrueExpr,
     parse_constraint,
@@ -61,6 +62,33 @@ class TestInfersExamples:
                            (event_of(fly_bird_space, "fly"), event_of(fly_bird_space, "bird")))
         with pytest.raises(CredalError, match="query-only"):
             infers(InferenceProcedure.entailment(), atom, TrueExpr(), fly_bird_space)
+
+
+def _half_prior_list(sp):
+    return InferenceProcedure.prior_based(PriorFunction.of({sp: [
+        Measure.from_floats(sp, [0.5, 0.5]), Measure.from_floats(sp, [0.25, 0.75])]}))
+
+
+class TestReflexivityAtTheTolerance:
+    """A projection keeps only measures that pass the test `infers`
+    applies to them, so KB |~ KB holds or the projection is unattained:
+    a bound within EPS of the optimum is never a False verdict."""
+
+    @pytest.mark.parametrize("k", [1, 5, 10, 11, 20, 100, 1000])
+    @pytest.mark.parametrize("cmp", ["<", ">"])
+    @pytest.mark.parametrize("make", [lambda sp: InferenceProcedure.maxent(), _half_prior_list],
+                             ids=["maxent", "finite"])
+    def test_kb_infers_itself_or_is_out_of_domain(self, k, cmp, make):
+        sp = enumerate_worlds(["a"])
+        margin = F(k, 10**10) if cmp == "<" else -F(k, 10**10)
+        kb = LinearAtom(((F(1), event_of(sp, "a")),), cmp, F(1, 2) + margin)
+        try:
+            v = infers(make(sp), kb, kb, sp)
+        except DomainError:
+            assert k <= 10 or make is _half_prior_list
+            return
+        assert v.holds
+        assert k > 10
 
 
 class TestSelections:

@@ -29,3 +29,31 @@ def test_readme_tunables_exist():
     assert named
     for module, constant in named:
         assert hasattr(importlib.import_module(f"credal.{module}"), constant), (module, constant)
+
+
+def _trees():
+    return [(path, ast.parse(path.read_text(encoding="utf-8"))) for path in SOURCES]
+
+
+def test_one_float_tolerance_literal():
+    # 1e-9 is written once, as measures.EPS; every other use reads EPS
+    found = [(path, node.lineno) for path, tree in _trees() for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and type(node.value) is float
+             and node.value == 1e-9]
+    lines = [path.read_text(encoding="utf-8").splitlines()[line - 1] for path, line in found]
+    names = [(path.name, text.split("=")[0].strip()) for (path, _), text in zip(found, lines)]
+    assert names == [("measures.py", "EPS")]
+
+
+def test_eps_parameters_default_to_eps():
+    for path, tree in _trees():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+            for arg, default in zip(positional + args.kwonlyargs, defaults + args.kw_defaults):
+                if arg.arg == "eps" and default is not None:
+                    assert isinstance(default, ast.Name) and default.id == "EPS", \
+                        (path.name, fn.lineno)
