@@ -68,11 +68,20 @@ class Scenario:
             if "vocabulary" not in sp and "factors" not in sp:
                 raise CredalError(f"/spaces/{i}: needs vocabulary or factors")
             spaces.append((sp["name"], {k: v for k, v in sp.items() if k != "name"}))
+        kb = obj.get("kb", "true")
+        if not isinstance(kb, str):
+            raise CredalError("/kb: a constraint string is required")
+        queries = obj.get("queries", [])
+        if not isinstance(queries, list) or not all(isinstance(q, str) for q in queries):
+            raise CredalError("/queries: a list of constraint strings is required")
+        procedure = obj.get("procedure", {"kind": "maxent"})
+        if not isinstance(procedure, dict):
+            raise CredalError("/procedure: an object is required")
         return Scenario(
             spaces=tuple(spaces),
-            kb=obj.get("kb", "true"),
-            queries=tuple(obj.get("queries", ())),
-            procedure=dict(obj.get("procedure", {"kind": "maxent"})),
+            kb=kb,
+            queries=tuple(queries),
+            procedure=dict(procedure),
             embeddings=tuple(obj.get("embeddings", ())),
             main=obj.get("main"),
         )
@@ -122,15 +131,19 @@ class Scenario:
                 return InferenceProcedure.prior_based(PriorFunction.uniform())
             if prior == "product_family":
                 return InferenceProcedure.prior_based(PriorFunction.product_family())
+            if not isinstance(prior, dict):
+                raise CredalError(f"/procedure/prior: unknown prior {prior!r}")
             assignment = {}
             for name, rows in prior.items():
                 if name not in built:
                     raise CredalError(f"/procedure/prior/{name}: unknown space")
+                if not isinstance(rows, list) or not rows:
+                    raise CredalError(f"/procedure/prior/{name}: a nonempty list is required")
                 assignment[built[name]] = []
                 for k, row in enumerate(rows):
                     try:  # a weight is the decimal as written: 0.1 is 1/10
                         mu = Measure.rational(built[name], [Fraction(str(w)) for w in row])
-                    except (ValueError, ZeroDivisionError) as exc:
+                    except (TypeError, ValueError, ZeroDivisionError) as exc:
                         raise CredalError(f"/procedure/prior/{name}/{k}: {exc}") from None
                     assignment[built[name]].append(mu.to_float())
             return InferenceProcedure.prior_based(PriorFunction.of(assignment))

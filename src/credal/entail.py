@@ -6,7 +6,8 @@ encoding of one cell: the simplex row, one row per atom, and one slack t
 shared by the strict atoms, whose optimum is positive exactly when the
 open cell is non-empty; the closure drops t from the strict atoms.
 Satisfiability, entailment, ranges, sampling and conservativeness are
-decided cell by cell.  Witnesses are exact rational measures.
+decided cell by cell, on the cells `cells` builds once per (constraint,
+space).  Witnesses are exact rational measures.
 """
 
 from __future__ import annotations
@@ -14,8 +15,11 @@ from __future__ import annotations
 import random as _random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from . import simplex
 from .constraints import (
@@ -50,13 +54,17 @@ _SLACK = {"<": _ONE, ">": -_ONE}
 Pins = Sequence[tuple[list[Fraction], Fraction]]
 
 
+def _dot(a, b):
+    return sum((x * y for x, y in zip(a, b)), _ZERO)
+
+
 class Cell:
     """One DNF cell on one space, and the only code that builds LP rows.
 
     The LP variables are the world masses and the strict slack t.  Each
     atom's coefficients and the open rows are built once; the closure
-    rows on first use.  Pins are extra equality rows, given as
-    (per-world coefficients, value) pairs.
+    rows and the projection's float rows on first use.  Pins are extra
+    equality rows, given as (per-world coefficients, value) pairs.
     """
 
     def __init__(self, system: DnfSystem, space: Space):
@@ -129,10 +137,79 @@ class Cell:
         return all(compare(_dot(coeffs, x), _ROW_CMP[atom.cmp], atom.bound, True, 0.0)
                    for atom, coeffs in zip(self.atoms, self.coefficients))
 
+    @cached_property
+    def float_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The atoms as float rows A w (= or <=) b, the >= atoms negated
+        and the strict ones closed, with the mask of the inequality rows."""
+        cmps = [_ROW_CMP[atom.cmp] for atom in self.atoms]
+        sign = np.array([-1.0 if c == ">=" else 1.0 for c in cmps])
+        a = np.array(self.coefficients, dtype=float).reshape(len(cmps), len(self.space.worlds))
+        b = np.array([float(atom.bound) for atom in self.atoms]) * sign
+        return a * sign[:, None], b, np.array([c != "=" for c in cmps], dtype=bool)
 
-def cells(expr: ConstraintExpr, space: Space) -> Iterator[Cell]:
-    """The DNF cells of expr on space, built one at a time."""
-    return (Cell(system, space) for system in to_dnf(expr).systems)
+    def extreme_support(self, live: list[int]) -> list[int]:
+        """The live worlds left once every atom whose bound is the largest
+        (=, >=, >) or smallest (=, <=, <) value its coefficients take on
+        them keeps only the worlds taking that value, to a fixed point.
+        Exact: every point of the closure has zero mass elsewhere."""
+        changed = True
+        while changed:
+            changed = False
+            for atom, coeffs in zip(self.atoms, self.coefficients):
+                values = [coeffs[i] for i in live]
+                if (atom.cmp in ("=", ">=", ">") and atom.bound == max(values)
+                        or atom.cmp in ("=", "<=", "<") and atom.bound == min(values)):
+                    keep = [i for i in live if coeffs[i] == atom.bound]
+                    if len(keep) < len(live):
+                        live, changed = keep, True
+        return live
+
+    def vertices(self) -> list[list[Fraction]]:
+        """Vertices of the closure, by exhaustive basis search: the
+        simplex row and the = atoms with every choice of as many
+        nonnegativity and inequality rows as leaves one solution."""
+        n = len(self.space.worlds)
+        atom_rows = [coeffs + [atom.bound] for atom, coeffs in zip(self.atoms, self.coefficients)]
+        n_eq = len(self.system.equalities)
+        eqs = [[_ONE] * n + [_ONE]] + atom_rows[:n_eq]
+        pool = ([[_ONE if j == i else _ZERO for j in range(n)] + [_ZERO] for i in range(n)]
+                + atom_rows[n_eq:])
+
+        def eliminate(aug: list[list[Fraction]]) -> tuple[list[list[Fraction]], int]:
+            """Gauss-Jordan elimination of the augmented rows: the reduced
+            rows and the rank of their coefficient part."""
+            aug = [list(row) for row in aug]
+            r = 0
+            for c in range(n):
+                pivot = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
+                if pivot is None:
+                    continue
+                aug[r], aug[pivot] = aug[pivot], aug[r]
+                aug[r] = [v / aug[r][c] for v in aug[r]]
+                for i in range(len(aug)):
+                    if i != r and aug[i][c] != 0:
+                        f = aug[i][c]
+                        aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
+                r += 1
+            return aug, r
+
+        vertices: list[list[Fraction]] = []
+        for chosen in combinations(pool, n - eliminate(eqs)[1]):
+            aug, rank = eliminate(eqs + list(chosen))
+            if rank < n or any(row[n] != 0 for row in aug[n:]):
+                continue  # underdetermined or inconsistent
+            x = [row[n] for row in aug[:n]]
+            if self.in_closure(x) and x not in vertices:
+                vertices.append(x)
+        return vertices
+
+
+@lru_cache(maxsize=256)
+def cells(expr: ConstraintExpr, space: Space) -> tuple[Cell, ...]:
+    """The DNF cells of expr on space, built once per (expr, space): the
+    cache shares each cell, with its witness, among every decision and
+    projection on that kb, and the bench clears it before each round."""
+    return tuple(Cell(system, space) for system in to_dnf(expr).systems)
 
 
 @dataclass(frozen=True)
@@ -215,7 +292,7 @@ def is_interesting(kb: ConstraintExpr, space: Space | None = None) -> Event | No
         space = space_of(kb)
     if space is None:
         return None
-    kb_cells = list(cells(kb, space))
+    kb_cells = cells(kb, space)
     s = _point_mass_event(kb_cells, space)
     n = len(space.worlds)
     if s.count in (0, n):
@@ -252,7 +329,7 @@ def objective_normal_form(kb: ConstraintExpr, space: Space | None = None) -> Eve
     if direct is not None:
         return direct
 
-    t = _point_mass_event(list(cells(kb, space)), space)
+    t = _point_mass_event(cells(kb, space), space)
     return t if equivalent(kb, LinearAtom(((_ONE, t),), "=", _ONE), space) else None
 
 
@@ -338,71 +415,6 @@ class ConservativeReport:
     note: str = ""
 
 
-def _cell_vertices(cell: Cell) -> list[list[Fraction]]:
-    """Vertices of the closure of one cell, by exhaustive basis search."""
-    n = len(cell.space.worlds)
-    atom_rows = [(coeffs, atom.bound) for atom, coeffs in zip(cell.atoms, cell.coefficients)]
-    n_eq = len(cell.system.equalities)
-    eqs = [([_ONE] * n, _ONE)] + atom_rows[:n_eq]
-    pool = ([([_ONE if j == i else _ZERO for j in range(n)], _ZERO) for i in range(n)]
-            + atom_rows[n_eq:])
-    need = n - len(_eliminate([r for r, _ in eqs], [b for _, b in eqs], n)[1])
-    vertices: list[list[Fraction]] = []
-    seen: set[tuple] = set()
-    for chosen in combinations(range(len(pool)), need):
-        rows = [r for r, _ in eqs] + [pool[i][0] for i in chosen]
-        rhs = [b for _, b in eqs] + [pool[i][1] for i in chosen]
-        x = _solve_unique(rows, rhs, n)
-        if x is None or not cell.in_closure(x):
-            continue
-        key = tuple(x)
-        if key not in seen:
-            seen.add(key)
-            vertices.append(x)
-    return vertices
-
-
-def _dot(a, b):
-    return sum((x * y for x, y in zip(a, b)), _ZERO)
-
-
-def _eliminate(rows: list[list[Fraction]], rhs: list[Fraction], n: int):
-    """Gauss-Jordan elimination of [rows | rhs]: the reduced rows and
-    their pivot columns, whose count is the rank of rows."""
-    m = len(rows)
-    aug = [list(rows[i]) + [rhs[i]] for i in range(m)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    return aug, piv_cols
-
-
-def _solve_unique(rows: list[list[Fraction]], rhs: list[Fraction], n: int) -> list[Fraction] | None:
-    aug, piv_cols = _eliminate(rows, rhs, n)
-    if any(row[n] != 0 for row in aug[len(piv_cols):]):
-        return None  # inconsistent
-    if len(piv_cols) < n:
-        return None  # underdetermined
-    x = [_ZERO] * n
-    for i, c in enumerate(piv_cols):
-        x[c] = aug[i][n]
-    return x
-
-
 def conservative_check(kb: ConstraintExpr, psi: ConstraintExpr, xy_space: Space,
                        x_factor: int = 0, n_samples: int = 8, seed: int = 0) -> ConservativeReport:
     """Check that psi adds no information about the X factor over kb.
@@ -428,9 +440,8 @@ def conservative_check(kb: ConstraintExpr, psi: ConstraintExpr, xy_space: Space,
     lift = factor_lift(xy_space, x_space)
     fibers = [[_ONE if c == xi else _ZERO for c in lift.world_map]
               for xi in range(len(x_space.worlds))]
-    psi_systems = to_dnf(psi).systems
-    psi_cells = [Cell(system, xy_space) for system in psi_systems]
-    closed = not any(system.strict for system in psi_systems)
+    psi_cells = cells(psi, xy_space)
+    closed = not any(cell.system.strict for cell in psi_cells)
     tested = 0
 
     def extends(x) -> bool:
@@ -447,7 +458,7 @@ def conservative_check(kb: ConstraintExpr, psi: ConstraintExpr, xy_space: Space,
         interior = cell.witness()
         if interior is None:
             continue
-        for vertex in _cell_vertices(cell):
+        for vertex in cell.vertices():
             if extends(vertex):
                 continue
             if satisfies(Measure.rational(x_space, vertex), kb):
@@ -461,6 +472,6 @@ def conservative_check(kb: ConstraintExpr, psi: ConstraintExpr, xy_space: Space,
     for nu in sample_measures(kb, x_space, n_samples, seed):
         if not extends(nu.weights):
             return refuted(nu.weights)
-    verified = complete and closed and len(psi_systems) == 1
+    verified = complete and closed and len(psi_cells) == 1
     return ConservativeReport("conservative_verified" if verified else "inconclusive",
                               tested=tested)

@@ -2,22 +2,24 @@
 
 Each DNF disjunct denotes a relatively open polyhedral cell, an
 `entail.Cell` whose exact LP rows decide feasibility and the exact
-zero pattern; the float rows here come from its coefficients.  The
+zero pattern, and whose `float_rows` the dual runs on.  The
 projection onto the cell's closure is the exponential tilt
 w0 * exp(-A^T lam) / Z, where lam minimizes the convex dual
 log Z(lam) + b.lam with lam >= 0 on the inequality rows (Csiszar 1975);
 a projected Newton method solves that m-variable dual.  A tilt reaches
 a world of zero mass only in the limit, so zeros are pinned exactly:
 first by the atoms whose bound is an extreme value of their
-coefficients, then, when Newton drifts toward the boundary, by
-`Cell.support`.  Finally the undefined-supremum rule: a disjunct's
-optimum is kept only when it satisfies kb at `measures.EPS`, the test
-`procedures.infers` applies to it, so an optimum on the boundary of a
-strict atom, or within EPS of it, leaves that supremum unattained.
+coefficients (`Cell.extreme_support`), then, when Newton drifts toward
+the boundary, by `Cell.support`.  Finally the undefined-supremum rule:
+a disjunct's optimum is kept only when it satisfies kb at
+`measures.EPS`, the test `procedures.infers` applies to it, so an
+optimum on the boundary of a strict atom, or within EPS of it, leaves
+that supremum unattained.
 Entropy maximization is divergence minimization from the uniform
-measure.  A set of priors is updated by one loop, `updates`,
-which builds kb's cells once so that each cell's witness LP serves
-every prior.
+measure.  A set of priors is updated by one loop, `updates`, of
+`kl_project` calls; kb's cells come from `entail.cells`, which builds
+them once per (kb, space), so each cell's witness LP serves every
+prior, and which the bench clears before each round.
 """
 
 from __future__ import annotations
@@ -63,37 +65,6 @@ class ProjectionResult:
 
 
 # Dual Newton projection onto one cell ------------------------------------
-
-
-def _rows(cell: Cell):
-    """The cell's atoms as float rows A w (= or <=) b, the >= atoms
-    negated and the strict ones closed, with the mask of the inequality
-    rows."""
-    cmps = [atom.cmp for atom in cell.atoms]
-    sign = np.array([-1.0 if c in (">=", ">") else 1.0 for c in cmps])
-    n = len(cell.space.worlds)
-    a = np.array(cell.coefficients, dtype=float).reshape(len(cmps), n) * sign[:, None]
-    b = np.array([float(atom.bound) for atom in cell.atoms]) * sign
-    ineq = np.array([c != "=" for c in cmps], dtype=bool)
-    return a, b, ineq
-
-
-def _extreme_support(cell: Cell, live: list[int]) -> list[int]:
-    """The live worlds left once every atom whose bound is the largest
-    (=, >=, >) or smallest (=, <=, <) value its coefficients take on
-    them keeps only the worlds taking that value, to a fixed point.
-    Exact: every point of the closure has zero mass elsewhere."""
-    changed = True
-    while changed:
-        changed = False
-        for atom, coeffs in zip(cell.atoms, cell.coefficients):
-            values = [coeffs[i] for i in live]
-            if (atom.cmp in ("=", ">=", ">") and atom.bound == max(values)
-                    or atom.cmp in ("=", "<=", "<") and atom.bound == min(values)):
-                keep = [i for i in live if coeffs[i] == atom.bound]
-                if len(keep) < len(live):
-                    live, changed = keep, True
-    return live
 
 
 def _dual(w0: np.ndarray, a: np.ndarray, b: np.ndarray, lam: np.ndarray):
@@ -155,14 +126,14 @@ def _newton(w0: np.ndarray, a: np.ndarray, b: np.ndarray, ineq: np.ndarray,
     return None, NEWTON_STEPS
 
 
-def _project_cell(w0: np.ndarray, cell: Cell, a: np.ndarray, b: np.ndarray,
-                  ineq: np.ndarray, pins) -> tuple[np.ndarray, int]:
+def _project_cell(w0: np.ndarray, cell: Cell, pins) -> tuple[np.ndarray, int]:
     """KL projection of w0 onto the closure of the cell, over w0's
     support, and the Newton steps it took.  Newton runs on the support
     left by the extreme atoms; when it fails or ends near the boundary,
     the worlds with zero mass at every point of the closure (meeting the
     pins) are pinned exactly and Newton runs again without the floor."""
-    live = _extreme_support(cell, np.flatnonzero(w0 > 0.0).tolist())
+    a, b, ineq = cell.float_rows
+    live = cell.extreme_support(np.flatnonzero(w0 > 0.0).tolist())
     w_live, steps = _newton(w0[live], a[:, live], b, ineq, floor=True)
     if w_live is None:
         live = cell.support(live, pins)
@@ -183,11 +154,6 @@ def kl_project(mu: Measure, kb: ConstraintExpr) -> ProjectionResult:
     dropped (status "empty" with diagnostics if every disjunct does).
     A measure already satisfying kb is its own projection.
     """
-    return _project(mu, kb, cells(kb, mu.space))
-
-
-def _project(mu: Measure, kb: ConstraintExpr, kb_cells: Iterable[Cell]) -> ProjectionResult:
-    """`kl_project` over kb's cells on mu's space, built by the caller."""
     if mu.backend != FLOAT:
         raise ValueError("kl_project needs a float-backed prior; convert explicitly")
     if satisfies(mu, kb):
@@ -201,15 +167,14 @@ def _project(mu: Measure, kb: ConstraintExpr, kb_cells: Iterable[Cell]) -> Proje
             for i in range(n) if w0[i] <= 0.0]
     diagnostics: list[DisjunctDiagnostic] = []
     candidates: list[tuple[float, bool, Measure, int]] = []
-    for k, cell in enumerate(kb_cells):
+    for k, cell in enumerate(cells(kb, space)):
         if cell.witness() is None:
             diagnostics.append(DisjunctDiagnostic(k, open_nonempty=False))
             continue
         if pins and cell.witness(pins) is None:
             diagnostics.append(DisjunctDiagnostic(k, open_nonempty=True, infinite=True))
             continue
-        a, b, ineq = _rows(cell)
-        w_star, steps = _project_cell(w0, cell, a, b, ineq, pins)
+        w_star, steps = _project_cell(w0, cell, pins)
         result = Measure.from_floats(space, w_star)
         value = kl_divergence(result, mu)
         ok = satisfies(result, kb)
@@ -243,17 +208,14 @@ def maxent(kb: ConstraintExpr, space: Space | None = None) -> ProjectionResult:
 
 
 def updates(priors: Iterable[Measure], kb: ConstraintExpr) -> Iterator[Measure]:
-    """The attainers of each prior's projection onto kb, prior by prior.
+    """The attainers of each prior's `kl_project` onto kb, prior by prior.
 
-    kb's cells are built once per space, so each cell's witness LP is
-    solved once for the whole prior set.  An unattained projection is a
-    domain error for prior-based procedures.
+    `entail.cells` builds kb's cells once per (kb, space), so each
+    cell's witness LP is solved once for the whole prior set.  An
+    unattained projection is a domain error for prior-based procedures.
     """
-    space = kb_cells = None
     for mu in priors:
-        if mu.space != space:
-            space, kb_cells = mu.space, list(cells(kb, mu.space))
-        res = _project(mu.to_float(), kb, kb_cells)
+        res = kl_project(mu.to_float(), kb)
         if res.status == "not_attained":
             raise DomainError("KB outside procedure domain: projection not attained")
         yield from res.measures

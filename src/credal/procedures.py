@@ -377,7 +377,7 @@ def _product_family_sampled(kb: ConstraintExpr, theta: ConstraintExpr, space: Sp
     factors = _pi_factors(space)
     rng = _random.Random(seed)
     priors = [Measure.point_mass(space, i, backend="float")
-              for i in _point_mass_event(list(cells(kb, space)), space).indices()]
+              for i in _point_mass_event(cells(kb, space), space).indices()]
     priors.append(product_measure([Measure.uniform(f) for f in factors], space))
     for _ in range(max(1, samples // 8)):
         parts = []

@@ -170,6 +170,25 @@ def test_klm_check_entailment_passes():
     assert main(["klm-check", "--procedure", "entailment"]) == 0
 
 
+@pytest.mark.parametrize("field, path", [
+    ({"procedure": {"kind": "prior_based", "prior": {"X": []}}}, "/procedure/prior/X"),
+    ({"procedure": {"kind": "prior_based", "prior": {"X": [5]}}}, "/procedure/prior/X/0"),
+    ({"procedure": {"kind": "prior_based", "prior": "beta"}}, "/procedure/prior"),
+    ({"procedure": "maxent"}, "/procedure"),
+    ({"kb": 5}, "/kb"),
+    ({"queries": "P(a) >= 1/2"}, "/queries"),
+], ids=["empty-prior-list", "prior-row-not-a-list", "unknown-prior", "procedure-not-object",
+        "kb-not-string", "queries-not-list"])
+def test_malformed_field_is_validation_error(tmp_path, capsys, field, path):
+    scenario = {"spaces": [{"name": "X", "vocabulary": ["a", "b"]}], "kb": "P(a) >= 1/2",
+                "queries": ["P(a) >= 1/4"], **field}
+    bad = tmp_path / "s.json"
+    bad.write_text(json.dumps(scenario))
+    assert main(["infer", str(bad)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"error: {path}:") and "\n" not in err
+
+
 @pytest.mark.parametrize("procedure, flag", [
     ({"kind": "entailment"}, "entailment"),
     ({"kind": "maxent"}, "maxent"),

@@ -18,7 +18,7 @@ from credal.entail import satisfiable
 from credal.errors import DomainError
 from credal.measures import Measure, kl_divergence
 from credal.optimize import kl_project, maxent, update_set
-from credal.procedures import InferenceProcedure, infers, select
+from credal.procedures import InferenceProcedure, PriorFunction, infers, select
 from credal.spaces import Event, enumerate_worlds, event_of
 from tests.conftest import grid_kl_argmin
 
@@ -317,6 +317,25 @@ class TestUpdateSet:
         priors = (Measure.uniform(two),)
         with pytest.raises(DomainError):
             update_set(priors, parse_constraint("P(p) < 1/2", two))
+
+    def test_prior_sets_project_through_kl_project(self, monkeypatch):
+        # prior sets reach the module's kl_project, so a wrapper on it
+        # (the bench tracer's) sees every projection they make
+        seen = []
+        project = optimize.kl_project
+        monkeypatch.setattr(optimize, "kl_project",
+                            lambda mu, kb: seen.append(mu) or project(mu, kb))
+        sp = enumerate_worlds(["a", "b"])
+        priors = (Measure.uniform(sp), Measure.from_floats(sp, [0.4, 0.3, 0.2, 0.1]))
+        update_set(priors, parse_constraint("P(a) >= 3/4", sp))
+        assert seen == list(priors)
+        seen.clear()
+        # P(a & b) is no cylinder, so the kb does not factorize and its
+        # priors are projected one by one
+        proc = InferenceProcedure.prior_based(PriorFunction.product_family())
+        kb = parse_constraint("P(a & b) >= 1/2", sp)
+        infers(proc, kb, parse_constraint("P(a) >= 1/2", sp), sp)
+        assert len(seen) > 2
 
 
 def test_kl_project_on_a_kb_without_atoms():

@@ -374,6 +374,26 @@ class TestProductFamilyKlm:
         assert klm_properties_check(proc, kbs, thetas, lle_pairs=lle).all_pass
         assert len(calls) <= 4500
 
+    @pytest.mark.parametrize("proc, built, solved", [
+        (InferenceProcedure.prior_based(PriorFunction.product_family()), 120, 3038),
+        (InferenceProcedure.maxent(), 95, 95),
+    ], ids=["product-family", "maxent"])
+    def test_kb_cells_are_built_once(self, monkeypatch, proc, built, solved):
+        # entail.cells builds each (kb, space)'s cells once and every
+        # decision and projection shares them with their witnesses
+        from credal import entail, simplex
+
+        space = enumerate_worlds(["a", "b"])
+        kbs, thetas, lle = klm_corpus(space)
+        cells, lps = [], []
+        init, solve_lp = entail.Cell.__init__, simplex.solve_lp
+        monkeypatch.setattr(entail.Cell, "__init__",
+                            lambda self, *a: cells.append(1) or init(self, *a))
+        monkeypatch.setattr(simplex, "solve_lp", lambda *a, **k: lps.append(1) or solve_lp(*a, **k))
+        entail.cells.cache_clear()
+        assert klm_properties_check(proc, kbs, thetas, lle_pairs=lle).all_pass
+        assert (len(cells), len(lps)) == (built, solved)
+
     def test_factors_are_decomposed_once(self, monkeypatch):
         from credal import procedures
 

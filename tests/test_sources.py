@@ -57,3 +57,28 @@ def test_eps_parameters_default_to_eps():
                 if arg.arg == "eps" and default is not None:
                     assert isinstance(default, ast.Name) and default.id == "EPS", \
                         (path.name, fn.lineno)
+
+
+def _top_level_calls(name):
+    """(module, top-level definition) of every call to `name`."""
+    return {(path.name, getattr(top, "name", None))
+            for path, tree in _trees() for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == name}
+
+
+def test_cells_are_built_only_by_entail_cells():
+    # a kb's cells are built once per (kb, space), by the memo entail.cells
+    assert _top_level_calls("Cell") == {("entail.py", "cells")}
+
+
+def test_lru_caches_decorate_module_level_functions():
+    # bench/run.py clears the caches it finds on credal's modules before
+    # each round, so a cache anywhere else would start rounds warm
+    for path, tree in _trees():
+        uses = {id(node) for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id == "lru_cache"
+                or isinstance(node, ast.Attribute) and node.attr == "lru_cache"}
+        decorating = {id(node) for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                      for deco in fn.decorator_list for node in ast.walk(deco)}
+        assert uses <= decorating, path.name
