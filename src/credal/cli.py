@@ -12,15 +12,17 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
 from .constraints import TrueExpr, parse_constraint
 from .corpus import klm_corpus
-from .embeddings import Embedding, embedding_from_json, from_surjection, is_faithful
+from .embeddings import (Embedding, from_interpretation, from_surjection, is_faithful,
+                         permutation_embedding, product_embedding)
 from .entail import satisfiable
-from .errors import CredalError, ParseError
+from .errors import CredalError
 from .harness import (
     tuple_cover_gadget,
     bootstrap_check,
@@ -49,119 +51,149 @@ _KINDS = {
 
 @dataclass(frozen=True)
 class Scenario:
-    spaces: tuple[tuple[str, dict], ...]  # (name, entry) in declaration order
-    kb: str = "true"
-    queries: tuple[str, ...] = ()
-    procedure: dict = field(default_factory=lambda: {"kind": "maxent"})
-    embeddings: tuple[dict, ...] = ()
-    main: str | None = None
+    """A scenario file with every name resolved and every object built."""
 
-    # -- wire format -----------------------------------------------------
-    @staticmethod
-    def from_dict(obj: dict) -> "Scenario":
-        if not isinstance(obj.get("spaces"), list) or not obj["spaces"]:
-            raise CredalError("/spaces: at least one space is required")
-        spaces = []
-        for i, sp in enumerate(obj["spaces"]):
-            if "name" not in sp:
-                raise CredalError(f"/spaces/{i}/name: missing")
-            if "vocabulary" not in sp and "factors" not in sp:
-                raise CredalError(f"/spaces/{i}: needs vocabulary or factors")
-            spaces.append((sp["name"], {k: v for k, v in sp.items() if k != "name"}))
-        kb = obj.get("kb", "true")
-        if not isinstance(kb, str):
-            raise CredalError("/kb: a constraint string is required")
-        queries = obj.get("queries", [])
-        if not isinstance(queries, list) or not all(isinstance(q, str) for q in queries):
-            raise CredalError("/queries: a list of constraint strings is required")
-        procedure = obj.get("procedure", {"kind": "maxent"})
-        if not isinstance(procedure, dict):
-            raise CredalError("/procedure: an object is required")
-        return Scenario(
-            spaces=tuple(spaces),
-            kb=kb,
-            queries=tuple(queries),
-            procedure=dict(procedure),
-            embeddings=tuple(obj.get("embeddings", ())),
-            main=obj.get("main"),
-        )
+    space: Space  # `main`, else the first declared space
+    kb: str
+    queries: tuple[str, ...]
+    procedure: InferenceProcedure
+    embeddings: tuple[tuple[str, Embedding], ...]  # (JSON kind, embedding)
 
-    def to_dict(self) -> dict:
-        out = {
-            "spaces": [{"name": n, **spec} for n, spec in self.spaces],
-            "kb": self.kb,
-            "queries": list(self.queries),
-            "procedure": dict(self.procedure),
-            "embeddings": [dict(e) for e in self.embeddings],
-        }
-        if self.main is not None:
-            out["main"] = self.main
-        return out
 
-    # -- resolution -------------------------------------------------------
-    def build_spaces(self) -> dict[str, Space]:
-        built: dict[str, Space] = {}
-        for i, (name, entry) in enumerate(self.spaces):
-            try:
-                if "factors" in entry and entry["factors"]:
-                    parts = [built[f] for f in entry["factors"]]
-                    built[name] = product_space(parts)
-                else:
-                    built[name] = enumerate_worlds(entry["vocabulary"],
-                                                   entry.get("restriction"))
-            except KeyError as exc:
-                raise CredalError(f"/spaces/{i}: unresolved reference {exc}") from None
-            except (CredalError, ValueError) as exc:
-                raise CredalError(f"/spaces/{i}: {exc}") from None
-        return built
+class _At:
+    """A JSON value and its path in the scenario file.  Every shape check
+    of the format is a method here, and every error names its path."""
 
-    def main_space(self, built: dict[str, Space]) -> Space:
-        name = self.main or self.spaces[0][0]
-        if name not in built:
-            raise CredalError(f"/main: unknown space {name!r}")
-        return built[name]
+    def __init__(self, value, path: str = ""):
+        self.value, self.path = value, path
 
-    def build_procedure(self, built: dict[str, Space]) -> InferenceProcedure:
-        kind = self.procedure.get("kind", "maxent")
-        if kind in _KINDS:
-            return _KINDS[kind]()
-        if kind == "prior_based":
-            prior = self.procedure.get("prior", "uniform")
-            if prior == "uniform":
-                return InferenceProcedure.prior_based(PriorFunction.uniform())
-            if prior == "product_family":
-                return InferenceProcedure.prior_based(PriorFunction.product_family())
-            if not isinstance(prior, dict):
-                raise CredalError(f"/procedure/prior: unknown prior {prior!r}")
-            assignment = {}
-            for name, rows in prior.items():
-                if name not in built:
-                    raise CredalError(f"/procedure/prior/{name}: unknown space")
-                if not isinstance(rows, list) or not rows:
-                    raise CredalError(f"/procedure/prior/{name}: a nonempty list is required")
-                assignment[built[name]] = []
-                for k, row in enumerate(rows):
-                    try:  # a weight is the decimal as written: 0.1 is 1/10
-                        mu = Measure.rational(built[name], [Fraction(str(w)) for w in row])
-                    except (TypeError, ValueError, ZeroDivisionError) as exc:
-                        raise CredalError(f"/procedure/prior/{name}/{k}: {exc}") from None
-                    assignment[built[name]].append(mu.to_float())
-            return InferenceProcedure.prior_based(PriorFunction.of(assignment))
-        raise CredalError(f"/procedure/kind: unknown kind {kind!r}")
+    def error(self, message: str) -> CredalError:
+        return CredalError(f"{self.path or '/'}: {message}")
 
-    def build_embeddings(self, built: dict[str, Space]) -> list[Embedding]:
-        out = []
-        for i, entry in enumerate(self.embeddings):
-            try:
-                out.append(embedding_from_json(entry, built))
-            except (KeyError, ValueError, CredalError) as exc:
-                raise CredalError(f"/embeddings/{i}: {exc}") from None
-        return out
+    def require(self, kind, what: str):
+        if isinstance(self.value, bool) or not isinstance(self.value, kind):
+            raise self.error(f"{what} is required")
+        return self.value
+
+    def string(self) -> str:
+        return self.require(str, "a string")
+
+    def integer(self) -> int:
+        return self.require(int, "an integer")
+
+    def items(self, nonempty: bool = False) -> list["_At"]:
+        if not self.require(list, "a list") and nonempty:
+            raise self.error("a nonempty list is required")
+        return [_At(v, f"{self.path}/{i}") for i, v in enumerate(self.value)]
+
+    def entries(self) -> list[tuple["_At", "_At"]]:
+        """(key, value) pairs of an object; both carry the entry's path."""
+        return [(_At(k, f"{self.path}/{k}"), _At(v, f"{self.path}/{k}"))
+                for k, v in self.require(dict, "an object").items()]
+
+    def get(self, key: str, *default) -> "_At":
+        """The field `key`; a field without a default must be present."""
+        obj = self.require(dict, "an object")
+        if key not in obj and not default:
+            raise _At(None, f"{self.path}/{key}").error("missing")
+        return _At(obj.get(key, *default), f"{self.path}/{key}")
+
+    def lookup(self, table, what: str):
+        if self.string() not in table:
+            raise self.error(f"unknown {what} {self.value!r}")
+        return table[self.value]
+
+    @contextmanager
+    def blame(self):
+        """Re-raise a builder's error at this path."""
+        try:
+            yield
+        except (CredalError, ValueError, KeyError, ZeroDivisionError) as exc:
+            raise self.error(exc.args[0] if isinstance(exc, KeyError) else str(exc)) from None
+
+
+_PRIORS = {"uniform": PriorFunction.uniform, "product_family": PriorFunction.product_family}
+
+
+def _read_procedure(node: _At, spaces: dict[str, Space]) -> InferenceProcedure:
+    kind = node.get("kind", "maxent")
+    if kind.value != "prior_based":
+        return kind.lookup(_KINDS, "kind")()
+    prior = node.get("prior", "uniform")
+    if isinstance(prior.value, str):
+        return InferenceProcedure.prior_based(prior.lookup(_PRIORS, "prior")())
+    assignment = {}
+    for name, rows in prior.entries():
+        space = name.lookup(spaces, "space")
+        assignment[space] = []
+        for row in rows.items(nonempty=True):
+            weights = [w.require((int, float, str), "a number or a rational string")
+                       for w in row.items()]
+            with row.blame():  # a weight is the decimal as written: 0.1 is 1/10
+                mu = Measure.rational(space, [Fraction(str(w)) for w in weights])
+            assignment[space].append(mu.to_float())
+    return InferenceProcedure.prior_based(PriorFunction.of(assignment))
+
+
+def _read_embedding(node: _At, spaces: dict[str, Space]) -> Embedding:
+    kind = node.get("kind").string()
+    if kind == "product":
+        parts = [_read_embedding(p, spaces) for p in node.get("parts").items(nonempty=True)]
+        with node.blame():
+            return product_embedding(parts)
+    if kind == "permutation":
+        space = node.get("space").lookup(spaces, "space")
+        pi = [i.integer() for i in node.get("pi").items()]
+        with node.blame():
+            return permutation_embedding(space, pi)
+    if kind not in ("surjection", "interpretation"):
+        raise node.get("kind").error(f"unknown embedding kind {kind!r}")
+    src, dst = (node.get(end).lookup(spaces, "space") for end in ("src", "dst"))
+    if kind == "interpretation":
+        mapping = {k.value: v.string() for k, v in node.get("map").entries()}
+        with node.blame():
+            return from_interpretation(mapping, src, dst)
+    world_map = {k.value: v.integer() for k, v in node.get("map").entries()}
+    targets = [str(j) for j in range(len(dst.worlds))]
+    if set(world_map) != set(targets):
+        raise node.error(f"map keys must be the target world indices 0..{len(targets) - 1}")
+    with node.blame():
+        return from_surjection(src, dst, [world_map[j] for j in targets])
+
+
+def read_scenario(doc) -> Scenario:
+    """Resolve a parsed scenario file in one pass; a malformed field
+    raises `CredalError` naming its JSON path."""
+    root = _At(doc)
+    spaces: dict[str, Space] = {}
+    for entry in root.get("spaces").items(nonempty=True):
+        name = entry.get("name")
+        if name.string() in spaces:
+            raise name.error(f"duplicate space name {name.value!r}")
+        if "factors" in entry.value:
+            parts = [f.lookup(spaces, "space") for f in entry.get("factors").items()]
+            with entry.blame():
+                spaces[name.value] = product_space(parts)
+            continue
+        if "vocabulary" not in entry.value:
+            raise entry.error("needs vocabulary or factors")
+        vocabulary = [s.string() for s in entry.get("vocabulary").items()]
+        restriction = entry.get("restriction", "true").string()
+        with entry.blame():
+            spaces[name.value] = enumerate_worlds(vocabulary, restriction)
+    return Scenario(
+        space=root.get("main", next(iter(spaces))).lookup(spaces, "space"),
+        kb=root.get("kb", "true").string(),
+        queries=tuple(q.string() for q in root.get("queries", []).items()),
+        procedure=_read_procedure(root.get("procedure", {}), spaces),
+        embeddings=tuple((e.get("kind").value, _read_embedding(e, spaces))
+                         for e in root.get("embeddings", []).items()),
+    )
 
 
 def load_scenario(path: str) -> Scenario:
     with open(path, encoding="utf-8") as fh:
-        return Scenario.from_dict(json.load(fh))
+        return read_scenario(json.load(fh))
 
 
 # -- output ----------------------------------------------------------------
@@ -206,9 +238,7 @@ def _as_lines(payload, prefix=""):
 
 def cmd_infer(args) -> int:
     scenario = load_scenario(args.scenario)
-    built = scenario.build_spaces()
-    space = scenario.main_space(built)
-    proc = scenario.build_procedure(built)
+    space, proc = scenario.space, scenario.procedure
     kb = parse_constraint(scenario.kb, space)
     payload: dict = {"procedure": proc.name, "queries": []}
     if not satisfiable(kb, space).feasible:
@@ -227,15 +257,13 @@ def cmd_infer(args) -> int:
 
 
 def cmd_check_embedding(args) -> int:
-    scenario = load_scenario(args.scenario)
-    built = scenario.build_spaces()
     payload = {"embeddings": []}
     all_faithful = True
-    for entry, emb in zip(scenario.embeddings, scenario.build_embeddings(built)):
+    for kind, emb in load_scenario(args.scenario).embeddings:
         faithful = is_faithful(emb)
         all_faithful &= faithful
         payload["embeddings"].append({
-            "kind": entry.get("kind"),
+            "kind": kind,
             "faithful": faithful,
             "source_worlds": len(emb.source.worlds),
             "target_worlds": len(emb.target.worlds),
@@ -246,12 +274,10 @@ def cmd_check_embedding(args) -> int:
 
 def cmd_check_invariance(args) -> int:
     scenario = load_scenario(args.scenario)
-    built = scenario.build_spaces()
-    proc = scenario.build_procedure(built)
-    embeddings = scenario.build_embeddings(built)
+    proc = scenario.procedure
     payload = {"procedure": proc.name, "checks": []}
     violations = 0
-    for k, emb in enumerate(embeddings):
+    for k, (_, emb) in enumerate(scenario.embeddings):
         kb = parse_constraint(scenario.kb, emb.source)
         for q in scenario.queries:
             theta = parse_constraint(q, emb.source)
@@ -425,9 +451,8 @@ def _golden_matches(actual, golden, tol: float = 1e-6) -> bool:
 def cmd_reproduce(args) -> int:
     name = args.name
     if name not in REPRODUCTIONS:
-        print(f"unknown reproduction {name!r}; available: {', '.join(sorted(REPRODUCTIONS))}",
-              file=sys.stderr)
-        return 2
+        raise CredalError(f"unknown reproduction {name!r}; "
+                          f"available: {', '.join(sorted(REPRODUCTIONS))}")
     result = REPRODUCTIONS[name]()
     payload = {"name": name, "results": result}
     try:
@@ -494,7 +519,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, CredalError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (CredalError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

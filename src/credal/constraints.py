@@ -131,19 +131,6 @@ def and_(*items: ConstraintExpr) -> ConstraintExpr:
     return flat[0] if len(flat) == 1 else And(tuple(flat))
 
 
-def or_(*items: ConstraintExpr) -> ConstraintExpr:
-    flat: list[ConstraintExpr] = []
-    for it in items:
-        if isinstance(it, FalseExpr):
-            continue
-        if isinstance(it, TrueExpr):
-            return TRUE
-        flat.extend(it.items if isinstance(it, Or) else (it,))
-    if not flat:
-        return FALSE
-    return flat[0] if len(flat) == 1 else Or(tuple(flat))
-
-
 def not_(item: ConstraintExpr) -> ConstraintExpr:
     return Not(item)
 
@@ -238,9 +225,6 @@ class DnfSystem:
 
     def atoms(self) -> tuple[LinearAtom, ...]:
         return self.equalities + self.nonstrict + self.strict
-
-    def as_constraint(self) -> ConstraintExpr:
-        return and_(*self.atoms())
 
 
 @dataclass(frozen=True)

@@ -85,35 +85,6 @@ def klm_corpus(space: Space | None = None):
     return kbs, thetas, lle_pairs
 
 
-def objective_corpus(space: Space | None = None) -> list[ConstraintExpr]:
-    space = space or default_space()
-    a, b = space.vocabulary.symbols[0], space.vocabulary.symbols[1]
-    return [
-        parse_constraint("true", space),
-        parse_constraint(f"P({a}) = 1", space),
-        parse_constraint(f"P(({a} | {b})) = 1", space),
-        parse_constraint(f"P({a}) = 1 & P({b}) = 1", space),
-        parse_constraint(f"P({a} <=> {b}) = 1", space),
-    ]
-
-
-def invariance_pairs(space: Space | None = None):
-    """(kb, theta) pairs for bootstrap and invariance corpora, including
-    the decisive kb = true."""
-    space = space or default_space()
-    a, b = space.vocabulary.symbols[0], space.vocabulary.symbols[1]
-    pairs = [(TrueExpr(), parse_constraint(f"P({a}) = 1/2", space)),
-             (TrueExpr(), parse_constraint(f"P({a} & {b}) >= 1/8", space))]
-    for kb_text, th_text in (
-        (f"P({a}) >= 1/2", f"P({a}) >= 1/4"),
-        (f"P({a}) = 1/4", f"P({a}) <= 1/2"),
-        (f"P(({a} | {b})) = 1", f"P({a}) <= 1"),
-        (f"P({a}) >= 1/4 & P({b}) <= 3/4", f"P({a}) >= 1/8"),
-    ):
-        pairs.append((parse_constraint(kb_text, space), parse_constraint(th_text, space)))
-    return pairs
-
-
 def factor_kb_templates(space: Space) -> list[ConstraintExpr]:
     """Closed single-cell kbs over one factor (for product-prior corpora)."""
     sym = space.vocabulary.symbols[0]

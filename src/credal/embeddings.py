@@ -77,13 +77,9 @@ def factor_lift(space: Space, factor: Space) -> Embedding:
     return from_surjection(factor, space, component_map(space, factor))
 
 
-def from_surjection(source: Space, target: Space, g: Sequence[int] | Mapping[int, int]) -> Embedding:
+def from_surjection(source: Space, target: Space, g: Sequence[int]) -> Embedding:
     """Embedding backed by a total surjective world map g: target -> source."""
-    if isinstance(g, Mapping):
-        wm = tuple(g[j] for j in range(len(target.worlds)))
-    else:
-        wm = tuple(g)
-    emb = Embedding(source, target, wm, "surjection")
+    emb = Embedding(source, target, tuple(g), "surjection")
     if not emb.is_surjective:
         raise CredalError(
             "world map is not surjective: it would send a nonempty source event "
@@ -177,12 +173,6 @@ def correspondence_gap(emb: Embedding, dx: Sequence[Measure],
     return None
 
 
-def correspond_sets(emb: Embedding, dx: Sequence[Measure], dy: Sequence[Measure]) -> bool:
-    """Set-level correspondence: every measure in dy pushes forward into
-    dx, and every measure in dx is hit by some pushforward."""
-    return correspondence_gap(emb, dx, dy) is None
-
-
 def product_embedding(parts: Sequence[Embedding]) -> Embedding:
     """Componentwise embedding between the products of the parts' spaces."""
     if not parts:
@@ -243,32 +233,3 @@ def random_faithful_embedding(x: Space, y: Space, seed: int) -> Embedding:
         if len(set(g)) == nx:
             return Embedding(x, y, tuple(g), "surjection")
     raise CredalError("failed to sample a surjection")  # pragma: no cover
-
-
-# JSON wire forms -------------------------------------------------------
-
-
-def embedding_to_json(emb: Embedding, src_name: str, dst_name: str) -> dict:
-    return {
-        "kind": "surjection" if emb.kind != "permutation" else "permutation",
-        "src": src_name,
-        "dst": dst_name,
-        "map": {str(j): emb.world_map[j] for j in range(len(emb.world_map))},
-    }
-
-
-def embedding_from_json(obj: dict, spaces: Mapping[str, Space]) -> Embedding:
-    kind = obj.get("kind")
-    if kind == "surjection":
-        src, dst = spaces[obj["src"]], spaces[obj["dst"]]
-        g = {int(k): int(v) for k, v in obj["map"].items()}
-        return from_surjection(src, dst, g)
-    if kind == "interpretation":
-        src, dst = spaces[obj["src"]], spaces[obj["dst"]]
-        return from_interpretation(obj["map"], src, dst)
-    if kind == "product":
-        parts = [embedding_from_json(p, spaces) for p in obj["parts"]]
-        return product_embedding(parts)
-    if kind == "permutation":
-        return permutation_embedding(spaces[obj["space"]], [int(i) for i in obj["pi"]])
-    raise ValueError(f"unknown embedding kind {kind!r}")

@@ -113,7 +113,7 @@ class PriorFunction:
             for sp, ms in self.finite:
                 if sp == space:
                     return ms
-            raise KeyError(f"no prior declared for {space!r}")
+            raise CredalError(f"no prior declared for {space!r}")
         raise CredalError("the product family is not a finite prior list")
 
 

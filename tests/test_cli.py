@@ -1,17 +1,16 @@
+import copy
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from credal.cli import _PROCS, REPRODUCTIONS, Scenario, main
+from credal.cli import _PROCS, REPRODUCTIONS, load_scenario, main, read_scenario
+from credal.embeddings import (from_interpretation, from_surjection, permutation_embedding,
+                               product_embedding)
+from credal.spaces import enumerate_worlds, product_space
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "credal" / "scenarios"
-
-
-def test_scenario_roundtrip_is_identity():
-    raw = json.loads((SCENARIOS / "colorful.json").read_text())
-    scenario = Scenario.from_dict(raw)
-    assert Scenario.from_dict(scenario.to_dict()) == scenario
 
 
 def test_infer_flying_bird_representations(capsys):
@@ -55,6 +54,19 @@ def test_validation_error_exit_2(tmp_path, capsys):
     assert main(["infer", str(path)]) == 2
     err = capsys.readouterr().err
     assert "/spaces/0" in err
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe", b"{"], ids=["directory", "not-utf8",
+                                                                 "not-json"])
+def test_unreadable_scenario_file_is_validation_error(tmp_path, capsys, content):
+    path = tmp_path / "s.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main(["infer", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def _finite_prior_scenario(tmp_path, row):
@@ -122,6 +134,8 @@ def test_reproductions_match_goldens(name, capsys):
 
 def test_reproduce_unknown_name(capsys):
     assert main(["reproduce", "nope"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: unknown reproduction 'nope'")
 
 
 def test_falsify_cli_maxent(capsys):
@@ -177,8 +191,16 @@ def test_klm_check_entailment_passes():
     ({"procedure": "maxent"}, "/procedure"),
     ({"kb": 5}, "/kb"),
     ({"queries": "P(a) >= 1/2"}, "/queries"),
+    ({"spaces": [5]}, "/spaces/0"),
+    ({"spaces": [{"name": "X", "vocabulary": "ab"}]}, "/spaces/0/vocabulary"),
+    ({"embeddings": 5}, "/embeddings"),
+    ({"embeddings": [{"kind": "surjection", "src": "X", "dst": "X",
+                      "map": {"0": 0, "1": 1, "2": 2, "3": True}}]}, "/embeddings/0/map/3"),
+    ({"embeddings": [{"kind": "surjection", "src": "X", "dst": "X",
+                      "map": {"0": 0, "1": 1, "2": 2, "3": 3, "4": 0}}]}, "/embeddings/0"),
 ], ids=["empty-prior-list", "prior-row-not-a-list", "unknown-prior", "procedure-not-object",
-        "kb-not-string", "queries-not-list"])
+        "kb-not-string", "queries-not-list", "space-not-object", "vocabulary-not-list",
+        "embeddings-not-list", "map-value-not-integer", "map-key-beyond-target"])
 def test_malformed_field_is_validation_error(tmp_path, capsys, field, path):
     scenario = {"spaces": [{"name": "X", "vocabulary": ["a", "b"]}], "kb": "P(a) >= 1/2",
                 "queries": ["P(a) >= 1/4"], **field}
@@ -198,9 +220,9 @@ def test_malformed_field_is_validation_error(tmp_path, capsys, field, path):
     ({"kind": "prior_based", "prior": "product_family"}, "product-prior"),
 ])
 def test_scenario_kind_builds_the_flag_procedure(procedure, flag):
-    scenario = Scenario.from_dict({"spaces": [{"name": "X", "vocabulary": ["p"]}],
-                                   "procedure": procedure})
-    assert scenario.build_procedure(scenario.build_spaces()) == _PROCS[flag]()
+    scenario = read_scenario({"spaces": [{"name": "X", "vocabulary": ["p"]}],
+                              "procedure": procedure})
+    assert scenario.procedure == _PROCS[flag]()
 
 
 def test_infer_with_finite_prior_json(tmp_path):
@@ -216,14 +238,128 @@ def test_infer_with_finite_prior_json(tmp_path):
     assert main(["infer", str(path)]) == 0
 
 
-def test_embedding_json_roundtrip():
-    from credal.embeddings import (embedding_from_json, embedding_to_json,
-                                   from_surjection)
-    from credal.spaces import enumerate_worlds
+@pytest.mark.parametrize("prior", [{}, {"Y": [[0.5, 0.5]]}], ids=["empty", "other-space"])
+def test_prior_map_without_the_queried_space_is_validation_error(tmp_path, capsys, prior):
+    scenario = {
+        "spaces": [{"name": "X", "vocabulary": ["a", "b"]}, {"name": "Y", "vocabulary": ["c"]}],
+        "kb": "P(a) >= 1/2",
+        "queries": ["P(a) >= 1/4"],
+        "procedure": {"kind": "prior_based", "prior": prior},
+    }
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["infer", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: no prior declared for ")
 
-    x = enumerate_worlds(["c"])
-    y = enumerate_worlds(["r", "g"])
-    emb = from_surjection(x, y, [0, 1, 1, 1])
-    wire = embedding_to_json(emb, "x", "y")
-    back = embedding_from_json(wire, {"x": x, "y": y})
-    assert back.world_map == emb.world_map
+
+def test_interpretation_product_and_permutation_embeddings(tmp_path, capsys):
+    surjection = {"kind": "surjection", "src": "C", "dst": "F",
+                  "map": {"0": 0, "1": 1, "2": 1, "3": 1}}
+    interpretation = {"kind": "interpretation", "src": "C", "dst": "F",
+                      "map": {"colorful": "red | blue"}}
+    scenario = {
+        "spaces": [{"name": "C", "vocabulary": ["colorful"]},
+                   {"name": "F", "vocabulary": ["red", "blue"]},
+                   {"name": "P", "factors": ["C", "C"]}],
+        "embeddings": [interpretation,
+                       {"kind": "product", "parts": [surjection, interpretation]},
+                       {"kind": "permutation", "space": "P", "pi": [1, 0]}],
+    }
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["check-embedding", str(path), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [e["kind"] for e in payload["embeddings"]] == ["interpretation", "product",
+                                                         "permutation"]
+    assert all(e["faithful"] for e in payload["embeddings"])
+
+    c, f = enumerate_worlds(["colorful"]), enumerate_worlds(["red", "blue"])
+    interp = from_interpretation({"colorful": "red | blue"}, c, f)
+    expected = [interp,
+                product_embedding([from_surjection(c, f, [0, 1, 1, 1]), interp]),
+                permutation_embedding(product_space([c, c]), [1, 0])]
+    built = [emb for _, emb in load_scenario(str(path)).embeddings]
+    assert [e.world_map for e in built] == [e.world_map for e in expected]
+    assert [(e.source, e.target) for e in built] == [(e.source, e.target) for e in expected]
+
+
+# Every single-field mutation of the bundled scenarios: delete the field,
+# or set it to one of these values.
+_VALUES = [None, 5, -1, "x", "", [], {}, [5], {"a": 1}, True, 1e308]
+_DELETE = object()
+
+
+def _field_paths(value, path=()):
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _field_paths(child, path + (key,))
+
+
+def _mutated(doc, path, new):
+    if not path:
+        return new
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if new is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return doc
+
+
+def _mentions(value, name):
+    if isinstance(value, dict):
+        value = list(value.values())
+    return value == name or isinstance(value, list) and any(_mentions(v, name) for v in value)
+
+
+def _names_a_related_field(message, doc, path, mutated):
+    """The error's path is at, above or below the mutated field, or the
+    field it names refers to the space whose declaration was mutated."""
+    named = [k for k in message.split(": ", 1)[0].split("/") if k]
+    n = min(len(named), len(path))
+    if named[:n] == [str(k) for k in path[:n]]:
+        return True
+    if len(path) < 2 or path[0] != "spaces":
+        return False
+    for key in named:
+        mutated = mutated[int(key) if isinstance(mutated, list) else key]
+    return _mentions(mutated, doc["spaces"][path[1]]["name"])
+
+
+def _is_one_clean_error(err, doc, path, mutated):
+    if len(err) != 1 or not err[0].startswith("error: "):
+        return False
+    message = err[0][len("error: "):]
+    if message.startswith("/"):
+        return _names_a_related_field(message, doc, path, mutated)
+    # only kb/query text and a missing finite prior are reported without a path
+    return (re.search(r"\(at position \d+\)$", message) is not None
+            or message.startswith("no prior declared for "))
+
+
+def test_every_single_field_mutation_exits_cleanly(tmp_path, capsys):
+    file = tmp_path / "m.json"
+    runs, failures = 0, []
+    for scenario in sorted(SCENARIOS.glob("*.json")):
+        doc = json.loads(scenario.read_text())
+        for path in list(_field_paths(doc)):
+            for new in ([_DELETE] if path else []) + _VALUES:
+                mutated = _mutated(doc, path, new)
+                file.write_text(json.dumps(mutated))
+                for command in ("infer", "check-embedding", "check-invariance"):
+                    runs += 1
+                    try:
+                        code = main([command, str(file)])
+                    except Exception as exc:  # every raise is a failure
+                        code = repr(exc)
+                    err = capsys.readouterr().err.splitlines()
+                    if code in (0, 1) or code == 2 and _is_one_clean_error(err, doc, path, mutated):
+                        continue
+                    failures.append((scenario.name, path, repr(new), command, code, err))
+    assert runs == 2868
+    assert failures == []

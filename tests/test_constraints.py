@@ -208,9 +208,7 @@ class TestToDnf:
 
 
 def _dnf_as_expr(dnf):
-    from credal.constraints import and_, or_
-
-    return or_(*(sys.as_constraint() for sys in dnf.systems))
+    return Or(tuple(And(sys.atoms()) for sys in dnf.systems))
 
 
 class TestSemanticEquivalences:

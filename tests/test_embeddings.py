@@ -6,7 +6,7 @@ import pytest
 
 from credal.constraints import LinearAtom, parse_constraint, satisfies, translate
 from credal.embeddings import (
-    correspond_sets,
+    correspondence_gap,
     from_interpretation,
     from_surjection,
     identity_embedding,
@@ -163,7 +163,7 @@ class TestCorrespondence:
         nu2 = Measure.from_floats(emb.target, [0.3, 0.7, 0, 0, 0, 0, 0, 0])
         dx = (mu,)
         dy = (nu1, nu2)
-        assert correspond_sets(emb, dx, dy)
+        assert correspondence_gap(emb, dx, dy) is None
 
     def test_extra_noncorresponding_measure_breaks_it(self):
         x = enumerate_worlds(["colorful"])
@@ -172,23 +172,23 @@ class TestCorrespondence:
         d_x = (Measure.from_floats(x, [0.3, 0.7]), Measure.from_floats(x, [0.4, 0.6]))
         quarter = Measure.uniform(y)  # pushforward is (0.25, 0.75): corresponds to neither
         d_y = (Measure.from_floats(y, [0.3, 0.3, 0.2, 0.2]), quarter)
-        assert not correspond_sets(emb, d_x, d_y)
+        assert correspondence_gap(emb, d_x, d_y) is not None
 
     def test_measures_live_on_the_embedding_spaces(self):
         emb = colorful_embedding()
         mu = Measure.from_floats(emb.source, [0.3, 0.7])
         nu = Measure.from_floats(emb.target, [0.3, 0.7, 0, 0, 0, 0, 0, 0])
         with pytest.raises(ValueError):
-            correspond_sets(emb, (mu, Measure.uniform(enumerate_worlds(["u"]))), (nu,))
+            correspondence_gap(emb, (mu, Measure.uniform(enumerate_worlds(["u"]))), (nu,))
         with pytest.raises(ValueError):
-            correspond_sets(emb, (nu,), (nu,))
+            correspondence_gap(emb, (nu,), (nu,))
         with pytest.raises(ValueError):
-            correspond_sets(emb, (mu,), (mu,))
+            correspondence_gap(emb, (mu,), (mu,))
 
     def test_identity_self_correspondence(self, fly_bird_space):
         emb = identity_embedding(fly_bird_space)
         d = (Measure.uniform(fly_bird_space),)
-        assert correspond_sets(emb, d, d)
+        assert correspondence_gap(emb, d, d) is None
 
     def test_formula_transport_for_corresponding_pairs(self):
         emb = colorful_embedding()

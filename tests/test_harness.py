@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from credal.constraints import LinearAtom, TrueExpr, parse_constraint, satisfies
-from credal.corpus import invariance_pairs
 from credal.embeddings import from_surjection, random_faithful_embedding
 from credal.entail import entails, satisfiable
 from credal.harness import (
@@ -280,7 +279,13 @@ class TestBootstrap:
         space = enumerate_worlds(["a", "b"])
         emb = identity_embedding(space)
         priors = [Measure.uniform(space)]
-        rep = bootstrap_check(priors, priors, emb, corpus=invariance_pairs(space))
+        pairs = [(TrueExpr(), parse_constraint(theta, space))
+                 for theta in ("P(a) = 1/2", "P(a & b) >= 1/8")]
+        pairs += [(parse_constraint(kb, space), parse_constraint(theta, space))
+                  for kb, theta in (("P(a) >= 1/2", "P(a) >= 1/4"), ("P(a) = 1/4", "P(a) <= 1/2"),
+                                    ("P((a | b)) = 1", "P(a) <= 1"),
+                                    ("P(a) >= 1/4 & P(b) <= 3/4", "P(a) >= 1/8"))]
+        rep = bootstrap_check(priors, priors, emb, corpus=pairs)
         assert rep.corresponds and not rep.violations
 
     def test_equal_fiber_uniform_invariant(self):

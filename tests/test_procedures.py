@@ -11,7 +11,7 @@ from credal.constraints import (
     parse_constraint,
     satisfies,
 )
-from credal.corpus import klm_corpus, objective_corpus
+from credal.corpus import klm_corpus
 from credal.entail import entails, satisfiable
 from credal.errors import CredalError, DomainError
 from credal.measures import Measure, product_measure
@@ -342,7 +342,9 @@ class TestProcedureAgreement:
         ent = InferenceProcedure.entailment()
         i0 = InferenceProcedure.i0()
         _, thetas, _ = klm_corpus(fly_bird_space)
-        for kb in objective_corpus(fly_bird_space):
+        for text in ("true", "P(fly) = 1", "P((fly | bird)) = 1", "P(fly) = 1 & P(bird) = 1",
+                     "P(fly <=> bird) = 1"):
+            kb = parse_constraint(text, fly_bird_space)
             for theta in thetas:
                 if infers(ent, kb, theta, fly_bird_space).holds:
                     assert infers(i0, kb, theta, fly_bird_space).holds
