@@ -98,6 +98,13 @@ class _At:
             raise _At(None, f"{self.path}/{key}").error("missing")
         return _At(obj.get(key, *default), f"{self.path}/{key}")
 
+    def only(self, *keys: str) -> "_At":
+        """This object, once every key it has is one of `keys`."""
+        for key in self.require(dict, "an object"):
+            if key not in keys:
+                raise _At(None, f"{self.path}/{key}").error("unknown key")
+        return self
+
     def lookup(self, table, what: str):
         if self.string() not in table:
             raise self.error(f"unknown {what} {self.value!r}")
@@ -116,7 +123,7 @@ _PRIORS = {"uniform": PriorFunction.uniform, "product_family": PriorFunction.pro
 
 
 def _read_procedure(node: _At, spaces: dict[str, Space]) -> InferenceProcedure:
-    kind = node.get("kind", "maxent")
+    kind = node.only("kind", "prior").get("kind", "maxent")
     if kind.value != "prior_based":
         return kind.lookup(_KINDS, "kind")()
     prior = node.get("prior", "uniform")
@@ -138,16 +145,19 @@ def _read_procedure(node: _At, spaces: dict[str, Space]) -> InferenceProcedure:
 def _read_embedding(node: _At, spaces: dict[str, Space]) -> Embedding:
     kind = node.get("kind").string()
     if kind == "product":
+        node.only("kind", "parts")
         parts = [_read_embedding(p, spaces) for p in node.get("parts").items(nonempty=True)]
         with node.blame():
             return product_embedding(parts)
     if kind == "permutation":
+        node.only("kind", "space", "pi")
         space = node.get("space").lookup(spaces, "space")
         pi = [i.integer() for i in node.get("pi").items()]
         with node.blame():
             return permutation_embedding(space, pi)
     if kind not in ("surjection", "interpretation"):
         raise node.get("kind").error(f"unknown embedding kind {kind!r}")
+    node.only("kind", "src", "dst", "map")
     src, dst = (node.get(end).lookup(spaces, "space") for end in ("src", "dst"))
     if kind == "interpretation":
         mapping = {k.value: v.string() for k, v in node.get("map").entries()}
@@ -164,19 +174,21 @@ def _read_embedding(node: _At, spaces: dict[str, Space]) -> Embedding:
 def read_scenario(doc) -> Scenario:
     """Resolve a parsed scenario file in one pass; a malformed field
     raises `CredalError` naming its JSON path."""
-    root = _At(doc)
+    root = _At(doc).only("spaces", "main", "kb", "queries", "procedure", "embeddings")
     spaces: dict[str, Space] = {}
     for entry in root.get("spaces").items(nonempty=True):
         name = entry.get("name")
         if name.string() in spaces:
             raise name.error(f"duplicate space name {name.value!r}")
         if "factors" in entry.value:
+            entry.only("name", "factors")
             parts = [f.lookup(spaces, "space") for f in entry.get("factors").items()]
             with entry.blame():
                 spaces[name.value] = product_space(parts)
             continue
         if "vocabulary" not in entry.value:
             raise entry.error("needs vocabulary or factors")
+        entry.only("name", "vocabulary", "restriction")
         vocabulary = [s.string() for s in entry.get("vocabulary").items()]
         restriction = entry.get("restriction", "true").string()
         with entry.blame():

@@ -77,10 +77,11 @@ def _dual(w0: np.ndarray, a: np.ndarray, b: np.ndarray, lam: np.ndarray):
 
 
 def _newton(w0: np.ndarray, a: np.ndarray, b: np.ndarray, ineq: np.ndarray,
-            floor: bool) -> tuple[np.ndarray | None, int]:
-    """(tilt at the dual optimum, Newton steps), or (None, steps) when
-    there is no convergence within NEWTON_STEPS or, with floor set, when
-    a weight at the optimum is below ZERO_FLOOR of its prior weight.
+            floor: bool) -> tuple[np.ndarray | None, int, float]:
+    """(tilt at the dual optimum, Newton steps, worst KKT residual), or
+    (None, steps, residual at the last iterate) when there is no
+    convergence within NEWTON_STEPS or, with floor set, when a weight at
+    the optimum is below ZERO_FLOOR of its prior weight.
 
     Projected Newton (Bertsekas 1982): inequality duals at or near zero
     whose gradient pushes them below it are bound and sent to zero, the
@@ -93,15 +94,16 @@ def _newton(w0: np.ndarray, a: np.ndarray, b: np.ndarray, ineq: np.ndarray,
         aw = a @ w
         grad = b - aw
         kkt = np.abs(np.where(ineq, np.minimum(lam, grad), grad))
-        if kkt.max(initial=0.0) <= RESIDUAL_TOL:
+        residual = float(kkt.max(initial=0.0))
+        if residual <= RESIDUAL_TOL:
             # Only the optimum is tested: on a skewed prior the first
             # iterates can pass far below the floor and come back.
             if floor and np.any(w < ZERO_FLOOR * w0):
-                return None, step
-            return w, step
+                return None, step, residual
+            return w, step, residual
         if step == NEWTON_STEPS:
             break
-        bound = ineq & (lam <= min(kkt.max(), 1e-3)) & (grad > 0.0)
+        bound = ineq & (lam <= min(residual, 1e-3)) & (grad > 0.0)
         free = ~bound
         hess = (a[free] * w) @ a[free].T - np.outer(aw[free], aw[free])
         # Rows that coincide on the support make the Hessian singular:
@@ -121,9 +123,9 @@ def _newton(w0: np.ndarray, a: np.ndarray, b: np.ndarray, ineq: np.ndarray,
                 break
             t *= 0.5
         else:
-            return None, step + 1
+            return None, step + 1, residual
         lam, phi, w = trial, phi_t, w_t
-    return None, NEWTON_STEPS
+    return None, NEWTON_STEPS, residual
 
 
 def _project_cell(w0: np.ndarray, cell: Cell, pins) -> tuple[np.ndarray, int]:
@@ -134,13 +136,15 @@ def _project_cell(w0: np.ndarray, cell: Cell, pins) -> tuple[np.ndarray, int]:
     pins) are pinned exactly and Newton runs again without the floor."""
     a, b, ineq = cell.float_rows
     live = cell.extreme_support(np.flatnonzero(w0 > 0.0).tolist())
-    w_live, steps = _newton(w0[live], a[:, live], b, ineq, floor=True)
+    w_live, steps, _ = _newton(w0[live], a[:, live], b, ineq, floor=True)
     if w_live is None:
         live = cell.support(live, pins)
-        w_live, more = _newton(w0[live], a[:, live], b, ineq, floor=False)
+        w_live, more, residual = _newton(w0[live], a[:, live], b, ineq, floor=False)
         steps += more
         if w_live is None:
-            raise ConvergenceError(f"dual Newton did not converge in {NEWTON_STEPS} steps")
+            raise ConvergenceError(
+                f"dual Newton did not converge: worst KKT residual {residual:.3e} "
+                f"(tolerance {RESIDUAL_TOL:g}) after {more} steps")
     w = np.zeros(len(w0))
     w[live] = w_live
     return w, steps

@@ -1,14 +1,37 @@
-"""Exact two-phase simplex over rationals with Bland's rule.
+"""Exact two-phase simplex with Bland's rule on a fraction-free integer tableau.
 
 Small and dense on purpose: the workbench's decision problems involve a
 handful of constraints over at most a few hundred worlds, and strict
 inequalities plus set-equality questions cannot tolerate floating-point
 rounding.  Bland's pivoting rule rules out cycling.
+
+Rationals come in and go out, but the tableau holds Python integers.
+Each row is scaled once by the lcm of its denominators (after a row with
+a negative right-hand side is negated), and its slack or artificial
+variable is rescaled with it, so that variable keeps coefficient +1 or
+-1 and the starting basis is the identity.  From then on every entry is
+the rational tableau's entry times one common denominator d, the
+determinant (up to sign) of the current basis: a pivot on p replaces
+every other row by (p*a_ij - a_ic*a_rj) // d, which divides exactly
+(Edmonds 1967; Bareiss 1968), and then d becomes p.  d stays positive
+because a pivot is positive, or its row is negated first.  The cost row
+is pivoted the same way, at scale d*M for an objective whose
+denominators have lcm M.
+
+The pivots are exactly those of Bland's rule on the rational tableau.
+Scaling a row by k > 0 does not move its ratio b_i / a_ic; rescaling a
+slack or artificial column by 1/k scales its reduced cost by 1/k; and
+the phase-1 cost K // k_j on artificial j (K the lcm of the k_j) is the
+sum of the original artificials times K.  So every reduced cost keeps
+its sign, every ratio its order, and the lowest-index choices are the
+same; the ratio test compares b_i * a_k with b_k * a_i and still breaks
+ties on the basis index.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 OPTIMAL = "optimal"
@@ -16,7 +39,7 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+_FLIP = {"<=": ">=", ">=": "<=", "=": "="}
 
 
 def solve_lp(
@@ -27,156 +50,143 @@ def solve_lp(
 ) -> tuple[str, list[Fraction] | None, Fraction | None]:
     """Solve min/max objective . x subject to the constraints and x >= 0.
 
-    Each constraint is (coefficients, rel, rhs) with rel in {'<=', '>=', '='}.
-    Returns (status, x, value) with x covering the original variables.
+    Each constraint is (coefficients, rel, rhs) with rel in {'<=', '>=', '='};
+    numbers are Fractions or ints.  Returns (status, x, value) with x
+    covering the original variables, in Fractions.
     """
-    rows: list[list[Fraction]] = []
-    rels: list[str] = []
-    rhs: list[Fraction] = []
+    # Each row as integers: coefficients, then the rhs, scaled by k.
+    rows: list[tuple[list[int], str, int]] = []
     for coeffs, rel, b in constraints:
-        row = [Fraction(c) for c in coeffs] + [_ZERO] * (num_vars - len(coeffs))
-        b = Fraction(b)
-        if b < 0:
+        row = [*coeffs, *[0] * (num_vars - len(coeffs)), b]
+        dens = [c.denominator for c in row]
+        k = lcm(*dens)
+        row = [c.numerator * (k // q) for c, q in zip(row, dens)]
+        if row[-1] < 0:
             row = [-c for c in row]
-            b = -b
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        rows.append(row)
-        rels.append(rel)
-        rhs.append(b)
+            rel = _FLIP[rel]
+        rows.append((row, rel, k))
 
-    m = len(rows)
-    n_slack = sum(1 for r in rels if r in ("<=", ">="))
-    n_art = sum(1 for r in rels if r in (">=", "="))
-    total = num_vars + n_slack + n_art
+    n_slack = sum(rel != "=" for _, rel, _ in rows)
+    n_art = sum(rel != "<=" for _, rel, _ in rows)
     art_start = num_vars + n_slack
 
-    tableau: list[list[Fraction]] = []
+    # Columns: variables, slacks, artificials, then the rhs.
+    tableau: list[list[int]] = []
     basis: list[int] = []
     slack_i = num_vars
     art_i = art_start
-    art_cols: list[int] = []
-    for i in range(m):
-        row = rows[i] + [_ZERO] * (n_slack + n_art) + [rhs[i]]
-        if rels[i] == "<=":
-            row[slack_i] = _ONE
+    art_scales: list[int] = []
+    for row, rel, k in rows:
+        row = row[:-1] + [0] * (n_slack + n_art) + row[-1:]
+        if rel == "<=":
+            row[slack_i] = 1
             basis.append(slack_i)
             slack_i += 1
-        elif rels[i] == ">=":
-            row[slack_i] = -_ONE
-            slack_i += 1
-            row[art_i] = _ONE
-            basis.append(art_i)
-            art_cols.append(art_i)
-            art_i += 1
         else:
-            row[art_i] = _ONE
+            if rel == ">=":
+                row[slack_i] = -1
+                slack_i += 1
+            row[art_i] = 1
             basis.append(art_i)
-            art_cols.append(art_i)
+            art_scales.append(k)
             art_i += 1
         tableau.append(row)
+    d = 1
 
-    # Phase 1: minimize the sum of artificials.
+    # Phase 1: minimize the artificials, weighted K // k so the costs stay integers.
     if n_art:
-        cost = [_ZERO] * (total + 1)
-        for i in range(m):
-            if basis[i] >= art_start:
-                row = tableau[i]
-                for j in range(total + 1):
-                    cost[j] -= row[j]
-        for j in range(art_start, total):
-            cost[j] += _ONE
-        status = _iterate(tableau, cost, basis, total)
-        if status == UNBOUNDED or -cost[total] > 0:
+        big_k = lcm(*art_scales)
+        weights = [big_k // k for k in art_scales]
+        cost = [0] * art_start + weights + [0]
+        for row, b in zip(tableau, basis):
+            if b >= art_start:
+                cost = [c - weights[b - art_start] * a for c, a in zip(cost, row)]
+        tableau.append(cost)
+        status, d = _iterate(tableau, basis, d, len(cost) - 1)
+        cost = tableau.pop()
+        if status == UNBOUNDED or cost[-1] < 0:
             return INFEASIBLE, None, None
-        _evict_artificials(tableau, basis, art_start, total)
+        d = _evict_artificials(tableau, basis, art_start, d)
+        # Artificials never enter again, so phase 2 drops their columns.
+        tableau = [row[:art_start] + row[-1:] for row in tableau]
 
-    # Phase 2 on the real objective (minimize; negate for maximize).
+    # Phase 2 on the real objective at scale d * M (minimize; negate for maximize).
     sign = -1 if maximize else 1
-    costs = [sign * Fraction(c) for c in objective] + [_ZERO] * (total - num_vars)
-    cost = [_ZERO] * (total + 1)
-    for j in range(total):
-        cost[j] = costs[j]
-    for i, b in enumerate(basis):
+    dens = [c.denominator for c in objective]
+    big_m = lcm(*dens)
+    costs = [sign * c.numerator * (big_m // q) for c, q in zip(objective, dens)]
+    costs += [0] * (art_start - num_vars)
+    cost = [d * c for c in costs] + [0]
+    for row, b in zip(tableau, basis):
         cb = costs[b]
-        if cb != 0:
-            row = tableau[i]
-            for j in range(total + 1):
-                cost[j] -= cb * row[j]
-    status = _iterate(tableau, cost, basis, total, forbid=set(art_cols))
+        if cb:
+            cost = [c - cb * a for c, a in zip(cost, row)]
+    tableau.append(cost)
+    status, d = _iterate(tableau, basis, d, art_start)
+    cost = tableau.pop()
     if status == UNBOUNDED:
         return UNBOUNDED, None, None
 
     x = [_ZERO] * num_vars
-    for i, b in enumerate(basis):
+    for row, b in zip(tableau, basis):
         if b < num_vars:
-            x[b] = tableau[i][total]
-    value = sign * -cost[total]
+            x[b] = Fraction(row[-1], d)
+    value = sign * Fraction(-cost[-1], d * big_m)
     return OPTIMAL, x, value
 
 
-def _iterate(tableau, cost, basis, total, forbid=frozenset()):
-    m = len(tableau)
+def _iterate(tableau, basis, d, n_enter):
+    """Bland's rule on columns below n_enter; the cost row is the
+    tableau's last row.  Returns (status, d)."""
+    cost = tableau[-1]
     while True:
-        entering = -1
-        for j in range(total):
-            if j not in forbid and cost[j] < 0:
-                entering = j
-                break
+        entering = next((j for j in range(n_enter) if cost[j] < 0), -1)
         if entering < 0:
-            return OPTIMAL
-        leaving = -1
-        best = None
-        for i in range(m):
-            a = tableau[i][entering]
+            return OPTIMAL, d
+        leaving, best_b, best_a = -1, 1, 0  # best ratio best_b / best_a, +inf at first
+        for i, (row, b) in enumerate(zip(tableau, basis)):
+            a = row[entering]
             if a > 0:
-                ratio = tableau[i][total] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
+                lhs, rhs = row[-1] * best_a, best_b * a
+                if lhs < rhs or (lhs == rhs and b < basis[leaving]):
+                    leaving, best_b, best_a = i, row[-1], a
         if leaving < 0:
-            return UNBOUNDED
-        _pivot(tableau, cost, basis, leaving, entering, total)
+            return UNBOUNDED, d
+        d = _pivot(tableau, basis, leaving, entering, d)
+        cost = tableau[-1]
 
 
-def _pivot(tableau, cost, basis, leaving, entering, total):
+def _pivot(tableau, basis, leaving, entering, d):
+    """Fraction-free pivot on every row of the tableau, and the cost row
+    if it is there; returns the new denominator."""
     row = tableau[leaving]
     p = row[entering]
-    if p != 1:
-        inv = 1 / p
-        for j in range(total + 1):
-            if row[j]:
-                row[j] *= inv
-    for other in tableau:
-        if other is row:
+    if p < 0:
+        row = tableau[leaving] = [-a for a in row]
+        p = -p
+    for i, other in enumerate(tableau):
+        if i == leaving:
             continue
         f = other[entering]
         if f:
-            for j in range(total + 1):
-                if row[j]:
-                    other[j] -= f * row[j]
-    f = cost[entering]
-    if f:
-        for j in range(total + 1):
-            if row[j]:
-                cost[j] -= f * row[j]
+            tableau[i] = [(p * a - f * r) // d for a, r in zip(other, row)]
+        elif p != d:
+            tableau[i] = [a * p // d for a in other]
     basis[leaving] = entering
+    return p
 
 
-def _evict_artificials(tableau, basis, art_start, total):
+def _evict_artificials(tableau, basis, art_start, d):
     """Pivot basic artificials (at value 0) onto real columns; drop rows
-    that turn out to be redundant."""
+    that turn out to be redundant.  Returns d."""
     for i in range(len(tableau) - 1, -1, -1):
         if basis[i] < art_start:
             continue
         row = tableau[i]
-        entering = -1
-        for j in range(art_start):
-            if row[j] != 0:
-                entering = j
-                break
+        entering = next((j for j in range(art_start) if row[j]), -1)
         if entering >= 0:
-            dummy = [_ZERO] * (total + 1)
-            _pivot(tableau, dummy, basis, i, entering, total)
+            d = _pivot(tableau, basis, i, entering, d)
         else:
             del tableau[i]
             del basis[i]
+    return d

@@ -123,3 +123,34 @@ def slsqp_kl_min(prior: Measure, atoms) -> float | None:
                        options={"ftol": 1e-15, "maxiter": 500})
         x = np.clip(out.x, 1e-9, 1.0)
     return float(out.fun) if out.success else None
+
+
+def lp_faults(num_vars, constraints, objective, x, value):
+    """How an OPTIMAL answer fails its LP, in exact rationals: a negative
+    or missing x, a row that does not hold exactly, or value != c.x."""
+    faults = [f"x[{j}] = {v} < 0" for j, v in enumerate(x) if v < 0]
+    if len(x) != num_vars:
+        faults.append(f"{len(x)} values for {num_vars} variables")
+    for i, (coeffs, rel, b) in enumerate(constraints):
+        lhs = sum((Fraction(c) * v for c, v in zip(coeffs, x)), Fraction(0))
+        if not {"<=": lhs <= b, ">=": lhs >= b, "=": lhs == b}[rel]:
+            faults.append(f"row {i}: {lhs} {rel} {b} fails")
+    if value != sum((Fraction(c) * v for c, v in zip(objective, x)), Fraction(0)):
+        faults.append(f"value {value} is not c.x")
+    return faults
+
+
+def highs_lp(num_vars, rows, objective, maximize):
+    """(status, value) from scipy's HiGHS on the LP `solve_lp` takes, in floats."""
+    from scipy.optimize import linprog
+
+    flip = {"<=": 1.0, ">=": -1.0}
+    ub = [([flip[r] * float(c) for c in cs], flip[r] * float(b)) for cs, r, b in rows if r != "="]
+    eq = [([float(c) for c in cs], float(b)) for cs, r, b in rows if r == "="]
+    sign = -1 if maximize else 1
+    res = linprog([sign * float(c) for c in objective],
+                  A_ub=[a for a, _ in ub] or None, b_ub=[b for _, b in ub] or None,
+                  A_eq=[a for a, _ in eq] or None, b_eq=[b for _, b in eq] or None,
+                  bounds=(0, None), method="highs")
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
+    return status, (sign * res.fun if status == "optimal" else None)

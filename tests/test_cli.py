@@ -211,6 +211,22 @@ def test_malformed_field_is_validation_error(tmp_path, capsys, field, path):
     assert err.startswith(f"error: {path}:") and "\n" not in err
 
 
+@pytest.mark.parametrize("field, path", [
+    ({"procedur": {"kind": "i1"}}, "/procedur"),
+    ({"spaces": [{"name": "X", "vocabulary": ["a", "b"], "restrict": "a"}]}, "/spaces/0/restrict"),
+    ({"procedure": {"knd": "i1"}}, "/procedure/knd"),
+    ({"embeddings": [{"kind": "permutation", "space": "X", "pi": [1, 0, 2, 3],
+                      "note": "swap"}]}, "/embeddings/0/note"),
+], ids=["root", "space", "procedure", "embedding"])
+def test_unknown_key_is_validation_error(tmp_path, capsys, field, path):
+    # the format is closed: a typo must not silently fall back to a default
+    scenario = {"spaces": [{"name": "X", "vocabulary": ["a", "b"]}], **field}
+    bad = tmp_path / "s.json"
+    bad.write_text(json.dumps(scenario))
+    assert main(["infer", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: unknown key\n"
+
+
 @pytest.mark.parametrize("procedure, flag", [
     ({"kind": "entailment"}, "entailment"),
     ({"kind": "maxent"}, "maxent"),

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from credal.constraints import (
 )
 from credal.corpus import klm_corpus
 from credal.entail import satisfiable
-from credal.errors import DomainError
+from credal.errors import ConvergenceError, DomainError
 from credal.measures import Measure, kl_divergence
 from credal.optimize import kl_project, maxent, update_set
 from credal.procedures import InferenceProcedure, PriorFunction, infers, select
@@ -29,6 +30,19 @@ def test_newton_residual_is_below_the_tolerance():
     # a converged projection meets its = and <= rows to RESIDUAL_TOL, so
     # it passes `satisfies` at EPS, the test that keeps it
     assert optimize.RESIDUAL_TOL < measures.EPS
+
+
+def test_convergence_error_states_residual_and_steps(monkeypatch):
+    # one Newton step cannot reach RESIDUAL_TOL on this projection, with
+    # or without the zero floor, so the error reports where Newton stopped
+    space = enumerate_worlds(["a", "b"])
+    monkeypatch.setattr(optimize, "NEWTON_STEPS", 1)
+    with pytest.raises(ConvergenceError) as raised:
+        maxent(parse_constraint("P(a) = 1/3 & P(a & b) <= 1/5", space))
+    found = re.search(r"worst KKT residual (\S+) \(tolerance 1e-10\) after (\d+) steps$",
+                      str(raised.value))
+    assert found, str(raised.value)
+    assert float(found[1]) > optimize.RESIDUAL_TOL and int(found[2]) == 1
 
 
 class TestMaxentPaperExamples:

@@ -1,6 +1,16 @@
+import inspect
+import random
+from collections import Counter
 from fractions import Fraction
 
+import pytest
+
+from credal import entail, simplex
+from credal.corpus import klm_corpus
+from credal.procedures import InferenceProcedure, klm_properties_check
 from credal.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from credal.spaces import enumerate_worlds
+from tests.conftest import highs_lp, lp_faults
 
 F = Fraction
 
@@ -57,3 +67,82 @@ def test_exactness_no_rounding():
     assert status == OPTIMAL
     assert value == F(1, 6)
     assert x[0] == F(1, 2)
+
+
+# -- random LPs against the exact checker and HiGHS; pivot mutants -----------
+
+_FLIP = {"<=": ">=", ">=": "<=", "=": "="}
+
+
+def random_lps(seed, count):
+    """Small LPs with <=, >= and = rows, negative right-hand sides, and
+    duplicated rows (as written, doubled, or halved and negated)."""
+    rng = random.Random(seed)
+
+    def rational():
+        return F(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        rows = [([rational() for _ in range(n)], rng.choice(("<=", ">=", "=")), rational())
+                for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.5:
+            rows.append(([F(1)] * n, "<=", F(rng.randint(1, 4))))
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            coeffs, rel, b = rng.choice(rows)
+            k = rng.choice((F(1), F(2), F(-1, 2)))
+            rows.append(([k * c for c in coeffs], rel if k > 0 else _FLIP[rel], k * b))
+        yield n, rows, [rational() for _ in range(n)], rng.random() < 0.5
+
+
+def _disagreements(lps, oracle):
+    found = []
+    for lp in lps:
+        status, x, value = solve_lp(*lp)
+        if status == OPTIMAL and lp_faults(lp[0], lp[1], lp[2], x, value):
+            found.append((lp, "checker"))
+        elif oracle:
+            expected, expected_value = highs_lp(*lp)
+            if status != expected or (value is not None
+                                      and abs(float(value) - expected_value) > 1e-9):
+                found.append((lp, "oracle"))
+    return found
+
+
+def test_random_lps_pass_the_checker_and_match_highs():
+    pytest.importorskip("scipy")
+    lps = list(random_lps(2024, 400))
+    statuses = Counter(solve_lp(*lp)[0] for lp in lps)
+    assert min(statuses[s] for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)) >= 40, statuses
+    assert _disagreements(lps, oracle=True) == []
+
+
+def _mutant(old, new):
+    source = inspect.getsource(simplex._pivot)
+    assert old in source
+    namespace = dict(vars(simplex))
+    exec(source.replace(old, new), namespace)
+    return namespace["_pivot"]
+
+
+@pytest.mark.parametrize("old, new", [("if p < 0:", "if False:"), ("// d", "// 1")],
+                         ids=["no-row-negation", "no-division"])
+def test_checker_catches_pivot_mutants(monkeypatch, old, new):
+    # the checker alone, without the oracle, sees both broken pivots
+    monkeypatch.setattr(simplex, "_pivot", _mutant(old, new))
+    assert _disagreements(random_lps(2024, 400), oracle=False)
+
+
+@pytest.mark.parametrize("name, pivots", [("maxent", 313), ("entailment", 2194)])
+def test_pivot_count_on_klm_corpus(monkeypatch, name, pivots):
+    # Bland's rule over the rationals made exactly these pivots; scaling
+    # rows to integers must not change a single choice
+    space = enumerate_worlds(["a", "b"])
+    kbs, thetas, lle = klm_corpus(space)
+    calls = []
+    pivot = simplex._pivot
+    monkeypatch.setattr(simplex, "_pivot", lambda *a: calls.append(1) or pivot(*a))
+    entail.cells.cache_clear()
+    assert klm_properties_check(getattr(InferenceProcedure, name)(), kbs, thetas,
+                                lle_pairs=lle).all_pass
+    assert len(calls) == pivots
