@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
+from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -164,44 +165,61 @@ class Cell:
                         live, changed = keep, True
         return live
 
-    def vertices(self) -> list[list[Fraction]]:
-        """Vertices of the closure, by exhaustive basis search: the
-        simplex row and the = atoms with every choice of as many
-        nonnegativity and inequality rows as leaves one solution."""
+    @cached_property
+    def _basis_rows(self) -> tuple[list[list[Fraction]], list[list[Fraction]], int]:
+        """The rows of the vertex search: the simplex row with the = atoms,
+        the pool of nonnegativity and inequality rows, and how many pool
+        rows complete a basis."""
         n = len(self.space.worlds)
         atom_rows = [coeffs + [atom.bound] for atom, coeffs in zip(self.atoms, self.coefficients)]
         n_eq = len(self.system.equalities)
         eqs = [[_ONE] * n + [_ONE]] + atom_rows[:n_eq]
         pool = ([[_ONE if j == i else _ZERO for j in range(n)] + [_ZERO] for i in range(n)]
                 + atom_rows[n_eq:])
+        return eqs, pool, n - _eliminate(eqs, n)[1]
 
-        def eliminate(aug: list[list[Fraction]]) -> tuple[list[list[Fraction]], int]:
-            """Gauss-Jordan elimination of the augmented rows: the reduced
-            rows and the rank of their coefficient part."""
-            aug = [list(row) for row in aug]
-            r = 0
-            for c in range(n):
-                pivot = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-                if pivot is None:
-                    continue
-                aug[r], aug[pivot] = aug[pivot], aug[r]
-                aug[r] = [v / aug[r][c] for v in aug[r]]
-                for i in range(len(aug)):
-                    if i != r and aug[i][c] != 0:
-                        f = aug[i][c]
-                        aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-                r += 1
-            return aug, r
+    @property
+    def bases(self) -> int:
+        """How many choices of pool rows `vertices` tries, one Gauss-Jordan
+        elimination each; known before any is tried."""
+        _, pool, need = self._basis_rows
+        return comb(len(pool), need)
 
+    @cached_property
+    def vertices(self) -> tuple[list[Fraction], ...]:
+        """Vertices of the closure, by exhaustive basis search once per
+        cell: the simplex row and the = atoms with every choice of as
+        many nonnegativity and inequality rows as leaves one solution."""
+        n = len(self.space.worlds)
+        eqs, pool, need = self._basis_rows
         vertices: list[list[Fraction]] = []
-        for chosen in combinations(pool, n - eliminate(eqs)[1]):
-            aug, rank = eliminate(eqs + list(chosen))
+        for chosen in combinations(pool, need):
+            aug, rank = _eliminate(eqs + list(chosen), n)
             if rank < n or any(row[n] != 0 for row in aug[n:]):
                 continue  # underdetermined or inconsistent
             x = [row[n] for row in aug[:n]]
             if self.in_closure(x) and x not in vertices:
                 vertices.append(x)
-        return vertices
+        return tuple(vertices)
+
+
+def _eliminate(aug: list[list[Fraction]], n: int) -> tuple[list[list[Fraction]], int]:
+    """Gauss-Jordan elimination of augmented rows over n unknowns: the
+    reduced rows and the rank of their coefficient part."""
+    aug = [list(row) for row in aug]
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        aug[r] = [v / aug[r][c] for v in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
+        r += 1
+    return aug, r
 
 
 @lru_cache(maxsize=256)
@@ -357,23 +375,28 @@ def linear_range(expr: ConstraintExpr, terms: tuple[tuple[Fraction, Event], ...]
     None when the constraint is unsatisfiable.  Computed per DNF cell;
     strict atoms are relaxed, so the bounds are those of the closure.
     """
+    ends = linear_extremes(expr, terms, space)
+    return None if ends is None else (ends[0][1], ends[1][1])
+
+
+def linear_extremes(expr: ConstraintExpr, terms: tuple[tuple[Fraction, Event], ...],
+                    space: Space) -> tuple[tuple[list[Fraction], Fraction], ...] | None:
+    """(world masses, value) at a minimum and at a maximum of a linear
+    functional over the closure of [[expr]], as for `linear_range`."""
     objective = LinearAtom(terms, "=", _ZERO).coefficients(space)
-    lo = hi = None
+    ends = [None, None]
     for cell in cells(expr, space):
         if cell.witness() is None:
             continue
         for maximize in (False, True):
             found = cell.solve(objective, maximize, closed=True)
-            if found is None:
-                continue
-            value = found[1]
-            if maximize:
-                hi = value if hi is None else max(hi, value)
-            else:
-                lo = value if lo is None else min(lo, value)
-    if lo is None or hi is None:
+            best = ends[maximize]
+            if found is not None and (best is None or (found[1] > best[1] if maximize
+                                                       else found[1] < best[1])):
+                ends[maximize] = found
+    if None in ends:
         return None
-    return lo, hi
+    return tuple(ends)
 
 
 def sample_measures(expr: ConstraintExpr, space: Space, n: int, seed: int) -> list[Measure]:
@@ -458,7 +481,7 @@ def conservative_check(kb: ConstraintExpr, psi: ConstraintExpr, xy_space: Space,
         interior = cell.witness()
         if interior is None:
             continue
-        for vertex in cell.vertices():
+        for vertex in cell.vertices:
             if extends(vertex):
                 continue
             if satisfies(Measure.rational(x_space, vertex), kb):

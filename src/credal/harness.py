@@ -249,7 +249,7 @@ def default_independence_gadget():
     diag = event_from_indices(xx, [0, 3])
     kb = And((LinearAtom(((_ONE, s_prime),), ">=", F(1, 3)),
               LinearAtom(((_ONE, s_prime),), "<=", F(2, 3))))
-    query = LinearAtom(((_ONE, diag),), ">", F(1, 3))
+    query = LinearAtom(((_ONE, diag),), ">=", F(1, 3))
     return GadgetSpec(
         kind="default-independence",
         params={"alpha": F(1, 3)},
@@ -697,7 +697,7 @@ def products_invariance_check(seed: int = 0, n_product: int = 200, n_perm: int =
         kb1 = kb_templates_a[rng.randrange(len(kb_templates_a))]
         kb2 = kb_templates_b[rng.randrange(len(kb_templates_b))]
         kb = and_(_lift_factor_kb(f.source, 0, kb1), _lift_factor_kb(f.source, 1, kb2))
-        theta = _random_rectangle_query(f.source, rng)
+        theta = _random_product_query(f.source, rng)
         rep = invariance_check(proc, f, kb, theta, seed=seed, samples=samples)
         if rep.violations:
             product_violations.append(rep)
@@ -712,7 +712,7 @@ def products_invariance_check(seed: int = 0, n_product: int = 200, n_perm: int =
         kb1 = templates[rng.randrange(len(templates))]
         kb2 = templates[rng.randrange(len(templates))]
         kb = and_(_lift_factor_kb(xx, 0, kb1), _lift_factor_kb(xx, 1, kb2))
-        theta = _random_rectangle_query(xx, rng)
+        theta = _random_product_query(xx, rng)
         rep = invariance_check(proc, emb, kb, theta, seed=seed, samples=samples)
         if rep.violations:
             perm_violations.append(rep)
@@ -729,16 +729,23 @@ def _lift_factor_kb(space: Space, k: int, kb: ConstraintExpr) -> ConstraintExpr:
     return translate(factor_lift(space, factor), retargeted)
 
 
-def _random_rectangle_query(space: Space, rng: _random.Random) -> ConstraintExpr:
-    """A query the exact product-prior path can decide: a rectangle atom
-    or the structural independence atom over the two factors."""
+def _random_product_query(space: Space, rng: _random.Random) -> ConstraintExpr:
+    """A query over the two factors: the structural independence atom, a
+    rectangle atom, or a two-term atom Pr(E1) - b Pr(E2) cmp 0 over
+    arbitrary events.  The exact product-prior path decides the first
+    two whenever the factor kbs are closed; the third only while their
+    vertex tuples are within its budget, and it is sampled otherwise."""
     f0, f1 = space.factors
     e0 = _random_event(f0, rng)
     e1 = _random_event(f1, rng)
     c0 = cylinder(space, 0, e0)
     c1 = cylinder(space, 1, e1)
-    if rng.random() < 0.4:
+    shape = rng.random()
+    if shape < 0.4:
         return ProductAtom(c0 & c1, (c0, c1))
     cmp = rng.choice(("<=", ">=", "=", "<", ">"))
     bound = rng.choice(BOUND_GRID)
-    return LinearAtom(((_ONE, c0 & c1),), cmp, bound)
+    if shape < 0.7:
+        return LinearAtom(((_ONE, c0 & c1),), cmp, bound)
+    terms = ((_ONE, _random_event(space, rng)), (-bound, _random_event(space, rng)))
+    return LinearAtom(terms, cmp, F(0))

@@ -16,10 +16,14 @@ a disjunct's optimum is kept only when it satisfies kb at
 optimum on the boundary of a strict atom, or within EPS of it, leaves
 that supremum unattained.
 Entropy maximization is divergence minimization from the uniform
-measure.  A set of priors is updated by one loop, `updates`, of
-`kl_project` calls; kb's cells come from `entail.cells`, which builds
-them once per (kb, space), so each cell's witness LP serves every
-prior, and which the bench clears before each round.
+measure.  A set of priors is updated by one loop, `updates`, whose
+projections go through the memo `_projection`, so a (prior, kb) pair
+is projected once however many queries ask about it.  `kl_project`
+itself is not memoised: a wrapper on it sees only the projections
+computed, and a caller that projects each pair once pays no hashing.
+kb's cells come from `entail.cells`, which builds them once per (kb,
+space), so each cell's witness LP serves every prior.  The bench
+clears both memos before each round.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -211,15 +216,24 @@ def maxent(kb: ConstraintExpr, space: Space | None = None) -> ProjectionResult:
     return ProjectionResult(result.status, result.measures, flip(result.value), diags)
 
 
-def updates(priors: Iterable[Measure], kb: ConstraintExpr) -> Iterator[Measure]:
-    """The attainers of each prior's `kl_project` onto kb, prior by prior.
+@lru_cache(maxsize=4096)
+def _projection(mu: Measure, kb: ConstraintExpr) -> ProjectionResult:
+    """`kl_project(mu, kb)`, computed once per (prior, kb): every query
+    on a kb asks for the same priors' projections again."""
+    return kl_project(mu, kb)
 
-    `entail.cells` builds kb's cells once per (kb, space), so each
-    cell's witness LP is solved once for the whole prior set.  An
-    unattained projection is a domain error for prior-based procedures.
+
+def updates(priors: Iterable[Measure], kb: ConstraintExpr) -> Iterator[Measure]:
+    """The attainers of each prior's projection onto kb, prior by prior.
+
+    Lazy, so a caller that stops at the first attainer it rejects never
+    meets a later prior's unattained projection.  `entail.cells` builds
+    kb's cells once per (kb, space), so each cell's witness LP is solved
+    once for the whole prior set.  An unattained projection is a domain
+    error for prior-based procedures.
     """
     for mu in priors:
-        res = kl_project(mu.to_float(), kb)
+        res = _projection(mu.to_float(), kb)
         if res.status == "not_attained":
             raise DomainError("KB outside procedure domain: projection not attained")
         yield from res.measures

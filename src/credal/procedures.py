@@ -8,20 +8,27 @@ whose denotation is the set (entailment, I0, I1, and `true` for the
 broken control).  The product-measure family has no enumerable
 selection, and `infers` decides it directly.  Under it a
 factorized kb is decided exactly on structural independence atoms and
-on single-rectangle atoms, which closed factor kbs (no strict atom in
-any DNF cell) decide both ways whatever their cell count; everything
-else is seeded sampling falsification, whose `Verdict.samples` counts
-the measures checked.
+on linear atoms checked at tuples of factor closure points: every tuple
+of the factor kbs' closure vertices while the search and the tuples
+stay within `samples`, and otherwise, for a single-rectangle atom, the
+tuples of factor optima where its probability is least and greatest.
+A pass proves the atom, and a failure refutes it when the factor kbs
+are closed (no strict atom in any DNF cell).  Everything else is
+seeded sampling falsification,
+whose `Verdict.samples` counts the measures checked; a non-factorized
+kb's product priors are drawn once per (space, seed, samples) and
+each is projected once per kb.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random as _random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .constraints import (
     And,
@@ -48,7 +55,7 @@ from .entail import (
     entails,
     equivalent,
     is_interesting,
-    linear_range,
+    linear_extremes,
     objective_normal_form,
     sample_measures,
     satisfiable,
@@ -331,13 +338,19 @@ def product_prior_infer(kbs: Sequence[ConstraintExpr], theta: ConstraintExpr, sp
 
     The updated set is exactly the product measures whose factors satisfy
     their constraints.  Product atoms over disjoint-factor rectangles
-    hold structurally.  A single-rectangle linear atom is decided from
-    the product of the per-factor ranges of its projections: a range
-    inside the atom proves it, and one that leaves it refutes it when
-    the factor kbs are closed (no DNF cell has a strict atom), whatever
-    their cell count, since both ends are then attained.  Anything else
-    falls back to seeded sampling falsification over random product
-    measures, and `Verdict.samples` counts the measures checked.
+    hold structurally.  A linear atom is multilinear in the factor
+    measures, so its extremes over the closure of the set lie at tuples
+    of the factor kbs' closure vertices.  While no factor's vertex search
+    tries more than `samples` bases (`Cell.bases`, known before it runs)
+    and there are at most `samples` tuples, every linear conjunct of
+    theta is checked at each tuple.  Beyond that budget a single-rectangle
+    atom is checked at the two tuples of per-factor LP optima where its
+    probability is least and greatest, which costs two LPs per factor
+    cell.  A pass everywhere proves theta; a failure refutes it when the
+    factor kbs are closed (no DNF cell has a strict atom), with the
+    product measure at that tuple as evidence.  Anything else falls back
+    to seeded sampling falsification over random product measures, and
+    `Verdict.samples` counts the measures checked.
     """
     factors = _pi_factors(space)
     if len(kbs) != len(factors):
@@ -346,7 +359,7 @@ def product_prior_infer(kbs: Sequence[ConstraintExpr], theta: ConstraintExpr, sp
         if not satisfiable(kb_i, f).feasible:
             return Verdict(True)  # empty selection: trivially holds
 
-    exact = _exact_product_verdict(kbs, theta, space, factors)
+    exact = _exact_product_verdict(kbs, theta, space, factors, samples)
     if exact is not None:
         return exact
 
@@ -369,16 +382,25 @@ def _product_family_sampled(kb: ConstraintExpr, theta: ConstraintExpr, space: Sp
     first: each is a point mass, its own projection when it satisfies
     kb and without one otherwise, so they are the satisfying point
     masses in world order.  The uniform and random full-support product
-    priors follow.  An unattained projection puts the kb outside the
-    procedure's domain.
+    priors of `_product_priors` follow.  An unattained projection puts
+    the kb outside the procedure's domain.
     """
     if not satisfiable(kb, space).feasible:
         return Verdict(True)  # empty selection: trivially holds
+    corners = [Measure.point_mass(space, i, backend="float")
+               for i in _point_mass_event(cells(kb, space), space).indices()]
+    priors = itertools.chain(corners, _product_priors(space, seed, samples))
+    return _sampled(updates(priors, kb), theta, eps, seed)
+
+
+@lru_cache(maxsize=256)
+def _product_priors(space: Space, seed: int, samples: int) -> tuple[Measure, ...]:
+    """The uniform product prior, then max(1, samples // 8) seeded random
+    full-support ones: they depend on the space and the seed, not on
+    kb, so one draw serves every kb and query."""
     factors = _pi_factors(space)
     rng = _random.Random(seed)
-    priors = [Measure.point_mass(space, i, backend="float")
-              for i in _point_mass_event(cells(kb, space), space).indices()]
-    priors.append(product_measure([Measure.uniform(f) for f in factors], space))
+    priors = [product_measure([Measure.uniform(f) for f in factors], space)]
     for _ in range(max(1, samples // 8)):
         parts = []
         for f in factors:
@@ -386,34 +408,67 @@ def _product_family_sampled(kb: ConstraintExpr, theta: ConstraintExpr, space: Sp
             total = sum(raw)
             parts.append(Measure.from_floats(f, [w / total for w in raw]))
         priors.append(product_measure(parts, space))
-    return _sampled(updates(priors, kb), theta, eps, seed)
+    return tuple(priors)
 
 
-def _exact_product_verdict(kbs, theta, space, factors) -> Verdict | None:
-    closed = not any(system.strict for kb_i in kbs for system in to_dnf(kb_i).systems)
+def _exact_product_verdict(kbs, theta, space, factors, samples) -> Verdict | None:
+    """theta's exact verdict over the product measures of the factor
+    kbs, or None when it needs sampling (see `product_prior_infer`)."""
+    linear, undecided = [], False
     for conj in theta.items if isinstance(theta, And) else (theta,):
-        if isinstance(conj, TrueExpr):
-            continue
         if isinstance(conj, FalseExpr):
             return Verdict(False)
-        if isinstance(conj, ProductAtom):
-            if not _structural_product_atom(conj, space):
-                return None
+        if isinstance(conj, LinearAtom):
+            linear.append((conj, conj.coefficients(space)))
+        elif not (isinstance(conj, TrueExpr) or isinstance(conj, ProductAtom)
+                  and _structural_product_atom(conj, space)):
+            undecided = True
+    if not linear:
+        return None if undecided else Verdict(True)
+    corners = _vertex_tuples(kbs, factors, samples)
+    if corners is not None:
+        checks = ((corner, linear) for corner in corners)
+    else:
+        checks = []
+        for atom, coeffs in linear:
+            rect = _rectangle(atom.terms[0][1], space) if len(atom.terms) == 1 else None
+            if rect is None:
+                undecided = True
+            else:
+                # each factor's Pr(u) is nonnegative, so the rectangle's
+                # probability is least and greatest where every factor's is
+                ends = [linear_extremes(kb_i, ((_ONE, u),), f)
+                        for kb_i, f, u in zip(kbs, factors, rect)]
+                checks += [(tuple(end[k][0] for end in ends), [(atom, coeffs)]) for k in (0, 1)]
+    comps = [component_map(space, f) for f in factors]
+    for corner, atoms in checks:
+        weights = [math.prod(v[comp[x]] for v, comp in zip(corner, comps))
+                   for x in range(len(space.worlds))]
+        if all(compare(sum(c * w for c, w in zip(coeffs, weights)), atom.cmp, atom.bound,
+                       True, 0.0) for atom, coeffs in atoms):
             continue
-        if not (isinstance(conj, LinearAtom) and len(conj.terms) == 1):
+        if any(system.strict for kb_i in kbs for system in to_dnf(kb_i).systems):
+            return None  # the corner may lie outside the selection
+        return Verdict(False, (Measure.rational(space, weights),))
+    return None if undecided else Verdict(True)
+
+
+def _vertex_tuples(kbs, factors, samples) -> Iterator[tuple[list[Fraction], ...]] | None:
+    """Every tuple of the factor kbs' closure vertices, or None when a
+    factor's vertex search would try more than `samples` bases or the
+    tuples would number more than `samples`."""
+    vertices: list[list[list[Fraction]]] = []
+    for kb_i, f in zip(kbs, factors):
+        live = [cell for cell in cells(kb_i, f) if cell.witness() is not None]
+        if sum(cell.bases for cell in live) > samples:
             return None
-        coeff, ev = conj.terms[0]
-        rect = _rectangle(ev, space)
-        if rect is None:
+        found: list[list[Fraction]] = []
+        for cell in live:
+            found += [v for v in cell.vertices if v not in found]
+        vertices.append(found)
+        if math.prod(len(v) for v in vertices) > samples:
             return None
-        lo = hi = _ONE
-        for kb_i, f, u in zip(kbs, factors, rect):
-            lo_i, hi_i = linear_range(kb_i, ((_ONE, u),), f)
-            lo, hi = lo * lo_i, hi * hi_i
-        # the atom holds on [lo, hi] iff it holds at both ends
-        if not all(compare(coeff * v, conj.cmp, conj.bound, True, 0.0) for v in (lo, hi)):
-            return Verdict(False) if closed else None
-    return Verdict(True)
+    return itertools.product(*vertices)
 
 
 def _structural_product_atom(atom: ProductAtom, space: Space) -> bool:

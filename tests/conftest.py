@@ -7,6 +7,7 @@ so they stay independent of the solver paths they check.
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,17 @@ def grid_kl_argmin(mu: Measure, predicate, denom: int) -> Measure | None:
         if best_d is None or d < best_d:
             best, best_d = cand, d
     return best
+
+
+@pytest.fixture
+def cold_caches():
+    """Clear every lru cache on a credal module, so a counter test counts
+    the same work whichever tests ran before it."""
+    for name, module in list(sys.modules.items()):
+        if name == "credal" or name.startswith("credal."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ from credal.corpus import klm_corpus
 from credal.entail import satisfiable
 from credal.errors import ConvergenceError, DomainError
 from credal.measures import Measure, kl_divergence
-from credal.optimize import kl_project, maxent, update_set
+from credal.optimize import kl_project, maxent, update_set, updates
 from credal.procedures import InferenceProcedure, PriorFunction, infers, select
 from credal.spaces import Event, enumerate_worlds, event_of
 from tests.conftest import grid_kl_argmin
@@ -332,9 +332,9 @@ class TestUpdateSet:
         with pytest.raises(DomainError):
             update_set(priors, parse_constraint("P(p) < 1/2", two))
 
-    def test_prior_sets_project_through_kl_project(self, monkeypatch):
+    def test_prior_sets_project_through_kl_project(self, monkeypatch, cold_caches):
         # prior sets reach the module's kl_project, so a wrapper on it
-        # (the bench tracer's) sees every projection they make
+        # (the bench tracer's) sees every projection they compute
         seen = []
         project = optimize.kl_project
         monkeypatch.setattr(optimize, "kl_project",
@@ -350,6 +350,23 @@ class TestUpdateSet:
         kb = parse_constraint("P(a & b) >= 1/2", sp)
         infers(proc, kb, parse_constraint("P(a) >= 1/2", sp), sp)
         assert len(seen) > 2
+
+    def test_each_pair_is_projected_once_and_lazily(self, monkeypatch, cold_caches):
+        seen = []
+        project = optimize.kl_project
+        monkeypatch.setattr(optimize, "kl_project",
+                            lambda mu, kb: seen.append(mu) or project(mu, kb))
+        two = enumerate_worlds(["p"])
+        kb = parse_constraint("P(p) < 1/2", two)
+        inside = Measure.from_floats(two, [0.8, 0.2])  # its own projection
+        uniform = Measure.uniform(two)  # its projection is not attained
+        # a caller that stops at the first attainer never meets the second
+        assert next(updates((inside, uniform), kb)) == inside
+        assert seen == [inside]
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                update_set((inside, uniform), kb)
+        assert seen == [inside, uniform]
 
 
 def test_kl_project_on_a_kb_without_atoms():

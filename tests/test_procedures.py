@@ -1,17 +1,24 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from credal.constraints import (
+    And,
     FalseExpr,
     LinearAtom,
+    Not,
+    Or,
     ProductAtom,
     TrueExpr,
+    and_,
     parse_constraint,
     satisfies,
 )
-from credal.corpus import klm_corpus
+from credal.corpus import factor_kb_templates, klm_corpus
 from credal.entail import entails, satisfiable
 from credal.errors import CredalError, DomainError
 from credal.measures import Measure, product_measure
@@ -26,7 +33,16 @@ from credal.procedures import (
     product_prior_infer,
     select,
 )
-from credal.spaces import enumerate_worlds, event_from_indices, event_of, product_space
+from credal.spaces import (
+    Space,
+    component_map,
+    enumerate_worlds,
+    event_from_indices,
+    event_of,
+    product_decomposition,
+    product_space,
+)
+from tests.conftest import simplex_grid
 
 F = Fraction
 
@@ -271,21 +287,109 @@ class TestProductPriorInfer:
             parse_constraint("P(s1 & s2) = 1/5", x), x)
         assert not v.holds and v.mode == "exact"
 
-    def test_sampled_fallback_on_nonrectangle(self):
+    def test_nonrectangle_holds_exactly_at_every_vertex_tuple(self):
+        # P(s1 <=> s2) = 1/2 whatever P(s2) is when P(s1) = 1/2
         a, b, x = self._spaces()
         theta = parse_constraint("P((s1 <=> s2)) >= 1/100", x)
         v = product_prior_infer(
             [parse_constraint("P(s1) = 1/2", a), TrueExpr()], theta, x, seed=5)
-        assert v.mode == "sampled"
+        assert v.holds and v.mode == "exact"
+
+    def test_nonrectangle_refuted_exactly_at_a_vertex_tuple(self):
+        # P(s1) = 3/5 and P(s2) = 0 give P(s1 <=> s2) = 2/5
+        a, b, x = self._spaces()
+        kb_a = parse_constraint("P(s1) = 3/5", a)
+        theta = parse_constraint("P((s1 <=> s2)) >= 1/2", x)
+        v = product_prior_infer([kb_a, TrueExpr()], theta, x, seed=5)
+        assert not v.holds and v.mode == "exact"
+        (mu,) = v.evidence
+        assert mu.backend == "rational" and mu.prob(event_of(x, "s1")) == F(3, 5)
+        assert mu == product_measure([mu.marginal(a), mu.marginal(b)], x)
+        assert satisfies(mu.marginal(a), kb_a) and not satisfies(mu, theta)
+
+    def test_sampled_fallback_on_nonrectangle(self):
+        # theta fails at the closure vertex P(s1) = 1, P(s2) = 0 of
+        # P(s1) > 1/2; with a strict atom a failing vertex may lie outside
+        # the selection, so the vertex rule refutes nothing and sampling
+        # decides
+        a, b, x = self._spaces()
+        theta = parse_constraint("P((s1 <=> s2)) >= 1/100", x)
+        v = product_prior_infer(
+            [parse_constraint("P(s1) > 1/2", a), TrueExpr()], theta, x, seed=5)
+        assert v.mode == "sampled" and v.samples >= 1
 
     def test_sampled_refutation_counts_the_measures_checked(self):
         a, b, x = self._spaces()
         theta = parse_constraint("P((s1 <=> s2)) >= 1/2", x)  # fails when P(s2) < 1/2
         v = product_prior_infer(
-            [parse_constraint("P(s1) = 3/5", a), TrueExpr()], theta, x, seed=5)
+            [parse_constraint("P(s1) > 1/2", a), TrueExpr()], theta, x, seed=5)
         assert not v.holds and v.mode == "sampled"
         assert 1 <= v.samples < 400
         assert not satisfies(v.evidence[0], theta)
+
+    def test_strict_kb_passing_every_vertex_holds_exactly(self):
+        # the closure's vertices bound the atom on the closure, so a pass
+        # proves it on the open set too
+        a, b, x = self._spaces()
+        theta = parse_constraint("P(s1 & s2) <= 1/2", x)
+        v = product_prior_infer(
+            [parse_constraint("P(s1) < 1/2", a), TrueExpr()], theta, x, seed=5)
+        assert v.holds and v.mode == "exact"
+
+    def test_too_many_vertex_tuples_are_sampled(self):
+        # TrueExpr on both factors has 2 x 2 vertex tuples
+        a, b, x = self._spaces()
+        theta = parse_constraint("P((s1 <=> s2)) >= 0", x)
+        v = product_prior_infer([TrueExpr(), TrueExpr()], theta, x, samples=3)
+        assert v.holds and v.mode == "sampled" and v.samples == 3
+        v = product_prior_infer([TrueExpr(), TrueExpr()], theta, x, samples=4)
+        assert v.holds and v.mode == "exact"
+
+    @pytest.mark.parametrize("theta_text, holds", [
+        ("P(a & b) >= 1/8", False),  # P(b) = 0 is allowed
+        ("P(a & b & c & d & e & f & g & h) <= 99/100", False),  # all mass on one world
+        ("P(a & b) <= 1/2", False),
+        ("P(a) >= 1/4", True),
+    ])
+    def test_rectangle_atoms_stay_exact_beyond_the_tuple_budget(self, theta_text, holds):
+        # eight binary factors with two closure vertices each make 256
+        # vertex tuples, more than infers' default 200 samples; a
+        # single-rectangle atom is still decided at its extreme tuples
+        sp = enumerate_worlds(list("abcdefgh"))
+        kb = parse_constraint("P(a) >= 1/2", sp)
+        theta = parse_constraint(theta_text, sp)
+        proc = InferenceProcedure.prior_based(PriorFunction.product_family())
+        v = infers(proc, kb, theta, sp)
+        assert v.holds == holds and v.mode == "exact"
+        for mu in v.evidence:
+            assert mu.backend == "rational"
+            assert satisfies(mu, kb) and not satisfies(mu, theta)
+
+    def test_a_large_factor_skips_the_vertex_search(self, monkeypatch, cold_caches):
+        # one 11-world factor with four inequality atoms: the vertex search
+        # would try C(15, 10) = 3003 bases, more than the 200 samples, so
+        # the rectangle atom is decided by its two extreme LPs instead,
+        # with a product measure in the selection as evidence
+        from credal import entail, simplex
+        from credal.harness import _plain_space
+
+        sp = _plain_space("u", 11)
+        kb = and_(*(LinearAtom(((F(1), event_from_indices(sp, range(k, k + 3))),), ">=", F(1, 8))
+                    for k in range(4)))
+        theta = LinearAtom(((F(1), event_from_indices(sp, [0, 5])),), "<=", F(1, 2))
+        (cell,) = entail.cells(kb, sp)
+        assert cell.bases == math.comb(15, 10)
+        lps, eliminations = [], []
+        solve_lp, eliminate = simplex.solve_lp, entail._eliminate
+        monkeypatch.setattr(simplex, "solve_lp", lambda *a, **k: lps.append(1) or solve_lp(*a, **k))
+        monkeypatch.setattr(entail, "_eliminate",
+                            lambda *a: eliminations.append(1) or eliminate(*a))
+        proc = InferenceProcedure.prior_based(PriorFunction.product_family())
+        v = infers(proc, kb, theta, sp)
+        assert not v.holds and v.mode == "exact"
+        assert satisfies(v.evidence[0], kb) and not satisfies(v.evidence[0], theta)
+        # no vertex search runs; one witness LP and the two extremes
+        assert (len(eliminations), len(lps)) == (0, 3)
 
     def test_closed_multi_cell_kbs_decide_exactly(self):
         # both ends of each factor's range are attained, so a violated
@@ -362,7 +466,7 @@ class TestProductFamilyKlm:
         rep = klm_properties_check(proc, kbs, thetas, lle_pairs=lle)
         assert rep.all_pass, rep.by_property()
 
-    def test_prior_sets_build_kb_cells_once(self, monkeypatch):
+    def test_prior_sets_build_kb_cells_once(self, monkeypatch, cold_caches):
         # each kb's cells are built once per prior set, so their witness
         # LPs serve every prior, and point masses solve no LP at all
         from credal import simplex
@@ -377,10 +481,10 @@ class TestProductFamilyKlm:
         assert len(calls) <= 4500
 
     @pytest.mark.parametrize("proc, built, solved", [
-        (InferenceProcedure.prior_based(PriorFunction.product_family()), 120, 3038),
+        (InferenceProcedure.prior_based(PriorFunction.product_family()), 120, 120),
         (InferenceProcedure.maxent(), 95, 95),
     ], ids=["product-family", "maxent"])
-    def test_kb_cells_are_built_once(self, monkeypatch, proc, built, solved):
+    def test_kb_cells_are_built_once(self, monkeypatch, cold_caches, proc, built, solved):
         # entail.cells builds each (kb, space)'s cells once and every
         # decision and projection shares them with their witnesses
         from credal import entail, simplex
@@ -392,11 +496,31 @@ class TestProductFamilyKlm:
         monkeypatch.setattr(entail.Cell, "__init__",
                             lambda self, *a: cells.append(1) or init(self, *a))
         monkeypatch.setattr(simplex, "solve_lp", lambda *a, **k: lps.append(1) or solve_lp(*a, **k))
-        entail.cells.cache_clear()
         assert klm_properties_check(proc, kbs, thetas, lle_pairs=lle).all_pass
         assert (len(cells), len(lps)) == (built, solved)
 
-    def test_factors_are_decomposed_once(self, monkeypatch):
+    @pytest.mark.parametrize("proc, projected", [
+        (InferenceProcedure.prior_based(PriorFunction.product_family()), 813),
+        (InferenceProcedure.maxent(), 56),
+    ], ids=["product-family", "maxent"])
+    def test_each_prior_is_projected_once_per_kb(self, monkeypatch, cold_caches, proc, projected):
+        # optimize._projection computes each (prior, kb) pair once, the
+        # product priors are drawn once per seed, and closed factorized
+        # kbs are decided at vertex tuples without sampling
+        from credal import optimize, procedures
+
+        space = enumerate_worlds(["a", "b"])
+        kbs, thetas, lle = klm_corpus(space)
+        projections, samples = [], []
+        kl_project, sample_measures = optimize.kl_project, procedures.sample_measures
+        monkeypatch.setattr(optimize, "kl_project",
+                            lambda *a: projections.append(1) or kl_project(*a))
+        monkeypatch.setattr(procedures, "sample_measures",
+                            lambda *a: samples.append(1) or sample_measures(*a))
+        assert klm_properties_check(proc, kbs, thetas, lle_pairs=lle).all_pass
+        assert (len(projections), len(samples)) == (projected, 0)
+
+    def test_factors_are_decomposed_once(self, monkeypatch, cold_caches):
         from credal import procedures
 
         space = enumerate_worlds(["a", "b"])
@@ -405,7 +529,95 @@ class TestProductFamilyKlm:
         decompose = procedures.product_decomposition
         monkeypatch.setattr(procedures, "product_decomposition",
                             lambda sp: calls.append(sp) or decompose(sp))
-        procedures._pi_factors.cache_clear()
         proc = InferenceProcedure.prior_based(PriorFunction.product_family())
         klm_properties_check(proc, kbs[:12], thetas, lle_pairs=lle[:1])
         assert len(calls) == 1
+
+
+def _grid_products(space: Space):
+    """Every product of per-factor `simplex_grid` measures at denominator
+    24, as integer world weights over the common denominator."""
+    factors = space.factors or tuple(product_decomposition(space))
+    comps = [component_map(space, f) for f in factors]
+    grids = [[[int(w * 24) for w in mu.weights] for mu in simplex_grid(f, 24)] for f in factors]
+    rows = [[math.prod(g[c[x]] for g, c in zip(parts, comps)) for x in range(len(space.worlds))]
+            for parts in itertools.product(*grids)]
+    return np.array(rows, dtype=np.int64), 24 ** len(factors)
+
+
+def _grid_holds(expr, space, weights, scale) -> np.ndarray:
+    """Where expr holds on the grid, in exact integer arithmetic."""
+    if isinstance(expr, TrueExpr):
+        return np.ones(len(weights), dtype=bool)
+    if isinstance(expr, FalseExpr):
+        return np.zeros(len(weights), dtype=bool)
+    if isinstance(expr, (And, Or)):
+        parts = [_grid_holds(e, space, weights, scale) for e in expr.items]
+        return (np.logical_and if isinstance(expr, And) else np.logical_or).reduce(parts)
+    if isinstance(expr, Not):
+        return ~_grid_holds(expr.child, space, weights, scale)
+    coeffs = expr.coefficients(space)
+    den = math.lcm(expr.bound.denominator, *(c.denominator for c in coeffs))
+    value = weights @ np.array([int(c * den) for c in coeffs], dtype=np.int64)
+    bound = int(expr.bound * den * scale)
+    return {"<": value < bound, "<=": value <= bound, "=": value == bound,
+            ">=": value >= bound, ">": value > bound}[expr.cmp]
+
+
+def _klm_cases(symbols):
+    space = enumerate_worlds(symbols)
+    kbs, thetas, _ = klm_corpus(space)
+    return space, [(kb, [*thetas, kb, and_(thetas[0], thetas[2])]) for kb in kbs]
+
+
+def _template_cases():
+    from credal.harness import _lift_factor_kb, _random_product_query
+
+    space = product_space([enumerate_worlds(["p"]), enumerate_worlds(["q"])])
+    _, thetas, _ = klm_corpus(space)
+    rng = random.Random(13)
+    cases = []
+    for kb1 in factor_kb_templates(enumerate_worlds(["p"])):
+        for kb2 in factor_kb_templates(enumerate_worlds(["q"])):
+            kb = and_(_lift_factor_kb(space, 0, kb1), _lift_factor_kb(space, 1, kb2))
+            cases.append((kb, [*thetas, kb, *(_random_product_query(space, rng)
+                                             for _ in range(6))]))
+    return space, cases
+
+
+class TestVertexRuleOracle:
+    """Exact product-family verdicts on closed factorized kbs against a
+    brute-force grid of product measures."""
+
+    @pytest.mark.parametrize("corpus", [
+        pytest.param(lambda: _klm_cases(["a", "b"]), id="klm-2"),
+        pytest.param(lambda: _klm_cases(["a", "b", "c"]), id="klm-3"),
+        pytest.param(_template_cases, id="factor-templates"),
+    ])
+    def test_exact_verdicts_match_the_grid(self, corpus):
+        from credal.procedures import _factorize
+
+        space, cases = corpus()
+        weights, scale = _grid_products(space)
+        factors = space.factors or tuple(product_decomposition(space))
+        proc = InferenceProcedure.prior_based(PriorFunction.product_family())
+        decided = {True: 0, False: 0}
+        for kb, thetas in cases:
+            if _factorize(kb, space) is None:
+                continue
+            selected = _grid_holds(kb, space, weights, scale)
+            for theta in thetas:
+                v = infers(proc, kb, theta, space)
+                if isinstance(theta, ProductAtom) or v.mode != "exact":
+                    continue
+                decided[v.holds] += 1
+                if v.holds:
+                    # no product measure on the grid satisfies kb and fails theta
+                    assert _grid_holds(theta, space, weights, scale)[selected].all(), (kb, theta)
+                    continue
+                (mu,) = v.evidence
+                assert mu.backend == "rational"
+                assert mu == product_measure([mu.marginal(f) for f in factors], space)
+                # kb is the conjunction of its factor kbs' cylinders
+                assert satisfies(mu, kb) and not satisfies(mu, theta), (kb, theta)
+        assert decided[True] >= 100 and decided[False] >= 70, decided
