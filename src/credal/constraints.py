@@ -25,14 +25,14 @@ comparisons are multiplied out: ``P(f|g) cmp a`` becomes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import CredalError, ParseError
 from .formulas import Parser
 from .measures import EPS, RATIONAL, Measure
-from .spaces import Event, Space, event_of
+from .spaces import Event, Space, event_of, hash_once
 
 MAX_DISJUNCTS = 4096
 
@@ -48,12 +48,15 @@ class LinearAtom(ConstraintExpr):
     terms: tuple[tuple[Fraction, Event], ...]
     cmp: str
     bound: Fraction
+    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __hash__(self):
+        return hash_once(self, (self.terms, self.cmp, self.bound))
 
     def __post_init__(self):
         if self.cmp not in {"<", "<=", "=", ">=", ">"}:
             raise ValueError(f"bad comparator {self.cmp!r}")
-        spaces = {e.space for _, e in self.terms}
-        if len(spaces) > 1:
+        if any(e.space != self.terms[0][1].space for _, e in self.terms[1:]):
             raise ValueError("atom mixes events from different spaces")
 
     @property
@@ -92,16 +95,28 @@ class ProductAtom(ConstraintExpr):
 @dataclass(frozen=True)
 class And(ConstraintExpr):
     items: tuple[ConstraintExpr, ...]
+    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __hash__(self):
+        return hash_once(self, self.items)
 
 
 @dataclass(frozen=True)
 class Or(ConstraintExpr):
     items: tuple[ConstraintExpr, ...]
+    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __hash__(self):
+        return hash_once(self, self.items)
 
 
 @dataclass(frozen=True)
 class Not(ConstraintExpr):
     child: ConstraintExpr
+    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __hash__(self):
+        return hash_once(self, self.child)
 
 
 @dataclass(frozen=True)

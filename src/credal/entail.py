@@ -4,7 +4,9 @@ Every decision runs over the DNF cells of a constraint, the relatively
 open polyhedra of the simplex it denotes.  `Cell` owns the exact LP
 encoding of one cell: the simplex row, one row per atom, and one slack t
 shared by the strict atoms, whose optimum is positive exactly when the
-open cell is non-empty; the closure drops t from the strict atoms.
+open cell is non-empty; the closure drops t from the strict atoms.  The
+rows are built once per cell, as the integer `simplex.Row`s the tableau
+pivots on.
 Satisfiability, entailment, ranges, sampling and conservativeness are
 decided cell by cell, on the cells `cells` builds once per (constraint,
 space).  Witnesses are exact rational measures.
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, gcd, lcm
 from typing import Sequence
 
 import numpy as np
@@ -38,7 +40,7 @@ from .constraints import (
     to_dnf,
 )
 from .embeddings import factor_lift
-from .measures import Measure
+from .measures import Measure, is_distribution
 from .spaces import Event, Space, event_from_indices, whole_event
 
 VERTEX_CELL_CAP = 64
@@ -50,9 +52,9 @@ _UNSET = object()
 # Each atom's row comparator (strict ones closed), and t's coefficient in
 # a strict atom's open row.
 _ROW_CMP = {"=": "=", "<=": "<=", ">=": ">=", "<": "<=", ">": ">="}
-_SLACK = {"<": _ONE, ">": -_ONE}
+_SLACK = {"<": 1, ">": -1}
 
-Pins = Sequence[tuple[list[Fraction], Fraction]]
+Pins = Sequence[tuple[list[int | Fraction], Fraction]]
 
 
 def _dot(a, b):
@@ -62,59 +64,69 @@ def _dot(a, b):
 class Cell:
     """One DNF cell on one space, and the only code that builds LP rows.
 
-    The LP variables are the world masses and the strict slack t.  Each
-    atom's coefficients and the open rows are built once; the closure
-    rows and the projection's float rows on first use.  Pins are extra
-    equality rows, given as (per-world coefficients, value) pairs.
+    The LP variables are the world masses and the strict slack t.  The
+    open rows are built at construction and the closure rows on first
+    use, both as integer `simplex.Row`s; the atoms' rational
+    coefficients and the projection's float rows are built on first
+    use too.  Pins are extra equality rows, given as (per-world
+    coefficients, value) pairs.
     """
 
     def __init__(self, system: DnfSystem, space: Space):
         self.system = system
         self.space = space
         self.atoms = system.atoms()
-        self.coefficients = [atom.coefficients(space) for atom in self.atoms]
-        self._open = self._rows(closed=False)
-        self._closed = None
+        n = len(space.worlds)
+        self._open = ([simplex.Row([1] * n + [0, 1], "=", 1)]
+                      + [_atom_row(atom, n) for atom in self.atoms]
+                      + [simplex.Row([0] * n + [1, 1], "<=", 1)])
         self._witness = _UNSET
 
-    def _rows(self, closed: bool):
-        n = len(self.space.worlds)
-        rows = [([_ONE] * n + [_ZERO], "=", _ONE)]
-        for atom, coeffs in zip(self.atoms, self.coefficients):
-            slack = _ZERO if closed else _SLACK.get(atom.cmp, _ZERO)
-            rows.append((coeffs + [slack], _ROW_CMP[atom.cmp], atom.bound))
-        rows.append(([_ZERO] * n + [_ONE], "<=", _ONE))
-        return rows
+    @cached_property
+    def coefficients(self) -> list[list[Fraction]]:
+        """Each atom's per-world coefficients, as Fractions."""
+        return [atom.coefficients(self.space) for atom in self.atoms]
+
+    @cached_property
+    def _closed(self) -> list[simplex.Row]:
+        """The open rows with t dropped from the strict atoms."""
+        *rows, t_row = self._open
+        return [row._replace(ints=row.ints[:-2] + [0, row.ints[-1]]) if row.ints[-2] else row
+                for row in rows] + [t_row]
 
     def _solve(self, rows, objective, maximize: bool, pins: Pins):
         if pins:
-            rows = rows + [(coeffs + [_ZERO], "=", value) for coeffs, value in pins]
+            rows = rows + [(coeffs + [0], "=", value) for coeffs, value in pins]
         n = len(self.space.worlds)
         status, x, value = simplex.solve_lp(n + 1, rows, objective, maximize=maximize)
         if status != simplex.OPTIMAL:
             return None
         return x[:n], value
 
-    def witness(self, pins: Pins = ()) -> Measure | None:
-        """A measure in the open cell meeting the pins, or None if empty."""
-        if not pins and self._witness is not _UNSET:
-            return self._witness
-        n = len(self.space.worlds)
-        found = self._solve(self._open, [_ZERO] * n + [_ONE], True, pins)
-        witness = None
-        if found is not None and found[1] > 0:
-            witness = Measure.rational(self.space, found[0])
-        if not pins:
-            self._witness = witness
-        return witness
+    def witness(self) -> Measure | None:
+        """A measure in the open cell, or None if it is empty; memoised."""
+        if self._witness is _UNSET:
+            found = self._solve(self._open, [0] * len(self.space.worlds) + [1], True, ())
+            self._witness = (Measure.rational(self.space, found[0])
+                             if found is not None and found[1] > 0 else None)
+        return self._witness
+
+    def feasible(self, pins: Pins) -> bool:
+        """Whether some measure in the open cell meets the pins: the
+        witness LP with the pins, answered without building a `Measure`
+        but with its point still checked exactly (`is_distribution`)."""
+        found = self._solve(self._open, [0] * len(self.space.worlds) + [1], True, pins)
+        if found is None or found[1] <= 0:
+            return False
+        if not is_distribution(found[0]):
+            raise ValueError("LP point is not a probability measure")
+        return True
 
     def solve(self, objective: list[Fraction], maximize: bool, closed: bool = False,
               pins: Pins = ()) -> tuple[list[Fraction], Fraction] | None:
         """(world masses, value) at an optimum of the per-world objective,
         over the open rows (t free in [0, 1]) or the closure rows; None
         when those rows are infeasible."""
-        if closed and self._closed is None:
-            self._closed = self._rows(closed=True)
         rows = self._closed if closed else self._open
         return self._solve(rows, objective + [_ZERO], maximize, pins)
 
@@ -133,7 +145,7 @@ class Cell:
 
     def in_closure(self, x: list[Fraction]) -> bool:
         """Whether the exact point x lies in the closure of the cell."""
-        if any(v < 0 for v in x) or sum(x) != 1:
+        if not is_distribution(x):
             return False
         return all(compare(_dot(coeffs, x), _ROW_CMP[atom.cmp], atom.bound, True, 0.0)
                    for atom, coeffs in zip(self.atoms, self.coefficients))
@@ -201,6 +213,27 @@ class Cell:
             if self.in_closure(x) and x not in vertices:
                 vertices.append(x)
         return tuple(vertices)
+
+
+def _atom_row(atom: LinearAtom, n: int) -> simplex.Row:
+    """The atom's open row over n worlds and t, built from its terms in
+    integers: with L the lcm of the term and bound denominators, each
+    world sums its terms' coefficients times L, and the row is divided
+    by g, the gcd of L and its entries.  That is the rational row scaled
+    by k = L / g, the lcm of its entries' denominators, as
+    `simplex.scale_row` would scale it."""
+    big_l = lcm(atom.bound.denominator, *(c.denominator for c, _ in atom.terms))
+    ints = [0] * (n + 2)
+    for c, event in atom.terms:
+        ci = c.numerator * (big_l // c.denominator)
+        for i in event.indices():
+            ints[i] += ci
+    ints[n] = _SLACK.get(atom.cmp, 0) * big_l
+    ints[n + 1] = atom.bound.numerator * (big_l // atom.bound.denominator)
+    g = gcd(big_l, *ints)
+    if g > 1:
+        ints = [a // g for a in ints]
+    return simplex.integer_row(ints, _ROW_CMP[atom.cmp], big_l // g)
 
 
 def _eliminate(aug: list[list[Fraction]], n: int) -> tuple[list[list[Fraction]], int]:
@@ -461,8 +494,7 @@ def conservative_check(kb: ConstraintExpr, psi: ConstraintExpr, xy_space: Space,
         return ConservativeReport("conservative_verified", note="kb unsatisfiable")
 
     lift = factor_lift(xy_space, x_space)
-    fibers = [[_ONE if c == xi else _ZERO for c in lift.world_map]
-              for xi in range(len(x_space.worlds))]
+    fibers = [[int(c == xi) for c in lift.world_map] for xi in range(len(x_space.worlds))]
     psi_cells = cells(psi, xy_space)
     closed = not any(cell.system.strict for cell in psi_cells)
     tested = 0
@@ -471,7 +503,7 @@ def conservative_check(kb: ConstraintExpr, psi: ConstraintExpr, xy_space: Space,
         nonlocal tested
         tested += 1
         pins = list(zip(fibers, x))
-        return any(cell.witness(pins) is not None for cell in psi_cells)
+        return any(cell.feasible(pins) for cell in psi_cells)
 
     def refuted(x) -> ConservativeReport:
         return ConservativeReport("not_conservative", Measure.rational(x_space, x), tested)

@@ -27,6 +27,17 @@ EPS = 1e-9  # the float tolerance: measures this close are one, atoms hold withi
 _FLOAT_SUM_TOL = 1e-12
 
 
+def is_distribution(weights: Sequence) -> bool:
+    """Whether exact weights (Fractions or ints) are nonnegative and sum
+    to exactly 1, decided in integers: over the common denominator d of
+    the nonzero weights, their numerators are nonnegative and sum to d.
+    Zeros cost nothing, so a sparse point on a wide space is cheap."""
+    support = [w for w in weights if w]
+    d = math.lcm(*(w.denominator for w in support))
+    nums = [w.numerator * (d // w.denominator) for w in support]
+    return all(a >= 0 for a in nums) and sum(nums) == d
+
+
 @dataclass(frozen=True)
 class Measure:
     space: Space
@@ -37,10 +48,8 @@ class Measure:
         if len(self.weights) != len(self.space.worlds):
             raise ValueError("weight vector length must equal the world count")
         if self.backend == RATIONAL:
-            if any(w < 0 for w in self.weights):
-                raise ValueError("negative weight")
-            if sum(self.weights) != 1:
-                raise ValueError("rational weights must sum to exactly 1")
+            if not is_distribution(self.weights):
+                raise ValueError("rational weights must be nonnegative and sum to exactly 1")
         elif self.backend == FLOAT:
             if any(w < -_FLOAT_SUM_TOL for w in self.weights):
                 raise ValueError("negative weight")
@@ -52,7 +61,8 @@ class Measure:
     # Construction ------------------------------------------------------
     @staticmethod
     def rational(space: Space, weights: Iterable) -> "Measure":
-        return Measure(space, tuple(Fraction(w) for w in weights), RATIONAL)
+        return Measure(space, tuple(w if isinstance(w, Fraction) else Fraction(w)
+                                    for w in weights), RATIONAL)
 
     @staticmethod
     def from_floats(space: Space, weights: Iterable[float]) -> "Measure":
@@ -91,7 +101,9 @@ class Measure:
         if event.space != self.space:
             raise ValueError("event lives on a different space")
         zero = Fraction(0) if self.backend == RATIONAL else 0.0
-        return sum((self.weights[i] for i in event.indices()), zero)
+        weights = self.weights
+        # zeros add nothing, and a rational zero costs a Fraction addition
+        return sum((w for i in event.indices() if (w := weights[i])), zero)
 
     def __getitem__(self, i: int):
         return self.weights[i]

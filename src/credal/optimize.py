@@ -172,7 +172,7 @@ def kl_project(mu: Measure, kb: ConstraintExpr) -> ProjectionResult:
     space = mu.space
     w0 = np.array([float(x) for x in mu.weights])
     n = len(space.worlds)
-    pins = [([Fraction(int(j == i)) for j in range(n)], Fraction(0))
+    pins = [([int(j == i) for j in range(n)], Fraction(0))
             for i in range(n) if w0[i] <= 0.0]
     diagnostics: list[DisjunctDiagnostic] = []
     candidates: list[tuple[float, bool, Measure, int]] = []
@@ -180,7 +180,7 @@ def kl_project(mu: Measure, kb: ConstraintExpr) -> ProjectionResult:
         if cell.witness() is None:
             diagnostics.append(DisjunctDiagnostic(k, open_nonempty=False))
             continue
-        if pins and cell.witness(pins) is None:
+        if pins and not cell.feasible(pins):
             diagnostics.append(DisjunctDiagnostic(k, open_nonempty=True, infinite=True))
             continue
         w_star, steps = _project_cell(w0, cell, pins)
@@ -230,12 +230,17 @@ def updates(priors: Iterable[Measure], kb: ConstraintExpr) -> Iterator[Measure]:
     meets a later prior's unattained projection.  `entail.cells` builds
     kb's cells once per (kb, space), so each cell's witness LP is solved
     once for the whole prior set.  An unattained projection is a domain
-    error for prior-based procedures.
+    error for prior-based procedures; its message names the cell of the
+    least divergence, whose optimum fails kb at `EPS`.
     """
     for mu in priors:
         res = _projection(mu.to_float(), kb)
         if res.status == "not_attained":
-            raise DomainError("KB outside procedure domain: projection not attained")
+            best = min((d for d in res.diagnostics if d.value is not None),
+                       key=lambda d: d.value)
+            raise DomainError(
+                f"KB outside procedure domain: projection not attained (cell {best.index}, "
+                f"divergence {best.value:.6g} bits, optimum fails kb at EPS {EPS:g})")
         yield from res.measures
 
 

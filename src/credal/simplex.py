@@ -5,18 +5,21 @@ handful of constraints over at most a few hundred worlds, and strict
 inequalities plus set-equality questions cannot tolerate floating-point
 rounding.  Bland's pivoting rule rules out cycling.
 
-Rationals come in and go out, but the tableau holds Python integers.
-Each row is scaled once by the lcm of its denominators (after a row with
-a negative right-hand side is negated), and its slack or artificial
-variable is rescaled with it, so that variable keeps coefficient +1 or
--1 and the starting basis is the identity.  From then on every entry is
-the rational tableau's entry times one common denominator d, the
-determinant (up to sign) of the current basis: a pivot on p replaces
-every other row by (p*a_ij - a_ic*a_rj) // d, which divides exactly
-(Edmonds 1967; Bareiss 1968), and then d becomes p.  d stays positive
-because a pivot is positive, or its row is negated first.  The cost row
-is pivoted the same way, at scale d*M for an objective whose
-denominators have lcm M.
+Rationals go out, but the tableau holds Python integers.  A row comes
+in as a `Row`, already in that form: its coefficients and right-hand
+side times the lcm k of their denominators, negated with the comparator
+flipped when the right-hand side is negative.  `entail.Cell` builds its
+rows so, once per cell; a rational (coefficients, rel, rhs) row passes
+through `scale_row`, the same conversion, on each call.  The slack or
+artificial variable of a row is rescaled with it, so that variable
+keeps coefficient +1 or -1 and the starting basis is the identity.
+From then on every entry is the rational tableau's entry times one
+common denominator d, the determinant (up to sign) of the current
+basis: a pivot on p replaces every other row by
+(p*a_ij - a_ic*a_rj) // d, which divides exactly (Edmonds 1967;
+Bareiss 1968), and then d becomes p.  d stays positive because a pivot
+is positive, or its row is negated first.  The cost row is pivoted the
+same way, at scale d*M for an objective whose denominators have lcm M.
 
 The pivots are exactly those of Bland's rule on the rational tableau.
 Scaling a row by k > 0 does not move its ratio b_i / a_ic; rescaling a
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -42,29 +45,48 @@ _ZERO = Fraction(0)
 _FLIP = {"<=": ">=", ">=": "<=", "=": "="}
 
 
+class Row(NamedTuple):
+    """One constraint in the tableau's integer form: the coefficients
+    and then the right-hand side (nonnegative), the comparator, and the
+    scale k > 0 that the rational row was multiplied by."""
+
+    ints: list[int]
+    rel: str
+    scale: int
+
+
+def integer_row(ints: list[int], rel: str, scale: int) -> Row:
+    """The row ints (right-hand side last) at the given scale, negated
+    with its comparator flipped when the right-hand side is negative."""
+    if ints[-1] < 0:
+        return Row([-c for c in ints], _FLIP[rel], scale)
+    return Row(ints, rel, scale)
+
+
+def scale_row(coeffs: Sequence[Fraction], rel: str, b: Fraction, num_vars: int) -> Row:
+    """A rational row over num_vars variables (missing coefficients are
+    0) as a `Row`, scaled by the lcm of its denominators."""
+    row = [*coeffs, *[0] * (num_vars - len(coeffs)), b]
+    dens = [c.denominator for c in row]
+    k = lcm(*dens)
+    return integer_row([c.numerator * (k // q) for c, q in zip(row, dens)], rel, k)
+
+
 def solve_lp(
     num_vars: int,
-    constraints: Sequence[tuple[Sequence[Fraction], str, Fraction]],
+    constraints: Sequence[Row | tuple[Sequence[Fraction], str, Fraction]],
     objective: Sequence[Fraction],
     maximize: bool = False,
 ) -> tuple[str, list[Fraction] | None, Fraction | None]:
     """Solve min/max objective . x subject to the constraints and x >= 0.
 
-    Each constraint is (coefficients, rel, rhs) with rel in {'<=', '>=', '='};
-    numbers are Fractions or ints.  Returns (status, x, value) with x
-    covering the original variables, in Fractions.
+    Each constraint is a `Row` over num_vars variables, or a rational
+    (coefficients, rel, rhs) with rel in {'<=', '>=', '='}, which
+    `scale_row` converts; numbers are Fractions or ints.  Returns
+    (status, x, value) with x covering the original variables, in
+    Fractions.
     """
-    # Each row as integers: coefficients, then the rhs, scaled by k.
-    rows: list[tuple[list[int], str, int]] = []
-    for coeffs, rel, b in constraints:
-        row = [*coeffs, *[0] * (num_vars - len(coeffs)), b]
-        dens = [c.denominator for c in row]
-        k = lcm(*dens)
-        row = [c.numerator * (k // q) for c, q in zip(row, dens)]
-        if row[-1] < 0:
-            row = [-c for c in row]
-            rel = _FLIP[rel]
-        rows.append((row, rel, k))
+    rows = [r if isinstance(r, Row) else scale_row(*r, num_vars) for r in constraints]
 
     n_slack = sum(rel != "=" for _, rel, _ in rows)
     n_art = sum(rel != "<=" for _, rel, _ in rows)
@@ -77,7 +99,7 @@ def solve_lp(
     art_i = art_start
     art_scales: list[int] = []
     for row, rel, k in rows:
-        row = row[:-1] + [0] * (n_slack + n_art) + row[-1:]
+        row = row[:-1] + [0] * (n_slack + n_art) + row[-1:]  # a copy: rows are shared
         if rel == "<=":
             row[slack_i] = 1
             basis.append(slack_i)

@@ -18,6 +18,16 @@ from .errors import CredalError
 from .formulas import Formula, as_formula
 
 
+def hash_once(obj, key: object) -> int:
+    """The hash of a frozen dataclass, hash(key) of its compared fields,
+    computed on the first call and kept in its `_hash` field: memo keys
+    hash the same space or kb again and again, and hashing a space walks
+    its worlds."""
+    if obj._hash is None:
+        object.__setattr__(obj, "_hash", hash(key))
+    return obj._hash
+
+
 @dataclass(frozen=True)
 class Vocabulary:
     symbols: tuple[str, ...]
@@ -71,6 +81,10 @@ class Space:
     factors: tuple["Space", ...] | None = None
     renames: tuple[tuple[str, str], ...] = ()
     _windex: dict = field(default=None, compare=False, repr=False)
+    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __hash__(self):
+        return hash_once(self, (self.vocabulary, self.worlds, self.factors, self.renames))
 
     def __post_init__(self):
         if isinstance(self.worlds, list):

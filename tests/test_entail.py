@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from credal import simplex
 from credal.constraints import (
     And,
     LinearAtom,
@@ -257,7 +258,7 @@ class TestCell:
         (cell,) = cells(kb, fly_bird_space)
         witness = cell.witness()
         assert satisfies(witness, kb)
-        assert cell.witness() is witness  # memoised without pins
+        assert cell.witness() is witness  # memoised
         fly = [F(0), F(0), F(1), F(1)]
         assert cell.solve(fly, maximize=False, closed=True)[1] == F(1, 2)
         assert cell.support(range(4)) == [1, 3]
@@ -270,9 +271,53 @@ class TestCell:
         kb = parse_constraint("P(fly) > 1/2", fly_bird_space)
         (cell,) = cells(kb, fly_bird_space)
         fly = [F(0), F(0), F(1), F(1)]
-        assert cell.witness([(fly, F(1, 2))]) is None
-        assert cell.witness([(fly, F(3, 4))]).prob(event_of(fly_bird_space, "fly")) == F(3, 4)
+        # a pinned probe answers yes or no without building a Measure
+        assert not cell.feasible([(fly, F(1, 2))])
+        assert cell.feasible([(fly, F(3, 4))])
         assert cell.witness() is not None
+
+    def test_feasible_checks_the_lp_point(self, monkeypatch, fly_bird_space):
+        # a simplex that returned masses summing to 2 is caught, as the
+        # Measure the witness builds would catch it
+        (cell,) = cells(parse_constraint("P(fly) > 1/2", fly_bird_space), fly_bird_space)
+        solve = simplex.solve_lp
+
+        def doubled(*args, **kwargs):
+            status, x, value = solve(*args, **kwargs)
+            return status, [2 * v for v in x], value
+
+        monkeypatch.setattr(simplex, "solve_lp", doubled)
+        with pytest.raises(ValueError, match="not a probability measure"):
+            cell.feasible([([F(0), F(0), F(1), F(1)], F(3, 4))])
+
+    def test_integer_rows_are_the_scaled_rational_rows(self):
+        # each cell builds its integer rows once, from the atoms' terms;
+        # they must be the rows scale_row makes of the rational rows, so
+        # the tableau and every pivot stay those of the rational LP
+        closed_cmp = {"=": "=", "<=": "<=", ">=": ">=", "<": "<=", ">": ">="}
+        t_coeff = {"<": F(1), ">": F(-1)}
+        rng = random.Random(14)
+
+        def atom(sp):
+            n = len(sp.worlds)
+            terms = tuple((F(rng.randint(-4, 4), rng.choice((1, 2, 3, 6))),
+                           event_from_indices(sp, rng.sample(range(n), rng.randint(0, n))))
+                          for _ in range(rng.randint(1, 3)))
+            return LinearAtom(terms, rng.choice(list(closed_cmp)),
+                              F(rng.randint(-3, 3), rng.choice((1, 2, 4))))
+
+        for n in (2, 5):
+            sp = _plain_space("r", n)
+            for _ in range(60):
+                kb = and_(atom(sp), atom(sp)) if rng.random() < 0.5 else Not(atom(sp))
+                for cell in cells(kb, sp):
+                    for closed, rows in ((False, cell._open), (True, cell._closed)):
+                        rational = [([F(1)] * n + [F(0)], "=", F(1))]
+                        rational += [(coeffs + [F(0) if closed else t_coeff.get(a.cmp, F(0))],
+                                      closed_cmp[a.cmp], a.bound)
+                                     for a, coeffs in zip(cell.atoms, cell.coefficients)]
+                        rational.append(([F(0)] * n + [F(1)], "<=", F(1)))
+                        assert rows == [simplex.scale_row(*row, n + 1) for row in rational]
 
 
 class TestLinearRangeAndSampling:

@@ -14,6 +14,7 @@ from credal.measures import (
     corresponds,
     couple,
     entropy,
+    is_distribution,
     is_product_measure,
     kl_chain_identity_residual,
     kl_divergence,
@@ -37,6 +38,19 @@ class TestMeasureBasics:
             Measure.rational(fly_bird_space, [F(1, 2), F(1, 2), F(1, 2), F(-1, 2)])
         with pytest.raises(ValueError):
             Measure.rational(fly_bird_space, [F(1, 2), F(1, 4), F(1, 8), F(1, 16)])
+
+    def test_is_distribution_is_the_rational_check(self):
+        # the integer check that Measure and Cell.feasible share agrees
+        # with the plain rational one, zeros, negatives and ints included
+        rng = random.Random(14)
+        for _ in range(500):
+            ws = [F(rng.randint(-2, 6), rng.choice((1, 2, 3, 4, 6, 12))) if rng.random() < 0.7
+                  else rng.choice((0, 0, 1)) for _ in range(rng.randint(0, 6))]
+            if rng.random() < 0.5 and ws:
+                ws[-1] += 1 - sum(ws)
+            assert is_distribution(ws) == (all(w >= 0 for w in ws) and sum(ws) == 1)
+        assert is_distribution([0] * 383 + [F(1)])
+        assert not is_distribution([])
 
     def test_backend_conversions(self, fly_bird_space):
         mu = Measure.rational(fly_bird_space, [F(1, 3), F(1, 3), F(1, 3), 0])

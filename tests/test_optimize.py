@@ -332,6 +332,18 @@ class TestUpdateSet:
         with pytest.raises(DomainError):
             update_set(priors, parse_constraint("P(p) < 1/2", two))
 
+    def test_domain_error_names_its_cell(self):
+        # the optimum of the closure, the uniform measure, misses the
+        # strict bound by less than EPS, so the projection is not attained
+        one = enumerate_worlds(["a"])
+        kb = LinearAtom(((F(1), event_of(one, "a")),), "<", F(1, 2) + F(1, 10**10))
+        with pytest.raises(DomainError, match=r"\(cell 0, divergence 0 bits"):
+            infers(InferenceProcedure.maxent(), kb, TrueExpr(), one)
+        # of two failing cells, the one of least divergence is named
+        kb = parse_constraint("P(a) > 3/4 | P(a) < 1/2", one)
+        with pytest.raises(DomainError, match=r"\(cell 1, divergence 0 bits"):
+            infers(InferenceProcedure.maxent(), kb, TrueExpr(), one)
+
     def test_prior_sets_project_through_kl_project(self, monkeypatch, cold_caches):
         # prior sets reach the module's kl_project, so a wrapper on it
         # (the bench tracer's) sees every projection they compute

@@ -1,12 +1,15 @@
 import inspect
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from credal import simplex
+from credal import harness, simplex
+from credal.constraints import TrueExpr
 from credal.corpus import klm_corpus
+from credal.entail import conservative_check
 from credal.procedures import InferenceProcedure, klm_properties_check
 from credal.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 from credal.spaces import enumerate_worlds
@@ -145,3 +148,29 @@ def test_pivot_count_on_klm_corpus(monkeypatch, cold_caches, name, pivots):
     assert klm_properties_check(getattr(InferenceProcedure, name)(), kbs, thetas,
                                 lle_pairs=lle).all_pass
     assert len(calls) == pivots
+
+
+def test_pivot_count_on_wide(monkeypatch, cold_caches):
+    # the wide LPs of the tuple-cover gadgets (up to 120 worlds) and of
+    # sigma's pinned probes on the 384-world product: Bland's rule on the
+    # scaled rational rows made exactly these pivots, and the integer rows
+    # each cell builds once must not change a single choice
+    gadgets = [harness.tuple_cover_gadget(n, d) for n in range(3, 12) for d in range(2, n)
+               if math.perm(n, d) <= 120]
+    demo = harness.conservative_extension_demo()
+    calls = Counter()
+    pivot, solve = simplex._pivot, simplex.solve_lp
+    monkeypatch.setattr(simplex, "_pivot", lambda *a: calls.update(["pivot"]) or pivot(*a))
+    monkeypatch.setattr(simplex, "solve_lp",
+                        lambda *a, **k: calls.update(["solve_lp"]) or solve(*a, **k))
+    assert len(gadgets) == 13
+    for g in gadgets:
+        edge = F(g.params["d"], g.params["n"])
+        assert not harness.gadget_feasible(g, edge)
+        assert harness.gadget_feasible(g, edge * (1 - F(1, 256)))
+    assert calls == {"pivot": 391, "solve_lp": 26}
+    calls.clear()
+    report = conservative_check(TrueExpr(), demo["sigma"], demo["space"], x_factor=0,
+                                n_samples=2, seed=0)
+    assert report.status == "conservative_verified"
+    assert calls == {"pivot": 31, "solve_lp": 7}

@@ -72,6 +72,12 @@ def test_cells_are_built_only_by_entail_cells():
     assert _top_level_calls("Cell") == {("entail.py", "cells")}
 
 
+def test_lp_is_solved_only_by_cell():
+    # the LP rows have one home: Cell builds them and is the one caller
+    # of simplex.solve_lp
+    assert _top_level_calls("solve_lp") == {("entail.py", "Cell")}
+
+
 def test_lru_caches_decorate_module_level_functions():
     # bench/run.py clears the caches it finds on credal's modules before
     # each round, so a cache anywhere else would start rounds warm

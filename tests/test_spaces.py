@@ -188,3 +188,22 @@ class TestAtomsOver:
                     assert (a & b).is_empty()
             union |= a.mask
         assert union == whole_event(rgb_space).mask
+
+
+def test_a_space_hashes_its_worlds_once(monkeypatch):
+    # memo keys hash spaces again and again; only the first hash walks
+    # the worlds
+    x, y = enumerate_worlds(["s"]), enumerate_worlds(["yy"])
+    y0 = Space(Vocabulary(("t0", "t1", "t2")), tuple(World(b, 3) for b in range(6)))
+    z = product_space([x, x, x, y0, y, y, y])
+    assert len(z.worlds) == 384
+    first = hash(z)
+    calls = []
+    world_hash = World.__hash__
+    monkeypatch.setattr(World, "__hash__", lambda w: calls.append(w) or world_hash(w))
+    assert hash(z) == first
+    assert calls == []
+    # an equal space built afresh walks them once, to the same hash
+    copy = Space(z.vocabulary, z.worlds, z.factors, z.renames)
+    assert hash(copy) == first and hash(copy) == first
+    assert len(calls) == 384
