@@ -287,7 +287,8 @@ def satisfiable(expr: ConstraintExpr, space: Space | None = None) -> Feasibility
     for cell in cells(expr, space):
         witness = cell.witness()
         if witness is not None:
-            assert satisfies(witness, expr), "LP witness failed exact satisfaction"
+            if not satisfies(witness, expr):
+                raise ValueError("LP witness does not satisfy the constraint")
             return FeasibilityReport("feasible", witness)
     return FeasibilityReport("infeasible")
 

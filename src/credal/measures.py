@@ -10,12 +10,12 @@ divergence returns ``math.inf`` when absolute continuity fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import CredalError
-from .spaces import Event, Space, component_map, product_decomposition, product_space
+from .spaces import Event, Space, component_map, hash_once, product_decomposition, product_space
 
 if TYPE_CHECKING:  # pragma: no cover
     from .embeddings import Embedding
@@ -43,6 +43,10 @@ class Measure:
     space: Space
     weights: tuple
     backend: str
+    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __hash__(self):
+        return hash_once(self, (self.space, self.weights, self.backend))
 
     def __post_init__(self):
         if len(self.weights) != len(self.space.worlds):

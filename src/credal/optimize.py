@@ -15,6 +15,17 @@ a disjunct's optimum is kept only when it satisfies kb at
 `measures.EPS`, the test `procedures.infers` applies to it, so an
 optimum on the boundary of a strict atom, or within EPS of it, leaves
 that supremum unattained.
+A cell has one to three rows over a handful of worlds, so a Newton
+step is a few dozen numpy calls on arrays of a few elements, and its
+time is numpy's per-call dispatch, not arithmetic.  `_newton` calls
+the ufunc reductions directly, builds the outer product by
+broadcasting, projects onto lam >= 0 in one `np.maximum`, and takes
+the step on one free row as the division g / h, the value LAPACK's
+`solve` returns for a 1x1 system: each iterate, tilt and step count is
+the one `ndarray.max`, `np.outer` and `np.linalg.solve` would give, bit
+for bit (tests/test_optimize.py compares 600 projections with a plain
+numpy reference).  Each projected cell's duals lam are in its
+`DisjunctDiagnostic.duals`.
 Entropy maximization is divergence minimization from the uniform
 measure.  A set of priors is updated by one loop, `updates`, whose
 projections go through the memo `_projection`, so a (prior, kb) pair
@@ -55,6 +66,11 @@ class DisjunctDiagnostic:
     value: float | None = None
     strict_ok: bool | None = None  # the optimum satisfies kb (at EPS)
     cycles: int = 0  # dual Newton steps
+    # The projection's duals, one per row of the cell's `float_rows` (>=
+    # atoms negated): w = w0 exp(-A^T duals) / Z on the live support.
+    # Empty when no cell was projected onto: the prior satisfies kb and
+    # is its own projection.
+    duals: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -75,18 +91,18 @@ class ProjectionResult:
 def _dual(w0: np.ndarray, a: np.ndarray, b: np.ndarray, lam: np.ndarray):
     """The dual value log Z(lam) + b.lam and the tilt w0 exp(-A^T lam) / Z."""
     z = -(lam @ a)
-    top = z.max()
+    top = np.maximum.reduce(z)
     w = w0 * np.exp(z - top)
-    total = w.sum()
+    total = np.add.reduce(w)
     return top + math.log(total) + float(b @ lam), w / total
 
 
 def _newton(w0: np.ndarray, a: np.ndarray, b: np.ndarray, ineq: np.ndarray,
-            floor: bool) -> tuple[np.ndarray | None, int, float]:
-    """(tilt at the dual optimum, Newton steps, worst KKT residual), or
-    (None, steps, residual at the last iterate) when there is no
-    convergence within NEWTON_STEPS or, with floor set, when a weight at
-    the optimum is below ZERO_FLOOR of its prior weight.
+            floor: bool) -> tuple[np.ndarray | None, np.ndarray, int, float]:
+    """(tilt at the dual optimum, the duals lam, Newton steps, worst KKT
+    residual), or (None, lam, steps, residual) at the last iterate when
+    there is no convergence within NEWTON_STEPS or, with floor set, when
+    a weight at the optimum is below ZERO_FLOOR of its prior weight.
 
     Projected Newton (Bertsekas 1982): inequality duals at or near zero
     whose gradient pushes them below it are bound and sent to zero, the
@@ -95,56 +111,67 @@ def _newton(w0: np.ndarray, a: np.ndarray, b: np.ndarray, ineq: np.ndarray,
     """
     lam = np.zeros(len(b))
     phi, w = _dual(w0, a, b, lam)
+    # The projection onto lam >= 0 in one call: max(x, -inf) is x.
+    lower = np.where(ineq, 0.0, -np.inf)
     for step in range(NEWTON_STEPS + 1):
         aw = a @ w
         grad = b - aw
         kkt = np.abs(np.where(ineq, np.minimum(lam, grad), grad))
-        residual = float(kkt.max(initial=0.0))
+        residual = float(np.maximum.reduce(kkt, initial=0.0))
         if residual <= RESIDUAL_TOL:
             # Only the optimum is tested: on a skewed prior the first
             # iterates can pass far below the floor and come back.
-            if floor and np.any(w < ZERO_FLOOR * w0):
-                return None, step, residual
-            return w, step, residual
+            if floor and np.logical_or.reduce(w < ZERO_FLOOR * w0):
+                return None, lam, step, residual
+            return w, lam, step, residual
         if step == NEWTON_STEPS:
             break
-        bound = ineq & (lam <= min(residual, 1e-3)) & (grad > 0.0)
-        free = ~bound
-        hess = (a[free] * w) @ a[free].T - np.outer(aw[free], aw[free])
+        free = ~(ineq & (lam <= min(residual, 1e-3)) & (grad > 0.0))
+        af, awf, gf = a[free], aw[free], grad[free]
         # Rows that coincide on the support make the Hessian singular:
         # damp it in proportion to the gradient.
-        hess[np.diag_indices_from(hess)] += 1e-3 * np.abs(grad[free]).max(initial=0.0)
-        d = -lam.copy()
-        d[free] = -np.linalg.solve(hess, grad[free])
+        k = len(gf)
+        d = -lam
+        if k == 1:
+            # LAPACK's solve of a 1x1 system is this one division.
+            h = ((af * w) @ af.T)[0, 0] - awf[0] * awf[0] + 1e-3 * abs(gf[0])
+            if h == 0.0:
+                raise np.linalg.LinAlgError("Singular matrix")
+            d[free] = -(gf / h)
+        else:
+            hess = (af * w) @ af.T - awf[:, None] * awf
+            hess.flat[::k + 1] += 1e-3 * np.maximum.reduce(np.abs(gf), initial=0.0)
+            d[free] = -np.linalg.solve(hess, gf)
         # The Armijo test needs slack: float cannot see decreases of the
         # dual below eps near the optimum.
         slack = 1e-15 * (1.0 + abs(phi))
         t = 1.0
         for _ in range(60):
             trial = lam + t * d
-            trial[ineq] = np.maximum(trial[ineq], 0.0)
+            np.maximum(trial, lower, out=trial)
             phi_t, w_t = _dual(w0, a, b, trial)
             if phi_t <= phi + 1e-4 * float(grad @ (trial - lam)) + slack:
                 break
             t *= 0.5
         else:
-            return None, step + 1, residual
+            return None, lam, step + 1, residual
         lam, phi, w = trial, phi_t, w_t
-    return None, NEWTON_STEPS, residual
+    return None, lam, NEWTON_STEPS, residual
 
 
-def _project_cell(w0: np.ndarray, cell: Cell, pins) -> tuple[np.ndarray, int]:
+def _project_cell(w0: np.ndarray, cell: Cell, pins) -> tuple[np.ndarray, np.ndarray, int]:
     """KL projection of w0 onto the closure of the cell, over w0's
-    support, and the Newton steps it took.  Newton runs on the support
+    support, its duals (one per row of `Cell.float_rows`) and the
+    Newton steps it took.  Newton runs on the support
     left by the extreme atoms; when it fails or ends near the boundary,
     the worlds with zero mass at every point of the closure (meeting the
     pins) are pinned exactly and Newton runs again without the floor."""
     a, b, ineq = cell.float_rows
     live = cell.extreme_support(np.flatnonzero(w0 > 0.0).tolist())
-    w_live, steps, _ = _newton(w0[live], a[:, live], b, ineq, floor=True)
+    w_live, lam, steps, _ = _newton(w0[live], a[:, live], b, ineq, floor=True)
     if w_live is None:
         live = cell.support(live, pins)
-        w_live, more, residual = _newton(w0[live], a[:, live], b, ineq, floor=False)
+        w_live, lam, more, residual = _newton(w0[live], a[:, live], b, ineq, floor=False)
         steps += more
         if w_live is None:
             raise ConvergenceError(
@@ -152,7 +179,7 @@ def _project_cell(w0: np.ndarray, cell: Cell, pins) -> tuple[np.ndarray, int]:
                 f"(tolerance {RESIDUAL_TOL:g}) after {more} steps")
     w = np.zeros(len(w0))
     w[live] = w_live
-    return w, steps
+    return w, lam, steps
 
 
 def kl_project(mu: Measure, kb: ConstraintExpr) -> ProjectionResult:
@@ -183,11 +210,12 @@ def kl_project(mu: Measure, kb: ConstraintExpr) -> ProjectionResult:
         if pins and not cell.feasible(pins):
             diagnostics.append(DisjunctDiagnostic(k, open_nonempty=True, infinite=True))
             continue
-        w_star, steps = _project_cell(w0, cell, pins)
+        w_star, lam, steps = _project_cell(w0, cell, pins)
         result = Measure.from_floats(space, w_star)
         value = kl_divergence(result, mu)
         ok = satisfies(result, kb)
-        diagnostics.append(DisjunctDiagnostic(k, True, value=value, strict_ok=ok, cycles=steps))
+        diagnostics.append(DisjunctDiagnostic(k, True, value=value, strict_ok=ok, cycles=steps,
+                                              duals=tuple(lam.tolist())))
         candidates.append((value, ok, result, k))
 
     if not candidates:

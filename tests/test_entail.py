@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import credal
 from credal import simplex
 from credal.constraints import (
     And,
@@ -70,6 +74,25 @@ class TestSatisfiable:
 
         assert satisfiable(TRUE).feasible
         assert not satisfiable(FALSE).feasible
+
+    def test_a_wrong_witness_raises_under_dash_o(self):
+        # the witness check is no assert: python -O keeps it, so an LP
+        # point that misses the constraint is never reported as feasible
+        src = os.path.dirname(os.path.dirname(credal.__file__))
+        script = (
+            "from credal import entail\n"
+            "from credal.constraints import parse_constraint\n"
+            "from credal.measures import Measure\n"
+            "from credal.spaces import enumerate_worlds\n"
+            "space = enumerate_worlds(['a'])\n"
+            "entail.Cell.witness = lambda self: Measure.uniform(space, 'rational')\n"
+            "entail.satisfiable(parse_constraint('P(a) > 3/4', space))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 1
+        assert "ValueError: LP witness does not satisfy the constraint" in run.stderr
 
 
 class TestEntails:

@@ -52,6 +52,21 @@ class TestMeasureBasics:
         assert is_distribution([0] * 383 + [F(1)])
         assert not is_distribution([])
 
+    def test_a_measure_hashes_its_weights_once(self, fly_bird_space, monkeypatch):
+        # memo keys (optimize._projection) hash the same prior again and
+        # again; only the first hash walks its weights
+        mu = Measure.rational(fly_bird_space, [F(1, 2), F(1, 4), F(1, 8), F(1, 8)])
+        first = hash(mu)
+        calls = []
+        fraction_hash = F.__hash__
+        monkeypatch.setattr(F, "__hash__", lambda q: calls.append(q) or fraction_hash(q))
+        assert hash(mu) == first
+        assert calls == []
+        # an equal measure built afresh walks them once, to the same hash
+        copy = Measure.rational(fly_bird_space, mu.weights)
+        assert copy == mu and hash(copy) == first and hash(copy) == first
+        assert len(calls) == 4
+
     def test_backend_conversions(self, fly_bird_space):
         mu = Measure.rational(fly_bird_space, [F(1, 3), F(1, 3), F(1, 3), 0])
         assert mu.to_float().backend == "float"

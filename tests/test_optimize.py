@@ -1,8 +1,11 @@
+import hashlib
 import math
+import platform
 import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from credal import measures, optimize
@@ -15,8 +18,9 @@ from credal.constraints import (
     satisfies,
 )
 from credal.corpus import klm_corpus
-from credal.entail import satisfiable
+from credal.entail import Cell, cells, satisfiable
 from credal.errors import ConvergenceError, DomainError
+from credal.harness import _plain_space
 from credal.measures import Measure, kl_divergence
 from credal.optimize import kl_project, maxent, update_set, updates
 from credal.procedures import InferenceProcedure, PriorFunction, infers, select
@@ -148,7 +152,6 @@ class TestKlProject:
     def test_coinciding_rows_are_attained(self, atoms):
         # Both rows are violated at the prior, so the dual Hessian is
         # singular.  Both optima lie on the 1/48 grid.
-        from credal.harness import _plain_space
         from credal.spaces import event_from_indices
 
         space = _plain_space("c", 3)
@@ -184,7 +187,6 @@ class TestKlProject:
 
     def test_objective_projection_is_conditioning(self, fly_bird_space):
         from credal.constraints import LinearAtom
-        from credal.harness import _plain_space
         from credal.measures import condition
         from credal.spaces import event_from_indices
         from tests.conftest import simplex_grid
@@ -428,7 +430,6 @@ def test_random_projections_match_grid_oracle():
     # randomized cross-validation of the dual Newton projection
     import random
 
-    from credal.harness import _plain_space
     from tests.conftest import grid_kl_argmin
 
     rng = random.Random(71)
@@ -468,27 +469,36 @@ def test_maxent_newton_steps_on_klm_corpus():
     assert steps <= 60
 
 
+def _random_cell(rng, max_worlds):
+    """A conjunction of 1-3 random =/<=/>= rows over 2 to max_worlds - 1
+    worlds and a prior with some zero weights, or None when every
+    weight drawn is zero."""
+    n = rng.randrange(2, max_worlds)
+    space = _plain_space("s", n)
+    atoms = tuple(
+        LinearAtom(tuple((F(rng.choice((1, 1, 2, -1))), Event(space, rng.randrange(1, (1 << n) - 1)))
+                         for _ in range(rng.choice((1, 1, 2)))),
+                   rng.choice(("=", "<=", ">=")), F(rng.randrange(0, 9), 8))
+        for _ in range(rng.randrange(1, 4)))
+    raw = [rng.choice((0.0, 1.0, 1.0, 1.0)) * rng.uniform(0.05, 1.0) for _ in range(n)]
+    if sum(raw) == 0.0:
+        return None
+    return space, atoms, Measure.from_floats(space, [w / sum(raw) for w in raw])
+
+
 def test_random_cells_match_slsqp_oracle():
     # Differential oracle: scipy's SLSQP on random cells of up to 5
     # worlds, priors with some zero weights.
     pytest.importorskip("scipy")
-    from credal.harness import _plain_space
     from tests.conftest import slsqp_kl_min
 
     rng = random.Random(4)
     compared = attained = 0
     for _ in range(300):
-        n = rng.randrange(2, 6)
-        space = _plain_space("s", n)
-        atoms = tuple(
-            LinearAtom(tuple((F(rng.choice((1, 1, 2, -1))), Event(space, rng.randrange(1, (1 << n) - 1)))
-                             for _ in range(rng.choice((1, 1, 2)))),
-                       rng.choice(("=", "<=", ">=")), F(rng.randrange(0, 9), 8))
-            for _ in range(rng.randrange(1, 4)))
-        raw = [rng.choice((0.0, 1.0, 1.0, 1.0)) * rng.uniform(0.05, 1.0) for _ in range(n)]
-        if sum(raw) == 0.0:
+        drawn = _random_cell(rng, 6)
+        if drawn is None:
             continue
-        prior = Measure.from_floats(space, [w / sum(raw) for w in raw])
+        _, atoms, prior = drawn
         res = kl_project(prior, And(atoms))
         if not res.attained:
             continue
@@ -499,3 +509,161 @@ def test_random_cells_match_slsqp_oracle():
         compared += 1
         assert res.value * math.log(2) == pytest.approx(oracle, abs=1e-7)
     assert attained >= 100 and compared >= 0.9 * attained
+
+
+def test_projection_duals_are_a_kkt_certificate():
+    # The duals of each projected cell, checked against its float rows
+    # A w (= or <=) b on the live support (the worlds of positive mass):
+    # lam >= 0 on the inequality rows, complementary slackness, the
+    # primal residual, and w proportional to w0 exp(-A^T lam).  Newton
+    # stops at a worst KKT residual of RESIDUAL_TOL, so |lam s| is at
+    # most RESIDUAL_TOL max(lam, |s|) for a row of slack s.  A prior
+    # that satisfies kb is its own projection, with no cell and no duals.
+    rng = random.Random(15)
+    checked = own = 0
+    for _ in range(400):
+        drawn = _random_cell(rng, 6)
+        if drawn is None:
+            continue
+        space, atoms, prior = drawn
+        kb = And(atoms)
+        res = kl_project(prior, kb)
+        if not res.attained:
+            continue
+        (diag,) = res.diagnostics
+        if satisfies(prior, kb):
+            assert res.measures == (prior,) and (diag.cycles, diag.duals) == (0, ())
+            own += 1
+            continue
+        a, b, ineq = cells(kb, space)[diag.index].float_rows
+        lam = np.array(diag.duals)
+        w = np.array(res.measures[0].weights)
+        w0 = np.array(prior.weights)
+        assert lam.shape == b.shape
+        assert (lam[ineq] >= 0.0).all()
+        slack = b - a @ w
+        assert (slack[ineq] >= -1e-9).all() and (abs(slack[~ineq]) <= 1e-9).all()
+        assert (abs(lam[ineq] * slack[ineq]) <= 1e-9 * (1.0 + lam[ineq])).all()
+        live = w > 0.0
+        assert (w0[live] > 0.0).all()
+        log_z = np.log(w0[live]) - lam @ a[:, live] - np.log(w[live])
+        assert log_z.max() - log_z.min() <= 1e-9
+        checked += 1
+    assert checked >= 100 and own >= 10
+
+
+def _plain_newton(w0, a, b, ineq, floor):
+    """`optimize._newton` written with numpy's general calls, as it was
+    before its step was trimmed: `ndarray.max` and `.sum`, `np.outer`,
+    `np.diag_indices_from`, `np.linalg.solve` for every Hessian and the
+    masked copies of the bound rows on every step.  The reference for
+    the bit-identity of the trimmed step."""
+    def dual(lam):
+        z = -(lam @ a)
+        top = z.max()
+        w = w0 * np.exp(z - top)
+        total = w.sum()
+        return top + math.log(total) + float(b @ lam), w / total
+
+    lam = np.zeros(len(b))
+    phi, w = dual(lam)
+    for step in range(optimize.NEWTON_STEPS + 1):
+        aw = a @ w
+        grad = b - aw
+        kkt = np.abs(np.where(ineq, np.minimum(lam, grad), grad))
+        residual = float(kkt.max(initial=0.0))
+        if residual <= optimize.RESIDUAL_TOL:
+            if floor and np.any(w < optimize.ZERO_FLOOR * w0):
+                return None, lam, step, residual
+            return w, lam, step, residual
+        if step == optimize.NEWTON_STEPS:
+            break
+        bound = ineq & (lam <= min(residual, 1e-3)) & (grad > 0.0)
+        free = ~bound
+        hess = (a[free] * w) @ a[free].T - np.outer(aw[free], aw[free])
+        hess[np.diag_indices_from(hess)] += 1e-3 * np.abs(grad[free]).max(initial=0.0)
+        d = -lam.copy()
+        d[free] = -np.linalg.solve(hess, grad[free])
+        slack = 1e-15 * (1.0 + abs(phi))
+        t = 1.0
+        for _ in range(60):
+            trial = lam + t * d
+            trial[ineq] = np.maximum(trial[ineq], 0.0)
+            phi_t, w_t = dual(trial)
+            if phi_t <= phi + 1e-4 * float(grad @ (trial - lam)) + slack:
+                break
+            t *= 0.5
+        else:
+            return None, lam, step + 1, residual
+        lam, phi, w = trial, phi_t, w_t
+    return None, lam, optimize.NEWTON_STEPS, residual
+
+
+def _projection_digest() -> str:
+    """A digest of 600 seeded projections of 1-3 rows over 2-8 worlds,
+    priors with zero weights and, one draw in four, the pair P(A) >= c,
+    P(A or B) <= c, which forces the worlds of B outside A to zero with
+    neither bound extreme, so Cell.support finds those zeros.  Every projected
+    weight's float.hex and every cycles count go into it: any change to
+    a float operation of the projection, or to their order, changes it."""
+    rng = random.Random(15)
+    digest = hashlib.sha256()
+    for _ in range(600):
+        drawn = _random_cell(rng, 9)
+        if drawn is None:
+            continue
+        space, atoms, prior = drawn
+        if rng.random() < 0.25:
+            n = len(space.worlds)
+            inner = rng.randrange(1, (1 << n) - 1)
+            outer = inner | rng.randrange(1, 1 << n)
+            c = F(rng.randrange(1, 8), 8)
+            atoms = atoms[:1] + (LinearAtom(((F(1), Event(space, inner)),), ">=", c),
+                                 LinearAtom(((F(1), Event(space, outer)),), "<=", c))
+        res = kl_project(prior, And(atoms))
+        digest.update(res.status.encode())
+        for m in res.measures:
+            digest.update(" ".join(float(w).hex() for w in m.weights).encode())
+        digest.update(repr([d.cycles for d in res.diagnostics]).encode())
+    return digest.hexdigest()[:16]
+
+
+def test_projection_floats_match_plain_numpy_newton(monkeypatch):
+    # Bit-identity guard for the dual Newton on any CPU: the same
+    # projections with `_newton` and with its plain-numpy reference give
+    # the same weights and step counts, bit for bit.
+    supports = []
+    support = Cell.support
+    monkeypatch.setattr(Cell, "support",
+                        lambda self, *args: supports.append(self) or support(self, *args))
+    trimmed = _projection_digest()
+    assert len(supports) >= 20
+    monkeypatch.setattr(optimize, "_newton", _plain_newton)
+    assert _projection_digest() == trimmed
+
+
+# The floats of a projection depend on numpy's exp kernel, picked by the
+# CPU's SIMD extensions, and on the BLAS kernels, picked by the CPU model:
+# the platform on which the digest below was recorded, at the commit
+# before the dual Newton step was trimmed.
+DIGEST_PLATFORM = ("x86_64", "2.4.6", "0.3.31.188.0",
+                   ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"))
+
+
+def _float_platform():
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.25 prints its configuration only
+        return None
+    return (platform.machine(), np.__version__,
+            config.get("Build Dependencies", {}).get("blas", {}).get("version"),
+            tuple(config.get("SIMD Extensions", {}).get("found", ())))
+
+
+def test_projection_floats_match_their_recorded_digest():
+    # Guards every float of the projection, float_rows and the supports
+    # included, against the recorded digest; elsewhere the test above
+    # still compares the step with its reference.
+    if _float_platform() != DIGEST_PLATFORM:
+        pytest.skip(f"digest recorded on {DIGEST_PLATFORM}, not on {_float_platform()}")
+    assert _projection_digest() == "88d2a3d70ea891aa"
