@@ -5,8 +5,8 @@ open polyhedra of the simplex it denotes.  `Cell` owns the exact LP
 encoding of one cell: the simplex row, one row per atom, and one slack t
 shared by the strict atoms, whose optimum is positive exactly when the
 open cell is non-empty; the closure drops t from the strict atoms.  The
-rows are built once per cell, as the integer `simplex.Row`s the tableau
-pivots on.
+rows, built once per cell as the integer `simplex.Row`s the tableau
+pivots on, are the only copy of the atoms that a cell computes with.
 Satisfiability, entailment, ranges, sampling and conservativeness are
 decided cell by cell, on the cells `cells` builds once per (constraint,
 space).  Witnesses are exact rational measures.
@@ -57,35 +57,30 @@ _SLACK = {"<": 1, ">": -1}
 Pins = Sequence[tuple[list[int | Fraction], Fraction]]
 
 
-def _dot(a, b):
-    return sum((x * y for x, y in zip(a, b)), _ZERO)
-
-
 class Cell:
     """One DNF cell on one space, and the only code that builds LP rows.
 
     The LP variables are the world masses and the strict slack t.  The
-    open rows are built at construction and the closure rows on first
-    use, both as integer `simplex.Row`s; the atoms' rational
-    coefficients and the projection's float rows are built on first
-    use too.  Pins are extra equality rows, given as (per-world
-    coefficients, value) pairs.
+    open and closure rows are integer `simplex.Row`s built on first use;
+    row 1 + j is atom j's, over the worlds, t and the bound, at the
+    atom's scale and in its orientation.  Everything else the cell
+    knows of its atoms it reads off those rows.  Pins are extra
+    equality rows, given as (per-world coefficients, value) pairs.
     """
 
     def __init__(self, system: DnfSystem, space: Space):
         self.system = system
         self.space = space
         self.atoms = system.atoms()
-        n = len(space.worlds)
-        self._open = ([simplex.Row([1] * n + [0, 1], "=", 1)]
-                      + [_atom_row(atom, n) for atom in self.atoms]
-                      + [simplex.Row([0] * n + [1, 1], "<=", 1)])
         self._witness = _UNSET
 
     @cached_property
-    def coefficients(self) -> list[list[Fraction]]:
-        """Each atom's per-world coefficients, as Fractions."""
-        return [atom.coefficients(self.space) for atom in self.atoms]
+    def _open(self) -> list[simplex.Row]:
+        """The simplex row, each atom's open row and t <= 1."""
+        n = len(self.space.worlds)
+        return ([simplex.Row([1] * n + [0, 1], "=", 1)]
+                + [_atom_row(atom, n) for atom in self.atoms]
+                + [simplex.Row([0] * n + [1, 1], "<=", 1)])
 
     @cached_property
     def _closed(self) -> list[simplex.Row]:
@@ -143,22 +138,31 @@ class Cell:
                 out.append(i)
         return out
 
+    def holds_at(self, point: dict[int, Fraction], closed: bool = False) -> bool:
+        """Whether the atoms (closed: strict ones relaxed) hold at the
+        measure putting point[i] on world i and nothing elsewhere: each
+        row against the point's numerators over their common denominator."""
+        d = lcm(*(p.denominator for p in point.values()))
+        nums = [(i, p.numerator * (d // p.denominator)) for i, p in point.items()]
+        return all(compare(sum(row.ints[i] * v for i, v in nums),
+                           row.rel if closed else atom.cmp, row.ints[-1] * d, True, 0.0)
+                   for atom, row in zip(self.atoms, self._open[1:]))
+
     def in_closure(self, x: list[Fraction]) -> bool:
         """Whether the exact point x lies in the closure of the cell."""
-        if not is_distribution(x):
-            return False
-        return all(compare(_dot(coeffs, x), _ROW_CMP[atom.cmp], atom.bound, True, 0.0)
-                   for atom, coeffs in zip(self.atoms, self.coefficients))
+        return is_distribution(x) and self.holds_at(dict(enumerate(x)), closed=True)
 
     @cached_property
     def float_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The atoms as float rows A w (= or <=) b, the >= atoms negated
-        and the strict ones closed, with the mask of the inequality rows."""
-        cmps = [_ROW_CMP[atom.cmp] for atom in self.atoms]
-        sign = np.array([-1.0 if c == ">=" else 1.0 for c in cmps])
-        a = np.array(self.coefficients, dtype=float).reshape(len(cmps), len(self.space.worlds))
-        b = np.array([float(atom.bound) for atom in self.atoms]) * sign
-        return a * sign[:, None], b, np.array([c != "=" for c in cmps], dtype=bool)
+        and the strict ones closed, with the mask of the inequality rows;
+        int / int rounds correctly, so each entry is float(its Fraction)."""
+        rows = self._open[1:-1]
+        n = len(self.space.worlds)
+        sign = np.array([-1.0 if row.rel == ">=" else 1.0 for row in rows])
+        a = np.array([[v / row.scale for v in row.ints[:n]] for row in rows]).reshape(-1, n)
+        b = np.array([row.ints[-1] / row.scale for row in rows]) * sign
+        return a * sign[:, None], b, np.array([row.rel != "=" for row in rows], dtype=bool)
 
     def extreme_support(self, live: list[int]) -> list[int]:
         """The live worlds left once every atom whose bound is the largest
@@ -168,26 +172,25 @@ class Cell:
         changed = True
         while changed:
             changed = False
-            for atom, coeffs in zip(self.atoms, self.coefficients):
-                values = [coeffs[i] for i in live]
-                if (atom.cmp in ("=", ">=", ">") and atom.bound == max(values)
-                        or atom.cmp in ("=", "<=", "<") and atom.bound == min(values)):
-                    keep = [i for i in live if coeffs[i] == atom.bound]
+            for ints, rel, _ in self._open[1:-1]:
+                values = [ints[i] for i in live]
+                if (rel in ("=", ">=") and ints[-1] == max(values)
+                        or rel in ("=", "<=") and ints[-1] == min(values)):
+                    keep = [i for i in live if ints[i] == ints[-1]]
                     if len(keep) < len(live):
                         live, changed = keep, True
         return live
 
     @cached_property
-    def _basis_rows(self) -> tuple[list[list[Fraction]], list[list[Fraction]], int]:
-        """The rows of the vertex search: the simplex row with the = atoms,
-        the pool of nonnegativity and inequality rows, and how many pool
-        rows complete a basis."""
+    def _basis_rows(self) -> tuple[list[list[int]], list[list[int]], int]:
+        """The rows of the vertex search, in integers without t: the
+        simplex row with the = atoms, the pool of nonnegativity and
+        inequality rows, and how many pool rows complete a basis."""
         n = len(self.space.worlds)
-        atom_rows = [coeffs + [atom.bound] for atom, coeffs in zip(self.atoms, self.coefficients)]
+        atom_rows = [row.ints[:n] + row.ints[-1:] for row in self._open[1:-1]]
         n_eq = len(self.system.equalities)
-        eqs = [[_ONE] * n + [_ONE]] + atom_rows[:n_eq]
-        pool = ([[_ONE if j == i else _ZERO for j in range(n)] + [_ZERO] for i in range(n)]
-                + atom_rows[n_eq:])
+        eqs = [[1] * (n + 1)] + atom_rows[:n_eq]
+        pool = [[int(j == i) for j in range(n)] + [0] for i in range(n)] + atom_rows[n_eq:]
         return eqs, pool, n - _eliminate(eqs, n)[1]
 
     @property
@@ -233,12 +236,13 @@ def _atom_row(atom: LinearAtom, n: int) -> simplex.Row:
     g = gcd(big_l, *ints)
     if g > 1:
         ints = [a // g for a in ints]
-    return simplex.integer_row(ints, _ROW_CMP[atom.cmp], big_l // g)
+    return simplex.Row(ints, _ROW_CMP[atom.cmp], big_l // g)
 
 
-def _eliminate(aug: list[list[Fraction]], n: int) -> tuple[list[list[Fraction]], int]:
-    """Gauss-Jordan elimination of augmented rows over n unknowns: the
-    reduced rows and the rank of their coefficient part."""
+def _eliminate(aug: list[list[int | Fraction]], n: int) -> tuple[list[list[Fraction]], int]:
+    """Gauss-Jordan elimination of augmented integer rows over n
+    unknowns: the reduced rows, in Fractions, and the rank of their
+    coefficient part."""
     aug = [list(row) for row in aug]
     r = 0
     for c in range(n):
@@ -246,7 +250,7 @@ def _eliminate(aug: list[list[Fraction]], n: int) -> tuple[list[list[Fraction]],
         if pivot is None:
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
-        aug[r] = [v / aug[r][c] for v in aug[r]]
+        aug[r] = [Fraction(v, aug[r][c]) for v in aug[r]]
         for i in range(len(aug)):
             if i != r and aug[i][c] != 0:
                 f = aug[i][c]
@@ -312,12 +316,8 @@ def quarter_constraint(s: Event) -> LinearAtom:
 
 def _holds_at(kb_cells: Sequence[Cell], point: dict[int, Fraction]) -> bool:
     """Whether kb holds exactly at the measure putting point[i] on world
-    i and nothing elsewhere: some cell's atoms all hold at the values
-    sum_i coefficients[i] * point[i]."""
-    return any(all(compare(sum(coeffs[i] * p for i, p in point.items()), atom.cmp, atom.bound,
-                           True, 0.0)
-                   for atom, coeffs in zip(cell.atoms, cell.coefficients))
-               for cell in kb_cells)
+    i and nothing elsewhere: some cell's atoms all hold there."""
+    return any(cell.holds_at(point) for cell in kb_cells)
 
 
 def _point_mass_event(kb_cells: Sequence[Cell], space: Space) -> Event:

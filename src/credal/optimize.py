@@ -1,8 +1,8 @@
 """Maximum entropy and relative-entropy projection over constraint sets.
 
 Each DNF disjunct denotes a relatively open polyhedral cell, an
-`entail.Cell` whose exact LP rows decide feasibility and the exact
-zero pattern, and whose `float_rows` the dual runs on.  The
+`entail.Cell` whose integer LP rows decide feasibility and the exact
+zero pattern and give the `float_rows` the dual runs on.  The
 projection onto the cell's closure is the exponential tilt
 w0 * exp(-A^T lam) / Z, where lam minimizes the convex dual
 log Z(lam) + b.lam with lam >= 0 on the inequality rows (Csiszar 1975);
@@ -24,8 +24,8 @@ the step on one free row as the division g / h, the value LAPACK's
 `solve` returns for a 1x1 system: each iterate, tilt and step count is
 the one `ndarray.max`, `np.outer` and `np.linalg.solve` would give, bit
 for bit (tests/test_optimize.py compares 600 projections with a plain
-numpy reference).  Each projected cell's duals lam are in its
-`DisjunctDiagnostic.duals`.
+numpy reference).  The duals lam are in `DisjunctDiagnostic.duals`,
+zero on the first cell holding a prior that satisfies kb.
 Entropy maximization is divergence minimization from the uniform
 measure.  A set of priors is updated by one loop, `updates`, whose
 projections go through the memo `_projection`, so a (prior, kb) pair
@@ -47,7 +47,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .constraints import ConstraintExpr, satisfies, space_of
+from .constraints import ConstraintExpr, satisfies, space_of, to_dnf
 from .entail import Cell, cells
 from .errors import ConvergenceError, DomainError
 from .measures import EPS, FLOAT, Measure, kl_divergence
@@ -68,8 +68,8 @@ class DisjunctDiagnostic:
     cycles: int = 0  # dual Newton steps
     # The projection's duals, one per row of the cell's `float_rows` (>=
     # atoms negated): w = w0 exp(-A^T duals) / Z on the live support.
-    # Empty when no cell was projected onto: the prior satisfies kb and
-    # is its own projection.
+    # All zero when the prior satisfies kb and is its own projection;
+    # index is then the first cell whose atoms all hold at the prior.
     duals: tuple[float, ...] = ()
 
 
@@ -188,13 +188,17 @@ def kl_project(mu: Measure, kb: ConstraintExpr) -> ProjectionResult:
     Worlds outside mu's support stay at probability zero; a disjunct
     that forces mass outside the support has infinite divergence and is
     dropped (status "empty" with diagnostics if every disjunct does).
-    A measure already satisfying kb is its own projection.
+    A measure already satisfying kb is its own projection, on the first
+    cell whose atoms hold at it (at `EPS`), with zero duals.
     """
     if mu.backend != FLOAT:
         raise ValueError("kl_project needs a float-backed prior; convert explicitly")
-    if satisfies(mu, kb):
-        return ProjectionResult("attained", (mu,), 0.0,
-                                (DisjunctDiagnostic(0, True, value=0.0, strict_ok=True),))
+    systems = to_dnf(kb).systems
+    own = next((k for k, system in enumerate(systems)
+                if all(satisfies(mu, atom) for atom in system.atoms())), None)
+    if own is not None:
+        return ProjectionResult("attained", (mu,), 0.0, (DisjunctDiagnostic(
+            own, True, value=0.0, strict_ok=True, duals=(0.0,) * len(systems[own].atoms())),))
 
     space = mu.space
     w0 = np.array([float(x) for x in mu.weights])

@@ -7,10 +7,11 @@ rounding.  Bland's pivoting rule rules out cycling.
 
 Rationals go out, but the tableau holds Python integers.  A row comes
 in as a `Row`, already in that form: its coefficients and right-hand
-side times the lcm k of their denominators, negated with the comparator
-flipped when the right-hand side is negative.  `entail.Cell` builds its
+side times the lcm k of their denominators.  `entail.Cell` builds its
 rows so, once per cell; a rational (coefficients, rel, rhs) row passes
-through `scale_row`, the same conversion, on each call.  The slack or
+through `scale_row`, the same conversion, on each call.  A row whose
+right-hand side is negative is negated, its comparator flipped, as it
+enters the tableau.  The slack or
 artificial variable of a row is rescaled with it, so that variable
 keeps coefficient +1 or -1 and the starting basis is the identity.
 From then on every entry is the rational tableau's entry times one
@@ -46,21 +47,13 @@ _FLIP = {"<=": ">=", ">=": "<=", "=": "="}
 
 
 class Row(NamedTuple):
-    """One constraint in the tableau's integer form: the coefficients
-    and then the right-hand side (nonnegative), the comparator, and the
-    scale k > 0 that the rational row was multiplied by."""
+    """One rational row in integers: the coefficients and then the
+    right-hand side (of either sign), the comparator, and the scale
+    k > 0 that the rational row was multiplied by."""
 
     ints: list[int]
     rel: str
     scale: int
-
-
-def integer_row(ints: list[int], rel: str, scale: int) -> Row:
-    """The row ints (right-hand side last) at the given scale, negated
-    with its comparator flipped when the right-hand side is negative."""
-    if ints[-1] < 0:
-        return Row([-c for c in ints], _FLIP[rel], scale)
-    return Row(ints, rel, scale)
 
 
 def scale_row(coeffs: Sequence[Fraction], rel: str, b: Fraction, num_vars: int) -> Row:
@@ -69,7 +62,7 @@ def scale_row(coeffs: Sequence[Fraction], rel: str, b: Fraction, num_vars: int) 
     row = [*coeffs, *[0] * (num_vars - len(coeffs)), b]
     dens = [c.denominator for c in row]
     k = lcm(*dens)
-    return integer_row([c.numerator * (k // q) for c, q in zip(row, dens)], rel, k)
+    return Row([c.numerator * (k // q) for c, q in zip(row, dens)], rel, k)
 
 
 def solve_lp(
@@ -87,6 +80,8 @@ def solve_lp(
     Fractions.
     """
     rows = [r if isinstance(r, Row) else scale_row(*r, num_vars) for r in constraints]
+    rows = [Row([-c for c in r.ints], _FLIP[r.rel], r.scale) if r.ints[-1] < 0 else r
+            for r in rows]
 
     n_slack = sum(rel != "=" for _, rel, _ in rows)
     n_art = sum(rel != "<=" for _, rel, _ in rows)

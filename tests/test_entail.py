@@ -4,6 +4,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import credal
@@ -46,6 +47,35 @@ from credal.spaces import (
 from tests.conftest import simplex_grid
 
 F = Fraction
+
+CLOSED_CMP = {"=": "=", "<=": "<=", ">=": ">=", "<": "<=", ">": ">="}
+
+
+def _fractional_atom(rng, sp, cmps=tuple(CLOSED_CMP)):
+    """An atom of one to three terms with fractional coefficients, a
+    bound that may be negative, and a comparator drawn from cmps."""
+    n = len(sp.worlds)
+    terms = tuple((F(rng.randint(-4, 4), rng.choice((1, 2, 3, 6))),
+                   event_from_indices(sp, rng.sample(range(n), rng.randint(0, n))))
+                  for _ in range(rng.randint(1, 3)))
+    return LinearAtom(terms, rng.choice(cmps), F(rng.randint(-3, 3), rng.choice((1, 2, 4))))
+
+
+def _extreme_support(atoms, sp, live):
+    """Reference for `Cell.extreme_support`, on the atoms' rational
+    coefficients."""
+    changed = True
+    while changed:
+        changed = False
+        for atom in atoms:
+            coeffs = atom.coefficients(sp)
+            values = [coeffs[i] for i in live]
+            if (atom.cmp in ("=", ">=", ">") and atom.bound == max(values)
+                    or atom.cmp in ("=", "<=", "<") and atom.bound == min(values)):
+                keep = [i for i in live if coeffs[i] == atom.bound]
+                if len(keep) < len(live):
+                    live, changed = keep, True
+    return live
 
 
 class TestSatisfiable:
@@ -317,17 +347,11 @@ class TestCell:
         # each cell builds its integer rows once, from the atoms' terms;
         # they must be the rows scale_row makes of the rational rows, so
         # the tableau and every pivot stay those of the rational LP
-        closed_cmp = {"=": "=", "<=": "<=", ">=": ">=", "<": "<=", ">": ">="}
         t_coeff = {"<": F(1), ">": F(-1)}
         rng = random.Random(14)
 
         def atom(sp):
-            n = len(sp.worlds)
-            terms = tuple((F(rng.randint(-4, 4), rng.choice((1, 2, 3, 6))),
-                           event_from_indices(sp, rng.sample(range(n), rng.randint(0, n))))
-                          for _ in range(rng.randint(1, 3)))
-            return LinearAtom(terms, rng.choice(list(closed_cmp)),
-                              F(rng.randint(-3, 3), rng.choice((1, 2, 4))))
+            return _fractional_atom(rng, sp)
 
         for n in (2, 5):
             sp = _plain_space("r", n)
@@ -336,11 +360,94 @@ class TestCell:
                 for cell in cells(kb, sp):
                     for closed, rows in ((False, cell._open), (True, cell._closed)):
                         rational = [([F(1)] * n + [F(0)], "=", F(1))]
-                        rational += [(coeffs + [F(0) if closed else t_coeff.get(a.cmp, F(0))],
-                                      closed_cmp[a.cmp], a.bound)
-                                     for a, coeffs in zip(cell.atoms, cell.coefficients)]
+                        rational += [(a.coefficients(sp)
+                                      + [F(0) if closed else t_coeff.get(a.cmp, F(0))],
+                                      CLOSED_CMP[a.cmp], a.bound) for a in cell.atoms]
                         rational.append(([F(0)] * n + [F(1)], "<=", F(1)))
                         assert rows == [simplex.scale_row(*row, n + 1) for row in rational]
+
+    def test_row_readers_match_the_rational_atoms(self):
+        # holds_at, in_closure, extreme_support and float_rows read the
+        # integer rows, in each atom's own orientation; on atoms with
+        # negative bounds they must agree with the rational atoms.  The
+        # points are random, the cell's witness and closure optima,
+        # which sit on the boundary of the strict atoms.
+        rng = random.Random(16)
+        seen = {"open": 0, "closure_only": 0, "negative_rhs": 0, "narrowed": 0}
+        for n in (2, 3, 5):
+            sp = _plain_space("q", n)
+            for _ in range(80):
+                a, b = _fractional_atom(rng, sp), _fractional_atom(rng, sp)
+                kb = and_(a, b) if rng.random() < 0.5 else Not(a)
+                for cell in cells(kb, sp):
+                    atoms = cell.atoms
+                    seen["negative_rhs"] += sum(row.ints[-1] < 0 for row in cell._open)
+                    support = rng.sample(range(n), rng.randrange(1, n + 1))
+                    cuts = sorted(F(rng.randrange(9), 8) for _ in support[1:])
+                    masses = dict(zip(support, [y - x for x, y in zip([F(0)] + cuts,
+                                                                      cuts + [F(1)])]))
+                    points = [[masses.get(i, F(0)) for i in range(n)]]
+                    if cell.witness() is not None:
+                        points.append(list(cell.witness().weights))
+                    for maximize in (False, True):
+                        found = cell.solve([F(rng.randint(-3, 3)) for _ in range(n)], maximize,
+                                           closed=True)
+                        if found is not None:
+                            points.append(found[0])
+                    for x in points:
+                        mu = Measure.rational(sp, x)
+                        holds = all(satisfies(mu, atom) for atom in atoms)
+                        closure = all(satisfies(mu, LinearAtom(atom.terms, CLOSED_CMP[atom.cmp],
+                                                               atom.bound)) for atom in atoms)
+                        sparse = {i: v for i, v in enumerate(x) if v}
+                        assert cell.holds_at(sparse) == holds
+                        assert cell.holds_at(sparse, closed=True) == closure
+                        assert cell.in_closure(x) == closure
+                        seen["open"] += holds
+                        seen["closure_only"] += closure and not holds
+                    live = rng.sample(range(n), rng.randrange(1, n + 1))
+                    narrowed = cell.extreme_support(live)
+                    assert narrowed == _extreme_support(atoms, sp, live)
+                    seen["narrowed"] += len(narrowed) < len(live)
+                    sign = np.array([-1.0 if CLOSED_CMP[atom.cmp] == ">=" else 1.0
+                                     for atom in atoms])
+                    a_ref = np.array([atom.coefficients(sp) for atom in atoms],
+                                     dtype=float).reshape(len(atoms), n) * sign[:, None]
+                    b_ref = np.array([float(atom.bound) for atom in atoms]) * sign
+                    a_rows, b_rows, ineq = cell.float_rows
+                    assert a_rows.tobytes() == a_ref.tobytes()
+                    assert b_rows.tobytes() == b_ref.tobytes()
+                    assert ineq.tolist() == [atom.cmp != "=" for atom in atoms]
+        assert min(seen.values()) >= 10, seen
+
+    def test_vertices_are_the_lp_optima(self):
+        # Every optimum of a linear objective over a closed cell is
+        # attained at a vertex, so the max and min of each objective
+        # over cell.vertices must be the exact LP's; a missed vertex
+        # shows as an objective whose LP optimum no listed vertex meets.
+        rng = random.Random(17)
+        checked = empty = 0
+        for n in (2, 3, 4, 5):
+            sp = _plain_space("v", n)
+            for _ in range(100):
+                kb = And(tuple(_fractional_atom(rng, sp, ("=", "<=", ">="))
+                               for _ in range(rng.randint(1, 3))))
+                for cell in cells(kb, sp):
+                    if cell.bases > 500:
+                        continue
+                    vertices = cell.vertices
+                    for _ in range(6):
+                        objective = [F(rng.randint(-5, 5)) for _ in range(n)]
+                        values = [sum(c * x for c, x in zip(objective, v)) for v in vertices]
+                        for maximize, best in ((True, max), (False, min)):
+                            found = cell.solve(objective, maximize, closed=True)
+                            if found is None:
+                                assert vertices == ()
+                                continue
+                            assert best(values) == found[1]
+                    checked += bool(vertices)
+                    empty += not vertices
+        assert checked >= 100 and empty >= 10, (checked, empty)
 
 
 class TestLinearRangeAndSampling:

@@ -22,7 +22,7 @@ from credal.entail import Cell, cells, satisfiable
 from credal.errors import ConvergenceError, DomainError
 from credal.harness import _plain_space
 from credal.measures import Measure, kl_divergence
-from credal.optimize import kl_project, maxent, update_set, updates
+from credal.optimize import DisjunctDiagnostic, kl_project, maxent, update_set, updates
 from credal.procedures import InferenceProcedure, PriorFunction, infers, select
 from credal.spaces import Event, enumerate_worlds, event_of
 from tests.conftest import grid_kl_argmin
@@ -518,7 +518,8 @@ def test_projection_duals_are_a_kkt_certificate():
     # primal residual, and w proportional to w0 exp(-A^T lam).  Newton
     # stops at a worst KKT residual of RESIDUAL_TOL, so |lam s| is at
     # most RESIDUAL_TOL max(lam, |s|) for a row of slack s.  A prior
-    # that satisfies kb is its own projection, with no cell and no duals.
+    # that satisfies kb is its own projection, in zero Newton steps, and
+    # its zero duals certify it on the first cell whose atoms hold at it.
     rng = random.Random(15)
     checked = own = 0
     for _ in range(400):
@@ -532,9 +533,9 @@ def test_projection_duals_are_a_kkt_certificate():
             continue
         (diag,) = res.diagnostics
         if satisfies(prior, kb):
-            assert res.measures == (prior,) and (diag.cycles, diag.duals) == (0, ())
+            assert res.measures == (prior,) and diag.cycles == 0
+            assert not any(diag.duals)
             own += 1
-            continue
         a, b, ineq = cells(kb, space)[diag.index].float_rows
         lam = np.array(diag.duals)
         w = np.array(res.measures[0].weights)
@@ -549,7 +550,19 @@ def test_projection_duals_are_a_kkt_certificate():
         log_z = np.log(w0[live]) - lam @ a[:, live] - np.log(w[live])
         assert log_z.max() - log_z.min() <= 1e-9
         checked += 1
-    assert checked >= 100 and own >= 10
+    assert checked - own >= 100 and own >= 10
+
+
+def test_a_prior_satisfying_kb_names_the_cell_holding_it():
+    # the uniform prior violates the first cell, P(a) > 3/4, and lies in
+    # the second, P(a) <= 1/2, where zero duals certify it
+    space = enumerate_worlds(["a"])
+    kb = parse_constraint("P(a) > 3/4 | P(a) <= 1/2", space)
+    prior = Measure.uniform(space).to_float()
+    res = kl_project(prior, kb)
+    assert res.status == "attained" and res.measures == (prior,)
+    assert res.diagnostics == (DisjunctDiagnostic(1, True, value=0.0, strict_ok=True,
+                                                  duals=(0.0,)),)
 
 
 def _plain_newton(w0, a, b, ineq, floor):

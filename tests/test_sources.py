@@ -78,6 +78,12 @@ def test_lp_is_solved_only_by_cell():
     assert _top_level_calls("solve_lp") == {("entail.py", "Cell")}
 
 
+def test_cell_reads_only_its_integer_rows():
+    # the atoms' exact encoding has one home, the integer simplex.Rows:
+    # no code in Cell computes with a rational copy of the atoms
+    assert ("entail.py", "Cell") not in _top_level_calls("coefficients")
+
+
 def test_lru_caches_decorate_module_level_functions():
     # bench/run.py clears the caches it finds on credal's modules before
     # each round, so a cache anywhere else would start rounds warm
