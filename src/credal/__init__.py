@@ -49,7 +49,6 @@ from .optimize import (
 )
 from .embeddings import (
     Embedding,
-    Interpretation,
     from_interpretation,
     from_surjection,
     is_faithful,

@@ -230,23 +230,6 @@ def satisfies(mu: Measure, expr: ConstraintExpr, eps: float = EPS) -> bool:
 _NEGATED = {"<": ">=", "<=": ">", ">=": "<", ">": "<="}
 
 
-@dataclass(frozen=True)
-class DnfSystem:
-    """One conjunctive cell: a relatively open polyhedron in the simplex."""
-
-    equalities: tuple[LinearAtom, ...]
-    nonstrict: tuple[LinearAtom, ...]
-    strict: tuple[LinearAtom, ...]
-
-    def atoms(self) -> tuple[LinearAtom, ...]:
-        return self.equalities + self.nonstrict + self.strict
-
-
-@dataclass(frozen=True)
-class DnfForm:
-    systems: tuple[DnfSystem, ...]
-
-
 def _negate(expr: ConstraintExpr) -> ConstraintExpr:
     if isinstance(expr, TrueExpr):
         return FALSE
@@ -269,10 +252,12 @@ def _negate(expr: ConstraintExpr) -> ConstraintExpr:
 
 
 @lru_cache(maxsize=4096)
-def to_dnf(expr: ConstraintExpr) -> DnfForm:
-    """Normalize to a union of conjunctive systems; atoms are never
-    duplicated inside a system.  Raises on product atoms and when the
-    distribution exceeds ``MAX_DISJUNCTS``."""
+def to_dnf(expr: ConstraintExpr) -> tuple[tuple[LinearAtom, ...], ...]:
+    """Normalize to a union of conjunctive cells, each the tuple of its
+    atoms: no atom twice, the equalities first, then the nonstrict and
+    then the strict atoms, each group in the order the atoms appear.
+    Raises on product atoms and when the distribution exceeds
+    ``MAX_DISJUNCTS``."""
 
     def build(e: ConstraintExpr, negated: bool) -> list[tuple[LinearAtom, ...]]:
         if isinstance(e, Not):
@@ -304,14 +289,9 @@ def to_dnf(expr: ConstraintExpr) -> DnfForm:
             return acc
         raise TypeError(f"not a constraint: {e!r}")
 
-    systems = []
-    for cell in build(expr, False):
-        cell = tuple(dict.fromkeys(cell))
-        eqs = tuple(a for a in cell if a.cmp == "=")
-        nonstrict = tuple(a for a in cell if a.cmp in {"<=", ">="})
-        strict = tuple(a for a in cell if a.cmp in {"<", ">"})
-        systems.append(DnfSystem(eqs, nonstrict, strict))
-    return DnfForm(tuple(systems))
+    unique = [dict.fromkeys(cell) for cell in build(expr, False)]
+    return tuple(tuple(a for cmps in (("=",), ("<=", ">="), ("<", ">")) for a in cell
+                       if a.cmp in cmps) for cell in unique)
 
 
 # Embedding translation ---------------------------------------------------

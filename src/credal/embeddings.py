@@ -88,44 +88,29 @@ def from_surjection(source: Space, target: Space, g: Sequence[int]) -> Embedding
     return emb
 
 
-@dataclass(frozen=True)
-class Interpretation:
-    """Maps every source proposition to a formula over the target vocabulary."""
-
-    mapping: tuple[tuple[str, Formula], ...]
-
-    @staticmethod
-    def of(mapping: Mapping[str, Formula | str]) -> "Interpretation":
-        return Interpretation(tuple((k, as_formula(v)) for k, v in mapping.items()))
-
-    def formula_for(self, name: str) -> Formula:
-        for k, f in self.mapping:
-            if k == name:
-                return f
-        raise KeyError(f"interpretation does not map {name!r}")
-
-
-def from_interpretation(interp: Interpretation | Mapping[str, Formula | str],
+def from_interpretation(interp: Mapping[str, Formula | str],
                         source: Space, target: Space) -> Embedding:
-    """Embedding induced by an interpretation of vocabularies.
+    """Embedding induced by an interpretation: a mapping from each source
+    symbol to a formula, or formula text, over the target vocabulary.
 
-    Each source world's characteristic conjunction is pushed through the
+    Every formula is parsed before any source symbol is looked up.  Each
+    source world's characteristic conjunction is pushed through the
     interpretation; the resulting image events always partition part of
     the target, and must cover all of it for the event map to be a
     homomorphism onto the target's algebra.  Faithfulness is NOT implied:
     the world map is surjective only if every source world's image is
     nonempty.
     """
-    if not isinstance(interp, Interpretation):
-        interp = Interpretation.of(interp)
+    formulas = {k: as_formula(v) for k, v in interp.items()}
     for s in source.vocabulary.symbols:
-        interp.formula_for(s)  # every source symbol must be mapped
+        if s not in formulas:
+            raise KeyError(f"interpretation does not map {s!r}")
 
     images: list[Event] = []
     for w in source.worlds:
         parts: list[Formula] = []
         for i, s in enumerate(source.vocabulary.symbols):
-            f = interp.formula_for(s)
+            f = formulas[s]
             parts.append(f if w.value(i) else Not(f))
         images.append(event_of(target, And(tuple(parts))))
 

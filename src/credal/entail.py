@@ -28,7 +28,6 @@ from . import simplex
 from .constraints import (
     And,
     ConstraintExpr,
-    DnfSystem,
     FalseExpr,
     LinearAtom,
     TrueExpr,
@@ -60,18 +59,20 @@ Pins = Sequence[tuple[list[int | Fraction], Fraction]]
 class Cell:
     """One DNF cell on one space, and the only code that builds LP rows.
 
-    The LP variables are the world masses and the strict slack t.  The
-    open and closure rows are integer `simplex.Row`s built on first use;
-    row 1 + j is atom j's, over the worlds, t and the bound, at the
-    atom's scale and in its orientation.  Everything else the cell
-    knows of its atoms it reads off those rows.  Pins are extra
-    equality rows, given as (per-world coefficients, value) pairs.
+    Its atoms are one cell of `constraints.to_dnf`, equalities first and
+    strict atoms last; ``strict`` says whether any atom is strict.  The
+    LP variables are the world masses and the strict slack t.  The open
+    and closure rows are integer `simplex.Row`s built on first use; row
+    1 + j is atom j's, over the worlds, t and the bound, at the atom's
+    scale and in its orientation.  Everything else the cell knows of its
+    atoms it reads off those rows.  Pins are extra equality rows, given
+    as (per-world coefficients, value) pairs.
     """
 
-    def __init__(self, system: DnfSystem, space: Space):
-        self.system = system
+    def __init__(self, atoms: tuple[LinearAtom, ...], space: Space):
+        self.atoms = atoms
         self.space = space
-        self.atoms = system.atoms()
+        self.strict = any(atom.cmp in ("<", ">") for atom in atoms)
         self._witness = _UNSET
 
     @cached_property
@@ -188,7 +189,7 @@ class Cell:
         inequality rows, and how many pool rows complete a basis."""
         n = len(self.space.worlds)
         atom_rows = [row.ints[:n] + row.ints[-1:] for row in self._open[1:-1]]
-        n_eq = len(self.system.equalities)
+        n_eq = sum(atom.cmp == "=" for atom in self.atoms)
         eqs = [[1] * (n + 1)] + atom_rows[:n_eq]
         pool = [[int(j == i) for j in range(n)] + [0] for i in range(n)] + atom_rows[n_eq:]
         return eqs, pool, n - _eliminate(eqs, n)[1]
@@ -264,7 +265,7 @@ def cells(expr: ConstraintExpr, space: Space) -> tuple[Cell, ...]:
     """The DNF cells of expr on space, built once per (expr, space): the
     cache shares each cell, with its witness, among every decision and
     projection on that kb, and the bench clears it before each round."""
-    return tuple(Cell(system, space) for system in to_dnf(expr).systems)
+    return tuple(Cell(atoms, space) for atoms in to_dnf(expr))
 
 
 @dataclass(frozen=True)
@@ -286,7 +287,7 @@ def satisfiable(expr: ConstraintExpr, space: Space | None = None) -> Feasibility
     if space is None:
         space = space_of(expr)
     if space is None:
-        return (FeasibilityReport("feasible") if to_dnf(expr).systems
+        return (FeasibilityReport("feasible") if to_dnf(expr)
                 else FeasibilityReport("infeasible"))
     for cell in cells(expr, space):
         witness = cell.witness()
@@ -497,7 +498,7 @@ def conservative_check(kb: ConstraintExpr, psi: ConstraintExpr, xy_space: Space,
     lift = factor_lift(xy_space, x_space)
     fibers = [[int(c == xi) for c in lift.world_map] for xi in range(len(x_space.worlds))]
     psi_cells = cells(psi, xy_space)
-    closed = not any(cell.system.strict for cell in psi_cells)
+    closed = not any(cell.strict for cell in psi_cells)
     tested = 0
 
     def extends(x) -> bool:
@@ -509,15 +510,16 @@ def conservative_check(kb: ConstraintExpr, psi: ConstraintExpr, xy_space: Space,
     def refuted(x) -> ConservativeReport:
         return ConservativeReport("not_conservative", Measure.rational(x_space, x), tested)
 
-    complete = len(to_dnf(kb).systems) <= VERTEX_CELL_CAP and len(x_space.worlds) <= 8
-    for cell in cells(kb, x_space) if complete else ():
+    kb_cells = cells(kb, x_space)
+    complete = len(kb_cells) <= VERTEX_CELL_CAP and len(x_space.worlds) <= 8
+    for cell in kb_cells if complete else ():
         interior = cell.witness()
         if interior is None:
             continue
         for vertex in cell.vertices:
             if extends(vertex):
                 continue
-            if satisfies(Measure.rational(x_space, vertex), kb):
+            if _holds_at(kb_cells, dict(enumerate(vertex))):
                 return refuted(vertex)
             lam = Fraction(1, 2)
             while closed:

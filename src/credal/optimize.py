@@ -193,12 +193,12 @@ def kl_project(mu: Measure, kb: ConstraintExpr) -> ProjectionResult:
     """
     if mu.backend != FLOAT:
         raise ValueError("kl_project needs a float-backed prior; convert explicitly")
-    systems = to_dnf(kb).systems
-    own = next((k for k, system in enumerate(systems)
-                if all(satisfies(mu, atom) for atom in system.atoms())), None)
+    dnf = to_dnf(kb)
+    own = next((k for k, atoms in enumerate(dnf)
+                if all(satisfies(mu, atom) for atom in atoms)), None)
     if own is not None:
         return ProjectionResult("attained", (mu,), 0.0, (DisjunctDiagnostic(
-            own, True, value=0.0, strict_ok=True, duals=(0.0,) * len(systems[own].atoms())),))
+            own, True, value=0.0, strict_ok=True, duals=(0.0,) * len(dnf[own])),))
 
     space = mu.space
     w0 = np.array([float(x) for x in mu.weights])

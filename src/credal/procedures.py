@@ -45,7 +45,6 @@ from .constraints import (
     not_,
     satisfies,
     space_of,
-    to_dnf,
     translate,
 )
 from .embeddings import factor_lift
@@ -447,7 +446,7 @@ def _exact_product_verdict(kbs, theta, space, factors, samples) -> Verdict | Non
         if all(compare(sum(c * w for c, w in zip(coeffs, weights)), atom.cmp, atom.bound,
                        True, 0.0) for atom, coeffs in atoms):
             continue
-        if any(system.strict for kb_i in kbs for system in to_dnf(kb_i).systems):
+        if any(cell.strict for kb_i, f in zip(kbs, factors) for cell in cells(kb_i, f)):
             return None  # the corner may lie outside the selection
         return Verdict(False, (Measure.rational(space, weights),))
     return None if undecided else Verdict(True)

@@ -53,12 +53,6 @@ class Vocabulary:
     def __len__(self):
         return len(self.symbols)
 
-    def __iter__(self):
-        return iter(self.symbols)
-
-    def __contains__(self, name):
-        return name in self._index
-
 
 @dataclass(frozen=True)
 class World:
@@ -135,10 +129,6 @@ class Event:
 
     def __invert__(self) -> "Event":
         return Event(self.space, self.mask ^ ((1 << len(self.space.worlds)) - 1))
-
-    def __le__(self, other: "Event") -> bool:
-        self._check(other)
-        return self.mask & ~other.mask == 0
 
     def _check(self, other: "Event"):
         if self.space != other.space:

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from credal.constraints import (
     And,
-    DnfSystem,
     LinearAtom,
     Not,
     Or,
@@ -20,6 +20,7 @@ from credal.constraints import (
 )
 from credal.embeddings import compose, from_surjection, identity_embedding
 from credal.errors import CredalError, ParseError
+from credal.harness import _plain_space, _random_kb
 from credal.measures import Measure
 from credal.spaces import enumerate_worlds, event_of
 from tests.conftest import simplex_grid
@@ -175,23 +176,23 @@ class TestToDnf:
     def test_atom_is_single_system(self, fly_bird_space):
         c = parse_constraint("P(fly) >= 1/4", fly_bird_space)
         dnf = to_dnf(c)
-        assert len(dnf.systems) == 1
-        assert dnf.systems[0].nonstrict == (c,)
+        assert len(dnf) == 1
+        assert dnf[0] == (c,)
 
     def test_negation_flips_comparator(self, fly_bird_space):
         c = Not(parse_constraint("P(fly) >= 1/4", fly_bird_space))
-        system = to_dnf(c).systems[0]
-        assert system.strict[0].cmp == "<"
+        cell = to_dnf(c)[0]
+        assert cell[0].cmp == "<"
 
     def test_negated_equality_splits(self, fly_bird_space):
         c = Not(parse_constraint("P(fly) = 1/4", fly_bird_space))
-        assert len(to_dnf(c).systems) == 2
+        assert len(to_dnf(c)) == 2
 
     def test_distribution_count(self, fly_bird_space):
         a, b, c, d = (parse_constraint(f"P(fly) >= {q}", fly_bird_space)
                       for q in ("1/8", "1/4", "1/2", "3/4"))
         expr = And((Or((a, b)), Or((c, d))))
-        assert len(to_dnf(expr).systems) == 4
+        assert len(to_dnf(expr)) == 4
 
     def test_cap_exceeded(self, fly_bird_space):
         a = parse_constraint("P(fly) >= 1/4", fly_bird_space)
@@ -208,7 +209,7 @@ class TestToDnf:
 
 
 def _dnf_as_expr(dnf):
-    return Or(tuple(And(sys.atoms()) for sys in dnf.systems))
+    return Or(tuple(And(atoms) for atoms in dnf))
 
 
 class TestSemanticEquivalences:
@@ -228,6 +229,23 @@ class TestSemanticEquivalences:
             dnf_expr = _dnf_as_expr(to_dnf(expr))
             for mu in grid:
                 assert satisfies(mu, expr) == satisfies(mu, dnf_expr)
+
+    def test_random_kbs_keep_their_denotation_and_cell_layout(self):
+        # And((kb, kb)) puts every atom of kb twice into its diagonal cells
+        rng = random.Random(17)
+        for _ in range(100):
+            space = _plain_space("w", rng.randint(2, 4))
+            kb = _random_kb(space, rng)
+            for expr in (kb, And((kb, kb))):
+                dnf = to_dnf(expr)
+                for cell in dnf:
+                    assert len(set(cell)) == len(cell)
+                    groups = [0 if a.cmp == "=" else 1 if a.cmp in ("<=", ">=") else 2
+                              for a in cell]
+                    assert groups == sorted(groups)
+                dnf_expr = _dnf_as_expr(dnf)
+                for mu in simplex_grid(space, 6):
+                    assert satisfies(mu, expr) == satisfies(mu, dnf_expr)
 
     def test_double_negation_on_grid(self):
         space = enumerate_worlds(["p"])

@@ -16,7 +16,7 @@ from credal.embeddings import (
     random_faithful_embedding,
 )
 from credal.entail import entails
-from credal.errors import CredalError
+from credal.errors import CredalError, ParseError
 from credal.measures import Measure, corresponds, pushforward
 from credal.spaces import (
     Event,
@@ -84,6 +84,17 @@ class TestFromInterpretation:
         dst = enumerate_worlds(["r"])
         with pytest.raises(CredalError, match="cover"):
             from_interpretation({"p": "r"}, src, dst)
+
+
+    def test_formulas_are_parsed_before_the_symbols_are_looked_up(self):
+        src = enumerate_worlds(["p", "q"])
+        dst = enumerate_worlds(["r"])
+        # a malformed formula under a key that is no source symbol
+        with pytest.raises(ParseError):
+            from_interpretation({"zz": "r &"}, src, dst)
+        with pytest.raises(KeyError) as info:
+            from_interpretation({"q": "r", "zz": "!r"}, src, dst)
+        assert info.value.args == ("interpretation does not map 'p'",)
 
 
 class TestHomomorphismLaws:

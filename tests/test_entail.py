@@ -456,6 +456,15 @@ class TestLinearRangeAndSampling:
         ev = event_of(fly_bird_space, "fly")
         assert linear_range(kb, ((F(1), ev),), fly_bird_space) == (F(1, 4), F(2, 3))
 
+    def test_range_skips_empty_cells_and_is_none_when_unsatisfiable(self):
+        sp = enumerate_worlds(["a", "b"])
+        a = ((F(1), event_of(sp, "a")),)
+        # oracle: P(a) at the grid points of [[kb]], which is closed
+        kb = parse_constraint("P(a) > 1 | P(a) <= 1/2", sp)
+        values = [mu.prob(a[0][1]) for mu in simplex_grid(sp, 12) if satisfies(mu, kb)]
+        assert linear_range(kb, a, sp) == (min(values), max(values)) == (0, F(1, 2))
+        assert linear_range(parse_constraint("P(a) > 1", sp), a, sp) is None
+
     def test_samples_satisfy(self, fly_bird_space):
         kb = parse_constraint("P(fly) > 1/4 & P(bird) < 2/3", fly_bird_space)
         for mu in sample_measures(kb, fly_bird_space, 12, seed=4):
@@ -542,6 +551,18 @@ class TestConservativeCheck:
         assert rep.status == "not_conservative"
         assert satisfies(rep.witness, kb)
         assert F(1, 3) < rep.witness.prob(event_of(x, "s")) < F(2, 5)
+
+
+def test_a_sample_refutes_beyond_the_vertex_limit():
+    # 9 worlds skip the vertex search; psi pins world 0 of X to zero mass,
+    # so a sample of [[true]] with mass on world 0 has no extension
+    x = _plain_space("x", 9)
+    xy = product_space([x, enumerate_worlds(["c"])])
+    psi = translate(factor_lift(xy, x),
+                    LinearAtom(((F(1), event_from_indices(x, [0])),), "=", F(0)))
+    rep = conservative_check(TrueExpr(), psi, xy)
+    assert rep.status == "not_conservative"
+    assert rep.witness.weights[0] > 0
 
 
 def test_conservative_check_inconclusive_beyond_vertex_limit():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from credal.constraints import LinearAtom, TrueExpr, parse_constraint, satisfies
+from credal.constraints import LinearAtom, Not, TrueExpr, parse_constraint, satisfies
 from credal.embeddings import from_surjection, random_faithful_embedding
 from credal.entail import entails, satisfiable
 from credal.harness import (
@@ -15,7 +15,10 @@ from credal.harness import (
     gadget_counts,
     gadget_feasible,
     gadget_witnesses,
+    _pin_query,
+    _plain_space,
     invariance_check,
+    invariance_pairs_on,
     default_independence_gadget,
     disjointing_embeddings,
     products_invariance_check,
@@ -23,7 +26,7 @@ from credal.harness import (
     replay_trial,
     robustness_check,
 )
-from credal.measures import Measure
+from credal.measures import Measure, pushforward
 from credal.procedures import InferenceProcedure, PriorFunction, infers
 from credal.spaces import (
     atoms_over,
@@ -312,6 +315,19 @@ class TestBootstrap:
                   Measure.from_floats(fly_bird_space, [0.4, 0.3, 0.2, 0.1])]
         rep = bootstrap_check(priors, priors, emb)
         assert rep.corresponds and not rep.violations
+
+
+    def test_the_pinned_query_separates_what_the_corpus_does_not(self):
+        x, y = _plain_space("x", 3), _plain_space("y", 4)
+        emb = from_surjection(x, y, [0, 1, 1, 2])
+        py = Measure.from_floats(y, [1 / 3, 1 / 4, 1 / 4, 1 / 6])
+        rep = bootstrap_check([Measure.uniform(x)], [py], emb)
+        # oracle: py pushes forward to (1/3, 1/2, 1/6), not the uniform x prior
+        assert not rep.corresponds and rep.consistent_with_biconditional
+        (v,) = rep.violations
+        assert v.theta == Not(_pin_query(pushforward(emb, py)))
+        assert (v.kb, v.verdict_x, v.verdict_y) == (TrueExpr(), True, False)
+        assert rep.pairs_tested == len(invariance_pairs_on(x)) + 1
 
 
 class TestProductsInvariance:

@@ -24,6 +24,7 @@ from credal.errors import CredalError, DomainError
 from credal.measures import Measure, product_measure
 from credal.procedures import (
     InferenceProcedure,
+    _factorize,
     PriorFunction,
     i0_select,
     i1_select,
@@ -129,6 +130,13 @@ class TestSelections:
         kb = parse_constraint("P(fly) >= 1/2", fly_bird_space)
         sel = i0_select(kb)
         assert sel == kb
+
+    def test_i0_empty_objective_selects_false(self):
+        sp = enumerate_worlds(["a", "b"])
+        kb = parse_constraint("P(a) = 1 & P(!a) = 1", sp)
+        assert i0_select(kb, sp) == FalseExpr()
+        for theta in klm_corpus(sp)[1]:
+            assert infers(InferenceProcedure.i0(), kb, theta, sp).holds == entails(kb, theta, sp)
 
     def test_i1_negated_quarter_tightened(self, fly_bird_space):
         kb = parse_constraint("!(P(fly) < 1/4)", fly_bird_space)
@@ -242,6 +250,17 @@ class TestProductFamilySampled:
         v = infers(proc, kb, theta, sp)
         assert not v.holds and v.mode == "sampled"
         assert v.evidence == (Measure.point_mass(sp, 127, backend="float"),)
+
+
+    def test_an_unsatisfiable_kb_infers_everything(self):
+        # P(a <=> b) is no rectangle, so the kb does not factorize
+        sp = enumerate_worlds(["a", "b"])
+        kb = parse_constraint("P(a <=> b) >= 1/2 & P(a <=> b) < 1/4", sp)
+        assert _factorize(kb, sp) is None
+        proc = InferenceProcedure.prior_based(PriorFunction.product_family())
+        for theta in klm_corpus(sp)[1] + [FalseExpr()]:
+            v = infers(proc, kb, theta, sp)
+            assert v.holds == entails(kb, theta, sp) and v.mode == "exact"
 
 
 class TestProductPriorInfer:

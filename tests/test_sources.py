@@ -72,6 +72,14 @@ def test_cells_are_built_only_by_entail_cells():
     assert _top_level_calls("Cell") == {("entail.py", "cells")}
 
 
+def test_normal_forms_are_read_through_cells():
+    # a kb's cells are read from the memo entail.cells; to_dnf is walked
+    # directly only by it, by satisfiable without a space, and by
+    # kl_project's own-projection test, which builds no Cell
+    assert _top_level_calls("to_dnf") == {("entail.py", "cells"), ("entail.py", "satisfiable"),
+                                          ("optimize.py", "kl_project")}
+
+
 def test_lp_is_solved_only_by_cell():
     # the LP rows have one home: Cell builds them and is the one caller
     # of simplex.solve_lp
