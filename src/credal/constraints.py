@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import CredalError, ParseError
 from .formulas import Parser
@@ -64,8 +65,22 @@ class LinearAtom(ConstraintExpr):
         return self.terms[0][1].space
 
     def value(self, mu: Measure):
-        return sum((c * mu.prob(e) for c, e in self.terms),
-                   Fraction(0) if mu.backend == RATIONAL else 0.0)
+        return sum(c * mu.prob(e) for c, e in self.terms)
+
+    def holds_at(self, weights: tuple[Fraction, ...]) -> bool:
+        """Whether the atom holds exactly at rational weights, decided in
+        integers: the terms times L, the lcm of the term and bound
+        denominators, against the weights' numerators over their common
+        denominator d, so both sides are the rational ones times L * d."""
+        d = lcm(*(w.denominator for w in weights))
+        big_l = lcm(self.bound.denominator, *(c.denominator for c, _ in self.terms))
+        lhs = 0
+        for c, event in self.terms:
+            mass = sum(w.numerator * (d // w.denominator)
+                       for i in event.indices() if (w := weights[i]))
+            lhs += c.numerator * (big_l // c.denominator) * mass
+        rhs = self.bound.numerator * (big_l // self.bound.denominator) * d
+        return compare(lhs, self.cmp, rhs, True, 0.0)
 
     def coefficients(self, space: Space) -> list[Fraction]:
         """Per-world coefficients of the linear functional."""
@@ -211,7 +226,9 @@ def satisfies(mu: Measure, expr: ConstraintExpr, eps: float = EPS) -> bool:
     if isinstance(expr, FalseExpr):
         return False
     if isinstance(expr, LinearAtom):
-        return compare(expr.value(mu), expr.cmp, expr.bound, exact, eps)
+        if exact:
+            return expr.holds_at(mu.weights)
+        return compare(expr.value(mu), expr.cmp, expr.bound, False, eps)
     if isinstance(expr, ProductAtom):
         lhs = mu.prob(expr.lhs)
         rhs = mu.prob(expr.rhs[0]) * mu.prob(expr.rhs[1])

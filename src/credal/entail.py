@@ -6,7 +6,8 @@ encoding of one cell: the simplex row, one row per atom, and one slack t
 shared by the strict atoms, whose optimum is positive exactly when the
 open cell is non-empty; the closure drops t from the strict atoms.  The
 rows, built once per cell as the integer `simplex.Row`s the tableau
-pivots on, are the only copy of the atoms that a cell computes with.
+pivots on, are the only copy of the atoms that a cell computes with; the
+tableau carries one column per class of worlds that no row tells apart.
 Satisfiability, entailment, ranges, sampling and conservativeness are
 decided cell by cell, on the cells `cells` builds once per (constraint,
 space).  Witnesses are exact rational measures.
@@ -67,6 +68,14 @@ class Cell:
     scale and in its orientation.  Everything else the cell knows of its
     atoms it reads off those rows.  Pins are extra equality rows, given
     as (per-world coefficients, value) pairs.
+
+    An LP carries one column per class of worlds that every row treats
+    alike: the worlds split by each event of the atoms' terms (partition
+    refinement on `Event.mask`), then by the objective and the pins of
+    the call.  The lowest world of each class stands for it, in world
+    order, and takes the class's mass; the others get 0.  Bland's rule
+    would never enter them (`simplex`), so every answer is exactly the
+    one with a column per world.
     """
 
     def __init__(self, atoms: tuple[LinearAtom, ...], space: Space):
@@ -74,6 +83,7 @@ class Cell:
         self.space = space
         self.strict = any(atom.cmp in ("<", ">") for atom in atoms)
         self._witness = _UNSET
+        self._classes: list[int] | None = None  # built by the first LP
 
     @cached_property
     def _open(self) -> list[simplex.Row]:
@@ -91,10 +101,23 @@ class Cell:
                 for row in rows] + [t_row]
 
     def _solve(self, rows, objective, maximize: bool, pins: Pins):
+        """The LP over the rows and pins, with the per-world objective
+        (None: maximize t), on one column per class of worlds that the
+        objective and pins do not split either; the answer is exactly
+        that of one column per world (`simplex.solve_lp`, columns)."""
+        n = len(self.space.worlds)
+        classes = self._classes
+        if classes is None:
+            classes = self._classes = _event_classes(self.atoms, n)
+        if objective is not None:
+            classes = _split(classes, objective)
+        for coeffs, _ in pins:
+            classes = _split(classes, coeffs)
+        objective = [0] * n + [1] if objective is None else objective + [_ZERO]
         if pins:
             rows = rows + [(coeffs + [0], "=", value) for coeffs, value in pins]
-        n = len(self.space.worlds)
-        status, x, value = simplex.solve_lp(n + 1, rows, objective, maximize=maximize)
+        status, x, value = simplex.solve_lp(n + 1, rows, objective, maximize=maximize,
+                                            columns=_carried(classes, n))
         if status != simplex.OPTIMAL:
             return None
         return x[:n], value
@@ -102,7 +125,7 @@ class Cell:
     def witness(self) -> Measure | None:
         """A measure in the open cell, or None if it is empty; memoised."""
         if self._witness is _UNSET:
-            found = self._solve(self._open, [0] * len(self.space.worlds) + [1], True, ())
+            found = self._solve(self._open, None, True, ())
             self._witness = (Measure.rational(self.space, found[0])
                              if found is not None and found[1] > 0 else None)
         return self._witness
@@ -111,7 +134,7 @@ class Cell:
         """Whether some measure in the open cell meets the pins: the
         witness LP with the pins, answered without building a `Measure`
         but with its point still checked exactly (`is_distribution`)."""
-        found = self._solve(self._open, [0] * len(self.space.worlds) + [1], True, pins)
+        found = self._solve(self._open, None, True, pins)
         if found is None or found[1] <= 0:
             return False
         if not is_distribution(found[0]):
@@ -123,8 +146,7 @@ class Cell:
         """(world masses, value) at an optimum of the per-world objective,
         over the open rows (t free in [0, 1]) or the closure rows; None
         when those rows are infeasible."""
-        rows = self._closed if closed else self._open
-        return self._solve(rows, objective + [_ZERO], maximize, pins)
+        return self._solve(self._closed if closed else self._open, objective, maximize, pins)
 
     def support(self, candidates, pins: Pins = ()) -> list[int]:
         """The candidate worlds with positive mass somewhere in the
@@ -238,6 +260,45 @@ def _atom_row(atom: LinearAtom, n: int) -> simplex.Row:
     if g > 1:
         ints = [a // g for a in ints]
     return simplex.Row(ints, _ROW_CMP[atom.cmp], big_l // g)
+
+
+def _event_classes(atoms: tuple[LinearAtom, ...], n: int) -> list[int]:
+    """The n worlds, as bit masks of classes, split by every event of the
+    atoms' terms: each atom row has one coefficient on a class.  Stops
+    once every class is a single world."""
+    classes = [(1 << n) - 1]
+    for atom in atoms:
+        for _, event in atom.terms:
+            classes = _refine(classes, event.mask)
+            if len(classes) == n:
+                return classes
+    return classes
+
+
+def _refine(classes: list[int], mask: int) -> list[int]:
+    """The classes (bit masks) split into their parts inside and outside mask."""
+    return [part for c in classes for part in (c & mask, c & ~mask) if part]
+
+
+def _carried(classes: list[int], n: int) -> list[int] | None:
+    """The LP columns for classes of n worlds: the lowest world of each
+    class, in world order, then t; None (all columns) when no class has
+    two worlds."""
+    if len(classes) == n:
+        return None
+    return sorted([(c & -c).bit_length() - 1 for c in classes] + [n])
+
+
+def _split(classes: list[int], values: Sequence) -> list[int]:
+    """The classes split by the per-world values: the worlds of one part
+    take one value."""
+    levels: dict = {}
+    for i, v in enumerate(values):
+        if v:
+            levels[v] = levels.get(v, 0) | 1 << i
+    for mask in levels.values():
+        classes = _refine(classes, mask)
+    return classes
 
 
 def _eliminate(aug: list[list[int | Fraction]], n: int) -> tuple[list[list[Fraction]], int]:

@@ -30,6 +30,17 @@ sum of the original artificials times K.  So every reduced cost keeps
 its sign, every ratio its order, and the lowest-index choices are the
 same; the ratio test compares b_i * a_k with b_k * a_i and still breaks
 ties on the basis index.
+
+A caller may name the columns the tableau carries, leaving out variables
+whose column and cost equal those of a lower-index carried one; this is
+the duplicate-column step of LP presolve (Andersen & Andersen 1995), and
+here it is exact pivot for pivot.  Every pivot transforms two equal
+columns alike, so they stay equal, with equal reduced costs.  Bland's
+rule enters the lowest index among negative reduced costs, and
+`_evict_artificials` the first nonzero column, so the later of the two
+never enters the basis and stays at 0.  Leaving it out changes no
+entering or leaving choice and no d, x or value, because the carried
+columns keep their order.
 """
 
 from __future__ import annotations
@@ -70,6 +81,7 @@ def solve_lp(
     constraints: Sequence[Row | tuple[Sequence[Fraction], str, Fraction]],
     objective: Sequence[Fraction],
     maximize: bool = False,
+    columns: Sequence[int] | None = None,
 ) -> tuple[str, list[Fraction] | None, Fraction | None]:
     """Solve min/max objective . x subject to the constraints and x >= 0.
 
@@ -78,23 +90,36 @@ def solve_lp(
     `scale_row` converts; numbers are Fractions or ints.  Returns
     (status, x, value) with x covering the original variables, in
     Fractions.
+
+    columns, when given, are the variables the tableau carries, in
+    increasing order; every other variable must have the column and the
+    cost of a lower-index carried one, and stays at 0.  The answer is
+    then exactly the one over all num_vars variables (see the module
+    docstring), from a narrower tableau.
     """
     rows = [r if isinstance(r, Row) else scale_row(*r, num_vars) for r in constraints]
-    rows = [Row([-c for c in r.ints], _FLIP[r.rel], r.scale) if r.ints[-1] < 0 else r
-            for r in rows]
+    keep = range(num_vars) if columns is None else columns
+    if columns is not None:
+        objective = [objective[j] for j in columns]
+    width = len(keep)
+    rels = [_FLIP[rel] if ints[-1] < 0 else rel for ints, rel, _ in rows]
 
-    n_slack = sum(rel != "=" for _, rel, _ in rows)
-    n_art = sum(rel != "<=" for _, rel, _ in rows)
-    art_start = num_vars + n_slack
+    n_slack = sum(rel != "=" for rel in rels)
+    n_art = sum(rel != "<=" for rel in rels)
+    art_start = width + n_slack
 
-    # Columns: variables, slacks, artificials, then the rhs.
+    # Columns: carried variables, slacks, artificials, then the rhs.
     tableau: list[list[int]] = []
     basis: list[int] = []
-    slack_i = num_vars
+    slack_i = width
     art_i = art_start
     art_scales: list[int] = []
-    for row, rel, k in rows:
-        row = row[:-1] + [0] * (n_slack + n_art) + row[-1:]  # a copy: rows are shared
+    zeros = [0] * (n_slack + n_art)
+    for (ints, _, k), rel in zip(rows, rels):
+        head = ints[:-1] if columns is None else [ints[j] for j in columns]
+        row = [*head, *zeros, ints[-1]]  # a copy: rows are shared
+        if ints[-1] < 0:
+            row = [-a for a in row]
         if rel == "<=":
             row[slack_i] = 1
             basis.append(slack_i)
@@ -132,7 +157,7 @@ def solve_lp(
     dens = [c.denominator for c in objective]
     big_m = lcm(*dens)
     costs = [sign * c.numerator * (big_m // q) for c, q in zip(objective, dens)]
-    costs += [0] * (art_start - num_vars)
+    costs += [0] * n_slack
     cost = [d * c for c in costs] + [0]
     for row, b in zip(tableau, basis):
         cb = costs[b]
@@ -146,9 +171,9 @@ def solve_lp(
 
     x = [_ZERO] * num_vars
     for row, b in zip(tableau, basis):
-        if b < num_vars:
-            x[b] = Fraction(row[-1], d)
-    value = sign * Fraction(-cost[-1], d * big_m)
+        if b < width:
+            x[keep[b]] = Fraction(row[-1], d)
+    value = Fraction(-sign * cost[-1], d * big_m)
     return OPTIMAL, x, value
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from credal.constraints import (
     Or,
     ProductAtom,
     TrueExpr,
+    compare,
     parse_constraint,
     satisfies,
     to_dnf,
@@ -22,7 +24,7 @@ from credal.embeddings import compose, from_surjection, identity_embedding
 from credal.errors import CredalError, ParseError
 from credal.harness import _plain_space, _random_kb
 from credal.measures import Measure
-from credal.spaces import enumerate_worlds, event_of
+from credal.spaces import enumerate_worlds, event_from_indices, event_of
 from tests.conftest import simplex_grid
 from tests.test_formulas import _formulas
 
@@ -170,6 +172,31 @@ class TestSatisfies:
         assert satisfies(Measure.uniform(sp, backend="rational"), atom)
         corr = Measure.rational(sp, [F(1, 2), 0, 0, F(1, 2)])
         assert not satisfies(corr, atom)
+
+    def test_atoms_on_rational_measures_are_decided_in_integers(self):
+        # satisfies decides a LinearAtom on a rational measure in
+        # integers; it must agree with the atom's value summed in
+        # Fractions, on negative coefficients, fractional bounds, all five
+        # comparators, and bounds that the value meets exactly
+        rng = random.Random(18)
+        seen = Counter()
+        for n in (1, 3, 6):
+            sp = _plain_space("s", n)
+            for _ in range(300):
+                cuts = sorted(F(rng.randrange(13), 12) for _ in range(n - 1))
+                mu = Measure.rational(sp, [y - x for x, y in zip([F(0)] + cuts,
+                                                                 cuts + [F(1)])])
+                terms = tuple((F(rng.randint(-5, 5), rng.choice((1, 2, 3, 7))),
+                               event_from_indices(sp, rng.sample(range(n), rng.randint(0, n))))
+                              for _ in range(rng.randint(1, 3)))
+                bound = (LinearAtom(terms, "=", F(0)).value(mu) if rng.random() < 0.3
+                         else F(rng.randint(-6, 6), rng.choice((1, 2, 5, 12))))
+                for cmp in ("<", "<=", "=", ">=", ">"):
+                    atom = LinearAtom(terms, cmp, bound)
+                    expected = compare(atom.value(mu), cmp, bound, True, 0.0)
+                    assert satisfies(mu, atom) == expected, (atom, mu)
+                    seen[cmp, expected] += 1
+        assert len(seen) == 10 and min(seen.values()) >= 100, seen
 
 
 class TestToDnf:

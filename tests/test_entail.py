@@ -1,14 +1,16 @@
+import math
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import credal
-from credal import simplex
+from credal import harness, simplex
 from credal.constraints import (
     And,
     LinearAtom,
@@ -448,6 +450,123 @@ class TestCell:
                     checked += bool(vertices)
                     empty += not vertices
         assert checked >= 100 and empty >= 10, (checked, empty)
+
+
+@pytest.fixture
+def full_width(monkeypatch):
+    """Solve every LP a Cell asks for twice, on the columns it names and
+    on one column per variable, and require the same (status, x, value);
+    yields a counter of the calls and of those that named columns."""
+    solve = simplex.solve_lp
+    seen = Counter()
+
+    def both(num_vars, rows, objective, maximize=False, columns=None):
+        found = solve(num_vars, rows, objective, maximize, columns=columns)
+        assert found == solve(num_vars, rows, objective, maximize)
+        seen.update(["calls"] + ["narrowed"] * (columns is not None))
+        return found
+
+    monkeypatch.setattr(simplex, "solve_lp", both)
+    return seen
+
+
+def _per_world_lp(cell, rows, objective, maximize, pins=()):
+    """The cell's LP on one column per world: (world masses, value), or
+    None when it has no optimum."""
+    n = len(cell.space.worlds)
+    rows = rows + [(coeffs + [0], "=", value) for coeffs, value in pins]
+    status, x, value = simplex.solve_lp(n + 1, rows, objective, maximize)
+    return (x[:n], value) if status == simplex.OPTIMAL else None
+
+
+class TestOneColumnPerClass:
+    """A Cell's LP carries one column per class of worlds that its rows,
+    objective and pins treat alike; every answer must be exactly the one
+    with a column per world."""
+
+    def test_cells_answer_as_with_a_column_per_world(self, full_width):
+        # events over a and b only, on a space over a, b, c and d, so
+        # each world has three others no atom tells apart; objectives
+        # repeat coefficients, and pins split classes or keep them
+        rng = random.Random(19)
+        sp = enumerate_worlds(["a", "b", "c", "d"])
+        n = len(sp.worlds)
+        quarters = [event_of(sp, f) for f in ("a & b", "a & !b", "!a & b", "!a & !b")]
+        splitting = [event_of(sp, f) for f in ("c", "a & d", "!b | c")]
+
+        def event(choices):
+            return event_from_indices(sp, [i for ev in rng.sample(choices, rng.randint(0, 2))
+                                           for i in ev.indices()])
+
+        def atom():
+            terms = tuple((F(rng.randint(-3, 3), rng.choice((1, 2, 3))), event(quarters))
+                          for _ in range(rng.randint(1, 2)))
+            return LinearAtom(terms, rng.choice(("=", "<=", ">=", "<", ">")),
+                              F(rng.randint(-1, 3), 4))
+
+        def objective():
+            if rng.random() < 0.5:  # constant on the quarters
+                values = [F(rng.randint(-2, 2)) for _ in quarters]
+                return [next(v for q, v in zip(quarters, values) if i in q) for i in range(n)]
+            return [F(rng.choice((-1, 0, 0, 1, 2)), 2) for _ in range(n)]
+
+        def pins():
+            return [([int(i in ev) for i in range(n)], F(rng.randint(0, 4), 4))
+                    for ev in rng.sample(quarters + splitting, rng.randint(1, 2))]
+
+        seen = Counter()
+        for _ in range(200):
+            kb = and_(atom(), atom()) if rng.random() < 0.6 else Not(atom())
+            for cell in cells(kb, sp):
+                found = _per_world_lp(cell, cell._open, [0] * n + [1], True)
+                witness = cell.witness()
+                assert (None if witness is None else list(witness.weights)) == (
+                    found[0] if found is not None and found[1] > 0 else None)
+                seen["witness"] += witness is not None
+                seen["empty"] += witness is None
+                probe = pins()
+                found = _per_world_lp(cell, cell._open, [0] * n + [1], True, probe)
+                feasible = cell.feasible(probe)
+                assert feasible == (found is not None and found[1] > 0)
+                seen["feasible"] += feasible
+                for closed, rows in ((False, cell._open), (True, cell._closed)):
+                    c, maximize = objective(), rng.random() < 0.5
+                    for extra in ((), probe):
+                        found = _per_world_lp(cell, rows, c + [0], maximize, extra)
+                        assert cell.solve(c, maximize, closed, extra) == found
+                        seen["solved"] += found is not None
+                candidates = rng.sample(range(n), 4)
+                for extra in ((), probe):
+                    expected = []
+                    for i in candidates:
+                        unit = [F(int(j == i)) for j in range(n + 1)]
+                        found = _per_world_lp(cell, cell._closed, unit, True, extra)
+                        if found is not None and found[1] > 0:
+                            expected.append(i)
+                    assert cell.support(candidates, extra) == expected
+                    seen["support"] += len(expected)
+        assert min(seen.values()) >= 50, seen
+        # half the calls are the per-world references, which name no columns
+        assert full_width["narrowed"] >= 0.45 * full_width["calls"], full_width
+
+    def test_gadgets_and_sigma_probes_answer_as_with_a_column_per_world(
+            self, cold_caches, full_width):
+        # the wide LPs: the 13 tuple-cover gadgets on each side of their
+        # threshold, and sigma's pinned probes on the 384-world product
+        gadgets = [harness.tuple_cover_gadget(n, d) for n in range(3, 12) for d in range(2, n)
+                   if math.perm(n, d) <= 120]
+        assert len(gadgets) == 13
+        for g in gadgets:
+            edge = F(g.params["d"], g.params["n"])
+            assert not harness.gadget_feasible(g, edge)
+            assert harness.gadget_feasible(g, edge * (1 - F(1, 256)))
+        demo = harness.conservative_extension_demo()
+        report = conservative_check(TrueExpr(), demo["sigma"], demo["space"], x_factor=0,
+                                    n_samples=2, seed=0)
+        assert report.status == "conservative_verified"
+        # all but sample_measures' two LPs on X, whose objectives tell
+        # its two worlds apart
+        assert full_width == {"calls": 33, "narrowed": 31}
 
 
 class TestLinearRangeAndSampling:

@@ -120,6 +120,48 @@ def test_random_lps_pass_the_checker_and_match_highs():
     assert _disagreements(lps, oracle=True) == []
 
 
+def lps_with_a_copied_column(seed, count):
+    """LPs of `random_lps` with one column copied to a random place, once
+    at the original's cost and once at another cost; each comes with the
+    index of the later of the two equal columns and whether the costs
+    are equal."""
+    rng = random.Random(seed)
+    for n, rows, objective, maximize in random_lps(seed, count):
+        j = rng.randrange(n)
+        at = rng.randint(0, n)
+        later = at if at > j else j + 1
+        for equal in (True, False):
+            cost = objective[j] if equal else objective[j] + rng.choice((-1, 1))
+            yield ((n + 1, [(coeffs[:at] + [coeffs[j]] + coeffs[at:], rel, b)
+                            for coeffs, rel, b in rows],
+                    objective[:at] + [cost] + objective[at:], maximize), later, equal)
+
+
+def test_copied_columns_pass_the_checker_and_match_highs():
+    pytest.importorskip("scipy")
+    cases = list(lps_with_a_copied_column(2025, 200))
+    lps = [lp for lp, _, _ in cases]
+    statuses = Counter(solve_lp(*lp)[0] for lp in lps)
+    assert min(statuses[s] for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)) >= 20, statuses
+    assert _disagreements(lps, oracle=True) == []
+
+
+def test_a_later_equal_column_can_be_left_out_of_the_tableau():
+    # Bland's rule never lets the later of two equal columns with equal
+    # costs enter, so a tableau without it makes the same answer, with
+    # that variable at 0; a copy at another cost can carry mass
+    moved = 0
+    for (n, rows, objective, maximize), later, equal in lps_with_a_copied_column(2025, 200):
+        full = solve_lp(n, rows, objective, maximize)
+        columns = [j for j in range(n) if j != later]
+        narrow = solve_lp(n, rows, objective, maximize, columns=columns)
+        if equal:
+            assert narrow == full
+        elif full[0] == OPTIMAL:
+            moved += full[1][later] != 0
+    assert moved >= 10, moved
+
+
 def _mutant(old, new):
     source = inspect.getsource(simplex._pivot)
     assert old in source
@@ -154,23 +196,34 @@ def test_pivot_count_on_wide(monkeypatch, cold_caches):
     # the wide LPs of the tuple-cover gadgets (up to 120 worlds) and of
     # sigma's pinned probes on the 384-world product: Bland's rule on the
     # scaled rational rows made exactly these pivots, and the integer rows
-    # each cell builds once must not change a single choice
+    # each cell builds once must not change a single choice; nor must
+    # carrying one column per class of worlds that no row tells apart,
+    # which the width pins count
     gadgets = [harness.tuple_cover_gadget(n, d) for n in range(3, 12) for d in range(2, n)
                if math.perm(n, d) <= 120]
     demo = harness.conservative_extension_demo()
     calls = Counter()
+    widths = []  # the variable columns each tableau carries
     pivot, solve = simplex._pivot, simplex.solve_lp
+
+    def counted(num_vars, *args, columns=None, **kwargs):
+        calls.update(["solve_lp"])
+        widths.append(num_vars if columns is None else len(columns))
+        return solve(num_vars, *args, columns=columns, **kwargs)
+
     monkeypatch.setattr(simplex, "_pivot", lambda *a: calls.update(["pivot"]) or pivot(*a))
-    monkeypatch.setattr(simplex, "solve_lp",
-                        lambda *a, **k: calls.update(["solve_lp"]) or solve(*a, **k))
+    monkeypatch.setattr(simplex, "solve_lp", counted)
     assert len(gadgets) == 13
     for g in gadgets:
         edge = F(g.params["d"], g.params["n"])
         assert not harness.gadget_feasible(g, edge)
         assert harness.gadget_feasible(g, edge * (1 - F(1, 256)))
     assert calls == {"pivot": 391, "solve_lp": 26}
+    assert sum(widths) == 542  # of 1,550 world and t columns
     calls.clear()
+    widths.clear()
     report = conservative_check(TrueExpr(), demo["sigma"], demo["space"], x_factor=0,
                                 n_samples=2, seed=0)
     assert report.status == "conservative_verified"
     assert calls == {"pivot": 31, "solve_lp": 7}
+    assert sum(widths) == 76  # of 1,549
