@@ -268,13 +268,17 @@ def _negate(expr: ConstraintExpr) -> ConstraintExpr:
     raise TypeError(f"not a constraint: {expr!r}")
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=1024)
 def to_dnf(expr: ConstraintExpr) -> tuple[tuple[LinearAtom, ...], ...]:
     """Normalize to a union of conjunctive cells, each the tuple of its
     atoms: no atom twice, the equalities first, then the nonstrict and
     then the strict atoms, each group in the order the atoms appear.
     Raises on product atoms and when the distribution exceeds
-    ``MAX_DISJUNCTS``."""
+    ``MAX_DISJUNCTS``.
+
+    The memo holds as many forms as `entail.cells` holds cell sets: the
+    forms it serves again are those of kbs whose cells are looked up
+    next, and a larger memo only keeps the forms of fresh kbs alive."""
 
     def build(e: ConstraintExpr, negated: bool) -> list[tuple[LinearAtom, ...]]:
         if isinstance(e, Not):

@@ -107,6 +107,21 @@ class TestSatisfiable:
         assert satisfiable(TRUE).feasible
         assert not satisfiable(FALSE).feasible
 
+    def test_a_witness_is_checked_once_per_cell(self, monkeypatch, cold_caches,
+                                                fly_bird_space):
+        # a cell's witness and the constraint that keys its set are both
+        # fixed, so the check runs once per cell: again only on a fresh one
+        from credal import entail
+
+        calls = []
+        check = entail.satisfies
+        monkeypatch.setattr(entail, "satisfies", lambda *a: calls.append(1) or check(*a))
+        expr = parse_constraint("P(fly) > 1/3 & P(bird) < 2/3", fly_bird_space)
+        assert satisfiable(expr).feasible and len(calls) == 1
+        assert satisfiable(expr).feasible and len(calls) == 1
+        cells.cache_clear()
+        assert satisfiable(expr).feasible and len(calls) == 2
+
     def test_a_wrong_witness_raises_under_dash_o(self):
         # the witness check is no assert: python -O keeps it, so an LP
         # point that misses the constraint is never reported as feasible

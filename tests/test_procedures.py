@@ -518,6 +518,21 @@ class TestProductFamilyKlm:
         assert klm_properties_check(proc, kbs, thetas, lle_pairs=lle).all_pass
         assert (len(cells), len(lps)) == (built, solved)
 
+    def test_the_klm_grid_builds_no_cell_set_twice(self, cold_caches):
+        # the five procedures ask many of the same kb & !theta questions;
+        # entail.cells holds the grid's whole working set, so no set is
+        # evicted and built again
+        from credal import entail
+
+        space = enumerate_worlds(["a", "b"])
+        kbs, thetas, lle = klm_corpus(space)
+        for proc in (InferenceProcedure.entailment(), InferenceProcedure.maxent(),
+                     InferenceProcedure.i0(), InferenceProcedure.i1(),
+                     InferenceProcedure.prior_based(PriorFunction.product_family())):
+            assert klm_properties_check(proc, kbs, thetas, lle_pairs=lle).all_pass
+        info = entail.cells.cache_info()
+        assert info.misses == info.currsize
+
     @pytest.mark.parametrize("proc, projected", [
         (InferenceProcedure.prior_based(PriorFunction.product_family()), 813),
         (InferenceProcedure.maxent(), 56),
