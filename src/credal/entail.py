@@ -6,8 +6,7 @@ encoding of one cell: the simplex row, one row per atom, and one slack t
 shared by the strict atoms, whose optimum is positive exactly when the
 open cell is non-empty; the closure drops t from the strict atoms.  The
 rows, built once per cell as the integer `simplex.Row`s the tableau
-pivots on, are the only copy of the atoms that a cell computes with; the
-tableau carries one column per class of worlds that no row tells apart.
+pivots on, are the only copy of the atoms that a cell computes with.
 Satisfiability, entailment, ranges, sampling and conservativeness are
 decided cell by cell, on the cells `cells` builds once per (constraint,
 space).  Witnesses are exact rational measures.
@@ -69,13 +68,8 @@ class Cell:
     atoms it reads off those rows.  Pins are extra equality rows, given
     as (per-world coefficients, value) pairs.
 
-    An LP carries one column per class of worlds that every row treats
-    alike: the worlds split by each event of the atoms' terms (partition
-    refinement on `Event.mask`), then by the objective and the pins of
-    the call.  The lowest world of each class stands for it, in world
-    order, and takes the class's mass; the others get 0.  Bland's rule
-    would never enter them (`simplex`), so every answer is exactly the
-    one with a column per world.
+    An LP leaves out the worlds whose column and cost repeat a lower
+    world's, which Bland's rule would never enter (`simplex`).
     """
 
     def __init__(self, atoms: tuple[LinearAtom, ...], space: Space):
@@ -83,7 +77,6 @@ class Cell:
         self.space = space
         self.strict = any(atom.cmp in ("<", ">") for atom in atoms)
         self._witness = _UNSET
-        self._classes: list[int] | None = None  # built by the first LP
         # set by `satisfiable` once the witness satisfies the constraint
         # whose `cells` set holds this cell
         self.witness_checked = False
@@ -105,22 +98,12 @@ class Cell:
 
     def _solve(self, rows, objective, maximize: bool, pins: Pins):
         """The LP over the rows and pins, with the per-world objective
-        (None: maximize t), on one column per class of worlds that the
-        objective and pins do not split either; the answer is exactly
-        that of one column per world (`simplex.solve_lp`, columns)."""
+        (None: maximize t): (world masses, value), or None."""
         n = len(self.space.worlds)
-        classes = self._classes
-        if classes is None:
-            classes = self._classes = _event_classes(self.atoms, n)
-        if objective is not None:
-            classes = _split(classes, objective)
-        for coeffs, _ in pins:
-            classes = _split(classes, coeffs)
         objective = [0] * n + [1] if objective is None else objective + [_ZERO]
         if pins:
             rows = rows + [(coeffs + [0], "=", value) for coeffs, value in pins]
-        status, x, value = simplex.solve_lp(n + 1, rows, objective, maximize=maximize,
-                                            columns=_carried(classes, n))
+        status, x, value = simplex.solve_lp(n + 1, rows, objective, maximize=maximize)
         if status != simplex.OPTIMAL:
             return None
         return x[:n], value
@@ -263,45 +246,6 @@ def _atom_row(atom: LinearAtom, n: int) -> simplex.Row:
     if g > 1:
         ints = [a // g for a in ints]
     return simplex.Row(ints, _ROW_CMP[atom.cmp], big_l // g)
-
-
-def _event_classes(atoms: tuple[LinearAtom, ...], n: int) -> list[int]:
-    """The n worlds, as bit masks of classes, split by every event of the
-    atoms' terms: each atom row has one coefficient on a class.  Stops
-    once every class is a single world."""
-    classes = [(1 << n) - 1]
-    for atom in atoms:
-        for _, event in atom.terms:
-            classes = _refine(classes, event.mask)
-            if len(classes) == n:
-                return classes
-    return classes
-
-
-def _refine(classes: list[int], mask: int) -> list[int]:
-    """The classes (bit masks) split into their parts inside and outside mask."""
-    return [part for c in classes for part in (c & mask, c & ~mask) if part]
-
-
-def _carried(classes: list[int], n: int) -> list[int] | None:
-    """The LP columns for classes of n worlds: the lowest world of each
-    class, in world order, then t; None (all columns) when no class has
-    two worlds."""
-    if len(classes) == n:
-        return None
-    return sorted([(c & -c).bit_length() - 1 for c in classes] + [n])
-
-
-def _split(classes: list[int], values: Sequence) -> list[int]:
-    """The classes split by the per-world values: the worlds of one part
-    take one value."""
-    levels: dict = {}
-    for i, v in enumerate(values):
-        if v:
-            levels[v] = levels.get(v, 0) | 1 << i
-    for mask in levels.values():
-        classes = _refine(classes, mask)
-    return classes
 
 
 def _eliminate(aug: list[list[int | Fraction]], n: int) -> tuple[list[list[Fraction]], int]:

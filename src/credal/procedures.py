@@ -39,7 +39,6 @@ from .constraints import (
     TrueExpr,
     and_,
     atoms_of,
-    compare,
     has_product_atom,
     map_events,
     not_,
@@ -418,7 +417,7 @@ def _exact_product_verdict(kbs, theta, space, factors, samples) -> Verdict | Non
         if isinstance(conj, FalseExpr):
             return Verdict(False)
         if isinstance(conj, LinearAtom):
-            linear.append((conj, conj.coefficients(space)))
+            linear.append(conj)
         elif not (isinstance(conj, TrueExpr) or isinstance(conj, ProductAtom)
                   and _structural_product_atom(conj, space)):
             undecided = True
@@ -429,7 +428,7 @@ def _exact_product_verdict(kbs, theta, space, factors, samples) -> Verdict | Non
         checks = ((corner, linear) for corner in corners)
     else:
         checks = []
-        for atom, coeffs in linear:
+        for atom in linear:
             rect = _rectangle(atom.terms[0][1], space) if len(atom.terms) == 1 else None
             if rect is None:
                 undecided = True
@@ -438,13 +437,12 @@ def _exact_product_verdict(kbs, theta, space, factors, samples) -> Verdict | Non
                 # probability is least and greatest where every factor's is
                 ends = [linear_extremes(kb_i, ((_ONE, u),), f)
                         for kb_i, f, u in zip(kbs, factors, rect)]
-                checks += [(tuple(end[k][0] for end in ends), [(atom, coeffs)]) for k in (0, 1)]
+                checks += [(tuple(end[k][0] for end in ends), [atom]) for k in (0, 1)]
     comps = [component_map(space, f) for f in factors]
     for corner, atoms in checks:
         weights = [math.prod(v[comp[x]] for v, comp in zip(corner, comps))
                    for x in range(len(space.worlds))]
-        if all(compare(sum(c * w for c, w in zip(coeffs, weights)), atom.cmp, atom.bound,
-                       True, 0.0) for atom, coeffs in atoms):
+        if all(atom.holds_at(weights) for atom in atoms):
             continue
         if any(cell.strict for kb_i, f in zip(kbs, factors) for cell in cells(kb_i, f)):
             return None  # the corner may lie outside the selection

@@ -31,16 +31,17 @@ its sign, every ratio its order, and the lowest-index choices are the
 same; the ratio test compares b_i * a_k with b_k * a_i and still breaks
 ties on the basis index.
 
-A caller may name the columns the tableau carries, leaving out variables
-whose column and cost equal those of a lower-index carried one; this is
-the duplicate-column step of LP presolve (Andersen & Andersen 1995), and
-here it is exact pivot for pivot.  Every pivot transforms two equal
-columns alike, so they stay equal, with equal reduced costs.  Bland's
-rule enters the lowest index among negative reduced costs, and
-`_evict_artificials` the first nonzero column, so the later of the two
-never enters the basis and stays at 0.  Leaving it out changes no
-entering or leaving choice and no d, x or value, because the carried
-columns keep their order.
+The solver leaves out a variable whose column in the scaled rows and
+whose cost equal those of a lower-index one, and sets it to 0: the
+duplicate-column step of LP presolve (Andersen & Andersen 1995), here
+exact pivot for pivot.  Every pivot transforms two equal columns alike,
+so they stay equal, with equal reduced costs.  Bland's rule enters the
+lowest index among negative reduced costs, and `_evict_artificials` the
+first nonzero column, so the later of the two never enters the basis
+and stays at 0.  Leaving it out changes no entering or leaving choice
+and no d, x or value, because the carried columns keep their order.
+In the workbench's LPs such columns are mostly worlds that no row
+tells apart.
 """
 
 from __future__ import annotations
@@ -81,7 +82,6 @@ def solve_lp(
     constraints: Sequence[Row | tuple[Sequence[Fraction], str, Fraction]],
     objective: Sequence[Fraction],
     maximize: bool = False,
-    columns: Sequence[int] | None = None,
 ) -> tuple[str, list[Fraction] | None, Fraction | None]:
     """Solve min/max objective . x subject to the constraints and x >= 0.
 
@@ -89,19 +89,18 @@ def solve_lp(
     (coefficients, rel, rhs) with rel in {'<=', '>=', '='}, which
     `scale_row` converts; numbers are Fractions or ints.  Returns
     (status, x, value) with x covering the original variables, in
-    Fractions.
-
-    columns, when given, are the variables the tableau carries, in
-    increasing order; every other variable must have the column and the
-    cost of a lower-index carried one, and stays at 0.  The answer is
-    then exactly the one over all num_vars variables (see the module
-    docstring), from a narrower tableau.
+    Fractions.  The tableau carries one column per distinct (column,
+    cost) pair (`_distinct_columns`); the answer is exactly the one over
+    all num_vars variables (see the module docstring).
     """
     rows = [r if isinstance(r, Row) else scale_row(*r, num_vars) for r in constraints]
-    keep = range(num_vars) if columns is None else columns
-    if columns is not None:
-        objective = [objective[j] for j in columns]
+    if len(objective) != num_vars or any(len(r.ints) != num_vars + 1 for r in rows):
+        raise ValueError(f"objective and rows must cover exactly {num_vars} variables")
+    keep = _distinct_columns(rows, objective)
     width = len(keep)
+    narrow = width < num_vars
+    if narrow:
+        objective = [objective[j] for j in keep]
     rels = [_FLIP[rel] if ints[-1] < 0 else rel for ints, rel, _ in rows]
 
     n_slack = sum(rel != "=" for rel in rels)
@@ -116,7 +115,7 @@ def solve_lp(
     art_scales: list[int] = []
     zeros = [0] * (n_slack + n_art)
     for (ints, _, k), rel in zip(rows, rels):
-        head = ints[:-1] if columns is None else [ints[j] for j in columns]
+        head = [ints[j] for j in keep] if narrow else ints[:-1]
         row = [*head, *zeros, ints[-1]]  # a copy: rows are shared
         if ints[-1] < 0:
             row = [-a for a in row]
@@ -175,6 +174,15 @@ def solve_lp(
             x[keep[b]] = Fraction(row[-1], d)
     value = Fraction(-sign * cost[-1], d * big_m)
     return OPTIMAL, x, value
+
+
+def _distinct_columns(rows: list[Row], objective: Sequence[Fraction]) -> list[int]:
+    """The variables the tableau carries, in increasing order: the first
+    of each (column in the rows, cost) pair."""
+    first: dict[tuple, int] = {}
+    for j, key in enumerate(zip(*(r.ints for r in rows), objective)):
+        first.setdefault(key, j)
+    return list(first.values())
 
 
 def _iterate(tableau, basis, d, n_enter):

@@ -520,8 +520,11 @@ def test_projection_duals_are_a_kkt_certificate():
     # most RESIDUAL_TOL max(lam, |s|) for a row of slack s.  A prior
     # that satisfies kb is its own projection, in zero Newton steps, and
     # its zero duals certify it on the first cell whose atoms hold at it.
+    # The zero set is exact: a world of the prior's support has w = 0
+    # just when no point of the closure, with no mass off that support,
+    # puts mass on it (`Cell.support`).
     rng = random.Random(15)
-    checked = own = 0
+    checked = own = zeroed = 0
     for _ in range(400):
         drawn = _random_cell(rng, 6)
         if drawn is None:
@@ -536,10 +539,16 @@ def test_projection_duals_are_a_kkt_certificate():
             assert res.measures == (prior,) and diag.cycles == 0
             assert not any(diag.duals)
             own += 1
-        a, b, ineq = cells(kb, space)[diag.index].float_rows
+        cell = cells(kb, space)[diag.index]
+        a, b, ineq = cell.float_rows
         lam = np.array(diag.duals)
         w = np.array(res.measures[0].weights)
         w0 = np.array(prior.weights)
+        held = np.flatnonzero(w0 > 0.0).tolist()
+        pins = [([int(j == i) for j in range(len(w0))], 0) for i in range(len(w0)) if w0[i] <= 0]
+        zero = [i for i in held if w[i] == 0.0]
+        assert zero == sorted(set(held) - set(cell.support(held, pins)))
+        zeroed += bool(zero)
         assert lam.shape == b.shape
         assert (lam[ineq] >= 0.0).all()
         slack = b - a @ w
@@ -550,7 +559,7 @@ def test_projection_duals_are_a_kkt_certificate():
         log_z = np.log(w0[live]) - lam @ a[:, live] - np.log(w[live])
         assert log_z.max() - log_z.min() <= 1e-9
         checked += 1
-    assert checked - own >= 100 and own >= 10
+    assert checked - own >= 100 and own >= 10 and zeroed >= 20, (checked, own, zeroed)
 
 
 def test_a_prior_satisfying_kb_names_the_cell_holding_it():

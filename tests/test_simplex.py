@@ -72,6 +72,18 @@ def test_exactness_no_rounding():
     assert x[0] == F(1, 2)
 
 
+@pytest.mark.parametrize("num_vars, row, objective", [
+    (3, [1, 1, 1], [0, 1, 2, 5]),
+    (3, [1, 1, 1], [0, 1]),
+    (2, [1, 1, 1], [0, 1]),
+], ids=["long-objective", "short-objective", "long-row"])
+def test_inputs_of_the_wrong_size_raise(num_vars, row, objective):
+    # a cost or coefficient without its variable, or a variable without
+    # its cost, must not be answered with some optimum
+    with pytest.raises(ValueError, match="exactly"):
+        solve_lp(num_vars, [(row, "=", 1)], objective, maximize=True)
+
+
 # -- random LPs against the exact checker and HiGHS; pivot mutants -----------
 
 _FLIP = {"<=": ">=", ">=": "<=", "=": "="}
@@ -148,17 +160,25 @@ def test_copied_columns_pass_the_checker_and_match_highs():
 
 def test_a_later_equal_column_can_be_left_out_of_the_tableau():
     # Bland's rule never lets the later of two equal columns with equal
-    # costs enter, so a tableau without it makes the same answer, with
-    # that variable at 0; a copy at another cost can carry mass
+    # costs enter, so the solver leaves it out: the answer is the one of
+    # the same LP without it, with that variable at 0; a copy at another
+    # cost is carried and can take mass
     moved = 0
     for (n, rows, objective, maximize), later, equal in lps_with_a_copied_column(2025, 200):
-        full = solve_lp(n, rows, objective, maximize)
-        columns = [j for j in range(n) if j != later]
-        narrow = solve_lp(n, rows, objective, maximize, columns=columns)
+        found = solve_lp(n, rows, objective, maximize)
         if equal:
-            assert narrow == full
-        elif full[0] == OPTIMAL:
-            moved += full[1][later] != 0
+            carried = simplex._distinct_columns([simplex.scale_row(*r, n) for r in rows],
+                                                objective)
+            assert later not in carried
+
+            def drop(v):
+                return v[:later] + v[later + 1:]
+
+            status, x, value = solve_lp(n - 1, [(drop(c), rel, b) for c, rel, b in rows],
+                                        drop(objective), maximize)
+            assert found == (status, None if x is None else x[:later] + [0] + x[later:], value)
+        elif found[0] == OPTIMAL:
+            moved += found[1][later] != 0
     assert moved >= 10, moved
 
 
@@ -197,22 +217,24 @@ def test_pivot_count_on_wide(monkeypatch, cold_caches):
     # sigma's pinned probes on the 384-world product: Bland's rule on the
     # scaled rational rows made exactly these pivots, and the integer rows
     # each cell builds once must not change a single choice; nor must
-    # carrying one column per class of worlds that no row tells apart,
-    # which the width pins count
+    # leaving out the later of two equal columns, and the width pins
+    # count the columns the solver carries
     gadgets = [harness.tuple_cover_gadget(n, d) for n in range(3, 12) for d in range(2, n)
                if math.perm(n, d) <= 120]
     demo = harness.conservative_extension_demo()
     calls = Counter()
     widths = []  # the variable columns each tableau carries
-    pivot, solve = simplex._pivot, simplex.solve_lp
+    pivot, solve, distinct = simplex._pivot, simplex.solve_lp, simplex._distinct_columns
 
-    def counted(num_vars, *args, columns=None, **kwargs):
-        calls.update(["solve_lp"])
-        widths.append(num_vars if columns is None else len(columns))
-        return solve(num_vars, *args, columns=columns, **kwargs)
+    def carried(rows, objective):
+        keep = distinct(rows, objective)
+        widths.append(len(keep))
+        return keep
 
     monkeypatch.setattr(simplex, "_pivot", lambda *a: calls.update(["pivot"]) or pivot(*a))
-    monkeypatch.setattr(simplex, "solve_lp", counted)
+    monkeypatch.setattr(simplex, "solve_lp",
+                        lambda *a, **k: calls.update(["solve_lp"]) or solve(*a, **k))
+    monkeypatch.setattr(simplex, "_distinct_columns", carried)
     assert len(gadgets) == 13
     for g in gadgets:
         edge = F(g.params["d"], g.params["n"])

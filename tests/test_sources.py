@@ -1,11 +1,13 @@
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
 import credal
+from credal import entail, simplex
 
 SOURCES = sorted(Path(credal.__file__).parent.rglob("*.py"))
 
@@ -84,6 +86,14 @@ def test_lp_is_solved_only_by_cell():
     # the LP rows have one home: Cell builds them and is the one caller
     # of simplex.solve_lp
     assert _top_level_calls("solve_lp") == {("entail.py", "Cell")}
+
+
+def test_duplicate_columns_are_found_only_by_the_solver():
+    # LP column classes have one home: simplex.solve_lp finds its own
+    # duplicate columns and takes no list of them, and entail computes none
+    assert "columns" not in inspect.signature(simplex.solve_lp).parameters
+    assert not {"_event_classes", "_refine", "_split", "_carried"} & set(vars(entail))
+    assert "_classes" not in inspect.getsource(entail.Cell)
 
 
 def test_cell_reads_only_its_integer_rows():
