@@ -6,7 +6,8 @@ encoding of one cell: the simplex row, one row per atom, and one slack t
 shared by the strict atoms, whose optimum is positive exactly when the
 open cell is non-empty; the closure drops t from the strict atoms.  The
 rows, built once per cell as the integer `simplex.Row`s the tableau
-pivots on, are the only copy of the atoms that a cell computes with.
+pivots on, are the only copy of the atoms that a cell computes with;
+`simplex.solve_lp` and `simplex.vertices` pivot them as one engine.
 Satisfiability, entailment, ranges, sampling and conservativeness are
 decided cell by cell, on the cells `cells` builds once per (constraint,
 space).  Witnesses are exact rational measures.
@@ -18,8 +19,7 @@ import random as _random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from typing import Sequence
 
 import numpy as np
@@ -41,8 +41,6 @@ from .constraints import (
 from .embeddings import factor_lift
 from .measures import Measure, is_distribution
 from .spaces import Event, Space, event_from_indices, whole_event
-
-VERTEX_CELL_CAP = 64
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -191,40 +189,11 @@ class Cell:
         return live
 
     @cached_property
-    def _basis_rows(self) -> tuple[list[list[int]], list[list[int]], int]:
-        """The rows of the vertex search, in integers without t: the
-        simplex row with the = atoms, the pool of nonnegativity and
-        inequality rows, and how many pool rows complete a basis."""
-        n = len(self.space.worlds)
-        atom_rows = [row.ints[:n] + row.ints[-1:] for row in self._open[1:-1]]
-        n_eq = sum(atom.cmp == "=" for atom in self.atoms)
-        eqs = [[1] * (n + 1)] + atom_rows[:n_eq]
-        pool = [[int(j == i) for j in range(n)] + [0] for i in range(n)] + atom_rows[n_eq:]
-        return eqs, pool, n - _eliminate(eqs, n)[1]
-
-    @property
-    def bases(self) -> int:
-        """How many choices of pool rows `vertices` tries, one Gauss-Jordan
-        elimination each; known before any is tried."""
-        _, pool, need = self._basis_rows
-        return comb(len(pool), need)
-
-    @cached_property
     def vertices(self) -> tuple[list[Fraction], ...]:
-        """Vertices of the closure, by exhaustive basis search once per
-        cell: the simplex row and the = atoms with every choice of as
-        many nonnegativity and inequality rows as leaves one solution."""
+        """The closure's vertices: `simplex.vertices` on its rows without t."""
         n = len(self.space.worlds)
-        eqs, pool, need = self._basis_rows
-        vertices: list[list[Fraction]] = []
-        for chosen in combinations(pool, need):
-            aug, rank = _eliminate(eqs + list(chosen), n)
-            if rank < n or any(row[n] != 0 for row in aug[n:]):
-                continue  # underdetermined or inconsistent
-            x = [row[n] for row in aug[:n]]
-            if self.in_closure(x) and x not in vertices:
-                vertices.append(x)
-        return tuple(vertices)
+        return simplex.vertices(n, [row._replace(ints=row.ints[:n] + row.ints[-1:])
+                                    for row in self._closed[:-1]])
 
 
 def _atom_row(atom: LinearAtom, n: int) -> simplex.Row:
@@ -246,26 +215,6 @@ def _atom_row(atom: LinearAtom, n: int) -> simplex.Row:
     if g > 1:
         ints = [a // g for a in ints]
     return simplex.Row(ints, _ROW_CMP[atom.cmp], big_l // g)
-
-
-def _eliminate(aug: list[list[int | Fraction]], n: int) -> tuple[list[list[Fraction]], int]:
-    """Gauss-Jordan elimination of augmented integer rows over n
-    unknowns: the reduced rows, in Fractions, and the rank of their
-    coefficient part."""
-    aug = [list(row) for row in aug]
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        aug[r] = [Fraction(v, aug[r][c]) for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        r += 1
-    return aug, r
 
 
 @lru_cache(maxsize=1024)
@@ -494,16 +443,15 @@ def conservative_check(kb: ConstraintExpr, psi: ConstraintExpr, xy_space: Space,
     """Check that psi adds no information about the X factor over kb.
 
     proj_X([[lift(kb) & psi]]) lies within [[kb]] by construction.  The
-    reverse asks, for each closure vertex of each cell of kb and for
-    seeded samples of [[kb]], whether some extension with that
-    X-marginal satisfies psi.  A failed point of [[kb]] is an exact
+    reverse asks, for every closure vertex of every cell of kb, however
+    many, and for seeded samples of [[kb]], whether some extension with
+    that X-marginal satisfies psi.  A failed point of [[kb]] is an exact
     counterexample.  When psi is closed (no strict atom), a failed vertex
     outside [[kb]] is moved toward its cell's witness by lambda = 1/2,
     1/4, ... until the moved point fails, as it must: the extendable
-    marginals are then a closed set.  Passes are verified
-    only when psi is one closed DNF cell, whose extendable marginals
-    form a polytope, and the vertices were enumerated (at most
-    `VERTEX_CELL_CAP` cells of kb, 8 worlds in X); else inconclusive.
+    marginals are then a closed set.  Passes are verified only when psi
+    is one closed DNF cell, whose extendable marginals form a polytope;
+    else inconclusive.
     """
     if xy_space.factors is None:
         raise ValueError("xy_space must be a declared product")
@@ -527,8 +475,7 @@ def conservative_check(kb: ConstraintExpr, psi: ConstraintExpr, xy_space: Space,
         return ConservativeReport("not_conservative", Measure.rational(x_space, x), tested)
 
     kb_cells = cells(kb, x_space)
-    complete = len(kb_cells) <= VERTEX_CELL_CAP and len(x_space.worlds) <= 8
-    for cell in kb_cells if complete else ():
+    for cell in kb_cells:
         interior = cell.witness()
         if interior is None:
             continue
@@ -546,6 +493,6 @@ def conservative_check(kb: ConstraintExpr, psi: ConstraintExpr, xy_space: Space,
     for nu in sample_measures(kb, x_space, n_samples, seed):
         if not extends(nu.weights):
             return refuted(nu.weights)
-    verified = complete and closed and len(psi_cells) == 1
+    verified = closed and len(psi_cells) == 1
     return ConservativeReport("conservative_verified" if verified else "inconclusive",
                               tested=tested)

@@ -6,18 +6,13 @@ A selection is a tuple of measures (relative-entropy updating from
 finite priors; maximum entropy is the uniform prior) or a constraint
 whose denotation is the set (entailment, I0, I1, and `true` for the
 broken control).  The product-measure family has no enumerable
-selection, and `infers` decides it directly.  Under it a
-factorized kb is decided exactly on structural independence atoms and
-on linear atoms checked at tuples of factor closure points: every tuple
-of the factor kbs' closure vertices while the search and the tuples
-stay within `samples`, and otherwise, for a single-rectangle atom, the
-tuples of factor optima where its probability is least and greatest.
-A pass proves the atom, and a failure refutes it when the factor kbs
-are closed (no strict atom in any DNF cell).  Everything else is
-seeded sampling falsification,
-whose `Verdict.samples` counts the measures checked; a non-factorized
-kb's product priors are drawn once per (space, seed, samples) and
-each is projected once per kb.
+selection, and `infers` decides it directly: a factorized kb exactly
+at tuples of its factor kbs' closure vertices, which the simplex
+tableau lists by pivoting, or at per-factor optima beyond the tuple
+budget (`product_prior_infer`), and everything else by seeded sampling
+falsification, whose `Verdict.samples` counts the measures checked.
+A non-factorized kb's product priors are drawn once per (space, seed,
+samples) and each is projected once per kb.
 """
 
 from __future__ import annotations
@@ -338,17 +333,16 @@ def product_prior_infer(kbs: Sequence[ConstraintExpr], theta: ConstraintExpr, sp
     their constraints.  Product atoms over disjoint-factor rectangles
     hold structurally.  A linear atom is multilinear in the factor
     measures, so its extremes over the closure of the set lie at tuples
-    of the factor kbs' closure vertices.  While no factor's vertex search
-    tries more than `samples` bases (`Cell.bases`, known before it runs)
-    and there are at most `samples` tuples, every linear conjunct of
-    theta is checked at each tuple.  Beyond that budget a single-rectangle
-    atom is checked at the two tuples of per-factor LP optima where its
-    probability is least and greatest, which costs two LPs per factor
-    cell.  A pass everywhere proves theta; a failure refutes it when the
-    factor kbs are closed (no DNF cell has a strict atom), with the
-    product measure at that tuple as evidence.  Anything else falls back
-    to seeded sampling falsification over random product measures, and
-    `Verdict.samples` counts the measures checked.
+    of the factor kbs' closure vertices (`Cell.vertices`, of any size).
+    Within `samples` tuples each linear conjunct of theta is checked at
+    every one; beyond, a single-rectangle atom is checked at the two
+    tuples of per-factor LP optima where its probability is least and
+    greatest, two LPs per factor cell.  A pass everywhere proves theta;
+    a failure refutes it when the factor kbs are closed (no DNF cell has
+    a strict atom), with the product measure at that tuple as evidence.
+    Anything else falls back to seeded sampling falsification over
+    random product measures; `Verdict.samples` counts the measures
+    checked.
     """
     factors = _pi_factors(space)
     if len(kbs) != len(factors):
@@ -451,17 +445,14 @@ def _exact_product_verdict(kbs, theta, space, factors, samples) -> Verdict | Non
 
 
 def _vertex_tuples(kbs, factors, samples) -> Iterator[tuple[list[Fraction], ...]] | None:
-    """Every tuple of the factor kbs' closure vertices, or None when a
-    factor's vertex search would try more than `samples` bases or the
-    tuples would number more than `samples`."""
+    """Every tuple of the factor kbs' closure vertices (`Cell.vertices`),
+    or None when the tuples would number more than `samples`."""
     vertices: list[list[list[Fraction]]] = []
     for kb_i, f in zip(kbs, factors):
-        live = [cell for cell in cells(kb_i, f) if cell.witness() is not None]
-        if sum(cell.bases for cell in live) > samples:
-            return None
         found: list[list[Fraction]] = []
-        for cell in live:
-            found += [v for v in cell.vertices if v not in found]
+        for cell in cells(kb_i, f):
+            if cell.witness() is not None:
+                found += [v for v in cell.vertices if v not in found]
         vertices.append(found)
         if math.prod(len(v) for v in vertices) > samples:
             return None

@@ -11,9 +11,9 @@ side times the lcm k of their denominators.  `entail.Cell` builds its
 rows so, once per cell; a rational (coefficients, rel, rhs) row passes
 through `scale_row`, the same conversion, on each call.  A row whose
 right-hand side is negative is negated, its comparator flipped, as it
-enters the tableau.  The slack or
-artificial variable of a row is rescaled with it, so that variable
-keeps coefficient +1 or -1 and the starting basis is the identity.
+enters the tableau.  The slack or artificial variable of a row is
+rescaled with it, so that variable keeps coefficient +1 or -1 and the
+starting basis is the identity.
 From then on every entry is the rational tableau's entry times one
 common denominator d, the determinant (up to sign) of the current
 basis: a pivot on p replaces every other row by
@@ -36,12 +36,25 @@ whose cost equal those of a lower-index one, and sets it to 0: the
 duplicate-column step of LP presolve (Andersen & Andersen 1995), here
 exact pivot for pivot.  Every pivot transforms two equal columns alike,
 so they stay equal, with equal reduced costs.  Bland's rule enters the
-lowest index among negative reduced costs, and `_evict_artificials` the
-first nonzero column, so the later of the two never enters the basis
-and stays at 0.  Leaving it out changes no entering or leaving choice
-and no d, x or value, because the carried columns keep their order.
-In the workbench's LPs such columns are mostly worlds that no row
-tells apart.
+lowest index among negative reduced costs, and phase 1 evicts an
+artificial onto the first nonzero column, so the later of the two never
+enters the basis and stays at 0.  Leaving it out changes no entering or
+leaving choice and no d, x or value, because the carried columns keep
+their order.  In the workbench's LPs such columns are mostly worlds
+that no row tells apart.
+
+`vertices` lists each vertex of {x >= 0 : rows} by a walk over its
+feasible bases, as in reverse search (Avis & Fukuda 1992) but with a set
+of the bases seen, from the basis `_phase_1` (shared with `solve_lp`)
+ends on.  It carries every column: a vertex can sit on the later of two
+equal columns, as `true` on two worlds has one at each.  An edge is a
+pivot through `_pivot`: any nonbasic column with a positive entry
+enters and every row tied at the least ratio leaves, degenerate pivots
+included; some bases of a degenerate vertex are reached only through
+ties that Bland's rule would break.  A nonbasic world or slack holds its
+nonnegativity or inequality row tight, so listing a vertex at its least
+nonbasic set, worlds before slacks, puts it where a search over choices
+of tight rows in `itertools.combinations` order first meets it.
 """
 
 from __future__ import annotations
@@ -98,11 +111,67 @@ def solve_lp(
         raise ValueError(f"objective and rows must cover exactly {num_vars} variables")
     keep = _distinct_columns(rows, objective)
     width = len(keep)
-    narrow = width < num_vars
-    if narrow:
-        objective = [objective[j] for j in keep]
-    rels = [_FLIP[rel] if ints[-1] < 0 else rel for ints, rel, _ in rows]
+    objective = [objective[j] for j in keep]
+    if (start := _phase_1(rows, keep)) is None:
+        return INFEASIBLE, None, None
+    tableau, basis, d = start
+    n_slack = sum(rel != "=" for _, rel, _ in rows)
 
+    # Phase 2 on the real objective at scale d * M (minimize; negate for maximize).
+    sign = -1 if maximize else 1
+    dens = [c.denominator for c in objective]
+    big_m = lcm(*dens)
+    costs = [sign * c.numerator * (big_m // q) for c, q in zip(objective, dens)]
+    costs += [0] * n_slack
+    cost = [d * c for c in costs] + [0]
+    for row, b in zip(tableau, basis):
+        cb = costs[b]
+        if cb:
+            cost = [c - cb * a for c, a in zip(cost, row)]
+    tableau.append(cost)
+    status, d = _iterate(tableau, basis, d, width + n_slack)
+    cost = tableau.pop()
+    if status == UNBOUNDED:
+        return UNBOUNDED, None, None
+
+    x = [_ZERO] * num_vars
+    for row, b in zip(tableau, basis):
+        if b < width:
+            x[keep[b]] = Fraction(row[-1], d)
+    value = Fraction(-sign * cost[-1], d * big_m)
+    return OPTIMAL, x, value
+
+
+def vertices(num_vars: int, rows: Sequence[Row]) -> tuple[list[Fraction], ...]:
+    """Every vertex of {x >= 0 : rows} over num_vars variables, in
+    Fractions, each once, in the order of its least nonbasic-column set
+    (see the module docstring); empty when the rows are infeasible."""
+    start = _phase_1(rows, range(num_vars))
+    n_cols = num_vars + sum(rel != "=" for _, rel, _ in rows)
+    keys: dict[tuple[Fraction, ...], tuple[int, ...]] = {}
+    stack = [start] if start else []
+    seen = {frozenset(basis) for _, basis, _ in stack}
+    while stack:
+        tableau, basis, d = stack.pop()
+        at = dict(zip(basis, tableau))
+        x = tuple(Fraction(at[j][-1], d) if j in at else _ZERO for j in range(num_vars))
+        nonbasic = tuple(j for j in range(n_cols) if j not in at)
+        keys[x] = min(keys.get(x, nonbasic), nonbasic)
+        for entering in nonbasic:
+            for leaving in _least_ratio(tableau, basis, entering):
+                nxt = frozenset([*basis[:leaving], entering, *basis[leaving + 1:]])
+                if nxt not in seen:
+                    seen.add(nxt)
+                    step = list(tableau), list(basis)
+                    stack.append((*step, _pivot(*step, leaving, entering, d)))
+    return tuple(list(x) for x in sorted(keys, key=keys.get))
+
+
+def _phase_1(rows: Sequence[Row], keep: Sequence[int]):
+    """Phase 1: (tableau, basis, d) at a feasible basis over the kept columns,
+    the slacks and the rhs, redundant rows dropped; None if infeasible."""
+    width = len(keep)
+    rels = [_FLIP[rel] if ints[-1] < 0 else rel for ints, rel, _ in rows]
     n_slack = sum(rel != "=" for rel in rels)
     n_art = sum(rel != "<=" for rel in rels)
     art_start = width + n_slack
@@ -110,12 +179,11 @@ def solve_lp(
     # Columns: carried variables, slacks, artificials, then the rhs.
     tableau: list[list[int]] = []
     basis: list[int] = []
-    slack_i = width
-    art_i = art_start
     art_scales: list[int] = []
+    slack_i, art_i = width, art_start
     zeros = [0] * (n_slack + n_art)
     for (ints, _, k), rel in zip(rows, rels):
-        head = [ints[j] for j in keep] if narrow else ints[:-1]
+        head = ints[:-1] if len(ints) - 1 == width else [ints[j] for j in keep]
         row = [*head, *zeros, ints[-1]]  # a copy: rows are shared
         if ints[-1] < 0:
             row = [-a for a in row]
@@ -134,7 +202,7 @@ def solve_lp(
         tableau.append(row)
     d = 1
 
-    # Phase 1: minimize the artificials, weighted K // k so the costs stay integers.
+    # Minimize the artificials, weighted K // k so the costs stay integers.
     if n_art:
         big_k = lcm(*art_scales)
         weights = [big_k // k for k in art_scales]
@@ -146,34 +214,18 @@ def solve_lp(
         status, d = _iterate(tableau, basis, d, len(cost) - 1)
         cost = tableau.pop()
         if status == UNBOUNDED or cost[-1] < 0:
-            return INFEASIBLE, None, None
-        d = _evict_artificials(tableau, basis, art_start, d)
-        # Artificials never enter again, so phase 2 drops their columns.
+            return None
+        # Pivot each basic artificial (at 0) onto its row's first nonzero real
+        # column, or drop the row as redundant; artificials never enter again.
+        for i in range(len(tableau) - 1, -1, -1):
+            if basis[i] >= art_start:
+                entering = next((j for j in range(art_start) if tableau[i][j]), -1)
+                if entering >= 0:
+                    d = _pivot(tableau, basis, i, entering, d)
+                else:
+                    del tableau[i], basis[i]
         tableau = [row[:art_start] + row[-1:] for row in tableau]
-
-    # Phase 2 on the real objective at scale d * M (minimize; negate for maximize).
-    sign = -1 if maximize else 1
-    dens = [c.denominator for c in objective]
-    big_m = lcm(*dens)
-    costs = [sign * c.numerator * (big_m // q) for c, q in zip(objective, dens)]
-    costs += [0] * n_slack
-    cost = [d * c for c in costs] + [0]
-    for row, b in zip(tableau, basis):
-        cb = costs[b]
-        if cb:
-            cost = [c - cb * a for c, a in zip(cost, row)]
-    tableau.append(cost)
-    status, d = _iterate(tableau, basis, d, art_start)
-    cost = tableau.pop()
-    if status == UNBOUNDED:
-        return UNBOUNDED, None, None
-
-    x = [_ZERO] * num_vars
-    for row, b in zip(tableau, basis):
-        if b < width:
-            x[keep[b]] = Fraction(row[-1], d)
-    value = Fraction(-sign * cost[-1], d * big_m)
-    return OPTIMAL, x, value
+    return tableau, basis, d
 
 
 def _distinct_columns(rows: list[Row], objective: Sequence[Fraction]) -> list[int]:
@@ -193,17 +245,27 @@ def _iterate(tableau, basis, d, n_enter):
         entering = next((j for j in range(n_enter) if cost[j] < 0), -1)
         if entering < 0:
             return OPTIMAL, d
-        leaving, best_b, best_a = -1, 1, 0  # best ratio best_b / best_a, +inf at first
-        for i, (row, b) in enumerate(zip(tableau, basis)):
-            a = row[entering]
-            if a > 0:
-                lhs, rhs = row[-1] * best_a, best_b * a
-                if lhs < rhs or (lhs == rhs and b < basis[leaving]):
-                    leaving, best_b, best_a = i, row[-1], a
-        if leaving < 0:
+        ties = _least_ratio(tableau, basis, entering)
+        if not ties:
             return UNBOUNDED, d
+        leaving = ties[0] if len(ties) == 1 else min(ties, key=basis.__getitem__)
         d = _pivot(tableau, basis, leaving, entering, d)
         cost = tableau[-1]
+
+
+def _least_ratio(tableau, basis, entering):
+    """The basis rows with a positive entry in the entering column whose
+    ratio rhs / entry is least: the rows a pivot there may leave."""
+    ties, best_b, best_a = [], 1, 0  # least ratio best_b / best_a, +inf at first
+    for i, row in enumerate(tableau[:len(basis)]):  # not the cost row
+        a = row[entering]
+        if a > 0:
+            lhs, rhs = row[-1] * best_a, best_b * a
+            if lhs < rhs:
+                ties, best_b, best_a = [i], row[-1], a
+            elif lhs == rhs:
+                ties.append(i)
+    return ties
 
 
 def _pivot(tableau, basis, leaving, entering, d):
@@ -225,18 +287,3 @@ def _pivot(tableau, basis, leaving, entering, d):
     basis[leaving] = entering
     return p
 
-
-def _evict_artificials(tableau, basis, art_start, d):
-    """Pivot basic artificials (at value 0) onto real columns; drop rows
-    that turn out to be redundant.  Returns d."""
-    for i in range(len(tableau) - 1, -1, -1):
-        if basis[i] < art_start:
-            continue
-        row = tableau[i]
-        entering = next((j for j in range(art_start) if row[j]), -1)
-        if entering >= 0:
-            d = _pivot(tableau, basis, i, entering, d)
-        else:
-            del tableau[i]
-            del basis[i]
-    return d

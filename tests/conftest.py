@@ -166,3 +166,50 @@ def highs_lp(num_vars, rows, objective, maximize):
                   bounds=(0, None), method="highs")
     status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
     return status, (sign * res.fun if status == "optimal" else None)
+
+
+def basis_search_vertices(atoms, space):
+    """Closure vertices of the cell with these atoms (strict ones closed),
+    by exhaustive basis search on rows rebuilt from
+    `LinearAtom.coefficients`: the simplex row and the = atoms with each
+    choice, in `itertools.combinations` order, of as many rows from the
+    pool (nonnegativity of each world, then the other atoms in order) as
+    leaves one solution; each vertex at the first choice that gives it."""
+    n = len(space.worlds)
+    one, zero = Fraction(1), Fraction(0)
+    rows = [(atom.coefficients(space) + [atom.bound], atom.cmp) for atom in atoms]
+    eqs = [[one] * (n + 1)] + [row for row, cmp in rows if cmp == "="]
+    pool = [[one if j == i else zero for j in range(n)] + [zero] for i in range(n)]
+    pool += [row for row, cmp in rows if cmp != "="]
+    closed = {"=": lambda v, b: v == b, "<=": lambda v, b: v <= b, "<": lambda v, b: v <= b,
+              ">=": lambda v, b: v >= b, ">": lambda v, b: v >= b}
+    found = []
+    for chosen in itertools.combinations(pool, n - _gauss_jordan(eqs, n)[1]):
+        reduced, rank = _gauss_jordan(eqs + list(chosen), n)
+        if rank < n or any(row[n] != 0 for row in reduced[n:]):
+            continue  # underdetermined or inconsistent
+        x = [row[n] for row in reduced[:n]]
+        if (x not in found and min(x) >= 0 and sum(x) == 1
+                and all(closed[cmp](sum(c * v for c, v in zip(row, x)), row[n])
+                        for row, cmp in rows)):
+            found.append(x)
+    return found
+
+
+def _gauss_jordan(aug, n):
+    """Gauss-Jordan elimination of augmented rational rows over n
+    unknowns: the reduced rows and the rank of their coefficient part."""
+    aug = [list(row) for row in aug]
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        aug[r] = [v / aug[r][c] for v in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
+        r += 1
+    return aug, r

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import random
@@ -5,6 +6,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from credal.constraints import (
 from credal.corpus import klm_corpus
 from credal.embeddings import factor_lift
 from credal.entail import (
+    Cell,
     _holds_at,
     cells,
     conservative_check,
@@ -46,7 +49,7 @@ from credal.spaces import (
     product_space,
     whole_event,
 )
-from tests.conftest import simplex_grid
+from tests.conftest import basis_search_vertices, simplex_grid
 
 F = Fraction
 
@@ -450,8 +453,6 @@ class TestCell:
                 kb = And(tuple(_fractional_atom(rng, sp, ("=", "<=", ">="))
                                for _ in range(rng.randint(1, 3))))
                 for cell in cells(kb, sp):
-                    if cell.bases > 500:
-                        continue
                     vertices = cell.vertices
                     for _ in range(6):
                         objective = [F(rng.randint(-5, 5)) for _ in range(n)]
@@ -465,6 +466,54 @@ class TestCell:
                     checked += bool(vertices)
                     empty += not vertices
         assert checked >= 100 and empty >= 10, (checked, empty)
+
+    def test_vertices_match_the_basis_search(self):
+        # the walk over feasible bases lists the same vertices, in the
+        # same order, as the exhaustive search over row choices
+        seen = Counter()
+        for atoms, sp, dependent, expected in _vertex_corpus():
+            assert list(Cell(atoms, sp).vertices) == expected, [str(a) for a in atoms]
+            seen["cells"] += 1
+            seen["several"] += len(expected) > 1
+            seen["dependent"] += dependent and bool(expected)
+            seen["equality"] += any(atom.cmp == "=" for atom in atoms) and bool(expected)
+        assert seen["cells"] >= 200 and min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("old, new", [("entering):", "entering)[:1]:"),
+                                          ("sorted(keys, key=keys.get)", "keys")],
+                             ids=["lowest-tied-row-only", "discovery-order"])
+    def test_basis_search_catches_walk_mutants(self, monkeypatch, old, new):
+        source = inspect.getsource(simplex.vertices)
+        assert source.count(old) == 1
+        namespace = dict(vars(simplex))
+        exec(source.replace(old, new), namespace)
+        monkeypatch.setattr(simplex, "vertices", namespace["vertices"])
+        assert any(list(Cell(atoms, sp).vertices) != expected
+                   for atoms, sp, _, expected in _vertex_corpus())
+
+
+@lru_cache(maxsize=None)
+def _vertex_corpus():
+    """(atoms, space, whether the kb has dependent equalities, the
+    reference vertex list) for the cells of seeded kbs on 2-6 worlds:
+    template kbs, and conjunctions of fractional atoms, some with an
+    equality repeated at twice its scale or P(whole) = 1 added."""
+    rng = random.Random(5)
+    out = []
+    for n in range(2, 7):
+        sp = _plain_space("v", n)
+        for k in range(45):
+            atoms = [_fractional_atom(rng, sp) for _ in range(rng.randint(1, 3))]
+            if k % 3 == 2:
+                terms, bound = atoms[0].terms, atoms[0].bound
+                atoms += ([LinearAtom(terms, "=", bound),
+                           LinearAtom(tuple((2 * c, e) for c, e in terms), "=", 2 * bound)]
+                          if rng.random() < 0.5 else [LinearAtom(((F(1), whole_event(sp)),),
+                                                                 "=", F(1))])
+            kb = _random_kb(sp, rng) if k % 3 == 0 else And(tuple(atoms))
+            out += [(cell.atoms, sp, k % 3 == 2, basis_search_vertices(cell.atoms, sp))
+                    for cell in cells(kb, sp)]
+    return tuple(out)
 
 
 @pytest.fixture
@@ -712,9 +761,9 @@ class TestConservativeCheck:
         assert F(1, 3) < rep.witness.prob(event_of(x, "s")) < F(2, 5)
 
 
-def test_a_sample_refutes_beyond_the_vertex_limit():
-    # 9 worlds skip the vertex search; psi pins world 0 of X to zero mass,
-    # so a sample of [[true]] with mass on world 0 has no extension
+def test_a_vertex_refutes_on_nine_worlds():
+    # psi pins world 0 of X to zero mass, so the closure vertex of
+    # [[true]] at the point mass on world 0 has no extension
     x = _plain_space("x", 9)
     xy = product_space([x, enumerate_worlds(["c"])])
     psi = translate(factor_lift(xy, x),
@@ -724,16 +773,13 @@ def test_a_sample_refutes_beyond_the_vertex_limit():
     assert rep.witness.weights[0] > 0
 
 
-def test_conservative_check_inconclusive_beyond_vertex_limit():
-    from credal.constraints import TrueExpr
-    from credal.harness import _plain_space
-    from credal.spaces import product_space as _prod
-
-    big = _plain_space("big", 9)  # beyond the vertex-enumeration limit
-    other = enumerate_worlds(["o"])
-    xy = _prod([big, other])
+def test_conservative_check_verifies_on_nine_worlds():
+    # the vertex search has no size limit: every vertex of [[true]] on
+    # 9 worlds extends under the closed one-cell psi = true
+    big = _plain_space("big", 9)
+    xy = product_space([big, enumerate_worlds(["o"])])
     rep = conservative_check(TrueExpr(), TrueExpr(), xy, n_samples=2)
-    assert rep.status == "inconclusive"
+    assert rep.status == "conservative_verified"
 
 
 class TestRandomizedEngineSoundness:
@@ -744,7 +790,7 @@ class TestRandomizedEngineSoundness:
         import random
 
         from credal.harness import _plain_space, _random_kb, _random_theta
-        from tests.conftest import simplex_grid
+        from tests.conftest import basis_search_vertices, simplex_grid
 
         space = _plain_space("e", 3)
         grid = list(simplex_grid(space, 12))

@@ -384,31 +384,33 @@ class TestProductPriorInfer:
             assert mu.backend == "rational"
             assert satisfies(mu, kb) and not satisfies(mu, theta)
 
-    def test_a_large_factor_skips_the_vertex_search(self, monkeypatch, cold_caches):
-        # one 11-world factor with four inequality atoms: the vertex search
-        # would try C(15, 10) = 3003 bases, more than the 200 samples, so
-        # the rectangle atom is decided by its two extreme LPs instead,
-        # with a product measure in the selection as evidence
+    def test_a_large_factor_is_decided_at_its_vertices(self, monkeypatch, cold_caches):
+        # one 11-world factor with four inequality atoms, whose C(15, 10) =
+        # 3003 row choices the walk over feasible bases never tries: its
+        # 50 vertices are few enough for the tuple budget, so a rectangle
+        # atom and a two-term atom are both decided at each of them, with
+        # a product measure in the selection as evidence
         from credal import entail, simplex
         from credal.harness import _plain_space
 
         sp = _plain_space("u", 11)
         kb = and_(*(LinearAtom(((F(1), event_from_indices(sp, range(k, k + 3))),), ">=", F(1, 8))
                     for k in range(4)))
-        theta = LinearAtom(((F(1), event_from_indices(sp, [0, 5])),), "<=", F(1, 2))
         (cell,) = entail.cells(kb, sp)
-        assert cell.bases == math.comb(15, 10)
-        lps, eliminations = [], []
-        solve_lp, eliminate = simplex.solve_lp, entail._eliminate
+        assert len(cell.vertices) == 50
+        lps = []
+        solve_lp = simplex.solve_lp
         monkeypatch.setattr(simplex, "solve_lp", lambda *a, **k: lps.append(1) or solve_lp(*a, **k))
-        monkeypatch.setattr(entail, "_eliminate",
-                            lambda *a: eliminations.append(1) or eliminate(*a))
         proc = InferenceProcedure.prior_based(PriorFunction.product_family())
-        v = infers(proc, kb, theta, sp)
-        assert not v.holds and v.mode == "exact"
-        assert satisfies(v.evidence[0], kb) and not satisfies(v.evidence[0], theta)
-        # no vertex search runs; one witness LP and the two extremes
-        assert (len(eliminations), len(lps)) == (0, 3)
+        rectangle = LinearAtom(((F(1), event_from_indices(sp, [0, 5])),), "<=", F(1, 2))
+        two_term = LinearAtom(((F(1), event_from_indices(sp, range(6))),
+                               (F(-1), event_from_indices(sp, [9]))), ">=", F(1, 8))
+        for theta in (rectangle, two_term):
+            v = infers(proc, kb, theta, sp)
+            assert not v.holds and v.mode == "exact"
+            assert satisfies(v.evidence[0], kb) and not satisfies(v.evidence[0], theta)
+        # the witness LP, and no other: the vertices are cached on the cell
+        assert len(lps) == 1
 
     def test_closed_multi_cell_kbs_decide_exactly(self):
         # both ends of each factor's range are attained, so a violated

@@ -218,12 +218,14 @@ def test_pivot_count_on_wide(monkeypatch, cold_caches):
     # scaled rational rows made exactly these pivots, and the integer rows
     # each cell builds once must not change a single choice; nor must
     # leaving out the later of two equal columns, and the width pins
-    # count the columns the solver carries
+    # count the columns the solver carries; the pivots of sigma's vertex
+    # walk, outside any LP, are counted apart
     gadgets = [harness.tuple_cover_gadget(n, d) for n in range(3, 12) for d in range(2, n)
                if math.perm(n, d) <= 120]
     demo = harness.conservative_extension_demo()
     calls = Counter()
     widths = []  # the variable columns each tableau carries
+    in_lp = []
     pivot, solve, distinct = simplex._pivot, simplex.solve_lp, simplex._distinct_columns
 
     def carried(rows, objective):
@@ -231,9 +233,17 @@ def test_pivot_count_on_wide(monkeypatch, cold_caches):
         widths.append(len(keep))
         return keep
 
-    monkeypatch.setattr(simplex, "_pivot", lambda *a: calls.update(["pivot"]) or pivot(*a))
-    monkeypatch.setattr(simplex, "solve_lp",
-                        lambda *a, **k: calls.update(["solve_lp"]) or solve(*a, **k))
+    def solve_spy(*a, **k):
+        calls.update(["solve_lp"])
+        in_lp.append(1)
+        try:
+            return solve(*a, **k)
+        finally:
+            in_lp.pop()
+
+    monkeypatch.setattr(simplex, "_pivot",
+                        lambda *a: calls.update(["pivot" if in_lp else "walk pivot"]) or pivot(*a))
+    monkeypatch.setattr(simplex, "solve_lp", solve_spy)
     monkeypatch.setattr(simplex, "_distinct_columns", carried)
     assert len(gadgets) == 13
     for g in gadgets:
@@ -247,5 +257,5 @@ def test_pivot_count_on_wide(monkeypatch, cold_caches):
     report = conservative_check(TrueExpr(), demo["sigma"], demo["space"], x_factor=0,
                                 n_samples=2, seed=0)
     assert report.status == "conservative_verified"
-    assert calls == {"pivot": 31, "solve_lp": 7}
+    assert calls == {"pivot": 31, "solve_lp": 7, "walk pivot": 2}
     assert sum(widths) == 76  # of 1,549

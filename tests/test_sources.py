@@ -96,6 +96,19 @@ def test_duplicate_columns_are_found_only_by_the_solver():
     assert "_classes" not in inspect.getsource(entail.Cell)
 
 
+def test_vertices_are_found_only_by_the_solver():
+    # vertex enumeration has one home, the walk over the tableau's
+    # feasible bases in simplex.vertices: entail keeps no second exact
+    # engine and no size cap, and imports nothing to choose rows with
+    assert not {"_eliminate", "_basis_rows", "VERTEX_CELL_CAP"} & set(vars(entail))
+    assert not hasattr(entail.Cell, "bases")
+    tree = ast.parse(inspect.getsource(entail))
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not {"combinations", "comb"} & names
+
+
 def test_cell_reads_only_its_integer_rows():
     # the atoms' exact encoding has one home, the integer simplex.Rows:
     # no code in Cell computes with a rational copy of the atoms
