@@ -19,7 +19,7 @@ import random as _random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import Sequence
 
 import numpy as np
@@ -78,6 +78,7 @@ class Cell:
         # set by `satisfiable` once the witness satisfies the constraint
         # whose `cells` set holds this cell
         self.witness_checked = False
+        self._more_vertices_than = -1  # a stopped vertex walk's limit
 
     @cached_property
     def _open(self) -> list[simplex.Row]:
@@ -145,19 +146,15 @@ class Cell:
                 out.append(i)
         return out
 
-    def holds_at(self, point: dict[int, Fraction], closed: bool = False) -> bool:
-        """Whether the atoms (closed: strict ones relaxed) hold at the
-        measure putting point[i] on world i and nothing elsewhere: each
-        row against the point's numerators over their common denominator."""
+    def holds_at(self, point: dict[int, Fraction]) -> bool:
+        """Whether the atoms hold at the measure putting point[i] on
+        world i and nothing elsewhere: each row against the point's
+        numerators over their common denominator."""
         d = lcm(*(p.denominator for p in point.values()))
         nums = [(i, p.numerator * (d // p.denominator)) for i, p in point.items()]
-        return all(compare(sum(row.ints[i] * v for i, v in nums),
-                           row.rel if closed else atom.cmp, row.ints[-1] * d, True, 0.0)
+        return all(compare(sum(row.ints[i] * v for i, v in nums), atom.cmp, row.ints[-1] * d,
+                           True, 0.0)
                    for atom, row in zip(self.atoms, self._open[1:]))
-
-    def in_closure(self, x: list[Fraction]) -> bool:
-        """Whether the exact point x lies in the closure of the cell."""
-        return is_distribution(x) and self.holds_at(dict(enumerate(x)), closed=True)
 
     @cached_property
     def float_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -191,9 +188,22 @@ class Cell:
     @cached_property
     def vertices(self) -> tuple[list[Fraction], ...]:
         """The closure's vertices: `simplex.vertices` on its rows without t."""
-        n = len(self.space.worlds)
-        return simplex.vertices(n, [row._replace(ints=row.ints[:n] + row.ints[-1:])
-                                    for row in self._closed[:-1]])
+        return self.vertices_within(inf)
+
+    def vertices_within(self, limit: float) -> tuple[list[Fraction], ...] | None:
+        """`vertices`, or None when they number more than limit, by a walk
+        that stops there: a finished walk fills `vertices`, and one that
+        stopped is not walked again for a limit as low."""
+        if "vertices" not in self.__dict__ and limit > self._more_vertices_than:
+            n = len(self.space.worlds)
+            found = simplex.vertices(n, [row._replace(ints=row.ints[:n] + row.ints[-1:])
+                                         for row in self._closed[:-1]], limit)
+            if found is None:
+                self._more_vertices_than = limit
+            else:
+                self.vertices = found
+        found = self.__dict__.get("vertices")
+        return found if found is not None and len(found) <= limit else None
 
 
 def _atom_row(atom: LinearAtom, n: int) -> simplex.Row:

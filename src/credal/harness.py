@@ -43,7 +43,7 @@ from .embeddings import (
 )
 from .entail import conservative_check, entails, satisfiable
 from .errors import CredalError, DomainError
-from .measures import Measure
+from .measures import RATIONAL, Measure, condition, couple, product_measure
 from .procedures import (
     InferenceProcedure,
     PriorFunction,
@@ -55,7 +55,6 @@ from .spaces import (
     Vocabulary,
     World,
     atoms_over,
-    component_map,
     cylinder,
     enumerate_worlds,
     event_from_indices,
@@ -484,16 +483,10 @@ def gadget_feasible(g: GadgetSpec, alpha: Fraction) -> bool:
 
 
 def gadget_witnesses(g: GadgetSpec) -> list[Measure]:
-    """Uniform-on-U_i measures: mass 1 on U_i and (d-1)/(n-1) elsewhere."""
-    space = g.spaces["Y0"]
-    out = []
-    for ev in g.extra["U"]:
-        w = [F(0)] * len(space.worlds)
-        share = F(1, ev.count)
-        for k in ev.indices():
-            w[k] = share
-        out.append(Measure.rational(space, w))
-    return out
+    """The uniform measure on each U_i, as the uniform measure on Y0
+    conditioned on U_i: mass 1 on U_i and (d-1)/(n-1) on every other U_j."""
+    uniform = Measure.uniform(g.spaces["Y0"], RATIONAL)
+    return [condition(uniform, ev) for ev in g.extra["U"]]
 
 
 def conservative_extension_demo(nu: Measure | None = None, i: int = 0,
@@ -501,9 +494,12 @@ def conservative_extension_demo(nu: Measure | None = None, i: int = 0,
     """The sigma-conservativeness mechanism at (n, d) = (3, 2), |X| = 2.
 
     Builds Z = X^3 x Y0 x Y^3 (384 worlds), the coupling constraint
-    sigma, and an explicit extension of an arbitrary X-measure nu whose
-    i-th marginal is nu and which satisfies sigma exactly, following the
-    iterated-coupling construction.
+    sigma, and an extension mu of an arbitrary X-measure nu whose i-th
+    marginal is nu and which satisfies sigma exactly, by iterated
+    coupling: mu0 (`gadget_witnesses`' i-th) times Bernoulli Y-factors
+    that give each V_j = U_j x {yy} the mass nu_j(S) (nu at i, gamma
+    elsewhere), coupled by `measures.couple` with nu_j, S against V_j,
+    for j = 2, 1, 0.  The result lists Z's worlds and is rebased onto Z.
     """
     n, d = 3, 2
     if not gamma < F(d - 1, n - 1):
@@ -519,50 +515,26 @@ def conservative_extension_demo(nu: Measure | None = None, i: int = 0,
     z = product_space([x, x, x, y0, y, y, y])
 
     u = g.extra["U"]
-    mu0_weights = [F(0)] * len(y0.worlds)
-    for k in u[i].indices():
-        mu0_weights[k] = F(1, u[i].count)
-    mu0 = Measure.rational(y0, mu0_weights)
-    mu0_u = [mu0.prob(ev) for ev in u]
+    mu0 = gadget_witnesses(g)[i]
     nu0 = Measure.rational(x, [1 - gamma, gamma])  # Pr(S) = gamma
     nus = [nu if j == i else nu0 for j in range(n)]
-    y_probs = [nu.prob(s) if j == i else gamma / mu0_u[j] for j in range(n)]
+    y_probs = [nu.prob(s) if j == i else gamma / mu0.prob(u[j]) for j in range(n)]
 
-    comps_x = [component_map(z, z.factors[j]) for j in range(3)]
-    comp_y0 = component_map(z, z.factors[3])
-    comps_y = [component_map(z, z.factors[4 + j]) for j in range(3)]
-
-    v_events = [cylinder(z, 3, u[j]) & cylinder(z, 4 + j, y_true) for j in range(3)]
-    s_events = [cylinder(z, j, s) for j in range(3)]
-
-    nu_s = [m.prob(s) for m in nus]
-    weights = []
-    for widx in range(len(z.worlds)):
-        w = mu0_weights[comp_y0[widx]]
-        for j in range(3):
-            yc = comps_y[j][widx]
-            w *= y_probs[j] if yc == 1 else 1 - y_probs[j]
-        if w == 0:
-            weights.append(F(0))
-            continue
-        for j in range(3):
-            xc = comps_x[j][widx]
-            inside_v = widx in v_events[j]
-            inside_s = xc in s
-            if inside_v != inside_s:
-                w = F(0)
-                break
-            side_mass = nu_s[j] if inside_s else 1 - nu_s[j]
-            if side_mass == 0:
-                w = F(0)
-                break
-            w *= nus[j].weights[xc] / side_mass
-        weights.append(w)
-    mu = Measure.rational(z, weights)
+    mu = product_measure([mu0, *(Measure.rational(y, [1 - p, p]) for p in y_probs)])
+    v_events = [cylinder(mu.space, 0, u[j]) & cylinder(mu.space, 1 + j, y_true)
+                for j in range(n)]
+    for j in reversed(range(n)):
+        mu = couple(nus[j], s, mu, v_events[j])
+        v_events = [cylinder(mu.space, 1, ev) for ev in v_events]
+    if mu.space.worlds != z.worlds:
+        raise CredalError("the coupled space does not list Z's worlds in order")
+    mu = Measure(z, mu.weights, RATIONAL)
+    v_events = [Event(z, ev.mask) for ev in v_events]
+    s_events = [cylinder(z, j, s) for j in range(n)]
 
     sigma = and_(*(LinearAtom(((_ONE, (s_events[j] & v_events[j]) | (~s_events[j] & ~v_events[j])),),
-                              "=", _ONE) for j in range(3)))
-    marginals = [mu.marginal(z.factors[j]) for j in range(3)]
+                              "=", _ONE) for j in range(n)))
+    marginals = [mu.marginal(z.factors[j]) for j in range(n)]
     s_index = next(s.indices())
     return {
         "space": z,
@@ -571,7 +543,7 @@ def conservative_extension_demo(nu: Measure | None = None, i: int = 0,
         "sigma_holds": satisfies(mu, sigma),
         "marginal_matches_nu": marginals[i].weights == nu.weights,
         "other_marginals_gamma": all(marginals[j].weights[s_index] == gamma
-                                     for j in range(3) if j != i),
+                                     for j in range(n) if j != i),
         "v_masses": [mu.prob(ev) for ev in v_events],
         "expected_vi": nu.prob(s),
         "gamma": gamma,

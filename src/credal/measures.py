@@ -261,21 +261,13 @@ def couple(mu0: Measure, s0: Event, mu1: Measure, s1: Event) -> Measure:
         raise CredalError("marginal-probability mismatch")
 
     space = product_space([mu0.space, mu1.space])
-    in_s1 = p1
-    out_s1 = 1 - p1
-    n1 = len(mu1.space.worlds)
     zero = Fraction(0) if backend == RATIONAL else 0.0
     weights = []
-    for i in range(len(mu0.space.worlds)):
-        a = mu0.weights[i]
-        for j in range(n1):
-            b = mu1.weights[j]
-            if i in s0 and j in s1:
-                weights.append(a * b / in_s1 if in_s1 != 0 else zero)
-            elif i not in s0 and j not in s1:
-                weights.append(a * b / out_s1 if out_s1 != 0 else zero)
-            else:
-                weights.append(zero)
+    for i, a in enumerate(mu0.weights):
+        inside = i in s0
+        side = p1 if inside else 1 - p1  # mu1's mass on the side i couples with
+        for j, b in enumerate(mu1.weights):
+            weights.append(a * b / side if side != 0 and (j in s1) == inside else zero)
     return Measure(space, tuple(weights), backend)
 
 

@@ -446,16 +446,23 @@ def _exact_product_verdict(kbs, theta, space, factors, samples) -> Verdict | Non
 
 def _vertex_tuples(kbs, factors, samples) -> Iterator[tuple[list[Fraction], ...]] | None:
     """Every tuple of the factor kbs' closure vertices (`Cell.vertices`),
-    or None when the tuples would number more than `samples`."""
+    or None when the tuples would number more than `samples`.  Past the
+    earlier factors' tuples, more than samples // their count vertices
+    on a factor are too many, so no cell's walk goes beyond that."""
     vertices: list[list[list[Fraction]]] = []
     for kb_i, f in zip(kbs, factors):
+        limit = samples // math.prod(len(v) for v in vertices)
         found: list[list[Fraction]] = []
         for cell in cells(kb_i, f):
             if cell.witness() is not None:
-                found += [v for v in cell.vertices if v not in found]
-        vertices.append(found)
-        if math.prod(len(v) for v in vertices) > samples:
+                if (listed := cell.vertices_within(limit)) is None:
+                    return None
+                found += [v for v in listed if v not in found]
+        if len(found) > limit:
             return None
+        if not found:
+            return iter(())  # an unsatisfiable factor: no tuples at all
+        vertices.append(found)
     return itertools.product(*vertices)
 
 

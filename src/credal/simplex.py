@@ -54,13 +54,15 @@ included; some bases of a degenerate vertex are reached only through
 ties that Bland's rule would break.  A nonbasic world or slack holds its
 nonnegativity or inequality row tight, so listing a vertex at its least
 nonbasic set, worlds before slacks, puts it where a search over choices
-of tight rows in `itertools.combinations` order first meets it.
+of tight rows in `itertools.combinations` order first meets it.  A
+basis waits on the walk's stack unpivoted, so a walk stopped at its
+vertex limit makes no pivot towards the bases it leaves unvisited.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 from typing import NamedTuple, Sequence
 
 OPTIMAL = "optimal"
@@ -142,28 +144,35 @@ def solve_lp(
     return OPTIMAL, x, value
 
 
-def vertices(num_vars: int, rows: Sequence[Row]) -> tuple[list[Fraction], ...]:
+def vertices(num_vars: int, rows: Sequence[Row],
+             limit: float = inf) -> tuple[list[Fraction], ...] | None:
     """Every vertex of {x >= 0 : rows} over num_vars variables, in
     Fractions, each once, in the order of its least nonbasic-column set
-    (see the module docstring); empty when the rows are infeasible."""
+    (see the module docstring); empty when the rows are infeasible, and
+    None, the walk stopped, once more than limit are found."""
     start = _phase_1(rows, range(num_vars))
     n_cols = num_vars + sum(rel != "=" for _, rel, _ in rows)
     keys: dict[tuple[Fraction, ...], tuple[int, ...]] = {}
-    stack = [start] if start else []
-    seen = {frozenset(basis) for _, basis, _ in stack}
+    # a basis waits as its neighbour's tableau and the edge to it
+    stack = [(*start, None)] if start else []
+    seen = {frozenset(basis) for _, basis, *_ in stack}
     while stack:
-        tableau, basis, d = stack.pop()
+        tableau, basis, d, edge = stack.pop()
+        if edge is not None:
+            tableau, basis = list(tableau), list(basis)
+            d = _pivot(tableau, basis, *edge, d)
         at = dict(zip(basis, tableau))
         x = tuple(Fraction(at[j][-1], d) if j in at else _ZERO for j in range(num_vars))
         nonbasic = tuple(j for j in range(n_cols) if j not in at)
         keys[x] = min(keys.get(x, nonbasic), nonbasic)
+        if len(keys) > limit:
+            return None
         for entering in nonbasic:
             for leaving in _least_ratio(tableau, basis, entering):
                 nxt = frozenset([*basis[:leaving], entering, *basis[leaving + 1:]])
                 if nxt not in seen:
                     seen.add(nxt)
-                    step = list(tableau), list(basis)
-                    stack.append((*step, _pivot(*step, leaving, entering, d)))
+                    stack.append((tableau, basis, d, (leaving, entering)))
     return tuple(list(x) for x in sorted(keys, key=keys.get))
 
 

@@ -223,8 +223,10 @@ def _rename_space(space: Space, mapping: dict[str, str]) -> Space:
 def product_space(spaces: Sequence[Space]) -> Space:
     """Cartesian product; factor vocabularies concatenated in order.
 
-    Name collisions are resolved by suffixing (`p`, `p_2`, `p_3`, ...);
-    the applied renames are recorded on the resulting space.
+    A symbol an earlier factor uses is renamed to the first of `p_2`,
+    `p_3`, ... that no earlier factor uses and its own factor neither
+    holds nor gave to another symbol: in X x (X x X), `p` becomes `p_3`.
+    The applied renames are recorded on the resulting space.
     """
     if not spaces:
         raise ValueError("product of zero spaces")
@@ -233,12 +235,14 @@ def product_space(spaces: Sequence[Space]) -> Space:
     renames: list[tuple[str, str]] = []
     for sp in spaces:
         mapping = {}
+        taken = seen.union(sp.vocabulary.symbols)
         for s in sp.vocabulary.symbols:
             if s in seen:
                 k = 2
-                while f"{s}_{k}" in seen:
+                while f"{s}_{k}" in taken:
                     k += 1
                 mapping[s] = f"{s}_{k}"
+                taken.add(mapping[s])
                 renames.append((s, mapping[s]))
         sp2 = _rename_space(sp, mapping) if mapping else sp
         seen.update(sp2.vocabulary.symbols)

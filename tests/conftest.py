@@ -213,3 +213,51 @@ def _gauss_jordan(aug, n):
                 aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
         r += 1
     return aug, r
+
+
+def closed_form_extension_weights(nu=None, i=0, gamma=Fraction(1, 3)):
+    """The weights of `harness.conservative_extension_demo`'s extension,
+    world by world on Z = X^3 x Y0 x Y^3, in closed form: mu0 (uniform on
+    U_i) times the Bernoulli Y-factors, and for each j, zero unless the
+    world is in both or neither of S_j and V_j, else nu_j's weight of its
+    X_j component over nu_j's mass on that side (zero on a null side)."""
+    from credal.harness import tuple_cover_gadget
+    from credal.spaces import component_map, cylinder, enumerate_worlds, event_of, product_space
+
+    x = enumerate_worlds(["s"])
+    s = event_of(x, "s")
+    if nu is None:
+        nu = Measure.rational(x, [Fraction(63, 100), Fraction(37, 100)])
+    g = tuple_cover_gadget(3, 2)
+    y0 = g.spaces["Y0"]
+    y = enumerate_worlds(["yy"])
+    y_true = event_of(y, "yy")
+    z = product_space([x, x, x, y0, y, y, y])
+    u = g.extra["U"]
+    mu0_weights = [Fraction(0)] * len(y0.worlds)
+    for k in u[i].indices():
+        mu0_weights[k] = Fraction(1, u[i].count)
+    mu0 = Measure.rational(y0, mu0_weights)
+    nu0 = Measure.rational(x, [1 - gamma, gamma])
+    nus = [nu if j == i else nu0 for j in range(3)]
+    y_probs = [nu.prob(s) if j == i else gamma / mu0.prob(u[j]) for j in range(3)]
+    comps_x = [component_map(z, z.factors[j]) for j in range(3)]
+    comp_y0 = component_map(z, z.factors[3])
+    comps_y = [component_map(z, z.factors[4 + j]) for j in range(3)]
+    v_events = [cylinder(z, 3, u[j]) & cylinder(z, 4 + j, y_true) for j in range(3)]
+    nu_s = [m.prob(s) for m in nus]
+    weights = []
+    for widx in range(len(z.worlds)):
+        w = mu0_weights[comp_y0[widx]]
+        for j in range(3):
+            w *= y_probs[j] if comps_y[j][widx] == 1 else 1 - y_probs[j]
+        for j in range(3):
+            xc = comps_x[j][widx]
+            inside_s = xc in s
+            side_mass = nu_s[j] if inside_s else 1 - nu_s[j]
+            if (widx in v_events[j]) != inside_s or side_mass == 0:
+                w = Fraction(0)
+                break
+            w *= nus[j].weights[xc] / side_mass
+        weights.append(Fraction(w))
+    return weights

@@ -48,6 +48,24 @@ def test_infer_unsatisfiable_kb_reports_consistency(tmp_path, capsys):
     assert "consistency" in capsys.readouterr().out
 
 
+def test_a_product_of_nested_factors_with_clashing_names(tmp_path, capsys):
+    # P = X x (X x X): the inner product's p_2 keeps its name and the
+    # outer product renames the inner p to p_3
+    scenario = {
+        "spaces": [{"name": "X", "vocabulary": ["p"]},
+                   {"name": "XX", "factors": ["X", "X"]},
+                   {"name": "P", "factors": ["X", "XX"]}],
+        "main": "P",
+        "kb": "P(p_3) >= 1/2",
+        "queries": ["P(p_3) >= 1/4"],
+        "procedure": {"kind": "maxent"},
+    }
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["infer", str(path)]) == 0
+    assert "holds: True" in capsys.readouterr().out
+
+
 def test_validation_error_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"spaces": [{"name": "X"}]}))

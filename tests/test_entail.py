@@ -335,10 +335,9 @@ class TestCell:
         fly = [F(0), F(0), F(1), F(1)]
         assert cell.solve(fly, maximize=False, closed=True)[1] == F(1, 2)
         assert cell.support(range(4)) == [1, 3]
-        boundary = [F(0), F(1, 2), F(0), F(1, 2)]
-        assert cell.in_closure(boundary)
-        assert not satisfies(Measure.rational(fly_bird_space, boundary), kb)
-        assert not cell.in_closure([F(1, 4)] * 4)
+        boundary = {1: F(1, 2), 3: F(1, 2)}
+        assert not cell.holds_at(boundary)
+        assert not satisfies(Measure.rational(fly_bird_space, [F(0), F(1, 2), F(0), F(1, 2)]), kb)
 
     def test_pinned_witness(self, fly_bird_space):
         kb = parse_constraint("P(fly) > 1/2", fly_bird_space)
@@ -387,9 +386,9 @@ class TestCell:
                         assert rows == [simplex.scale_row(*row, n + 1) for row in rational]
 
     def test_row_readers_match_the_rational_atoms(self):
-        # holds_at, in_closure, extreme_support and float_rows read the
-        # integer rows, in each atom's own orientation; on atoms with
-        # negative bounds they must agree with the rational atoms.  The
+        # holds_at, extreme_support and float_rows read the integer
+        # rows, in each atom's own orientation; on atoms with negative
+        # bounds they must agree with the rational atoms.  The
         # points are random, the cell's witness and closure optima,
         # which sit on the boundary of the strict atoms.
         rng = random.Random(16)
@@ -421,8 +420,6 @@ class TestCell:
                                                                atom.bound)) for atom in atoms)
                         sparse = {i: v for i, v in enumerate(x) if v}
                         assert cell.holds_at(sparse) == holds
-                        assert cell.holds_at(sparse, closed=True) == closure
-                        assert cell.in_closure(x) == closure
                         seen["open"] += holds
                         seen["closure_only"] += closure and not holds
                     live = rng.sample(range(n), rng.randrange(1, n + 1))
@@ -478,6 +475,18 @@ class TestCell:
             seen["dependent"] += dependent and bool(expected)
             seen["equality"] += any(atom.cmp == "=" for atom in atoms) and bool(expected)
         assert seen["cells"] >= 200 and min(seen.values()) >= 20, seen
+
+    def test_a_bounded_walk_lists_the_same_vertices_or_stops(self):
+        # within its limit the walk lists the vertices the whole walk
+        # does, in the same order; one short of their count it stops
+        seen = Counter()
+        for atoms, sp, _, expected in _vertex_corpus():
+            k = len(expected)
+            assert list(Cell(atoms, sp).vertices_within(k)) == expected
+            if k:
+                assert Cell(atoms, sp).vertices_within(k - 1) is None
+            seen["several" if k > 1 else "one" if k else "none"] += 1
+        assert min(seen.values()) >= 20, seen
 
     @pytest.mark.parametrize("old, new", [("entering):", "entering)[:1]:"),
                                           ("sorted(keys, key=keys.get)", "keys")],

@@ -36,6 +36,7 @@ from credal.spaces import (
     event_of,
     product_space,
 )
+from tests.conftest import closed_form_extension_weights
 
 F = Fraction
 
@@ -201,6 +202,25 @@ class TestSigmaMechanism:
         nu = Measure.rational(x, [F(1, 5), F(4, 5)])
         d = conservative_extension_demo(nu=nu, i=2)
         assert d["sigma_holds"] and d["marginal_matches_nu"]
+
+    @pytest.mark.parametrize("nu", [None, (F(1, 2), F(1, 2)), (F(1), F(0)), (F(0), F(1)),
+                                    (F(2, 7), F(5, 7))], ids=str)
+    def test_the_coupled_extension_is_the_closed_form_one(self, nu):
+        # the iterated couplings give, weight for weight, the closed-form
+        # product of mu0, the Y-factors and nu_j's side-conditional weights
+        x = enumerate_worlds(["s"])
+        nu = None if nu is None else Measure.rational(x, nu)
+        reference = conservative_extension_demo()
+        for i in range(3):
+            for gamma in (F(0), F(1, 4), F(1, 3), F(2, 5)):
+                d = conservative_extension_demo(nu=nu, i=i, gamma=gamma)
+                weights = d["measure"].weights
+                assert weights == tuple(closed_form_extension_weights(nu, i, gamma))
+                assert all(type(w) is F for w in weights)
+                assert d["space"] == reference["space"] and d["sigma"] == reference["sigma"]
+                assert d["sigma_holds"] and d["marginal_matches_nu"]
+                assert d["other_marginals_gamma"]
+                assert d["v_masses"] == [d["expected_vi"] if j == i else gamma for j in range(3)]
 
 
 class TestRobustness:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -411,6 +412,57 @@ class TestProductPriorInfer:
             assert satisfies(v.evidence[0], kb) and not satisfies(v.evidence[0], theta)
         # the witness LP, and no other: the vertices are cached on the cell
         assert len(lps) == 1
+
+    def test_a_factor_over_the_tuple_budget_stops_its_vertex_walk(self, monkeypatch,
+                                                                  cold_caches):
+        # a 17-world factor with four inequality atoms has 121 closure
+        # vertices; a budget of 100 tuples stops the walk at the 101st,
+        # before the pivots to the bases still waiting on its stack, and
+        # the rectangle atom is decided exactly at its LP extremes.  A
+        # 29-world factor with five atoms has 350 vertices; at the default
+        # budget its walk stops at the 201st, after 1,922 pivots where the
+        # whole walk makes 28,021.  A stopped walk is not walked again.
+        from credal import entail, simplex
+        from credal.harness import _plain_space
+
+        pivots = Counter()
+        in_lp = []
+        pivot, solve_lp = simplex._pivot, simplex.solve_lp
+
+        def solve_spy(*a, **k):
+            in_lp.append(1)
+            try:
+                return solve_lp(*a, **k)
+            finally:
+                in_lp.pop()
+
+        monkeypatch.setattr(simplex, "_pivot",
+                            lambda *a: pivots.update(["lp" if in_lp else "walk"]) or pivot(*a))
+        monkeypatch.setattr(simplex, "solve_lp", solve_spy)
+        proc = InferenceProcedure.prior_based(PriorFunction.product_family())
+        kbs = {}
+        for n, width, atoms, samples, walked in [(17, 8, 4, 100, 2018), (29, 14, 5, 200, 1922)]:
+            sp = _plain_space("u", n)
+            kbs[n] = and_(*(LinearAtom(((F(1), event_from_indices(sp, range(j, j + width))),),
+                                       ">=", F(1, 3)) for j in range(atoms)))
+            theta = LinearAtom(((F(1), event_from_indices(sp, [0, 1])),), "<=", F(1, 2))
+            expected = [F(0)] * n
+            expected[0], expected[width] = F(2, 3), F(1, 3)
+            for walk in (walked, 0):
+                pivots.clear()
+                v = infers(proc, kbs[n], theta, sp, samples=samples)
+                assert not v.holds and v.mode == "exact"
+                assert [list(mu.weights) for mu in v.evidence] == [expected]
+                assert pivots["walk"] == walk
+        # within its limit the walk finishes, and fills Cell.vertices
+        (cell,) = entail.cells(kbs[17], _plain_space("u", 17))
+        pivots.clear()
+        assert cell.vertices_within(120) is None
+        assert 2018 < pivots["walk"] < 2295
+        pivots.clear()
+        assert len(cell.vertices_within(121)) == 121 and pivots["walk"] == 2295
+        assert cell.vertices_within(121) is cell.vertices
+        assert cell.vertices_within(120) is None
 
     def test_closed_multi_cell_kbs_decide_exactly(self):
         # both ends of each factor's range are attained, so a violated

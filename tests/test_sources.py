@@ -109,6 +109,15 @@ def test_vertices_are_found_only_by_the_solver():
     assert not {"combinations", "comb"} & names
 
 
+def test_the_sigma_extension_is_built_by_the_measure_algebra():
+    # the coupling of the source paper's proof has one home,
+    # measures.couple, and the uniform measure on U_i is the uniform
+    # measure conditioned on U_i: the demo and the gadget's witnesses
+    # call them rather than expanding weights by hand
+    assert ("harness.py", "conservative_extension_demo") in _top_level_calls("couple")
+    assert ("harness.py", "gadget_witnesses") in _top_level_calls("condition")
+
+
 def test_cell_reads_only_its_integer_rows():
     # the atoms' exact encoding has one home, the integer simplex.Rows:
     # no code in Cell computes with a rational copy of the atoms

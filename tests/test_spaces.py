@@ -102,6 +102,48 @@ class TestProductSpace:
         assert prod.vocabulary.symbols == ("p", "p_2")
         assert prod.renames == (("p", "p_2"),)
 
+    def test_a_nested_product_renames_past_its_factor_s_own_names(self):
+        # the second factor holds p and p_2, so its p becomes p_3: p_2
+        # would collide with the factor's own p_2
+        x = enumerate_worlds(["p"])
+        prod = product_space([x, product_space([x, x])])
+        assert prod.vocabulary.symbols == ("p", "p_3", "p_2")
+        assert prod.renames == (("p", "p_3"),)
+        assert [f.vocabulary.symbols for f in prod.factors[1].factors] == [("p_3",), ("p_2",)]
+        assert prod.worlds == product_space([x, x, x]).worlds
+
+
+_names = st.sampled_from(["p", "q", "p_2", "p_3", "q_2"])
+_leaves = st.tuples(st.lists(_names, min_size=1, max_size=2, unique=True), st.booleans())
+_nests = st.recursive(_leaves, lambda kids: st.lists(kids, min_size=1, max_size=3),
+                      max_leaves=5)
+
+
+def _nest_space(tree):
+    """The nest's space: a leaf is a space over its 1-2 names, all worlds
+    or (when flagged) all but the first; a list is the product of its
+    members' spaces."""
+    if isinstance(tree, list):
+        return product_space([_nest_space(t) for t in tree])
+    names, restricted = tree
+    full = enumerate_worlds(names)
+    return Space(full.vocabulary, full.worlds[1:]) if restricted and len(names) == 2 else full
+
+
+def _nest_leaves(tree):
+    return [leaf for t in tree for leaf in _nest_leaves(t)] if isinstance(tree, list) else [tree]
+
+
+@given(st.lists(_nests, min_size=1, max_size=3))
+def test_nested_products_keep_unique_names_and_the_flat_worlds(trees):
+    # however the factors nest and their names clash, the product's
+    # names are unique and its worlds are the flat product's, in order
+    nested = product_space([_nest_space(t) for t in trees])
+    flat = product_space([_nest_space(leaf) for t in trees for leaf in _nest_leaves(t)])
+    symbols = nested.vocabulary.symbols
+    assert len(set(symbols)) == len(symbols) == len(flat.vocabulary.symbols)
+    assert [w.bits for w in nested.worlds] == [w.bits for w in flat.worlds]
+
 
 def _brute_force_splits(space):
     """Independent oracle: try every vocabulary bipartition directly."""
