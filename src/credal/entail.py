@@ -51,7 +51,8 @@ _UNSET = object()
 _ROW_CMP = {"=": "=", "<=": "<=", ">=": ">=", "<": "<=", ">": ">="}
 _SLACK = {"<": 1, ">": -1}
 
-Pins = Sequence[tuple[list[int | Fraction], Fraction]]
+# Extra equality rows: (per-world integer coefficients, value) pairs.
+Pins = Sequence[tuple[list[int], Fraction]]
 
 
 class Cell:
@@ -64,7 +65,9 @@ class Cell:
     1 + j is atom j's, over the worlds, t and the bound, at the atom's
     scale and in its orientation.  Everything else the cell knows of its
     atoms it reads off those rows.  Pins are extra equality rows, given
-    as (per-world coefficients, value) pairs.
+    as (per-world integer coefficients, value) pairs; a pin of value p/q
+    enters the LP as the `Row` of its coefficients times q, t's 0 and p,
+    at scale q.
 
     An LP leaves out the worlds whose column and cost repeat a lower
     world's, which Bland's rule would never enter (`simplex`).
@@ -95,22 +98,10 @@ class Cell:
         return [row._replace(ints=row.ints[:-2] + [0, row.ints[-1]]) if row.ints[-2] else row
                 for row in rows] + [t_row]
 
-    def _solve(self, rows, objective, maximize: bool, pins: Pins):
-        """The LP over the rows and pins, with the per-world objective
-        (None: maximize t): (world masses, value), or None."""
-        n = len(self.space.worlds)
-        objective = [0] * n + [1] if objective is None else objective + [_ZERO]
-        if pins:
-            rows = rows + [(coeffs + [0], "=", value) for coeffs, value in pins]
-        status, x, value = simplex.solve_lp(n + 1, rows, objective, maximize=maximize)
-        if status != simplex.OPTIMAL:
-            return None
-        return x[:n], value
-
     def witness(self) -> Measure | None:
         """A measure in the open cell, or None if it is empty; memoised."""
         if self._witness is _UNSET:
-            found = self._solve(self._open, None, True, ())
+            found = self.solve(None, True)
             self._witness = (Measure.rational(self.space, found[0])
                              if found is not None and found[1] > 0 else None)
         return self._witness
@@ -119,19 +110,28 @@ class Cell:
         """Whether some measure in the open cell meets the pins: the
         witness LP with the pins, answered without building a `Measure`
         but with its point still checked exactly (`is_distribution`)."""
-        found = self._solve(self._open, None, True, pins)
+        found = self.solve(None, True, pins=pins)
         if found is None or found[1] <= 0:
             return False
         if not is_distribution(found[0]):
             raise ValueError("LP point is not a probability measure")
         return True
 
-    def solve(self, objective: list[Fraction], maximize: bool, closed: bool = False,
+    def solve(self, objective: list[Fraction] | None, maximize: bool, closed: bool = False,
               pins: Pins = ()) -> tuple[list[Fraction], Fraction] | None:
-        """(world masses, value) at an optimum of the per-world objective,
-        over the open rows (t free in [0, 1]) or the closure rows; None
-        when those rows are infeasible."""
-        return self._solve(self._closed if closed else self._open, objective, maximize, pins)
+        """(world masses, value) at an optimum of the per-world objective
+        (None: t), over the open rows (t free in [0, 1]) or the closure
+        rows, and the pins; None when those rows are infeasible."""
+        n = len(self.space.worlds)
+        rows = self._closed if closed else self._open
+        if pins:
+            rows = rows + [simplex.Row([c * v.denominator for c in coeffs] + [0, v.numerator],
+                                       "=", v.denominator) for coeffs, v in pins]
+        objective = [0] * n + [1] if objective is None else objective + [_ZERO]
+        status, x, value = simplex.solve_lp(n + 1, rows, objective, maximize=maximize)
+        if status != simplex.OPTIMAL:
+            return None
+        return x[:n], value
 
     def support(self, candidates, pins: Pins = ()) -> list[int]:
         """The candidate worlds with positive mass somewhere in the
@@ -211,8 +211,7 @@ def _atom_row(atom: LinearAtom, n: int) -> simplex.Row:
     integers: with L the lcm of the term and bound denominators, each
     world sums its terms' coefficients times L, and the row is divided
     by g, the gcd of L and its entries.  That is the rational row scaled
-    by k = L / g, the lcm of its entries' denominators, as
-    `simplex.scale_row` would scale it."""
+    by k = L / g, the lcm of its entries' denominators."""
     big_l = lcm(atom.bound.denominator, *(c.denominator for c, _ in atom.terms))
     ints = [0] * (n + 2)
     for c, event in atom.terms:

@@ -14,6 +14,7 @@ import random as _random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import permutations
+from math import perm
 
 from .constraints import (
     And,
@@ -441,9 +442,9 @@ def tuple_cover_gadget(n: int, d: int, max_worlds_gadget: int = 120) -> GadgetSp
     """
     if not 2 <= d < n:
         raise ValueError("need 2 <= d < n")
-    tuples = list(permutations(range(1, n + 1), d))
-    if len(tuples) > max_worlds_gadget:
+    if perm(n, d) > max_worlds_gadget:
         raise ValueError("gadget exceeds the world cap")
+    tuples = list(permutations(range(1, n + 1), d))
     space = _plain_space("t", len(tuples))
     u_events = []
     for i in range(1, n + 1):

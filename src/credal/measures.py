@@ -55,8 +55,8 @@ class Measure:
             if not is_distribution(self.weights):
                 raise ValueError("rational weights must be nonnegative and sum to exactly 1")
         elif self.backend == FLOAT:
-            if any(w < -_FLOAT_SUM_TOL for w in self.weights):
-                raise ValueError("negative weight")
+            if not all(-_FLOAT_SUM_TOL <= w < math.inf for w in self.weights):
+                raise ValueError("negative or non-finite weight")
             if abs(sum(self.weights) - 1.0) > _FLOAT_SUM_TOL:
                 raise ValueError("float weights must sum to 1 within 1e-12")
         else:
@@ -70,7 +70,10 @@ class Measure:
 
     @staticmethod
     def from_floats(space: Space, weights: Iterable[float]) -> "Measure":
-        return Measure(space, tuple(max(0.0, float(w)) for w in weights), FLOAT)
+        # clamps w <= 0 to 0.0 as max(0.0, w) would, but lets a NaN or
+        # -inf through for __post_init__ to reject
+        return Measure(space, tuple(0.0 if -math.inf < (f := float(w)) <= 0.0 else f
+                                    for w in weights), FLOAT)
 
     @staticmethod
     def uniform(space: Space, backend: str = FLOAT) -> "Measure":

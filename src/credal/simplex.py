@@ -7,9 +7,7 @@ rounding.  Bland's pivoting rule rules out cycling.
 
 Rationals go out, but the tableau holds Python integers.  A row comes
 in as a `Row`, already in that form: its coefficients and right-hand
-side times the lcm k of their denominators.  `entail.Cell` builds its
-rows so, once per cell; a rational (coefficients, rel, rhs) row passes
-through `scale_row`, the same conversion, on each call.  A row whose
+side times a scale k > 0 that clears their denominators.  A row whose
 right-hand side is negative is negated, its comparator flipped, as it
 enters the tableau.  The slack or artificial variable of a row is
 rescaled with it, so that variable keeps coefficient +1 or -1 and the
@@ -83,38 +81,27 @@ class Row(NamedTuple):
     scale: int
 
 
-def scale_row(coeffs: Sequence[Fraction], rel: str, b: Fraction, num_vars: int) -> Row:
-    """A rational row over num_vars variables (missing coefficients are
-    0) as a `Row`, scaled by the lcm of its denominators."""
-    row = [*coeffs, *[0] * (num_vars - len(coeffs)), b]
-    dens = [c.denominator for c in row]
-    k = lcm(*dens)
-    return Row([c.numerator * (k // q) for c, q in zip(row, dens)], rel, k)
-
-
 def solve_lp(
     num_vars: int,
-    constraints: Sequence[Row | tuple[Sequence[Fraction], str, Fraction]],
+    rows: Sequence[Row],
     objective: Sequence[Fraction],
     maximize: bool = False,
 ) -> tuple[str, list[Fraction] | None, Fraction | None]:
-    """Solve min/max objective . x subject to the constraints and x >= 0.
+    """Solve min/max objective . x subject to the rows and x >= 0.
 
-    Each constraint is a `Row` over num_vars variables, or a rational
-    (coefficients, rel, rhs) with rel in {'<=', '>=', '='}, which
-    `scale_row` converts; numbers are Fractions or ints.  Returns
+    Each row is a `Row` over num_vars variables, with rel in {'<=',
+    '>=', '='}; the objective's numbers are Fractions or ints.  Returns
     (status, x, value) with x covering the original variables, in
     Fractions.  The tableau carries one column per distinct (column,
     cost) pair (`_distinct_columns`); the answer is exactly the one over
     all num_vars variables (see the module docstring).
     """
-    rows = [r if isinstance(r, Row) else scale_row(*r, num_vars) for r in constraints]
-    if len(objective) != num_vars or any(len(r.ints) != num_vars + 1 for r in rows):
-        raise ValueError(f"objective and rows must cover exactly {num_vars} variables")
+    if len(objective) != num_vars:
+        raise ValueError(f"the objective must cover exactly {num_vars} variables")
     keep = _distinct_columns(rows, objective)
     width = len(keep)
     objective = [objective[j] for j in keep]
-    if (start := _phase_1(rows, keep)) is None:
+    if (start := _phase_1(num_vars, rows, keep)) is None:
         return INFEASIBLE, None, None
     tableau, basis, d = start
     n_slack = sum(rel != "=" for _, rel, _ in rows)
@@ -150,7 +137,7 @@ def vertices(num_vars: int, rows: Sequence[Row],
     Fractions, each once, in the order of its least nonbasic-column set
     (see the module docstring); empty when the rows are infeasible, and
     None, the walk stopped, once more than limit are found."""
-    start = _phase_1(rows, range(num_vars))
+    start = _phase_1(num_vars, rows, range(num_vars))
     n_cols = num_vars + sum(rel != "=" for _, rel, _ in rows)
     keys: dict[tuple[Fraction, ...], tuple[int, ...]] = {}
     # a basis waits as its neighbour's tableau and the edge to it
@@ -176,9 +163,12 @@ def vertices(num_vars: int, rows: Sequence[Row],
     return tuple(list(x) for x in sorted(keys, key=keys.get))
 
 
-def _phase_1(rows: Sequence[Row], keep: Sequence[int]):
-    """Phase 1: (tableau, basis, d) at a feasible basis over the kept columns,
-    the slacks and the rhs, redundant rows dropped; None if infeasible."""
+def _phase_1(num_vars: int, rows: Sequence[Row], keep: Sequence[int]):
+    """Phase 1: (tableau, basis, d) at a feasible basis over the kept columns
+    of num_vars, the slacks and the rhs, redundant rows dropped; None if
+    infeasible.  A row not over exactly num_vars variables raises."""
+    if any(len(r.ints) != num_vars + 1 for r in rows):
+        raise ValueError(f"rows must cover exactly {num_vars} variables")
     width = len(keep)
     rels = [_FLIP[rel] if ints[-1] < 0 else rel for ints, rel, _ in rows]
     n_slack = sum(rel != "=" for rel in rels)

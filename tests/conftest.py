@@ -7,6 +7,7 @@ so they stay independent of the solver paths they check.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from credal.measures import Measure
+from credal.simplex import Row
 from credal.spaces import Space
 
 settings.register_profile(
@@ -150,6 +152,15 @@ def lp_faults(num_vars, constraints, objective, x, value):
     if value != sum((Fraction(c) * v for c, v in zip(objective, x)), Fraction(0)):
         faults.append(f"value {value} is not c.x")
     return faults
+
+
+def scale_row(coeffs, rel, b, num_vars):
+    """The reference conversion of a rational (coefficients, rel, rhs) row
+    over num_vars variables (missing coefficients are 0) to the integer
+    `simplex.Row` `solve_lp` takes: scaled by the lcm of its denominators."""
+    row = [*coeffs, *[0] * (num_vars - len(coeffs)), b]
+    k = math.lcm(*(c.denominator for c in row))
+    return Row([c.numerator * (k // c.denominator) for c in row], rel, k)
 
 
 def highs_lp(num_vars, rows, objective, maximize):

@@ -49,7 +49,7 @@ from credal.spaces import (
     product_space,
     whole_event,
 )
-from tests.conftest import basis_search_vertices, simplex_grid
+from tests.conftest import basis_search_vertices, scale_row, simplex_grid
 
 F = Fraction
 
@@ -342,7 +342,7 @@ class TestCell:
     def test_pinned_witness(self, fly_bird_space):
         kb = parse_constraint("P(fly) > 1/2", fly_bird_space)
         (cell,) = cells(kb, fly_bird_space)
-        fly = [F(0), F(0), F(1), F(1)]
+        fly = [0, 0, 1, 1]
         # a pinned probe answers yes or no without building a Measure
         assert not cell.feasible([(fly, F(1, 2))])
         assert cell.feasible([(fly, F(3, 4))])
@@ -360,14 +360,16 @@ class TestCell:
 
         monkeypatch.setattr(simplex, "solve_lp", doubled)
         with pytest.raises(ValueError, match="not a probability measure"):
-            cell.feasible([([F(0), F(0), F(1), F(1)], F(3, 4))])
+            cell.feasible([([0, 0, 1, 1], F(3, 4))])
 
-    def test_integer_rows_are_the_scaled_rational_rows(self):
-        # each cell builds its integer rows once, from the atoms' terms;
-        # they must be the rows scale_row makes of the rational rows, so
-        # the tableau and every pivot stay those of the rational LP
+    def test_integer_rows_are_the_scaled_rational_rows(self, monkeypatch):
+        # each cell builds its integer rows once, from the atoms' terms,
+        # and each pin's row on each LP; they must be the rows the
+        # reference scale_row makes of the rational rows, so the tableau
+        # and every pivot stay those of the rational LP
         t_coeff = {"<": F(1), ">": F(-1)}
         rng = random.Random(14)
+        pin_rng = random.Random(15)
 
         def atom(sp):
             return _fractional_atom(rng, sp)
@@ -383,7 +385,17 @@ class TestCell:
                                       + [F(0) if closed else t_coeff.get(a.cmp, F(0))],
                                       CLOSED_CMP[a.cmp], a.bound) for a in cell.atoms]
                         rational.append(([F(0)] * n + [F(1)], "<=", F(1)))
-                        assert rows == [simplex.scale_row(*row, n + 1) for row in rational]
+                        assert rows == [scale_row(*row, n + 1) for row in rational]
+                    pins = [([pin_rng.randint(0, 1) for _ in range(n)],
+                             F(pin_rng.randint(0, 6), pin_rng.choice((1, 2, 3, 7))))
+                            for _ in range(pin_rng.randint(1, 2))]
+                    lps = []
+                    with monkeypatch.context() as m:
+                        m.setattr(simplex, "solve_lp", lambda _, rows, *a, **k:
+                                  lps.append(rows) or (simplex.INFEASIBLE, None, None))
+                        cell.solve(None, True, pins=pins)
+                    assert lps[0][len(cell._open):] == [scale_row(coeffs + [0], "=", value, n + 1)
+                                                        for coeffs, value in pins]
 
     def test_row_readers_match_the_rational_atoms(self):
         # holds_at, extreme_support and float_rows read the integer
@@ -557,7 +569,7 @@ def _per_world_lp(cell, rows, objective, maximize, pins=()):
     """The cell's LP on one column per world: (world masses, value), or
     None when it has no optimum."""
     n = len(cell.space.worlds)
-    rows = rows + [(coeffs + [0], "=", value) for coeffs, value in pins]
+    rows = rows + [scale_row(coeffs + [0], "=", value, n + 1) for coeffs, value in pins]
     status, x, value = simplex.solve_lp(n + 1, rows, objective, maximize)
     return (x[:n], value) if status == simplex.OPTIMAL else None
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from credal import harness
 from credal.constraints import LinearAtom, Not, TrueExpr, parse_constraint, satisfies
 from credal.embeddings import from_surjection, random_faithful_embedding
 from credal.entail import entails, satisfiable
@@ -185,6 +186,15 @@ class TestAlmosttrivial2Gadget:
             tuple_cover_gadget(3, 3)
         with pytest.raises(ValueError):
             tuple_cover_gadget(8, 4, max_worlds_gadget=120)
+
+    def test_world_cap_is_checked_before_enumerating(self, monkeypatch):
+        # (20, 10) has about 6.7e11 tuples: the cap must refuse it from
+        # math.perm alone, before any tuple is listed
+        listed = []
+        monkeypatch.setattr(harness, "permutations", lambda *a: listed.append(a) or iter(()))
+        with pytest.raises(ValueError, match="world cap"):
+            tuple_cover_gadget(20, 10)
+        assert listed == []
 
 
 class TestSigmaMechanism:

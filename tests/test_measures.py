@@ -39,6 +39,25 @@ class TestMeasureBasics:
         with pytest.raises(ValueError):
             Measure.rational(fly_bird_space, [F(1, 2), F(1, 4), F(1, 8), F(1, 16)])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_weights_raise(self, bad):
+        # a NaN passes both a negativity test and a sum test, and
+        # max(0.0, nan) is 0.0: both constructors must reject it
+        x = enumerate_worlds(["a"])
+        with pytest.raises(ValueError, match="non-finite"):
+            Measure(x, (bad, 1.0), "float")
+        with pytest.raises(ValueError, match="non-finite"):
+            Measure.from_floats(x, [bad, 1.0])
+
+    def test_from_floats_clamps_finite_weights_as_before(self):
+        # finite weights stay bit for bit max(0.0, w): tiny negatives and
+        # -0.0 become 0.0, and a nonpositive weight is never -0.0
+        x = enumerate_worlds(["a", "b"])
+        for ws in ([-1e-15, 0.25, 0.75, 0.0], [-0.0, 0.5, 0.5, 0.0], [0.1, 0.2, 0.7, -0.0]):
+            expected = [max(0.0, w) for w in ws]
+            got = Measure.from_floats(x, ws).weights
+            assert [w.hex() for w in got] == [w.hex() for w in expected]
+
     def test_is_distribution_is_the_rational_check(self):
         # the integer check that Measure and Cell.feasible share agrees
         # with the plain rational one, zeros, negatives and ints included

@@ -11,16 +11,22 @@ from credal.constraints import TrueExpr
 from credal.corpus import klm_corpus
 from credal.entail import conservative_check
 from credal.procedures import InferenceProcedure, klm_properties_check
-from credal.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from credal.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, Row, solve_lp
 from credal.spaces import enumerate_worlds
-from tests.conftest import highs_lp, lp_faults
+from tests.conftest import highs_lp, lp_faults, scale_row
 
 F = Fraction
 
 
+def solve_rational(num_vars, rows, objective, maximize=False):
+    """`solve_lp` on rational (coefficients, rel, rhs) rows, each made a
+    `Row` by the reference `scale_row`."""
+    return solve_lp(num_vars, [scale_row(*r, num_vars) for r in rows], objective, maximize)
+
+
 def test_maximize_on_simplex():
     # max x0 + 2 x1 subject to x0 + x1 = 1
-    status, x, value = solve_lp(2, [([F(1), F(1)], "=", F(1))], [F(1), F(2)], maximize=True)
+    status, x, value = solve_rational(2, [([F(1), F(1)], "=", F(1))], [F(1), F(2)], maximize=True)
     assert status == OPTIMAL
     assert x == [F(0), F(1)]
     assert value == F(2)
@@ -28,7 +34,7 @@ def test_maximize_on_simplex():
 
 def test_two_phase_with_ge_rows():
     # min x0 + x1 s.t. x0 + 2 x1 >= 3, 3 x0 + x1 >= 4
-    status, x, value = solve_lp(
+    status, x, value = solve_rational(
         2,
         [([F(1), F(2)], ">=", F(3)), ([F(3), F(1)], ">=", F(4))],
         [F(1), F(1)],
@@ -39,20 +45,20 @@ def test_two_phase_with_ge_rows():
 
 
 def test_infeasible():
-    status, _, _ = solve_lp(
+    status, _, _ = solve_rational(
         1, [([F(1)], ">=", F(2)), ([F(1)], "<=", F(1))], [F(1)])
     assert status == INFEASIBLE
 
 
 def test_unbounded():
-    status, _, _ = solve_lp(1, [([F(1)], ">=", F(0))], [F(1)], maximize=True)
+    status, _, _ = solve_rational(1, [([F(1)], ">=", F(0))], [F(1)], maximize=True)
     assert status == UNBOUNDED
 
 
 def test_degenerate_equalities_are_fine():
     # duplicated equality rows exercise artificial eviction / row dropping
     rows = [([F(1), F(1)], "=", F(1)), ([F(2), F(2)], "=", F(2))]
-    status, x, value = solve_lp(2, rows, [F(1), F(0)])
+    status, x, value = solve_rational(2, rows, [F(1), F(0)])
     assert status == OPTIMAL
     assert value == F(0)
     assert x[0] + x[1] == F(1)
@@ -66,7 +72,7 @@ def test_exactness_no_rounding():
         ([F(1), F(0), F(1)], "<=", F(2, 3)),
         ([F(0), F(0), F(1)], "<=", F(1)),
     ]
-    status, x, value = solve_lp(3, rows, [F(0), F(0), F(1)], maximize=True)
+    status, x, value = solve_rational(3, rows, [F(0), F(0), F(1)], maximize=True)
     assert status == OPTIMAL
     assert value == F(1, 6)
     assert x[0] == F(1, 2)
@@ -81,7 +87,21 @@ def test_inputs_of_the_wrong_size_raise(num_vars, row, objective):
     # a cost or coefficient without its variable, or a variable without
     # its cost, must not be answered with some optimum
     with pytest.raises(ValueError, match="exactly"):
-        solve_lp(num_vars, [(row, "=", 1)], objective, maximize=True)
+        solve_rational(num_vars, [(row, "=", 1)], objective, maximize=True)
+
+
+def test_a_rational_tuple_row_is_not_converted():
+    # solve_lp takes only integer Rows; Cell builds every row it pivots
+    with pytest.raises(AttributeError):
+        solve_lp(2, [([F(1), F(1)], "=", F(1))], [F(1), F(2)])
+
+
+@pytest.mark.parametrize("ints", [[1, 1, 5, 1], [1, 1]], ids=["long-row", "short-row"])
+def test_vertices_of_rows_of_the_wrong_width_raise(ints):
+    # a coefficient without its variable must not be dropped, nor a
+    # missing one read past the row's end
+    with pytest.raises(ValueError, match="exactly"):
+        simplex.vertices(2, [Row(ints, "=", 1)])
 
 
 # -- random LPs against the exact checker and HiGHS; pivot mutants -----------
@@ -113,7 +133,7 @@ def random_lps(seed, count):
 def _disagreements(lps, oracle):
     found = []
     for lp in lps:
-        status, x, value = solve_lp(*lp)
+        status, x, value = solve_rational(*lp)
         if status == OPTIMAL and lp_faults(lp[0], lp[1], lp[2], x, value):
             found.append((lp, "checker"))
         elif oracle:
@@ -127,7 +147,7 @@ def _disagreements(lps, oracle):
 def test_random_lps_pass_the_checker_and_match_highs():
     pytest.importorskip("scipy")
     lps = list(random_lps(2024, 400))
-    statuses = Counter(solve_lp(*lp)[0] for lp in lps)
+    statuses = Counter(solve_rational(*lp)[0] for lp in lps)
     assert min(statuses[s] for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)) >= 40, statuses
     assert _disagreements(lps, oracle=True) == []
 
@@ -153,7 +173,7 @@ def test_copied_columns_pass_the_checker_and_match_highs():
     pytest.importorskip("scipy")
     cases = list(lps_with_a_copied_column(2025, 200))
     lps = [lp for lp, _, _ in cases]
-    statuses = Counter(solve_lp(*lp)[0] for lp in lps)
+    statuses = Counter(solve_rational(*lp)[0] for lp in lps)
     assert min(statuses[s] for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)) >= 20, statuses
     assert _disagreements(lps, oracle=True) == []
 
@@ -165,17 +185,17 @@ def test_a_later_equal_column_can_be_left_out_of_the_tableau():
     # cost is carried and can take mass
     moved = 0
     for (n, rows, objective, maximize), later, equal in lps_with_a_copied_column(2025, 200):
-        found = solve_lp(n, rows, objective, maximize)
+        found = solve_rational(n, rows, objective, maximize)
         if equal:
-            carried = simplex._distinct_columns([simplex.scale_row(*r, n) for r in rows],
+            carried = simplex._distinct_columns([scale_row(*r, n) for r in rows],
                                                 objective)
             assert later not in carried
 
             def drop(v):
                 return v[:later] + v[later + 1:]
 
-            status, x, value = solve_lp(n - 1, [(drop(c), rel, b) for c, rel, b in rows],
-                                        drop(objective), maximize)
+            status, x, value = solve_rational(n - 1, [(drop(c), rel, b) for c, rel, b in rows],
+                                              drop(objective), maximize)
             assert found == (status, None if x is None else x[:later] + [0] + x[later:], value)
         elif found[0] == OPTIMAL:
             moved += found[1][later] != 0

@@ -88,6 +88,20 @@ def test_lp_is_solved_only_by_cell():
     assert _top_level_calls("solve_lp") == {("entail.py", "Cell")}
 
 
+def test_lp_rows_are_built_only_by_cell():
+    # one row type goes into the solver: Cell builds every integer Row,
+    # its atoms' through _atom_row and its pins' on each LP, and simplex
+    # converts no rational row
+    assert _top_level_calls("Row") == {("entail.py", "Cell"), ("entail.py", "_atom_row")}
+    assert not hasattr(simplex, "scale_row")
+    assert inspect.signature(simplex.solve_lp).parameters["rows"].annotation == "Sequence[Row]"
+    # and Cell.solve is the one method that hands rows to the solver
+    callers = {fn.name for fn in ast.walk(ast.parse(inspect.getsource(entail.Cell)))
+               if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)
+               if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "solve_lp"}
+    assert callers == {"solve"}
+
+
 def test_duplicate_columns_are_found_only_by_the_solver():
     # LP column classes have one home: simplex.solve_lp finds its own
     # duplicate columns and takes no list of them, and entail computes none
