@@ -290,6 +290,9 @@ def cmd_check_invariance(args) -> int:
     payload = {"procedure": proc.name, "checks": []}
     violations = 0
     for k, (_, emb) in enumerate(scenario.embeddings):
+        if not is_faithful(emb):
+            raise _At(None, f"/embeddings/{k}").error(
+                "invariance is defined against faithful embeddings")
         kb = parse_constraint(scenario.kb, emb.source)
         for q in scenario.queries:
             theta = parse_constraint(q, emb.source)
@@ -481,6 +484,14 @@ def cmd_reproduce(args) -> int:
 # -- entry point --------------------------------------------------------------
 
 
+def _tolerance(text: str) -> float:
+    """An ``--eps`` value: a finite float >= 0."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"not a finite number >= 0: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
@@ -494,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("infer", parents=[common], help="run the scenario's queries")
     p.add_argument("scenario")
-    p.add_argument("--eps", type=float, default=EPS)
+    p.add_argument("--eps", type=_tolerance, default=EPS)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("check-embedding", parents=[common],

@@ -25,6 +25,7 @@ comparisons are multiplied out: ``P(f|g) cmp a`` becomes
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -80,7 +81,7 @@ class LinearAtom(ConstraintExpr):
                        for i in event.indices() if (w := weights[i]))
             lhs += c.numerator * (big_l // c.denominator) * mass
         rhs = self.bound.numerator * (big_l // self.bound.denominator) * d
-        return compare(lhs, self.cmp, rhs, True, 0.0)
+        return EXACT_COMPARE[self.cmp](lhs, rhs)
 
     def coefficients(self, space: Space) -> list[Fraction]:
         """Per-world coefficients of the linear functional."""
@@ -165,9 +166,11 @@ def not_(item: ConstraintExpr) -> ConstraintExpr:
     return Not(item)
 
 
-def space_of(expr: ConstraintExpr) -> Space | None:
-    for atom in atoms_of(expr):
-        return atom.space
+def space_of(*exprs: ConstraintExpr) -> Space | None:
+    """The space of the first expression that has an atom; None if none has."""
+    for expr in exprs:
+        for atom in atoms_of(expr):
+            return atom.space
     return None
 
 
@@ -188,19 +191,14 @@ def has_product_atom(expr: ConstraintExpr) -> bool:
 # Satisfaction ----------------------------------------------------------
 
 
-def compare(value, cmp: str, bound, exact: bool, eps: float) -> bool:
-    """Whether ``value cmp bound`` holds: exactly, or for floats within
-    ``eps``, with strict comparisons needing an ``eps`` margin."""
-    if exact:
-        if cmp == "<":
-            return value < bound
-        if cmp == "<=":
-            return value <= bound
-        if cmp == "=":
-            return value == bound
-        if cmp == ">=":
-            return value >= bound
-        return value > bound
+# ``value cmp bound`` on exact numbers (ints or Fractions)
+EXACT_COMPARE = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
+                 ">=": operator.ge, ">": operator.gt}
+
+
+def compare(value, cmp: str, bound, eps: float) -> bool:
+    """Whether ``value cmp bound`` holds for floats: within ``eps``, with
+    strict comparisons needing an ``eps`` margin."""
     v, b = float(value), float(bound)
     if cmp == "<":
         return v < b - eps
@@ -228,11 +226,11 @@ def satisfies(mu: Measure, expr: ConstraintExpr, eps: float = EPS) -> bool:
     if isinstance(expr, LinearAtom):
         if exact:
             return expr.holds_at(mu.weights)
-        return compare(expr.value(mu), expr.cmp, expr.bound, False, eps)
+        return compare(expr.value(mu), expr.cmp, expr.bound, eps)
     if isinstance(expr, ProductAtom):
         lhs = mu.prob(expr.lhs)
         rhs = mu.prob(expr.rhs[0]) * mu.prob(expr.rhs[1])
-        return lhs == rhs if exact else abs(float(lhs) - float(rhs)) <= eps
+        return lhs == rhs if exact else compare(lhs, "=", rhs, eps)
     if isinstance(expr, And):
         return all(satisfies(mu, it, eps) for it in expr.items)
     if isinstance(expr, Or):

@@ -52,10 +52,6 @@ class Embedding:
     def fiber_event(self, source_index: int) -> Event:
         return Event(self.target, self._fibers[source_index])
 
-    @property
-    def is_surjective(self) -> bool:
-        return all(m != 0 for m in self._fibers)
-
     def describe(self) -> str:
         return f"{self.kind} {len(self.source)}<-{len(self.target)}"
 
@@ -80,7 +76,7 @@ def factor_lift(space: Space, factor: Space) -> Embedding:
 def from_surjection(source: Space, target: Space, g: Sequence[int]) -> Embedding:
     """Embedding backed by a total surjective world map g: target -> source."""
     emb = Embedding(source, target, tuple(g), "surjection")
-    if not emb.is_surjective:
+    if not is_faithful(emb):
         raise CredalError(
             "world map is not surjective: it would send a nonempty source event "
             "to the empty set, so the embedding could not be faithful"
@@ -136,7 +132,7 @@ def is_faithful(emb: Embedding) -> bool:
     empty set, and since singleton images partition the target this
     reduces to every fiber being nonempty.
     """
-    return emb.is_surjective
+    return all(emb._fibers)
 
 
 def correspondence_gap(emb: Embedding, dx: Sequence[Measure],

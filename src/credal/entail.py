@@ -27,19 +27,19 @@ import numpy as np
 from . import simplex
 from .constraints import (
     And,
+    EXACT_COMPARE,
     ConstraintExpr,
     FalseExpr,
     LinearAtom,
     TrueExpr,
     and_,
-    compare,
     not_,
     satisfies,
     space_of,
     to_dnf,
 )
 from .embeddings import factor_lift
-from .measures import Measure, is_distribution
+from .measures import Measure
 from .spaces import Event, Space, event_from_indices, whole_event
 
 _ZERO = Fraction(0)
@@ -67,7 +67,9 @@ class Cell:
     atoms it reads off those rows.  Pins are extra equality rows, given
     as (per-world integer coefficients, value) pairs; a pin of value p/q
     enters the LP as the `Row` of its coefficients times q, t's 0 and p,
-    at scale q.
+    at scale q.  `witness(pins)` answers whether the open cell meets the
+    pins, and `vertices(limit)` lists the closure's vertices unless they
+    number more than limit.
 
     An LP leaves out the worlds whose column and cost repeat a lower
     world's, which Bland's rule would never enter (`simplex`).
@@ -81,6 +83,7 @@ class Cell:
         # set by `satisfiable` once the witness satisfies the constraint
         # whose `cells` set holds this cell
         self.witness_checked = False
+        self._vertices = None  # the vertices a finished walk listed
         self._more_vertices_than = -1  # a stopped vertex walk's limit
 
     @cached_property
@@ -98,24 +101,18 @@ class Cell:
         return [row._replace(ints=row.ints[:-2] + [0, row.ints[-1]]) if row.ints[-2] else row
                 for row in rows] + [t_row]
 
-    def witness(self) -> Measure | None:
-        """A measure in the open cell, or None if it is empty; memoised."""
-        if self._witness is _UNSET:
-            found = self.solve(None, True)
-            self._witness = (Measure.rational(self.space, found[0])
-                             if found is not None and found[1] > 0 else None)
-        return self._witness
-
-    def feasible(self, pins: Pins) -> bool:
-        """Whether some measure in the open cell meets the pins: the
-        witness LP with the pins, answered without building a `Measure`
-        but with its point still checked exactly (`is_distribution`)."""
+    def witness(self, pins: Pins = ()) -> Measure | None:
+        """A measure in the open cell meeting the pins, or None if there is
+        none: the point of the witness LP, which `Measure` checks exactly.
+        Memoised without pins."""
+        if not pins and self._witness is not _UNSET:
+            return self._witness
         found = self.solve(None, True, pins=pins)
-        if found is None or found[1] <= 0:
-            return False
-        if not is_distribution(found[0]):
-            raise ValueError("LP point is not a probability measure")
-        return True
+        witness = (Measure.rational(self.space, found[0])
+                   if found is not None and found[1] > 0 else None)
+        if not pins:
+            self._witness = witness
+        return witness
 
     def solve(self, objective: list[Fraction] | None, maximize: bool, closed: bool = False,
               pins: Pins = ()) -> tuple[list[Fraction], Fraction] | None:
@@ -152,8 +149,8 @@ class Cell:
         numerators over their common denominator."""
         d = lcm(*(p.denominator for p in point.values()))
         nums = [(i, p.numerator * (d // p.denominator)) for i, p in point.items()]
-        return all(compare(sum(row.ints[i] * v for i, v in nums), atom.cmp, row.ints[-1] * d,
-                           True, 0.0)
+        return all(EXACT_COMPARE[atom.cmp](sum(row.ints[i] * v for i, v in nums),
+                                           row.ints[-1] * d)
                    for atom, row in zip(self.atoms, self._open[1:]))
 
     @cached_property
@@ -185,24 +182,18 @@ class Cell:
                         live, changed = keep, True
         return live
 
-    @cached_property
-    def vertices(self) -> tuple[list[Fraction], ...]:
-        """The closure's vertices: `simplex.vertices` on its rows without t."""
-        return self.vertices_within(inf)
-
-    def vertices_within(self, limit: float) -> tuple[list[Fraction], ...] | None:
-        """`vertices`, or None when they number more than limit, by a walk
-        that stops there: a finished walk fills `vertices`, and one that
-        stopped is not walked again for a limit as low."""
-        if "vertices" not in self.__dict__ and limit > self._more_vertices_than:
+    def vertices(self, limit: float = inf) -> tuple[list[Fraction], ...] | None:
+        """The closure's vertices, or None when they number more than
+        limit: `simplex.vertices` on its rows without t, a walk that stops
+        there.  A finished walk is memoised, and one that stopped is not
+        walked again for a limit as low."""
+        if self._vertices is None and limit > self._more_vertices_than:
             n = len(self.space.worlds)
-            found = simplex.vertices(n, [row._replace(ints=row.ints[:n] + row.ints[-1:])
-                                         for row in self._closed[:-1]], limit)
-            if found is None:
+            self._vertices = simplex.vertices(n, [row._replace(ints=row.ints[:n] + row.ints[-1:])
+                                                  for row in self._closed[:-1]], limit)
+            if self._vertices is None:
                 self._more_vertices_than = limit
-            else:
-                self.vertices = found
-        found = self.__dict__.get("vertices")
+        found = self._vertices
         return found if found is not None and len(found) <= limit else None
 
 
@@ -239,12 +230,8 @@ def cells(expr: ConstraintExpr, space: Space) -> tuple[Cell, ...]:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    status: str  # "feasible" | "infeasible"
+    feasible: bool
     witness: Measure | None = None
-
-    @property
-    def feasible(self) -> bool:
-        return self.status == "feasible"
 
 
 def satisfiable(expr: ConstraintExpr, space: Space | None = None) -> FeasibilityReport:
@@ -259,8 +246,7 @@ def satisfiable(expr: ConstraintExpr, space: Space | None = None) -> Feasibility
     if space is None:
         space = space_of(expr)
     if space is None:
-        return (FeasibilityReport("feasible") if to_dnf(expr)
-                else FeasibilityReport("infeasible"))
+        return FeasibilityReport(bool(to_dnf(expr)))
     for cell in cells(expr, space):
         witness = cell.witness()
         if witness is not None:
@@ -268,20 +254,20 @@ def satisfiable(expr: ConstraintExpr, space: Space | None = None) -> Feasibility
                 if not satisfies(witness, expr):
                     raise ValueError("LP witness does not satisfy the constraint")
                 cell.witness_checked = True
-            return FeasibilityReport("feasible", witness)
-    return FeasibilityReport("infeasible")
+            return FeasibilityReport(True, witness)
+    return FeasibilityReport(False)
 
 
 def entails(kb: ConstraintExpr, theta: ConstraintExpr, space: Space | None = None) -> bool:
     """KB entails theta iff no measure satisfies KB and violates theta."""
     if space is None:
-        space = space_of(kb) or space_of(theta)
+        space = space_of(kb, theta)
     return not satisfiable(and_(kb, not_(theta)), space).feasible
 
 
 def equivalent(a: ConstraintExpr, b: ConstraintExpr, space: Space | None = None) -> bool:
     if space is None:
-        space = space_of(a) or space_of(b)
+        space = space_of(a, b)
     return entails(a, b, space) and entails(b, a, space)
 
 
@@ -478,7 +464,7 @@ def conservative_check(kb: ConstraintExpr, psi: ConstraintExpr, xy_space: Space,
         nonlocal tested
         tested += 1
         pins = list(zip(fibers, x))
-        return any(cell.feasible(pins) for cell in psi_cells)
+        return any(cell.witness(pins) is not None for cell in psi_cells)
 
     def refuted(x) -> ConservativeReport:
         return ConservativeReport("not_conservative", Measure.rational(x_space, x), tested)
@@ -488,7 +474,7 @@ def conservative_check(kb: ConstraintExpr, psi: ConstraintExpr, xy_space: Space,
         interior = cell.witness()
         if interior is None:
             continue
-        for vertex in cell.vertices:
+        for vertex in cell.vertices():
             if extends(vertex):
                 continue
             if _holds_at(kb_cells, dict(enumerate(vertex))):

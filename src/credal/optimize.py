@@ -211,7 +211,7 @@ def kl_project(mu: Measure, kb: ConstraintExpr) -> ProjectionResult:
         if cell.witness() is None:
             diagnostics.append(DisjunctDiagnostic(k, open_nonempty=False))
             continue
-        if pins and not cell.feasible(pins):
+        if pins and cell.witness(pins) is None:
             diagnostics.append(DisjunctDiagnostic(k, open_nonempty=True, infinite=True))
             continue
         w_star, lam, steps = _project_cell(w0, cell, pins)

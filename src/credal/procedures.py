@@ -163,7 +163,7 @@ class Verdict:
 
 
 def _resolve_space(kb, theta, space):
-    sp = space or space_of(kb) or (space_of(theta) if theta is not None else None)
+    sp = space or space_of(kb, theta)
     if sp is None:
         raise ValueError("cannot infer the space from pure true/false constraints")
     return sp
@@ -448,20 +448,20 @@ def _vertex_tuples(kbs, factors, samples) -> Iterator[tuple[list[Fraction], ...]
     """Every tuple of the factor kbs' closure vertices (`Cell.vertices`),
     or None when the tuples would number more than `samples`.  Past the
     earlier factors' tuples, more than samples // their count vertices
-    on a factor are too many, so no cell's walk goes beyond that."""
+    on a factor are too many, so no cell's walk goes beyond that.  Every
+    factor kb is satisfiable here (`product_prior_infer`), and a cell
+    with a witness has a closure vertex, so every factor lists one."""
     vertices: list[list[list[Fraction]]] = []
     for kb_i, f in zip(kbs, factors):
         limit = samples // math.prod(len(v) for v in vertices)
         found: list[list[Fraction]] = []
         for cell in cells(kb_i, f):
             if cell.witness() is not None:
-                if (listed := cell.vertices_within(limit)) is None:
+                if (listed := cell.vertices(limit)) is None:
                     return None
                 found += [v for v in listed if v not in found]
         if len(found) > limit:
             return None
-        if not found:
-            return iter(())  # an unsatisfiable factor: no tuples at all
         vertices.append(found)
     return itertools.product(*vertices)
 
@@ -530,10 +530,7 @@ def klm_properties_check(proc: InferenceProcedure, kbs: Sequence[ConstraintExpr]
     violations: list[KlmViolation] = []
     checked = 0
     if space is None:
-        for expr in itertools.chain(kbs, thetas):
-            space = space_of(expr)
-            if space is not None:
-                break
+        space = space_of(*kbs, *thetas)
     rw_pairs = [(a, b) for a, b in itertools.permutations(thetas, 2) if entails(a, b, space)]
     and_pairs = list(itertools.combinations(thetas, 2))[:3]
 

@@ -143,6 +143,41 @@ def test_check_embedding(capsys):
     assert "faithful: True" in capsys.readouterr().out
 
 
+def test_check_invariance_of_a_non_faithful_embedding_is_validation_error(tmp_path, capsys):
+    # p and q both go to a, so the worlds with p != q have empty images
+    scenario = {
+        "spaces": [{"name": "X", "vocabulary": ["p", "q"]},
+                   {"name": "Y", "vocabulary": ["a", "b"]}],
+        "kb": "P(p) >= 1/4",
+        "queries": ["P(p) >= 1/4"],
+        "embeddings": [{"kind": "interpretation", "src": "X", "dst": "Y",
+                        "map": {"p": "a", "q": "a"}}],
+    }
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["check-invariance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: /embeddings/0: invariance is defined against "
+                            "faithful embeddings\n")
+    assert main(["check-embedding", str(path)]) == 1
+    assert "faithful: False" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "-1", "-1e-12", "x"])
+def test_infer_rejects_an_eps_that_is_not_finite_and_nonnegative(eps, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["infer", str(SCENARIOS / "flying-bird-1.json"), "--eps", eps])
+    assert exc.value.code == 2
+    assert "argument --eps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps", ["0", "0.5"])
+def test_infer_accepts_a_finite_nonnegative_eps(eps, capsys):
+    assert main(["infer", str(SCENARIOS / "flying-bird-1.json"), "--eps", eps]) == 0
+    assert "holds: True" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("name", sorted(REPRODUCTIONS))
 def test_reproductions_match_goldens(name, capsys):
     assert main(["reproduce", name, "--format", "json"]) == 0

@@ -86,7 +86,7 @@ def _extreme_support(atoms, sp, live):
 class TestSatisfiable:
     def test_contradictory_bounds(self, fly_bird_space):
         rep = satisfiable(parse_constraint("P(fly) >= 1/4 & P(fly) < 1/8", fly_bird_space))
-        assert rep.status == "infeasible"
+        assert not rep.feasible
 
     def test_strict_interval_with_witness(self):
         two = enumerate_worlds(["p"])
@@ -343,14 +343,14 @@ class TestCell:
         kb = parse_constraint("P(fly) > 1/2", fly_bird_space)
         (cell,) = cells(kb, fly_bird_space)
         fly = [0, 0, 1, 1]
-        # a pinned probe answers yes or no without building a Measure
-        assert not cell.feasible([(fly, F(1, 2))])
-        assert cell.feasible([(fly, F(3, 4))])
+        # a pinned probe answers with a fresh Measure, or None
+        assert cell.witness([(fly, F(1, 2))]) is None
+        assert cell.witness([(fly, F(3, 4))]) is not None
         assert cell.witness() is not None
 
     def test_feasible_checks_the_lp_point(self, monkeypatch, fly_bird_space):
-        # a simplex that returned masses summing to 2 is caught, as the
-        # Measure the witness builds would catch it
+        # a simplex that returned masses summing to 2 is caught by the
+        # Measure the pinned witness builds
         (cell,) = cells(parse_constraint("P(fly) > 1/2", fly_bird_space), fly_bird_space)
         solve = simplex.solve_lp
 
@@ -359,8 +359,8 @@ class TestCell:
             return status, [2 * v for v in x], value
 
         monkeypatch.setattr(simplex, "solve_lp", doubled)
-        with pytest.raises(ValueError, match="not a probability measure"):
-            cell.feasible([([0, 0, 1, 1], F(3, 4))])
+        with pytest.raises(ValueError, match="nonnegative and sum to exactly 1"):
+            cell.witness([([0, 0, 1, 1], F(3, 4))])
 
     def test_integer_rows_are_the_scaled_rational_rows(self, monkeypatch):
         # each cell builds its integer rows once, from the atoms' terms,
@@ -452,7 +452,7 @@ class TestCell:
     def test_vertices_are_the_lp_optima(self):
         # Every optimum of a linear objective over a closed cell is
         # attained at a vertex, so the max and min of each objective
-        # over cell.vertices must be the exact LP's; a missed vertex
+        # over cell.vertices() must be the exact LP's; a missed vertex
         # shows as an objective whose LP optimum no listed vertex meets.
         rng = random.Random(17)
         checked = empty = 0
@@ -462,7 +462,7 @@ class TestCell:
                 kb = And(tuple(_fractional_atom(rng, sp, ("=", "<=", ">="))
                                for _ in range(rng.randint(1, 3))))
                 for cell in cells(kb, sp):
-                    vertices = cell.vertices
+                    vertices = cell.vertices()
                     for _ in range(6):
                         objective = [F(rng.randint(-5, 5)) for _ in range(n)]
                         values = [sum(c * x for c, x in zip(objective, v)) for v in vertices]
@@ -481,7 +481,7 @@ class TestCell:
         # same order, as the exhaustive search over row choices
         seen = Counter()
         for atoms, sp, dependent, expected in _vertex_corpus():
-            assert list(Cell(atoms, sp).vertices) == expected, [str(a) for a in atoms]
+            assert list(Cell(atoms, sp).vertices()) == expected, [str(a) for a in atoms]
             seen["cells"] += 1
             seen["several"] += len(expected) > 1
             seen["dependent"] += dependent and bool(expected)
@@ -494,9 +494,9 @@ class TestCell:
         seen = Counter()
         for atoms, sp, _, expected in _vertex_corpus():
             k = len(expected)
-            assert list(Cell(atoms, sp).vertices_within(k)) == expected
+            assert list(Cell(atoms, sp).vertices(k)) == expected
             if k:
-                assert Cell(atoms, sp).vertices_within(k - 1) is None
+                assert Cell(atoms, sp).vertices(k - 1) is None
             seen["several" if k > 1 else "one" if k else "none"] += 1
         assert min(seen.values()) >= 20, seen
 
@@ -509,7 +509,7 @@ class TestCell:
         namespace = dict(vars(simplex))
         exec(source.replace(old, new), namespace)
         monkeypatch.setattr(simplex, "vertices", namespace["vertices"])
-        assert any(list(Cell(atoms, sp).vertices) != expected
+        assert any(list(Cell(atoms, sp).vertices()) != expected
                    for atoms, sp, _, expected in _vertex_corpus())
 
 
@@ -621,7 +621,7 @@ class TestOneColumnPerClass:
                 seen["empty"] += witness is None
                 probe = pins()
                 found = _per_world_lp(cell, cell._open, [0] * n + [1], True, probe)
-                feasible = cell.feasible(probe)
+                feasible = cell.witness(probe) is not None
                 assert feasible == (found is not None and found[1] > 0)
                 seen["feasible"] += feasible
                 for closed, rows in ((False, cell._open), (True, cell._closed)):

@@ -59,7 +59,7 @@ class TestMeasureBasics:
             assert [w.hex() for w in got] == [w.hex() for w in expected]
 
     def test_is_distribution_is_the_rational_check(self):
-        # the integer check that Measure and Cell.feasible share agrees
+        # the integer check that Measure, and so every LP witness, runs agrees
         # with the plain rational one, zeros, negatives and ints included
         rng = random.Random(14)
         for _ in range(500):

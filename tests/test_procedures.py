@@ -398,7 +398,7 @@ class TestProductPriorInfer:
         kb = and_(*(LinearAtom(((F(1), event_from_indices(sp, range(k, k + 3))),), ">=", F(1, 8))
                     for k in range(4)))
         (cell,) = entail.cells(kb, sp)
-        assert len(cell.vertices) == 50
+        assert len(cell.vertices()) == 50
         lps = []
         solve_lp = simplex.solve_lp
         monkeypatch.setattr(simplex, "solve_lp", lambda *a, **k: lps.append(1) or solve_lp(*a, **k))
@@ -454,15 +454,15 @@ class TestProductPriorInfer:
                 assert not v.holds and v.mode == "exact"
                 assert [list(mu.weights) for mu in v.evidence] == [expected]
                 assert pivots["walk"] == walk
-        # within its limit the walk finishes, and fills Cell.vertices
+        # within its limit the walk finishes, and is memoised
         (cell,) = entail.cells(kbs[17], _plain_space("u", 17))
         pivots.clear()
-        assert cell.vertices_within(120) is None
+        assert cell.vertices(120) is None
         assert 2018 < pivots["walk"] < 2295
         pivots.clear()
-        assert len(cell.vertices_within(121)) == 121 and pivots["walk"] == 2295
-        assert cell.vertices_within(121) is cell.vertices
-        assert cell.vertices_within(120) is None
+        assert len(cell.vertices(121)) == 121 and pivots["walk"] == 2295
+        assert cell.vertices(121) is cell.vertices()
+        assert cell.vertices(120) is None
 
     def test_closed_multi_cell_kbs_decide_exactly(self):
         # both ends of each factor's range are attained, so a violated

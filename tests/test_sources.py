@@ -123,6 +123,24 @@ def test_vertices_are_found_only_by_the_solver():
     assert not {"combinations", "comb"} & names
 
 
+def test_each_question_has_one_call():
+    # whether a cell is nonempty, with or without pins, is asked of
+    # Cell.witness and its vertices of Cell.vertices; compare is the
+    # float rule alone; faithfulness is embeddings.is_faithful; and a
+    # feasibility report says feasible or not, with its witness
+    from dataclasses import fields
+
+    from credal.constraints import compare
+    from credal.embeddings import Embedding
+
+    assert not {"feasible", "vertices_within"} & set(vars(entail.Cell))
+    assert list(inspect.signature(entail.Cell.witness).parameters) == ["self", "pins"]
+    assert list(inspect.signature(entail.Cell.vertices).parameters) == ["self", "limit"]
+    assert "exact" not in inspect.signature(compare).parameters
+    assert not hasattr(Embedding, "is_surjective")
+    assert [f.name for f in fields(entail.FeasibilityReport)] == ["feasible", "witness"]
+
+
 def test_the_sigma_extension_is_built_by_the_measure_algebra():
     # the coupling of the source paper's proof has one home,
     # measures.couple, and the uniform measure on U_i is the uniform
