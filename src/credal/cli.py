@@ -450,16 +450,16 @@ REPRODUCTIONS = {
 }
 
 
-def _golden_matches(actual, golden, tol: float = 1e-6) -> bool:
+def _golden_matches(actual, golden) -> bool:
     if isinstance(golden, dict):
         return (isinstance(actual, dict) and actual.keys() == golden.keys()
-                and all(_golden_matches(actual[k], golden[k], tol) for k in golden))
+                and all(_golden_matches(actual[k], golden[k]) for k in golden))
     if isinstance(golden, list):
         return (isinstance(actual, list) and len(actual) == len(golden)
-                and all(_golden_matches(a, g, tol) for a, g in zip(actual, golden)))
+                and all(_golden_matches(a, g) for a, g in zip(actual, golden)))
     if isinstance(golden, float) or isinstance(actual, float):
         return isinstance(actual, (int, float)) and math.isclose(
-            float(actual), float(golden), abs_tol=tol, rel_tol=0.0)
+            float(actual), float(golden), abs_tol=1e-6, rel_tol=0.0)
     return actual == golden
 
 
@@ -495,7 +495,6 @@ def _tolerance(text: str) -> float:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--seed", type=int, default=0)
 
     parser = argparse.ArgumentParser(
         prog="credal",
@@ -506,6 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer", parents=[common], help="run the scenario's queries")
     p.add_argument("scenario")
     p.add_argument("--eps", type=_tolerance, default=EPS)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("check-embedding", parents=[common],
@@ -516,6 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-invariance", parents=[common],
                        help="compare verdicts across embeddings")
     p.add_argument("scenario")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_check_invariance)
 
     p = sub.add_parser("falsify", parents=[common],
@@ -523,6 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--procedure", choices=sorted(_PROCS), required=True)
     p.add_argument("--budget", type=int, default=1000)
     p.add_argument("--max-worlds", type=int, default=8)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_falsify)
 
     p = sub.add_parser("klm-check", parents=[common],

@@ -395,30 +395,26 @@ def linear_extremes(expr: ConstraintExpr, terms: tuple[tuple[Fraction, Event], .
 
 
 def sample_measures(expr: ConstraintExpr, space: Space, n: int, seed: int) -> list[Measure]:
-    """Seeded exact samples from [[expr]]: randomly tilted LP vertices of
-    each cell's closure, mixed toward a strictly feasible witness so
-    every returned measure satisfies the constraint exactly."""
+    """n seeded exact samples from [[expr]] (none when it is empty):
+    randomly tilted LP vertices of a cell's open rows, mixed toward its
+    strictly feasible witness so every sample lies in the open cell.
+    Each sample is checked against expr, and a wrong one raises."""
     rng = _random.Random(seed)
-    out: list[Measure] = []
-    nw = len(space.worlds)
-    live = [(cell, cell.witness()) for cell in cells(expr, space)]
-    live = [(cell, w) for cell, w in live if w is not None]
+    live = [(cell, w) for cell in cells(expr, space) if (w := cell.witness()) is not None]
     if not live:
-        return out
-    attempts = 0
-    while len(out) < n and attempts < 20 * n:
-        attempts += 1
+        return []
+    nw = len(space.worlds)
+    out: list[Measure] = []
+    for _ in range(n):
         cell, witness = live[rng.randrange(len(live))]
         objective = [Fraction(rng.randrange(-8, 9)) for _ in range(nw)]
-        found = cell.solve(objective, maximize=bool(rng.getrandbits(1)))
-        if found is None:
-            continue
-        vertex = found[0]
+        vertex = cell.solve(objective, maximize=bool(rng.getrandbits(1)))[0]
         lam = Fraction(rng.randrange(1, 8), 8)
-        mixed = [lam * a + (1 - lam) * b for a, b in zip(witness.weights, vertex)]
-        mu = Measure.rational(space, mixed)
-        if satisfies(mu, expr):
-            out.append(mu)
+        mu = Measure.rational(space, [lam * a + (1 - lam) * b
+                                      for a, b in zip(witness.weights, vertex)])
+        if not satisfies(mu, expr):
+            raise ValueError("sampled measure does not satisfy the constraint")
+        out.append(mu)
     return out
 
 

@@ -11,11 +11,9 @@ class ParseError(CredalError, ValueError):
     Carries the character offset where parsing failed.
     """
 
-    def __init__(self, message: str, position: int | None = None):
+    def __init__(self, message: str, position: int):
         self.position = position
-        if position is not None:
-            message = f"{message} (at position {position})"
-        super().__init__(message)
+        super().__init__(f"{message} (at position {position})")
 
 
 class DomainError(CredalError, ValueError):

@@ -65,6 +65,7 @@ from .spaces import (
 
 F = Fraction
 _ONE = F(1)
+TRIAL_SAMPLES = 120  # sampled-mode measures per side in a falsification trial
 
 
 # Reports ----------------------------------------------------------------
@@ -93,9 +94,9 @@ class InvarianceReport:
         return not self.violations
 
 
-def _try_infers(proc, kb, theta, space, seed, samples):
+def _try_infers(proc, kb, theta, space, **sampling):
     try:
-        return infers(proc, kb, theta, space, seed=seed, samples=samples)
+        return infers(proc, kb, theta, space, **sampling)
     except DomainError:
         return None
 
@@ -109,8 +110,9 @@ def invariance_check(proc: InferenceProcedure, emb: Embedding, kb: ConstraintExp
     """
     if not is_faithful(emb):
         raise ValueError("invariance is defined against faithful embeddings")
-    vx = _try_infers(proc, kb, theta, emb.source, seed, samples)
-    vy = _try_infers(proc, translate(emb, kb), translate(emb, theta), emb.target, seed, samples)
+    vx = _try_infers(proc, kb, theta, emb.source, seed=seed, samples=samples)
+    vy = _try_infers(proc, translate(emb, kb), translate(emb, theta), emb.target,
+                     seed=seed, samples=samples)
     violations: list[InvarianceViolation] = []
     mode = "exact"
     if (vx is None) != (vy is None):
@@ -198,12 +200,12 @@ def _random_theta(space: Space, rng: _random.Random) -> ConstraintExpr:
     return And((a, _random_atom(space, rng)))
 
 
-def _colorful_trial(proc, seed, samples) -> InvarianceReport:
+def _colorful_trial(proc, seed) -> InvarianceReport:
     x = enumerate_worlds(["c"])
     y = enumerate_worlds(["r", "b", "g"])
     emb = from_surjection(x, y, [0 if w.bits == 0 else 1 for w in y.worlds])
     theta = LinearAtom(((_ONE, event_of(x, "c")),), "=", F(1, 2))
-    return invariance_check(proc, emb, TrueExpr(), theta, seed=seed, samples=samples)
+    return invariance_check(proc, emb, TrueExpr(), theta, seed=seed, samples=TRIAL_SAMPLES)
 
 
 def disjointing_embeddings(space: Space, s: Event, dependency_events: list[Event],
@@ -258,29 +260,30 @@ def default_independence_gadget():
     )
 
 
-def _independence_gadget_path(proc, seed, samples) -> InvarianceReport | None:
+def _independence_gadget_path(proc, seed) -> InvarianceReport | None:
     g = default_independence_gadget()
     xx = g.spaces["XX"]
     kb, query = g.constraints["kb"], g.constraints["query"]
-    vx = _try_infers(proc, kb, query, xx, seed, samples)
+    vx = _try_infers(proc, kb, query, xx, seed=seed, samples=TRIAL_SAMPLES)
     if vx is None or not vx.holds:
         return None
     embs = disjointing_embeddings(xx, g.events["S"], [g.events["S_prime"]], g.params["alpha"])
     for emb in embs:
-        rep = invariance_check(proc, emb, kb, query, seed=seed, samples=samples)
+        rep = invariance_check(proc, emb, kb, query, seed=seed, samples=TRIAL_SAMPLES)
         if rep.violations:
             return rep
     return None
 
 
 def replay_trial(proc: InferenceProcedure, t: int, seed: int, max_worlds: int = 8,
-                 templates: str = "general", samples: int = 120) -> InvarianceReport | None:
+                 templates: str = "general") -> InvarianceReport | None:
     """Re-run one falsification trial; trials are a pure function of
-    (procedure, trial index, seed), so reports replay bit-for-bit."""
+    (procedure, trial index, seed), so reports replay bit-for-bit.  A
+    sampled verdict draws TRIAL_SAMPLES measures on each side."""
     if templates == "general" and t == 0:
-        return _colorful_trial(proc, seed, samples)
+        return _colorful_trial(proc, seed)
     if templates == "general" and t == 1:
-        return _independence_gadget_path(proc, seed, samples)
+        return _independence_gadget_path(proc, seed)
     rng = _random.Random(seed * 1_000_003 + t)
     nx = rng.choice((2, 3, 4))
     ny = rng.randrange(nx, max_worlds + 1)
@@ -290,12 +293,11 @@ def replay_trial(proc: InferenceProcedure, t: int, seed: int, max_worlds: int = 
     kb = (_random_objective_kb(x, rng) if templates == "objective"
           else _random_kb(x, rng))
     theta = _random_theta(x, rng)
-    return invariance_check(proc, emb, kb, theta, seed=seed, samples=samples)
+    return invariance_check(proc, emb, kb, theta, seed=seed, samples=TRIAL_SAMPLES)
 
 
 def rep_independence_falsify(proc: InferenceProcedure, budget: int = 1000, seed: int = 0,
-                             max_worlds: int = 8, templates: str = "general",
-                             samples: int = 120) -> FalsifyReport:
+                             max_worlds: int = 8, templates: str = "general") -> FalsifyReport:
     """Search for an invariance violation over sampled spaces, faithful
     surjections, and template knowledge bases / queries.
 
@@ -309,9 +311,9 @@ def rep_independence_falsify(proc: InferenceProcedure, budget: int = 1000, seed:
         raise CredalError(f"falsify needs max_worlds >= 4 and budget >= 1, "
                           f"got {max_worlds} and {budget}")
     for t in range(budget):
-        rep = replay_trial(proc, t, seed, max_worlds, templates, samples)
+        rep = replay_trial(proc, t, seed, max_worlds, templates)
         if rep is not None and rep.violations:
-            confirm = replay_trial(proc, t, seed, max_worlds, templates, samples)
+            confirm = replay_trial(proc, t, seed, max_worlds, templates)
             if confirm is None or confirm.violations != rep.violations:
                 continue  # does not replay: never report it
             return FalsifyReport(proc.name, t + 1, seed, replace(rep, trial=t))
@@ -345,23 +347,23 @@ class RobustnessReport:
 
 
 def robustness_check(proc: InferenceProcedure, kb: ConstraintExpr, psi: ConstraintExpr,
-                     queries, xy_space: Space, x_factor: int = 0,
-                     seed: int = 0, samples: int = 200) -> RobustnessReport:
-    """Compare verdicts with and without a conservative extension.
+                     queries, xy_space: Space) -> RobustnessReport:
+    """Compare verdicts about the first factor X of xy_space with and
+    without a conservative extension.
 
     Skipped (with a note) unless the extension is verified conservative,
     since only then does the robustness definition apply.
     """
-    cons = conservative_check(kb, psi, xy_space, x_factor, seed=seed)
+    cons = conservative_check(kb, psi, xy_space)
     if cons.status != "conservative_verified":
         return RobustnessReport(proc.name, cons.status, (), skipped=True)
-    x_space = xy_space.factors[x_factor]
+    x_space = xy_space.factors[0]
     lift = factor_lift(xy_space, x_space)
     extended_kb = and_(translate(lift, kb), psi)
     items = []
     for q in queries:
-        vb = _try_infers(proc, kb, q, x_space, seed, samples)
-        ve = _try_infers(proc, extended_kb, translate(lift, q), xy_space, seed, samples)
+        vb = _try_infers(proc, kb, q, x_space)
+        ve = _try_infers(proc, extended_kb, translate(lift, q), xy_space)
         items.append(RobustnessItem(q, None if vb is None else vb.holds,
                                     None if ve is None else ve.holds))
     return RobustnessReport(proc.name, cons.status, tuple(items))
@@ -389,23 +391,22 @@ class ProbeReport:
 
 
 def essentially_entailment_probe(proc: InferenceProcedure, kb: ConstraintExpr,
-                                 events, grid=None, space: Space | None = None,
-                                 seed: int = 0) -> ProbeReport:
-    """Look for inferred open intervals alpha < Pr(S) < beta.
+                                 events, space: Space | None = None) -> ProbeReport:
+    """Look for inferred open intervals alpha < Pr(S) < beta, for alpha < beta
+    on the corpus' BOUND_GRID.
 
     A "violation" witness is one whose closed form is not entailed (the
     procedure genuinely jumped); a "strengthening" witness is entailed
     closed but not open (the only jump essential entailment allows).
     """
     space = space or space_of(kb) or events[0].space
-    grid = tuple(grid) if grid is not None else BOUND_GRID
     witnesses = []
     for s in events:
-        for i, a in enumerate(grid):
-            for b in grid[i + 1:]:
+        for i, a in enumerate(BOUND_GRID):
+            for b in BOUND_GRID[i + 1:]:
                 open_q = And((LinearAtom(((_ONE, s),), ">", a),
                               LinearAtom(((_ONE, s),), "<", b)))
-                v = _try_infers(proc, kb, open_q, space, seed, 200)
+                v = _try_infers(proc, kb, open_q, space)
                 if v is None or not v.holds:
                     continue
                 closed_q = And((LinearAtom(((_ONE, s),), ">=", a),
@@ -571,8 +572,7 @@ def _pin_query(mu: Measure) -> ConstraintExpr:
     return And(tuple(parts))
 
 
-def bootstrap_check(prior_x, prior_y, emb: Embedding, corpus=None,
-                    seed: int = 0) -> BootstrapReport:
+def bootstrap_check(prior_x, prior_y, emb: Embedding, corpus=None) -> BootstrapReport:
     """Test both sides of the prior-correspondence biconditional.
 
     The priors' correspondence is decided exactly; invariance of the
@@ -589,11 +589,11 @@ def bootstrap_check(prior_x, prior_y, emb: Embedding, corpus=None,
     pairs = list(corpus) if corpus is not None else invariance_pairs_on(emb.source)
     violations: list[InvarianceViolation] = []
     for kb, theta in pairs:
-        violations.extend(invariance_check(proc, emb, kb, theta, seed=seed).violations)
+        violations.extend(invariance_check(proc, emb, kb, theta).violations)
     if gap is not None and not violations:
         # the decisive separating query pins the offending measure
         pairs.append((TrueExpr(), Not(_pin_query(gap))))
-        violations.extend(invariance_check(proc, emb, *pairs[-1], seed=seed).violations)
+        violations.extend(invariance_check(proc, emb, *pairs[-1]).violations)
     return BootstrapReport(gap is None, tuple(violations), len(pairs))
 
 
@@ -629,7 +629,7 @@ class ProductsReport:
                 and self.crossing_violation is not None)
 
 
-def _crossing_violation_instance(proc, seed, samples) -> InvarianceReport | None:
+def _crossing_violation_instance(proc, seed) -> InvarianceReport | None:
     """A faithful interpretation embedding into an indecomposable space:
     the product prior stops enforcing independence, so the structural
     independence query separates the two sides."""
@@ -639,55 +639,41 @@ def _crossing_violation_instance(proc, seed, samples) -> InvarianceReport | None
     cyl_p = event_of(src, "p")
     cyl_q = event_of(src, "q")
     theta = ProductAtom(cyl_p & cyl_q, (cyl_p, cyl_q))
-    rep = invariance_check(proc, emb, TrueExpr(), theta, seed=seed, samples=samples)
+    rep = invariance_check(proc, emb, TrueExpr(), theta, seed=seed)
     return rep if rep.violations else None
 
 
-def products_invariance_check(seed: int = 0, n_product: int = 200, n_perm: int = 50,
-                              samples: int = 200) -> ProductsReport:
+def products_invariance_check(seed: int = 0, n_product: int = 200,
+                              n_perm: int = 50) -> ProductsReport:
     """Invariance of the product-family prior under faithful product and
     permutation embeddings, plus one boundary-crossing violation."""
     proc = InferenceProcedure.prior_based(PriorFunction.product_family())
     a = enumerate_worlds(["p"])
     b = enumerate_worlds(["q"])
-    kb_templates_a = factor_kb_templates(a)
-    kb_templates_b = factor_kb_templates(b)
+    templates_a = factor_kb_templates(a)
+    templates_b = factor_kb_templates(b)
 
-    product_violations = []
+    def trial(emb, templates, rng) -> InvarianceReport:
+        # one template kb per factor of emb's source, then a product query
+        kb = and_(*(_lift_factor_kb(emb.source, k, ts[rng.randrange(len(ts))])
+                    for k, ts in enumerate(templates)))
+        theta = _random_product_query(emb.source, rng)
+        return invariance_check(proc, emb, kb, theta, seed=seed)
+
+    product_reports = []
     for t in range(n_product):
         rng = _random.Random(seed * 7_654_321 + t)
         ta, tb = rng.choice((2, 3, 4)), rng.choice((2, 3, 4))
-        a2 = _plain_space("ra", ta)
-        b2 = _plain_space("rb", tb)
-        fa = random_faithful_embedding(a, a2, rng.randrange(2**30))
-        fb = random_faithful_embedding(b, b2, rng.randrange(2**30))
-        f = product_embedding([fa, fb])
-        kb1 = kb_templates_a[rng.randrange(len(kb_templates_a))]
-        kb2 = kb_templates_b[rng.randrange(len(kb_templates_b))]
-        kb = and_(_lift_factor_kb(f.source, 0, kb1), _lift_factor_kb(f.source, 1, kb2))
-        theta = _random_product_query(f.source, rng)
-        rep = invariance_check(proc, f, kb, theta, seed=seed, samples=samples)
-        if rep.violations:
-            product_violations.append(rep)
+        fa = random_faithful_embedding(a, _plain_space("ra", ta), rng.randrange(2**30))
+        fb = random_faithful_embedding(b, _plain_space("rb", tb), rng.randrange(2**30))
+        product_reports.append(trial(product_embedding([fa, fb]), (templates_a, templates_b), rng))
 
-    perm_violations = []
-    xx = product_space([a, a])
-    templates = factor_kb_templates(a)
-    for t in range(n_perm):
-        rng = _random.Random(seed * 97_531 + t)
-        pi = [1, 0]
-        emb = permutation_embedding(xx, pi)
-        kb1 = templates[rng.randrange(len(templates))]
-        kb2 = templates[rng.randrange(len(templates))]
-        kb = and_(_lift_factor_kb(xx, 0, kb1), _lift_factor_kb(xx, 1, kb2))
-        theta = _random_product_query(xx, rng)
-        rep = invariance_check(proc, emb, kb, theta, seed=seed, samples=samples)
-        if rep.violations:
-            perm_violations.append(rep)
-
-    crossing = _crossing_violation_instance(proc, seed, samples)
-    return ProductsReport(n_product, tuple(product_violations),
-                          n_perm, tuple(perm_violations), crossing)
+    swap = permutation_embedding(product_space([a, a]), [1, 0])
+    perm_reports = [trial(swap, (templates_a, templates_a), _random.Random(seed * 97_531 + t))
+                    for t in range(n_perm)]
+    return ProductsReport(n_product, tuple(r for r in product_reports if r.violations),
+                          n_perm, tuple(r for r in perm_reports if r.violations),
+                          _crossing_violation_instance(proc, seed))
 
 
 def _lift_factor_kb(space: Space, k: int, kb: ConstraintExpr) -> ConstraintExpr:

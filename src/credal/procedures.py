@@ -477,19 +477,18 @@ def _structural_product_atom(atom: ProductAtom, space: Space) -> bool:
 
 
 def minimal_default_independence_check(proc: InferenceProcedure, kb: ConstraintExpr,
-                                       s: Event, t: Event, space: Space | None = None,
-                                       seed: int = 0, samples: int = 200) -> Verdict:
+                                       s: Event, t: Event) -> Verdict:
     """Does the procedure conclude Pr(S x T) = Pr(S) Pr(T) for a fresh T?
 
     The kb about S's space is lifted to the product with T's space and
     the product atom is evaluated against the selected set there.
     """
-    xy = space if space is not None else product_space([s.space, t.space])
+    xy = product_space([s.space, t.space])
     kb_lifted = translate(factor_lift(xy, s.space), kb)
     cyl_s = cylinder(xy, 0, s)
     cyl_t = cylinder(xy, 1, t)
     theta = ProductAtom(cyl_s & cyl_t, (cyl_s, cyl_t))
-    return infers(proc, kb_lifted, theta, xy, seed=seed, samples=samples)
+    return infers(proc, kb_lifted, theta, xy)
 
 
 # KLM-style property report ------------------------------------------------
@@ -521,16 +520,16 @@ class KlmReport:
 
 
 def klm_properties_check(proc: InferenceProcedure, kbs: Sequence[ConstraintExpr],
-                         thetas: Sequence[ConstraintExpr], space: Space | None = None,
+                         thetas: Sequence[ConstraintExpr],
                          lle_pairs: Sequence[tuple[ConstraintExpr, ConstraintExpr]] = ()
                          ) -> KlmReport:
     """Check Reflexivity, Left Logical Equivalence, Right Weakening, And
     (on the first three pairs of thetas), and Consistency over the given
-    corpus; any violation is reported with the witnessing constraints."""
+    corpus, over the space of the first constraint with an atom; any
+    violation is reported with the witnessing constraints."""
     violations: list[KlmViolation] = []
     checked = 0
-    if space is None:
-        space = space_of(*kbs, *thetas)
+    space = space_of(*kbs, *thetas)
     rw_pairs = [(a, b) for a, b in itertools.permutations(thetas, 2) if entails(a, b, space)]
     and_pairs = list(itertools.combinations(thetas, 2))[:3]
 

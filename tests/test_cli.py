@@ -220,6 +220,9 @@ def test_falsify_cli_rejects_bad_sizes(flags, capsys):
     ["klm-check", "--procedure", "maxent", "--budget", "5"],
     ["reproduce", "colorful", "--max-worlds", "3"],
     ["falsify", "--procedure", "maxent", "--eps", "0.1"],
+    ["klm-check", "--procedure", "maxent", "--seed", "1"],
+    ["reproduce", "colorful", "--seed", "1"],
+    ["check-embedding", str(SCENARIOS / "colorful.json"), "--seed", "1"],
 ])
 def test_flags_belong_to_the_commands_that_read_them(argv, capsys):
     with pytest.raises(SystemExit) as exc:

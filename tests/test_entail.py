@@ -125,6 +125,19 @@ class TestSatisfiable:
         cells.cache_clear()
         assert satisfiable(expr).feasible and len(calls) == 2
 
+    def test_a_wrong_lp_witness_raises(self, monkeypatch, cold_caches):
+        # the LP point is re-checked against the constraint: a solver that
+        # returned a distribution with t > 0 outside [[kb]] is caught
+        space = enumerate_worlds(["a"])
+        kb = parse_constraint("P(a) > 3/4", space)
+        monkeypatch.setattr(simplex, "solve_lp", lambda *a, **k: (
+            simplex.OPTIMAL, [F(1, 2), F(1, 2), F(1, 8)], F(1, 8)))
+        try:
+            with pytest.raises(ValueError, match="^LP witness does not satisfy the constraint$"):
+                satisfiable(kb)
+        finally:
+            cells.cache_clear()  # the cell memoised the wrong witness
+
     def test_a_wrong_witness_raises_under_dash_o(self):
         # the witness check is no assert: python -O keeps it, so an LP
         # point that misses the constraint is never reported as feasible
@@ -696,8 +709,20 @@ class TestLinearRangeAndSampling:
 
     def test_samples_satisfy(self, fly_bird_space):
         kb = parse_constraint("P(fly) > 1/4 & P(bird) < 2/3", fly_bird_space)
-        for mu in sample_measures(kb, fly_bird_space, 12, seed=4):
+        samples = sample_measures(kb, fly_bird_space, 12, seed=4)
+        assert len(samples) == 12
+        for mu in samples:
             assert satisfies(mu, kb)
+
+    def test_a_sample_outside_the_constraint_raises(self, monkeypatch, fly_bird_space):
+        # each sample is checked against the constraint: one that fails
+        # raises rather than being dropped
+        from credal import entail
+
+        kb = parse_constraint("P(fly) > 1/4 & P(bird) < 2/3", fly_bird_space)
+        monkeypatch.setattr(entail, "satisfies", lambda *a: False)
+        with pytest.raises(ValueError, match="^sampled measure does not satisfy the constraint$"):
+            sample_measures(kb, fly_bird_space, 12, seed=4)
 
 
 class TestConservativeCheck:

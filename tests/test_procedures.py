@@ -25,6 +25,7 @@ from credal.errors import CredalError, DomainError
 from credal.measures import Measure, product_measure
 from credal.procedures import (
     InferenceProcedure,
+    KlmViolation,
     _factorize,
     PriorFunction,
     i0_select,
@@ -197,6 +198,36 @@ class TestKlmProperties:
         rep = klm_properties_check(InferenceProcedure.broken(), kbs[:10], thetas)
         assert not rep.all_pass
         assert "Reflexivity" in rep.by_property()
+
+
+    def test_each_property_reports_its_witnesses(self, monkeypatch, fly_bird_space):
+        # scripted verdicts break Consistency, Right Weakening, And and
+        # Left Logical Equivalence once each; a pair that is not
+        # equivalent is skipped without a query
+        from types import SimpleNamespace
+
+        from credal import procedures
+
+        sp = fly_bird_space
+        kb, kb_same, kb_other = (parse_constraint(t, sp) for t in (
+            "P(fly) >= 1/2", "!(P(fly) < 1/2)", "P(fly) >= 1/3"))
+        a, b, c = (parse_constraint(t, sp) for t in (
+            "P(fly) >= 3/4", "P(fly) >= 1/4", "P(bird) >= 1/2"))
+        script = {(kb, kb): True, (kb, FalseExpr()): True,
+                  (kb, a): True, (kb, b): False, (kb, c): True, (kb, and_(a, c)): False,
+                  (kb_same, a): True, (kb_same, b): True, (kb_same, c): True}
+        monkeypatch.setattr(procedures, "infers", lambda proc, kb, theta, space:
+                            SimpleNamespace(holds=script[kb, theta]))
+        rep = klm_properties_check(InferenceProcedure.entailment(), [kb], [a, b, c],
+                                   lle_pairs=[(kb, kb_same), (kb, kb_other)])
+        assert rep.checked == 1
+        assert rep.violations == (
+            KlmViolation("Consistency", kb),
+            KlmViolation("Right Weakening", kb, a, b),
+            KlmViolation("And", kb, a, c),
+            KlmViolation("Left Logical Equivalence", kb, b, kb_same))
+        assert rep.by_property() == {"Consistency": 1, "Right Weakening": 1, "And": 1,
+                                     "Left Logical Equivalence": 1}
 
 
 class TestMinimalDefaultIndependence:

@@ -156,6 +156,58 @@ def test_cell_reads_only_its_integer_rows():
     assert ("entail.py", "Cell") not in _top_level_calls("coefficients")
 
 
+def _functions(tree):
+    """(def, name of the class it is a method of, or None) for every def."""
+    out = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out.append((child, cls))
+                visit(child, None)
+            else:
+                visit(child, child.name if isinstance(child, ast.ClassDef) else cls)
+
+    visit(tree, None)
+    return out
+
+
+def test_every_defaulted_parameter_has_a_caller_that_sets_it():
+    # a default that no call overrides is a constant, not a knob: for
+    # each defaulted parameter of a function in src/credal, some call in
+    # src/credal, bench or tests passes it by position or keyword (a
+    # call of a class passes its __init__'s; a starred argument passes
+    # them all)
+    root = Path(__file__).resolve().parents[1]
+    calls = [node for path in SOURCES + sorted((root / "bench").rglob("*.py"))
+             + sorted((root / "tests").rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)]
+    unset = []
+    for path, tree in _trees():
+        for fn, cls in _functions(tree):
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            if cls is not None and not any(getattr(d, "id", None) == "staticmethod"
+                                           for d in fn.decorator_list):
+                positional = positional[1:]
+            defaulted = [a.arg for a in positional[len(positional) - len(args.defaults):]
+                         if args.defaults]
+            defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+            names = {fn.name, cls} if fn.name == "__init__" else {fn.name}
+            passed = set()
+            for call in calls:
+                if getattr(call.func, "id", getattr(call.func, "attr", None)) not in names:
+                    continue
+                if (any(isinstance(a, ast.Starred) for a in call.args)
+                        or any(k.arg is None for k in call.keywords)):
+                    passed.update(defaulted)
+                passed.update(a.arg for a in positional[:len(call.args)])
+                passed.update(k.arg for k in call.keywords)
+            unset += [(path.name, fn.name, name) for name in defaulted if name not in passed]
+    assert unset == []
+
+
 def test_lru_caches_decorate_module_level_functions():
     # bench/run.py clears the caches it finds on credal's modules before
     # each round, so a cache anywhere else would start rounds warm
