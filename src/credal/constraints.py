@@ -83,9 +83,9 @@ class LinearAtom(ConstraintExpr):
         rhs = self.bound.numerator * (big_l // self.bound.denominator) * d
         return EXACT_COMPARE[self.cmp](lhs, rhs)
 
-    def coefficients(self, space: Space) -> list[Fraction]:
-        """Per-world coefficients of the linear functional."""
-        out = [Fraction(0)] * len(space.worlds)
+    def coefficients(self) -> list[Fraction]:
+        """Per-world coefficients of the linear functional on its space."""
+        out = [Fraction(0)] * len(self.space.worlds)
         for c, e in self.terms:
             for i in e.indices():
                 out[i] += c
@@ -166,12 +166,22 @@ def not_(item: ConstraintExpr) -> ConstraintExpr:
     return Not(item)
 
 
-def space_of(*exprs: ConstraintExpr) -> Space | None:
-    """The space of the first expression that has an atom; None if none has."""
+def space_of(*exprs: ConstraintExpr) -> Space:
+    """The space of the first atom of the expressions: the space every
+    entry point decides a question over when it is given none.  true and
+    false name no space, so with no atom this raises ValueError."""
     for expr in exprs:
         for atom in atoms_of(expr):
             return atom.space
-    return None
+    raise ValueError("pass the space: a constraint without atoms names none")
+
+
+def check_space(space: Space, atoms) -> None:
+    """Raise ValueError unless every atom lives on space, on whose world
+    indices it is about to be read; `is` first spares a field-wise `==`."""
+    for atom in atoms:
+        if atom.space is not space and atom.space != space:
+            raise ValueError("an atom lives on a different space than the question")
 
 
 def atoms_of(expr: ConstraintExpr):
@@ -217,6 +227,7 @@ def satisfies(mu: Measure, expr: ConstraintExpr, eps: float = EPS) -> bool:
     Exact for the rational backend; for floats, equalities and
     non-strict inequalities hold within ``eps`` and strict inequalities
     must hold with an ``eps`` margin (``eps`` defaults to `measures.EPS`).
+    An atom on another space than the measure's raises ValueError.
     """
     exact = mu.backend == RATIONAL
     if isinstance(expr, TrueExpr):
@@ -225,6 +236,7 @@ def satisfies(mu: Measure, expr: ConstraintExpr, eps: float = EPS) -> bool:
         return False
     if isinstance(expr, LinearAtom):
         if exact:
+            check_space(mu.space, (expr,))
             return expr.holds_at(mu.weights)
         return compare(expr.value(mu), expr.cmp, expr.bound, eps)
     if isinstance(expr, ProductAtom):

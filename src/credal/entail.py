@@ -33,6 +33,7 @@ from .constraints import (
     LinearAtom,
     TrueExpr,
     and_,
+    check_space,
     not_,
     satisfies,
     space_of,
@@ -69,7 +70,8 @@ class Cell:
     enters the LP as the `Row` of its coefficients times q, t's 0 and p,
     at scale q.  `witness(pins)` answers whether the open cell meets the
     pins, and `vertices(limit)` lists the closure's vertices unless they
-    number more than limit.
+    number more than limit.  Building the rows refuses an atom on another
+    space than the cell's, whose world indices they would misread.
 
     An LP leaves out the worlds whose column and cost repeat a lower
     world's, which Bland's rule would never enter (`simplex`).
@@ -89,6 +91,7 @@ class Cell:
     @cached_property
     def _open(self) -> list[simplex.Row]:
         """The simplex row, each atom's open row and t <= 1."""
+        check_space(self.space, self.atoms)
         n = len(self.space.worlds)
         return ([simplex.Row([1] * n + [0, 1], "=", 1)]
                 + [_atom_row(atom, n) for atom in self.atoms]
@@ -235,7 +238,8 @@ class FeasibilityReport:
 
 
 def satisfiable(expr: ConstraintExpr, space: Space | None = None) -> FeasibilityReport:
-    """Decide whether some measure satisfies the constraint.
+    """Decide whether some measure satisfies the constraint, over space
+    or else `space_of(expr)`.
 
     The witness, when present, satisfies the constraint exactly,
     including all strict atoms: it is checked against expr the first
@@ -243,11 +247,7 @@ def satisfiable(expr: ConstraintExpr, space: Space | None = None) -> Feasibility
     raises.  The cell and its witness belong to expr's set, so a later
     call on the same set does not check again.
     """
-    if space is None:
-        space = space_of(expr)
-    if space is None:
-        return FeasibilityReport(bool(to_dnf(expr)))
-    for cell in cells(expr, space):
+    for cell in cells(expr, space or space_of(expr)):
         witness = cell.witness()
         if witness is not None:
             if not cell.witness_checked:
@@ -259,15 +259,13 @@ def satisfiable(expr: ConstraintExpr, space: Space | None = None) -> Feasibility
 
 
 def entails(kb: ConstraintExpr, theta: ConstraintExpr, space: Space | None = None) -> bool:
-    """KB entails theta iff no measure satisfies KB and violates theta."""
-    if space is None:
-        space = space_of(kb, theta)
-    return not satisfiable(and_(kb, not_(theta)), space).feasible
+    """KB entails theta iff no measure on space (by default `space_of(kb,
+    theta)`) satisfies KB and violates theta."""
+    return not satisfiable(and_(kb, not_(theta)), space or space_of(kb, theta)).feasible
 
 
 def equivalent(a: ConstraintExpr, b: ConstraintExpr, space: Space | None = None) -> bool:
-    if space is None:
-        space = space_of(a, b)
+    space = space or space_of(a, b)
     return entails(a, b, space) and entails(b, a, space)
 
 
@@ -289,7 +287,8 @@ def _point_mass_event(kb_cells: Sequence[Cell], space: Space) -> Event:
 
 
 def is_interesting(kb: ConstraintExpr, space: Space | None = None) -> Event | None:
-    """The event S with [[kb]] = [[Pr(S) >= 1/4]], if one exists.
+    """The event S with [[kb]] = [[Pr(S) >= 1/4]] on space (by default
+    `space_of(kb)`), if one exists.
 
     A point mass on x satisfies Pr(S) >= 1/4 exactly when x is in S, so
     the only possible S is the set of worlds whose point mass satisfies
@@ -301,10 +300,7 @@ def is_interesting(kb: ConstraintExpr, space: Space | None = None) -> Event | No
     the first world outside, each other world outside with the first
     world of S).  Equivalence decides the rest.
     """
-    if space is None:
-        space = space_of(kb)
-    if space is None:
-        return None
+    space = space or space_of(kb)
     kb_cells = cells(kb, space)
     s = _point_mass_event(kb_cells, space)
     n = len(space.worlds)
@@ -320,26 +316,22 @@ def is_interesting(kb: ConstraintExpr, space: Space | None = None) -> Event | No
 
 
 def objective_normal_form(kb: ConstraintExpr, space: Space | None = None) -> Event | None:
-    """The event T with [[kb]] = [[Pr(T) = 1]], if one exists.
+    """The event T with [[kb]] = [[Pr(T) = 1]] on space (by default
+    `space_of(kb)`), if one exists.
 
     A point mass on x satisfies Pr(T) = 1 exactly when x is in T, so the
     only possible T is the set of worlds whose point mass satisfies kb;
     it is returned when kb is equivalent to Pr(T) = 1.  Conjunctions of
     Pr(T_i) = 1 are read off the syntax first.
     """
-    if space is None:
-        space = space_of(kb)
-    if space is None:
-        if isinstance(kb, TrueExpr):
-            raise ValueError("pass the space to normalize a pure true/false constraint")
-        return None
+    space = space or space_of(kb)
     if isinstance(kb, TrueExpr):
         return whole_event(space)
     if isinstance(kb, FalseExpr):
         return event_from_indices(space, [])
 
     direct = _syntactic_objective(kb)
-    if direct is not None:
+    if direct is not None and direct.space == space:  # else kb's cells refuse kb
         return direct
 
     t = _point_mass_event(cells(kb, space), space)
@@ -378,7 +370,7 @@ def linear_extremes(expr: ConstraintExpr, terms: tuple[tuple[Fraction, Event], .
                     space: Space) -> tuple[tuple[list[Fraction], Fraction], ...] | None:
     """(world masses, value) at a minimum and at a maximum of a linear
     functional over the closure of [[expr]], as for `linear_range`."""
-    objective = LinearAtom(terms, "=", _ZERO).coefficients(space)
+    objective = LinearAtom(terms, "=", _ZERO).coefficients()
     ends = [None, None]
     for cell in cells(expr, space):
         if cell.witness() is None:

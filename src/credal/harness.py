@@ -393,13 +393,13 @@ class ProbeReport:
 def essentially_entailment_probe(proc: InferenceProcedure, kb: ConstraintExpr,
                                  events, space: Space | None = None) -> ProbeReport:
     """Look for inferred open intervals alpha < Pr(S) < beta, for alpha < beta
-    on the corpus' BOUND_GRID.
+    on the corpus' BOUND_GRID, over space (by default `space_of(kb)`).
 
     A "violation" witness is one whose closed form is not entailed (the
     procedure genuinely jumped); a "strengthening" witness is entailed
     closed but not open (the only jump essential entailment allows).
     """
-    space = space or space_of(kb) or events[0].space
+    space = space or space_of(kb)
     witnesses = []
     for s in events:
         for i, a in enumerate(BOUND_GRID):

@@ -232,15 +232,13 @@ def kl_project(mu: Measure, kb: ConstraintExpr) -> ProjectionResult:
 
 
 def maxent(kb: ConstraintExpr, space: Space | None = None) -> ProjectionResult:
-    """Highest-entropy measures satisfying kb (value in entropy bits).
+    """Highest-entropy measures on space (by default `space_of(kb)`)
+    satisfying kb (value in entropy bits).
 
     Equivalent to divergence minimization from the uniform measure; the
     undefined-supremum cases surface as status "not_attained".
     """
-    if space is None:
-        space = space_of(kb)
-        if space is None:
-            raise ValueError("pass the space to maximize entropy under true/false")
+    space = space or space_of(kb)
     result = kl_project(Measure.uniform(space), kb)
     log_n = math.log2(len(space.worlds))
     flip = (lambda v: None if v is None else log_n - v)

@@ -34,6 +34,7 @@ from .constraints import (
     TrueExpr,
     and_,
     atoms_of,
+    check_space,
     has_product_atom,
     map_events,
     not_,
@@ -162,15 +163,9 @@ class Verdict:
         return self.holds
 
 
-def _resolve_space(kb, theta, space):
-    sp = space or space_of(kb, theta)
-    if sp is None:
-        raise ValueError("cannot infer the space from pure true/false constraints")
-    return sp
-
-
 def i0_select(kb: ConstraintExpr, space: Space | None = None) -> ConstraintExpr:
-    """Selection of the objective-strengthening procedure.
+    """Selection of the objective-strengthening procedure on space (by
+    default `space_of(kb)`).
 
     For kb equivalent to Pr(T) = 1 the selection is the measures
     concentrated on T with full support on it: over a finite space every
@@ -179,7 +174,7 @@ def i0_select(kb: ConstraintExpr, space: Space | None = None) -> ConstraintExpr:
     constraints is represented by |T| strict atoms.  Non-objective kb
     selects its whole denotation (entailment behavior).
     """
-    space = _resolve_space(kb, None, space)
+    space = space or space_of(kb)
     t = objective_normal_form(kb, space)
     if t is None:
         return kb
@@ -194,8 +189,9 @@ def i0_select(kb: ConstraintExpr, space: Space | None = None) -> ConstraintExpr:
 
 
 def i1_select(kb: ConstraintExpr, space: Space | None = None) -> ConstraintExpr:
-    """Selection tightening Pr(S) >= 1/4 knowledge bases to Pr(S) >= 1/3."""
-    space = _resolve_space(kb, None, space)
+    """Selection tightening Pr(S) >= 1/4 knowledge bases to Pr(S) >= 1/3,
+    on space (by default `space_of(kb)`)."""
+    space = space or space_of(kb)
     s = is_interesting(kb, space)
     if s is None:
         return kb
@@ -204,7 +200,8 @@ def i1_select(kb: ConstraintExpr, space: Space | None = None) -> ConstraintExpr:
 
 def select(proc: InferenceProcedure, kb: ConstraintExpr,
            space: Space | None = None) -> tuple[Measure, ...] | ConstraintExpr:
-    """The procedure's selection for kb (not for the product family).
+    """The procedure's selection for kb on space, by default
+    `space_of(kb)` (not for the product family).
 
     Prior-based procedures, maxent among them, select the tuple of
     their priors' projections onto kb, deduplicated and sorted (empty
@@ -212,7 +209,7 @@ def select(proc: InferenceProcedure, kb: ConstraintExpr,
     DomainError.  Entailment, I0, I1 and broken select a constraint:
     the selection is its denotation.
     """
-    space = _resolve_space(kb, None, space)
+    space = space or space_of(kb)
     if proc.kind == ENTAILMENT:
         return kb
     if proc.kind == BROKEN:
@@ -244,15 +241,17 @@ def _check_all_satisfy(selection: tuple[Measure, ...] | ConstraintExpr, theta: C
 def infers(proc: InferenceProcedure, kb: ConstraintExpr, theta: ConstraintExpr,
            space: Space | None = None, eps: float = EPS,
            seed: int = 0, samples: int = 200) -> Verdict:
-    """KB |~ theta under the procedure: every selected measure satisfies
-    theta.  Exact for finite selections and for linear queries against
-    denotations; sampled falsification otherwise.  Float measures are
-    judged by `satisfies` at ``eps``, by default the `measures.EPS` at
-    which a projection already kept them inside [[kb]]."""
-    space = _resolve_space(kb, theta, space)
+    """KB |~ theta under the procedure over space, by default `space_of(kb,
+    theta)`: every selected measure satisfies theta.  Exact for finite
+    selections and for linear queries against denotations; sampled
+    falsification otherwise.  Float measures are judged by `satisfies` at
+    ``eps``, by default the `measures.EPS` at which a projection already
+    kept them inside [[kb]]."""
+    space = space or space_of(kb, theta)
     if has_product_atom(kb):
         raise CredalError("product atoms are query-only; they cannot appear in kb")
     if proc.kind == PRIOR_BASED and proc.prior.kind == PRODUCT_FAMILY:
+        check_space(space, [*atoms_of(kb), *atoms_of(theta)])  # read by _rectangle, holds_at
         kbs = _factorize(kb, space)
         if kbs is None:
             return _product_family_sampled(kb, theta, space, eps, seed, samples)
@@ -525,8 +524,8 @@ def klm_properties_check(proc: InferenceProcedure, kbs: Sequence[ConstraintExpr]
                          ) -> KlmReport:
     """Check Reflexivity, Left Logical Equivalence, Right Weakening, And
     (on the first three pairs of thetas), and Consistency over the given
-    corpus, over the space of the first constraint with an atom; any
-    violation is reported with the witnessing constraints."""
+    corpus, over `space_of(*kbs, *thetas)`; any violation is reported
+    with the witnessing constraints."""
     violations: list[KlmViolation] = []
     checked = 0
     space = space_of(*kbs, *thetas)
@@ -534,25 +533,23 @@ def klm_properties_check(proc: InferenceProcedure, kbs: Sequence[ConstraintExpr]
     and_pairs = list(itertools.combinations(thetas, 2))[:3]
 
     for kb in kbs:
-        sp = _resolve_space(kb, None, space)
-        verdicts = {th: infers(proc, kb, th, sp).holds for th in thetas}
+        verdicts = {th: infers(proc, kb, th, space).holds for th in thetas}
         checked += 1
-        if not infers(proc, kb, kb, sp).holds:
+        if not infers(proc, kb, kb, space).holds:
             violations.append(KlmViolation("Reflexivity", kb))
-        if satisfiable(kb, sp).feasible and infers(proc, kb, FalseExpr(), sp).holds:
+        if satisfiable(kb, space).feasible and infers(proc, kb, FalseExpr(), space).holds:
             violations.append(KlmViolation("Consistency", kb))
         for a, b in rw_pairs:
             if verdicts[a] and not verdicts[b]:
                 violations.append(KlmViolation("Right Weakening", kb, a, b))
         for a, b in and_pairs:
-            if verdicts[a] and verdicts[b] and not infers(proc, kb, and_(a, b), sp).holds:
+            if verdicts[a] and verdicts[b] and not infers(proc, kb, and_(a, b), space).holds:
                 violations.append(KlmViolation("And", kb, a, b))
 
     for kb, kb2 in lle_pairs:
-        sp = _resolve_space(kb, kb2, space)
-        if not equivalent(kb, kb2, sp):
+        if not equivalent(kb, kb2, space):
             continue
         for th in thetas:
-            if infers(proc, kb, th, sp).holds != infers(proc, kb2, th, sp).holds:
+            if infers(proc, kb, th, space).holds != infers(proc, kb2, th, space).holds:
                 violations.append(KlmViolation("Left Logical Equivalence", kb, th, kb2))
     return KlmReport(proc.name, checked, tuple(violations))

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from credal.measures import Measure
+from credal.procedures import InferenceProcedure, PriorFunction
 from credal.simplex import Row
 from credal.spaces import Space
 
@@ -26,6 +27,11 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+# the six procedures the command line names
+SIX_PROCEDURES = [InferenceProcedure.entailment(), InferenceProcedure.maxent(),
+                  InferenceProcedure.i0(), InferenceProcedure.i1(), InferenceProcedure.broken(),
+                  InferenceProcedure.prior_based(PriorFunction.product_family())]
 
 
 def compositions(total: int, parts: int):
@@ -112,7 +118,7 @@ def slsqp_kl_min(prior: Measure, atoms) -> float | None:
     q = w0[live]
     eqs, eq_rhs, ineqs, ineq_rhs = [np.ones(len(q))], [1.0], [], []
     for atom in atoms:
-        a = np.array([float(c) for c in atom.coefficients(prior.space)])[live]
+        a = np.array([float(c) for c in atom.coefficients()])[live]
         b = float(atom.bound)
         if np.ptp(a) == 0.0:
             continue
@@ -188,7 +194,7 @@ def basis_search_vertices(atoms, space):
     leaves one solution; each vertex at the first choice that gives it."""
     n = len(space.worlds)
     one, zero = Fraction(1), Fraction(0)
-    rows = [(atom.coefficients(space) + [atom.bound], atom.cmp) for atom in atoms]
+    rows = [(atom.coefficients() + [atom.bound], atom.cmp) for atom in atoms]
     eqs = [[one] * (n + 1)] + [row for row, cmp in rows if cmp == "="]
     pool = [[one if j == i else zero for j in range(n)] + [zero] for i in range(n)]
     pool += [row for row, cmp in rows if cmp != "="]

@@ -14,6 +14,8 @@ import pytest
 import credal
 from credal import harness, simplex
 from credal.constraints import (
+    FALSE,
+    TRUE,
     And,
     LinearAtom,
     Not,
@@ -41,6 +43,15 @@ from credal.entail import (
 )
 from credal.harness import _plain_space, _random_kb
 from credal.measures import Measure
+from credal.optimize import maxent
+from credal.procedures import (
+    InferenceProcedure,
+    i0_select,
+    i1_select,
+    infers,
+    klm_properties_check,
+    select,
+)
 from credal.spaces import (
     cylinder,
     enumerate_worlds,
@@ -49,7 +60,7 @@ from credal.spaces import (
     product_space,
     whole_event,
 )
-from tests.conftest import basis_search_vertices, scale_row, simplex_grid
+from tests.conftest import SIX_PROCEDURES, basis_search_vertices, scale_row, simplex_grid
 
 F = Fraction
 
@@ -73,7 +84,7 @@ def _extreme_support(atoms, sp, live):
     while changed:
         changed = False
         for atom in atoms:
-            coeffs = atom.coefficients(sp)
+            coeffs = atom.coefficients()
             values = [coeffs[i] for i in live]
             if (atom.cmp in ("=", ">=", ">") and atom.bound == max(values)
                     or atom.cmp in ("=", "<=", "<") and atom.bound == min(values)):
@@ -105,10 +116,30 @@ class TestSatisfiable:
             assert satisfies(rep.witness, expr)
 
     def test_true_false_without_space(self):
-        from credal.constraints import TRUE, FALSE
-
-        assert satisfiable(TRUE).feasible
-        assert not satisfiable(FALSE).feasible
+        # true and false name no space: every entry point raises the one
+        # error of space_of without a space, and answers over a given one
+        two = enumerate_worlds(["p"])
+        for expr in (TRUE, FALSE):
+            questions = [
+                lambda *sp: satisfiable(expr, *sp),
+                lambda *sp: entails(expr, expr, *sp),
+                lambda *sp: equivalent(expr, TRUE, *sp),
+                lambda *sp: is_interesting(expr, *sp),
+                lambda *sp: objective_normal_form(expr, *sp),
+                lambda *sp: maxent(expr, *sp),
+                lambda *sp: i0_select(expr, *sp),
+                lambda *sp: i1_select(expr, *sp),
+                lambda *sp: select(InferenceProcedure.maxent(), expr, *sp),
+                lambda *sp: harness.essentially_entailment_probe(
+                    InferenceProcedure.entailment(), expr, [event_of(two, "p")], *sp),
+            ] + [lambda *sp, proc=proc: infers(proc, expr, TRUE, *sp) for proc in SIX_PROCEDURES]
+            for ask in questions:
+                with pytest.raises(ValueError) as raised:
+                    ask()
+                assert str(raised.value) == "pass the space: a constraint without atoms names none"
+                ask(two)
+            with pytest.raises(ValueError, match="^pass the space"):
+                klm_properties_check(InferenceProcedure.entailment(), [expr], [TRUE])
 
     def test_a_witness_is_checked_once_per_cell(self, monkeypatch, cold_caches,
                                                 fly_bird_space):
@@ -236,7 +267,7 @@ class TestIsInteresting:
         assert is_interesting(parse_constraint("P(fly) >= 1/2", fly_bird_space)) is None
 
     def test_true_excluded(self, fly_bird_space):
-        assert is_interesting(parse_constraint("true", fly_bird_space)) is None
+        assert is_interesting(parse_constraint("true", fly_bird_space), fly_bird_space) is None
 
     def test_any_space_size(self):
         sp = enumerate_worlds(["a", "b", "c", "d", "e"])  # 32 worlds
@@ -394,7 +425,7 @@ class TestCell:
                 for cell in cells(kb, sp):
                     for closed, rows in ((False, cell._open), (True, cell._closed)):
                         rational = [([F(1)] * n + [F(0)], "=", F(1))]
-                        rational += [(a.coefficients(sp)
+                        rational += [(a.coefficients()
                                       + [F(0) if closed else t_coeff.get(a.cmp, F(0))],
                                       CLOSED_CMP[a.cmp], a.bound) for a in cell.atoms]
                         rational.append(([F(0)] * n + [F(1)], "<=", F(1)))
@@ -453,7 +484,7 @@ class TestCell:
                     seen["narrowed"] += len(narrowed) < len(live)
                     sign = np.array([-1.0 if CLOSED_CMP[atom.cmp] == ">=" else 1.0
                                      for atom in atoms])
-                    a_ref = np.array([atom.coefficients(sp) for atom in atoms],
+                    a_ref = np.array([atom.coefficients() for atom in atoms],
                                      dtype=float).reshape(len(atoms), n) * sign[:, None]
                     b_ref = np.array([float(atom.bound) for atom in atoms]) * sign
                     a_rows, b_rows, ineq = cell.float_rows

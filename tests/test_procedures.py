@@ -20,7 +20,7 @@ from credal.constraints import (
     satisfies,
 )
 from credal.corpus import factor_kb_templates, klm_corpus
-from credal.entail import entails, satisfiable
+from credal.entail import entails, equivalent, satisfiable
 from credal.errors import CredalError, DomainError
 from credal.measures import Measure, product_measure
 from credal.procedures import (
@@ -45,7 +45,7 @@ from credal.spaces import (
     product_decomposition,
     product_space,
 )
-from tests.conftest import simplex_grid
+from tests.conftest import SIX_PROCEDURES, simplex_grid
 
 F = Fraction
 
@@ -536,6 +536,55 @@ class TestPriorFunction:
                                                Measure.uniform(rgb_space)]})
 
 
+class TestAtomsOnAnotherSpace:
+    # a question is decided over one space, and an atom on another space
+    # is refused where its world indices would be read on that space
+    x, y, xy = enumerate_worlds(["a"]), enumerate_worlds(["b"]), enumerate_worlds(["a", "b"])
+    kb = parse_constraint("P(a) >= 1/2", x)
+    theta = parse_constraint("P(a) >= 1/4", x)
+
+    def test_satisfiable(self):
+        with pytest.raises(ValueError, match="different space"):
+            satisfiable(self.kb, self.y)
+
+    def test_entails(self):
+        with pytest.raises(ValueError, match="different space"):
+            entails(self.kb, self.theta, self.y)
+
+    def test_equivalent(self):
+        with pytest.raises(ValueError, match="different space"):
+            equivalent(self.kb, self.theta, self.y)
+
+    @pytest.mark.parametrize("text, selection", [("P(a) = 1", i0_select),
+                                                 ("P(a) >= 1/4", i1_select)],
+                             ids=["i0", "i1"])
+    def test_selections(self, text, selection):
+        with pytest.raises(ValueError, match="different space"):
+            selection(parse_constraint(text, self.x), self.y)
+
+    def test_satisfies_on_either_backend(self):
+        atom = parse_constraint("P(a) > 1/2", self.x)
+        for mu in (Measure.uniform(self.y, backend="rational"), Measure.uniform(self.y)):
+            with pytest.raises(ValueError, match="different space"):
+                satisfies(mu, atom)
+
+    def test_infers_under_every_procedure(self):
+        # theta's atoms live on a larger space than the kb's, or the kb's
+        # on another space than the one given
+        for proc in SIX_PROCEDURES:
+            with pytest.raises(ValueError, match="different space"):
+                infers(proc, self.kb, parse_constraint("P(a & b) <= 1", self.xy))
+            with pytest.raises(ValueError, match="different space"):
+                infers(proc, self.kb, self.theta, self.y)
+
+    def test_product_family_reads_no_theta_on_another_product(self):
+        proc = InferenceProcedure.prior_based(PriorFunction.product_family())
+        ab = product_space([self.x, self.y])
+        cd = product_space([enumerate_worlds(["c"]), enumerate_worlds(["d"])])
+        with pytest.raises(ValueError, match="different space"):
+            infers(proc, parse_constraint("P(a) >= 1/2", ab), parse_constraint("P(c) >= 0", cd))
+
+
 class TestProcedureAgreement:
     def test_maxent_matches_uniform_prior(self, fly_bird_space):
         kbs, thetas, _ = klm_corpus(fly_bird_space)
@@ -675,7 +724,7 @@ def _grid_holds(expr, space, weights, scale) -> np.ndarray:
         return (np.logical_and if isinstance(expr, And) else np.logical_or).reduce(parts)
     if isinstance(expr, Not):
         return ~_grid_holds(expr.child, space, weights, scale)
-    coeffs = expr.coefficients(space)
+    coeffs = expr.coefficients()
     den = math.lcm(expr.bound.denominator, *(c.denominator for c in coeffs))
     value = weights @ np.array([int(c * den) for c in coeffs], dtype=np.int64)
     bound = int(expr.bound * den * scale)

@@ -76,10 +76,9 @@ def test_cells_are_built_only_by_entail_cells():
 
 def test_normal_forms_are_read_through_cells():
     # a kb's cells are read from the memo entail.cells; to_dnf is walked
-    # directly only by it, by satisfiable without a space, and by
-    # kl_project's own-projection test, which builds no Cell
-    assert _top_level_calls("to_dnf") == {("entail.py", "cells"), ("entail.py", "satisfiable"),
-                                          ("optimize.py", "kl_project")}
+    # directly only by it and by kl_project's own-projection test, which
+    # builds no Cell
+    assert _top_level_calls("to_dnf") == {("entail.py", "cells"), ("optimize.py", "kl_project")}
 
 
 def test_lp_is_solved_only_by_cell():
@@ -127,10 +126,13 @@ def test_each_question_has_one_call():
     # whether a cell is nonempty, with or without pins, is asked of
     # Cell.witness and its vertices of Cell.vertices; compare is the
     # float rule alone; faithfulness is embeddings.is_faithful; and a
-    # feasibility report says feasible or not, with its witness
+    # feasibility report says feasible or not, with its witness; a
+    # question's space is constraints.space_of's, and an atom's
+    # coefficients are on its own space
     from dataclasses import fields
 
-    from credal.constraints import compare
+    from credal import procedures
+    from credal.constraints import LinearAtom, compare
     from credal.embeddings import Embedding
 
     assert not {"feasible", "vertices_within"} & set(vars(entail.Cell))
@@ -139,6 +141,8 @@ def test_each_question_has_one_call():
     assert "exact" not in inspect.signature(compare).parameters
     assert not hasattr(Embedding, "is_surjective")
     assert [f.name for f in fields(entail.FeasibilityReport)] == ["feasible", "witness"]
+    assert not hasattr(procedures, "_resolve_space")
+    assert list(inspect.signature(LinearAtom.coefficients).parameters) == ["self"]
 
 
 def test_the_sigma_extension_is_built_by_the_measure_algebra():
