@@ -162,10 +162,6 @@ def and_(*items: ConstraintExpr) -> ConstraintExpr:
     return flat[0] if len(flat) == 1 else And(tuple(flat))
 
 
-def not_(item: ConstraintExpr) -> ConstraintExpr:
-    return Not(item)
-
-
 def space_of(*exprs: ConstraintExpr) -> Space:
     """The space of the first atom of the expressions: the space every
     entry point decides a question over when it is given none.  true and
@@ -235,11 +231,12 @@ def satisfies(mu: Measure, expr: ConstraintExpr, eps: float = EPS) -> bool:
     if isinstance(expr, FalseExpr):
         return False
     if isinstance(expr, LinearAtom):
+        check_space(mu.space, (expr,))
         if exact:
-            check_space(mu.space, (expr,))
             return expr.holds_at(mu.weights)
         return compare(expr.value(mu), expr.cmp, expr.bound, eps)
     if isinstance(expr, ProductAtom):
+        check_space(mu.space, (expr,))
         lhs = mu.prob(expr.lhs)
         rhs = mu.prob(expr.rhs[0]) * mu.prob(expr.rhs[1])
         return lhs == rhs if exact else compare(lhs, "=", rhs, eps)

@@ -56,18 +56,6 @@ class Embedding:
         return f"{self.kind} {len(self.source)}<-{len(self.target)}"
 
 
-def identity_embedding(space: Space) -> Embedding:
-    return Embedding(space, space, tuple(range(len(space.worlds))), "identity")
-
-
-def compose(outer: Embedding, inner: Embedding) -> Embedding:
-    """(outer . inner): F_X -> F_Z for inner: F_X -> F_Y, outer: F_Y -> F_Z."""
-    if inner.target != outer.source:
-        raise ValueError("embeddings do not compose")
-    wm = tuple(inner.world_map[outer.world_map[k]] for k in range(len(outer.target.worlds)))
-    return Embedding(inner.source, outer.target, wm, "composite")
-
-
 def factor_lift(space: Space, factor: Space) -> Embedding:
     """The embedding of a factor's events into the product space as cylinders."""
     return from_surjection(factor, space, component_map(space, factor))

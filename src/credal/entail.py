@@ -31,10 +31,10 @@ from .constraints import (
     ConstraintExpr,
     FalseExpr,
     LinearAtom,
+    Not,
     TrueExpr,
     and_,
     check_space,
-    not_,
     satisfies,
     space_of,
     to_dnf,
@@ -261,7 +261,7 @@ def satisfiable(expr: ConstraintExpr, space: Space | None = None) -> Feasibility
 def entails(kb: ConstraintExpr, theta: ConstraintExpr, space: Space | None = None) -> bool:
     """KB entails theta iff no measure on space (by default `space_of(kb,
     theta)`) satisfies KB and violates theta."""
-    return not satisfiable(and_(kb, not_(theta)), space or space_of(kb, theta)).feasible
+    return not satisfiable(and_(kb, Not(theta)), space or space_of(kb, theta)).feasible
 
 
 def equivalent(a: ConstraintExpr, b: ConstraintExpr, space: Space | None = None) -> bool:
@@ -418,7 +418,6 @@ class ConservativeReport:
     status: str  # "conservative_verified" | "not_conservative" | "inconclusive"
     witness: Measure | None = None
     tested: int = 0
-    note: str = ""
 
 
 def conservative_check(kb: ConstraintExpr, psi: ConstraintExpr, xy_space: Space,
@@ -440,7 +439,7 @@ def conservative_check(kb: ConstraintExpr, psi: ConstraintExpr, xy_space: Space,
         raise ValueError("xy_space must be a declared product")
     x_space = xy_space.factors[x_factor]
     if not satisfiable(kb, x_space).feasible:
-        return ConservativeReport("conservative_verified", note="kb unsatisfiable")
+        return ConservativeReport("conservative_verified")
 
     lift = factor_lift(xy_space, x_space)
     fibers = [[int(c == xi) for c in lift.world_map] for xi in range(len(x_space.worlds))]

@@ -66,6 +66,7 @@ from .spaces import (
 F = Fraction
 _ONE = F(1)
 TRIAL_SAMPLES = 120  # sampled-mode measures per side in a falsification trial
+GADGET_WORLD_CAP = 120  # the most injective tuples a tuple-cover gadget may list
 
 
 # Reports ----------------------------------------------------------------
@@ -252,7 +253,6 @@ def default_independence_gadget():
               LinearAtom(((_ONE, s_prime),), "<=", F(2, 3))))
     query = LinearAtom(((_ONE, diag),), ">=", F(1, 3))
     return GadgetSpec(
-        kind="default-independence",
         params={"alpha": F(1, 3)},
         spaces={"X": x, "XX": xx},
         events={"S": diag, "S_prime": s_prime},
@@ -423,7 +423,6 @@ def essentially_entailment_probe(proc: InferenceProcedure, kb: ConstraintExpr,
 
 @dataclass(frozen=True, eq=False)
 class GadgetSpec:
-    kind: str
     params: dict
     spaces: dict
     events: dict
@@ -431,7 +430,7 @@ class GadgetSpec:
     extra: dict = field(default_factory=dict)
 
 
-def tuple_cover_gadget(n: int, d: int, max_worlds_gadget: int = 120) -> GadgetSpec:
+def tuple_cover_gadget(n: int, d: int) -> GadgetSpec:
     """A tuple space whose cover structure pins an exact threshold.
 
     Worlds are the injective d-tuples over {1..n}; U_i collects the
@@ -443,7 +442,7 @@ def tuple_cover_gadget(n: int, d: int, max_worlds_gadget: int = 120) -> GadgetSp
     """
     if not 2 <= d < n:
         raise ValueError("need 2 <= d < n")
-    if perm(n, d) > max_worlds_gadget:
+    if perm(n, d) > GADGET_WORLD_CAP:
         raise ValueError("gadget exceeds the world cap")
     tuples = list(permutations(range(1, n + 1), d))
     space = _plain_space("t", len(tuples))
@@ -452,10 +451,9 @@ def tuple_cover_gadget(n: int, d: int, max_worlds_gadget: int = 120) -> GadgetSp
         ids = [k for k, tup in enumerate(tuples) if i in tup]
         u_events.append(event_from_indices(space, ids))
     return GadgetSpec(
-        kind="tuple-cover",
         params={"n": n, "d": d},
         spaces={"Y0": space},
-        events={f"U{i}": u_events[i - 1] for i in range(1, n + 1)},
+        events={},
         constraints={},
         extra={"tuples": tuples, "U": u_events},
     )

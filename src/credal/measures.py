@@ -96,13 +96,6 @@ class Measure:
             return self
         return Measure.from_floats(self.space, [float(w) for w in self.weights])
 
-    def to_rational(self) -> "Measure":
-        if self.backend == RATIONAL:
-            return self
-        raw = [Fraction(w) for w in self.weights]
-        total = sum(raw)
-        return Measure.rational(self.space, [w / total for w in raw])
-
     # Queries -------------------------------------------------------------
     def prob(self, event: Event):
         if event.space != self.space:
@@ -111,9 +104,6 @@ class Measure:
         weights = self.weights
         # zeros add nothing, and a rational zero costs a Fraction addition
         return sum((w for i in event.indices() if (w := weights[i])), zero)
-
-    def __getitem__(self, i: int):
-        return self.weights[i]
 
     def is_close(self, other: "Measure") -> bool:
         if self.space != other.space:

@@ -30,6 +30,7 @@ from .constraints import (
     ConstraintExpr,
     FalseExpr,
     LinearAtom,
+    Not,
     ProductAtom,
     TrueExpr,
     and_,
@@ -37,7 +38,6 @@ from .constraints import (
     check_space,
     has_product_atom,
     map_events,
-    not_,
     satisfies,
     space_of,
     translate,
@@ -159,7 +159,7 @@ class Verdict:
     samples: int | None = None
     seed: int | None = None
 
-    def __bool__(self):  # pragma: no cover - convenience
+    def __bool__(self):
         return self.holds
 
 
@@ -233,7 +233,7 @@ def _check_all_satisfy(selection: tuple[Measure, ...] | ConstraintExpr, theta: C
                 return Verdict(False, (m,))
         return Verdict(True, selection)
     if not has_product_atom(theta):
-        counter = satisfiable(and_(selection, not_(theta)), space)
+        counter = satisfiable(and_(selection, Not(theta)), space)
         return Verdict(False, (counter.witness,)) if counter.feasible else Verdict(True)
     return _sampled(sample_measures(selection, space, samples, seed), theta, eps, seed)
 

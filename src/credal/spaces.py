@@ -73,12 +73,11 @@ class Space:
     vocabulary: Vocabulary
     worlds: tuple[World, ...]
     factors: tuple["Space", ...] | None = None
-    renames: tuple[tuple[str, str], ...] = ()
     _windex: dict = field(default=None, compare=False, repr=False)
     _hash: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def __hash__(self):
-        return hash_once(self, (self.vocabulary, self.worlds, self.factors, self.renames))
+        return hash_once(self, (self.vocabulary, self.worlds, self.factors))
 
     def __post_init__(self):
         if isinstance(self.worlds, list):
@@ -217,7 +216,7 @@ def _rename_space(space: Space, mapping: dict[str, str]) -> Space:
     factors = None
     if space.factors is not None:
         factors = tuple(_rename_space(f, mapping) for f in space.factors)
-    return Space(Vocabulary(symbols), space.worlds, factors, space.renames)
+    return Space(Vocabulary(symbols), space.worlds, factors)
 
 
 def product_space(spaces: Sequence[Space]) -> Space:
@@ -226,13 +225,11 @@ def product_space(spaces: Sequence[Space]) -> Space:
     A symbol an earlier factor uses is renamed to the first of `p_2`,
     `p_3`, ... that no earlier factor uses and its own factor neither
     holds nor gave to another symbol: in X x (X x X), `p` becomes `p_3`.
-    The applied renames are recorded on the resulting space.
     """
     if not spaces:
         raise ValueError("product of zero spaces")
     seen: set[str] = set()
     renamed: list[Space] = []
-    renames: list[tuple[str, str]] = []
     for sp in spaces:
         mapping = {}
         taken = seen.union(sp.vocabulary.symbols)
@@ -243,7 +240,6 @@ def product_space(spaces: Sequence[Space]) -> Space:
                     k += 1
                 mapping[s] = f"{s}_{k}"
                 taken.add(mapping[s])
-                renames.append((s, mapping[s]))
         sp2 = _rename_space(sp, mapping) if mapping else sp
         seen.update(sp2.vocabulary.symbols)
         renamed.append(sp2)
@@ -258,7 +254,7 @@ def product_space(spaces: Sequence[Space]) -> Space:
         for w, width in zip(combo, widths):
             bits = (bits << width) | w.bits
         worlds.append(World(bits, total))
-    return Space(vocab, tuple(worlds), factors=tuple(renamed), renames=tuple(renames))
+    return Space(vocab, tuple(worlds), factors=tuple(renamed))
 
 
 def _symbol_positions(space: Space, sub: Space) -> tuple[int, ...]:

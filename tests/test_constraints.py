@@ -19,7 +19,7 @@ from credal.constraints import (
     to_dnf,
     translate,
 )
-from credal.embeddings import compose, from_surjection, identity_embedding
+from credal.embeddings import from_surjection
 from credal.errors import CredalError, ParseError
 from credal.harness import _plain_space, _random_kb
 from credal.measures import Measure
@@ -302,7 +302,7 @@ class TestTranslate:
         assert out.cmp == ">" and out.bound == F(3, 4)
 
     def test_identity_is_noop(self, fly_bird_space):
-        emb = identity_embedding(fly_bird_space)
+        emb = from_surjection(fly_bird_space, fly_bird_space, range(len(fly_bird_space.worlds)))
         c = parse_constraint("P(fly) >= 1/4 & !(P(bird) < 1/2)", fly_bird_space)
         assert translate(emb, c) == c
 
@@ -314,7 +314,9 @@ class TestTranslate:
         g = from_surjection(y, z, [0, 0, 1, 1, 2, 2, 3, 3])
         c = Or((parse_constraint("P(colorful) >= 1/3", x),
                 Not(parse_constraint("P(colorful) < 2/3", x))))
-        assert translate(g, translate(f, c)) == translate(compose(g, f), c)
+        # g . f sends each z world through g's world map, then f's
+        g_after_f = from_surjection(x, z, [f.world_map[j] for j in g.world_map])
+        assert translate(g, translate(f, c)) == translate(g_after_f, c)
 
     def test_structure_preserved(self):
         emb = self._emb()

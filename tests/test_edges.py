@@ -7,7 +7,7 @@ import pytest
 
 from credal.constraints import ProductAtom, TrueExpr, parse_constraint
 from credal.embeddings import (
-    identity_embedding,
+    from_surjection,
     is_faithful,
     permutation_embedding,
     product_embedding,
@@ -47,7 +47,8 @@ class TestThreeFactors:
         a, b, c = self._spaces()
         ta = enumerate_worlds(["u1", "u2"])
         emb = product_embedding([random_faithful_embedding(a, ta, 3),
-                                 identity_embedding(b), identity_embedding(c)])
+                                 from_surjection(b, b, range(len(b.worlds))),
+                                 from_surjection(c, c, range(len(c.worlds)))])
         assert is_faithful(emb)
         assert (len(emb.source.worlds), len(emb.target.worlds)) == (8, 16)
 

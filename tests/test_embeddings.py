@@ -9,7 +9,6 @@ from credal.embeddings import (
     correspondence_gap,
     from_interpretation,
     from_surjection,
-    identity_embedding,
     is_faithful,
     permutation_embedding,
     product_embedding,
@@ -44,7 +43,7 @@ class TestFromSurjection:
         assert image == event_of(emb.target, "red | blue | green")
 
     def test_identity(self, fly_bird_space):
-        emb = identity_embedding(fly_bird_space)
+        emb = from_surjection(fly_bird_space, fly_bird_space, range(len(fly_bird_space.worlds)))
         ev = event_of(fly_bird_space, "fly")
         assert emb.apply(ev) == ev
 
@@ -99,7 +98,8 @@ class TestFromInterpretation:
 
 class TestHomomorphismLaws:
     def _corpus(self, fly_bird_space, flying_bird_space):
-        out = [colorful_embedding(), identity_embedding(fly_bird_space)]
+        identity = from_surjection(fly_bird_space, fly_bird_space, range(len(fly_bird_space.worlds)))
+        out = [colorful_embedding(), identity]
         out.append(from_interpretation({"flying-bird": "fly & bird", "bird": "bird"},
                                        flying_bird_space, fly_bird_space))
         full = enumerate_worlds(["flying-bird", "bird"])
@@ -197,7 +197,7 @@ class TestCorrespondence:
             correspondence_gap(emb, (mu,), (mu,))
 
     def test_identity_self_correspondence(self, fly_bird_space):
-        emb = identity_embedding(fly_bird_space)
+        emb = from_surjection(fly_bird_space, fly_bird_space, range(len(fly_bird_space.worlds)))
         d = (Measure.uniform(fly_bird_space),)
         assert correspondence_gap(emb, d, d) is None
 
@@ -230,14 +230,16 @@ class TestCorrespondence:
 class TestProductAndPermutation:
     def test_identity_parts(self, fly_bird_space):
         a = enumerate_worlds(["p"])
-        emb = product_embedding([identity_embedding(a), identity_embedding(a)])
+        identity = from_surjection(a, a, range(len(a.worlds)))
+        emb = product_embedding([identity, identity])
         assert emb.world_map == tuple(range(4))
 
     def test_componentwise_structure(self):
         a = enumerate_worlds(["p"])
         a4 = enumerate_worlds(["u", "v"])
         fa = from_surjection(a, a4, [0, 1, 1, 1])
-        fb = identity_embedding(enumerate_worlds(["q"]))
+        q = enumerate_worlds(["q"])
+        fb = from_surjection(q, q, range(len(q.worlds)))
         emb = product_embedding([fa, fb])
         assert len(emb.source.worlds) == 4 and len(emb.target.worlds) == 8
         # image of a rectangle is the rectangle of images

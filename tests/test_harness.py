@@ -185,7 +185,7 @@ class TestAlmosttrivial2Gadget:
         with pytest.raises(ValueError):
             tuple_cover_gadget(3, 3)
         with pytest.raises(ValueError):
-            tuple_cover_gadget(8, 4, max_worlds_gadget=120)
+            tuple_cover_gadget(8, 4)
 
     def test_world_cap_is_checked_before_enumerating(self, monkeypatch):
         # (20, 10) has about 6.7e11 tuples: the cap must refuse it from
@@ -307,10 +307,8 @@ class TestEssentialEntailmentProbe:
 
 class TestBootstrap:
     def test_corpus_pairs_on_two_symbol_space(self):
-        from credal.embeddings import identity_embedding
-
         space = enumerate_worlds(["a", "b"])
-        emb = identity_embedding(space)
+        emb = from_surjection(space, space, range(len(space.worlds)))
         priors = [Measure.uniform(space)]
         pairs = [(TrueExpr(), parse_constraint(theta, space))
                  for theta in ("P(a) = 1/2", "P(a & b) >= 1/8")]
@@ -338,9 +336,7 @@ class TestBootstrap:
         assert rep.consistent_with_biconditional
 
     def test_identity_identical_priors(self, fly_bird_space):
-        from credal.embeddings import identity_embedding
-
-        emb = identity_embedding(fly_bird_space)
+        emb = from_surjection(fly_bird_space, fly_bird_space, range(len(fly_bird_space.worlds)))
         priors = [Measure.uniform(fly_bird_space),
                   Measure.from_floats(fly_bird_space, [0.4, 0.3, 0.2, 0.1])]
         rep = bootstrap_check(priors, priors, emb)

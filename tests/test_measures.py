@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from credal.embeddings import from_surjection, identity_embedding, random_faithful_embedding
+from credal.embeddings import from_surjection, random_faithful_embedding
 from credal.errors import CredalError
 from credal.measures import (
     Measure,
@@ -89,8 +89,6 @@ class TestMeasureBasics:
     def test_backend_conversions(self, fly_bird_space):
         mu = Measure.rational(fly_bird_space, [F(1, 3), F(1, 3), F(1, 3), 0])
         assert mu.to_float().backend == "float"
-        back = mu.to_float().to_rational()
-        assert sum(back.weights) == 1
 
     def test_mixed_backend_rejected(self, fly_bird_space):
         mu = Measure.uniform(fly_bird_space, backend="rational")
@@ -191,7 +189,7 @@ class TestPushforward:
         assert corresponds(emb, mu, nu)
 
     def test_identity(self, fly_bird_space):
-        emb = identity_embedding(fly_bird_space)
+        emb = from_surjection(fly_bird_space, fly_bird_space, range(len(fly_bird_space.worlds)))
         mu = Measure.rational(fly_bird_space, [F(1, 2), F(1, 4), F(1, 8), F(1, 8)])
         assert pushforward(emb, mu) == mu
 

@@ -69,6 +69,14 @@ class TestInfersExamples:
         assert infers(InferenceProcedure.i0(), TrueExpr(), open_interval, two).holds
         assert not infers(InferenceProcedure.entailment(), TrueExpr(), open_interval, two).holds
 
+    def test_a_verdict_is_true_exactly_when_it_holds(self):
+        # `if infers(...)` reads the verdict, not the object
+        two = enumerate_worlds(["p"])
+        open_interval = parse_constraint("0 < P(p) < 1", two)
+        for proc, holds in ((InferenceProcedure.i0(), True), (InferenceProcedure.entailment(), False)):
+            v = infers(proc, TrueExpr(), open_interval, two)
+            assert v.holds is holds and bool(v) is holds
+
     def test_maxent_domain_error_when_not_attained(self):
         two = enumerate_worlds(["p"])
         with pytest.raises(DomainError, match="domain"):
@@ -536,6 +544,9 @@ class TestPriorFunction:
                                                Measure.uniform(rgb_space)]})
 
 
+ANOTHER_SPACE = "^an atom lives on a different space than the question$"
+
+
 class TestAtomsOnAnotherSpace:
     # a question is decided over one space, and an atom on another space
     # is refused where its world indices would be read on that space
@@ -563,18 +574,20 @@ class TestAtomsOnAnotherSpace:
             selection(parse_constraint(text, self.x), self.y)
 
     def test_satisfies_on_either_backend(self):
+        # one refusal, whichever backend would read the atom
         atom = parse_constraint("P(a) > 1/2", self.x)
         for mu in (Measure.uniform(self.y, backend="rational"), Measure.uniform(self.y)):
-            with pytest.raises(ValueError, match="different space"):
+            with pytest.raises(ValueError, match=ANOTHER_SPACE):
                 satisfies(mu, atom)
 
     def test_infers_under_every_procedure(self):
         # theta's atoms live on a larger space than the kb's, or the kb's
-        # on another space than the one given
+        # on another space than the one given; every procedure refuses
+        # with the one message
         for proc in SIX_PROCEDURES:
-            with pytest.raises(ValueError, match="different space"):
+            with pytest.raises(ValueError, match=ANOTHER_SPACE):
                 infers(proc, self.kb, parse_constraint("P(a & b) <= 1", self.xy))
-            with pytest.raises(ValueError, match="different space"):
+            with pytest.raises(ValueError, match=ANOTHER_SPACE):
                 infers(proc, self.kb, self.theta, self.y)
 
     def test_product_family_reads_no_theta_on_another_product(self):

@@ -222,3 +222,36 @@ def test_lru_caches_decorate_module_level_functions():
         decorating = {id(node) for fn in tree.body if isinstance(fn, ast.FunctionDef)
                       for deco in fn.decorator_list for node in ast.walk(deco)}
         assert uses <= decorating, path.name
+
+
+def test_every_library_name_has_a_reader():
+    # a public top-level function or class, or a public method, of the
+    # library layers (every module but harness and cli, whose functions
+    # are entry points) is named outside its own definition by src/credal
+    # or bench, a bench/tracer.WRAPPED string counting; a top-level name
+    # may instead be exported by credal/__init__
+    root = Path(__file__).resolve().parents[1]
+    library = _trees()
+    trees = library + [(path, ast.parse(path.read_text(encoding="utf-8")))
+                       for path in sorted((root / "bench").rglob("*.py"))]
+    reads = [(path, node.lineno, name) for path, tree in trees for node in ast.walk(tree)
+             if (name := getattr(node, "id", None) or getattr(node, "attr", None))]
+    reads += [(path, node.lineno, node.value) for path, tree in trees if path.name == "tracer.py"
+              for top in tree.body if isinstance(top, ast.Assign)
+              and [getattr(t, "id", None) for t in top.targets] == ["WRAPPED"]
+              for node in ast.walk(top.value) if isinstance(node, ast.Constant)]
+    exported = {alias.name for path, tree in library if path.name == "__init__.py"
+                for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+    defs = []
+    for path, tree in library:
+        if path.name in {"__init__.py", "harness.py", "cli.py"}:
+            continue
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name not in exported:
+                defs.append((path, top))
+            if isinstance(top, ast.ClassDef):
+                defs += [(path, fn) for fn in top.body if isinstance(fn, ast.FunctionDef)]
+    unread = [d.name for path, d in defs if not d.name.startswith("_")
+              and not any(name == d.name and not (p == path and d.lineno <= line <= d.end_lineno)
+                          for p, line, name in reads)]
+    assert unread == []

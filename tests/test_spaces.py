@@ -100,7 +100,6 @@ class TestProductSpace:
         x = enumerate_worlds(["p"])
         prod = product_space([x, x])
         assert prod.vocabulary.symbols == ("p", "p_2")
-        assert prod.renames == (("p", "p_2"),)
 
     def test_a_nested_product_renames_past_its_factor_s_own_names(self):
         # the second factor holds p and p_2, so its p becomes p_3: p_2
@@ -108,7 +107,6 @@ class TestProductSpace:
         x = enumerate_worlds(["p"])
         prod = product_space([x, product_space([x, x])])
         assert prod.vocabulary.symbols == ("p", "p_3", "p_2")
-        assert prod.renames == (("p", "p_3"),)
         assert [f.vocabulary.symbols for f in prod.factors[1].factors] == [("p_3",), ("p_2",)]
         assert prod.worlds == product_space([x, x, x]).worlds
 
@@ -246,6 +244,6 @@ def test_a_space_hashes_its_worlds_once(monkeypatch):
     assert hash(z) == first
     assert calls == []
     # an equal space built afresh walks them once, to the same hash
-    copy = Space(z.vocabulary, z.worlds, z.factors, z.renames)
+    copy = Space(z.vocabulary, z.worlds, z.factors)
     assert hash(copy) == first and hash(copy) == first
     assert len(calls) == 384
