@@ -51,6 +51,7 @@ class LinearAtom(ConstraintExpr):
     cmp: str
     bound: Fraction
     _hash: int | None = field(default=None, init=False, compare=False, repr=False)
+    _row: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __hash__(self):
         return hash_once(self, (self.terms, self.cmp, self.bound))
@@ -65,8 +66,19 @@ class LinearAtom(ConstraintExpr):
     def space(self) -> Space:
         return self.terms[0][1].space
 
-    def value(self, mu: Measure):
-        return sum(c * mu.prob(e) for c, e in self.terms)
+    def float_sides(self, weights: tuple) -> tuple[float, float]:
+        """The atom's two sides at float weights, sum c * P(e) and
+        float(bound), read from its float row: float(c) and the event's
+        world indices per term, built on the first call and kept on the
+        atom, so no later check converts a Fraction.  Bit for bit the
+        Fractions times `Measure.prob`: each P(e) summed in increasing
+        world index from 0.0, then the terms in order."""
+        if self._row is None:
+            object.__setattr__(self, "_row", (tuple((float(c), tuple(e.indices()))
+                                                    for c, e in self.terms), float(self.bound)))
+        terms, bound = self._row
+        get = weights.__getitem__
+        return sum(c * sum(map(get, indices), 0.0) for c, indices in terms), bound
 
     def holds_at(self, weights: tuple[Fraction, ...]) -> bool:
         """Whether the atom holds exactly at rational weights, decided in
@@ -234,7 +246,8 @@ def satisfies(mu: Measure, expr: ConstraintExpr, eps: float = EPS) -> bool:
         check_space(mu.space, (expr,))
         if exact:
             return expr.holds_at(mu.weights)
-        return compare(expr.value(mu), expr.cmp, expr.bound, eps)
+        value, bound = expr.float_sides(mu.weights)
+        return compare(value, expr.cmp, bound, eps)
     if isinstance(expr, ProductAtom):
         check_space(mu.space, (expr,))
         lhs = mu.prob(expr.lhs)

@@ -33,8 +33,11 @@ is projected once however many queries ask about it.  `kl_project`
 itself is not memoised: a wrapper on it sees only the projections
 computed, and a caller that projects each pair once pays no hashing.
 kb's cells come from `entail.cells`, which builds them once per (kb,
-space), so each cell's witness LP serves every prior.  The bench
-clears both memos before each round.
+space), so each cell's witness LP serves every prior.  Above both,
+`procedures.select` memoises a prior set's whole update per kb.
+`_projection` keeps an unattained result, not a raise, so `updates`
+raises its DomainError on every call, and `select` memoises no raise.
+The bench clears all three memos before each round.
 """
 
 from __future__ import annotations

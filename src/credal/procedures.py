@@ -13,6 +13,14 @@ budget (`product_prior_infer`), and everything else by seeded sampling
 falsification, whose `Verdict.samples` counts the measures checked.
 A non-factorized kb's product priors are drawn once per (space, seed,
 samples) and each is projected once per kb.
+
+A procedure is a function of the kb, so the work on the kb alone is
+done once per kb and a query pays only for checking its theta: memos
+keep `select`'s selection per (proc, kb, space), and the product
+family's kb-only work, `_factorize`'s split and `_corner_priors`, per
+(kb, space).  Each memo is an `lru_cache` on a module-level function,
+which the bench clears before each round, and none stores a raise: an
+unattained projection raises DomainError on every call.
 """
 
 from __future__ import annotations
@@ -198,6 +206,7 @@ def i1_select(kb: ConstraintExpr, space: Space | None = None) -> ConstraintExpr:
     return LinearAtom(((_ONE, s),), ">=", Fraction(1, 3))
 
 
+@lru_cache(maxsize=256)
 def select(proc: InferenceProcedure, kb: ConstraintExpr,
            space: Space | None = None) -> tuple[Measure, ...] | ConstraintExpr:
     """The procedure's selection for kb on space, by default
@@ -208,6 +217,12 @@ def select(proc: InferenceProcedure, kb: ConstraintExpr,
     when kb is unsatisfiable); an unattained projection raises
     DomainError.  Entailment, I0, I1 and broken select a constraint:
     the selection is its denotation.
+
+    The selection depends on the kb alone, so it is computed once per
+    (proc, kb, space) and every query on the kb reads it.  A raise is
+    not memoised: an unattained projection raises on every call.  256
+    selections hold the working set of the KLM grid, whose rows read 56
+    distinct kbs for each of the four procedures that select.
     """
     space = space or space_of(kb)
     if proc.kind == ENTAILMENT:
@@ -246,7 +261,10 @@ def infers(proc: InferenceProcedure, kb: ConstraintExpr, theta: ConstraintExpr,
     selections and for linear queries against denotations; sampled
     falsification otherwise.  Float measures are judged by `satisfies` at
     ``eps``, by default the `measures.EPS` at which a projection already
-    kept them inside [[kb]]."""
+    kept them inside [[kb]].  ``samples`` below 1 raises ValueError: a
+    sampled verdict that checked no measure would hold vacuously."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, not {samples}")
     space = space or space_of(kb, theta)
     if has_product_atom(kb):
         raise CredalError("product atoms are query-only; they cannot appear in kb")
@@ -285,13 +303,15 @@ def _rectangle(event: Event, space: Space) -> list[Event] | None:
     return projections if rect == event.mask else None
 
 
-def _factorize(kb: ConstraintExpr, space: Space) -> list[ConstraintExpr] | None:
+@lru_cache(maxsize=64)
+def _factorize(kb: ConstraintExpr, space: Space) -> tuple[ConstraintExpr, ...] | None:
     """Split a conjunction into per-factor constraints, if possible.
 
     A conjunct goes to the one factor that its events' rectangles leave
     unfilled; the empty and the whole event leave none unfilled, and a
     conjunct that leaves none goes to factor 0 (so a false conjunct
-    empties the selection).
+    empties the selection).  Computed once per (kb, space): 64 splits
+    hold the 56 distinct kbs of the KLM grid's product-family rows.
     """
     out: list[ConstraintExpr] = [TrueExpr()] * len(_pi_factors(space))
     for conj in kb.items if isinstance(kb, And) else (kb,):
@@ -309,7 +329,7 @@ def _factorize(kb: ConstraintExpr, space: Space) -> list[ConstraintExpr] | None:
             return None
         owner = owners.pop() if owners else 0
         out[owner] = and_(out[owner], map_events(conj, lambda ev: rects[ev.mask][owner]))
-    return out
+    return tuple(out)
 
 
 def _sampled(candidates: Iterable[Measure], theta: ConstraintExpr, eps: float,
@@ -343,6 +363,8 @@ def product_prior_infer(kbs: Sequence[ConstraintExpr], theta: ConstraintExpr, sp
     random product measures; `Verdict.samples` counts the measures
     checked.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, not {samples}")
     factors = _pi_factors(space)
     if len(kbs) != len(factors):
         raise ValueError("kbs must align with the space's factors")
@@ -378,10 +400,16 @@ def _product_family_sampled(kb: ConstraintExpr, theta: ConstraintExpr, space: Sp
     """
     if not satisfiable(kb, space).feasible:
         return Verdict(True)  # empty selection: trivially holds
-    corners = [Measure.point_mass(space, i, backend="float")
-               for i in _point_mass_event(cells(kb, space), space).indices()]
-    priors = itertools.chain(corners, _product_priors(space, seed, samples))
+    priors = itertools.chain(_corner_priors(kb, space), _product_priors(space, seed, samples))
     return _sampled(updates(priors, kb), theta, eps, seed)
+
+
+@lru_cache(maxsize=64)
+def _corner_priors(kb: ConstraintExpr, space: Space) -> tuple[Measure, ...]:
+    """The point masses that satisfy kb, in world order, as float
+    priors: built once per (kb, space), like `_factorize`'s split."""
+    return tuple(Measure.point_mass(space, i, backend="float")
+                 for i in _point_mass_event(cells(kb, space), space).indices())
 
 
 @lru_cache(maxsize=256)

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings
 
+from credal.constraints import compare
 from credal.measures import Measure
 from credal.procedures import InferenceProcedure, PriorFunction
 from credal.simplex import Row
@@ -32,6 +33,10 @@ settings.load_profile("suite")
 SIX_PROCEDURES = [InferenceProcedure.entailment(), InferenceProcedure.maxent(),
                   InferenceProcedure.i0(), InferenceProcedure.i1(), InferenceProcedure.broken(),
                   InferenceProcedure.prior_based(PriorFunction.product_family())]
+
+
+# check_space's refusal of an atom read on another space than its own
+ANOTHER_SPACE = "^an atom lives on a different space than the question$"
 
 
 def compositions(total: int, parts: int):
@@ -66,15 +71,21 @@ def grid_kl_argmin(mu: Measure, predicate, denom: int) -> Measure | None:
     return best
 
 
-@pytest.fixture
-def cold_caches():
-    """Clear every lru cache on a credal module, so a counter test counts
-    the same work whichever tests ran before it."""
+def clear_caches():
+    """Clear every lru cache on a credal module, as the bench does before
+    each round."""
     for name, module in list(sys.modules.items()):
         if name == "credal" or name.startswith("credal."):
             for value in vars(module).values():
                 if callable(getattr(value, "cache_clear", None)):
                     value.cache_clear()
+
+
+@pytest.fixture
+def cold_caches():
+    """Cold caches, so a counter test counts the same work whichever
+    tests ran before it."""
+    clear_caches()
 
 
 @pytest.fixture(scope="session")
@@ -167,6 +178,19 @@ def scale_row(coeffs, rel, b, num_vars):
     row = [*coeffs, *[0] * (num_vars - len(coeffs)), b]
     k = math.lcm(*(c.denominator for c in row))
     return Row([c.numerator * (k // c.denominator) for c in row], rel, k)
+
+
+def atom_value(atom, mu):
+    """The reference value of a `LinearAtom` at a measure: each term's
+    coefficient times `Measure.prob` of its event, summed in order (on
+    a float measure a Fraction times a float is float(c) times it)."""
+    return sum(c * mu.prob(e) for c, e in atom.terms)
+
+
+def float_atom_holds(atom, mu, eps):
+    """The reference float check of a `LinearAtom`: its value against
+    its bound by `compare`, the one float rule."""
+    return compare(atom_value(atom, mu), atom.cmp, atom.bound, eps)
 
 
 def highs_lp(num_vars, rows, objective, maximize):

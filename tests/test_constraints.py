@@ -22,9 +22,9 @@ from credal.constraints import (
 from credal.embeddings import from_surjection
 from credal.errors import CredalError, ParseError
 from credal.harness import _plain_space, _random_kb
-from credal.measures import Measure
+from credal.measures import EPS, Measure
 from credal.spaces import enumerate_worlds, event_from_indices, event_of
-from tests.conftest import simplex_grid
+from tests.conftest import ANOTHER_SPACE, atom_value, float_atom_holds, simplex_grid
 from tests.test_formulas import _formulas
 
 F = Fraction
@@ -188,16 +188,56 @@ class TestSatisfies:
                 terms = tuple((F(rng.randint(-5, 5), rng.choice((1, 2, 3, 7))),
                                event_from_indices(sp, rng.sample(range(n), rng.randint(0, n))))
                               for _ in range(rng.randint(1, 3)))
-                bound = (LinearAtom(terms, "=", F(0)).value(mu) if rng.random() < 0.3
+                bound = (atom_value(LinearAtom(terms, "=", F(0)), mu) if rng.random() < 0.3
                          else F(rng.randint(-6, 6), rng.choice((1, 2, 5, 12))))
                 for cmp in ("<", "<=", "=", ">=", ">"):
                     atom = LinearAtom(terms, cmp, bound)
-                    value = atom.value(mu)
+                    value = atom_value(atom, mu)
                     expected = {"<": value < bound, "<=": value <= bound, "=": value == bound,
                                 ">=": value >= bound, ">": value > bound}[cmp]
                     assert satisfies(mu, atom) == expected, (atom, mu)
                     seen[cmp, expected] += 1
         assert len(seen) == 10 and min(seen.values()) >= 100, seen
+
+    def test_float_rows_match_the_reference_bit_for_bit(self):
+        # satisfies judges a LinearAtom on a float measure from the atom's
+        # float row; its value, bound and verdict equal the reference
+        # compare(sum(c * mu.prob(e)), cmp, bound, EPS) exactly, on
+        # negative and conditional (-bound) coefficients, zero weights and
+        # bounds placed at the value and EPS either side of it
+        rng = random.Random(28)
+        seen, near = Counter(), 0
+        for n in (1, 3, 6, 16):
+            sp = _plain_space("s", n)
+            other = _plain_space("t", n)
+            for _ in range(150):
+                raw = [0.0 if rng.random() < 0.3 else rng.random() for _ in range(n)]
+                raw[rng.randrange(n)] += 0.5
+                mu = Measure.from_floats(sp, [w / sum(raw) for w in raw])
+                events = [event_from_indices(sp, rng.sample(range(n), rng.randint(0, n)))
+                          for _ in range(rng.randint(1, 3))]
+                if rng.random() < 0.3:  # P(f | g) cmp a, multiplied out
+                    a = F(rng.randint(0, 12), 12)
+                    terms = ((F(1), events[0] & events[-1]), (-a, events[-1]))
+                else:
+                    terms = tuple((F(rng.randint(-5, 5), rng.choice((1, 2, 3, 7))), e)
+                                  for e in events)
+                if rng.random() < 0.5:
+                    value = atom_value(LinearAtom(terms, "=", F(0)), mu)
+                    bound = F(value) + rng.choice((-1, 0, 1)) * F(EPS)
+                    near += 1
+                else:
+                    bound = F(rng.randint(-6, 6), rng.choice((1, 2, 5, 12)))
+                for cmp in ("<", "<=", "=", ">=", ">"):
+                    atom = LinearAtom(terms, cmp, bound)
+                    expected = float_atom_holds(atom, mu, EPS)
+                    assert satisfies(mu, atom) == expected, (atom, mu)
+                    assert atom.float_sides(mu.weights) == (atom_value(atom, mu), float(bound))
+                    assert satisfies(mu, atom) == expected  # from the kept row
+                    seen[cmp, expected] += 1
+                with pytest.raises(ValueError, match=ANOTHER_SPACE):
+                    satisfies(Measure(other, mu.weights, mu.backend), atom)
+        assert len(seen) == 10 and min(seen.values()) >= 50 and near >= 250, (seen, near)
 
 
 class TestToDnf:

@@ -18,12 +18,14 @@ from credal.constraints import (
     and_,
     parse_constraint,
     satisfies,
+    space_of,
 )
 from credal.corpus import factor_kb_templates, klm_corpus
 from credal.entail import entails, equivalent, satisfiable
 from credal.errors import CredalError, DomainError
 from credal.measures import Measure, product_measure
 from credal.procedures import (
+    PRODUCT_FAMILY,
     InferenceProcedure,
     KlmViolation,
     _factorize,
@@ -45,12 +47,25 @@ from credal.spaces import (
     product_decomposition,
     product_space,
 )
-from tests.conftest import SIX_PROCEDURES, simplex_grid
+from tests.conftest import ANOTHER_SPACE, SIX_PROCEDURES, clear_caches, simplex_grid
 
 F = Fraction
 
 
 class TestInfersExamples:
+    def test_samples_below_one_are_refused(self):
+        # independence on a product is refuted by 5 sampled measures, and
+        # a sampled verdict checked on no measure would hold vacuously
+        xy = product_space([enumerate_worlds(["a"]), enumerate_worlds(["b"])])
+        theta = parse_constraint("P(a & b) = P(a) * P(b)", xy)
+        v = infers(InferenceProcedure.entailment(), TrueExpr(), theta, xy, samples=200)
+        assert (v.holds, v.mode, v.samples) == (False, "sampled", 5)
+        for samples in (0, -1):
+            with pytest.raises(ValueError, match="samples must be at least 1"):
+                infers(InferenceProcedure.entailment(), TrueExpr(), theta, xy, samples=samples)
+            with pytest.raises(ValueError, match="samples must be at least 1"):
+                product_prior_infer([TrueExpr(), TrueExpr()], theta, xy, samples=samples)
+
     def test_maxent_flying_bird(self, fly_bird_space):
         v = infers(InferenceProcedure.maxent(),
                    parse_constraint("P(fly | bird) = 1/2", fly_bird_space),
@@ -189,6 +204,12 @@ class TestSelectionSoundness:
                 assert entails(sel, kb, fly_bird_space)
 
 
+def _record(verdict):
+    """What a verdict says: holds, mode, samples, seed and evidence weights."""
+    return (verdict.holds, verdict.mode, verdict.samples, verdict.seed,
+            [m.weights for m in verdict.evidence])
+
+
 class TestKlmProperties:
     def test_entailment_and_friends_pass(self, fly_bird_space):
         kbs, thetas, lle = klm_corpus(fly_bird_space)
@@ -207,6 +228,25 @@ class TestKlmProperties:
         assert not rep.all_pass
         assert "Reflexivity" in rep.by_property()
 
+    def test_memoised_selections_decide_as_cold_ones(self, cold_caches):
+        # procedures.select runs once per (proc, kb, space) and every query
+        # on the kb reads it: on the klm corpus each verdict of the five
+        # procedures, evidence weights included, is the one a call with
+        # every memo cleared gives, and a row's queries miss the memo once
+        kbs, thetas, _ = klm_corpus()
+        space = space_of(*kbs)
+        for proc in SIX_PROCEDURES[:4] + SIX_PROCEDURES[5:]:  # klm-check's five
+            for kb in kbs:
+                select.cache_clear()
+                queries = [*thetas, kb, FalseExpr(), and_(thetas[0], thetas[1])]
+                warm = [infers(proc, kb, th, space) for th in queries]
+                info = select.cache_info()
+                selects = proc.prior is None or proc.prior.kind != PRODUCT_FAMILY
+                assert (info.misses, info.hits) == ((1, len(queries) - 1) if selects else (0, 0))
+                for th, verdict in zip(queries, warm):
+                    clear_caches()
+                    cold = infers(proc, kb, th, space)
+                    assert _record(verdict) == _record(cold), (proc.name, kb, th)
 
     def test_each_property_reports_its_witnesses(self, monkeypatch, fly_bird_space):
         # scripted verdicts break Consistency, Right Weakening, And and
@@ -542,9 +582,6 @@ class TestPriorFunction:
         with pytest.raises(ValueError):
             PriorFunction.of({fly_bird_space: [Measure.uniform(fly_bird_space),
                                                Measure.uniform(rgb_space)]})
-
-
-ANOTHER_SPACE = "^an atom lives on a different space than the question$"
 
 
 class TestAtomsOnAnotherSpace:

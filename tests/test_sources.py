@@ -212,16 +212,47 @@ def test_every_defaulted_parameter_has_a_caller_that_sets_it():
     assert unset == []
 
 
+def _misplaced_memos(tree):
+    """The lines where functools' lru_cache or cache, under any name,
+    is used other than in the decorators of a module-level function."""
+    memos = ("lru_cache", "cache")
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names
+               if alias.name == "functools"}
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "functools"
+             for alias in node.names if alias.name in memos}
+    uses = {node for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in names
+            or isinstance(node, ast.Attribute) and node.attr in memos
+            and getattr(node.value, "id", None) in modules}
+    decorating = {node for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                  for deco in fn.decorator_list for node in ast.walk(deco)}
+    return sorted(node.lineno for node in uses - decorating)
+
+
 def test_lru_caches_decorate_module_level_functions():
     # bench/run.py clears the caches it finds on credal's modules before
-    # each round, so a cache anywhere else would start rounds warm
-    for path, tree in _trees():
-        uses = {id(node) for node in ast.walk(tree)
-                if isinstance(node, ast.Name) and node.id == "lru_cache"
-                or isinstance(node, ast.Attribute) and node.attr == "lru_cache"}
-        decorating = {id(node) for fn in tree.body if isinstance(fn, ast.FunctionDef)
-                      for deco in fn.decorator_list for node in ast.walk(deco)}
-        assert uses <= decorating, path.name
+    # each round; a memo on a method or a nested function would survive
+    # the rounds, start them warm and inflate a measured gain
+    assert {path.name: lines for path, tree in _trees()
+            if (lines := _misplaced_memos(tree))} == {}
+    # the audit sees each spelling of a misplaced memo
+    source = "\n".join([
+        "import functools as ft",
+        "from functools import cache as memo, lru_cache",
+        "@lru_cache(maxsize=8)",
+        "def kept(x): ...",
+        "class C:",
+        "    @ft.lru_cache",
+        "    def method(self): ...",
+        "def outer():",
+        "    @memo",
+        "    def inner(): ...",
+        "    return lru_cache(inner)",
+        "table = ft.cache(len)",
+    ])
+    assert _misplaced_memos(ast.parse(source)) == [6, 9, 11, 12]
 
 
 def test_every_library_name_has_a_reader():
