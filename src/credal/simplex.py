@@ -7,11 +7,14 @@ rounding.  Bland's pivoting rule rules out cycling.
 
 Rationals go out, but the tableau holds Python integers.  A row comes
 in as a `Row`, already in that form: its coefficients and right-hand
-side times a scale k > 0 that clears their denominators.  A row whose
-right-hand side is negative is negated, its comparator flipped, as it
-enters the tableau.  The slack or artificial variable of a row is
-rescaled with it, so that variable keeps coefficient +1 or -1 and the
-starting basis is the identity.
+side times a scale k > 0 that clears their denominators.  It enters the
+tableau primitive, divided by g, the gcd of its carried coefficients,
+and its right-hand side, then p / q in lowest terms, is put over K, the
+lcm of every row's q; that scales every variable by K, so `solve_lp`
+and `vertices` divide by d*K below.  A row whose right-hand side is
+negative is negated, its comparator flipped.  The slack or artificial
+variable of a row is rescaled with it, so that variable keeps
+coefficient +1 or -1 and the starting basis is the identity.
 From then on every entry is the rational tableau's entry times one
 common denominator d, the determinant (up to sign) of the current
 basis: a pivot on p replaces every other row by
@@ -19,15 +22,21 @@ basis: a pivot on p replaces every other row by
 Bareiss 1968), and then d becomes p.  d stays positive because a pivot
 is positive, or its row is negated first.  The cost row is pivoted the
 same way, at scale d*M for an objective whose denominators have lcm M.
+Primitive rows keep d small: a row at its own scale would bring its
+factor k / g into d whenever it is basic, and the threshold rows of the
+tuple-cover gadgets, P(U) > a / b entered as b on U's worlds, made d a
+product of the b's, 119 bits against 4.
 
 The pivots are exactly those of Bland's rule on the rational tableau.
-Scaling a row by k > 0 does not move its ratio b_i / a_ic; rescaling a
-slack or artificial column by 1/k scales its reduced cost by 1/k; and
-the phase-1 cost K // k_j on artificial j (K the lcm of the k_j) is the
-sum of the original artificials times K.  So every reduced cost keeps
-its sign, every ratio its order, and the lowest-index choices are the
-same; the ratio test compares b_i * a_k with b_k * a_i and still breaks
-ties on the basis index.
+Scaling a row by c = k / g > 0 does not move its ratio b_i / a_ic, and
+the one scale K > 0 on every right-hand side multiplies every ratio
+alike, so no ratio changes its order and no tie is made or broken;
+rescaling a slack or artificial column by 1/c scales its reduced cost
+by 1/c; and the phase-1 cost (L // k_j) * g_j on artificial j (L the lcm
+of the k_j) is the sum of the rational rows' artificials times L*K.  So
+every reduced cost keeps its sign, every ratio its order, and the
+lowest-index choices are the same; the ratio test compares b_i * a_k
+with b_k * a_i and still breaks ties on the basis index.
 
 The solver leaves out a variable whose column in the scaled rows and
 whose cost equal those of a lower-index one, and sets it to 0: the
@@ -60,7 +69,7 @@ vertex limit makes no pivot towards the bases it leaves unvisited.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf, lcm
+from math import gcd, inf, lcm
 from typing import NamedTuple, Sequence
 
 OPTIMAL = "optimal"
@@ -103,7 +112,7 @@ def solve_lp(
     objective = [objective[j] for j in keep]
     if (start := _phase_1(num_vars, rows, keep)) is None:
         return INFEASIBLE, None, None
-    tableau, basis, d = start
+    tableau, basis, d, big_k = start
     n_slack = sum(rel != "=" for _, rel, _ in rows)
 
     # Phase 2 on the real objective at scale d * M (minimize; negate for maximize).
@@ -126,8 +135,8 @@ def solve_lp(
     x = [_ZERO] * num_vars
     for row, b in zip(tableau, basis):
         if b < width:
-            x[keep[b]] = Fraction(row[-1], d)
-    value = Fraction(-sign * cost[-1], d * big_m)
+            x[keep[b]] = Fraction(row[-1], d * big_k)
+    value = Fraction(-sign * cost[-1], d * big_m * big_k)
     return OPTIMAL, x, value
 
 
@@ -137,19 +146,22 @@ def vertices(num_vars: int, rows: Sequence[Row],
     Fractions, each once, in the order of its least nonbasic-column set
     (see the module docstring); empty when the rows are infeasible, and
     None, the walk stopped, once more than limit are found."""
-    start = _phase_1(num_vars, rows, range(num_vars))
+    if (start := _phase_1(num_vars, rows, range(num_vars))) is None:
+        return ()
+    tableau, basis, d, big_k = start
     n_cols = num_vars + sum(rel != "=" for _, rel, _ in rows)
     keys: dict[tuple[Fraction, ...], tuple[int, ...]] = {}
     # a basis waits as its neighbour's tableau and the edge to it
-    stack = [(*start, None)] if start else []
-    seen = {frozenset(basis) for _, basis, *_ in stack}
+    stack = [(tableau, basis, d, None)]
+    seen = {frozenset(basis)}
     while stack:
         tableau, basis, d, edge = stack.pop()
         if edge is not None:
             tableau, basis = list(tableau), list(basis)
             d = _pivot(tableau, basis, *edge, d)
         at = dict(zip(basis, tableau))
-        x = tuple(Fraction(at[j][-1], d) if j in at else _ZERO for j in range(num_vars))
+        x = tuple(Fraction(at[j][-1], d * big_k) if j in at else _ZERO
+                  for j in range(num_vars))
         nonbasic = tuple(j for j in range(n_cols) if j not in at)
         keys[x] = min(keys.get(x, nonbasic), nonbasic)
         if len(keys) > limit:
@@ -164,27 +176,42 @@ def vertices(num_vars: int, rows: Sequence[Row],
 
 
 def _phase_1(num_vars: int, rows: Sequence[Row], keep: Sequence[int]):
-    """Phase 1: (tableau, basis, d) at a feasible basis over the kept columns
-    of num_vars, the slacks and the rhs, redundant rows dropped; None if
-    infeasible.  A row not over exactly num_vars variables raises."""
+    """Phase 1: (tableau, basis, d, K) at a feasible basis over the kept
+    columns of num_vars, the slacks and the rhs, redundant rows dropped,
+    the variables at scale K; None if infeasible.  A row not over exactly
+    num_vars variables, or at a scale not positive, raises."""
     if any(len(r.ints) != num_vars + 1 for r in rows):
         raise ValueError(f"rows must cover exactly {num_vars} variables")
     width = len(keep)
     rels = [_FLIP[rel] if ints[-1] < 0 else rel for ints, rel, _ in rows]
-    n_slack = sum(rel != "=" for rel in rels)
-    n_art = sum(rel != "<=" for rel in rels)
+    n_slack = len(rels) - rels.count("=")
+    n_art = len(rels) - rels.count("<=")
     art_start = width + n_slack
 
-    # Columns: carried variables, slacks, artificials, then the rhs.
+    # Columns: carried variables, slacks, artificials, then the rhs.  Each
+    # row enters divided by g, the gcd of its carried coefficients (1 when
+    # all are 0), its rhs p / q in lowest terms: p until K, the lcm of the
+    # q, is known.  A row whose g is 1 is copied as it is.
     tableau: list[list[int]] = []
     basis: list[int] = []
-    art_scales: list[int] = []
-    slack_i, art_i = width, art_start
+    rhs_dens: list[int] = []
+    art_weights: list[tuple[int, int]] = []  # (k, g) of each artificial's row
+    slack_i, art_i, big_k = width, art_start, 1
     zeros = [0] * (n_slack + n_art)
     for (ints, _, k), rel in zip(rows, rels):
-        head = ints[:-1] if len(ints) - 1 == width else [ints[j] for j in keep]
-        row = [*head, *zeros, ints[-1]]  # a copy: rows are shared
-        if ints[-1] < 0:
+        if k <= 0:
+            raise ValueError("a row's scale must be positive")
+        # a copy: rows are shared
+        row = ints[:-1] if width == num_vars else [ints[j] for j in keep]
+        rhs, q = ints[-1], 1
+        if (g := gcd(*row) or 1) > 1:
+            row = [a // g for a in row]
+            r = gcd(g, rhs)
+            rhs, q = rhs // r, g // r
+            big_k = lcm(big_k, q)
+        row += zeros
+        row.append(rhs)
+        if rhs < 0:
             row = [-a for a in row]
         if rel == "<=":
             row[slack_i] = 1
@@ -196,15 +223,23 @@ def _phase_1(num_vars: int, rows: Sequence[Row], keep: Sequence[int]):
                 slack_i += 1
             row[art_i] = 1
             basis.append(art_i)
-            art_scales.append(k)
+            art_weights.append((k, g))
             art_i += 1
         tableau.append(row)
+        rhs_dens.append(q)
+    # every rhs over one scale K, the variables with it
+    if big_k > 1:
+        for row, q in zip(tableau, rhs_dens):
+            row[-1] *= big_k // q
     d = 1
 
-    # Minimize the artificials, weighted K // k so the costs stay integers.
+    # Minimize the artificials, weighted (L // k) * g: the tableau's artificial
+    # is the rational row's times (k / g) * K, so these integer costs are the
+    # sum of the rational rows' artificials times L * K, and phase 1 pivots
+    # as it would on that sum.
     if n_art:
-        big_k = lcm(*art_scales)
-        weights = [big_k // k for k in art_scales]
+        big_l = lcm(*(k for k, _ in art_weights))
+        weights = [big_l // k * g for k, g in art_weights]
         cost = [0] * art_start + weights + [0]
         for row, b in zip(tableau, basis):
             if b >= art_start:
@@ -224,7 +259,7 @@ def _phase_1(num_vars: int, rows: Sequence[Row], keep: Sequence[int]):
                 else:
                     del tableau[i], basis[i]
         tableau = [row[:art_start] + row[-1:] for row in tableau]
-    return tableau, basis, d
+    return tableau, basis, d, big_k
 
 
 def _distinct_columns(rows: list[Row], objective: Sequence[Fraction]) -> list[int]:

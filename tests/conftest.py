@@ -171,6 +171,85 @@ def lp_faults(num_vars, constraints, objective, x, value):
     return faults
 
 
+def bland_lp(num_vars, rows, objective, maximize=False):
+    """The reference two-phase simplex on the rational tableau of
+    (coefficients, rel, rhs) rows with x >= 0, by Bland's rule, in
+    Fractions: (status, x, value) as `solve_lp` returns them.
+
+    A row whose rhs is negative is negated and its comparator flipped.
+    Columns: the variables, a slack per inequality row (+1 for <=, -1
+    for >=), an artificial per = or >= row, in row order; the slacks of
+    the <= rows and the artificials start basic.  Bland's rule enters
+    the lowest column of negative reduced cost and leaves the row of
+    least ratio, ties to the lowest basic column.  Phase 1 minimizes
+    the artificials at unit cost on each row as written; then each
+    basic artificial, from the last row up, is pivoted out onto its
+    row's first nonzero column, or its row dropped as redundant, and
+    phase 2 runs on the objective without the artificials."""
+    flip = {"<=": ">=", ">=": "<=", "=": "="}
+    rows = [([-Fraction(c) for c in cs], flip[rel], -Fraction(b)) if b < 0
+            else ([Fraction(c) for c in cs], rel, Fraction(b)) for cs, rel, b in rows]
+    real = num_vars + sum(rel != "=" for _, rel, _ in rows)
+    width = real + sum(rel != "<=" for _, rel, _ in rows)
+    tableau, basis = [], []
+    slack, art = num_vars, real
+    for cs, rel, b in rows:
+        row = cs + [Fraction(0)] * (width - num_vars) + [b]
+        if rel == "<=":
+            row[slack] = Fraction(1)
+            basis.append(slack)
+            slack += 1
+        else:
+            if rel == ">=":
+                row[slack] = Fraction(-1)
+                slack += 1
+            row[art] = Fraction(1)
+            basis.append(art)
+            art += 1
+        tableau.append(row)
+
+    def pivot(r, c):
+        tableau[r] = [a / tableau[r][c] for a in tableau[r]]
+        for i, row in enumerate(tableau):
+            if i != r and row[c]:
+                tableau[i] = [a - row[c] * p for a, p in zip(row, tableau[r])]
+        basis[r] = c
+
+    def bland(costs):
+        while True:
+            reduced = (costs[j] - sum(costs[b] * row[j] for row, b in zip(tableau, basis))
+                       for j in range(len(costs)))
+            entering = next((j for j, z in enumerate(reduced) if z < 0), None)
+            if entering is None:
+                return "optimal"
+            ratios = [(row[-1] / row[entering], b, i)
+                      for i, (row, b) in enumerate(zip(tableau, basis)) if row[entering] > 0]
+            if not ratios:
+                return "unbounded"
+            pivot(min(ratios)[2], entering)
+
+    bland([Fraction(0)] * real + [Fraction(1)] * (width - real))
+    if any(row[-1] for row, b in zip(tableau, basis) if b >= real):
+        return "infeasible", None, None
+    for i in range(len(tableau) - 1, -1, -1):
+        if basis[i] >= real:
+            entering = next((j for j in range(real) if tableau[i][j]), None)
+            if entering is None:
+                del tableau[i], basis[i]
+            else:
+                pivot(i, entering)
+    tableau[:] = [row[:real] + row[-1:] for row in tableau]
+    sign = -1 if maximize else 1
+    costs = [sign * Fraction(c) for c in objective] + [Fraction(0)] * (real - num_vars)
+    if bland(costs) != "optimal":
+        return "unbounded", None, None
+    x = [Fraction(0)] * num_vars
+    for row, b in zip(tableau, basis):
+        if b < num_vars:
+            x[b] = row[-1]
+    return "optimal", x, sum((Fraction(c) * v for c, v in zip(objective, x)), Fraction(0))
+
+
 def scale_row(coeffs, rel, b, num_vars):
     """The reference conversion of a rational (coefficients, rel, rhs) row
     over num_vars variables (missing coefficients are 0) to the integer

@@ -13,7 +13,7 @@ from credal.entail import conservative_check
 from credal.procedures import InferenceProcedure, klm_properties_check
 from credal.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, Row, solve_lp
 from credal.spaces import enumerate_worlds
-from tests.conftest import highs_lp, lp_faults, scale_row
+from tests.conftest import bland_lp, highs_lp, lp_faults, scale_row
 
 F = Fraction
 
@@ -104,6 +104,18 @@ def test_vertices_of_rows_of_the_wrong_width_raise(ints):
         simplex.vertices(2, [Row(ints, "=", 1)])
 
 
+@pytest.mark.parametrize("scale", [-2, 0], ids=["negative", "zero"])
+def test_a_row_at_a_scale_not_positive_raises(scale):
+    # a Row is its rational row times a scale k > 0, and the phase-1
+    # weights divide by k: unchecked, k = -2 makes this feasible LP read
+    # infeasible and k = 0 divides by zero
+    rows = [Row([1, 1, 1], "=", 1), Row([2, 0, 1], ">=", scale)]
+    with pytest.raises(ValueError, match="scale must be positive"):
+        solve_lp(2, rows, [1, 0])
+    with pytest.raises(ValueError, match="scale must be positive"):
+        simplex.vertices(2, rows)
+
+
 # -- random LPs against the exact checker and HiGHS; pivot mutants -----------
 
 _FLIP = {"<=": ">=", ">=": "<=", "=": "="}
@@ -150,6 +162,40 @@ def test_random_lps_pass_the_checker_and_match_highs():
     statuses = Counter(solve_rational(*lp)[0] for lp in lps)
     assert min(statuses[s] for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)) >= 40, statuses
     assert _disagreements(lps, oracle=True) == []
+
+
+def scaled_lps(seed, count):
+    """LPs over up to 12 variables with up to 6 rows, each row times an
+    integer from 1 to 6 and its rhs over a denominator of its own, so
+    that a row's integer coefficients share a factor and its rhs over
+    that factor is a fraction; half have a zero objective, so x is where
+    phase 1 ends."""
+    rng = random.Random(seed)
+
+    def rational():
+        return F(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        rows = [([m * rational() for _ in range(n)], rng.choice(("<=", ">=", "=")),
+                 m * rational() / rng.choice((1, 2, 5, 7)))
+                for _ in range(rng.randint(1, 6)) for m in [rng.randint(1, 6)]]
+        objective = [F(0)] * n if rng.random() < 0.5 else [rational() for _ in range(n)]
+        yield n, rows, objective, rng.random() < 0.5
+
+
+@pytest.mark.parametrize("lps", [random_lps, scaled_lps], ids=["as-drawn", "scaled"])
+def test_solve_lp_is_blands_rule_on_the_rational_tableau(lps):
+    # the integer tableau pivots exactly as Bland's rule over the rationals
+    # with unit artificial costs on the rows as written, whatever integer
+    # factor a row carries, so it ends at the same basis: the same status,
+    # x and value, Fraction for Fraction
+    statuses = Counter()
+    for lp in lps(2024, 400):
+        found = solve_rational(*lp)
+        assert found == bland_lp(*lp), lp
+        statuses[found[0]] += 1
+    assert min(statuses[s] for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)) >= 40, statuses
 
 
 def lps_with_a_copied_column(seed, count):
@@ -239,14 +285,25 @@ def test_pivot_count_on_wide(monkeypatch, cold_caches):
     # each cell builds once must not change a single choice; nor must
     # leaving out the later of two equal columns, and the width pins
     # count the columns the solver carries; the pivots of sigma's vertex
-    # walk, outside any LP, are counted apart
+    # walk, outside any LP, are counted apart.  The bit pins are the largest
+    # denominator d and tableau entry after any pivot: rows enter primitive,
+    # their rhs over one scale, so d is no product of the thresholds'
+    # denominators
     gadgets = [harness.tuple_cover_gadget(n, d) for n in range(3, 12) for d in range(2, n)
                if math.perm(n, d) <= 120]
     demo = harness.conservative_extension_demo()
     calls = Counter()
     widths = []  # the variable columns each tableau carries
+    bits = dict.fromkeys(["d", "entry"], 0)
     in_lp = []
     pivot, solve, distinct = simplex._pivot, simplex.solve_lp, simplex._distinct_columns
+
+    def pivot_spy(tableau, *a):
+        calls.update(["pivot" if in_lp else "walk pivot"])
+        d = pivot(tableau, *a)
+        bits["d"] = max(bits["d"], d.bit_length())
+        bits["entry"] = max(bits["entry"], *(abs(v).bit_length() for row in tableau for v in row))
+        return d
 
     def carried(rows, objective):
         keep = distinct(rows, objective)
@@ -261,8 +318,7 @@ def test_pivot_count_on_wide(monkeypatch, cold_caches):
         finally:
             in_lp.pop()
 
-    monkeypatch.setattr(simplex, "_pivot",
-                        lambda *a: calls.update(["pivot" if in_lp else "walk pivot"]) or pivot(*a))
+    monkeypatch.setattr(simplex, "_pivot", pivot_spy)
     monkeypatch.setattr(simplex, "solve_lp", solve_spy)
     monkeypatch.setattr(simplex, "_distinct_columns", carried)
     assert len(gadgets) == 13
@@ -272,10 +328,13 @@ def test_pivot_count_on_wide(monkeypatch, cold_caches):
         assert harness.gadget_feasible(g, edge * (1 - F(1, 256)))
     assert calls == {"pivot": 391, "solve_lp": 26}
     assert sum(widths) == 542  # of 1,550 world and t columns
+    assert bits == {"d": 4, "entry": 24}
     calls.clear()
     widths.clear()
+    bits.update(d=0, entry=0)
     report = conservative_check(TrueExpr(), demo["sigma"], demo["space"], x_factor=0,
                                 n_samples=2, seed=0)
     assert report.status == "conservative_verified"
     assert calls == {"pivot": 31, "solve_lp": 7, "walk pivot": 2}
     assert sum(widths) == 76  # of 1,549
+    assert bits == {"d": 1, "entry": 7}
