@@ -213,16 +213,10 @@ def load_scenario(path: str) -> Scenario:
 
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2, default=_json_default))
+        print(json.dumps(payload, indent=2))
         return
     for line in _as_lines(payload):
         print(line)
-
-
-def _json_default(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    raise TypeError(f"not serializable: {type(x)}")
 
 
 def _as_lines(payload, prefix=""):
@@ -473,7 +467,7 @@ def cmd_reproduce(args) -> int:
     try:
         golden_text = resources.files("credal").joinpath(f"goldens/{name}.json").read_text()
         golden = json.loads(golden_text)
-        matches = _golden_matches(json.loads(json.dumps(result, default=_json_default)), golden)
+        matches = _golden_matches(json.loads(json.dumps(result)), golden)
         payload["golden_match"] = matches
     except FileNotFoundError:
         payload["golden_match"] = None

@@ -59,7 +59,13 @@ class LinearAtom(ConstraintExpr):
     def __post_init__(self):
         if self.cmp not in {"<", "<=", "=", ">=", ">"}:
             raise ValueError(f"bad comparator {self.cmp!r}")
-        if any(e.space != self.terms[0][1].space for _, e in self.terms[1:]):
+        if not self.terms:
+            raise ValueError("an atom needs at least one term")
+        if not all(isinstance(v, (int, Fraction))
+                   for v in (self.bound, *(c for c, _ in self.terms))):
+            raise ValueError("an atom's coefficients and bound must be ints or Fractions")
+        space = self.terms[0][1].space
+        if any(e.space is not space and e.space != space for _, e in self.terms[1:]):
             raise ValueError("atom mixes events from different spaces")
 
     @property
@@ -80,28 +86,28 @@ class LinearAtom(ConstraintExpr):
         get = weights.__getitem__
         return sum(c * sum(map(get, indices), 0.0) for c, indices in terms), bound
 
-    def holds_at(self, weights: tuple[Fraction, ...]) -> bool:
-        """Whether the atom holds exactly at rational weights, decided in
-        integers: the terms times L, the lcm of the term and bound
-        denominators, against the weights' numerators over their common
-        denominator d, so both sides are the rational ones times L * d."""
-        d = lcm(*(w.denominator for w in weights))
-        big_l = lcm(self.bound.denominator, *(c.denominator for c, _ in self.terms))
+    def holds_at(self, point) -> bool:
+        """Whether the atom holds exactly at a rational point, its weight
+        sequence or a dict from world index to weight without the zeros.
+        Decided in integers on the point's support alone, a term taking a
+        world's mass when the world's bit is in its event's mask: the
+        terms times L, the lcm of the term and bound denominators, against
+        the masses' numerators over their common denominator d, so both
+        sides are the rational ones times L * d."""
+        support = point.items() if isinstance(point, dict) else [
+            (i, w) for i, w in enumerate(point) if w]
+        d = lcm(*[w.denominator for _, w in support])
+        masses = [(1 << i, w.numerator * (d // w.denominator)) for i, w in support]
+        big_l = lcm(self.bound.denominator, *[c.denominator for c, _ in self.terms])
         lhs = 0
         for c, event in self.terms:
-            mass = sum(w.numerator * (d // w.denominator)
-                       for i in event.indices() if (w := weights[i]))
-            lhs += c.numerator * (big_l // c.denominator) * mass
+            mask, m = event.mask, 0
+            for bit, v in masses:
+                if mask & bit:
+                    m += v
+            lhs += c.numerator * (big_l // c.denominator) * m
         rhs = self.bound.numerator * (big_l // self.bound.denominator) * d
         return EXACT_COMPARE[self.cmp](lhs, rhs)
-
-    def coefficients(self) -> list[Fraction]:
-        """Per-world coefficients of the linear functional on its space."""
-        out = [Fraction(0)] * len(self.space.worlds)
-        for c, e in self.terms:
-            for i in e.indices():
-                out[i] += c
-        return out
 
     def __str__(self):
         parts = " + ".join(f"{c}*P(#{e.mask:x})" for c, e in self.terms)

@@ -4,13 +4,14 @@ Every decision runs over the DNF cells of a constraint, the relatively
 open polyhedra of the simplex it denotes.  `Cell` owns the exact LP
 encoding of one cell: the simplex row, one row per atom, and one slack t
 shared by the strict atoms, whose optimum is positive exactly when the
-open cell is non-empty; the closure drops t from the strict atoms.  The
-rows, built once per cell as the integer `simplex.Row`s the tableau
-pivots on, are the only copy of the atoms that a cell computes with;
-`simplex.solve_lp` and `simplex.vertices` pivot them as one engine.
-Satisfiability, entailment, ranges, sampling and conservativeness are
-decided cell by cell, on the cells `cells` builds once per (constraint,
-space).  Witnesses are exact rational measures.
+open cell is non-empty; the closure drops t from the strict atoms.  An
+atom is read two ways.  The engine pivots the integer `simplex.Row`s
+that `_atom_row` builds once per cell (`simplex.solve_lp` and
+`simplex.vertices` are one engine); the checker reads the atom's terms,
+and every exact point test is `LinearAtom.holds_at`, the rule of
+`satisfies`.  Satisfiability, entailment, ranges, sampling and
+conservativeness are decided cell by cell, on the cells `cells` builds
+once per (constraint, space).  Witnesses are exact rational measures.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 from . import simplex
 from .constraints import (
     And,
-    EXACT_COMPARE,
     ConstraintExpr,
     FalseExpr,
     LinearAtom,
@@ -64,20 +64,22 @@ class Cell:
     LP variables are the world masses and the strict slack t.  The open
     and closure rows are integer `simplex.Row`s built on first use; row
     1 + j is atom j's, over the worlds, t and the bound, at the atom's
-    scale and in its orientation.  Everything else the cell knows of its
-    atoms it reads off those rows.  Pins are extra equality rows, given
-    as (per-world integer coefficients, value) pairs; a pin of value p/q
-    enters the LP as the `Row` of its coefficients times q, t's 0 and p,
-    at scale q.  `witness(pins)` answers whether the open cell meets the
-    pins, and `vertices(limit)` lists the closure's vertices unless they
-    number more than limit.  Building the rows refuses an atom on another
-    space than the cell's, whose world indices they would misread.
+    scale and in its orientation; every LP the cell solves reads them,
+    and a point is tested on the atoms (`_holds_at`).  Pins are extra
+    equality rows, given as (per-world integer coefficients, value)
+    pairs; a pin of value p/q enters the LP as the `Row` of its
+    coefficients times q, t's 0 and p, at scale q.  `witness(pins)`
+    answers whether the open cell meets the pins, and `vertices(limit)`
+    lists the closure's vertices unless they number more than limit.  A
+    cell refuses an atom on another space, whose world indices its rows
+    and point tests would misread.
 
     An LP leaves out the worlds whose column and cost repeat a lower
     world's, which Bland's rule would never enter (`simplex`).
     """
 
     def __init__(self, atoms: tuple[LinearAtom, ...], space: Space):
+        check_space(space, atoms)
         self.atoms = atoms
         self.space = space
         self.strict = any(atom.cmp in ("<", ">") for atom in atoms)
@@ -91,7 +93,6 @@ class Cell:
     @cached_property
     def _open(self) -> list[simplex.Row]:
         """The simplex row, each atom's open row and t <= 1."""
-        check_space(self.space, self.atoms)
         n = len(self.space.worlds)
         return ([simplex.Row([1] * n + [0, 1], "=", 1)]
                 + [_atom_row(atom, n) for atom in self.atoms]
@@ -145,16 +146,6 @@ class Cell:
             if found is not None and found[1] > 0:
                 out.append(i)
         return out
-
-    def holds_at(self, point: dict[int, Fraction]) -> bool:
-        """Whether the atoms hold at the measure putting point[i] on
-        world i and nothing elsewhere: each row against the point's
-        numerators over their common denominator."""
-        d = lcm(*(p.denominator for p in point.values()))
-        nums = [(i, p.numerator * (d // p.denominator)) for i, p in point.items()]
-        return all(EXACT_COMPARE[atom.cmp](sum(row.ints[i] * v for i, v in nums),
-                                           row.ints[-1] * d)
-                   for atom, row in zip(self.atoms, self._open[1:]))
 
     @cached_property
     def float_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -273,10 +264,11 @@ def quarter_constraint(s: Event) -> LinearAtom:
     return LinearAtom(((_ONE, s),), ">=", Fraction(1, 4))
 
 
-def _holds_at(kb_cells: Sequence[Cell], point: dict[int, Fraction]) -> bool:
-    """Whether kb holds exactly at the measure putting point[i] on world
-    i and nothing elsewhere: some cell's atoms all hold there."""
-    return any(cell.holds_at(point) for cell in kb_cells)
+def _holds_at(kb_cells: Sequence[Cell], point) -> bool:
+    """Whether kb holds exactly at a rational point (as for
+    `LinearAtom.holds_at`, the rule of `satisfies`): some cell's atoms
+    all hold there."""
+    return any(all(atom.holds_at(point) for atom in cell.atoms) for cell in kb_cells)
 
 
 def _point_mass_event(kb_cells: Sequence[Cell], space: Space) -> Event:
@@ -369,8 +361,11 @@ def linear_range(expr: ConstraintExpr, terms: tuple[tuple[Fraction, Event], ...]
 def linear_extremes(expr: ConstraintExpr, terms: tuple[tuple[Fraction, Event], ...],
                     space: Space) -> tuple[tuple[list[Fraction], Fraction], ...] | None:
     """(world masses, value) at a minimum and at a maximum of a linear
-    functional over the closure of [[expr]], as for `linear_range`."""
-    objective = LinearAtom(terms, "=", _ZERO).coefficients()
+    functional over the closure of [[expr]], as for `linear_range`.  The
+    LPs take the functional's integer row, its scale times the rational
+    one, which moves no pivot; each value is divided back."""
+    row = _atom_row(LinearAtom(terms, "=", _ZERO), len(space.worlds))
+    objective = row.ints[:-2]  # the worlds' entries, without t's and the bound
     ends = [None, None]
     for cell in cells(expr, space):
         if cell.witness() is None:
@@ -383,7 +378,7 @@ def linear_extremes(expr: ConstraintExpr, terms: tuple[tuple[Fraction, Event], .
                 ends[maximize] = found
     if None in ends:
         return None
-    return tuple(ends)
+    return tuple((x, value / row.scale) for x, value in ends)
 
 
 def sample_measures(expr: ConstraintExpr, space: Space, n: int, seed: int) -> list[Measure]:
@@ -464,7 +459,7 @@ def conservative_check(kb: ConstraintExpr, psi: ConstraintExpr, xy_space: Space,
         for vertex in cell.vertices():
             if extends(vertex):
                 continue
-            if _holds_at(kb_cells, dict(enumerate(vertex))):
+            if _holds_at(kb_cells, vertex):
                 return refuted(vertex)
             lam = Fraction(1, 2)
             while closed:

@@ -6,9 +6,12 @@ so they stay independent of the solver paths they check.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
+import operator
 import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -37,6 +40,24 @@ SIX_PROCEDURES = [InferenceProcedure.entailment(), InferenceProcedure.maxent(),
 
 # check_space's refusal of an atom read on another space than its own
 ANOTHER_SPACE = "^an atom lives on a different space than the question$"
+
+# each comparator on exact numbers, and its closure
+EXACT = {"=": operator.eq, "<=": operator.le, ">=": operator.ge, "<": operator.lt,
+         ">": operator.gt}
+CLOSED_CMP = {"=": "=", "<=": "<=", ">=": ">=", "<": "<=", ">": ">="}
+
+
+def mutant(owner, name, old, new):
+    """A mutant of owner.name, a module's function or a class's method:
+    its source with the text old, which must occur exactly once, replaced
+    by new, compiled in the namespace of the module that defines it, for
+    a test to `monkeypatch.setattr(owner, name, ...)`."""
+    function = getattr(owner, name)
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1, (name, old)
+    namespace = dict(vars(sys.modules[function.__module__]))
+    exec(source.replace(old, new), namespace)
+    return namespace[name]
 
 
 def compositions(total: int, parts: int):
@@ -129,7 +150,7 @@ def slsqp_kl_min(prior: Measure, atoms) -> float | None:
     q = w0[live]
     eqs, eq_rhs, ineqs, ineq_rhs = [np.ones(len(q))], [1.0], [], []
     for atom in atoms:
-        a = np.array([float(c) for c in atom.coefficients()])[live]
+        a = np.array([float(c) for c in atom_coefficients(atom)])[live]
         b = float(atom.bound)
         if np.ptp(a) == 0.0:
             continue
@@ -259,6 +280,14 @@ def scale_row(coeffs, rel, b, num_vars):
     return Row([c.numerator * (k // c.denominator) for c in row], rel, k)
 
 
+def atom_coefficients(atom):
+    """The reference per-world coefficients of a `LinearAtom` on its
+    space, in Fractions: each world sums the coefficients of the terms
+    whose event holds it."""
+    return [sum((c for c, e in atom.terms if i in e), Fraction(0))
+            for i in range(len(atom.space.worlds))]
+
+
 def atom_value(atom, mu):
     """The reference value of a `LinearAtom` at a measure: each term's
     coefficient times `Measure.prob` of its event, summed in order (on
@@ -290,14 +319,14 @@ def highs_lp(num_vars, rows, objective, maximize):
 
 def basis_search_vertices(atoms, space):
     """Closure vertices of the cell with these atoms (strict ones closed),
-    by exhaustive basis search on rows rebuilt from
-    `LinearAtom.coefficients`: the simplex row and the = atoms with each
-    choice, in `itertools.combinations` order, of as many rows from the
-    pool (nonnegativity of each world, then the other atoms in order) as
+    by exhaustive basis search on rows rebuilt from `atom_coefficients`:
+    the simplex row and the = atoms with each choice, in
+    `itertools.combinations` order, of as many rows from the pool
+    (nonnegativity of each world, then the other atoms in order) as
     leaves one solution; each vertex at the first choice that gives it."""
     n = len(space.worlds)
     one, zero = Fraction(1), Fraction(0)
-    rows = [(atom.coefficients() + [atom.bound], atom.cmp) for atom in atoms]
+    rows = [(atom_coefficients(atom) + [atom.bound], atom.cmp) for atom in atoms]
     eqs = [[one] * (n + 1)] + [row for row, cmp in rows if cmp == "="]
     pool = [[one if j == i else zero for j in range(n)] + [zero] for i in range(n)]
     pool += [row for row, cmp in rows if cmp != "="]

@@ -240,6 +240,23 @@ class TestSatisfies:
         assert len(seen) == 10 and min(seen.values()) >= 50 and near >= 250, (seen, near)
 
 
+def test_atoms_refuse_what_they_cannot_be_read_exactly_with(fly_bird_space):
+    # an atom is decided in integers (satisfies, the LP rows), so a float
+    # coefficient or bound, or no term at all, is refused where the atom
+    # is built rather than where it is first read
+    fly = event_of(fly_bird_space, "fly")
+    for terms, bound, message in ((((F(1), fly),), 0.25, "bound"),
+                                  (((0.5, fly),), F(1, 4), "coefficients"),
+                                  (((F(1), fly), (F(1, 3) * 1.0, fly)), F(0), "coefficients"),
+                                  ((), F(0), "at least one term")):
+        with pytest.raises(ValueError, match=message):
+            LinearAtom(terms, ">=", bound)
+    # ints and Fractions are exact numbers
+    atom = LinearAtom(((1, fly), (F(-1, 2), fly)), "=", F(1, 2))
+    assert satisfies(Measure.point_mass(fly_bird_space, 3), atom)
+    assert not satisfies(Measure.point_mass(fly_bird_space, 0), atom)
+
+
 class TestToDnf:
     def test_atom_is_single_system(self, fly_bird_space):
         c = parse_constraint("P(fly) >= 1/4", fly_bird_space)

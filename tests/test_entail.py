@@ -1,4 +1,3 @@
-import inspect
 import math
 import os
 import random
@@ -29,6 +28,7 @@ from credal.corpus import klm_corpus
 from credal.embeddings import factor_lift
 from credal.entail import (
     Cell,
+    ConservativeReport,
     _holds_at,
     cells,
     conservative_check,
@@ -60,11 +60,19 @@ from credal.spaces import (
     product_space,
     whole_event,
 )
-from tests.conftest import SIX_PROCEDURES, basis_search_vertices, scale_row, simplex_grid
+from tests.conftest import (
+    CLOSED_CMP,
+    EXACT,
+    SIX_PROCEDURES,
+    atom_coefficients,
+    atom_value,
+    basis_search_vertices,
+    mutant,
+    scale_row,
+    simplex_grid,
+)
 
 F = Fraction
-
-CLOSED_CMP = {"=": "=", "<=": "<=", ">=": ">=", "<": "<=", ">": ">="}
 
 
 def _fractional_atom(rng, sp, cmps=tuple(CLOSED_CMP)):
@@ -79,12 +87,12 @@ def _fractional_atom(rng, sp, cmps=tuple(CLOSED_CMP)):
 
 def _extreme_support(atoms, sp, live):
     """Reference for `Cell.extreme_support`, on the atoms' rational
-    coefficients."""
+    coefficients (`atom_coefficients`)."""
     changed = True
     while changed:
         changed = False
         for atom in atoms:
-            coeffs = atom.coefficients()
+            coeffs = atom_coefficients(atom)
             values = [coeffs[i] for i in live]
             if (atom.cmp in ("=", ">=", ">") and atom.bound == max(values)
                     or atom.cmp in ("=", "<=", "<") and atom.bound == min(values)):
@@ -380,7 +388,7 @@ class TestCell:
         assert cell.solve(fly, maximize=False, closed=True)[1] == F(1, 2)
         assert cell.support(range(4)) == [1, 3]
         boundary = {1: F(1, 2), 3: F(1, 2)}
-        assert not cell.holds_at(boundary)
+        assert not _holds_at([cell], boundary)
         assert not satisfies(Measure.rational(fly_bird_space, [F(0), F(1, 2), F(0), F(1, 2)]), kb)
 
     def test_pinned_witness(self, fly_bird_space):
@@ -425,7 +433,7 @@ class TestCell:
                 for cell in cells(kb, sp):
                     for closed, rows in ((False, cell._open), (True, cell._closed)):
                         rational = [([F(1)] * n + [F(0)], "=", F(1))]
-                        rational += [(a.coefficients()
+                        rational += [(atom_coefficients(a)
                                       + [F(0) if closed else t_coeff.get(a.cmp, F(0))],
                                       CLOSED_CMP[a.cmp], a.bound) for a in cell.atoms]
                         rational.append(([F(0)] * n + [F(1)], "<=", F(1)))
@@ -442,11 +450,13 @@ class TestCell:
                                                         for coeffs, value in pins]
 
     def test_row_readers_match_the_rational_atoms(self):
-        # holds_at, extreme_support and float_rows read the integer
-        # rows, in each atom's own orientation; on atoms with negative
-        # bounds they must agree with the rational atoms.  The
-        # points are random, the cell's witness and closure optima,
-        # which sit on the boundary of the strict atoms.
+        # extreme_support and float_rows read the integer rows, in each
+        # atom's own orientation, and _holds_at reads the atoms' terms,
+        # on a sparse or a dense point; on atoms with negative bounds
+        # they must agree with the rational atoms, whose values come
+        # from the reference atom_value.  The points are random, the
+        # cell's witness and closure optima, which sit on the boundary
+        # of the strict atoms.
         rng = random.Random(16)
         seen = {"open": 0, "closure_only": 0, "negative_rhs": 0, "narrowed": 0}
         for n in (2, 3, 5):
@@ -470,12 +480,13 @@ class TestCell:
                         if found is not None:
                             points.append(found[0])
                     for x in points:
-                        mu = Measure.rational(sp, x)
-                        holds = all(satisfies(mu, atom) for atom in atoms)
-                        closure = all(satisfies(mu, LinearAtom(atom.terms, CLOSED_CMP[atom.cmp],
-                                                               atom.bound)) for atom in atoms)
+                        values = [atom_value(atom, Measure.rational(sp, x)) for atom in atoms]
+                        holds = all(EXACT[atom.cmp](v, atom.bound)
+                                    for atom, v in zip(atoms, values))
+                        closure = all(EXACT[CLOSED_CMP[atom.cmp]](v, atom.bound)
+                                      for atom, v in zip(atoms, values))
                         sparse = {i: v for i, v in enumerate(x) if v}
-                        assert cell.holds_at(sparse) == holds
+                        assert _holds_at([cell], sparse) == _holds_at([cell], x) == holds
                         seen["open"] += holds
                         seen["closure_only"] += closure and not holds
                     live = rng.sample(range(n), rng.randrange(1, n + 1))
@@ -484,7 +495,7 @@ class TestCell:
                     seen["narrowed"] += len(narrowed) < len(live)
                     sign = np.array([-1.0 if CLOSED_CMP[atom.cmp] == ">=" else 1.0
                                      for atom in atoms])
-                    a_ref = np.array([atom.coefficients() for atom in atoms],
+                    a_ref = np.array([atom_coefficients(atom) for atom in atoms],
                                      dtype=float).reshape(len(atoms), n) * sign[:, None]
                     b_ref = np.array([float(atom.bound) for atom in atoms]) * sign
                     a_rows, b_rows, ineq = cell.float_rows
@@ -548,11 +559,7 @@ class TestCell:
                                           ("sorted(keys, key=keys.get)", "keys")],
                              ids=["lowest-tied-row-only", "discovery-order"])
     def test_basis_search_catches_walk_mutants(self, monkeypatch, old, new):
-        source = inspect.getsource(simplex.vertices)
-        assert source.count(old) == 1
-        namespace = dict(vars(simplex))
-        exec(source.replace(old, new), namespace)
-        monkeypatch.setattr(simplex, "vertices", namespace["vertices"])
+        monkeypatch.setattr(simplex, "vertices", mutant(simplex, "vertices", old, new))
         assert any(list(Cell(atoms, sp).vertices()) != expected
                    for atoms, sp, _, expected in _vertex_corpus())
 
@@ -790,6 +797,14 @@ class TestConservativeCheck:
         rep = conservative_check(kb, psi, xy)
         assert rep.status == "not_conservative"
         assert satisfies(rep.witness, kb)
+
+    def test_unsatisfiable_kb_is_conservative_untested(self):
+        # [[kb]] is empty, so every psi is conservative over it, and no
+        # point is tested
+        x, _, xy, *_ = self._setup()
+        kb = parse_constraint("P(s) > 1/2 & P(s) < 1/3", x)
+        rep = conservative_check(kb, LinearAtom(((F(1), whole_event(xy)),), "=", F(0)), xy)
+        assert rep == ConservativeReport("conservative_verified", None, 0)
 
     def test_true_psi_is_conservative(self, fly_bird_space):
         x, y, xy, *_ = self._setup()

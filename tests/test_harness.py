@@ -5,7 +5,7 @@ import pytest
 
 from credal import harness
 from credal.constraints import LinearAtom, Not, TrueExpr, parse_constraint, satisfies
-from credal.embeddings import from_surjection, random_faithful_embedding
+from credal.embeddings import correspondence_gap, from_surjection, random_faithful_embedding
 from credal.entail import entails, satisfiable
 from credal.harness import (
     tuple_cover_gadget,
@@ -326,6 +326,23 @@ class TestBootstrap:
         rep = bootstrap_check([Measure.uniform(x)], [Measure.uniform(y)], emb)
         assert rep.corresponds and not rep.violations
         assert rep.consistent_with_biconditional
+
+    def test_an_x_prior_that_no_pushforward_hits(self):
+        # every y prior pushes forward into dx, but dx has a prior that
+        # none hits: the gap is that x prior, and the corpus's first pair,
+        # P(world 0) = 1/2 under true, separates the procedures
+        x = enumerate_worlds(["c"])
+        y = enumerate_worlds(["u", "v"])
+        emb = from_surjection(x, y, [0, 0, 1, 1])
+        skewed = Measure.from_floats(x, [0.3, 0.7])
+        dx, dy = [Measure.uniform(x), skewed], [Measure.uniform(y)]
+        assert correspondence_gap(emb, dx, dy) is skewed
+        rep = bootstrap_check(dx, dy, emb)
+        assert not rep.corresponds and rep.consistent_with_biconditional
+        (v,) = rep.violations
+        assert (v.kb, v.theta) == invariance_pairs_on(x)[0]
+        assert (v.verdict_x, v.verdict_y) == (False, True)
+        assert rep.pairs_tested == len(invariance_pairs_on(x))
 
     def test_unequal_fiber_uniform_violated_at_true(self):
         x = enumerate_worlds(["c"])

@@ -1,0 +1,95 @@
+"""A replayable mutation matrix.
+
+Each row breaks one library function in one place: the function (a
+module's, or a class's method), a text of its source that must occur
+exactly once, its replacement, and a killer, a fast in-process oracle
+that must pass on the real code and fail on the mutant.  When a refactor
+removes a row's text, the row fails and must be re-pointed.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from credal import entail
+from credal.constraints import LinearAtom
+from credal.harness import _plain_space
+from credal.spaces import event_from_indices
+from tests.conftest import (
+    CLOSED_CMP,
+    EXACT,
+    atom_coefficients,
+    atom_value,
+    mutant,
+    scale_row,
+    simplex_grid,
+)
+
+F = Fraction
+
+
+def _atoms(seed):
+    """(atom, its space) pairs on 2-4 worlds: one to three terms whose
+    coefficients have denominators 1-6 and whose events may be empty or
+    repeat, so that terms cancel and rows share a factor; every
+    comparator, and bounds that grid points meet exactly."""
+    rng = random.Random(seed)
+    out = []
+    for n in (2, 3, 4):
+        sp = _plain_space("m", n)
+        for _ in range(40):
+            terms = tuple((F(rng.randint(-4, 4), rng.randint(1, 6)),
+                           event_from_indices(sp, rng.sample(range(n), rng.randint(0, n))))
+                          for _ in range(rng.randint(1, 3)))
+            bound = F(rng.randint(-4, 4), rng.choice((1, 2, 3, 4, 6)))
+            out += [(LinearAtom(terms, cmp, bound), sp) for cmp in EXACT]
+    return out
+
+
+def holds_at_is_atom_value():
+    """LinearAtom.holds_at, at grid points as a weight sequence and as a
+    dict without zeros, against the reference atom_value compared in
+    Fractions."""
+    for atom, sp in _atoms(30):
+        for mu in simplex_grid(sp, 4):
+            expected = EXACT[atom.cmp](atom_value(atom, mu), atom.bound)
+            sparse = {i: w for i, w in enumerate(mu.weights) if w}
+            if atom.holds_at(mu.weights) != expected or atom.holds_at(sparse) != expected:
+                return False
+    return True
+
+
+def atom_rows_are_scale_row():
+    """entail._atom_row against the reference scale_row of the atom's
+    rational open row: the term-built coefficients, t's (+1 for <, -1 for
+    >) and the bound, at the lcm of their denominators."""
+    t_coeff = {"<": F(1), ">": F(-1)}
+    for atom, sp in _atoms(31):
+        n = len(sp.worlds)
+        reference = scale_row(atom_coefficients(atom) + [t_coeff.get(atom.cmp, F(0))],
+                              CLOSED_CMP[atom.cmp], atom.bound, n + 1)
+        if entail._atom_row(atom, n) != reference:
+            return False
+    return True
+
+
+MUTANTS = [
+    pytest.param(LinearAtom, "holds_at", "EXACT_COMPARE[self.cmp]",
+                 'EXACT_COMPARE["<=" if self.cmp == "=" else self.cmp]', holds_at_is_atom_value,
+                 id="holds_at-decides-=-as-<="),
+    pytest.param(LinearAtom, "holds_at", "d = lcm(*[w.denominator for _, w in support])",
+                 "d = next(iter(support))[1].denominator", holds_at_is_atom_value,
+                 id="holds_at-with-d-from-the-first-weight"),
+    pytest.param(entail, "_atom_row", "g = gcd(big_l, *ints)", "g = 1",
+                 atom_rows_are_scale_row, id="atom_row-without-gcd"),
+]
+
+
+@pytest.mark.parametrize("owner, name, old, new, killer", MUTANTS)
+def test_the_killer_passes_on_the_code_and_fails_on_the_mutant(monkeypatch, owner, name, old,
+                                                               new, killer):
+    broken = mutant(owner, name, old, new)  # old occurs exactly once
+    assert killer()
+    monkeypatch.setattr(owner, name, broken)
+    assert not killer()

@@ -21,7 +21,14 @@ from credal.constraints import (
     space_of,
 )
 from credal.corpus import factor_kb_templates, klm_corpus
-from credal.entail import entails, equivalent, satisfiable
+from credal.entail import (
+    cells,
+    entails,
+    equivalent,
+    is_interesting,
+    objective_normal_form,
+    satisfiable,
+)
 from credal.errors import CredalError, DomainError
 from credal.measures import Measure, product_measure
 from credal.procedures import (
@@ -29,6 +36,7 @@ from credal.procedures import (
     InferenceProcedure,
     KlmViolation,
     _factorize,
+    _vertex_tuples,
     PriorFunction,
     i0_select,
     i1_select,
@@ -47,7 +55,13 @@ from credal.spaces import (
     product_decomposition,
     product_space,
 )
-from tests.conftest import ANOTHER_SPACE, SIX_PROCEDURES, clear_caches, simplex_grid
+from tests.conftest import (
+    ANOTHER_SPACE,
+    SIX_PROCEDURES,
+    atom_coefficients,
+    clear_caches,
+    simplex_grid,
+)
 
 F = Fraction
 
@@ -444,6 +458,20 @@ class TestProductPriorInfer:
         v = product_prior_infer([TrueExpr(), TrueExpr()], theta, x, samples=4)
         assert v.holds and v.mode == "exact"
 
+    def test_a_two_cell_factor_over_the_budget_is_sampled(self):
+        # each cell of P(s1) <= 1/4 | P(s1) >= 3/4 has 2 closure vertices,
+        # within a budget of 3, but the factor's 4 together pass it: the
+        # tuples stop at the factor, not at either cell's walk
+        a, b, x = self._spaces()
+        kbs = [parse_constraint("P(s1) <= 1/4 | P(s1) >= 3/4", a), TrueExpr()]
+        assert all(len(cell.vertices(3)) == 2 for cell in cells(kbs[0], a))
+        assert _vertex_tuples(kbs, [a, b], 3) is None
+        assert len(list(_vertex_tuples(kbs, [a, b], 8))) == 8
+        theta = parse_constraint("P((s1 <=> s2)) >= 0", x)
+        v = product_prior_infer(kbs, theta, x, samples=3)
+        assert v.holds and v.mode == "sampled" and v.samples == 3
+        assert product_prior_infer(kbs, theta, x, samples=8).mode == "exact"
+
     @pytest.mark.parametrize("theta_text, holds", [
         ("P(a & b) >= 1/8", False),  # P(b) = 0 is allowed
         ("P(a & b & c & d & e & f & g & h) <= 99/100", False),  # all mass on one world
@@ -588,6 +616,7 @@ class TestAtomsOnAnotherSpace:
     # a question is decided over one space, and an atom on another space
     # is refused where its world indices would be read on that space
     x, y, xy = enumerate_worlds(["a"]), enumerate_worlds(["b"]), enumerate_worlds(["a", "b"])
+    cde = enumerate_worlds(["c", "d", "e"])
     kb = parse_constraint("P(a) >= 1/2", x)
     theta = parse_constraint("P(a) >= 1/4", x)
 
@@ -603,12 +632,20 @@ class TestAtomsOnAnotherSpace:
         with pytest.raises(ValueError, match="different space"):
             equivalent(self.kb, self.theta, self.y)
 
-    @pytest.mark.parametrize("text, selection", [("P(a) = 1", i0_select),
-                                                 ("P(a) >= 1/4", i1_select)],
-                             ids=["i0", "i1"])
+    @pytest.mark.parametrize("text, selection", [
+        ("P(a) = 1", i0_select), ("P(a) >= 1/4", i1_select),
+        ("P(a) = 1", objective_normal_form), ("P(a) >= 1/4", is_interesting),
+        ("P(a) >= 1/2", i1_select), ("P(a) >= 1/2", is_interesting),
+    ], ids=["i0", "i1", "objective_normal_form", "is_interesting", "i1-probed",
+            "is_interesting-probed"])
     def test_selections(self, text, selection):
-        with pytest.raises(ValueError, match="different space"):
-            selection(parse_constraint(text, self.x), self.y)
+        # the point tests read the atoms' events on the question's worlds:
+        # on a space as large as the atoms' and on a larger one (kb on a,
+        # b of 4 worlds asked on c, d, e of 8), the cells refuse kb, also
+        # when the probes would reject it before any LP (P(a) >= 1/2)
+        for atoms_space, space in ((self.x, self.y), (self.xy, self.cde)):
+            with pytest.raises(ValueError, match=ANOTHER_SPACE):
+                selection(parse_constraint(text, atoms_space), space)
 
     def test_satisfies_on_either_backend(self):
         # one refusal, whichever backend would read the atom
@@ -774,7 +811,7 @@ def _grid_holds(expr, space, weights, scale) -> np.ndarray:
         return (np.logical_and if isinstance(expr, And) else np.logical_or).reduce(parts)
     if isinstance(expr, Not):
         return ~_grid_holds(expr.child, space, weights, scale)
-    coeffs = expr.coefficients()
+    coeffs = atom_coefficients(expr)
     den = math.lcm(expr.bound.denominator, *(c.denominator for c in coeffs))
     value = weights @ np.array([int(c * den) for c in coeffs], dtype=np.int64)
     bound = int(expr.bound * den * scale)

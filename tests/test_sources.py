@@ -126,13 +126,12 @@ def test_each_question_has_one_call():
     # whether a cell is nonempty, with or without pins, is asked of
     # Cell.witness and its vertices of Cell.vertices; compare is the
     # float rule alone; faithfulness is embeddings.is_faithful; and a
-    # feasibility report says feasible or not, with its witness; a
-    # question's space is constraints.space_of's, and an atom's
-    # coefficients are on its own space
+    # feasibility report says feasible or not, with its witness; and a
+    # question's space is constraints.space_of's
     from dataclasses import fields
 
     from credal import procedures
-    from credal.constraints import LinearAtom, compare
+    from credal.constraints import compare
     from credal.embeddings import Embedding
 
     assert not {"feasible", "vertices_within"} & set(vars(entail.Cell))
@@ -142,7 +141,6 @@ def test_each_question_has_one_call():
     assert not hasattr(Embedding, "is_surjective")
     assert [f.name for f in fields(entail.FeasibilityReport)] == ["feasible", "witness"]
     assert not hasattr(procedures, "_resolve_space")
-    assert list(inspect.signature(LinearAtom.coefficients).parameters) == ["self"]
 
 
 def test_the_sigma_extension_is_built_by_the_measure_algebra():
@@ -154,10 +152,20 @@ def test_the_sigma_extension_is_built_by_the_measure_algebra():
     assert ("harness.py", "gadget_witnesses") in _top_level_calls("condition")
 
 
-def test_cell_reads_only_its_integer_rows():
-    # the atoms' exact encoding has one home, the integer simplex.Rows:
-    # no code in Cell computes with a rational copy of the atoms
-    assert ("entail.py", "Cell") not in _top_level_calls("coefficients")
+def test_an_atom_is_read_two_ways():
+    # the engine reads an atom's integer row, which _atom_row builds for
+    # Cell and for linear_extremes' objective; the checker reads its
+    # terms, and every exact point test is LinearAtom.holds_at, the rule
+    # satisfies decides with; no third reading of the atom remains
+    from credal.constraints import LinearAtom
+
+    assert not hasattr(LinearAtom, "coefficients")
+    assert not hasattr(entail.Cell, "holds_at")
+    assert _top_level_calls("_atom_row") == {("entail.py", "Cell"),
+                                             ("entail.py", "linear_extremes")}
+    assert _top_level_calls("holds_at") == {("constraints.py", "satisfies"),
+                                            ("entail.py", "_holds_at"),
+                                            ("procedures.py", "_exact_product_verdict")}
 
 
 def _functions(tree):
