@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, inf, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -53,7 +53,7 @@ _ROW_CMP = {"=": "=", "<=": "<=", ">=": ">=", "<": "<=", ">": ">="}
 _SLACK = {"<": 1, ">": -1}
 
 # Extra equality rows: (per-world integer coefficients, value) pairs.
-Pins = Sequence[tuple[list[int], Fraction]]
+Pins = Iterable[tuple[list[int], Fraction]]
 
 
 class Cell:
@@ -67,8 +67,9 @@ class Cell:
     scale and in its orientation; every LP the cell solves reads them,
     and a point is tested on the atoms (`_holds_at`).  Pins are extra
     equality rows, given as (per-world integer coefficients, value)
-    pairs; a pin of value p/q enters the LP as the `Row` of its
-    coefficients times q, t's 0 and p, at scale q.  `witness(pins)`
+    pairs and built by `pin_rows` once for every cell they are put to;
+    a pin of value p/q enters the LP as the `Row` of its coefficients
+    times q, t's 0 and p, at scale q.  `witness(pins)`
     answers whether the open cell meets the pins, and `vertices(limit)`
     lists the closure's vertices unless they number more than limit.  A
     cell refuses an atom on another space, whose world indices its rows
@@ -105,10 +106,19 @@ class Cell:
         return [row._replace(ints=row.ints[:-2] + [0, row.ints[-1]]) if row.ints[-2] else row
                 for row in rows] + [t_row]
 
-    def witness(self, pins: Pins = ()) -> Measure | None:
-        """A measure in the open cell meeting the pins, or None if there is
-        none: the point of the witness LP, which `Measure` checks exactly.
-        Memoised without pins."""
+    @staticmethod
+    def pin_rows(pins: Pins) -> list[simplex.Row]:
+        """Each pin's `Row`, for every cell that the pins are put to."""
+        rows = []
+        for coeffs, v in pins:
+            q = v.denominator
+            rows.append(simplex.Row([c * q for c in coeffs] + [0, v.numerator], "=", q))
+        return rows
+
+    def witness(self, pins: Sequence[simplex.Row] = ()) -> Measure | None:
+        """A measure in the open cell meeting the pin rows, or None if
+        there is none: the point of the witness LP, which `Measure` checks
+        exactly.  Memoised without pins."""
         if not pins and self._witness is not _UNSET:
             return self._witness
         found = self.solve(None, True, pins=pins)
@@ -119,24 +129,23 @@ class Cell:
         return witness
 
     def solve(self, objective: list[Fraction] | None, maximize: bool, closed: bool = False,
-              pins: Pins = ()) -> tuple[list[Fraction], Fraction] | None:
+              pins: Sequence[simplex.Row] = ()) -> tuple[list[Fraction], Fraction] | None:
         """(world masses, value) at an optimum of the per-world objective
         (None: t), over the open rows (t free in [0, 1]) or the closure
-        rows, and the pins; None when those rows are infeasible."""
+        rows, and the pin rows; None when those rows are infeasible."""
         n = len(self.space.worlds)
         rows = self._closed if closed else self._open
         if pins:
-            rows = rows + [simplex.Row([c * v.denominator for c in coeffs] + [0, v.numerator],
-                                       "=", v.denominator) for coeffs, v in pins]
+            rows = [*rows, *pins]
         objective = [0] * n + [1] if objective is None else objective + [_ZERO]
         status, x, value = simplex.solve_lp(n + 1, rows, objective, maximize=maximize)
         if status != simplex.OPTIMAL:
             return None
         return x[:n], value
 
-    def support(self, candidates, pins: Pins = ()) -> list[int]:
+    def support(self, candidates, pins: Sequence[simplex.Row] = ()) -> list[int]:
         """The candidate worlds with positive mass somewhere in the
-        closure (meeting the pins), by one LP per candidate."""
+        closure (meeting the pin rows), by one LP per candidate."""
         n = len(self.space.worlds)
         out = []
         for i in candidates:
@@ -445,7 +454,7 @@ def conservative_check(kb: ConstraintExpr, psi: ConstraintExpr, xy_space: Space,
     def extends(x) -> bool:
         nonlocal tested
         tested += 1
-        pins = list(zip(fibers, x))
+        pins = Cell.pin_rows(zip(fibers, x))
         return any(cell.witness(pins) is not None for cell in psi_cells)
 
     def refuted(x) -> ConservativeReport:

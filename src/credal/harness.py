@@ -573,15 +573,17 @@ def _pin_query(mu: Measure) -> ConstraintExpr:
 def bootstrap_check(prior_x, prior_y, emb: Embedding, corpus=None) -> BootstrapReport:
     """Test both sides of the prior-correspondence biconditional.
 
-    The priors' correspondence is decided exactly; invariance of the
-    induced prior-based procedure is checked over the corpus, always
-    including kb = true, which is decisive: a non-corresponding pair is
-    separated by pinning the offending measure's weights.
+    The priors' correspondence is decided on the measures as given, so
+    exactly between rational ones (`Measure.is_close`); invariance of
+    the induced prior-based procedure, on the priors in floats, is
+    checked over the corpus, always including kb = true, which is
+    decisive: a non-corresponding pair is separated by pinning the
+    offending measure's weights.
     """
-    px = tuple(m.to_float() for m in prior_x)
-    py = tuple(m.to_float() for m in prior_y)
-    gap = correspondence_gap(emb, px, py)
-    prior = PriorFunction.of({emb.source: px, emb.target: py})
+    prior_x, prior_y = tuple(prior_x), tuple(prior_y)
+    gap = correspondence_gap(emb, prior_x, prior_y)
+    prior = PriorFunction.of({emb.source: tuple(m.to_float() for m in prior_x),
+                              emb.target: tuple(m.to_float() for m in prior_y)})
     proc = InferenceProcedure.prior_based(prior)
 
     pairs = list(corpus) if corpus is not None else invariance_pairs_on(emb.source)

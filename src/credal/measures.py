@@ -240,28 +240,26 @@ def couple(mu0: Measure, s0: Event, mu1: Measure, s1: Event) -> Measure:
     """Couple two measures so the two marginals are preserved and the
     equivalence event (S0 x S1) u (comp S0 x comp S1) has probability 1.
 
-    Requires mu0(S0) = mu1(S1).  Per-cell weights follow the conditional
-    product rule, with zero-denominator blocks dropped.
+    Requires rational measures with mu0(S0) = mu1(S1) exactly.  Per-cell
+    weights follow the conditional product rule, with zero-denominator
+    blocks dropped.
     """
-    backend = _require_same_backend(mu0, mu1)
+    if mu0.backend != RATIONAL or mu1.backend != RATIONAL:
+        raise ValueError("couple needs rational measures; convert explicitly")
     if s0.space != mu0.space or s1.space != mu1.space:
         raise ValueError("events live on the wrong spaces")
-    p0, p1 = mu0.prob(s0), mu1.prob(s1)
-    if backend == RATIONAL:
-        if p0 != p1:
-            raise CredalError("marginal-probability mismatch")
-    elif abs(float(p0) - float(p1)) > EPS:
+    p1 = mu1.prob(s1)
+    if mu0.prob(s0) != p1:
         raise CredalError("marginal-probability mismatch")
 
     space = product_space([mu0.space, mu1.space])
-    zero = Fraction(0) if backend == RATIONAL else 0.0
     weights = []
     for i, a in enumerate(mu0.weights):
         inside = i in s0
         side = p1 if inside else 1 - p1  # mu1's mass on the side i couples with
         for j, b in enumerate(mu1.weights):
-            weights.append(a * b / side if side != 0 and (j in s1) == inside else zero)
-    return Measure(space, tuple(weights), backend)
+            weights.append(a * b / side if side != 0 and (j in s1) == inside else Fraction(0))
+    return Measure(space, tuple(weights), RATIONAL)
 
 
 def kl_chain_identity_residual(nu2: Measure, nu: Measure, emb: "Embedding") -> float:

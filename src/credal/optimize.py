@@ -206,8 +206,8 @@ def kl_project(mu: Measure, kb: ConstraintExpr) -> ProjectionResult:
     space = mu.space
     w0 = np.array([float(x) for x in mu.weights])
     n = len(space.worlds)
-    pins = [([int(j == i) for j in range(n)], Fraction(0))
-            for i in range(n) if w0[i] <= 0.0]
+    pins = Cell.pin_rows(([int(j == i) for j in range(n)], Fraction(0))
+                         for i in range(n) if w0[i] <= 0.0)
     diagnostics: list[DisjunctDiagnostic] = []
     candidates: list[tuple[float, bool, Measure, int]] = []
     for k, cell in enumerate(cells(kb, space)):

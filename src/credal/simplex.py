@@ -20,8 +20,16 @@ common denominator d, the determinant (up to sign) of the current
 basis: a pivot on p replaces every other row by
 (p*a_ij - a_ic*a_rj) // d, which divides exactly (Edmonds 1967;
 Bareiss 1968), and then d becomes p.  d stays positive because a pivot
-is positive, or its row is negated first.  The cost row is pivoted the
-same way, at scale d*M for an objective whose denominators have lcm M.
+is positive, or its row is negated first.  The update is sparse and
+still exact.  At a column where the pivot row's entry r_j = a_rj is 0
+it is p*a_ij / d, the entry only rescaled, so `_pivot` scales each
+other row by p / d and recomputes, in a row whose entering entry
+f = a_ic is nonzero, just the pivot row's nonzero columns.  When
+p == d, as in most pivots of the wide LPs, the rescaling keeps the row
+as it is, and d divides f*r_j, since d*a_ij - f*r_j is a multiple of
+d; a row with f == 0 is then not touched at all.  The cost row is
+pivoted the same way, at scale d*M for an objective whose denominators
+have lcm M.
 Primitive rows keep d small: a row at its own scale would bring its
 factor k / g into d whenever it is basic, and the threshold rows of the
 tuple-cover gadgets, P(U) > a / b entered as b on U's worlds, made d a
@@ -304,20 +312,28 @@ def _least_ratio(tableau, basis, entering):
 
 def _pivot(tableau, basis, leaving, entering, d):
     """Fraction-free pivot on every row of the tableau, and the cost row
-    if it is there; returns the new denominator."""
+    if it is there; returns the new denominator.  Each other row is
+    scaled by p / d, kept as it is when p == d, and a row whose entering
+    entry f is nonzero gets (p*a - f*r) // d at the pivot row's nonzero
+    columns alone: at a zero column that quotient is the rescaled entry
+    (see the module docstring).  It writes into new lists, since
+    `vertices` keeps earlier tableaux that share rows with this one."""
     row = tableau[leaving]
     p = row[entering]
     if p < 0:
         row = tableau[leaving] = [-a for a in row]
         p = -p
+    nonzero = [(j, r) for j, r in enumerate(row) if r]
     for i, other in enumerate(tableau):
         if i == leaving:
             continue
+        new = other if p == d else [a * p // d for a in other]
         f = other[entering]
         if f:
-            tableau[i] = [(p * a - f * r) // d for a, r in zip(other, row)]
-        elif p != d:
-            tableau[i] = [a * p // d for a in other]
+            if new is other:
+                new = other.copy()
+            for j, r in nonzero:
+                new[j] = (p * other[j] - f * r) // d
+        tableau[i] = new
     basis[leaving] = entering
     return p
-

@@ -271,6 +271,30 @@ def bland_lp(num_vars, rows, objective, maximize=False):
     return "optimal", x, sum((Fraction(c) * v for c, v in zip(objective, x)), Fraction(0))
 
 
+def dense_pivot(tableau, leaving, entering, d):
+    """The reference fraction-free pivot, dense and on fresh lists: the
+    pivot row, negated when its entry is negative, then every other row
+    at every column, zeros included, replaced by (p*a - f*r) / d, each
+    quotient checked exact (Bareiss 1968).  Returns (tableau, p)."""
+    row = tableau[leaving]
+    if row[entering] < 0:
+        row = [-a for a in row]
+    p = row[entering]
+    out = []
+    for i, other in enumerate(tableau):
+        if i == leaving:
+            out.append(list(row))
+            continue
+        f = other[entering]
+        new = []
+        for a, r in zip(other, row):
+            q, rem = divmod(p * a - f * r, d)
+            assert rem == 0, "a Bareiss quotient must be exact"
+            new.append(q)
+        out.append(new)
+    return out, p
+
+
 def scale_row(coeffs, rel, b, num_vars):
     """The reference conversion of a rational (coefficients, rel, rhs) row
     over num_vars variables (missing coefficients are 0) to the integer

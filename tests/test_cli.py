@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from credal.cli import _PROCS, REPRODUCTIONS, load_scenario, main, read_scenario
+from credal.cli import (_PROCS, REPRODUCTIONS, _as_lines, _golden_matches, load_scenario, main,
+                        read_scenario)
 from credal.embeddings import (from_interpretation, from_surjection, permutation_embedding,
                                product_embedding)
+from credal.errors import CredalError
 from credal.spaces import enumerate_worlds, product_space
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "credal" / "scenarios"
@@ -189,6 +191,38 @@ def test_reproduce_unknown_name(capsys):
     assert main(["reproduce", "nope"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: unknown reproduction 'nope'")
+
+
+def test_reproduce_without_a_golden_file(monkeypatch, capsys):
+    # a reproduction with no golden to match reports the match as null
+    # and exits 1, not as a match
+    monkeypatch.setitem(REPRODUCTIONS, "no-golden", lambda: {"value": 1})
+    assert main(["reproduce", "no-golden", "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"name": "no-golden", "results": {"value": 1}, "golden_match": None}
+
+
+def test_golden_lists_match_item_by_item():
+    # lists match when they have the golden's length and each item
+    # matches, floats within 1e-6
+    assert _golden_matches([1, [2.0000001, "a"]], [1, [2.0, "a"]])
+    assert not _golden_matches([1, 2], [1, 2, 3])
+    assert not _golden_matches([1, [2.1, "a"]], [1, [2.0, "a"]])
+    assert not _golden_matches({"0": 1}, [1])
+
+
+def test_text_output_of_lists_and_scalars():
+    # a list's scalars are dashed and a nested list or dict indented
+    # under its key; a bare scalar is one line
+    assert _as_lines({"a": [1, [2, 3], {"k": 4}], "b": 5}) == [
+        "a:", "  - 1", "    - 2", "    - 3", "    k: 4", "b: 5"]
+    assert _as_lines(7) == ["7"]
+
+
+def test_a_duplicate_space_name_is_refused():
+    doc = {"spaces": [{"name": "X", "vocabulary": ["p"]}, {"name": "X", "vocabulary": ["q"]}]}
+    with pytest.raises(CredalError, match=r"^/spaces/1/name: duplicate space name 'X'$"):
+        read_scenario(doc)
 
 
 def test_falsify_cli_maxent(capsys):

@@ -35,6 +35,7 @@ from credal.entail import (
     entails,
     equivalent,
     is_interesting,
+    linear_extremes,
     linear_range,
     objective_normal_form,
     quarter_constraint,
@@ -396,8 +397,8 @@ class TestCell:
         (cell,) = cells(kb, fly_bird_space)
         fly = [0, 0, 1, 1]
         # a pinned probe answers with a fresh Measure, or None
-        assert cell.witness([(fly, F(1, 2))]) is None
-        assert cell.witness([(fly, F(3, 4))]) is not None
+        assert cell.witness(Cell.pin_rows([(fly, F(1, 2))])) is None
+        assert cell.witness(Cell.pin_rows([(fly, F(3, 4))])) is not None
         assert cell.witness() is not None
 
     def test_feasible_checks_the_lp_point(self, monkeypatch, fly_bird_space):
@@ -412,11 +413,11 @@ class TestCell:
 
         monkeypatch.setattr(simplex, "solve_lp", doubled)
         with pytest.raises(ValueError, match="nonnegative and sum to exactly 1"):
-            cell.witness([([0, 0, 1, 1], F(3, 4))])
+            cell.witness(Cell.pin_rows([([0, 0, 1, 1], F(3, 4))]))
 
     def test_integer_rows_are_the_scaled_rational_rows(self, monkeypatch):
         # each cell builds its integer rows once, from the atoms' terms,
-        # and each pin's row on each LP; they must be the rows the
+        # and each pin's row with Cell.pin_rows; they must be the rows the
         # reference scale_row makes of the rational rows, so the tableau
         # and every pivot stay those of the rational LP
         t_coeff = {"<": F(1), ">": F(-1)}
@@ -445,7 +446,7 @@ class TestCell:
                     with monkeypatch.context() as m:
                         m.setattr(simplex, "solve_lp", lambda _, rows, *a, **k:
                                   lps.append(rows) or (simplex.INFEASIBLE, None, None))
-                        cell.solve(None, True, pins=pins)
+                        cell.solve(None, True, pins=Cell.pin_rows(pins))
                     assert lps[0][len(cell._open):] == [scale_row(coeffs + [0], "=", value, n + 1)
                                                         for coeffs, value in pins]
 
@@ -672,14 +673,14 @@ class TestOneColumnPerClass:
                 seen["empty"] += witness is None
                 probe = pins()
                 found = _per_world_lp(cell, cell._open, [0] * n + [1], True, probe)
-                feasible = cell.witness(probe) is not None
+                feasible = cell.witness(Cell.pin_rows(probe)) is not None
                 assert feasible == (found is not None and found[1] > 0)
                 seen["feasible"] += feasible
                 for closed, rows in ((False, cell._open), (True, cell._closed)):
                     c, maximize = objective(), rng.random() < 0.5
                     for extra in ((), probe):
                         found = _per_world_lp(cell, rows, c + [0], maximize, extra)
-                        assert cell.solve(c, maximize, closed, extra) == found
+                        assert cell.solve(c, maximize, closed, Cell.pin_rows(extra)) == found
                         seen["solved"] += found is not None
                 candidates = rng.sample(range(n), 4)
                 for extra in ((), probe):
@@ -689,7 +690,7 @@ class TestOneColumnPerClass:
                         found = _per_world_lp(cell, cell._closed, unit, True, extra)
                         if found is not None and found[1] > 0:
                             expected.append(i)
-                    assert cell.support(candidates, extra) == expected
+                    assert cell.support(candidates, Cell.pin_rows(extra)) == expected
                     seen["support"] += len(expected)
         assert min(seen.values()) >= 50, seen
         # the cell's LPs and the per-world references alike: the events
@@ -744,6 +745,21 @@ class TestLinearRangeAndSampling:
         values = [mu.prob(a[0][1]) for mu in simplex_grid(sp, 12) if satisfies(mu, kb)]
         assert linear_range(kb, a, sp) == (min(values), max(values)) == (0, F(1, 2))
         assert linear_range(parse_constraint("P(a) > 1", sp), a, sp) is None
+
+    def test_a_later_cell_can_hold_the_minimum(self):
+        # the cells are read in DNF order, and each end is the best of
+        # them: the minimum of P(a) is the later cell's, the maximum the
+        # first's; oracle: P(a) at the grid points of [[kb]]
+        sp = enumerate_worlds(["a", "b"])
+        a = ((F(1), event_of(sp, "a")),)
+        kb = parse_constraint("P(a) >= 3/4 | P(a) <= 1/4", sp)
+        first, later = cells(kb, sp)
+        assert [atom.cmp for atom in first.atoms + later.atoms] == [">=", "<="]
+        values = [mu.prob(a[0][1]) for mu in simplex_grid(sp, 12) if satisfies(mu, kb)]
+        assert linear_range(kb, a, sp) == (min(values), max(values)) == (0, 1)
+        (low, _), (high, _) = linear_extremes(kb, a, sp)
+        assert all(atom.holds_at(low) for atom in later.atoms)
+        assert all(atom.holds_at(high) for atom in first.atoms)
 
     def test_samples_satisfy(self, fly_bird_space):
         kb = parse_constraint("P(fly) > 1/4 & P(bird) < 2/3", fly_bird_space)

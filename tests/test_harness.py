@@ -360,6 +360,22 @@ class TestBootstrap:
         assert rep.corresponds and not rep.violations
 
 
+    def test_correspondence_of_rational_priors_is_exact(self):
+        # py pushes forward to (1/2 + 1e-12, 1/2 - 1e-12), which is not
+        # the x prior: correspondence is decided on the rational measures,
+        # not on their floats, which meet at EPS.  The induced procedure
+        # reads the priors in floats, so no pair, the pinned query
+        # included, tells the two sides apart
+        x, y = enumerate_worlds(["a"]), enumerate_worlds(["a", "b"])
+        emb = from_surjection(x, y, [0, 0, 1, 1])
+        e = F(1, 10**12)
+        px = Measure.rational(x, [F(1, 2), F(1, 2)])
+        py = Measure.rational(y, [F(1, 4) + e, F(1, 4), F(1, 4), F(1, 4) - e])
+        rep = bootstrap_check([px], [py], emb)
+        assert not rep.corresponds
+        assert rep.violations == () and not rep.consistent_with_biconditional
+        assert rep.pairs_tested == len(invariance_pairs_on(x)) + 1
+
     def test_the_pinned_query_separates_what_the_corpus_does_not(self):
         x, y = _plain_space("x", 3), _plain_space("y", 4)
         emb = from_surjection(x, y, [0, 1, 1, 2])

@@ -325,6 +325,18 @@ class TestCouple:
             couple(Measure.rational(x0, [F(1, 2), F(1, 2)]), event_from_indices(x0, [0]),
                    Measure.rational(x1, [F(1, 4), F(3, 4)]), event_from_indices(x1, [0]))
 
+    def test_a_float_measure_is_refused(self):
+        # coupling is exact: a float measure on either side, or both, is
+        # refused with one message rather than coupled at a tolerance
+        x0, x1 = enumerate_worlds(["p"]), enumerate_worlds(["q"])
+        s0, s1 = event_from_indices(x0, [0]), event_from_indices(x1, [0])
+        exact = [Measure.rational(x, [F(1, 2), F(1, 2)]) for x in (x0, x1)]
+        floats = [m.to_float() for m in exact]
+        for mu0, mu1 in ((floats[0], exact[1]), (exact[0], floats[1]), tuple(floats)):
+            with pytest.raises(ValueError, match="^couple needs rational measures; convert "
+                                                 "explicitly$"):
+                couple(mu0, s0, mu1, s1)
+
     def test_random_instances_preserve_marginals_exactly(self):
         rng = random.Random(99)
         for _ in range(25):

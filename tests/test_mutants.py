@@ -12,8 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from credal import entail
+from credal import entail, simplex
 from credal.constraints import LinearAtom
+from credal.entail import Cell
 from credal.harness import _plain_space
 from credal.spaces import event_from_indices
 from tests.conftest import (
@@ -25,6 +26,8 @@ from tests.conftest import (
     scale_row,
     simplex_grid,
 )
+from tests.test_entail import _vertex_corpus
+from tests.test_simplex import _disagreements, random_lps
 
 F = Fraction
 
@@ -74,6 +77,23 @@ def atom_rows_are_scale_row():
     return True
 
 
+def lps_pass_the_checker():
+    """`solve_lp`'s optimal answers on `random_lps(2024, 400)` against
+    the exact checker `lp_faults`."""
+    return not _disagreements(random_lps(2024, 400), oracle=False)
+
+
+def walks_are_the_basis_search():
+    """`Cell.vertices`, a walk of `_pivot`s over shared tableau rows, on
+    the cells of test_entail's vertex corpus against the exhaustive
+    `basis_search_vertices`; a walk that divides by zero fails."""
+    try:
+        return all(list(Cell(atoms, sp).vertices()) == expected
+                   for atoms, sp, _, expected in _vertex_corpus())
+    except ZeroDivisionError:
+        return False
+
+
 MUTANTS = [
     pytest.param(LinearAtom, "holds_at", "EXACT_COMPARE[self.cmp]",
                  'EXACT_COMPARE["<=" if self.cmp == "=" else self.cmp]', holds_at_is_atom_value,
@@ -83,6 +103,10 @@ MUTANTS = [
                  id="holds_at-with-d-from-the-first-weight"),
     pytest.param(entail, "_atom_row", "g = gcd(big_l, *ints)", "g = 1",
                  atom_rows_are_scale_row, id="atom_row-without-gcd"),
+    pytest.param(simplex, "_pivot", "new = other if p == d else [a * p // d for a in other]",
+                 "new = other", lps_pass_the_checker, id="pivot-without-rescale"),
+    pytest.param(simplex, "_pivot", "new = other.copy()", "new = other",
+                 walks_are_the_basis_search, id="pivot-into-the-shared-row"),
 ]
 
 

@@ -547,7 +547,7 @@ def test_projection_duals_are_a_kkt_certificate():
         held = np.flatnonzero(w0 > 0.0).tolist()
         pins = [([int(j == i) for j in range(len(w0))], 0) for i in range(len(w0)) if w0[i] <= 0]
         zero = [i for i in held if w[i] == 0.0]
-        assert zero == sorted(set(held) - set(cell.support(held, pins)))
+        assert zero == sorted(set(held) - set(cell.support(held, Cell.pin_rows(pins))))
         zeroed += bool(zero)
         assert lam.shape == b.shape
         assert (lam[ineq] >= 0.0).all()

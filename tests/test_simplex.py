@@ -12,7 +12,7 @@ from credal.entail import conservative_check
 from credal.procedures import InferenceProcedure, klm_properties_check
 from credal.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, Row, solve_lp
 from credal.spaces import enumerate_worlds
-from tests.conftest import bland_lp, highs_lp, lp_faults, mutant, scale_row
+from tests.conftest import bland_lp, dense_pivot, highs_lp, lp_faults, mutant, scale_row
 
 F = Fraction
 
@@ -245,6 +245,55 @@ def test_a_later_equal_column_can_be_left_out_of_the_tableau():
         elif found[0] == OPTIMAL:
             moved += found[1][later] != 0
     assert moved >= 10, moved
+
+
+def random_pivots(seed, count):
+    """(tableau, basis, leaving, entering, d, whether the last row is a
+    cost row) along seeded walks of the reference `dense_pivot` from
+    integer tableaux at d = 1: rows mostly zeros, some all zeros, entries
+    of either sign and often +-1 or +-2, so that many pivots have p == d.
+    A cost row has no basis entry and is never the pivot row."""
+    rng = random.Random(seed)
+    while True:
+        n_rows, width = rng.randint(2, 6), rng.randint(3, 10)
+        tableau = [[rng.choice((0, 0, 0, 1, -1, 2, -2, 3)) for _ in range(width + 1)]
+                   if rng.random() < 0.85 else [0] * (width + 1) for _ in range(n_rows)]
+        cost = rng.random() < 0.5
+        basis = list(range(width, width + n_rows - cost))
+        d = 1
+        for _ in range(rng.randint(1, 6)):
+            if not count:
+                return
+            leaving = rng.randrange(len(basis))
+            columns = [j for j in range(width) if tableau[leaving][j]]
+            if not columns:
+                continue
+            entering = rng.choice(columns)
+            yield tableau, list(basis), leaving, entering, d, cost
+            count -= 1
+            tableau, d = dense_pivot(tableau, leaving, entering, d)
+            basis[leaving] = entering
+
+
+def test_pivot_is_the_dense_bareiss_update():
+    # the sparse update, which rescales a row and recomputes only the
+    # pivot row's nonzero columns, gives the dense update's integers on
+    # every row, the cost row too, and writes no row list it was given:
+    # `vertices` keeps tableaux whose rows the next pivot shares
+    seen = Counter()
+    for tableau, basis, leaving, entering, d, cost in random_pivots(2026, 600):
+        before = [row.copy() for row in tableau]
+        expected, p = dense_pivot(tableau, leaving, entering, d)
+        work, after = list(tableau), list(basis)
+        assert simplex._pivot(work, after, leaving, entering, d) == p
+        assert work == expected
+        assert after == basis[:leaving] + [entering] + basis[leaving + 1:]
+        assert tableau == before
+        seen["p == d" if p == d else "p != d"] += 1
+        seen["negative pivot"] += tableau[leaving][entering] < 0
+        seen["zero row"] += not all(map(any, tableau))
+        seen["cost row"] += cost
+    assert min(seen.values()) >= 50, seen
 
 
 @pytest.mark.parametrize("old, new", [("if p < 0:", "if False:"),

@@ -89,7 +89,7 @@ def test_lp_is_solved_only_by_cell():
 
 def test_lp_rows_are_built_only_by_cell():
     # one row type goes into the solver: Cell builds every integer Row,
-    # its atoms' through _atom_row and its pins' on each LP, and simplex
+    # its atoms' through _atom_row and its pins' through pin_rows, and simplex
     # converts no rational row
     assert _top_level_calls("Row") == {("entail.py", "Cell"), ("entail.py", "_atom_row")}
     assert not hasattr(simplex, "scale_row")
