@@ -33,7 +33,7 @@ from .harness import (
     default_independence_gadget,
     rep_independence_falsify,
 )
-from .measures import EPS, Measure
+from .measures import Measure
 from .optimize import maxent
 from .procedures import InferenceProcedure, PriorFunction, infers, klm_properties_check
 from .spaces import Space, atoms_over, enumerate_worlds, event_of, product_space
@@ -254,7 +254,7 @@ def cmd_infer(args) -> int:
     exit_code = 0
     for q in scenario.queries:
         theta = parse_constraint(q, space)
-        v = infers(proc, kb, theta, space, eps=args.eps, seed=args.seed)
+        v = infers(proc, kb, theta, space, seed=args.seed)
         payload["queries"].append({"query": q, "holds": v.holds, "mode": v.mode})
         if not v.holds:
             exit_code = 1
@@ -478,14 +478,6 @@ def cmd_reproduce(args) -> int:
 # -- entry point --------------------------------------------------------------
 
 
-def _tolerance(text: str) -> float:
-    """An ``--eps`` value: a finite float >= 0."""
-    value = float(text)
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"not a finite number >= 0: {text!r}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
@@ -498,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("infer", parents=[common], help="run the scenario's queries")
     p.add_argument("scenario")
-    p.add_argument("--eps", type=_tolerance, default=EPS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_infer)
 

@@ -220,28 +220,28 @@ EXACT_COMPARE = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
                  ">=": operator.ge, ">": operator.gt}
 
 
-def compare(value, cmp: str, bound, eps: float) -> bool:
-    """Whether ``value cmp bound`` holds for floats: within ``eps``, with
-    strict comparisons needing an ``eps`` margin."""
+def compare(value, cmp: str, bound) -> bool:
+    """Whether ``value cmp bound`` holds for floats: within `measures.EPS`,
+    with strict comparisons needing an EPS margin."""
     v, b = float(value), float(bound)
     if cmp == "<":
-        return v < b - eps
+        return v < b - EPS
     if cmp == "<=":
-        return v <= b + eps
+        return v <= b + EPS
     if cmp == "=":
-        return abs(v - b) <= eps
+        return abs(v - b) <= EPS
     if cmp == ">=":
-        return v >= b - eps
-    return v > b + eps
+        return v >= b - EPS
+    return v > b + EPS
 
 
-def satisfies(mu: Measure, expr: ConstraintExpr, eps: float = EPS) -> bool:
+def satisfies(mu: Measure, expr: ConstraintExpr) -> bool:
     """Whether the measure satisfies the constraint.
 
-    Exact for the rational backend; for floats, equalities and
-    non-strict inequalities hold within ``eps`` and strict inequalities
-    must hold with an ``eps`` margin (``eps`` defaults to `measures.EPS`).
-    An atom on another space than the measure's raises ValueError.
+    Exact for the rational backend; for floats by `compare`, at the one
+    tolerance `measures.EPS` at which `optimize.kl_project` keeps a
+    projection inside [[kb]].  An atom on another space than the
+    measure's raises ValueError.
     """
     exact = mu.backend == RATIONAL
     if isinstance(expr, TrueExpr):
@@ -253,18 +253,18 @@ def satisfies(mu: Measure, expr: ConstraintExpr, eps: float = EPS) -> bool:
         if exact:
             return expr.holds_at(mu.weights)
         value, bound = expr.float_sides(mu.weights)
-        return compare(value, expr.cmp, bound, eps)
+        return compare(value, expr.cmp, bound)
     if isinstance(expr, ProductAtom):
         check_space(mu.space, (expr,))
         lhs = mu.prob(expr.lhs)
         rhs = mu.prob(expr.rhs[0]) * mu.prob(expr.rhs[1])
-        return lhs == rhs if exact else compare(lhs, "=", rhs, eps)
+        return lhs == rhs if exact else compare(lhs, "=", rhs)
     if isinstance(expr, And):
-        return all(satisfies(mu, it, eps) for it in expr.items)
+        return all(satisfies(mu, it) for it in expr.items)
     if isinstance(expr, Or):
-        return any(satisfies(mu, it, eps) for it in expr.items)
+        return any(satisfies(mu, it) for it in expr.items)
     if isinstance(expr, Not):
-        return not satisfies(mu, expr.child, eps)
+        return not satisfies(mu, expr.child)
     raise TypeError(f"not a constraint: {expr!r}")
 
 

@@ -42,13 +42,14 @@ from .embeddings import (
     product_embedding,
     random_faithful_embedding,
 )
-from .entail import conservative_check, entails, satisfiable
+from .entail import conservative_check, entails, linear_range, satisfiable
 from .errors import CredalError, DomainError
 from .measures import RATIONAL, Measure, condition, couple, product_measure
 from .procedures import (
     InferenceProcedure,
     PriorFunction,
     infers,
+    select,
 )
 from .spaces import (
     Event,
@@ -392,29 +393,57 @@ class ProbeReport:
 
 def essentially_entailment_probe(proc: InferenceProcedure, kb: ConstraintExpr,
                                  events, space: Space | None = None) -> ProbeReport:
-    """Look for inferred open intervals alpha < Pr(S) < beta, for alpha < beta
-    on the corpus' BOUND_GRID, over space (by default `space_of(kb)`).
+    """Look for inferred open intervals alpha < Pr(S) < beta, for 0 <= alpha
+    < beta <= 1, over space (by default `space_of(kb)`).
+
+    The pairs come from two closed ranges of Pr(S): kb's [klo, khi] and
+    the selection's [lo, hi], a constraint selection's `linear_range` or
+    the least and greatest Pr(S) of a finite one, each clipped to kb's
+    (a float selection was kept in [[kb]] at EPS).  alpha is halfway from
+    klo to lo when lo > klo, else klo, or lo/2; beta is halfway from hi
+    to khi when hi < khi, else khi, or (1 + hi)/2.  An empty selection
+    infers every interval and is read at 0, or at 1 when kb pins Pr(S)
+    to 0.  Each pair is judged by `infers`, at EPS for float measures,
+    and by `entails`.
 
     A "violation" witness is one whose closed form is not entailed (the
     procedure genuinely jumped); a "strengthening" witness is entailed
-    closed but not open (the only jump essential entailment allows).
+    closed but not open (the only jump essential entailment allows).  A
+    kb outside the procedure's domain has no witness; the product family,
+    which has no enumerable selection, is refused as by `select`.
     """
     space = space or space_of(kb)
+    try:
+        selection = select(proc, kb, space)
+    except DomainError:
+        return ProbeReport(proc.name, ())
     witnesses = []
     for s in events:
-        for i, a in enumerate(BOUND_GRID):
-            for b in BOUND_GRID[i + 1:]:
-                open_q = And((LinearAtom(((_ONE, s),), ">", a),
-                              LinearAtom(((_ONE, s),), "<", b)))
-                v = _try_infers(proc, kb, open_q, space)
-                if v is None or not v.holds:
-                    continue
-                closed_q = And((LinearAtom(((_ONE, s),), ">=", a),
-                                LinearAtom(((_ONE, s),), "<=", b)))
-                if not entails(kb, closed_q, space):
-                    witnesses.append(ProbeWitness(s, a, b, "violation"))
-                elif not entails(kb, open_q, space):
-                    witnesses.append(ProbeWitness(s, a, b, "strengthening"))
+        terms = ((_ONE, s),)
+        kb_range = linear_range(kb, terms, space)
+        if kb_range is None:
+            continue  # an empty kb entails every interval
+        klo, khi = kb_range
+        if isinstance(selection, tuple):
+            ps = [min(max(Fraction(m.prob(s)), klo), khi) for m in selection]
+            sel_range = (min(ps), max(ps)) if ps else None
+        else:
+            sel_range = linear_range(selection, terms, space)
+        if sel_range is None:  # an empty selection infers every interval
+            sel_range = (F(0), F(0)) if khi > 0 else (_ONE, _ONE)
+        lo, hi = sel_range
+        alphas = {(klo + lo) / 2 if lo > klo else klo, lo / 2}
+        betas = {(hi + khi) / 2 if hi < khi else khi, (1 + hi) / 2}
+        for a, b in sorted((a, b) for a in alphas for b in betas if a < b):
+            open_q = And((LinearAtom(terms, ">", a), LinearAtom(terms, "<", b)))
+            v = _try_infers(proc, kb, open_q, space)
+            if v is None or not v.holds:
+                continue
+            closed_q = And((LinearAtom(terms, ">=", a), LinearAtom(terms, "<=", b)))
+            if not entails(kb, closed_q, space):
+                witnesses.append(ProbeWitness(s, a, b, "violation"))
+            elif not entails(kb, open_q, space):
+                witnesses.append(ProbeWitness(s, a, b, "strengthening"))
     return ProbeReport(proc.name, tuple(witnesses))
 
 

@@ -63,7 +63,7 @@ from .entail import (
     satisfiable,
 )
 from .errors import CredalError
-from .measures import EPS, Measure, product_measure
+from .measures import Measure, product_measure
 from .optimize import update_set, updates
 from .spaces import (
     Event,
@@ -241,27 +241,26 @@ def select(proc: InferenceProcedure, kb: ConstraintExpr,
 
 
 def _check_all_satisfy(selection: tuple[Measure, ...] | ConstraintExpr, theta: ConstraintExpr,
-                       space: Space, eps: float, seed: int, samples: int) -> Verdict:
+                       space: Space, seed: int, samples: int) -> Verdict:
     if isinstance(selection, tuple):
         for m in selection:
-            if not satisfies(m, theta, eps):
+            if not satisfies(m, theta):
                 return Verdict(False, (m,))
         return Verdict(True, selection)
     if not has_product_atom(theta):
         counter = satisfiable(and_(selection, Not(theta)), space)
         return Verdict(False, (counter.witness,)) if counter.feasible else Verdict(True)
-    return _sampled(sample_measures(selection, space, samples, seed), theta, eps, seed)
+    return _sampled(sample_measures(selection, space, samples, seed), theta, seed)
 
 
 def infers(proc: InferenceProcedure, kb: ConstraintExpr, theta: ConstraintExpr,
-           space: Space | None = None, eps: float = EPS,
-           seed: int = 0, samples: int = 200) -> Verdict:
+           space: Space | None = None, seed: int = 0, samples: int = 200) -> Verdict:
     """KB |~ theta under the procedure over space, by default `space_of(kb,
     theta)`: every selected measure satisfies theta.  Exact for finite
     selections and for linear queries against denotations; sampled
-    falsification otherwise.  Float measures are judged by `satisfies` at
-    ``eps``, by default the `measures.EPS` at which a projection already
-    kept them inside [[kb]].  ``samples`` below 1 raises ValueError: a
+    falsification otherwise.  Float measures are judged by `satisfies`,
+    at the `measures.EPS` at which a projection already kept them inside
+    [[kb]], so KB |~ KB holds.  ``samples`` below 1 raises ValueError: a
     sampled verdict that checked no measure would hold vacuously."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, not {samples}")
@@ -272,10 +271,10 @@ def infers(proc: InferenceProcedure, kb: ConstraintExpr, theta: ConstraintExpr,
         check_space(space, [*atoms_of(kb), *atoms_of(theta)])  # read by _rectangle, holds_at
         kbs = _factorize(kb, space)
         if kbs is None:
-            return _product_family_sampled(kb, theta, space, eps, seed, samples)
+            return _product_family_sampled(kb, theta, space, seed, samples)
         return product_prior_infer(kbs, theta, space, seed=seed, samples=samples)
     selection = select(proc, kb, space)
-    return _check_all_satisfy(selection, theta, space, eps, seed, samples)
+    return _check_all_satisfy(selection, theta, space, seed, samples)
 
 
 # Product-family machinery ------------------------------------------------
@@ -332,14 +331,13 @@ def _factorize(kb: ConstraintExpr, space: Space) -> tuple[ConstraintExpr, ...] |
     return tuple(out)
 
 
-def _sampled(candidates: Iterable[Measure], theta: ConstraintExpr, eps: float,
-             seed: int) -> Verdict:
+def _sampled(candidates: Iterable[Measure], theta: ConstraintExpr, seed: int) -> Verdict:
     """Sampled falsification: the first candidate that violates theta
     refutes it; `samples` counts the candidates checked."""
     checked = 0
     for mu in candidates:
         checked += 1
-        if not satisfies(mu, theta, eps):
+        if not satisfies(mu, theta):
             return Verdict(False, (mu,), mode="sampled", samples=checked, seed=seed)
     return Verdict(True, mode="sampled", samples=checked, seed=seed)
 
@@ -381,11 +379,11 @@ def product_prior_infer(kbs: Sequence[ConstraintExpr], theta: ConstraintExpr, sp
                       for kb_i, f in zip(kbs, factors)]
     draws = (product_measure([fs[rng.randrange(len(fs))] for fs in factor_samples], space)
              for _ in range(samples if all(factor_samples) else 0))
-    return _sampled(draws, theta, EPS, seed)
+    return _sampled(draws, theta, seed)
 
 
 def _product_family_sampled(kb: ConstraintExpr, theta: ConstraintExpr, space: Space,
-                            eps: float, seed: int, samples: int) -> Verdict:
+                            seed: int, samples: int) -> Verdict:
     """Falsification for a non-factorized kb under the product prior.
 
     The selection is the union of the priors' projections onto [[kb]]
@@ -401,7 +399,7 @@ def _product_family_sampled(kb: ConstraintExpr, theta: ConstraintExpr, space: Sp
     if not satisfiable(kb, space).feasible:
         return Verdict(True)  # empty selection: trivially holds
     priors = itertools.chain(_corner_priors(kb, space), _product_priors(space, seed, samples))
-    return _sampled(updates(priors, kb), theta, eps, seed)
+    return _sampled(updates(priors, kb), theta, seed)
 
 
 @lru_cache(maxsize=64)

@@ -148,15 +148,11 @@ class Event:
             yield low.bit_length() - 1
             mask ^= low
 
-    def worlds(self) -> Iterator[World]:
-        for i in self.indices():
-            yield self.space.worlds[i]
-
     def __contains__(self, index: int) -> bool:
         return bool((self.mask >> index) & 1)
 
     def __repr__(self):
-        names = ",".join(w.label(self.space.vocabulary) for w in self.worlds())
+        names = ",".join(self.space.worlds[i].label(self.space.vocabulary) for i in self.indices())
         return f"Event{{{names}}}"
 
 

@@ -6,10 +6,12 @@ so they stay independent of the solver paths they check.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import itertools
 import math
 import operator
+import random
 import sys
 import textwrap
 from fractions import Fraction
@@ -17,7 +19,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings
 
-from credal.constraints import compare
 from credal.measures import Measure
 from credal.procedures import InferenceProcedure, PriorFunction
 from credal.simplex import Row
@@ -45,6 +46,10 @@ ANOTHER_SPACE = "^an atom lives on a different space than the question$"
 EXACT = {"=": operator.eq, "<=": operator.le, ">=": operator.ge, "<": operator.lt,
          ">": operator.gt}
 CLOSED_CMP = {"=": "=", "<=": "<=", ">=": ">=", "<": "<=", ">": ">="}
+# each comparator on floats within a tolerance: strict ones need a margin
+FLOAT_CMP = {"<": lambda v, b, eps: v < b - eps, "<=": lambda v, b, eps: v <= b + eps,
+             "=": lambda v, b, eps: abs(v - b) <= eps, ">=": lambda v, b, eps: v >= b - eps,
+             ">": lambda v, b, eps: v > b + eps}
 
 
 def mutant(owner, name, old, new):
@@ -321,8 +326,10 @@ def atom_value(atom, mu):
 
 def float_atom_holds(atom, mu, eps):
     """The reference float check of a `LinearAtom`: its value against
-    its bound by `compare`, the one float rule."""
-    return compare(atom_value(atom, mu), atom.cmp, atom.bound, eps)
+    its bound in floats, within eps, a strict comparison needing an eps
+    margin; written apart from `constraints.compare`, which it checks."""
+    v, b = float(atom_value(atom, mu)), float(atom.bound)
+    return FLOAT_CMP[atom.cmp](v, b, eps)
 
 
 def highs_lp(num_vars, rows, objective, maximize):
@@ -434,3 +441,70 @@ def closed_form_extension_weights(nu=None, i=0, gamma=Fraction(1, 3)):
             w *= nus[j].weights[xc] / side_mass
         weights.append(Fraction(w))
     return weights
+
+
+def probe_pair_kind(proc, kb, event, alpha, beta, space):
+    """How the essential-entailment probe classes the open interval
+    alpha < Pr(event) < beta: None when the procedure does not infer it
+    (or kb is outside its domain), "violation" when kb does not entail
+    its closed form, "strengthening" when kb entails the closed form but
+    not the open one, and "entailed" otherwise."""
+    from credal.constraints import And, LinearAtom
+    from credal.entail import entails
+    from credal.errors import DomainError
+    from credal.procedures import infers
+
+    terms = ((Fraction(1), event),)
+    open_q = And((LinearAtom(terms, ">", alpha), LinearAtom(terms, "<", beta)))
+    try:
+        if not infers(proc, kb, open_q, space).holds:
+            return None
+    except DomainError:
+        return None
+    closed_q = And((LinearAtom(terms, ">=", alpha), LinearAtom(terms, "<=", beta)))
+    if not entails(kb, closed_q, space):
+        return "violation"
+    return "entailed" if entails(kb, open_q, space) else "strengthening"
+
+
+def grid_probe(proc, kb, events, space):
+    """The reference essential-entailment probe: every pair alpha < beta
+    of `corpus.BOUND_GRID`, for each event, by `probe_pair_kind`; the
+    (event, alpha, beta, kind) of each violation or strengthening."""
+    from credal.corpus import BOUND_GRID
+
+    found = []
+    for s in events:
+        for i, a in enumerate(BOUND_GRID):
+            for b in BOUND_GRID[i + 1:]:
+                kind = probe_pair_kind(proc, kb, s, a, b, space)
+                if kind in ("violation", "strengthening"):
+                    found.append((s, a, b, kind))
+    return found
+
+
+@functools.cache
+def probe_corpus():
+    """(procedure, kb, events, space, the events of its grid violations)
+    for the five procedures that select, on the two- and three-symbol klm
+    corpora: their events, every P(e) = 1/4 kb and four seeded others.
+    The grid is `grid_probe`'s, computed once for every test that reads it."""
+    from credal.constraints import LinearAtom
+    from credal.corpus import klm_corpus
+    from credal.spaces import enumerate_worlds
+
+    procs = [InferenceProcedure.entailment(), InferenceProcedure.i0(), InferenceProcedure.i1(),
+             InferenceProcedure.maxent(), InferenceProcedure.broken()]
+    rng = random.Random(32)
+    out = []
+    for symbols in (["a", "b"], ["a", "b", "c"]):
+        sp = enumerate_worlds(symbols)
+        kbs, _, _ = klm_corpus(sp)
+        quarter = [kb for kb in kbs if isinstance(kb, LinearAtom) and kb.cmp == "="
+                   and kb.bound == Fraction(1, 4)]
+        events = [kb.terms[0][1] for kb in quarter]
+        chosen = quarter + rng.sample([kb for kb in kbs if kb not in quarter], 4)
+        out += [(proc, kb, events, sp,
+                 {e for e, _, _, kind in grid_probe(proc, kb, events, sp) if kind == "violation"})
+                for proc in procs for kb in chosen]
+    return out

@@ -202,7 +202,8 @@ class TestSatisfies:
     def test_float_rows_match_the_reference_bit_for_bit(self):
         # satisfies judges a LinearAtom on a float measure from the atom's
         # float row; its value, bound and verdict equal the reference
-        # compare(sum(c * mu.prob(e)), cmp, bound, EPS) exactly, on
+        # float_atom_holds(atom, mu, EPS), which compares sum(c *
+        # mu.prob(e)) with the bound by its own table, exactly, on
         # negative and conditional (-bound) coefficients, zero weights and
         # bounds placed at the value and EPS either side of it
         rng = random.Random(28)

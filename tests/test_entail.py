@@ -858,6 +858,21 @@ class TestConservativeCheck:
         rep = conservative_check(parse_constraint("P(s) > 1/3", x), psi, xy)
         assert rep.status == "inconclusive" and rep.witness is None
 
+    def test_a_kb_cell_without_a_witness_is_skipped(self):
+        # P(s) > 1 is an empty cell of kb: only P(s) >= 1/2's two
+        # vertices and eight samples are tested, and all extend
+        x, xy, psi = self._lifted("P(s) >= 1/2")
+        rep = conservative_check(parse_constraint("P(s) > 1 | P(s) >= 1/2", x), psi, xy)
+        assert rep == ConservativeReport("conservative_verified", None, 10)
+
+    def test_a_sample_refutes_a_two_cell_psi(self):
+        # both vertices of [[true]] extend, one through each cell of psi;
+        # the first sample, P(s) = 3/8, extends through neither
+        x, xy, psi = self._lifted("P(s) <= 1/8 | P(s) >= 7/8")
+        rep = conservative_check(TrueExpr(), psi, xy)
+        assert rep.status == "not_conservative" and rep.tested == 3
+        assert rep.witness.weights == (F(5, 8), F(3, 8))
+
     def test_closed_psi_moves_a_failed_vertex_into_kb(self):
         # the failed vertex P(s) = 1/3 is moved toward the cell's witness
         # until the moved point, inside [[kb]], fails too

@@ -37,7 +37,7 @@ from credal.spaces import (
     event_of,
     product_space,
 )
-from tests.conftest import closed_form_extension_weights
+from tests.conftest import closed_form_extension_weights, grid_probe, probe_corpus, probe_pair_kind
 
 F = Fraction
 
@@ -278,7 +278,68 @@ class TestRobustness:
         assert rep.skipped
 
 
+def probe_covers_the_grid():
+    """`essentially_entailment_probe` on `conftest.probe_corpus` against
+    its grid: every event with a grid violation has a probe violation,
+    and every probe witness has 0 <= alpha < beta <= 1 and is classed as
+    the probe says by `conftest.probe_pair_kind`, the grid's own test of
+    a pair."""
+    for proc, kb, events, sp, grid in probe_corpus():
+        rep = harness.essentially_entailment_probe(proc, kb, events, sp)
+        if not grid <= {w.event for w in rep.witnesses if w.kind == "violation"}:
+            return False
+        if any(not 0 <= w.alpha < w.beta <= 1
+               or probe_pair_kind(proc, kb, w.event, w.alpha, w.beta, sp) != w.kind
+               for w in rep.witnesses):
+            return False
+    return True
+
+
 class TestEssentialEntailmentProbe:
+    def test_probe_covers_the_grid(self):
+        assert probe_covers_the_grid()
+        # and finds maxent's violations between its points: on P(a) = 1/4
+        # maxent selects P(a & b) = 1/8, and every grid pair around 1/8
+        # starts at 0 and holds kb's range [0, 1/4]
+        beyond = [(proc.name, kb) for proc, kb, events, sp, grid in probe_corpus()
+                  if {w.event for w in essentially_entailment_probe(proc, kb, events, sp).witnesses
+                      if w.kind == "violation"} - grid]
+        assert beyond and {name for name, _ in beyond} == {"maxent"}
+
+    @pytest.mark.parametrize("kb_text, alpha, beta", [
+        ("P(a) <= 1/20", F(1, 40), F(21, 40)),
+        ("P(a) >= 1/5 & P(a) <= 1/4", F(9, 40), F(5, 8)),
+    ])
+    def test_maxent_violates_between_grid_points(self, kb_text, alpha, beta):
+        # maxent selects P(a) at kb's upper end, so it infers alpha <
+        # P(a) < beta with alpha halfway up kb's range; no grid pair has
+        # an alpha inside that range, so the grid finds no violation
+        one = enumerate_worlds(["a"])
+        kb = parse_constraint(kb_text, one)
+        a = event_of(one, "a")
+        proc = InferenceProcedure.maxent()
+        assert [w for w in grid_probe(proc, kb, [a], one) if w[3] == "violation"] == []
+        rep = essentially_entailment_probe(proc, kb, [a], one)
+        assert not rep.essentially_entailment
+        assert [(w.alpha, w.beta) for w in rep.witnesses if w.kind == "violation"] == [
+            (alpha, beta)]
+
+    @pytest.mark.parametrize("kb_text, prior_on_a", [("P(a) >= 1/2", False),
+                                                     ("P(a) = 0", True)])
+    def test_an_empty_selection_violates(self, kb_text, prior_on_a):
+        # a point-mass prior off kb's support projects onto nothing, so the
+        # selection is empty and infers every interval; the probe reads it
+        # at 0, or at 1 when kb pins P(a) to 0, and finds a violation, as
+        # the grid does
+        one = enumerate_worlds(["a"])
+        a = event_of(one, "a")
+        world = next(i for i in range(2) if (i in a) == prior_on_a)
+        prior = Measure.point_mass(one, world).to_float()
+        proc = InferenceProcedure.prior_based(PriorFunction.of({one: [prior]}))
+        kb = parse_constraint(kb_text, one)
+        assert [w for w in grid_probe(proc, kb, [a], one) if w[3] == "violation"]
+        assert not essentially_entailment_probe(proc, kb, [a], one).essentially_entailment
+
     def test_maxent_witness_on_two_worlds(self):
         two = enumerate_worlds(["p"])
         rep = essentially_entailment_probe(

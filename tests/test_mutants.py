@@ -12,21 +12,24 @@ from fractions import Fraction
 
 import pytest
 
-from credal import entail, simplex
-from credal.constraints import LinearAtom
+from credal import constraints, entail, harness, simplex
+from credal.constraints import LinearAtom, satisfies
 from credal.entail import Cell
 from credal.harness import _plain_space
+from credal.measures import EPS, Measure
 from credal.spaces import event_from_indices
 from tests.conftest import (
     CLOSED_CMP,
     EXACT,
     atom_coefficients,
     atom_value,
+    float_atom_holds,
     mutant,
     scale_row,
     simplex_grid,
 )
 from tests.test_entail import _vertex_corpus
+from tests.test_harness import probe_covers_the_grid
 from tests.test_simplex import _disagreements, random_lps
 
 F = Fraction
@@ -94,6 +97,25 @@ def walks_are_the_basis_search():
         return False
 
 
+VERTICES = "return tuple(list(x) for x in sorted(keys, key=keys.get))"
+
+
+def float_checks_are_the_reference():
+    """`satisfies` on seeded float measures against the reference
+    `float_atom_holds` at EPS, for `_atoms`' terms and comparators with
+    the bound at the atom's value and EPS either side of it."""
+    rng = random.Random(33)
+    for atom, sp in _atoms(33):
+        raw = [rng.random() for _ in sp.worlds]
+        mu = Measure.from_floats(sp, [w / sum(raw) for w in raw])
+        value = F(atom_value(atom, mu))
+        for shift in (-1, 0, 1):
+            near = LinearAtom(atom.terms, atom.cmp, value + shift * F(EPS))
+            if satisfies(mu, near) != float_atom_holds(near, mu, EPS):
+                return False
+    return True
+
+
 MUTANTS = [
     pytest.param(LinearAtom, "holds_at", "EXACT_COMPARE[self.cmp]",
                  'EXACT_COMPARE["<=" if self.cmp == "=" else self.cmp]', holds_at_is_atom_value,
@@ -107,6 +129,14 @@ MUTANTS = [
                  "new = other", lps_pass_the_checker, id="pivot-without-rescale"),
     pytest.param(simplex, "_pivot", "new = other.copy()", "new = other",
                  walks_are_the_basis_search, id="pivot-into-the-shared-row"),
+    pytest.param(simplex, "vertices", VERTICES, VERTICES + "[1:]", walks_are_the_basis_search,
+                 id="vertices-without-the-first"),
+    pytest.param(simplex, "vertices", VERTICES, VERTICES + "[:-1]", walks_are_the_basis_search,
+                 id="vertices-without-the-last"),
+    pytest.param(constraints, "compare", "return v <= b + EPS", "return v <= b - EPS",
+                 float_checks_are_the_reference, id="compare-with-the-<=-margin-reversed"),
+    pytest.param(harness, "essentially_entailment_probe", "lo / 2}", "lo}",
+                 probe_covers_the_grid, id="probe-alpha-at-lo-not-below-it"),
 ]
 
 

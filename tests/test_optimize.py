@@ -25,7 +25,7 @@ from credal.measures import Measure, kl_divergence
 from credal.optimize import DisjunctDiagnostic, kl_project, maxent, update_set, updates
 from credal.procedures import InferenceProcedure, PriorFunction, infers, select
 from credal.spaces import Event, enumerate_worlds, event_of
-from tests.conftest import grid_kl_argmin
+from tests.conftest import float_atom_holds, grid_kl_argmin
 
 F = Fraction
 
@@ -242,7 +242,7 @@ class TestKlProject:
             if any(c < 0 for c in cand):
                 continue
             cand_mu = Measure.from_floats(fly_bird_space, [c / sum(cand) for c in cand])
-            if not satisfies(cand_mu, kb, eps=0.0):
+            if not all(float_atom_holds(atom, cand_mu, 0.0) for atom in kb.items):
                 continue
             found += 1
             assert kl_divergence(cand_mu, mu) >= base - 1e-10
@@ -430,7 +430,7 @@ def test_random_projections_match_grid_oracle():
     # randomized cross-validation of the dual Newton projection
     import random
 
-    from tests.conftest import grid_kl_argmin
+    from tests.conftest import float_atom_holds, grid_kl_argmin
 
     rng = random.Random(71)
     space = _plain_space("cv", 3)

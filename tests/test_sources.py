@@ -47,18 +47,14 @@ def test_one_float_tolerance_literal():
     assert names == [("measures.py", "EPS")]
 
 
-def test_eps_parameters_default_to_eps():
-    for path, tree in _trees():
-        for fn in ast.walk(tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            args = fn.args
-            positional = args.posonlyargs + args.args
-            defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
-            for arg, default in zip(positional + args.kwonlyargs, defaults + args.kw_defaults):
-                if arg.arg == "eps" and default is not None:
-                    assert isinstance(default, ast.Name) and default.id == "EPS", \
-                        (path.name, fn.lineno)
+def test_no_function_takes_a_tolerance():
+    # every float verdict is judged at measures.EPS, the tolerance at
+    # which a projection is kept inside [[kb]]: no function takes an eps
+    found = [(path.name, fn.lineno) for path, tree in _trees() for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+             for arg in [*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs]
+             if arg.arg == "eps"]
+    assert found == []
 
 
 def _top_level_calls(name):
