@@ -27,17 +27,11 @@ for bit (tests/test_optimize.py compares 600 projections with a plain
 numpy reference).  The duals lam are in `DisjunctDiagnostic.duals`,
 zero on the first cell holding a prior that satisfies kb.
 Entropy maximization is divergence minimization from the uniform
-measure.  A set of priors is updated by one loop, `updates`, whose
-projections go through the memo `_projection`, so a (prior, kb) pair
-is projected once however many queries ask about it.  `kl_project`
-itself is not memoised: a wrapper on it sees only the projections
-computed, and a caller that projects each pair once pays no hashing.
-kb's cells come from `entail.cells`, which builds them once per (kb,
-space), so each cell's witness LP serves every prior.  Above both,
-`procedures.select` memoises a prior set's whole update per kb.
-`_projection` keeps an unattained result, not a raise, so `updates`
-raises its DomainError on every call, and `select` memoises no raise.
-The bench clears all three memos before each round.
+measure.  A set of priors is updated by one loop, `updates`, which
+projects each prior once; kb's cells come from `entail.cells`, built
+once per (kb, space), so each cell's witness LP serves every prior.
+The callers memoise a whole update per kb: `procedures.select` and the
+product family's `procedures._sampled_selection`.
 """
 
 from __future__ import annotations
@@ -45,8 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -249,41 +242,35 @@ def maxent(kb: ConstraintExpr, space: Space | None = None) -> ProjectionResult:
     return ProjectionResult(result.status, result.measures, flip(result.value), diags)
 
 
-@lru_cache(maxsize=4096)
-def _projection(mu: Measure, kb: ConstraintExpr) -> ProjectionResult:
-    """`kl_project(mu, kb)`, computed once per (prior, kb): every query
-    on a kb asks for the same priors' projections again."""
-    return kl_project(mu, kb)
-
-
-def updates(priors: Iterable[Measure], kb: ConstraintExpr) -> Iterator[Measure]:
+def updates(priors: Iterable[Measure], kb: ConstraintExpr) -> tuple[Measure, ...]:
     """The attainers of each prior's projection onto kb, prior by prior.
 
-    Lazy, so a caller that stops at the first attainer it rejects never
-    meets a later prior's unattained projection.  `entail.cells` builds
-    kb's cells once per (kb, space), so each cell's witness LP is solved
-    once for the whole prior set.  An unattained projection is a domain
-    error for prior-based procedures; its message names the cell of the
-    least divergence, whose optimum fails kb at `EPS`.
+    Whether kb is in the domain of a prior-based procedure depends on kb
+    alone, so every prior is projected before any query reads the
+    result.  An unattained projection is a domain error; its message
+    names the cell of the least divergence, whose optimum fails kb at
+    `EPS`.
     """
+    out: list[Measure] = []
     for mu in priors:
-        res = _projection(mu.to_float(), kb)
+        res = kl_project(mu.to_float(), kb)
         if res.status == "not_attained":
             best = min((d for d in res.diagnostics if d.value is not None),
                        key=lambda d: d.value)
             raise DomainError(
                 f"KB outside procedure domain: projection not attained (cell {best.index}, "
                 f"divergence {best.value:.6g} bits, optimum fails kb at EPS {EPS:g})")
-        yield from res.measures
+        out += res.measures
+    return tuple(out)
 
 
 def update_set(d: tuple[Measure, ...], kb: ConstraintExpr) -> tuple[Measure, ...]:
     """Pointwise relative-entropy update of a finite set of priors: the
     union of the `updates` attainers, deduplicated and sorted."""
-    return tuple(_dedupe_sorted(list(updates(d, kb))))
+    return tuple(_dedupe_sorted(updates(d, kb)))
 
 
-def _dedupe_sorted(measures: list[Measure]) -> list[Measure]:
+def _dedupe_sorted(measures: Iterable[Measure]) -> list[Measure]:
     out: list[Measure] = []
     for m in measures:
         if not any(m.is_close(o) for o in out):

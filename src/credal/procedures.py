@@ -11,16 +11,14 @@ at tuples of its factor kbs' closure vertices, which the simplex
 tableau lists by pivoting, or at per-factor optima beyond the tuple
 budget (`product_prior_infer`), and everything else by seeded sampling
 falsification, whose `Verdict.samples` counts the measures checked.
-A non-factorized kb's product priors are drawn once per (space, seed,
-samples) and each is projected once per kb.
 
 A procedure is a function of the kb, so the work on the kb alone is
 done once per kb and a query pays only for checking its theta: memos
 keep `select`'s selection per (proc, kb, space), and the product
-family's kb-only work, `_factorize`'s split and `_corner_priors`, per
-(kb, space).  Each memo is an `lru_cache` on a module-level function,
-which the bench clears before each round, and none stores a raise: an
-unattained projection raises DomainError on every call.
+family's `_factorize` split per (kb, space) and sampled selection per
+(kb, space, seed, samples).  Each memo is an `lru_cache` on a
+module-level function, which the bench clears before each round, and
+none stores a raise: a kb outside the domain raises on every query.
 """
 
 from __future__ import annotations
@@ -384,30 +382,33 @@ def product_prior_infer(kbs: Sequence[ConstraintExpr], theta: ConstraintExpr, sp
 
 def _product_family_sampled(kb: ConstraintExpr, theta: ConstraintExpr, space: Space,
                             seed: int, samples: int) -> Verdict:
-    """Falsification for a non-factorized kb under the product prior.
-
-    The selection is the union of the priors' projections onto [[kb]]
-    (generally not product measures), so product priors are drawn and
-    their `updates` attainers are the sampled members of the selection.
-    Counterexamples live at the corners, so the corner priors come
-    first: each is a point mass, its own projection when it satisfies
-    kb and without one otherwise, so they are the satisfying point
-    masses in world order.  The uniform and random full-support product
-    priors of `_product_priors` follow.  An unattained projection puts
-    the kb outside the procedure's domain.
-    """
+    """Falsification for a non-factorized kb under the product prior,
+    over the sampled members of its selection (`_sampled_selection`)."""
     if not satisfiable(kb, space).feasible:
         return Verdict(True)  # empty selection: trivially holds
-    priors = itertools.chain(_corner_priors(kb, space), _product_priors(space, seed, samples))
-    return _sampled(updates(priors, kb), theta, seed)
+    return _sampled(_sampled_selection(kb, space, seed, samples), theta, seed)
 
 
 @lru_cache(maxsize=64)
-def _corner_priors(kb: ConstraintExpr, space: Space) -> tuple[Measure, ...]:
-    """The point masses that satisfy kb, in world order, as float
-    priors: built once per (kb, space), like `_factorize`'s split."""
-    return tuple(Measure.point_mass(space, i, backend="float")
-                 for i in _point_mass_event(cells(kb, space), space).indices())
+def _sampled_selection(kb: ConstraintExpr, space: Space, seed: int,
+                       samples: int) -> tuple[Measure, ...]:
+    """Sampled members of the product family's selection for kb.
+
+    The selection is the union of the priors' projections onto [[kb]]
+    (generally not product measures), so product priors are drawn and
+    their `updates` attainers are the samples, in prior order and with
+    duplicates.  Counterexamples live at the corners, so the corner
+    priors come first: each is a point mass, its own projection when it
+    satisfies kb and without one otherwise, so they are the satisfying
+    point masses in world order.  The uniform and random full-support
+    product priors of `_product_priors` follow.  Computed whole, once
+    per (kb, space, seed, samples): a kb outside the domain raises
+    DomainError for every query.  64 hold the 30 keys one KLM round asks
+    for.
+    """
+    corners = (Measure.point_mass(space, i, backend="float")
+               for i in _point_mass_event(cells(kb, space), space).indices())
+    return updates(itertools.chain(corners, _product_priors(space, seed, samples)), kb)
 
 
 @lru_cache(maxsize=256)
