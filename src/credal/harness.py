@@ -401,10 +401,8 @@ def essentially_entailment_probe(proc: InferenceProcedure, kb: ConstraintExpr,
     the least and greatest Pr(S) of a finite one, each clipped to kb's
     (a float selection was kept in [[kb]] at EPS).  alpha is halfway from
     klo to lo when lo > klo, else klo, or lo/2; beta is halfway from hi
-    to khi when hi < khi, else khi, or (1 + hi)/2.  An empty selection
-    infers every interval and is read at 0, or at 1 when kb pins Pr(S)
-    to 0.  Each pair is judged by `infers`, at EPS for float measures,
-    and by `entails`.
+    to khi when hi < khi, else khi, or (1 + hi)/2.  Each pair is judged
+    by `infers`, at EPS for float measures, and by `entails`.
 
     A "violation" witness is one whose closed form is not entailed (the
     procedure genuinely jumped); a "strengthening" witness is entailed
@@ -426,12 +424,9 @@ def essentially_entailment_probe(proc: InferenceProcedure, kb: ConstraintExpr,
         klo, khi = kb_range
         if isinstance(selection, tuple):
             ps = [min(max(Fraction(m.prob(s)), klo), khi) for m in selection]
-            sel_range = (min(ps), max(ps)) if ps else None
+            lo, hi = min(ps), max(ps)
         else:
-            sel_range = linear_range(selection, terms, space)
-        if sel_range is None:  # an empty selection infers every interval
-            sel_range = (F(0), F(0)) if khi > 0 else (_ONE, _ONE)
-        lo, hi = sel_range
+            lo, hi = linear_range(selection, terms, space)
         alphas = {(klo + lo) / 2 if lo > klo else klo, lo / 2}
         betas = {(hi + khi) / 2 if hi < khi else khi, (1 + hi) / 2}
         for a, b in sorted((a, b) for a in alphas for b in betas if a < b):

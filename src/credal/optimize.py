@@ -247,9 +247,11 @@ def updates(priors: Iterable[Measure], kb: ConstraintExpr) -> tuple[Measure, ...
 
     Whether kb is in the domain of a prior-based procedure depends on kb
     alone, so every prior is projected before any query reads the
-    result.  An unattained projection is a domain error; its message
-    names the cell of the least divergence, whose optimum fails kb at
-    `EPS`.
+    result.  kb is outside the domain when a projection is not attained
+    (the message names the cell of the least divergence, whose optimum
+    fails kb at `EPS`), or when it is empty on a satisfiable kb: every
+    measure of [[kb]] then puts mass off the prior's support, at
+    infinite divergence.  An unsatisfiable kb updates to ().
     """
     out: list[Measure] = []
     for mu in priors:
@@ -260,6 +262,9 @@ def updates(priors: Iterable[Measure], kb: ConstraintExpr) -> tuple[Measure, ...
             raise DomainError(
                 f"KB outside procedure domain: projection not attained (cell {best.index}, "
                 f"divergence {best.value:.6g} bits, optimum fails kb at EPS {EPS:g})")
+        if res.status == "empty" and any(d.infinite for d in res.diagnostics):
+            raise DomainError("KB outside procedure domain: every measure satisfying kb "
+                              "is at infinite divergence from a prior")
         out += res.measures
     return tuple(out)
 

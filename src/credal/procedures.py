@@ -212,13 +212,15 @@ def select(proc: InferenceProcedure, kb: ConstraintExpr,
 
     Prior-based procedures, maxent among them, select the tuple of
     their priors' projections onto kb, deduplicated and sorted (empty
-    when kb is unsatisfiable); an unattained projection raises
-    DomainError.  Entailment, I0, I1 and broken select a constraint:
-    the selection is its denotation.
+    when kb is unsatisfiable); kb is outside their domain, and
+    DomainError is raised, when a projection is not attained or when a
+    satisfiable kb is at infinite divergence from a prior (`updates`).
+    Entailment, I0, I1 and broken select a constraint: the selection is
+    its denotation.
 
     The selection depends on the kb alone, so it is computed once per
     (proc, kb, space) and every query on the kb reads it.  A raise is
-    not memoised: an unattained projection raises on every call.  256
+    not memoised: a kb outside the domain raises on every call.  256
     selections hold the working set of the KLM grid, whose rows read 56
     distinct kbs for each of the four procedures that select.
     """

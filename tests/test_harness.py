@@ -4,9 +4,17 @@ from fractions import Fraction
 import pytest
 
 from credal import harness
-from credal.constraints import LinearAtom, Not, TrueExpr, parse_constraint, satisfies
+from credal.constraints import (
+    FalseExpr,
+    LinearAtom,
+    Not,
+    TrueExpr,
+    parse_constraint,
+    satisfies,
+)
 from credal.embeddings import correspondence_gap, from_surjection, random_faithful_embedding
 from credal.entail import entails, satisfiable
+from credal.errors import DomainError
 from credal.harness import (
     tuple_cover_gadget,
     conservative_extension_demo,
@@ -326,19 +334,21 @@ class TestEssentialEntailmentProbe:
 
     @pytest.mark.parametrize("kb_text, prior_on_a", [("P(a) >= 1/2", False),
                                                      ("P(a) = 0", True)])
-    def test_an_empty_selection_violates(self, kb_text, prior_on_a):
-        # a point-mass prior off kb's support projects onto nothing, so the
-        # selection is empty and infers every interval; the probe reads it
-        # at 0, or at 1 when kb pins P(a) to 0, and finds a violation, as
-        # the grid does
+    def test_a_prior_off_kb_leaves_kb_outside_the_domain(self, kb_text, prior_on_a):
+        # a point-mass prior off kb's support is at infinite divergence
+        # from every measure of the consistent kb, so no query, false
+        # among them, is answered, and neither probe finds a witness
         one = enumerate_worlds(["a"])
         a = event_of(one, "a")
         world = next(i for i in range(2) if (i in a) == prior_on_a)
         prior = Measure.point_mass(one, world).to_float()
         proc = InferenceProcedure.prior_based(PriorFunction.of({one: [prior]}))
         kb = parse_constraint(kb_text, one)
-        assert [w for w in grid_probe(proc, kb, [a], one) if w[3] == "violation"]
-        assert not essentially_entailment_probe(proc, kb, [a], one).essentially_entailment
+        for theta in (FalseExpr(), kb, parse_constraint("P(a) <= 1", one)):
+            with pytest.raises(DomainError, match="infinite divergence"):
+                infers(proc, kb, theta, one)
+        assert grid_probe(proc, kb, [a], one) == []
+        assert essentially_entailment_probe(proc, kb, [a], one).witnesses == ()
 
     def test_maxent_witness_on_two_worlds(self):
         two = enumerate_worlds(["p"])

@@ -72,8 +72,9 @@ class TestMeasureBasics:
         assert not is_distribution([])
 
     def test_a_measure_hashes_its_weights_once(self, fly_bird_space, monkeypatch):
-        # memo keys (optimize._projection) hash the same prior again and
-        # again; only the first hash walks its weights
+        # memo keys (a finite prior function in procedures.select's) hash
+        # the same prior again and again; only the first hash walks its
+        # weights
         mu = Measure.rational(fly_bird_space, [F(1, 2), F(1, 4), F(1, 8), F(1, 8)])
         first = hash(mu)
         calls = []

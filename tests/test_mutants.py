@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from credal import constraints, entail, harness, simplex
+from credal import constraints, entail, harness, optimize, simplex
 from credal.constraints import LinearAtom, satisfies
 from credal.entail import Cell
 from credal.harness import _plain_space
@@ -23,6 +23,7 @@ from tests.conftest import (
     EXACT,
     atom_coefficients,
     atom_value,
+    bland_lp,
     float_atom_holds,
     mutant,
     scale_row,
@@ -30,7 +31,8 @@ from tests.conftest import (
 )
 from tests.test_entail import _vertex_corpus
 from tests.test_harness import probe_covers_the_grid
-from tests.test_simplex import _disagreements, random_lps
+from tests.test_procedures import domain_is_a_property_of_kb
+from tests.test_simplex import _disagreements, random_lps, scaled_lps, solve_rational
 
 F = Fraction
 
@@ -86,6 +88,13 @@ def lps_pass_the_checker():
     return not _disagreements(random_lps(2024, 400), oracle=False)
 
 
+def lps_are_blands_rule():
+    """`solve_lp` on `scaled_lps(2024, 400)` against the reference
+    `bland_lp`, Bland's rule over the rationals: the same status, x and
+    value, Fraction for Fraction."""
+    return all(solve_rational(*lp) == bland_lp(*lp) for lp in scaled_lps(2024, 400))
+
+
 def walks_are_the_basis_search():
     """`Cell.vertices`, a walk of `_pivot`s over shared tableau rows, on
     the cells of test_entail's vertex corpus against the exhaustive
@@ -129,12 +138,25 @@ MUTANTS = [
                  "new = other", lps_pass_the_checker, id="pivot-without-rescale"),
     pytest.param(simplex, "_pivot", "new = other.copy()", "new = other",
                  walks_are_the_basis_search, id="pivot-into-the-shared-row"),
+    pytest.param(simplex, "_phase_1",
+                 "rels = [_FLIP[rel] if ints[-1] < 0 else rel for ints, rel, _ in rows]",
+                 "rels = [rel for ints, rel, _ in rows]", lps_pass_the_checker,
+                 id="phase_1-without-orientation"),
+    pytest.param(simplex, "_phase_1", "row[-1] *= big_k // q", "row[-1] *= big_k",
+                 lps_pass_the_checker, id="phase_1-rhs-without-its-scale"),
+    pytest.param(simplex, "_phase_1", "big_l // k * g", "big_l // k", lps_are_blands_rule,
+                 id="phase_1-weight-without-g"),
+    pytest.param(simplex, "_distinct_columns", "first.setdefault(key, j)", "first[key] = j",
+                 lps_are_blands_rule, id="distinct_columns-keeps-the-later"),
     pytest.param(simplex, "vertices", VERTICES, VERTICES + "[1:]", walks_are_the_basis_search,
                  id="vertices-without-the-first"),
     pytest.param(simplex, "vertices", VERTICES, VERTICES + "[:-1]", walks_are_the_basis_search,
                  id="vertices-without-the-last"),
     pytest.param(constraints, "compare", "return v <= b + EPS", "return v <= b - EPS",
                  float_checks_are_the_reference, id="compare-with-the-<=-margin-reversed"),
+    pytest.param(optimize, "updates",
+                 'res.status == "empty" and any(d.infinite for d in res.diagnostics)', "False",
+                 domain_is_a_property_of_kb, id="updates-without-the-infinite-divergence-raise"),
     pytest.param(harness, "essentially_entailment_probe", "lo / 2}", "lo}",
                  probe_covers_the_grid, id="probe-alpha-at-lo-not-below-it"),
 ]

@@ -20,6 +20,7 @@ from credal.constraints import (
     satisfies,
     space_of,
 )
+from credal import harness
 from credal.corpus import factor_kb_templates, klm_corpus
 from credal.entail import (
     cells,
@@ -353,6 +354,66 @@ class TestProductFamilySampled:
         for theta in klm_corpus(sp)[1] + [FalseExpr()]:
             v = infers(proc, kb, theta, sp)
             assert v.holds == entails(kb, theta, sp) and v.mode == "exact"
+
+
+def _domain_cases():
+    """The product family and two finite prior sets, one a point mass,
+    on 2-symbol kbs: 12 seeded `harness._random_kb`s with a strict DNF
+    cell, then P((a <=> b)) < 1/2."""
+    sp = enumerate_worlds(["a", "b"])
+    rng = random.Random(33)
+    kbs = []
+    while len(kbs) < 12:
+        kb = harness._random_kb(sp, rng)
+        if any(cell.strict for cell in cells(kb, sp)):
+            kbs.append(kb)
+    kbs.append(parse_constraint("P((a <=> b)) < 1/2", sp))
+    skew = Measure.from_floats(sp, [0.4, 0.3, 0.2, 0.1])
+    procs = [InferenceProcedure.prior_based(PriorFunction.product_family()),
+             InferenceProcedure.prior_based(PriorFunction.of({sp: [Measure.uniform(sp), skew]})),
+             InferenceProcedure.prior_based(PriorFunction.of(
+                 {sp: [Measure.point_mass(sp, 0).to_float()]}))]
+    return procs, kbs, sp
+
+
+def domain_is_a_property_of_kb() -> bool:
+    """On `_domain_cases`, from cold caches: for each kb, every query
+    (the klm thetas, false and kb itself) raises DomainError or none
+    does, and then kb |~ false only when kb is unsatisfiable."""
+    clear_caches()
+    procs, kbs, sp = _domain_cases()
+    thetas = klm_corpus(sp)[1]
+    for proc in procs:
+        for kb in kbs:
+            verdicts = []
+            for theta in [*thetas, FalseExpr(), kb]:
+                try:
+                    verdicts.append(infers(proc, kb, theta, sp).holds)
+                except DomainError:
+                    verdicts.append(None)
+            if None in verdicts and set(verdicts) != {None}:
+                return False
+            if verdicts[-2] and satisfiable(kb, sp).feasible:
+                return False
+    return True
+
+
+class TestDomain:
+    def test_the_domain_is_a_property_of_kb(self):
+        assert domain_is_a_property_of_kb()
+
+    def test_a_product_family_kb_outside_the_domain_answers_no_query(self):
+        # the corner priors a!b and !ab satisfy kb and refute P(a) >= 1/2,
+        # but the uniform prior's projection onto P(a <=> b) < 1/2 is not
+        # attained, so every query raises
+        sp = enumerate_worlds(["a", "b"])
+        kb = parse_constraint("P((a <=> b)) < 1/2", sp)
+        proc = InferenceProcedure.prior_based(PriorFunction.product_family())
+        for text in ("P(a) >= 1/2", "P(a) <= 1"):
+            with pytest.raises(DomainError, match="not attained"):
+                infers(proc, kb, parse_constraint(text, sp), sp)
+        with pytest.raises(DomainError, match="not attained"):
+            infers(proc, kb, kb, sp)
 
 
 class TestProductPriorInfer:
@@ -757,9 +818,9 @@ class TestProductFamilyKlm:
         (InferenceProcedure.maxent(), 56),
     ], ids=["product-family", "maxent"])
     def test_each_prior_is_projected_once_per_kb(self, monkeypatch, cold_caches, proc, projected):
-        # optimize._projection computes each (prior, kb) pair once, the
-        # product priors are drawn once per seed, and closed factorized
-        # kbs are decided at vertex tuples without sampling
+        # each kb's update is computed once (select, _sampled_selection),
+        # the product priors are drawn once per seed, and closed
+        # factorized kbs are decided at vertex tuples without sampling
         from credal import optimize, procedures
 
         space = enumerate_worlds(["a", "b"])
