@@ -400,9 +400,8 @@ def _sampled_selection(kb: ConstraintExpr, space: Space, seed: int,
     (generally not product measures), so product priors are drawn and
     their `updates` attainers are the samples, in prior order and with
     duplicates.  Counterexamples live at the corners, so the corner
-    priors come first: each is a point mass, its own projection when it
-    satisfies kb and without one otherwise, so they are the satisfying
-    point masses in world order.  The uniform and random full-support
+    priors come first: the point masses that satisfy kb, in world order,
+    each its own projection.  The uniform and random full-support
     product priors of `_product_priors` follow.  Computed whole, once
     per (kb, space, seed, samples): a kb outside the domain raises
     DomainError for every query.  64 hold the 30 keys one KLM round asks

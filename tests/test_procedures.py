@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from credal import harness
 from credal.constraints import (
     And,
     FalseExpr,
@@ -20,7 +21,6 @@ from credal.constraints import (
     satisfies,
     space_of,
 )
-from credal import harness
 from credal.corpus import factor_kb_templates, klm_corpus
 from credal.entail import (
     cells,
@@ -403,17 +403,15 @@ class TestDomain:
         assert domain_is_a_property_of_kb()
 
     def test_a_product_family_kb_outside_the_domain_answers_no_query(self):
-        # the corner priors a!b and !ab satisfy kb and refute P(a) >= 1/2,
-        # but the uniform prior's projection onto P(a <=> b) < 1/2 is not
-        # attained, so every query raises
+        # the corner prior on !ab satisfies kb and refutes P(a) >= 1/2,
+        # but the uniform prior's projection onto kb is not attained, so
+        # every query raises
         sp = enumerate_worlds(["a", "b"])
         kb = parse_constraint("P((a <=> b)) < 1/2", sp)
         proc = InferenceProcedure.prior_based(PriorFunction.product_family())
-        for text in ("P(a) >= 1/2", "P(a) <= 1"):
+        for theta in (parse_constraint("P(a) >= 1/2", sp), parse_constraint("P(a) <= 1", sp), kb):
             with pytest.raises(DomainError, match="not attained"):
-                infers(proc, kb, parse_constraint(text, sp), sp)
-        with pytest.raises(DomainError, match="not attained"):
-            infers(proc, kb, kb, sp)
+                infers(proc, kb, theta, sp)
 
 
 class TestProductPriorInfer:
