@@ -34,7 +34,7 @@ from math import lcm
 from .errors import CredalError, ParseError
 from .formulas import Parser
 from .measures import EPS, RATIONAL, Measure
-from .spaces import Event, Space, event_of, hash_once
+from .spaces import Event, Space, hash_once
 
 MAX_DISJUNCTS = 4096
 
@@ -374,10 +374,6 @@ _ONE = Fraction(1)
 class _ConstraintParser(Parser):
     """The constraint levels on top of the formula levels of `Parser`."""
 
-    def __init__(self, text: str, space: Space):
-        super().__init__(text)
-        self.space = space
-
     def or_expr(self) -> ConstraintExpr:
         items = [self.and_expr()]
         while self.peek() == "|":
@@ -414,7 +410,8 @@ class _ConstraintParser(Parser):
 
     def _prob(self) -> tuple[Event, Event | None, int]:
         """``P(f)`` or ``P(f | g)``: the events of f and of g (None
-        without a bar), and the position of the ``P``."""
+        without a bar), and the position of the ``P``, at which an
+        unknown name in f or g is raised."""
         if self.peek() != "name" or self.tokens[self.i][1] != "P":
             raise self.error("P(...)")
         pos = self.take()[2]
@@ -426,9 +423,10 @@ class _ConstraintParser(Parser):
             g = self.iff()
         self.take(")")
         try:
-            return event_of(self.space, f), None if g is None else event_of(self.space, g), pos
+            self.known()
         except KeyError as exc:
             raise ParseError(str(exc.args[0]), pos) from None
+        return Event(self.space, f), None if g is None else Event(self.space, g), pos
 
     def _sum(self) -> tuple[list[tuple[Fraction, Event]], tuple[Event, Event] | None]:
         """Parse a sum of probability terms.

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import CredalError
-from .formulas import And, Formula, Not, as_formula
 from .measures import Measure, pushforward
-from .spaces import Event, Space, component_map, event_of, product_space
+from .spaces import Event, Space, component_map, event_of, product_space, whole_event
 
 
 @dataclass(frozen=True)
@@ -72,37 +71,34 @@ def from_surjection(source: Space, target: Space, g: Sequence[int]) -> Embedding
     return emb
 
 
-def from_interpretation(interp: Mapping[str, Formula | str],
-                        source: Space, target: Space) -> Embedding:
-    """Embedding induced by an interpretation: a mapping from each source
-    symbol to a formula, or formula text, over the target vocabulary.
+def from_interpretation(interp: Mapping[str, str], source: Space, target: Space) -> Embedding:
+    """Embedding induced by an interpretation: a mapping from exactly the
+    source symbols to formula text over the target vocabulary.
 
-    Every formula is parsed before any source symbol is looked up.  Each
-    source world's characteristic conjunction is pushed through the
-    interpretation; the resulting image events always partition part of
-    the target, and must cover all of it for the event map to be a
-    homomorphism onto the target's algebra.  Faithfulness is NOT implied:
-    the world map is surjective only if every source world's image is
-    nonempty.
+    Every formula is read to its target event, by `event_of`, before
+    any source symbol is looked up.  A source world's image is the
+    intersection, over the source symbols, of each symbol's event where
+    the world makes it true and of its complement where false; distinct
+    worlds differ on some symbol, so the images are disjoint, and they
+    must cover the target for the event map to be a homomorphism onto
+    the target's algebra.  Faithfulness is NOT implied: the world map is
+    surjective only if every source world's image is nonempty.
     """
-    formulas = {k: as_formula(v) for k, v in interp.items()}
-    for s in source.vocabulary.symbols:
-        if s not in formulas:
+    events = {k: event_of(target, v) for k, v in interp.items()}
+    symbols = source.vocabulary.symbols
+    for s in symbols:
+        if s not in events:
             raise KeyError(f"interpretation does not map {s!r}")
-
-    images: list[Event] = []
-    for w in source.worlds:
-        parts: list[Formula] = []
-        for i, s in enumerate(source.vocabulary.symbols):
-            f = formulas[s]
-            parts.append(f if w.value(i) else Not(f))
-        images.append(event_of(target, And(tuple(parts))))
+    for k in events:
+        if k not in symbols:
+            raise KeyError(f"interpretation maps {k!r}, which is no source symbol")
 
     world_map = [-1] * len(target.worlds)
-    for i, img in enumerate(images):
-        for j in img.indices():
-            if world_map[j] != -1:
-                raise CredalError("interpretation images overlap; not a homomorphism")
+    for i, w in enumerate(source.worlds):
+        image = whole_event(target)
+        for k, s in enumerate(symbols):
+            image &= events[s] if w.value(k) else ~events[s]
+        for j in image.indices():
             world_map[j] = i
     if any(v == -1 for v in world_map):
         raise CredalError(

@@ -1,143 +1,26 @@
-"""Propositional formulas over finite vocabularies.
+"""Propositional formulas over finite vocabularies, read to their events.
 
 Grammar: identifiers ``[A-Za-z_][A-Za-z0-9_-]*``, operators ``!`` ``&``
 ``|`` ``=>`` ``<=>``, parentheses, literals ``true``/``false``.
 Precedence ``!`` > ``&`` > ``|`` > ``=>`` > ``<=>``; the arrows associate
-to the right.
+to the right.  A symbol is an identifier other than the two literals.
 
-`tokenize` and `Parser` serve both this grammar and the constraint
-grammar of `constraints`, whose parser extends `Parser` and reads the
-formulas inside ``P(...)`` from the same token stream.
+A formula is never built as a tree: `Parser` reads each level of the
+grammar straight to its denotation on a space, the bitmask of the
+worlds where it holds, so ``!``, ``&``, ``|``, ``=>`` and ``<=>`` are
+bitwise operations on masks.  `tokenize` and `Parser` serve both this
+grammar and the constraint grammar of `constraints`, whose parser
+extends `Parser` and reads the formulas inside ``P(...)`` from the same
+token stream.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .errors import ParseError
-
-
-class Formula:
-    __slots__ = ()
-
-    def evaluate(self, truth: Callable[[str], bool]) -> bool:
-        raise NotImplementedError
-
-    def symbols(self) -> frozenset[str]:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Var(Formula):
-    name: str
-
-    def evaluate(self, truth):
-        return truth(self.name)
-
-    def symbols(self):
-        return frozenset((self.name,))
-
-    def __str__(self):
-        return self.name
-
-
-@dataclass(frozen=True)
-class Const(Formula):
-    value: bool
-
-    def evaluate(self, truth):
-        return self.value
-
-    def symbols(self):
-        return frozenset()
-
-    def __str__(self):
-        return "true" if self.value else "false"
-
-
-TRUE = Const(True)
-FALSE = Const(False)
-
-
-@dataclass(frozen=True)
-class Not(Formula):
-    child: Formula
-
-    def evaluate(self, truth):
-        return not self.child.evaluate(truth)
-
-    def symbols(self):
-        return self.child.symbols()
-
-    def __str__(self):
-        return f"!{_wrap(self.child)}"
-
-
-@dataclass(frozen=True)
-class And(Formula):
-    items: tuple[Formula, ...]
-
-    def evaluate(self, truth):
-        return all(f.evaluate(truth) for f in self.items)
-
-    def symbols(self):
-        return frozenset().union(*(f.symbols() for f in self.items))
-
-    def __str__(self):
-        return " & ".join(_wrap(f) for f in self.items)
-
-
-@dataclass(frozen=True)
-class Or(Formula):
-    items: tuple[Formula, ...]
-
-    def evaluate(self, truth):
-        return any(f.evaluate(truth) for f in self.items)
-
-    def symbols(self):
-        return frozenset().union(*(f.symbols() for f in self.items))
-
-    def __str__(self):
-        return " | ".join(_wrap(f) for f in self.items)
-
-
-@dataclass(frozen=True)
-class Implies(Formula):
-    antecedent: Formula
-    consequent: Formula
-
-    def evaluate(self, truth):
-        return (not self.antecedent.evaluate(truth)) or self.consequent.evaluate(truth)
-
-    def symbols(self):
-        return self.antecedent.symbols() | self.consequent.symbols()
-
-    def __str__(self):
-        return f"{_wrap(self.antecedent)} => {_wrap(self.consequent)}"
-
-
-@dataclass(frozen=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
-
-    def evaluate(self, truth):
-        return self.left.evaluate(truth) == self.right.evaluate(truth)
-
-    def symbols(self):
-        return self.left.symbols() | self.right.symbols()
-
-    def __str__(self):
-        return f"{_wrap(self.left)} <=> {_wrap(self.right)}"
-
-
-def _wrap(f: Formula) -> str:
-    if isinstance(f, (Var, Const, Not)):
-        return str(f)
-    return f"({f})"
 
 
 # The lexemes of both grammars.  Numbers are ``a``, ``a.b``, ``a/b`` and
@@ -176,18 +59,34 @@ def tokenize(text: str) -> Iterator[tuple[str, object, int]]:
         pos = m.end()
 
 
+def is_symbol(name: str) -> bool:
+    """Whether ``name`` is a string that reads as one identifier other
+    than ``true`` and ``false``, so that a formula can name it."""
+    m = _LEXEME.fullmatch(name) if isinstance(name, str) else None
+    return m is not None and m.group(4) == name and name not in ("true", "false")
+
+
 class Parser:
     """Recursive descent over `tokenize(text)`: the formula levels, by
-    rising precedence iff, implies, disjunction, conjunction, unary.
+    rising precedence iff, implies, disjunction, conjunction, unary,
+    each returning the bitmask of the worlds of ``space`` where it holds
+    (bit i for world i).
+
+    A name outside the vocabulary reads as the empty mask and is kept in
+    ``unknown``, so a syntax error anywhere in the text is raised before
+    it; `known` then raises for the least unknown name.
 
     With ``bar`` set, a ``|`` outside parentheses ends the formula; that
     is how `constraints` reads the conditioning bar of ``P(f | g)``.
     """
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, space):
         self.text = text
         self.tokens = list(tokenize(text))
         self.i = 0
+        self.space = space
+        self.full = (1 << len(space.worlds)) - 1
+        self.unknown: set[str] = set()
 
     def peek(self, ahead: int = 0) -> str | None:
         """The kind of the token ``ahead`` places on, None past the end."""
@@ -204,6 +103,11 @@ class Parser:
         if self.i < len(self.tokens):
             raise self.error("the end")
 
+    def known(self) -> None:
+        """Raise KeyError for the least unknown name read so far."""
+        if self.unknown:
+            raise KeyError(f"unknown proposition {min(self.unknown)!r}")
+
     def error(self, expected: str) -> ParseError:
         """A ParseError "expected ..., found ..." at the next token, or at
         the end of the text."""
@@ -212,54 +116,49 @@ class Parser:
         _, value, pos = self.tokens[self.i]
         return ParseError(f"expected {expected}, found {str(value)!r}", pos)
 
-    def iff(self, bar: bool = False) -> Formula:
+    def iff(self, bar: bool = False) -> int:
         left = self.implies(bar)
         if self.peek() == "<=>":
             self.take()
-            return Iff(left, self.iff(bar))
+            return self.full ^ left ^ self.iff(bar)
         return left
 
-    def implies(self, bar: bool = False) -> Formula:
+    def implies(self, bar: bool = False) -> int:
         left = self.disjunction(bar)
         if self.peek() == "=>":
             self.take()
-            return Implies(left, self.implies(bar))
+            return (self.full ^ left) | self.implies(bar)
         return left
 
-    def disjunction(self, bar: bool = False) -> Formula:
-        items = [self.conjunction()]
+    def disjunction(self, bar: bool = False) -> int:
+        mask = self.conjunction()
         while not bar and self.peek() == "|":
             self.take()
-            items.append(self.conjunction())
-        return items[0] if len(items) == 1 else Or(tuple(items))
+            mask |= self.conjunction()
+        return mask
 
-    def conjunction(self) -> Formula:
-        items = [self.unary()]
+    def conjunction(self) -> int:
+        mask = self.unary()
         while self.peek() == "&":
             self.take()
-            items.append(self.unary())
-        return items[0] if len(items) == 1 else And(tuple(items))
+            mask &= self.unary()
+        return mask
 
-    def unary(self) -> Formula:
+    def unary(self) -> int:
         if self.peek() not in ("!", "(", "name"):
             raise self.error("a formula")
         kind, value, _ = self.take()
         if kind == "!":
-            return Not(self.unary())
+            return self.full ^ self.unary()
         if kind == "(":
-            f = self.iff()
+            mask = self.iff()
             self.take(")")
-            return f
-        return TRUE if value == "true" else FALSE if value == "false" else Var(value)
-
-
-def parse_formula(text: str) -> Formula:
-    """Parse ``text`` into a formula tree."""
-    parser = Parser(text)
-    f = parser.iff()
-    parser.done()
-    return f
-
-
-def as_formula(f: Formula | str) -> Formula:
-    return parse_formula(f) if isinstance(f, str) else f
+            return mask
+        if value in ("true", "false"):
+            return self.full if value == "true" else 0
+        try:
+            k = self.space.vocabulary.index(value)
+        except KeyError:
+            self.unknown.add(value)
+            return 0
+        return sum(1 << i for i, w in enumerate(self.space.worlds) if w.value(k))

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CredalError
-from .formulas import Formula, as_formula
+from .formulas import Parser, is_symbol
 
 
 def hash_once(obj, key: object) -> int:
@@ -40,6 +40,10 @@ class Vocabulary:
             raise ValueError("vocabulary must be non-empty")
         if any(not s for s in self.symbols):
             raise ValueError("proposition names must be non-empty")
+        for s in self.symbols:
+            if not is_symbol(s):
+                raise ValueError(f"proposition name {s!r} is not an identifier "
+                                 "other than true and false")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("proposition names must be unique")
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.symbols)})
@@ -97,10 +101,6 @@ class Space:
 
     def index_of_bits(self, bits: int) -> int | None:
         return self._windex.get(bits)
-
-    def truth(self, world: World):
-        vocab = self.vocabulary
-        return lambda name: world.value(vocab.index(name))
 
     def __repr__(self):
         return f"Space({'/'.join(self.vocabulary.symbols)}, {len(self.worlds)} worlds)"
@@ -167,40 +167,34 @@ def event_from_indices(space: Space, indices: Iterable[int]) -> Event:
     return Event(space, mask)
 
 
-def enumerate_worlds(vocab: Vocabulary | Sequence[str], restriction: Formula | str | None = None) -> Space:
-    """Space of all assignments over ``vocab`` satisfying ``restriction``.
-
-    Without a restriction this is the full space of 2^n assignments, in
-    lexicographic bit order.
+def enumerate_worlds(vocab: Vocabulary | Sequence[str], restriction: str | None = None) -> Space:
+    """Space of all assignments over ``vocab`` where ``restriction`` holds:
+    the worlds in the mask of `event_of` on the full space of 2^n
+    assignments, which lists assignment k at index k.  Without a
+    restriction this is the full space.
     """
     if not isinstance(vocab, Vocabulary):
         vocab = Vocabulary(tuple(vocab))
     n = len(vocab)
-    formula = as_formula(restriction) if restriction is not None else None
-    if formula is not None:
-        unknown = formula.symbols() - set(vocab.symbols)
-        if unknown:
-            raise KeyError(f"unknown proposition {sorted(unknown)[0]!r}")
-    worlds = []
-    for bits in range(2**n):
-        w = World(bits, n)
-        if formula is None or formula.evaluate(lambda name: w.value(vocab.index(name))):
-            worlds.append(w)
-    if not worlds:
+    full = Space(vocab, tuple(World(bits, n) for bits in range(2**n)))
+    if restriction is None:
+        return full
+    event = event_of(full, restriction)
+    if event.is_empty():
         raise CredalError("empty space")
-    return Space(vocab, tuple(worlds))
+    return Space(vocab, tuple(full.worlds[i] for i in event.indices()))
 
 
-def event_of(space: Space, formula: Formula | str) -> Event:
-    """The event [[formula]] = set of worlds satisfying the formula."""
-    f = as_formula(formula)
-    unknown = f.symbols() - set(space.vocabulary.symbols)
-    if unknown:
-        raise KeyError(f"unknown proposition {sorted(unknown)[0]!r}")
-    mask = 0
-    for i, w in enumerate(space.worlds):
-        if f.evaluate(space.truth(w)):
-            mask |= 1 << i
+def event_of(space: Space, text: str) -> Event:
+    """The event [[text]]: the worlds of ``space`` where the formula holds.
+
+    A syntax error is raised first, as a `ParseError`; then a KeyError
+    for the least name outside the vocabulary.
+    """
+    parser = Parser(text, space)
+    mask = parser.iff()
+    parser.done()
+    parser.known()
     return Event(space, mask)
 
 

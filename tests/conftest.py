@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from credal.measures import Measure
 from credal.procedures import InferenceProcedure, PriorFunction
@@ -63,6 +64,60 @@ def mutant(owner, name, old, new):
     namespace = dict(vars(sys.modules[function.__module__]))
     exec(source.replace(old, new), namespace)
     return namespace[name]
+
+
+# An independent formula reference, importing nothing from credal: a
+# tree is a symbol name, a literal bool, ("!", tree) or (connective,
+# left, right); it is rendered fully parenthesized and evaluated per
+# world in plain Python.
+CONNECTIVES = {"&": operator.and_, "|": operator.or_, "=>": lambda a, b: not a or b,
+               "<=>": operator.eq}
+
+
+def random_formula(rng: random.Random, names, leaves: int):
+    """A random tree over names with at most `leaves` leaves; one leaf in
+    five is a literal."""
+    if leaves == 1 or rng.random() < 0.2:
+        return rng.choice((True, False)) if rng.random() < 0.2 else rng.choice(names)
+    kind = rng.choice(("!", *CONNECTIVES))
+    if kind == "!":
+        return "!", random_formula(rng, names, leaves - 1)
+    split = rng.randint(1, leaves - 1)
+    return kind, random_formula(rng, names, split), random_formula(rng, names, leaves - split)
+
+
+def render(tree) -> str:
+    """The formula text of a tree, every connective parenthesized."""
+    if isinstance(tree, bool):
+        return "true" if tree else "false"
+    if isinstance(tree, str):
+        return tree
+    if tree[0] == "!":
+        return f"(!{render(tree[1])})"
+    return f"({render(tree[1])} {tree[0]} {render(tree[2])})"
+
+
+def holds(tree, assignment) -> bool:
+    """The truth of a tree under a dict from names to bools."""
+    if isinstance(tree, bool):
+        return tree
+    if isinstance(tree, str):
+        return assignment[tree]
+    if tree[0] == "!":
+        return not holds(tree[1], assignment)
+    return CONNECTIVES[tree[0]](holds(tree[1], assignment), holds(tree[2], assignment))
+
+
+def assignment(names, bits: int) -> dict:
+    """The truth of each name at an assignment packed as bits, the first
+    name the most significant bit."""
+    return {s: bool(bits >> (len(names) - 1 - k) & 1) for k, s in enumerate(names)}
+
+
+def formula_texts(names, leaves: int):
+    """A hypothesis strategy of the rendered text of `random_formula` trees."""
+    return st.randoms(use_true_random=False).map(
+        lambda rng: render(random_formula(rng, names, leaves)))
 
 
 def compositions(total: int, parts: int):

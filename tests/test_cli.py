@@ -275,9 +275,15 @@ def test_klm_check_entailment_passes():
                       "map": {"0": 0, "1": 1, "2": 2, "3": True}}]}, "/embeddings/0/map/3"),
     ({"embeddings": [{"kind": "surjection", "src": "X", "dst": "X",
                       "map": {"0": 0, "1": 1, "2": 2, "3": 3, "4": 0}}]}, "/embeddings/0"),
+    ({"spaces": [{"name": "X", "vocabulary": ["a", "true"]}]}, "/spaces/0"),
+    ({"spaces": [{"name": "X", "vocabulary": ["a", "b c"]}]}, "/spaces/0"),
+    ({"spaces": [{"name": "X", "vocabulary": ["a", "b"]}, {"name": "Y", "vocabulary": ["c"]}],
+      "embeddings": [{"kind": "interpretation", "src": "Y", "dst": "X",
+                      "map": {"c": "a", "d": "b"}}]}, "/embeddings/0"),
 ], ids=["empty-prior-list", "prior-row-not-a-list", "unknown-prior", "procedure-not-object",
         "kb-not-string", "queries-not-list", "space-not-object", "vocabulary-not-list",
-        "embeddings-not-list", "map-value-not-integer", "map-key-beyond-target"])
+        "embeddings-not-list", "map-value-not-integer", "map-key-beyond-target",
+        "symbol-named-true", "symbol-no-identifier", "interpretation-key-no-source-symbol"])
 def test_malformed_field_is_validation_error(tmp_path, capsys, field, path):
     scenario = {"spaces": [{"name": "X", "vocabulary": ["a", "b"]}], "kb": "P(a) >= 1/2",
                 "queries": ["P(a) >= 1/4"], **field}

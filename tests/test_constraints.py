@@ -24,8 +24,7 @@ from credal.errors import CredalError, ParseError
 from credal.harness import _plain_space, _random_kb
 from credal.measures import EPS, Measure
 from credal.spaces import enumerate_worlds, event_from_indices, event_of
-from tests.conftest import ANOTHER_SPACE, atom_value, float_atom_holds, simplex_grid
-from tests.test_formulas import _formulas
+from tests.conftest import ANOTHER_SPACE, atom_value, float_atom_holds, formula_texts, simplex_grid
 
 F = Fraction
 
@@ -145,7 +144,7 @@ class TestGrammar:
         with pytest.raises(ParseError):
             parse_constraint(text, ABC)
 
-    @given(_formulas(6), _formulas(6))
+    @given(formula_texts(["p", "q", "r", "s"], 6), formula_texts(["p", "q", "r", "s"], 6))
     def test_conditional_of_any_formulas(self, f, g):
         sp = enumerate_worlds(["p", "q", "r", "s"])
         fv, gv = event_of(sp, f), event_of(sp, g)

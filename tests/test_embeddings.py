@@ -95,6 +95,14 @@ class TestFromInterpretation:
             from_interpretation({"q": "r", "zz": "!r"}, src, dst)
         assert info.value.args == ("interpretation does not map 'p'",)
 
+    def test_a_key_that_is_no_source_symbol_is_refused(self):
+        src = enumerate_worlds(["p"])
+        dst = enumerate_worlds(["r", "s"])
+        with pytest.raises(KeyError) as info:
+            from_interpretation({"p": "r", "zz": "!s"}, src, dst)
+        assert info.value.args == ("interpretation maps 'zz', which is no source symbol",)
+        assert from_interpretation({"p": "r"}, src, dst).world_map == (0, 0, 1, 1)
+
 
 class TestHomomorphismLaws:
     def _corpus(self, fly_bird_space, flying_bird_space):

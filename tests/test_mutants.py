@@ -15,6 +15,7 @@ import pytest
 from credal import constraints, entail, harness, optimize, simplex
 from credal.constraints import LinearAtom, satisfies
 from credal.entail import Cell
+from credal.formulas import Parser
 from credal.harness import _plain_space
 from credal.measures import EPS, Measure
 from credal.spaces import event_from_indices
@@ -30,6 +31,7 @@ from tests.conftest import (
     simplex_grid,
 )
 from tests.test_entail import _vertex_corpus
+from tests.test_formulas import _disagreements as formula_disagreements
 from tests.test_harness import probe_covers_the_grid
 from tests.test_procedures import domain_is_a_property_of_kb
 from tests.test_simplex import _disagreements, random_lps, scaled_lps, solve_rational
@@ -125,6 +127,13 @@ def float_checks_are_the_reference():
     return True
 
 
+def formulas_are_the_reference():
+    """`enumerate_worlds`, `event_of` and `from_interpretation` on the
+    first 100 of test_formulas' seeded cases against the plain-Python
+    formula reference of conftest."""
+    return not formula_disagreements(34, 100)
+
+
 MUTANTS = [
     pytest.param(LinearAtom, "holds_at", "EXACT_COMPARE[self.cmp]",
                  'EXACT_COMPARE["<=" if self.cmp == "=" else self.cmp]', holds_at_is_atom_value,
@@ -159,6 +168,13 @@ MUTANTS = [
                  domain_is_a_property_of_kb, id="updates-without-the-infinite-divergence-raise"),
     pytest.param(harness, "essentially_entailment_probe", "lo / 2}", "lo}",
                  probe_covers_the_grid, id="probe-alpha-at-lo-not-below-it"),
+    pytest.param(Parser, "unary", "return self.full ^ self.unary()", "return self.unary()",
+                 formulas_are_the_reference, id="not-without-its-complement"),
+    pytest.param(Parser, "implies", "(self.full ^ left) | self.implies(bar)",
+                 "left | self.implies(bar)", formulas_are_the_reference,
+                 id="implies-without-the-complement-of-its-left-side"),
+    pytest.param(Parser, "iff", "self.full ^ left ^ self.iff(bar)", "left ^ self.iff(bar)",
+                 formulas_are_the_reference, id="iff-read-as-xor"),
 ]
 
 

@@ -164,6 +164,21 @@ def test_an_atom_is_read_two_ways():
                                             ("procedures.py", "_exact_product_verdict")}
 
 
+def test_a_formula_is_read_straight_to_its_event():
+    # the Boolean algebra of formulas has one home, the bitmask of
+    # spaces.Event: formulas builds no tree, only the Parser that reads
+    # text to masks, and each entry point builds its one parser
+    from credal import formulas
+
+    classes = [node.name for node in ast.parse(inspect.getsource(formulas)).body
+               if isinstance(node, ast.ClassDef)]
+    assert classes == ["Parser"]
+    assert [(path.name, fn.name) for path, tree in _trees() for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name in ("evaluate", "symbols")] == []
+    assert _top_level_calls("Parser") == {("spaces.py", "event_of")}
+    assert _top_level_calls("_ConstraintParser") == {("constraints.py", "parse_constraint")}
+
+
 def _functions(tree):
     """(def, name of the class it is a method of, or None) for every def."""
     out = []

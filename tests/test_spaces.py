@@ -1,14 +1,11 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from credal.errors import CredalError
-from credal.formulas import And as FAnd
-from credal.formulas import Not as FNot
-from credal.formulas import Or as FOr
-from credal.formulas import Var, parse_formula
 from credal.spaces import (
     Space,
     Vocabulary,
@@ -21,6 +18,7 @@ from credal.spaces import (
     product_space,
     whole_event,
 )
+from tests.conftest import formula_texts
 
 
 class TestEnumerateWorlds:
@@ -46,6 +44,16 @@ class TestEnumerateWorlds:
         sp = enumerate_worlds(["a", "b"])
         assert [w.bits for w in sp.worlds] == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize("name", ["true", "false", "a b", "1a", "x+y", " a", "a$", "P(a)", 7])
+    def test_a_symbol_is_an_identifier_other_than_the_literals(self, name):
+        # a formula could never name it, or would read it as the literal
+        with pytest.raises(ValueError, match=f"proposition name {re.escape(repr(name))} is not an "
+                                             "identifier other than true and false"):
+            enumerate_worlds([name, "b"])
+        with pytest.raises(ValueError):
+            Vocabulary(("b", name))
+        assert Vocabulary(("flying-bird", "_x", "p_2", "P", "True")).symbols[-1] == "True"
+
 
 class TestEventOf:
     def test_colorful_disjunction(self, rgb_space):
@@ -62,24 +70,15 @@ class TestEventOf:
             event_of(fly_bird_space, "wings")
 
 
-_vars4 = st.sampled_from(["w", "x", "y", "z"])
-_forms = st.recursive(
-    _vars4.map(Var),
-    lambda kids: st.one_of(
-        kids.map(FNot),
-        st.tuples(kids, kids).map(FAnd),
-        st.tuples(kids, kids).map(FOr),
-    ),
-    max_leaves=6,
-)
+_WXYZ = ["w", "x", "y", "z"]
 
 
-@given(_forms, _forms)
+@given(formula_texts(_WXYZ, 6), formula_texts(_WXYZ, 6))
 def test_event_algebra_mirrors_connectives(f, g):
-    sp = enumerate_worlds(["w", "x", "y", "z"])
-    assert event_of(sp, FAnd((f, g))) == (event_of(sp, f) & event_of(sp, g))
-    assert event_of(sp, FOr((f, g))) == (event_of(sp, f) | event_of(sp, g))
-    assert event_of(sp, FNot(f)) == ~event_of(sp, f)
+    sp = enumerate_worlds(_WXYZ)
+    assert event_of(sp, f"{f} & {g}") == (event_of(sp, f) & event_of(sp, g))
+    assert event_of(sp, f"{f} | {g}") == (event_of(sp, f) | event_of(sp, g))
+    assert event_of(sp, f"!{f}") == ~event_of(sp, f)
 
 
 class TestProductSpace:
