@@ -138,7 +138,7 @@ def _read_procedure(node: _At, spaces: dict[str, Space]) -> InferenceProcedure:
                        for w in row.items()]
             with row.blame():  # a weight is the decimal as written: 0.1 is 1/10
                 mu = Measure.rational(space, [Fraction(str(w)) for w in weights])
-            assignment[space].append(mu.to_float())
+            assignment[space].append(mu)
     return InferenceProcedure.prior_based(PriorFunction.of(assignment))
 
 

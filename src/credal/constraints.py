@@ -270,28 +270,8 @@ def satisfies(mu: Measure, expr: ConstraintExpr) -> bool:
 
 # Disjunctive normal form ------------------------------------------------
 
-_NEGATED = {"<": ">=", "<=": ">", ">=": "<", ">": "<="}
-
-
-def _negate(expr: ConstraintExpr) -> ConstraintExpr:
-    if isinstance(expr, TrueExpr):
-        return FALSE
-    if isinstance(expr, FalseExpr):
-        return TRUE
-    if isinstance(expr, LinearAtom):
-        if expr.cmp == "=":
-            return Or((LinearAtom(expr.terms, "<", expr.bound),
-                       LinearAtom(expr.terms, ">", expr.bound)))
-        return LinearAtom(expr.terms, _NEGATED[expr.cmp], expr.bound)
-    if isinstance(expr, ProductAtom):
-        raise CredalError("product atoms cannot be negated or normalized")
-    if isinstance(expr, Not):
-        return expr.child
-    if isinstance(expr, And):
-        return Or(tuple(_negate(it) for it in expr.items))
-    if isinstance(expr, Or):
-        return And(tuple(_negate(it) for it in expr.items))
-    raise TypeError(f"not a constraint: {expr!r}")
+# the comparators of an atom's negation: a negated ``=`` is ``<`` | ``>``
+_NEGATED = {"<": (">=",), "<=": (">",), "=": ("<", ">"), ">=": ("<",), ">": ("<=",)}
 
 
 @lru_cache(maxsize=1024)
@@ -300,7 +280,9 @@ def to_dnf(expr: ConstraintExpr) -> tuple[tuple[LinearAtom, ...], ...]:
     atoms: no atom twice, the equalities first, then the nonstrict and
     then the strict atoms, each group in the order the atoms appear.
     Raises on product atoms and when the distribution exceeds
-    ``MAX_DISJUNCTS``.
+    ``MAX_DISJUNCTS``.  Negation goes down to the atoms in the same pass
+    (De Morgan): a negated Or distributes like an And and vice versa,
+    true and false swap, and an atom takes its `_NEGATED` comparators.
 
     The memo holds as many forms as `entail.cells` holds cell sets: the
     forms it serves again are those of kbs whose cells are looked up
@@ -311,26 +293,21 @@ def to_dnf(expr: ConstraintExpr) -> tuple[tuple[LinearAtom, ...], ...]:
             return build(e.child, not negated)
         if isinstance(e, ProductAtom):
             raise CredalError("product atoms cannot appear in normal forms")
-        if negated:
-            return build(_negate(e), False)
-        if isinstance(e, TrueExpr):
-            return [()]
-        if isinstance(e, FalseExpr):
-            return []
+        if isinstance(e, (TrueExpr, FalseExpr)):
+            return [()] if isinstance(e, TrueExpr) != negated else []
         if isinstance(e, LinearAtom):
-            return [(e,)]
-        if isinstance(e, Or):
-            out: list[tuple[LinearAtom, ...]] = []
+            if not negated:
+                return [(e,)]
+            return [(LinearAtom(e.terms, cmp, e.bound),) for cmp in _NEGATED[e.cmp]]
+        if isinstance(e, (And, Or)):
+            union = isinstance(e, Or) != negated
+            acc: list[tuple[LinearAtom, ...]] = [] if union else [()]
             for it in e.items:
-                out.extend(build(it, False))
-                if len(out) > MAX_DISJUNCTS:
-                    raise CredalError("DNF blowup cap exceeded")
-            return out
-        if isinstance(e, And):
-            acc: list[tuple[LinearAtom, ...]] = [()]
-            for it in e.items:
-                branches = build(it, False)
-                acc = [a + b for a in acc for b in branches]
+                branches = build(it, negated)
+                if union:
+                    acc.extend(branches)
+                else:
+                    acc = [a + b for a in acc for b in branches]
                 if len(acc) > MAX_DISJUNCTS:
                     raise CredalError("DNF blowup cap exceeded")
             return acc

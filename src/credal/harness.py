@@ -598,16 +598,15 @@ def bootstrap_check(prior_x, prior_y, emb: Embedding, corpus=None) -> BootstrapR
     """Test both sides of the prior-correspondence biconditional.
 
     The priors' correspondence is decided on the measures as given, so
-    exactly between rational ones (`Measure.is_close`); invariance of
-    the induced prior-based procedure, on the priors in floats, is
+    exactly between rational ones (`Measure.is_close`), and the induced
+    prior-based procedure updates them as given; its invariance is
     checked over the corpus, always including kb = true, which is
     decisive: a non-corresponding pair is separated by pinning the
     offending measure's weights.
     """
     prior_x, prior_y = tuple(prior_x), tuple(prior_y)
     gap = correspondence_gap(emb, prior_x, prior_y)
-    prior = PriorFunction.of({emb.source: tuple(m.to_float() for m in prior_x),
-                              emb.target: tuple(m.to_float() for m in prior_y)})
+    prior = PriorFunction.of({emb.source: prior_x, emb.target: prior_y})
     proc = InferenceProcedure.prior_based(prior)
 
     pairs = list(corpus) if corpus is not None else invariance_pairs_on(emb.source)

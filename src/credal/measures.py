@@ -83,12 +83,10 @@ class Measure:
         return Measure.from_floats(space, [1.0 / n] * n)
 
     @staticmethod
-    def point_mass(space: Space, index: int, backend: str = RATIONAL) -> "Measure":
+    def point_mass(space: Space, index: int) -> "Measure":
         w = [0] * len(space.worlds)
         w[index] = 1
-        if backend == RATIONAL:
-            return Measure.rational(space, w)
-        return Measure.from_floats(space, w)
+        return Measure.rational(space, w)
 
     # Conversion --------------------------------------------------------
     def to_float(self) -> "Measure":

@@ -46,7 +46,7 @@ import numpy as np
 from .constraints import ConstraintExpr, satisfies, space_of, to_dnf
 from .entail import Cell, cells
 from .errors import ConvergenceError, DomainError
-from .measures import EPS, FLOAT, Measure, kl_divergence
+from .measures import EPS, Measure, kl_divergence
 from .spaces import Space
 
 RESIDUAL_TOL = 1e-10  # convergence: worst KKT residual of the dual
@@ -184,11 +184,11 @@ def kl_project(mu: Measure, kb: ConstraintExpr) -> ProjectionResult:
     Worlds outside mu's support stay at probability zero; a disjunct
     that forces mass outside the support has infinite divergence and is
     dropped (status "empty" with diagnostics if every disjunct does).
-    A measure already satisfying kb is its own projection, on the first
-    cell whose atoms hold at it (at `EPS`), with zero duals.
+    A prior already satisfying kb (exactly when rational, at `EPS` when
+    float) is its own projection as given, on the first cell whose atoms
+    hold at it, with zero duals; any other is projected in floats, the
+    one place where a prior becomes float.
     """
-    if mu.backend != FLOAT:
-        raise ValueError("kl_project needs a float-backed prior; convert explicitly")
     dnf = to_dnf(kb)
     own = next((k for k, atoms in enumerate(dnf)
                 if all(satisfies(mu, atom) for atom in atoms)), None)
@@ -196,8 +196,8 @@ def kl_project(mu: Measure, kb: ConstraintExpr) -> ProjectionResult:
         return ProjectionResult("attained", (mu,), 0.0, (DisjunctDiagnostic(
             own, True, value=0.0, strict_ok=True, duals=(0.0,) * len(dnf[own])),))
 
-    space = mu.space
-    w0 = np.array([float(x) for x in mu.weights])
+    space, prior = mu.space, mu.to_float()
+    w0 = np.array(prior.weights)
     n = len(space.worlds)
     pins = Cell.pin_rows(([int(j == i) for j in range(n)], Fraction(0))
                          for i in range(n) if w0[i] <= 0.0)
@@ -212,7 +212,7 @@ def kl_project(mu: Measure, kb: ConstraintExpr) -> ProjectionResult:
             continue
         w_star, lam, steps = _project_cell(w0, cell, pins)
         result = Measure.from_floats(space, w_star)
-        value = kl_divergence(result, mu)
+        value = kl_divergence(result, prior)
         ok = satisfies(result, kb)
         diagnostics.append(DisjunctDiagnostic(k, True, value=value, strict_ok=ok, cycles=steps,
                                               duals=tuple(lam.tolist())))
@@ -243,7 +243,8 @@ def maxent(kb: ConstraintExpr, space: Space | None = None) -> ProjectionResult:
 
 
 def updates(priors: Iterable[Measure], kb: ConstraintExpr) -> tuple[Measure, ...]:
-    """The attainers of each prior's projection onto kb, prior by prior.
+    """The attainers of each prior's projection onto kb, prior by prior,
+    each prior read by `kl_project` as given.
 
     Whether kb is in the domain of a prior-based procedure depends on kb
     alone, so every prior is projected before any query reads the
@@ -255,7 +256,7 @@ def updates(priors: Iterable[Measure], kb: ConstraintExpr) -> tuple[Measure, ...
     """
     out: list[Measure] = []
     for mu in priors:
-        res = kl_project(mu.to_float(), kb)
+        res = kl_project(mu, kb)
         if res.status == "not_attained":
             best = min((d for d in res.diagnostics if d.value is not None),
                        key=lambda d: d.value)

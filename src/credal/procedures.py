@@ -401,13 +401,13 @@ def _sampled_selection(kb: ConstraintExpr, space: Space, seed: int,
     their `updates` attainers are the samples, in prior order and with
     duplicates.  Counterexamples live at the corners, so the corner
     priors come first: the point masses that satisfy kb, in world order,
-    each its own projection.  The uniform and random full-support
+    each its own exact projection.  The uniform and random full-support
     product priors of `_product_priors` follow.  Computed whole, once
     per (kb, space, seed, samples): a kb outside the domain raises
     DomainError for every query.  64 hold the 30 keys one KLM round asks
     for.
     """
-    corners = (Measure.point_mass(space, i, backend="float")
+    corners = (Measure.point_mass(space, i)
                for i in _point_mass_event(cells(kb, space), space).indices())
     return updates(itertools.chain(corners, _product_priors(space, seed, samples)), kb)
 

@@ -435,17 +435,20 @@ class TestBootstrap:
         # py pushes forward to (1/2 + 1e-12, 1/2 - 1e-12), which is not
         # the x prior: correspondence is decided on the rational measures,
         # not on their floats, which meet at EPS.  The induced procedure
-        # reads the priors in floats, so no pair, the pinned query
-        # included, tells the two sides apart
+        # updates the priors as given, so at kb = true the x side keeps
+        # its prior exactly and the y side its own, and the first pair of
+        # the corpus tells them apart
         x, y = enumerate_worlds(["a"]), enumerate_worlds(["a", "b"])
         emb = from_surjection(x, y, [0, 0, 1, 1])
         e = F(1, 10**12)
         px = Measure.rational(x, [F(1, 2), F(1, 2)])
         py = Measure.rational(y, [F(1, 4) + e, F(1, 4), F(1, 4), F(1, 4) - e])
         rep = bootstrap_check([px], [py], emb)
-        assert not rep.corresponds
-        assert rep.violations == () and not rep.consistent_with_biconditional
-        assert rep.pairs_tested == len(invariance_pairs_on(x)) + 1
+        assert not rep.corresponds and rep.consistent_with_biconditional
+        (v,) = rep.violations
+        assert (v.kb, v.theta) == invariance_pairs_on(x)[0]
+        assert (v.verdict_x, v.verdict_y) == (True, False)
+        assert rep.pairs_tested == len(invariance_pairs_on(x)) == 4
 
     def test_the_pinned_query_separates_what_the_corpus_does_not(self):
         x, y = _plain_space("x", 3), _plain_space("y", 4)

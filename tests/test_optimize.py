@@ -393,11 +393,21 @@ def test_kl_project_on_a_kb_without_atoms():
     assert (res.status, res.measures, res.value, res.diagnostics) == ("empty", (), None, ())
 
 
-def test_kl_project_requires_float_backend():
+def test_kl_project_reads_an_exact_prior_as_given():
+    # kl_project is the one place a prior becomes float: an exact prior
+    # that satisfies kb is its own projection, exact and the same object;
+    # one that violates kb is projected as its floats are
     two = enumerate_worlds(["p"])
+    prior = Measure.uniform(two, backend="rational")
+    inside = parse_constraint("P(p) <= 1/2", two)
+    res = kl_project(prior, inside)
+    assert res.status == "attained" and res.measures[0] is prior
+    assert res.diagnostics[0].duals == (0.0,)
     atom = parse_constraint("P(p) = 1/4", two)
-    with pytest.raises(ValueError, match="float"):
-        kl_project(Measure.uniform(two, backend="rational"), atom)
+    res, reference = kl_project(prior, atom), kl_project(prior.to_float(), atom)
+    assert res.status == reference.status == "attained"
+    assert [m.weights for m in res.measures] == [m.weights for m in reference.measures]
+    assert res.value == reference.value
 
 
 def test_update_set_unsatisfiable_kb_is_empty():

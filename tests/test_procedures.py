@@ -342,7 +342,7 @@ class TestProductFamilySampled:
         proc = InferenceProcedure.prior_based(PriorFunction.product_family())
         v = infers(proc, kb, theta, sp)
         assert not v.holds and v.mode == "sampled"
-        assert v.evidence == (Measure.point_mass(sp, 127, backend="float"),)
+        assert v.evidence == (Measure.point_mass(sp, 127),)
 
 
     def test_an_unsatisfiable_kb_infers_everything(self):
