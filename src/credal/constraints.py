@@ -321,19 +321,28 @@ def to_dnf(expr: ConstraintExpr) -> tuple[tuple[LinearAtom, ...], ...]:
 # Embedding translation ---------------------------------------------------
 
 
-def map_events(expr: ConstraintExpr, f) -> ConstraintExpr:
-    """expr with every event S replaced by f(S), preserving structure."""
+def map_atoms(expr: ConstraintExpr, f) -> ConstraintExpr:
+    """expr with every atom A replaced by f(A), preserving structure."""
     if isinstance(expr, (TrueExpr, FalseExpr)):
         return expr
-    if isinstance(expr, LinearAtom):
-        return LinearAtom(tuple((c, f(e)) for c, e in expr.terms), expr.cmp, expr.bound)
-    if isinstance(expr, ProductAtom):
-        return ProductAtom(f(expr.lhs), (f(expr.rhs[0]), f(expr.rhs[1])))
+    if isinstance(expr, (LinearAtom, ProductAtom)):
+        return f(expr)
     if isinstance(expr, (And, Or)):
-        return type(expr)(tuple(map_events(it, f) for it in expr.items))
+        return type(expr)(tuple(map_atoms(it, f) for it in expr.items))
     if isinstance(expr, Not):
-        return Not(map_events(expr.child, f))
+        return Not(map_atoms(expr.child, f))
     raise TypeError(f"not a constraint: {expr!r}")
+
+
+def map_events(expr: ConstraintExpr, f) -> ConstraintExpr:
+    """expr with every event S replaced by f(S), preserving structure."""
+
+    def atom(a):
+        if isinstance(a, ProductAtom):
+            return ProductAtom(f(a.lhs), (f(a.rhs[0]), f(a.rhs[1])))
+        return LinearAtom(tuple((c, f(e)) for c, e in a.terms), a.cmp, a.bound)
+
+    return map_atoms(expr, atom)
 
 
 def translate(emb, expr: ConstraintExpr) -> ConstraintExpr:

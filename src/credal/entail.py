@@ -39,9 +39,8 @@ from .constraints import (
     space_of,
     to_dnf,
 )
-from .embeddings import factor_lift
 from .measures import Measure
-from .spaces import Event, Space, event_from_indices, whole_event
+from .spaces import Event, Space, component_map, event_from_indices, whole_event
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -436,8 +435,9 @@ def conservative_check(kb: ConstraintExpr, psi: ConstraintExpr, xy_space: Space,
     outside [[kb]] is moved toward its cell's witness by lambda = 1/2,
     1/4, ... until the moved point fails, as it must: the extendable
     marginals are then a closed set.  Passes are verified only when psi
-    is one closed DNF cell, whose extendable marginals form a polytope;
-    else inconclusive.
+    is one closed DNF cell, whose extendable marginals form a polytope:
+    the vertices decide, and no sample is drawn.  Otherwise the samples
+    are tested too, and a pass is inconclusive.
     """
     if xy_space.factors is None:
         raise ValueError("xy_space must be a declared product")
@@ -445,8 +445,8 @@ def conservative_check(kb: ConstraintExpr, psi: ConstraintExpr, xy_space: Space,
     if not satisfiable(kb, x_space).feasible:
         return ConservativeReport("conservative_verified")
 
-    lift = factor_lift(xy_space, x_space)
-    fibers = [[int(c == xi) for c in lift.world_map] for xi in range(len(x_space.worlds))]
+    comp = component_map(xy_space, x_space)
+    fibers = [[int(c == xi) for c in comp] for xi in range(len(x_space.worlds))]
     psi_cells = cells(psi, xy_space)
     closed = not any(cell.strict for cell in psi_cells)
     tested = 0
@@ -476,9 +476,10 @@ def conservative_check(kb: ConstraintExpr, psi: ConstraintExpr, xy_space: Space,
                 if not extends(moved):
                     return refuted(moved)
                 lam /= 2
-    for nu in sample_measures(kb, x_space, n_samples, seed):
-        if not extends(nu.weights):
-            return refuted(nu.weights)
     verified = closed and len(psi_cells) == 1
+    if not verified:
+        for nu in sample_measures(kb, x_space, n_samples, seed):
+            if not extends(nu.weights):
+                return refuted(nu.weights)
     return ConservativeReport("conservative_verified" if verified else "inconclusive",
                               tested=tested)

@@ -43,13 +43,14 @@ from .constraints import (
     atoms_of,
     check_space,
     has_product_atom,
-    map_events,
+    map_atoms,
     satisfies,
     space_of,
     translate,
 )
 from .embeddings import factor_lift
 from .entail import (
+    _atom_row,
     _point_mass_event,
     cells,
     entails,
@@ -268,7 +269,7 @@ def infers(proc: InferenceProcedure, kb: ConstraintExpr, theta: ConstraintExpr,
     if has_product_atom(kb):
         raise CredalError("product atoms are query-only; they cannot appear in kb")
     if proc.kind == PRIOR_BASED and proc.prior.kind == PRODUCT_FAMILY:
-        check_space(space, [*atoms_of(kb), *atoms_of(theta)])  # read by _rectangle, holds_at
+        check_space(space, [*atoms_of(kb), *atoms_of(theta)])  # read by _atom_row, holds_at
         kbs = _factorize(kb, space)
         if kbs is None:
             return _product_family_sampled(kb, theta, space, seed, samples)
@@ -306,29 +307,45 @@ def _rectangle(event: Event, space: Space) -> list[Event] | None:
 def _factorize(kb: ConstraintExpr, space: Space) -> tuple[ConstraintExpr, ...] | None:
     """Split a conjunction into per-factor constraints, if possible.
 
-    A conjunct goes to the one factor that its events' rectangles leave
-    unfilled; the empty and the whole event leave none unfilled, and a
-    conjunct that leaves none goes to factor 0 (so a false conjunct
-    empties the selection).  Computed once per (kb, space): 64 splits
-    hold the 56 distinct kbs of the KLM grid's product-family rows.
+    An atom is read by its world coefficients, its integer row
+    (`entail._atom_row`), however its events are written: it is about
+    factor k when they depend on a world's k-th component alone, so
+    about every factor when they are all equal.  A conjunct goes to the
+    least factor that all its atoms are about (a false one to factor 0,
+    emptying the selection); with none, kb does not split.  Computed
+    once per (kb, space): 64 splits hold the 56 distinct kbs of the KLM
+    grid's product-family rows.
     """
-    out: list[ConstraintExpr] = [TrueExpr()] * len(_pi_factors(space))
+    factors = _pi_factors(space)
+    comps = [component_map(space, f) for f in factors]
+    out: list[ConstraintExpr] = [TrueExpr()] * len(factors)
     for conj in kb.items if isinstance(kb, And) else (kb,):
-        owners, rects = set(), {}
-        for atom in atoms_of(conj):
-            events = ([e for _, e in atom.terms] if isinstance(atom, LinearAtom)
-                      else [atom.lhs, *atom.rhs])
-            for ev in events:
-                rect = rects[ev.mask] = _rectangle(ev, space)
-                if rect is None:
-                    return None
-                owners.update(k for k, u in enumerate(rect)
-                              if ev.mask and u.count < len(u.space))
-        if len(owners) > 1:
+        rows = {atom: _atom_row(atom, len(space.worlds)) for atom in atoms_of(conj)}
+        k = next((j for j, comp in enumerate(comps)
+                  if all(_reads_only(comp, row.ints) for row in rows.values())), None)
+        if k is None:
             return None
-        owner = owners.pop() if owners else 0
-        out[owner] = and_(out[owner], map_events(conj, lambda ev: rects[ev.mask][owner]))
+        out[k] = and_(out[k], map_atoms(conj, lambda atom: _factor_atom(
+            atom, rows[atom], factors[k], comps[k])))
     return tuple(out)
+
+
+def _reads_only(comp: Sequence[int], ints: Sequence[int]) -> bool:
+    """Whether world coefficients depend on the world's component comp alone."""
+    by_world = dict(zip(comp, ints))
+    return all(by_world[x] == v for x, v in zip(comp, ints))
+
+
+def _factor_atom(atom: LinearAtom, row, f: Space, comp: Sequence[int]) -> LinearAtom:
+    """The atom on factor f, whose component comp its row reads alone: its
+    comparator and bound, and its coefficients grouped by value into terms
+    (none for 0, so one on the empty event when all are 0)."""
+    by_world, worlds = dict(zip(comp, row.ints)), {}
+    for x in range(len(f.worlds)):
+        if by_world[x]:
+            worlds.setdefault(by_world[x], []).append(x)
+    terms = tuple((Fraction(v, row.scale), event_from_indices(f, xs)) for v, xs in worlds.items())
+    return LinearAtom(terms or ((_ONE, event_from_indices(f, ())),), atom.cmp, atom.bound)
 
 
 def _sampled(candidates: Iterable[Measure], theta: ConstraintExpr, seed: int) -> Verdict:

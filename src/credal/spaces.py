@@ -299,16 +299,12 @@ def _projection(space: Space, positions: tuple[int, ...]) -> Space:
 
 
 def _is_product_split(space: Space, left_pos: tuple[int, ...], right_pos: tuple[int, ...]) -> bool:
+    """Whether the worlds are all pairs of their two projections: they
+    are distinct pairs, so this is a count."""
     width = len(space.vocabulary)
     left = {_project_bits(w.bits, width, left_pos) for w in space.worlds}
     right = {_project_bits(w.bits, width, right_pos) for w in space.worlds}
-    if len(left) < 2 or len(right) < 2:
-        return False
-    if len(left) * len(right) != len(space.worlds):
-        return False
-    pairs = {(_project_bits(w.bits, width, left_pos), _project_bits(w.bits, width, right_pos))
-             for w in space.worlds}
-    return len(pairs) == len(space.worlds)
+    return len(left) >= 2 and len(right) >= 2 and len(left) * len(right) == len(space.worlds)
 
 
 def product_decomposition(space: Space) -> list[Space]:

@@ -712,9 +712,9 @@ class TestOneColumnPerClass:
         report = conservative_check(TrueExpr(), demo["sigma"], demo["space"], x_factor=0,
                                     n_samples=2, seed=0)
         assert report.status == "conservative_verified"
-        # all but sample_measures' two LPs on X, whose objectives tell
-        # its two worlds apart
-        assert full_width == {"calls": 33, "narrowed": 31}
+        # every LP: the vertices decide a one-cell closed psi, so no
+        # sample is drawn and no LP on X tells its two worlds apart
+        assert full_width == {"calls": 29, "narrowed": 29}
 
     def test_columns_coincide_across_event_classes(self, cold_caches, full_width):
         # !a & !b and a & b lie in different events of P(a) - P(b) >= 0
@@ -860,10 +860,11 @@ class TestConservativeCheck:
 
     def test_a_kb_cell_without_a_witness_is_skipped(self):
         # P(s) > 1 is an empty cell of kb: only P(s) >= 1/2's two
-        # vertices and eight samples are tested, and all extend
+        # vertices are tested, and both extend; psi is one closed cell,
+        # so the vertices decide and no sample is drawn
         x, xy, psi = self._lifted("P(s) >= 1/2")
         rep = conservative_check(parse_constraint("P(s) > 1 | P(s) >= 1/2", x), psi, xy)
-        assert rep == ConservativeReport("conservative_verified", None, 10)
+        assert rep == ConservativeReport("conservative_verified", None, 2)
 
     def test_a_sample_refutes_a_two_cell_psi(self):
         # both vertices of [[true]] extend, one through each cell of psi;

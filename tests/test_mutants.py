@@ -12,19 +12,21 @@ from fractions import Fraction
 
 import pytest
 
-from credal import constraints, entail, harness, optimize, simplex
+from credal import constraints, entail, harness, optimize, procedures, simplex
 from credal.constraints import LinearAtom, satisfies
 from credal.entail import Cell
 from credal.formulas import Parser
 from credal.harness import _plain_space
 from credal.measures import EPS, Measure
 from credal.spaces import event_from_indices
+from tests import test_constraints, test_entail, test_harness
 from tests.conftest import (
     CLOSED_CMP,
     EXACT,
     atom_coefficients,
     atom_value,
     bland_lp,
+    clear_caches,
     float_atom_holds,
     mutant,
     scale_row,
@@ -33,7 +35,7 @@ from tests.conftest import (
 from tests.test_entail import _vertex_corpus
 from tests.test_formulas import _disagreements as formula_disagreements
 from tests.test_harness import probe_covers_the_grid
-from tests.test_procedures import domain_is_a_property_of_kb
+from tests.test_procedures import domain_is_a_property_of_kb, equivalent_kbs_split_alike
 from tests.test_simplex import _disagreements, random_lps, scaled_lps, solve_rational
 
 F = Fraction
@@ -134,6 +136,21 @@ def formulas_are_the_reference():
     return not formula_disagreements(34, 100)
 
 
+def passes(cls, name):
+    """A killer that runs the test method cls.name from cold caches and
+    passes when it does."""
+    def killer():
+        clear_caches()
+        try:
+            getattr(cls(), name)()
+        except AssertionError:
+            return False
+        return True
+    return killer
+
+
+# to_dnf and conservative_check are patched where their killers read them,
+# the test modules that import them by name
 MUTANTS = [
     pytest.param(LinearAtom, "holds_at", "EXACT_COMPARE[self.cmp]",
                  'EXACT_COMPARE["<=" if self.cmp == "=" else self.cmp]', holds_at_is_atom_value,
@@ -175,6 +192,24 @@ MUTANTS = [
                  id="implies-without-the-complement-of-its-left-side"),
     pytest.param(Parser, "iff", "self.full ^ left ^ self.iff(bar)", "left ^ self.iff(bar)",
                  formulas_are_the_reference, id="iff-read-as-xor"),
+    pytest.param(test_constraints, "to_dnf", "union = isinstance(e, Or) != negated",
+                 "union = isinstance(e, Or)",
+                 passes(test_constraints.TestSemanticEquivalences,
+                        "test_dnf_preserves_satisfaction_on_grid"),
+                 id="to_dnf-without-de-morgan-under-negation"),
+    pytest.param(optimize, "updates", "res = kl_project(mu, kb)",
+                 "res = kl_project(mu.to_float(), kb)",
+                 passes(test_harness.TestBootstrap,
+                        "test_correspondence_of_rational_priors_is_exact"),
+                 id="updates-projecting-the-priors-floats"),
+    pytest.param(procedures, "_factorize",
+                 "if all(_reads_only(comp, row.ints) for row in rows.values())",
+                 "if any(_reads_only(comp, row.ints) for row in rows.values())",
+                 equivalent_kbs_split_alike, id="factorize-joining-owners-by-union"),
+    pytest.param(test_entail, "conservative_check", "verified = closed and len(psi_cells) == 1",
+                 "verified = closed",
+                 passes(test_entail.TestConservativeCheck, "test_a_sample_refutes_a_two_cell_psi"),
+                 id="conservative_check-verifying-any-closed-psi"),
 ]
 
 

@@ -398,6 +398,46 @@ def domain_is_a_property_of_kb() -> bool:
     return True
 
 
+# equivalent product-family kbs on {a, b}: an atom over a, written
+# through rectangles of both factors, and an atom over b beside a
+# disjunct about every factor that no measure satisfies
+LLE_PAIRS = [("P(a) > 1/2", "P(a & b) + P(a & !b) > 1/2"),
+             ("P(a) >= 1/2", "P(a & b) + P(a & !b) >= 1/2"),
+             ("P(b) >= 1/2", "P(b) >= 1/2 | P((a | !a)) <= 0")]
+LLE_QUERIES = ["P(a) >= 1/2", "P(a) > 1/2", "P(b) >= 1/2", "P(a & b) >= 1/4", "P(a) <= 1",
+               "P((a | b)) >= 1/2"]
+
+
+def equivalent_kbs_split_alike() -> bool:
+    """Under the product family, each of `LLE_PAIRS` answers every one of
+    `LLE_QUERIES` with the same holds and mode on both sides, and
+    `klm_properties_check` finds no Left Logical Equivalence violation,
+    from cold caches."""
+    clear_caches()
+    sp = enumerate_worlds(["a", "b"])
+    proc = InferenceProcedure.prior_based(PriorFunction.product_family())
+    pairs = [(parse_constraint(l, sp), parse_constraint(r, sp)) for l, r in LLE_PAIRS]
+    thetas = [parse_constraint(q, sp) for q in LLE_QUERIES]
+    for pair in pairs:
+        for theta in thetas:
+            left, right = (infers(proc, kb, theta, sp) for kb in pair)
+            if (left.holds, left.mode) != (right.holds, right.mode):
+                return False
+    return klm_properties_check(proc, [], thetas, lle_pairs=pairs).all_pass
+
+
+class TestLeftLogicalEquivalence:
+    def test_equivalent_product_family_kbs_split_alike(self):
+        # an atom is read by its world coefficients, not by the
+        # rectangles of its events, so P(a & b) + P(a & !b) > 1/2 splits
+        # as P(a) > 1/2 does
+        assert equivalent_kbs_split_alike()
+        sp = enumerate_worlds(["a", "b"])
+        for left, right in LLE_PAIRS:
+            a, b = (_factorize(parse_constraint(kb, sp), sp) for kb in (left, right))
+            assert a is not None and b is not None
+
+
 class TestDomain:
     def test_the_domain_is_a_property_of_kb(self):
         assert domain_is_a_property_of_kb()

@@ -150,15 +150,17 @@ def test_the_sigma_extension_is_built_by_the_measure_algebra():
 
 def test_an_atom_is_read_two_ways():
     # the engine reads an atom's integer row, which _atom_row builds for
-    # Cell and for linear_extremes' objective; the checker reads its
-    # terms, and every exact point test is LinearAtom.holds_at, the rule
-    # satisfies decides with; no third reading of the atom remains
+    # Cell, for linear_extremes' objective and for the product family's
+    # split by factors; the checker reads its terms, and every exact
+    # point test is LinearAtom.holds_at, the rule satisfies decides
+    # with; no third reading of the atom remains
     from credal.constraints import LinearAtom
 
     assert not hasattr(LinearAtom, "coefficients")
     assert not hasattr(entail.Cell, "holds_at")
     assert _top_level_calls("_atom_row") == {("entail.py", "Cell"),
-                                             ("entail.py", "linear_extremes")}
+                                             ("entail.py", "linear_extremes"),
+                                             ("procedures.py", "_factorize")}
     assert _top_level_calls("holds_at") == {("constraints.py", "satisfies"),
                                             ("entail.py", "_holds_at"),
                                             ("procedures.py", "_exact_product_verdict")}
@@ -177,6 +179,20 @@ def test_a_formula_is_read_straight_to_its_event():
             if isinstance(fn, ast.FunctionDef) and fn.name in ("evaluate", "symbols")] == []
     assert _top_level_calls("Parser") == {("spaces.py", "event_of")}
     assert _top_level_calls("_ConstraintParser") == {("constraints.py", "parse_constraint")}
+
+
+def test_each_rule_has_one_implementation():
+    # De Morgan has one home, to_dnf's single pass, and a prior becomes
+    # float only in kl_project, which projects it; point masses are exact;
+    # the X fibers of a product are read from component_map
+    from credal import constraints
+    from credal.measures import Measure
+
+    assert not hasattr(constraints, "_negate")
+    assert _top_level_calls("to_float") == {("optimize.py", "kl_project")}
+    assert list(inspect.signature(Measure.point_mass).parameters) == ["space", "index"]
+    assert not [node for node in ast.walk(ast.parse(inspect.getsource(entail)))
+                if isinstance(node, ast.ImportFrom) and node.module == "embeddings"]
 
 
 def _functions(tree):
