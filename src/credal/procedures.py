@@ -9,13 +9,19 @@ broken control).  The product-measure family has no enumerable
 selection, and `infers` decides it directly: a factorized kb exactly
 at tuples of its factor kbs' closure vertices, which the simplex
 tableau lists by pivoting, or at per-factor optima beyond the tuple
-budget (`product_prior_infer`), and everything else by seeded sampling
-falsification, whose `Verdict.samples` counts the measures checked.
+budget (`product_prior_infer`).  Any other kb is decided exactly by two
+rules that project nothing, since a point mass is a product prior and
+one in [[kb]] is its own projection: a point mass of [[kb]] that
+violates theta refutes it, and kb |= theta proves it.  What they leave
+is decided by seeded sampling falsification, whose `Verdict.samples`
+counts the measures checked; a kb that is not closed is projected
+first, so one outside the domain raises on every query.
 
 A procedure is a function of the kb, so the work on the kb alone is
 done once per kb and a query pays only for checking its theta: memos
 keep `select`'s selection per (proc, kb, space), and the product
-family's `_factorize` split per (kb, space) and sampled selection per
+family's `_factorize` split per (kb, space), vertex-tuple product
+weights per (factor kbs, space, samples) and sampled selection per
 (kb, space, seed, samples).  Each memo is an `lru_cache` on a
 module-level function, which the bench clears before each round, and
 none stores a raise: a kb outside the domain raises on every query.
@@ -372,8 +378,9 @@ def product_prior_infer(kbs: Sequence[ConstraintExpr], theta: ConstraintExpr, sp
     every one; beyond, a single-rectangle atom is checked at the two
     tuples of per-factor LP optima where its probability is least and
     greatest, two LPs per factor cell.  A pass everywhere proves theta;
-    a failure refutes it when the factor kbs are closed (no DNF cell has
-    a strict atom), with the product measure at that tuple as evidence.
+    a failure refutes it when the factor kbs are closed (`_closed`: no
+    DNF cell with a witness has a strict atom), with the product measure
+    at that tuple as evidence.
     Anything else falls back to seeded sampling falsification over
     random product measures; `Verdict.samples` counts the measures
     checked.
@@ -401,11 +408,37 @@ def product_prior_infer(kbs: Sequence[ConstraintExpr], theta: ConstraintExpr, sp
 
 def _product_family_sampled(kb: ConstraintExpr, theta: ConstraintExpr, space: Space,
                             seed: int, samples: int) -> Verdict:
-    """Falsification for a non-factorized kb under the product prior,
-    over the sampled members of its selection (`_sampled_selection`)."""
+    """theta for a non-factorized kb under the product prior.
+
+    Every point mass is a product prior, and one in [[kb]] is its own
+    projection, so two rules are exact and project nothing: the first
+    point mass of [[kb]], in world order, that violates theta refutes it
+    with that point mass as evidence, and kb |= theta proves a theta
+    without product atoms.  Anything else is falsified over the sampled
+    members of the selection (`_sampled_selection`).  The selection is
+    computed first when kb is not closed (`_closed`), as only such a kb
+    can leave a projection unattained, so a kb outside the domain raises
+    DomainError on every query.
+    """
     if not satisfiable(kb, space).feasible:
         return Verdict(True)  # empty selection: trivially holds
+    if not _closed(kb, space):
+        _sampled_selection(kb, space, seed, samples)
+    for i in _point_mass_event(cells(kb, space), space).indices():
+        corner = Measure.point_mass(space, i)
+        if not satisfies(corner, theta):
+            return Verdict(False, (corner,))
+    if not has_product_atom(theta) and entails(kb, theta, space):
+        return Verdict(True)
     return _sampled(_sampled_selection(kb, space, seed, samples), theta, seed)
+
+
+def _closed(kb: ConstraintExpr, space: Space) -> bool:
+    """Whether no DNF cell of kb on space that has a witness is strict,
+    an empty strict cell adding no point: [[kb]] is then a union of
+    closed cells, so it holds their closure vertices, and the projection
+    onto it of a prior at finite divergence is attained (Csiszar 1975)."""
+    return not any(cell.strict and cell.witness() is not None for cell in cells(kb, space))
 
 
 @lru_cache(maxsize=64)
@@ -421,8 +454,8 @@ def _sampled_selection(kb: ConstraintExpr, space: Space, seed: int,
     each its own exact projection.  The uniform and random full-support
     product priors of `_product_priors` follow.  Computed whole, once
     per (kb, space, seed, samples): a kb outside the domain raises
-    DomainError for every query.  64 hold the 30 keys one KLM round asks
-    for.
+    DomainError for every query.  64 hold the 13 keys one KLM round asks
+    for, the kbs whose queries the exact rules leave undecided.
     """
     corners = (Measure.point_mass(space, i)
                for i in _point_mass_event(cells(kb, space), space).indices())
@@ -461,9 +494,9 @@ def _exact_product_verdict(kbs, theta, space, factors, samples) -> Verdict | Non
             undecided = True
     if not linear:
         return None if undecided else Verdict(True)
-    corners = _vertex_tuples(kbs, factors, samples)
-    if corners is not None:
-        checks = ((corner, linear) for corner in corners)
+    products = _vertex_products(tuple(kbs), space, samples)
+    if products is not None:
+        checks = ((weights, linear) for weights in products)
     else:
         checks = []
         for atom in linear:
@@ -475,17 +508,34 @@ def _exact_product_verdict(kbs, theta, space, factors, samples) -> Verdict | Non
                 # probability is least and greatest where every factor's is
                 ends = [linear_extremes(kb_i, ((_ONE, u),), f)
                         for kb_i, f, u in zip(kbs, factors, rect)]
-                checks += [(tuple(end[k][0] for end in ends), [atom]) for k in (0, 1)]
-    comps = [component_map(space, f) for f in factors]
-    for corner, atoms in checks:
-        weights = [math.prod(v[comp[x]] for v, comp in zip(corner, comps))
-                   for x in range(len(space.worlds))]
+                checks += [(_product_weights(tuple(end[k][0] for end in ends), space), [atom])
+                           for k in (0, 1)]
+    for weights, atoms in checks:
         if all(atom.holds_at(weights) for atom in atoms):
             continue
-        if any(cell.strict for kb_i, f in zip(kbs, factors) for cell in cells(kb_i, f)):
+        if not all(_closed(kb_i, f) for kb_i, f in zip(kbs, factors)):
             return None  # the corner may lie outside the selection
         return Verdict(False, (Measure.rational(space, weights),))
     return None if undecided else Verdict(True)
+
+
+def _product_weights(corner: Sequence[Sequence[Fraction]], space: Space) -> tuple[Fraction, ...]:
+    """The world weights of the product of one measure per factor."""
+    comps = [component_map(space, f) for f in _pi_factors(space)]
+    return tuple(math.prod(v[comp[x]] for v, comp in zip(corner, comps))
+                 for x in range(len(space.worlds)))
+
+
+@lru_cache(maxsize=64)
+def _vertex_products(kbs: tuple[ConstraintExpr, ...], space: Space,
+                     samples: int) -> tuple[tuple[Fraction, ...], ...] | None:
+    """The world weights of the product measure at every tuple of
+    `_vertex_tuples`, or None beyond the budget.  They depend on the kb
+    alone, so they are computed once per (kbs, space, samples), and every
+    query checks its linear atoms at them; tuples, so that no caller can
+    change a kept entry.  64 hold the 26 keys one KLM round asks for."""
+    tuples = _vertex_tuples(kbs, _pi_factors(space), samples)
+    return None if tuples is None else tuple(_product_weights(t, space) for t in tuples)
 
 
 def _vertex_tuples(kbs, factors, samples) -> Iterator[tuple[list[Fraction], ...]] | None:

@@ -35,7 +35,11 @@ from tests.conftest import (
 from tests.test_entail import _vertex_corpus
 from tests.test_formulas import _disagreements as formula_disagreements
 from tests.test_harness import probe_covers_the_grid
-from tests.test_procedures import domain_is_a_property_of_kb, equivalent_kbs_split_alike
+from tests.test_procedures import (
+    domain_is_a_property_of_kb,
+    equivalent_kbs_split_alike,
+    exact_rules_agree_with_the_selection,
+)
 from tests.test_simplex import _disagreements, random_lps, scaled_lps, solve_rational
 
 F = Fraction
@@ -206,6 +210,14 @@ MUTANTS = [
                  "if all(_reads_only(comp, row.ints) for row in rows.values())",
                  "if any(_reads_only(comp, row.ints) for row in rows.values())",
                  equivalent_kbs_split_alike, id="factorize-joining-owners-by-union"),
+    pytest.param(procedures, "_product_family_sampled",
+                 "_point_mass_event(cells(kb, space), space).indices()", "range(len(space.worlds))",
+                 lambda: exact_rules_agree_with_the_selection(4),
+                 id="product-family-corners-from-every-world"),
+    pytest.param(procedures, "_product_family_sampled", "entails(kb, theta, space)",
+                 "satisfiable(and_(kb, theta), space).feasible",
+                 lambda: exact_rules_agree_with_the_selection(4),
+                 id="product-family-proving-by-consistency"),
     pytest.param(test_entail, "conservative_check", "verified = closed and len(psi_cells) == 1",
                  "verified = closed",
                  passes(test_entail.TestConservativeCheck, "test_a_sample_refutes_a_two_cell_psi"),

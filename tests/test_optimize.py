@@ -358,11 +358,12 @@ class TestUpdateSet:
         update_set(priors, parse_constraint("P(a) >= 3/4", sp))
         assert seen == list(priors)
         seen.clear()
-        # P(a & b) is no cylinder, so the kb does not factorize and its
+        # P(a & b) is no cylinder, so the kb does not factorize; its one
+        # corner, on a & b, meets theta and kb does not entail it, so its
         # priors are projected one by one
         proc = InferenceProcedure.prior_based(PriorFunction.product_family())
         kb = parse_constraint("P(a & b) >= 1/2", sp)
-        infers(proc, kb, parse_constraint("P(a) >= 1/2", sp), sp)
+        infers(proc, kb, parse_constraint("P(a) >= 3/4", sp), sp)
         assert len(seen) > 2
 
     def test_every_call_projects_every_prior(self, monkeypatch, cold_caches):

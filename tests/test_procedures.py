@@ -37,6 +37,8 @@ from credal.procedures import (
     InferenceProcedure,
     KlmViolation,
     _factorize,
+    _sampled,
+    _sampled_selection,
     _vertex_tuples,
     PriorFunction,
     i0_select,
@@ -334,14 +336,15 @@ class TestProductFamilySampled:
         assert not v.holds and v.mode == "sampled"
 
     def test_point_masses_beyond_64_worlds(self):
-        # the corner priors are the point masses that satisfy kb, at any
-        # size: on 128 worlds the last one (all symbols true) refutes theta
+        # the corners are the point masses that satisfy kb, at any size:
+        # on 128 worlds the last one (all symbols true) refutes theta
+        # exactly, as its own projection
         sp = enumerate_worlds(list("abcdefg"))
         kb = parse_constraint("P(a & b) >= 1/2", sp)
         theta = parse_constraint("P(a & b & c & d & e & f & g) < 9/10", sp)
         proc = InferenceProcedure.prior_based(PriorFunction.product_family())
         v = infers(proc, kb, theta, sp)
-        assert not v.holds and v.mode == "sampled"
+        assert not v.holds and v.mode == "exact"
         assert v.evidence == (Measure.point_mass(sp, 127),)
 
 
@@ -426,6 +429,42 @@ def equivalent_kbs_split_alike() -> bool:
     return klm_properties_check(proc, [], thetas, lle_pairs=pairs).all_pass
 
 
+def exact_rules_agree_with_the_selection(per_size: int) -> bool:
+    """Under the product family, from cold caches, on `per_size`
+    satisfiable `harness._random_kb`s that do not factorize, on each of 2
+    and 3 symbols, asked six `harness._random_theta`s, kb and false at a
+    seed drawn per kb: a kb raises DomainError on every query exactly
+    when its `_sampled_selection` raises, and every exact verdict has the
+    holds of sampled falsification over that selection at that seed."""
+    clear_caches()
+    proc = InferenceProcedure.prior_based(PriorFunction.product_family())
+    for n in (2, 3):
+        sp = enumerate_worlds(list("abc")[:n])
+        rng = random.Random(36 + n)
+        found = 0
+        while found < per_size:
+            kb = harness._random_kb(sp, rng)
+            if _factorize(kb, sp) is not None or not satisfiable(kb, sp).feasible:
+                continue
+            found += 1
+            seed = rng.randrange(8)
+            try:
+                selection = _sampled_selection(kb, sp, seed, 200)
+            except DomainError:
+                selection = None
+            for theta in [*(harness._random_theta(sp, rng) for _ in range(6)), kb, FalseExpr()]:
+                try:
+                    v = infers(proc, kb, theta, sp, seed=seed)
+                except DomainError:
+                    v = None
+                if (v is None) != (selection is None):
+                    return False
+                if (v is not None and v.mode == "exact"
+                        and v.holds != _sampled(selection, theta, seed).holds):
+                    return False
+    return True
+
+
 class TestLeftLogicalEquivalence:
     def test_equivalent_product_family_kbs_split_alike(self):
         # an atom is read by its world coefficients, not by the
@@ -441,6 +480,11 @@ class TestLeftLogicalEquivalence:
 class TestDomain:
     def test_the_domain_is_a_property_of_kb(self):
         assert domain_is_a_property_of_kb()
+
+    def test_exact_rules_agree_with_the_sampled_selection(self):
+        # a corner that refutes theta and kb |= theta decide without
+        # projecting, and decide as the projected selection would
+        assert exact_rules_agree_with_the_selection(20)
 
     def test_a_product_family_kb_outside_the_domain_answers_no_query(self):
         # the corner prior on !ab satisfies kb and refutes P(a) >= 1/2,
@@ -536,6 +580,16 @@ class TestProductPriorInfer:
         assert not v.holds and v.mode == "sampled"
         assert 1 <= v.samples < 400
         assert not satisfies(v.evidence[0], theta)
+
+    def test_an_empty_strict_cell_leaves_a_refutation_exact(self):
+        # P((a | !a)) < 0 is a strict cell with no witness, so the factor
+        # kb on b is closed, as P(b) >= 1/2 is, and its failing vertex
+        # tuple is in the selection
+        sp = enumerate_worlds(["a", "b"])
+        kb = parse_constraint("P(b) >= 1/2 | P((a | !a)) < 0", sp)
+        proc = InferenceProcedure.prior_based(PriorFunction.product_family())
+        v = infers(proc, kb, parse_constraint("P(a) >= 1/2", sp), sp)
+        assert not v.holds and v.mode == "exact"
 
     def test_strict_kb_passing_every_vertex_holds_exactly(self):
         # the closure's vertices bound the atom on the closure, so a pass
@@ -818,12 +872,14 @@ class TestProductFamilyKlm:
         assert len(calls) <= 4500
 
     @pytest.mark.parametrize("proc, built, solved", [
-        (InferenceProcedure.prior_based(PriorFunction.product_family()), 120, 120),
+        (InferenceProcedure.prior_based(PriorFunction.product_family()), 364, 364),
         (InferenceProcedure.maxent(), 95, 95),
     ], ids=["product-family", "maxent"])
     def test_kb_cells_are_built_once(self, monkeypatch, cold_caches, proc, built, solved):
         # entail.cells builds each (kb, space)'s cells once and every
-        # decision and projection shares them with their witnesses
+        # decision and projection shares them with their witnesses; the
+        # product family's sets include the kb & !theta ones of its
+        # entailment rule
         from credal import entail, simplex
 
         space = enumerate_worlds(["a", "b"])
@@ -852,13 +908,15 @@ class TestProductFamilyKlm:
         assert info.misses == info.currsize
 
     @pytest.mark.parametrize("proc, projected", [
-        (InferenceProcedure.prior_based(PriorFunction.product_family()), 813),
+        (InferenceProcedure.prior_based(PriorFunction.product_family()), 339),
         (InferenceProcedure.maxent(), 56),
     ], ids=["product-family", "maxent"])
     def test_each_prior_is_projected_once_per_kb(self, monkeypatch, cold_caches, proc, projected):
         # each kb's update is computed once (select, _sampled_selection),
-        # the product priors are drawn once per seed, and closed
-        # factorized kbs are decided at vertex tuples without sampling
+        # the product priors are drawn once per seed, closed factorized
+        # kbs are decided at vertex tuples without sampling, and a query
+        # on a closed kb that a corner refutes or kb entails projects
+        # nothing
         from credal import optimize, procedures
 
         space = enumerate_worlds(["a", "b"])
