@@ -29,15 +29,15 @@ def default_space() -> Space:
 
 def _event_formulas(space: Space) -> list[str]:
     syms = space.vocabulary.symbols
-    if len(syms) == 1:
-        s = syms[0]
-        return [s, f"!{s}"]
+    if len(syms) < 2:
+        raise ValueError(f"the KLM corpus needs two symbols, not {len(syms)}")
     a, b = syms[0], syms[1]
     return [a, b, f"{a} & {b}", f"({a} | {b})", f"!{a}", f"{a} <=> {b}"]
 
 
 def klm_corpus(space: Space | None = None):
-    """(kbs, thetas, lle_pairs): at least 50 closed kbs over a small space.
+    """(kbs, thetas, lle_pairs): at least 50 closed kbs over a small space
+    of at least two symbols (ValueError otherwise).
 
     Closed constraints only, so entropy maxima are always attained and
     the corpus sits inside every procedure's domain.
@@ -57,9 +57,7 @@ def klm_corpus(space: Space | None = None):
         kbs.append(parse_constraint(f"P({ev}) = 1", space))
     for e1, e2 in zip(events, events[2:]):
         kbs.append(parse_constraint(f"P({e1}) = 1/2 & P({e2}) >= 1/4", space))
-    a = events[0]
-    ab = events[2] if len(events) > 2 else events[-1]
-    either = events[3] if len(events) > 3 else events[0]
+    a, ab, either = events[0], events[2], events[3]
     kbs.append(parse_constraint(f"P({a}) = 1 & P({events[1]}) = 1", space))
     kbs.append(parse_constraint(f"P({either}) >= 1/3 & P({ab}) <= 2/3", space))
     kbs.append(parse_constraint(f"P({either}) = 1 & P({a}) >= 1/2", space))

@@ -59,7 +59,8 @@ class Cell:
     """One DNF cell on one space, and the only code that builds LP rows.
 
     Its atoms are one cell of `constraints.to_dnf`, equalities first and
-    strict atoms last; ``strict`` says whether any atom is strict.  The
+    strict atoms last; ``strict`` says whether any atom is strict, and
+    `closed` alone reads it, counting only cells with a witness.  The
     LP variables are the world masses and the strict slack t.  The open
     and closure rows are integer `simplex.Row`s built on first use; row
     1 + j is atom j's, over the worlds, t and the bound, at the atom's
@@ -87,8 +88,6 @@ class Cell:
         # set by `satisfiable` once the witness satisfies the constraint
         # whose `cells` set holds this cell
         self.witness_checked = False
-        self._vertices = None  # the vertices a finished walk listed
-        self._more_vertices_than = -1  # a stopped vertex walk's limit
 
     @cached_property
     def _open(self) -> list[simplex.Row]:
@@ -187,16 +186,10 @@ class Cell:
     def vertices(self, limit: float = inf) -> tuple[list[Fraction], ...] | None:
         """The closure's vertices, or None when they number more than
         limit: `simplex.vertices` on its rows without t, a walk that stops
-        there.  A finished walk is memoised, and one that stopped is not
-        walked again for a limit as low."""
-        if self._vertices is None and limit > self._more_vertices_than:
-            n = len(self.space.worlds)
-            self._vertices = simplex.vertices(n, [row._replace(ints=row.ints[:n] + row.ints[-1:])
-                                                  for row in self._closed[:-1]], limit)
-            if self._vertices is None:
-                self._more_vertices_than = limit
-        found = self._vertices
-        return found if found is not None and len(found) <= limit else None
+        there, on every call."""
+        n = len(self.space.worlds)
+        return simplex.vertices(n, [row._replace(ints=row.ints[:n] + row.ints[-1:])
+                                    for row in self._closed[:-1]], limit)
 
 
 def _atom_row(atom: LinearAtom, n: int) -> simplex.Row:
@@ -228,6 +221,14 @@ def cells(expr: ConstraintExpr, space: Space) -> tuple[Cell, ...]:
     of the five procedures on the two-symbol corpus asks for 777 distinct
     (kb, space) pairs, and of one procedure alone for up to 617."""
     return tuple(Cell(atoms, space) for atoms in to_dnf(expr))
+
+
+def closed(expr: ConstraintExpr, space: Space) -> bool:
+    """Whether no DNF cell of expr on space that has a witness is strict,
+    an empty strict cell adding no point: [[expr]] is then a union of
+    closed cells, holding their closure vertices, and a projection onto
+    it at finite divergence is attained (Csiszar 1975)."""
+    return not any(cell.strict and cell.witness() is not None for cell in cells(expr, space))
 
 
 @dataclass(frozen=True)
@@ -431,13 +432,13 @@ def conservative_check(kb: ConstraintExpr, psi: ConstraintExpr, xy_space: Space,
     reverse asks, for every closure vertex of every cell of kb, however
     many, and for seeded samples of [[kb]], whether some extension with
     that X-marginal satisfies psi.  A failed point of [[kb]] is an exact
-    counterexample.  When psi is closed (no strict atom), a failed vertex
-    outside [[kb]] is moved toward its cell's witness by lambda = 1/2,
-    1/4, ... until the moved point fails, as it must: the extendable
-    marginals are then a closed set.  Passes are verified only when psi
-    is one closed DNF cell, whose extendable marginals form a polytope:
-    the vertices decide, and no sample is drawn.  Otherwise the samples
-    are tested too, and a pass is inconclusive.
+    counterexample.  When psi is `closed`, a failed vertex outside [[kb]]
+    is moved toward its cell's witness by lambda = 1/2, 1/4, ... until
+    the moved point fails, as it must: the extendable marginals are then
+    a closed set.  Passes are verified only when psi's cells that have a
+    witness are one closed cell, whose extendable marginals form a
+    polytope: the vertices decide, and no sample is drawn.  Otherwise the
+    samples are tested too, and a pass is inconclusive.
     """
     if xy_space.factors is None:
         raise ValueError("xy_space must be a declared product")
@@ -448,7 +449,7 @@ def conservative_check(kb: ConstraintExpr, psi: ConstraintExpr, xy_space: Space,
     comp = component_map(xy_space, x_space)
     fibers = [[int(c == xi) for c in comp] for xi in range(len(x_space.worlds))]
     psi_cells = cells(psi, xy_space)
-    closed = not any(cell.strict for cell in psi_cells)
+    psi_closed = closed(psi, xy_space)
     tested = 0
 
     def extends(x) -> bool:
@@ -471,12 +472,13 @@ def conservative_check(kb: ConstraintExpr, psi: ConstraintExpr, xy_space: Space,
             if _holds_at(kb_cells, vertex):
                 return refuted(vertex)
             lam = Fraction(1, 2)
-            while closed:
+            while psi_closed:
                 moved = [lam * a + (1 - lam) * b for a, b in zip(interior.weights, vertex)]
                 if not extends(moved):
                     return refuted(moved)
                 lam /= 2
-    verified = closed and len(psi_cells) == 1
+    verified = psi_closed and (len(psi_cells) == 1
+                               or sum(cell.witness() is not None for cell in psi_cells) == 1)
     if not verified:
         for nu in sample_measures(kb, x_space, n_samples, seed):
             if not extends(nu.weights):

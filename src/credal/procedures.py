@@ -13,9 +13,11 @@ budget (`product_prior_infer`).  Any other kb is decided exactly by two
 rules that project nothing, since a point mass is a product prior and
 one in [[kb]] is its own projection: a point mass of [[kb]] that
 violates theta refutes it, and kb |= theta proves it.  What they leave
-is decided by seeded sampling falsification, whose `Verdict.samples`
-counts the measures checked; a kb that is not closed is projected
-first, so one outside the domain raises on every query.
+is decided by seeded sampling falsification over the projections of
+product priors alone, as the corner rule checked every point mass of
+[[kb]]; `Verdict.samples` counts the measures checked.  A kb that is
+not `entail.closed` is projected first, so one outside the domain
+raises on every query.
 
 A procedure is a function of the kb, so the work on the kb alone is
 done once per kb and a query pays only for checking its theta: memos
@@ -59,6 +61,7 @@ from .entail import (
     _atom_row,
     _point_mass_event,
     cells,
+    closed,
     entails,
     equivalent,
     is_interesting,
@@ -257,7 +260,8 @@ def _check_all_satisfy(selection: tuple[Measure, ...] | ConstraintExpr, theta: C
     if not has_product_atom(theta):
         counter = satisfiable(and_(selection, Not(theta)), space)
         return Verdict(False, (counter.witness,)) if counter.feasible else Verdict(True)
-    return _sampled(sample_measures(selection, space, samples, seed), theta, seed)
+    drawn = sample_measures(selection, space, samples, seed)
+    return _sampled(drawn, theta, seed) if drawn else Verdict(True)  # empty selection
 
 
 def infers(proc: InferenceProcedure, kb: ConstraintExpr, theta: ConstraintExpr,
@@ -366,7 +370,7 @@ def _sampled(candidates: Iterable[Measure], theta: ConstraintExpr, seed: int) ->
 
 
 def product_prior_infer(kbs: Sequence[ConstraintExpr], theta: ConstraintExpr, space: Space,
-                        seed: int = 0, samples: int = 400) -> Verdict:
+                        seed: int = 0, samples: int = 200) -> Verdict:
     """Inference under the all-product-measures prior, for a factorized kb.
 
     The updated set is exactly the product measures whose factors satisfy
@@ -378,9 +382,8 @@ def product_prior_infer(kbs: Sequence[ConstraintExpr], theta: ConstraintExpr, sp
     every one; beyond, a single-rectangle atom is checked at the two
     tuples of per-factor LP optima where its probability is least and
     greatest, two LPs per factor cell.  A pass everywhere proves theta;
-    a failure refutes it when the factor kbs are closed (`_closed`: no
-    DNF cell with a witness has a strict atom), with the product measure
-    at that tuple as evidence.
+    a failure refutes it when the factor kbs are `entail.closed`, with
+    the product measure at that tuple as evidence.
     Anything else falls back to seeded sampling falsification over
     random product measures; `Verdict.samples` counts the measures
     checked.
@@ -402,7 +405,7 @@ def product_prior_infer(kbs: Sequence[ConstraintExpr], theta: ConstraintExpr, sp
     factor_samples = [sample_measures(kb_i, f, max(4, samples // 8), rng.randrange(2**30))
                       for kb_i, f in zip(kbs, factors)]
     draws = (product_measure([fs[rng.randrange(len(fs))] for fs in factor_samples], space)
-             for _ in range(samples if all(factor_samples) else 0))
+             for _ in range(samples))
     return _sampled(draws, theta, seed)
 
 
@@ -416,13 +419,13 @@ def _product_family_sampled(kb: ConstraintExpr, theta: ConstraintExpr, space: Sp
     with that point mass as evidence, and kb |= theta proves a theta
     without product atoms.  Anything else is falsified over the sampled
     members of the selection (`_sampled_selection`).  The selection is
-    computed first when kb is not closed (`_closed`), as only such a kb
-    can leave a projection unattained, so a kb outside the domain raises
-    DomainError on every query.
+    computed first when kb is not closed (`entail.closed`), as only such
+    a kb can leave a projection unattained, so a kb outside the domain
+    raises DomainError on every query.
     """
     if not satisfiable(kb, space).feasible:
         return Verdict(True)  # empty selection: trivially holds
-    if not _closed(kb, space):
+    if not closed(kb, space):
         _sampled_selection(kb, space, seed, samples)
     for i in _point_mass_event(cells(kb, space), space).indices():
         corner = Measure.point_mass(space, i)
@@ -433,14 +436,6 @@ def _product_family_sampled(kb: ConstraintExpr, theta: ConstraintExpr, space: Sp
     return _sampled(_sampled_selection(kb, space, seed, samples), theta, seed)
 
 
-def _closed(kb: ConstraintExpr, space: Space) -> bool:
-    """Whether no DNF cell of kb on space that has a witness is strict,
-    an empty strict cell adding no point: [[kb]] is then a union of
-    closed cells, so it holds their closure vertices, and the projection
-    onto it of a prior at finite divergence is attained (Csiszar 1975)."""
-    return not any(cell.strict and cell.witness() is not None for cell in cells(kb, space))
-
-
 @lru_cache(maxsize=64)
 def _sampled_selection(kb: ConstraintExpr, space: Space, seed: int,
                        samples: int) -> tuple[Measure, ...]:
@@ -449,17 +444,15 @@ def _sampled_selection(kb: ConstraintExpr, space: Space, seed: int,
     The selection is the union of the priors' projections onto [[kb]]
     (generally not product measures), so product priors are drawn and
     their `updates` attainers are the samples, in prior order and with
-    duplicates.  Counterexamples live at the corners, so the corner
-    priors come first: the point masses that satisfy kb, in world order,
-    each its own exact projection.  The uniform and random full-support
-    product priors of `_product_priors` follow.  Computed whole, once
-    per (kb, space, seed, samples): a kb outside the domain raises
-    DomainError for every query.  64 hold the 13 keys one KLM round asks
-    for, the kbs whose queries the exact rules leave undecided.
+    duplicates: the projections of the uniform and random full-support
+    product priors of `_product_priors`.  No point mass of [[kb]] is
+    drawn: the corner rule has checked each one before any sampling.
+    Computed whole, once per (kb, space, seed, samples): a kb outside the
+    domain raises DomainError for every query.  64 hold the 13 keys one
+    KLM round asks for, the kbs whose queries the exact rules leave
+    undecided.
     """
-    corners = (Measure.point_mass(space, i)
-               for i in _point_mass_event(cells(kb, space), space).indices())
-    return updates(itertools.chain(corners, _product_priors(space, seed, samples)), kb)
+    return updates(_product_priors(space, seed, samples), kb)
 
 
 @lru_cache(maxsize=256)
@@ -513,7 +506,7 @@ def _exact_product_verdict(kbs, theta, space, factors, samples) -> Verdict | Non
     for weights, atoms in checks:
         if all(atom.holds_at(weights) for atom in atoms):
             continue
-        if not all(_closed(kb_i, f) for kb_i, f in zip(kbs, factors)):
+        if not all(closed(kb_i, f) for kb_i, f in zip(kbs, factors)):
             return None  # the corner may lie outside the selection
         return Verdict(False, (Measure.rational(space, weights),))
     return None if undecided else Verdict(True)

@@ -66,6 +66,19 @@ def mutant(owner, name, old, new):
     return namespace[name]
 
 
+def patch_everywhere(monkeypatch, owner, name, new):
+    """Set new in place of owner.name and of every other binding of that
+    same object in credal's and the tests' modules, such as a function
+    imported by name, so that every caller reaches new."""
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, new)
+    for module_name, module in list(sys.modules.items()):
+        if module is not None and module_name.partition(".")[0] in ("credal", "tests"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, new)
+
+
 # An independent formula reference, importing nothing from credal: a
 # tree is a symbol name, a literal bool, ("!", tree) or (connective,
 # left, right); it is rendered fully parenthesized and evaluated per

@@ -13,7 +13,7 @@ from credal.constraints import (
     satisfies,
 )
 from credal.embeddings import correspondence_gap, from_surjection, random_faithful_embedding
-from credal.entail import entails, satisfiable
+from credal.entail import conservative_check, entails, satisfiable
 from credal.errors import DomainError
 from credal.harness import (
     tuple_cover_gadget,
@@ -277,6 +277,23 @@ class TestRobustness:
                      InferenceProcedure.i1()):
             rep = robustness_check(proc, TrueExpr(), TrueExpr(), [q], xy)
             assert rep.robust_on_probe
+
+    def test_an_empty_strict_cell_leaves_psi_verified(self):
+        # P((s | !s)) < 0 is a strict cell of psi with no witness, so it
+        # adds no point: the second psi is the first, one closed cell with
+        # a witness, and both are verified conservative over P(s) >= 1/3
+        # at kb's two vertices, so the robustness check runs on both
+        x = enumerate_worlds(["s"])
+        xy = product_space([x, enumerate_worlds(["t"])])
+        kb = parse_constraint("P(s) >= 1/3", x)
+        queries = [parse_constraint("P(s) >= 1/3", x), parse_constraint("P(s) = 1/2", x)]
+        for text in ("P(t) >= 1/2", "P(t) >= 1/2 | P((s | !s)) < 0"):
+            psi = parse_constraint(text, xy)
+            assert conservative_check(kb, psi, xy).tested == 2
+            for proc in (InferenceProcedure.entailment(), InferenceProcedure.maxent()):
+                rep = robustness_check(proc, kb, psi, queries, xy)
+                assert rep.conservative_status == "conservative_verified"
+                assert not rep.skipped and rep.robust_on_probe
 
     def test_nonconservative_psi_skipped(self):
         x, xy, _ = self._instance()

@@ -3,8 +3,11 @@
 Each row breaks one library function in one place: the function (a
 module's, or a class's method), a text of its source that must occur
 exactly once, its replacement, and a killer, a fast in-process oracle
-that must pass on the real code and fail on the mutant.  When a refactor
-removes a row's text, the row fails and must be re-pointed.
+that must pass on the real code and fail on the mutant.  The mutant is
+set on the row's owner, where the function is defined, and on every
+other binding of it in credal's and the tests' modules, so a killer
+reaches it through the whole library.  When a refactor removes a row's
+text, the row fails and must be re-pointed.
 """
 
 import random
@@ -29,6 +32,7 @@ from tests.conftest import (
     clear_caches,
     float_atom_holds,
     mutant,
+    patch_everywhere,
     scale_row,
     simplex_grid,
 )
@@ -153,8 +157,6 @@ def passes(cls, name):
     return killer
 
 
-# to_dnf and conservative_check are patched where their killers read them,
-# the test modules that import them by name
 MUTANTS = [
     pytest.param(LinearAtom, "holds_at", "EXACT_COMPARE[self.cmp]",
                  'EXACT_COMPARE["<=" if self.cmp == "=" else self.cmp]', holds_at_is_atom_value,
@@ -196,7 +198,7 @@ MUTANTS = [
                  id="implies-without-the-complement-of-its-left-side"),
     pytest.param(Parser, "iff", "self.full ^ left ^ self.iff(bar)", "left ^ self.iff(bar)",
                  formulas_are_the_reference, id="iff-read-as-xor"),
-    pytest.param(test_constraints, "to_dnf", "union = isinstance(e, Or) != negated",
+    pytest.param(constraints, "to_dnf", "union = isinstance(e, Or) != negated",
                  "union = isinstance(e, Or)",
                  passes(test_constraints.TestSemanticEquivalences,
                         "test_dnf_preserves_satisfaction_on_grid"),
@@ -218,8 +220,8 @@ MUTANTS = [
                  "satisfiable(and_(kb, theta), space).feasible",
                  lambda: exact_rules_agree_with_the_selection(4),
                  id="product-family-proving-by-consistency"),
-    pytest.param(test_entail, "conservative_check", "verified = closed and len(psi_cells) == 1",
-                 "verified = closed",
+    pytest.param(entail, "conservative_check",
+                 "or sum(cell.witness() is not None for cell in psi_cells) == 1)", "or True)",
                  passes(test_entail.TestConservativeCheck, "test_a_sample_refutes_a_two_cell_psi"),
                  id="conservative_check-verifying-any-closed-psi"),
 ]
@@ -230,5 +232,9 @@ def test_the_killer_passes_on_the_code_and_fails_on_the_mutant(monkeypatch, owne
                                                                new, killer):
     broken = mutant(owner, name, old, new)  # old occurs exactly once
     assert killer()
-    monkeypatch.setattr(owner, name, broken)
-    assert not killer()
+    try:
+        patch_everywhere(monkeypatch, owner, name, broken)
+        assert not killer()
+    finally:
+        monkeypatch.undo()
+        clear_caches()  # no result of the mutant outlives the test

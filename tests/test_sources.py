@@ -139,6 +139,24 @@ def test_each_question_has_one_call():
     assert not hasattr(procedures, "_resolve_space")
 
 
+def test_closedness_has_one_rule():
+    # whether a constraint is closed has one home, entail.closed, which
+    # counts only the cells that have a witness: no other code in
+    # src/credal reads Cell.strict, and a cell keeps no vertex list
+    from credal import procedures
+
+    reads = {(path.name, getattr(top, "name", None))
+             for path, tree in _trees() for top in tree.body for node in ast.walk(top)
+             if isinstance(node, ast.Attribute) and node.attr == "strict"
+             and isinstance(node.ctx, ast.Load)}
+    assert reads == {("entail.py", "closed")}
+    assert not hasattr(procedures, "_closed")
+    assert "_vertices" not in inspect.getsource(entail.Cell)
+    # the point masses of [[kb]] are checked by the corner rule alone,
+    # not drawn again into the sampled selection
+    assert ("procedures.py", "_sampled_selection") not in _top_level_calls("point_mass")
+
+
 def test_the_sigma_extension_is_built_by_the_measure_algebra():
     # the coupling of the source paper's proof has one home,
     # measures.couple, and the uniform measure on U_i is the uniform
