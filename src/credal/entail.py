@@ -453,10 +453,12 @@ def conservative_check(kb: ConstraintExpr, psi: ConstraintExpr, xy_space: Space,
     tested = 0
 
     def extends(x) -> bool:
+        # a cell with no witness meets no pins; a lone cell is not asked
         nonlocal tested
         tested += 1
         pins = Cell.pin_rows(zip(fibers, x))
-        return any(cell.witness(pins) is not None for cell in psi_cells)
+        return any(cell.witness(pins) is not None for cell in psi_cells
+                   if len(psi_cells) == 1 or cell.witness() is not None)
 
     def refuted(x) -> ConservativeReport:
         return ConservativeReport("not_conservative", Measure.rational(x_space, x), tested)

@@ -6,18 +6,9 @@ A selection is a tuple of measures (relative-entropy updating from
 finite priors; maximum entropy is the uniform prior) or a constraint
 whose denotation is the set (entailment, I0, I1, and `true` for the
 broken control).  The product-measure family has no enumerable
-selection, and `infers` decides it directly: a factorized kb exactly
-at tuples of its factor kbs' closure vertices, which the simplex
-tableau lists by pivoting, or at per-factor optima beyond the tuple
-budget (`product_prior_infer`).  Any other kb is decided exactly by two
-rules that project nothing, since a point mass is a product prior and
-one in [[kb]] is its own projection: a point mass of [[kb]] that
-violates theta refutes it, and kb |= theta proves it.  What they leave
-is decided by seeded sampling falsification over the projections of
-product priors alone, as the corner rule checked every point mass of
-[[kb]]; `Verdict.samples` counts the measures checked.  A kb that is
-not `entail.closed` is projected first, so one outside the domain
-raises on every query.
+selection, and `product_prior_infer` decides it along one ladder for
+every kb: exact rules at vertex tuples, corners and entailment first,
+then seeded sampling falsification.
 
 A procedure is a function of the kb, so the work on the kb alone is
 done once per kb and a query pays only for checking its theta: memos
@@ -171,9 +162,13 @@ class InferenceProcedure:
 class Verdict:
     holds: bool
     evidence: tuple[Measure, ...] = ()
-    mode: str = "exact"  # "exact" | "sampled"
-    samples: int | None = None
+    samples: int | None = None  # measures a sampled verdict checked
     seed: int | None = None
+
+    @property
+    def mode(self) -> str:
+        """'sampled' when the verdict counts the measures it checked, else 'exact'."""
+        return "exact" if self.samples is None else "sampled"
 
     def __bool__(self):
         return self.holds
@@ -264,6 +259,18 @@ def _check_all_satisfy(selection: tuple[Measure, ...] | ConstraintExpr, theta: C
     return _sampled(drawn, theta, seed) if drawn else Verdict(True)  # empty selection
 
 
+def _refuse(kb: ConstraintExpr, theta: ConstraintExpr, space: Space, samples: int) -> None:
+    """Refuse what no procedure decides: samples below 1, as a sampled
+    verdict that checked no measure would hold vacuously; a product atom
+    in kb; an atom on another space, whose world indices are misread."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, not {samples}")
+    kb_atoms = [*atoms_of(kb)]
+    if any(isinstance(atom, ProductAtom) for atom in kb_atoms):
+        raise CredalError("product atoms are query-only; they cannot appear in kb")
+    check_space(space, [*kb_atoms, *atoms_of(theta)])
+
+
 def infers(proc: InferenceProcedure, kb: ConstraintExpr, theta: ConstraintExpr,
            space: Space | None = None, seed: int = 0, samples: int = 200) -> Verdict:
     """KB |~ theta under the procedure over space, by default `space_of(kb,
@@ -271,21 +278,13 @@ def infers(proc: InferenceProcedure, kb: ConstraintExpr, theta: ConstraintExpr,
     selections and for linear queries against denotations; sampled
     falsification otherwise.  Float measures are judged by `satisfies`,
     at the `measures.EPS` at which a projection already kept them inside
-    [[kb]], so KB |~ KB holds.  ``samples`` below 1 raises ValueError: a
-    sampled verdict that checked no measure would hold vacuously."""
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, not {samples}")
+    [[kb]], so KB |~ KB holds.  The product family is decided by
+    `product_prior_infer`; every procedure refuses what `_refuse` does."""
     space = space or space_of(kb, theta)
-    if has_product_atom(kb):
-        raise CredalError("product atoms are query-only; they cannot appear in kb")
     if proc.kind == PRIOR_BASED and proc.prior.kind == PRODUCT_FAMILY:
-        check_space(space, [*atoms_of(kb), *atoms_of(theta)])  # read by _atom_row, holds_at
-        kbs = _factorize(kb, space)
-        if kbs is None:
-            return _product_family_sampled(kb, theta, space, seed, samples)
-        return product_prior_infer(kbs, theta, space, seed=seed, samples=samples)
-    selection = select(proc, kb, space)
-    return _check_all_satisfy(selection, theta, space, seed, samples)
+        return product_prior_infer(kb, theta, space, seed=seed, samples=samples)
+    _refuse(kb, theta, space, samples)
+    return _check_all_satisfy(select(proc, kb, space), theta, space, seed, samples)
 
 
 # Product-family machinery ------------------------------------------------
@@ -365,67 +364,39 @@ def _sampled(candidates: Iterable[Measure], theta: ConstraintExpr, seed: int) ->
     for mu in candidates:
         checked += 1
         if not satisfies(mu, theta):
-            return Verdict(False, (mu,), mode="sampled", samples=checked, seed=seed)
-    return Verdict(True, mode="sampled", samples=checked, seed=seed)
+            return Verdict(False, (mu,), samples=checked, seed=seed)
+    return Verdict(True, samples=checked, seed=seed)
 
 
-def product_prior_infer(kbs: Sequence[ConstraintExpr], theta: ConstraintExpr, space: Space,
+def product_prior_infer(kb: ConstraintExpr, theta: ConstraintExpr, space: Space,
                         seed: int = 0, samples: int = 200) -> Verdict:
-    """Inference under the all-product-measures prior, for a factorized kb.
+    """kb |~ theta under the all-product-measures prior on space.
 
-    The updated set is exactly the product measures whose factors satisfy
-    their constraints.  Product atoms over disjoint-factor rectangles
-    hold structurally.  A linear atom is multilinear in the factor
-    measures, so its extremes over the closure of the set lie at tuples
-    of the factor kbs' closure vertices (`Cell.vertices`, of any size).
-    Within `samples` tuples each linear conjunct of theta is checked at
-    every one; beyond, a single-rectangle atom is checked at the two
-    tuples of per-factor LP optima where its probability is least and
-    greatest, two LPs per factor cell.  A pass everywhere proves theta;
-    a failure refutes it when the factor kbs are `entail.closed`, with
-    the product measure at that tuple as evidence.
-    Anything else falls back to seeded sampling falsification over
-    random product measures; `Verdict.samples` counts the measures
-    checked.
+    One ladder decides every kb that `_refuse` lets through.  An
+    unsatisfiable kb selects nothing, so theta holds.  A kb that splits
+    by factors (`_factorize`) selects the product measures whose factors
+    satisfy their factor kbs, and `_exact_product_verdict` first decides
+    theta at tuples of the factor kbs' closure vertices.  A kb that does
+    not split and is not `entail.closed` has its `_sampled_selection`
+    computed next, as only such a kb can leave a projection unattained:
+    a kb outside the domain raises DomainError on every query.  Then two
+    rules that project nothing decide any kb, since a point mass is a
+    product prior and one in [[kb]] is its own projection: the first
+    point mass of [[kb]], in world order, that violates theta refutes
+    it, and kb |= theta proves a theta without product atoms.  The rest
+    is seeded sampling falsification, over products of per-factor
+    `sample_measures` when kb splits and over `_sampled_selection`
+    otherwise; `Verdict.samples` counts the measures checked.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, not {samples}")
-    factors = _pi_factors(space)
-    if len(kbs) != len(factors):
-        raise ValueError("kbs must align with the space's factors")
-    for kb_i, f in zip(kbs, factors):
-        if not satisfiable(kb_i, f).feasible:
-            return Verdict(True)  # empty selection: trivially holds
-
-    exact = _exact_product_verdict(kbs, theta, space, factors, samples)
-    if exact is not None:
-        return exact
-
-    rng = _random.Random(seed)
-    factor_samples = [sample_measures(kb_i, f, max(4, samples // 8), rng.randrange(2**30))
-                      for kb_i, f in zip(kbs, factors)]
-    draws = (product_measure([fs[rng.randrange(len(fs))] for fs in factor_samples], space)
-             for _ in range(samples))
-    return _sampled(draws, theta, seed)
-
-
-def _product_family_sampled(kb: ConstraintExpr, theta: ConstraintExpr, space: Space,
-                            seed: int, samples: int) -> Verdict:
-    """theta for a non-factorized kb under the product prior.
-
-    Every point mass is a product prior, and one in [[kb]] is its own
-    projection, so two rules are exact and project nothing: the first
-    point mass of [[kb]], in world order, that violates theta refutes it
-    with that point mass as evidence, and kb |= theta proves a theta
-    without product atoms.  Anything else is falsified over the sampled
-    members of the selection (`_sampled_selection`).  The selection is
-    computed first when kb is not closed (`entail.closed`), as only such
-    a kb can leave a projection unattained, so a kb outside the domain
-    raises DomainError on every query.
-    """
+    _refuse(kb, theta, space, samples)
     if not satisfiable(kb, space).feasible:
         return Verdict(True)  # empty selection: trivially holds
-    if not closed(kb, space):
+    kbs = _factorize(kb, space)
+    if kbs is not None:
+        exact = _exact_product_verdict(kbs, theta, space, samples)
+        if exact is not None:
+            return exact
+    elif not closed(kb, space):
         _sampled_selection(kb, space, seed, samples)
     for i in _point_mass_event(cells(kb, space), space).indices():
         corner = Measure.point_mass(space, i)
@@ -433,7 +404,14 @@ def _product_family_sampled(kb: ConstraintExpr, theta: ConstraintExpr, space: Sp
             return Verdict(False, (corner,))
     if not has_product_atom(theta) and entails(kb, theta, space):
         return Verdict(True)
-    return _sampled(_sampled_selection(kb, space, seed, samples), theta, seed)
+    if kbs is None:
+        return _sampled(_sampled_selection(kb, space, seed, samples), theta, seed)
+    rng = _random.Random(seed)
+    factor_samples = [sample_measures(kb_i, f, max(4, samples // 8), rng.randrange(2**30))
+                      for kb_i, f in zip(kbs, _pi_factors(space))]
+    draws = (product_measure([fs[rng.randrange(len(fs))] for fs in factor_samples], space)
+             for _ in range(samples))
+    return _sampled(draws, theta, seed)
 
 
 @lru_cache(maxsize=64)
@@ -473,9 +451,19 @@ def _product_priors(space: Space, seed: int, samples: int) -> tuple[Measure, ...
     return tuple(priors)
 
 
-def _exact_product_verdict(kbs, theta, space, factors, samples) -> Verdict | None:
+def _exact_product_verdict(kbs, theta, space, samples) -> Verdict | None:
     """theta's exact verdict over the product measures of the factor
-    kbs, or None when it needs sampling (see `product_prior_infer`)."""
+    kbs, or None when it needs the rest of `product_prior_infer`.
+
+    Product atoms over disjoint-factor rectangles hold structurally.  A
+    linear atom is multilinear in the factor measures, so its extremes
+    over the closure of the set lie at tuples of the factor kbs' closure
+    vertices (`Cell.vertices`).  Within `samples` tuples each linear
+    conjunct of theta is checked at every one; beyond, a single-rectangle
+    atom is checked at the two tuples of per-factor LP optima where its
+    probability is least and greatest.  A pass everywhere proves theta; a
+    failure refutes it when the factor kbs are `entail.closed`, with the
+    product measure at that tuple as evidence."""
     linear, undecided = [], False
     for conj in theta.items if isinstance(theta, And) else (theta,):
         if isinstance(conj, FalseExpr):
@@ -487,7 +475,8 @@ def _exact_product_verdict(kbs, theta, space, factors, samples) -> Verdict | Non
             undecided = True
     if not linear:
         return None if undecided else Verdict(True)
-    products = _vertex_products(tuple(kbs), space, samples)
+    factors = _pi_factors(space)
+    products = _vertex_products(kbs, space, samples)
     if products is not None:
         checks = ((weights, linear) for weights in products)
     else:

@@ -67,9 +67,7 @@ class TestThreeFactors:
         abc = product_space([a, b, c])
         atom = ProductAtom(event_of(abc, "p & q"),
                            (event_of(abc, "p"), event_of(abc, "q")))
-        v = product_prior_infer(
-            [parse_constraint("P(p) = 1/2", a),
-             parse_constraint("P(q) >= 1/4", b), TrueExpr()], atom, abc)
+        v = product_prior_infer(parse_constraint("P(p) = 1/2 & P(q) >= 1/4", abc), atom, abc)
         assert v.holds and v.mode == "exact"
 
 

@@ -874,6 +874,22 @@ class TestConservativeCheck:
         assert rep.status == "not_conservative" and rep.tested == 3
         assert rep.witness.weights == (F(5, 8), F(3, 8))
 
+    @pytest.mark.parametrize("psi_text", ["P(t) >= 1/2 | P((s | !s)) < 0",
+                                          "P((s | !s)) < 0 | P(t) >= 1/2"])
+    def test_a_psi_cell_without_a_witness_gets_no_pinned_lp(self, monkeypatch, psi_text):
+        # P((s | !s)) < 0 is a cell of psi that no measure meets, so no
+        # pinned witness LP is asked of it: each of [[true]]'s two
+        # vertices asks one, of P(t) >= 1/2, in either order of the cells
+        _, _, xy, *_ = self._setup()
+        psi = parse_constraint(psi_text, xy)
+        pinned = []
+        witness = Cell.witness
+        monkeypatch.setattr(Cell, "witness", lambda self, pins=(): (
+            pins and pinned.append(self.atoms)) or witness(self, pins))
+        rep = conservative_check(TrueExpr(), psi, xy)
+        assert rep == ConservativeReport("conservative_verified", None, 2)
+        assert pinned == [cells(parse_constraint("P(t) >= 1/2", xy), xy)[0].atoms] * 2
+
     def test_closed_psi_moves_a_failed_vertex_into_kb(self):
         # the failed vertex P(s) = 1/3 is moved toward the cell's witness
         # until the moved point, inside [[kb]], fails too

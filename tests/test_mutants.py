@@ -22,7 +22,7 @@ from credal.formulas import Parser
 from credal.harness import _plain_space
 from credal.measures import EPS, Measure
 from credal.spaces import event_from_indices
-from tests import test_constraints, test_entail, test_harness
+from tests import test_constraints, test_entail, test_harness, test_procedures
 from tests.conftest import (
     CLOSED_CMP,
     EXACT,
@@ -144,13 +144,13 @@ def formulas_are_the_reference():
     return not formula_disagreements(34, 100)
 
 
-def passes(cls, name):
-    """A killer that runs the test method cls.name from cold caches and
-    passes when it does."""
+def passes(cls, name, *args):
+    """A killer that runs the test method cls.name on args from cold
+    caches and passes when it does."""
     def killer():
         clear_caches()
         try:
-            getattr(cls(), name)()
+            getattr(cls(), name)(*args)
         except AssertionError:
             return False
         return True
@@ -212,14 +212,20 @@ MUTANTS = [
                  "if all(_reads_only(comp, row.ints) for row in rows.values())",
                  "if any(_reads_only(comp, row.ints) for row in rows.values())",
                  equivalent_kbs_split_alike, id="factorize-joining-owners-by-union"),
-    pytest.param(procedures, "_product_family_sampled",
+    pytest.param(procedures, "product_prior_infer",
                  "_point_mass_event(cells(kb, space), space).indices()", "range(len(space.worlds))",
                  lambda: exact_rules_agree_with_the_selection(4),
                  id="product-family-corners-from-every-world"),
-    pytest.param(procedures, "_product_family_sampled", "entails(kb, theta, space)",
+    pytest.param(procedures, "product_prior_infer", "entails(kb, theta, space)",
                  "satisfiable(and_(kb, theta), space).feasible",
                  lambda: exact_rules_agree_with_the_selection(4),
                  id="product-family-proving-by-consistency"),
+    pytest.param(procedures, "product_prior_infer",
+                 "_point_mass_event(cells(kb, space), space).indices()",
+                 "_point_mass_event(cells(kb, space), space).indices() if kbs is None else ()",
+                 passes(test_procedures.TestProductPriorInfer,
+                        "test_a_corner_refutes_theta_on_a_kb_that_splits", "P(s1 & s2) < 1"),
+                 id="product-family-corners-only-for-kbs-that-do-not-split"),
     pytest.param(entail, "conservative_check",
                  "or sum(cell.witness() is not None for cell in psi_cells) == 1)", "or True)",
                  passes(test_entail.TestConservativeCheck, "test_a_sample_refutes_a_two_cell_psi"),

@@ -29,6 +29,7 @@ from credal.entail import (
     equivalent,
     is_interesting,
     objective_normal_form,
+    sample_measures,
     satisfiable,
 )
 from credal.errors import CredalError, DomainError
@@ -82,7 +83,7 @@ class TestInfersExamples:
             with pytest.raises(ValueError, match="samples must be at least 1"):
                 infers(InferenceProcedure.entailment(), TrueExpr(), theta, xy, samples=samples)
             with pytest.raises(ValueError, match="samples must be at least 1"):
-                product_prior_infer([TrueExpr(), TrueExpr()], theta, xy, samples=samples)
+                product_prior_infer(TrueExpr(), theta, xy, samples=samples)
 
     @pytest.mark.parametrize("proc", SIX_PROCEDURES[:4] + SIX_PROCEDURES[5:],
                              ids=lambda p: p.name)
@@ -446,16 +447,30 @@ def equivalent_kbs_split_alike() -> bool:
 
 
 def exact_rules_agree_with_the_selection(per_size: int) -> bool:
-    """Under the product family, from cold caches, on `per_size`
-    satisfiable `harness._random_kb`s that do not factorize, on each of 2
-    and 3 symbols, asked six `harness._random_theta`s, kb and false at a
-    seed drawn per kb: a kb raises DomainError on every query exactly
-    when its `_sampled_selection` raises, and every exact verdict has the
-    holds of sampled falsification over the whole selection at that seed:
-    the point masses of [[kb]], each its own projection, in
-    `_point_mass_event` order, then the `_sampled_selection`."""
+    """Under the product family, from cold caches, every exact verdict
+    has the holds of sampled falsification over the whole selection at
+    the verdict's seed, drawn per kb: the point masses of [[kb]], each
+    its own projection, in `_point_mass_event` order, then sampled
+    members of the selection.
+
+    Kbs that do not factorize are `per_size` satisfiable
+    `harness._random_kb`s on each of 2 and 3 symbols, asked six
+    `harness._random_theta`s, kb and false; their sampled members are
+    the `_sampled_selection`, and a kb raises DomainError on every query
+    exactly when that raises.  Kbs that factorize are `per_size`
+    satisfiable conjunctions of lifted per-factor `harness._random_kb`s
+    on each of 2 and 3 factors (the first of two symbols, the others of
+    one), asked six `harness._random_theta`s and kb; their sampled
+    members are 200 products of 25 `sample_measures` per factor kb."""
     clear_caches()
     proc = InferenceProcedure.prior_based(PriorFunction.product_family())
+
+    def corners(kb, sp):
+        return [Measure.point_mass(sp, i) for i in _point_mass_event(cells(kb, sp), sp).indices()]
+
+    def agree(v, selection, theta, seed):
+        return v.mode != "exact" or v.holds == _sampled(selection, theta, seed).holds
+
     for n in (2, 3):
         sp = enumerate_worlds(list("abc")[:n])
         rng = random.Random(36 + n)
@@ -466,10 +481,8 @@ def exact_rules_agree_with_the_selection(per_size: int) -> bool:
                 continue
             found += 1
             seed = rng.randrange(8)
-            corners = [Measure.point_mass(sp, i)
-                       for i in _point_mass_event(cells(kb, sp), sp).indices()]
             try:
-                selection = (*corners, *_sampled_selection(kb, sp, seed, 200))
+                selection = (*corners(kb, sp), *_sampled_selection(kb, sp, seed, 200))
             except DomainError:
                 selection = None
             for theta in [*(harness._random_theta(sp, rng) for _ in range(6)), kb, FalseExpr()]:
@@ -479,8 +492,29 @@ def exact_rules_agree_with_the_selection(per_size: int) -> bool:
                     v = None
                 if (v is None) != (selection is None):
                     return False
-                if (v is not None and v.mode == "exact"
-                        and v.holds != _sampled(selection, theta, seed).holds):
+                if v is not None and not agree(v, selection, theta, seed):
+                    return False
+    for nf in (2, 3):
+        factors = [enumerate_worlds(["x0", "y0"])] + [enumerate_worlds([f"x{k}"])
+                                                      for k in range(1, nf)]
+        sp = product_space(factors)
+        rng = random.Random(40 + nf)
+        found = 0
+        while found < per_size:
+            kbs = [harness._random_kb(f, rng) for f in factors]
+            kb = and_(*(harness._lift_factor_kb(sp, k, kb_k) for k, kb_k in enumerate(kbs)))
+            if _factorize(kb, sp) is None or not satisfiable(kb, sp).feasible:
+                continue
+            found += 1
+            seed = rng.randrange(8)
+            draws = random.Random(seed)
+            samples = [sample_measures(kb_k, f, 25, draws.randrange(2**30))
+                       for kb_k, f in zip(kbs, factors)]
+            selection = (*corners(kb, sp),
+                         *(product_measure([draws.choice(s) for s in samples], sp)
+                           for _ in range(200)))
+            for theta in [*(harness._random_theta(sp, rng) for _ in range(6)), kb]:
+                if not agree(infers(proc, kb, theta, sp, seed=seed), selection, theta, seed):
                     return False
     return True
 
@@ -526,9 +560,8 @@ class TestProductPriorInfer:
 
     def test_product_value_is_exact(self):
         a, b, x = self._spaces()
-        v = product_prior_infer(
-            [parse_constraint("P(s1) = 3/5", a), parse_constraint("P(s2) = 3/10", b)],
-            parse_constraint("P(s1 & s2) = 9/50", x), x)
+        v = product_prior_infer(parse_constraint("P(s1) = 3/5 & P(s2) = 3/10", x),
+                                parse_constraint("P(s1 & s2) = 9/50", x), x)
         assert v.holds and v.mode == "exact"
         # oracle: ten thousand random product measures all hit 9/50
         rng = random.Random(0)
@@ -543,30 +576,25 @@ class TestProductPriorInfer:
     def test_structural_independence_atom(self):
         a, b, x = self._spaces()
         atom = ProductAtom(event_of(x, "s1 & s2"), (event_of(x, "s1"), event_of(x, "s2")))
-        v = product_prior_infer(
-            [parse_constraint("P(s1) >= 1/4", a), TrueExpr()], atom, x)
+        v = product_prior_infer(parse_constraint("P(s1) >= 1/4", x), atom, x)
         assert v.holds and v.mode == "exact"
 
     def test_unsatisfiable_factor_holds_trivially(self):
         a, b, x = self._spaces()
-        v = product_prior_infer(
-            [parse_constraint("P(s1) > 1/2 & P(s1) < 1/4", a), TrueExpr()],
-            FalseExpr(), x)
+        v = product_prior_infer(parse_constraint("P(s1) > 1/2 & P(s1) < 1/4", x), FalseExpr(), x)
         assert v.holds
 
     def test_exact_false_on_wrong_value(self):
         a, b, x = self._spaces()
-        v = product_prior_infer(
-            [parse_constraint("P(s1) = 3/5", a), parse_constraint("P(s2) = 3/10", b)],
-            parse_constraint("P(s1 & s2) = 1/5", x), x)
+        v = product_prior_infer(parse_constraint("P(s1) = 3/5 & P(s2) = 3/10", x),
+                                parse_constraint("P(s1 & s2) = 1/5", x), x)
         assert not v.holds and v.mode == "exact"
 
     def test_nonrectangle_holds_exactly_at_every_vertex_tuple(self):
         # P(s1 <=> s2) = 1/2 whatever P(s2) is when P(s1) = 1/2
         a, b, x = self._spaces()
         theta = parse_constraint("P((s1 <=> s2)) >= 1/100", x)
-        v = product_prior_infer(
-            [parse_constraint("P(s1) = 1/2", a), TrueExpr()], theta, x, seed=5)
+        v = product_prior_infer(parse_constraint("P(s1) = 1/2", x), theta, x, seed=5)
         assert v.holds and v.mode == "exact"
 
     def test_nonrectangle_refuted_exactly_at_a_vertex_tuple(self):
@@ -574,7 +602,7 @@ class TestProductPriorInfer:
         a, b, x = self._spaces()
         kb_a = parse_constraint("P(s1) = 3/5", a)
         theta = parse_constraint("P((s1 <=> s2)) >= 1/2", x)
-        v = product_prior_infer([kb_a, TrueExpr()], theta, x, seed=5)
+        v = product_prior_infer(parse_constraint("P(s1) = 3/5", x), theta, x, seed=5)
         assert not v.holds and v.mode == "exact"
         (mu,) = v.evidence
         assert mu.backend == "rational" and mu.prob(event_of(x, "s1")) == F(3, 5)
@@ -582,24 +610,37 @@ class TestProductPriorInfer:
         assert satisfies(mu.marginal(a), kb_a) and not satisfies(mu, theta)
 
     def test_sampled_fallback_on_nonrectangle(self):
-        # theta fails at the closure vertex P(s1) = 1, P(s2) = 0 of
+        # theta fails at the closure vertex P(s1) = 1/2, P(s2) = 0 of
         # P(s1) > 1/2; with a strict atom a failing vertex may lie outside
-        # the selection, so the vertex rule refutes nothing and sampling
-        # decides
+        # the selection, so the vertex rule refutes nothing.  Both point
+        # masses of [[kb]] give P(s1 | s2) = 1, and kb allows P(s1 | s2) =
+        # 11/20, so neither the corner rule nor kb |= theta decides, and
+        # sampling does
         a, b, x = self._spaces()
-        theta = parse_constraint("P((s1 <=> s2)) >= 1/100", x)
-        v = product_prior_infer(
-            [parse_constraint("P(s1) > 1/2", a), TrueExpr()], theta, x, seed=5)
+        theta = parse_constraint("P((s1 | s2)) >= 3/5", x)
+        v = product_prior_infer(parse_constraint("P(s1) > 1/2", x), theta, x, seed=5)
         assert v.mode == "sampled" and v.samples >= 1
 
     def test_sampled_refutation_counts_the_measures_checked(self):
+        # theta fails when (1 - P(s1)) (1 - P(s2)) > 1/4, at no point mass
         a, b, x = self._spaces()
-        theta = parse_constraint("P((s1 <=> s2)) >= 1/2", x)  # fails when P(s2) < 1/2
-        v = product_prior_infer(
-            [parse_constraint("P(s1) > 1/2", a), TrueExpr()], theta, x, seed=5)
+        theta = parse_constraint("P((s1 | s2)) >= 3/4", x)
+        v = product_prior_infer(parse_constraint("P(s1) > 1/2", x), theta, x, seed=5)
         assert not v.holds and v.mode == "sampled"
         assert 1 <= v.samples < 400
         assert not satisfies(v.evidence[0], theta)
+
+    @pytest.mark.parametrize("theta_text", ["P(s1 & s2) < 1", "P(s1 & !s2) > 0"])
+    def test_a_corner_refutes_theta_on_a_kb_that_splits(self, theta_text):
+        # P(s1) > 1/2 is not closed, so the vertex rule refutes nothing;
+        # the point mass on s1 & s2 satisfies kb, is a product measure
+        # whose factors satisfy their factor kbs and is its own
+        # projection, and it fails theta
+        a, b, x = self._spaces()
+        proc = InferenceProcedure.prior_based(PriorFunction.product_family())
+        v = infers(proc, parse_constraint("P(s1) > 1/2", x), parse_constraint(theta_text, x), x)
+        (s1s2,) = event_of(x, "s1 & s2").indices()
+        assert (v.holds, v.mode, v.evidence) == (False, "exact", (Measure.point_mass(x, s1s2),))
 
     def test_an_empty_strict_cell_leaves_a_refutation_exact(self):
         # P((a | !a)) < 0 is a strict cell with no witness, so the factor
@@ -616,32 +657,40 @@ class TestProductPriorInfer:
         # proves it on the open set too
         a, b, x = self._spaces()
         theta = parse_constraint("P(s1 & s2) <= 1/2", x)
-        v = product_prior_infer(
-            [parse_constraint("P(s1) < 1/2", a), TrueExpr()], theta, x, seed=5)
+        v = product_prior_infer(parse_constraint("P(s1) < 1/2", x), theta, x, seed=5)
         assert v.holds and v.mode == "exact"
 
     def test_too_many_vertex_tuples_are_sampled(self):
-        # TrueExpr on both factors has 2 x 2 vertex tuples
+        # P(s1) <= 1/2 and nothing on s2 have 2 x 2 vertex tuples.  theta
+        # is P(!s2) (1 - 2 P(s1)) >= 0 on product measures, so it holds at
+        # each tuple and at both point masses of [[kb]], but kb does not
+        # entail it: half the mass on s1 & !s2 and half on !s1 & s2 fails it
         a, b, x = self._spaces()
-        theta = parse_constraint("P((s1 <=> s2)) >= 0", x)
-        v = product_prior_infer([TrueExpr(), TrueExpr()], theta, x, samples=3)
+        kb = parse_constraint("P(s1) <= 1/2", x)
+        theta = parse_constraint("P(!s1 & !s2) - P(s1 & !s2) >= 0", x)
+        v = product_prior_infer(kb, theta, x, samples=3)
         assert v.holds and v.mode == "sampled" and v.samples == 3
-        v = product_prior_infer([TrueExpr(), TrueExpr()], theta, x, samples=4)
+        v = product_prior_infer(kb, theta, x, samples=4)
         assert v.holds and v.mode == "exact"
 
     def test_a_two_cell_factor_over_the_budget_is_sampled(self):
         # each cell of P(s1) <= 1/4 | P(s1) >= 3/4 has 2 closure vertices,
         # within a budget of 3, but the factor's 4 together pass it: the
-        # tuples stop at the factor, not at either cell's walk
+        # tuples stop at the factor, not at either cell's walk.  With
+        # P(s2) = 1/2, P(s1 <=> s2) = 1/2 on every product measure, and no
+        # point mass satisfies kb; kb does not entail theta, as P(s1 & s2)
+        # = 1/2, P(!s1 & !s2) = 1/4 fails it
         a, b, x = self._spaces()
-        kbs = [parse_constraint("P(s1) <= 1/4 | P(s1) >= 3/4", a), TrueExpr()]
+        kbs = (parse_constraint("P(s1) <= 1/4 | P(s1) >= 3/4", a),
+               parse_constraint("P(s2) = 1/2", b))
         assert all(len(cell.vertices(3)) == 2 for cell in cells(kbs[0], a))
         assert _vertex_tuples(kbs, [a, b], 3) is None
-        assert len(list(_vertex_tuples(kbs, [a, b], 8))) == 8
-        theta = parse_constraint("P((s1 <=> s2)) >= 0", x)
-        v = product_prior_infer(kbs, theta, x, samples=3)
+        assert len(list(_vertex_tuples(kbs, [a, b], 4))) == 4
+        kb = parse_constraint("(P(s1) <= 1/4 | P(s1) >= 3/4) & P(s2) = 1/2", x)
+        theta = parse_constraint("P((s1 <=> s2)) <= 1/2", x)
+        v = product_prior_infer(kb, theta, x, samples=3)
         assert v.holds and v.mode == "sampled" and v.samples == 3
-        assert product_prior_infer(kbs, theta, x, samples=8).mode == "exact"
+        assert product_prior_infer(kb, theta, x, samples=4).mode == "exact"
 
     @pytest.mark.parametrize("theta_text, holds", [
         ("P(a & b) >= 1/8", False),  # P(b) = 0 is allowed
@@ -892,14 +941,15 @@ class TestProductFamilyKlm:
         assert len(calls) <= 4500
 
     @pytest.mark.parametrize("proc, built, solved", [
-        (InferenceProcedure.prior_based(PriorFunction.product_family()), 364, 364),
+        (InferenceProcedure.prior_based(PriorFunction.product_family()), 367, 367),
         (InferenceProcedure.maxent(), 95, 95),
     ], ids=["product-family", "maxent"])
     def test_kb_cells_are_built_once(self, monkeypatch, cold_caches, proc, built, solved):
         # entail.cells builds each (kb, space)'s cells once and every
         # decision and projection shares them with their witnesses; the
         # product family's sets include the kb & !theta ones of its
-        # entailment rule
+        # entailment rule, and the kb's own ones, which its one
+        # satisfiability check builds also for a kb that factorizes
         from credal import entail, simplex
 
         space = enumerate_worlds(["a", "b"])

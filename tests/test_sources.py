@@ -157,6 +157,17 @@ def test_closedness_has_one_rule():
     assert ("procedures.py", "_sampled_selection") not in _top_level_calls("point_mass")
 
 
+def test_the_product_family_has_one_ladder():
+    # product_prior_infer is the product family's one entry and takes the
+    # kb itself: it alone splits a kb by factors, and no second path
+    # decides the kbs that do not split
+    from credal import procedures
+
+    assert not hasattr(procedures, "_product_family_sampled")
+    assert next(iter(inspect.signature(procedures.product_prior_infer).parameters)) == "kb"
+    assert _top_level_calls("_factorize") == {("procedures.py", "product_prior_infer")}
+
+
 def test_the_sigma_extension_is_built_by_the_measure_algebra():
     # the coupling of the source paper's proof has one home,
     # measures.couple, and the uniform measure on U_i is the uniform
