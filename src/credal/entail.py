@@ -218,7 +218,7 @@ def cells(expr: ConstraintExpr, space: Space) -> tuple[Cell, ...]:
     cache shares each cell, with its witness, among every decision and
     projection on that kb, and the bench clears it before each round.
     1024 sets hold the working set of the KLM grid: `klm_properties_check`
-    of the five procedures on the two-symbol corpus asks for 777 distinct
+    of the five procedures on the two-symbol corpus asks for 782 distinct
     (kb, space) pairs, and of one procedure alone for up to 617."""
     return tuple(Cell(atoms, space) for atoms in to_dnf(expr))
 

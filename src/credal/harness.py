@@ -710,8 +710,8 @@ def _random_product_query(space: Space, rng: _random.Random) -> ConstraintExpr:
     """A query over the two factors: the structural independence atom, a
     rectangle atom, or a two-term atom Pr(E1) - b Pr(E2) cmp 0 over
     arbitrary events.  The exact product-prior path decides the first
-    two whenever the factor kbs are closed; the third only while their
-    vertex tuples are within its budget, and it is sampled otherwise."""
+    two unless their failing tuples lie outside [[kb]]; the third only
+    while the vertex tuples are within its budget, else it is sampled."""
     f0, f1 = space.factors
     e0 = _random_event(f0, rng)
     e1 = _random_event(f1, rng)

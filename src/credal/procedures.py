@@ -28,7 +28,7 @@ import random as _random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .constraints import (
     And,
@@ -50,6 +50,7 @@ from .constraints import (
 from .embeddings import factor_lift
 from .entail import (
     _atom_row,
+    _holds_at,
     _point_mass_event,
     cells,
     closed,
@@ -376,9 +377,10 @@ def product_prior_infer(kb: ConstraintExpr, theta: ConstraintExpr, space: Space,
     unsatisfiable kb selects nothing, so theta holds.  A kb that splits
     by factors (`_factorize`) selects the product measures whose factors
     satisfy their factor kbs, and `_exact_product_verdict` first decides
-    theta at tuples of the factor kbs' closure vertices.  A kb that does
-    not split and is not `entail.closed` has its `_sampled_selection`
-    computed next, as only such a kb can leave a projection unattained:
+    theta at tuples of the factor kbs' closure vertices, where a failing
+    tuple refutes when it lies in [[kb]].  A kb that does not split and
+    is not `entail.closed` has its `_sampled_selection` computed next,
+    as only such a kb can leave a projection unattained:
     a kb outside the domain raises DomainError on every query.  Then two
     rules that project nothing decide any kb, since a point mass is a
     product prior and one in [[kb]] is its own projection: the first
@@ -393,7 +395,7 @@ def product_prior_infer(kb: ConstraintExpr, theta: ConstraintExpr, space: Space,
         return Verdict(True)  # empty selection: trivially holds
     kbs = _factorize(kb, space)
     if kbs is not None:
-        exact = _exact_product_verdict(kbs, theta, space, samples)
+        exact = _exact_product_verdict(kb, kbs, theta, space, samples)
         if exact is not None:
             return exact
     elif not closed(kb, space):
@@ -451,54 +453,56 @@ def _product_priors(space: Space, seed: int, samples: int) -> tuple[Measure, ...
     return tuple(priors)
 
 
-def _exact_product_verdict(kbs, theta, space, samples) -> Verdict | None:
-    """theta's exact verdict over the product measures of the factor
+def _exact_product_verdict(kb, kbs, theta, space, samples) -> Verdict | None:
+    """theta's exact verdict over the product measures of kb's factor
     kbs, or None when it needs the rest of `product_prior_infer`.
 
-    Product atoms over disjoint-factor rectangles hold structurally.  A
+    Product atoms over disjoint-factor rectangles hold structurally; a
+    conjunct with another product atom leaves theta unproved, and every
+    other conjunct is read through its cells: one with none refutes.  A
     linear atom is multilinear in the factor measures, so its extremes
     over the closure of the set lie at tuples of the factor kbs' closure
-    vertices (`Cell.vertices`).  Within `samples` tuples each linear
-    conjunct of theta is checked at every one; beyond, a single-rectangle
-    atom is checked at the two tuples of per-factor LP optima where its
-    probability is least and greatest.  A pass everywhere proves theta; a
-    failure refutes it when the factor kbs are `entail.closed`, with the
-    product measure at that tuple as evidence."""
-    linear, undecided = [], False
+    vertices (`_vertex_products`); beyond their budget, a single-rectangle
+    atom of a one-cell conjunct has its extremes at the two tuples of
+    per-factor LP optima where its probability is least and greatest.
+    Each tuple is tested with `entail._holds_at`: one that fails theta
+    and lies in [[kb]] refutes it, as a corner does, with its product
+    measure as evidence.  A pass at every tuple proves theta when each
+    conjunct is one cell and, beyond the budget, each atom a rectangle."""
+    read, unproved = [], False
     for conj in theta.items if isinstance(theta, And) else (theta,):
-        if isinstance(conj, FalseExpr):
+        if isinstance(conj, ProductAtom) and _structural_product_atom(conj, space):
+            continue
+        if has_product_atom(conj):
+            unproved = True
+        elif not (conj_cells := cells(conj, space)):
             return Verdict(False)
-        if isinstance(conj, LinearAtom):
-            linear.append(conj)
-        elif not (isinstance(conj, TrueExpr) or isinstance(conj, ProductAtom)
-                  and _structural_product_atom(conj, space)):
-            undecided = True
-    if not linear:
-        return None if undecided else Verdict(True)
-    factors = _pi_factors(space)
-    products = _vertex_products(kbs, space, samples)
-    if products is not None:
-        checks = ((weights, linear) for weights in products)
-    else:
-        checks = []
-        for atom in linear:
+        else:
+            read.append(conj_cells)
+            unproved |= len(conj_cells) > 1
+    if not read:
+        return None if unproved else Verdict(True)
+    tuples = _vertex_products(kbs, space, samples)
+    if tuples is None:
+        tuples = []
+        for atom in (atom for conj_cells in read if len(conj_cells) == 1
+                     for atom in conj_cells[0].atoms):
             rect = _rectangle(atom.terms[0][1], space) if len(atom.terms) == 1 else None
             if rect is None:
-                undecided = True
-            else:
-                # each factor's Pr(u) is nonnegative, so the rectangle's
-                # probability is least and greatest where every factor's is
-                ends = [linear_extremes(kb_i, ((_ONE, u),), f)
-                        for kb_i, f, u in zip(kbs, factors, rect)]
-                checks += [(_product_weights(tuple(end[k][0] for end in ends), space), [atom])
-                           for k in (0, 1)]
-    for weights, atoms in checks:
-        if all(atom.holds_at(weights) for atom in atoms):
+                unproved = True
+                continue
+            # each factor's Pr(u) is nonnegative, so the rectangle's
+            # probability is least and greatest where every factor's is
+            ends = [linear_extremes(kb_i, ((_ONE, u),), f)
+                    for kb_i, f, u in zip(kbs, _pi_factors(space), rect)]
+            tuples += [_product_weights([end[k][0] for end in ends], space) for k in (0, 1)]
+    for weights in tuples:
+        if all(_holds_at(conj_cells, weights) for conj_cells in read):
             continue
-        if not all(closed(kb_i, f) for kb_i, f in zip(kbs, factors)):
-            return None  # the corner may lie outside the selection
-        return Verdict(False, (Measure.rational(space, weights),))
-    return None if undecided else Verdict(True)
+        if _holds_at(cells(kb, space), weights):
+            return Verdict(False, (Measure.rational(space, weights),))
+        unproved = True  # a tuple outside [[kb]] is no member of the selection
+    return None if unproved else Verdict(True)
 
 
 def _product_weights(corner: Sequence[Sequence[Fraction]], space: Space) -> tuple[Fraction, ...]:
@@ -511,24 +515,18 @@ def _product_weights(corner: Sequence[Sequence[Fraction]], space: Space) -> tupl
 @lru_cache(maxsize=64)
 def _vertex_products(kbs: tuple[ConstraintExpr, ...], space: Space,
                      samples: int) -> tuple[tuple[Fraction, ...], ...] | None:
-    """The world weights of the product measure at every tuple of
-    `_vertex_tuples`, or None beyond the budget.  They depend on the kb
-    alone, so they are computed once per (kbs, space, samples), and every
-    query checks its linear atoms at them; tuples, so that no caller can
-    change a kept entry.  64 hold the 26 keys one KLM round asks for."""
-    tuples = _vertex_tuples(kbs, _pi_factors(space), samples)
-    return None if tuples is None else tuple(_product_weights(t, space) for t in tuples)
-
-
-def _vertex_tuples(kbs, factors, samples) -> Iterator[tuple[list[Fraction], ...]] | None:
-    """Every tuple of the factor kbs' closure vertices (`Cell.vertices`),
-    or None when the tuples would number more than `samples`.  Past the
-    earlier factors' tuples, more than samples // their count vertices
-    on a factor are too many, so no cell's walk goes beyond that.  Every
-    factor kb is satisfiable here (`product_prior_infer`), and a cell
-    with a witness has a closure vertex, so every factor lists one."""
+    """The world weights of the product measure at every tuple of the
+    factor kbs' closure vertices (`Cell.vertices`), or None when the
+    tuples would number more than `samples`.  Past the earlier factors'
+    tuples, more than samples // their count vertices on a factor are
+    too many, so no cell's walk goes beyond that.  Every factor kb is
+    satisfiable here (`product_prior_infer`), and a cell with a witness
+    has a closure vertex, so every factor lists one.  The weights depend
+    on the kb alone, so they are computed once per (kbs, space, samples)
+    and every query tests its theta at them; tuples, so that no caller
+    can change a kept entry.  64 hold the 26 keys one KLM round asks for."""
     vertices: list[list[list[Fraction]]] = []
-    for kb_i, f in zip(kbs, factors):
+    for kb_i, f in zip(kbs, _pi_factors(space)):
         limit = samples // math.prod(len(v) for v in vertices)
         found: list[list[Fraction]] = []
         for cell in cells(kb_i, f):
@@ -539,7 +537,7 @@ def _vertex_tuples(kbs, factors, samples) -> Iterator[tuple[list[Fraction], ...]
         if len(found) > limit:
             return None
         vertices.append(found)
-    return itertools.product(*vertices)
+    return tuple(_product_weights(t, space) for t in itertools.product(*vertices))
 
 
 def _structural_product_atom(atom: ProductAtom, space: Space) -> bool:

@@ -41,7 +41,6 @@ from tests.test_formulas import _disagreements as formula_disagreements
 from tests.test_harness import probe_covers_the_grid
 from tests.test_procedures import (
     domain_is_a_property_of_kb,
-    equivalent_kbs_split_alike,
     exact_rules_agree_with_the_selection,
 )
 from tests.test_simplex import _disagreements, random_lps, scaled_lps, solve_rational
@@ -211,7 +210,9 @@ MUTANTS = [
     pytest.param(procedures, "_factorize",
                  "if all(_reads_only(comp, row.ints) for row in rows.values())",
                  "if any(_reads_only(comp, row.ints) for row in rows.values())",
-                 equivalent_kbs_split_alike, id="factorize-joining-owners-by-union"),
+                 passes(test_procedures.TestDomain,
+                        "test_a_disjunction_across_factors_is_projected"),
+                 id="factorize-joining-owners-by-union"),
     pytest.param(procedures, "product_prior_infer",
                  "_point_mass_event(cells(kb, space), space).indices()", "range(len(space.worlds))",
                  lambda: exact_rules_agree_with_the_selection(4),
@@ -224,8 +225,19 @@ MUTANTS = [
                  "_point_mass_event(cells(kb, space), space).indices()",
                  "_point_mass_event(cells(kb, space), space).indices() if kbs is None else ()",
                  passes(test_procedures.TestProductPriorInfer,
-                        "test_a_corner_refutes_theta_on_a_kb_that_splits", "P(s1 & s2) < 1"),
+                        "test_rectangle_atoms_stay_exact_beyond_the_tuple_budget",
+                        "P((a | b)) <= 1/2", False),
                  id="product-family-corners-only-for-kbs-that-do-not-split"),
+    pytest.param(procedures, "_exact_product_verdict", "if _holds_at(cells(kb, space), weights):",
+                 "if True:",
+                 passes(test_procedures.TestProductPriorInfer,
+                        "test_sampled_fallback_on_nonrectangle"),
+                 id="product-family-refuting-at-tuples-outside-kb"),
+    pytest.param(procedures, "_exact_product_verdict", "if _holds_at(cells(kb, space), weights):",
+                 "if all(closed(kb_i, f) for kb_i, f in zip(kbs, _pi_factors(space))):",
+                 passes(test_procedures.TestProductPriorInfer,
+                        "test_a_vertex_tuple_in_a_strict_kb_refutes_theta", "P(s1 & s2) <= 1/2"),
+                 id="product-family-refuting-at-tuples-of-closed-factor-kbs-only"),
     pytest.param(entail, "conservative_check",
                  "or sum(cell.witness() is not None for cell in psi_cells) == 1)", "or True)",
                  passes(test_entail.TestConservativeCheck, "test_a_sample_refutes_a_two_cell_psi"),

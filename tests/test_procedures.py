@@ -41,7 +41,7 @@ from credal.procedures import (
     _factorize,
     _sampled,
     _sampled_selection,
-    _vertex_tuples,
+    _vertex_products,
     PriorFunction,
     i0_select,
     i1_select,
@@ -64,6 +64,7 @@ from tests.conftest import (
     ANOTHER_SPACE,
     SIX_PROCEDURES,
     atom_coefficients,
+    basis_search_vertices,
     clear_caches,
     simplex_grid,
 )
@@ -460,8 +461,10 @@ def exact_rules_agree_with_the_selection(per_size: int) -> bool:
     exactly when that raises.  Kbs that factorize are `per_size`
     satisfiable conjunctions of lifted per-factor `harness._random_kb`s
     on each of 2 and 3 factors (the first of two symbols, the others of
-    one), asked six `harness._random_theta`s and kb; their sampled
-    members are 200 products of 25 `sample_measures` per factor kb."""
+    one), asked six `harness._random_theta`s and kb; their members are
+    the product measures in [[kb]] at tuples of the closure vertices of
+    each factor kb's witnessed cells, found by `basis_search_vertices`,
+    then 200 products of 25 `sample_measures` per factor kb."""
     clear_caches()
     proc = InferenceProcedure.prior_based(PriorFunction.product_family())
 
@@ -510,7 +513,12 @@ def exact_rules_agree_with_the_selection(per_size: int) -> bool:
             draws = random.Random(seed)
             samples = [sample_measures(kb_k, f, 25, draws.randrange(2**30))
                        for kb_k, f in zip(kbs, factors)]
-            selection = (*corners(kb, sp),
+            vertices = [[Measure.rational(f, v) for cell in cells(kb_k, f)
+                         if cell.witness() is not None
+                         for v in basis_search_vertices(cell.atoms, f)]
+                        for kb_k, f in zip(kbs, factors)]
+            tuples = (product_measure(parts, sp) for parts in itertools.product(*vertices))
+            selection = (*corners(kb, sp), *(mu for mu in tuples if satisfies(mu, kb)),
                          *(product_measure([draws.choice(s) for s in samples], sp)
                            for _ in range(200)))
             for theta in [*(harness._random_theta(sp, rng) for _ in range(6)), kb]:
@@ -550,6 +558,18 @@ class TestDomain:
         for theta in (parse_constraint("P(a) >= 1/2", sp), parse_constraint("P(a) <= 1", sp), kb):
             with pytest.raises(DomainError, match="not attained"):
                 infers(proc, kb, theta, sp)
+
+    def test_a_disjunction_across_factors_is_projected(self):
+        # P(!b) reads b's component alone and P(!a) a's, so their
+        # disjunction is about no one factor and kb does not split; it is
+        # strict, and the uniform prior's projection onto it is not
+        # attained, so it answers no query
+        sp = enumerate_worlds(["a", "b"])
+        kb = parse_constraint("P(!b) > 2/3 | P(!a) <= 1/4", sp)
+        assert _factorize(kb, sp) is None
+        proc = InferenceProcedure.prior_based(PriorFunction.product_family())
+        with pytest.raises(DomainError, match="not attained"):
+            infers(proc, kb, parse_constraint("P(a) >= 1/2", sp), sp)
 
 
 class TestProductPriorInfer:
@@ -611,8 +631,8 @@ class TestProductPriorInfer:
 
     def test_sampled_fallback_on_nonrectangle(self):
         # theta fails at the closure vertex P(s1) = 1/2, P(s2) = 0 of
-        # P(s1) > 1/2; with a strict atom a failing vertex may lie outside
-        # the selection, so the vertex rule refutes nothing.  Both point
+        # P(s1) > 1/2 alone; it lies outside [[kb]], so the vertex rule
+        # refutes nothing.  Both point
         # masses of [[kb]] give P(s1 | s2) = 1, and kb allows P(s1 | s2) =
         # 11/20, so neither the corner rule nor kb |= theta decides, and
         # sampling does
@@ -632,9 +652,9 @@ class TestProductPriorInfer:
 
     @pytest.mark.parametrize("theta_text", ["P(s1 & s2) < 1", "P(s1 & !s2) > 0"])
     def test_a_corner_refutes_theta_on_a_kb_that_splits(self, theta_text):
-        # P(s1) > 1/2 is not closed, so the vertex rule refutes nothing;
-        # the point mass on s1 & s2 satisfies kb, is a product measure
-        # whose factors satisfy their factor kbs and is its own
+        # P(s1) > 1/2 is not closed, but the point mass on s1 & s2, the
+        # vertex tuple P(s1) = P(s2) = 1, satisfies kb, is a product
+        # measure whose factors satisfy their factor kbs and is its own
         # projection, and it fails theta
         a, b, x = self._spaces()
         proc = InferenceProcedure.prior_based(PriorFunction.product_family())
@@ -642,10 +662,32 @@ class TestProductPriorInfer:
         (s1s2,) = event_of(x, "s1 & s2").indices()
         assert (v.holds, v.mode, v.evidence) == (False, "exact", (Measure.point_mass(x, s1s2),))
 
+    def test_a_vertex_tuple_in_kb_refutes_a_two_cell_theta(self):
+        # theta, P(s1 | !s2) != 1/2, is two cells; it fails at P(s1) = 0,
+        # P(s2) = 1/2, a vertex tuple that lies in [[kb]], and there alone:
+        # no point mass of [[kb]] fails it, kb does not entail it, and
+        # sampling does not hit the point
+        a, b, x = self._spaces()
+        theta = parse_constraint("!(P((s1 | !s2)) = 1/2)", x)
+        v = product_prior_infer(parse_constraint("P(s2) <= 1/2", x), theta, x)
+        assert (v.holds, v.mode) == (False, "exact")
+        assert [list(mu.weights) for mu in v.evidence] == [[F(1, 2), F(1, 2), F(0), F(0)]]
+
+    @pytest.mark.parametrize("theta_text", ["P(s1 & s2) <= 1/2", "!(P(s1 & s2) > 1/2)"])
+    def test_a_vertex_tuple_in_a_strict_kb_refutes_theta(self, theta_text):
+        # the factor kb on s1 is strict, but its closure vertex P(s1) =
+        # 3/4 satisfies it, and with P(s2) = 1 the tuple lies in [[kb]]
+        # and fails theta; no point mass satisfies kb
+        a, b, x = self._spaces()
+        kb = parse_constraint("P(s1) > 1/4 & P(s1) <= 3/4", x)
+        v = product_prior_infer(kb, parse_constraint(theta_text, x), x)
+        assert (v.holds, v.mode) == (False, "exact")
+        assert [list(mu.weights) for mu in v.evidence] == [[F(0), F(1, 4), F(0), F(3, 4)]]
+
     def test_an_empty_strict_cell_leaves_a_refutation_exact(self):
         # P((a | !a)) < 0 is a strict cell with no witness, so the factor
-        # kb on b is closed, as P(b) >= 1/2 is, and its failing vertex
-        # tuple is in the selection
+        # kb on b has the closure vertices of P(b) >= 1/2 alone, and its
+        # failing vertex tuple lies in [[kb]]
         sp = enumerate_worlds(["a", "b"])
         kb = parse_constraint("P(b) >= 1/2 | P((a | !a)) < 0", sp)
         proc = InferenceProcedure.prior_based(PriorFunction.product_family())
@@ -684,8 +726,8 @@ class TestProductPriorInfer:
         kbs = (parse_constraint("P(s1) <= 1/4 | P(s1) >= 3/4", a),
                parse_constraint("P(s2) = 1/2", b))
         assert all(len(cell.vertices(3)) == 2 for cell in cells(kbs[0], a))
-        assert _vertex_tuples(kbs, [a, b], 3) is None
-        assert len(list(_vertex_tuples(kbs, [a, b], 4))) == 4
+        assert _vertex_products(kbs, x, 3) is None
+        assert len(_vertex_products(kbs, x, 4)) == 4
         kb = parse_constraint("(P(s1) <= 1/4 | P(s1) >= 3/4) & P(s2) = 1/2", x)
         theta = parse_constraint("P((s1 <=> s2)) <= 1/2", x)
         v = product_prior_infer(kb, theta, x, samples=3)
@@ -697,11 +739,13 @@ class TestProductPriorInfer:
         ("P(a & b & c & d & e & f & g & h) <= 99/100", False),  # all mass on one world
         ("P(a & b) <= 1/2", False),
         ("P(a) >= 1/4", True),
+        ("P((a | b)) <= 1/2", False),  # no rectangle: a point mass of [[kb]]
     ])
     def test_rectangle_atoms_stay_exact_beyond_the_tuple_budget(self, theta_text, holds):
         # eight binary factors with two closure vertices each make 256
         # vertex tuples, more than infers' default 200 samples; a
-        # single-rectangle atom is still decided at its extreme tuples
+        # single-rectangle atom is still decided at its extreme tuples,
+        # and the corner rule refutes what they leave
         sp = enumerate_worlds(list("abcdefgh"))
         kb = parse_constraint("P(a) >= 1/2", sp)
         theta = parse_constraint(theta_text, sp)
@@ -941,15 +985,17 @@ class TestProductFamilyKlm:
         assert len(calls) <= 4500
 
     @pytest.mark.parametrize("proc, built, solved", [
-        (InferenceProcedure.prior_based(PriorFunction.product_family()), 367, 367),
+        (InferenceProcedure.prior_based(PriorFunction.product_family()), 371, 367),
         (InferenceProcedure.maxent(), 95, 95),
     ], ids=["product-family", "maxent"])
     def test_kb_cells_are_built_once(self, monkeypatch, cold_caches, proc, built, solved):
         # entail.cells builds each (kb, space)'s cells once and every
         # decision and projection shares them with their witnesses; the
         # product family's sets include the kb & !theta ones of its
-        # entailment rule, and the kb's own ones, which its one
-        # satisfiability check builds also for a kb that factorizes
+        # entailment rule, the kb's own ones, which its one satisfiability
+        # check builds also for a kb that factorizes, and the cells of the
+        # conjuncts of theta that a kb that factorizes tests at its vertex
+        # tuples, which solve no LP
         from credal import entail, simplex
 
         space = enumerate_worlds(["a", "b"])
@@ -1066,7 +1112,7 @@ def _template_cases():
 
 
 class TestVertexRuleOracle:
-    """Exact product-family verdicts on closed factorized kbs against a
+    """Exact product-family verdicts on factorized kbs against a
     brute-force grid of product measures."""
 
     @pytest.mark.parametrize("corpus", [

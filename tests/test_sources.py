@@ -168,6 +168,19 @@ def test_the_product_family_has_one_ladder():
     assert _top_level_calls("_factorize") == {("procedures.py", "product_prior_infer")}
 
 
+def test_a_vertex_tuple_is_tested_as_a_corner_is():
+    # the product family tests a vertex tuple on theta's and kb's cells
+    # with entail._holds_at, the corner rule's test, and a failing tuple
+    # refutes when it lies in [[kb]]: no closedness gate stands in for
+    # that membership, and the tuples have one home, _vertex_products
+    from credal import procedures
+
+    verdict = ("procedures.py", "_exact_product_verdict")
+    assert verdict in _top_level_calls("_holds_at")
+    assert verdict not in _top_level_calls("closed")
+    assert not hasattr(procedures, "_vertex_tuples")
+
+
 def test_the_sigma_extension_is_built_by_the_measure_algebra():
     # the coupling of the source paper's proof has one home,
     # measures.couple, and the uniform measure on U_i is the uniform
@@ -182,7 +195,8 @@ def test_an_atom_is_read_two_ways():
     # Cell, for linear_extremes' objective and for the product family's
     # split by factors; the checker reads its terms, and every exact
     # point test is LinearAtom.holds_at, the rule satisfies decides
-    # with; no third reading of the atom remains
+    # with, which a point is put to through a constraint's cells
+    # (entail._holds_at); no third reading of the atom remains
     from credal.constraints import LinearAtom
 
     assert not hasattr(LinearAtom, "coefficients")
@@ -191,8 +205,7 @@ def test_an_atom_is_read_two_ways():
                                              ("entail.py", "linear_extremes"),
                                              ("procedures.py", "_factorize")}
     assert _top_level_calls("holds_at") == {("constraints.py", "satisfies"),
-                                            ("entail.py", "_holds_at"),
-                                            ("procedures.py", "_exact_product_verdict")}
+                                            ("entail.py", "_holds_at")}
 
 
 def test_a_formula_is_read_straight_to_its_event():
